@@ -23,11 +23,12 @@ from .fedruntime import ProtocolConfig, audit_ledger, dump_ledger, run_round
 from .nuisance import CandidateSpec, FeatureMap
 from .simbench import (
     BENCH_METHODS,
-    generate_site,
     load_scenario,
     method_config,
+    rep_config_seed,
+    replication_frames,
     run_scenario,
-    thread_count,
+    runtime_method,
 )
 from .site_estimator import SiteFrame
 
@@ -72,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--target", required=True, help="target site CSV (y,a,x1..xp)")
     est.add_argument("--source", action="append", default=[],
                      help="source site CSV; repeatable")
-    est.add_argument("--method", default="mr_l1",
-                     choices=("target", "ss", "ivw", "aipw_l1", "mr_l1"))
+    est.add_argument("--method", default="mr_l1", choices=BENCH_METHODS)
     est.add_argument("--alpha", type=float, default=0.05)
     est.add_argument("--lambda-grid", type=_parse_lambda_grid,
                      default=DEFAULT_LAMBDA_GRID)
@@ -113,15 +113,11 @@ def _cmd_simulate(args) -> int:
     result.write_metrics_csv(os.path.join(args.out, "metrics.csv"))
     result.write_replications_csv(os.path.join(args.out, "replications.csv"))
 
-    # Protocol transcript of one replication, for inspection and audit.
-    frames = [
-        generate_site(site, scenario, np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((args.seed, 0, idx)))))
-        for idx, site in enumerate(scenario.sites)
-    ]
+    # Protocol transcript of replication 0, for inspection and audit.
     config = method_config(methods[0], scenario, alpha=args.alpha,
-                           lambda_grid=args.lambda_grid, seed=args.seed)
-    report = run_round(frames, config)
+                           lambda_grid=args.lambda_grid,
+                           seed=rep_config_seed(args.seed, 0))
+    report = run_round(replication_frames(scenario, args.seed, 0), config)
     dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
 
     manifest = {
@@ -131,7 +127,6 @@ def _cmd_simulate(args) -> int:
         "seed": args.seed,
         "alpha": args.alpha,
         "lambda_grid": list(args.lambda_grid),
-        "threads": thread_count(),
         "failures": result.failures,
         "version": __version__,
         "ledger_audit": audit_ledger(report),
@@ -197,11 +192,10 @@ def _cmd_estimate(args) -> int:
         "treatment": [CandidateSpec("x", "treatment", raw)],
         "outcome": [CandidateSpec("x", "outcome", raw)],
     }}
-    runtime_method = {"target": "target_only"}.get(args.method, args.method)
     config = ProtocolConfig(
         basis=BasisSpec("linear"),
         candidates=candidates,
-        method=runtime_method,
+        method=runtime_method(args.method),
         alpha=args.alpha,
         lambda_grid=args.lambda_grid,
         seed=args.seed,

@@ -60,8 +60,7 @@ class EnsembleSolution:
     """Site weights chosen by a fixed scheme or the adaptive penalized fit."""
 
     site_ids: tuple[str, ...]
-    eta: np.ndarray
-    eta_by_arm: np.ndarray  # shape (2, K); both rows equal the site weights
+    eta: np.ndarray  # one weight per site, shared by both arms
     method: str
     lambda_: float | None = None
     cv_trace: dict = field(default_factory=dict)
@@ -140,7 +139,6 @@ def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolutio
     return EnsembleSolution(
         site_ids=tuple(e.site_id for e in estimates),
         eta=eta,
-        eta_by_arm=np.vstack([eta, eta]),
         method=scheme,
     )
 
@@ -248,7 +246,6 @@ def cross_validate_lambda(
         return EnsembleSolution(
             site_ids=tuple(e.site_id for e in estimates),
             eta=eta,
-            eta_by_arm=np.vstack([eta, eta]),
             method="adaptive_l1",
             lambda_=grid[0],
             delta=np.zeros(K),
@@ -283,22 +280,11 @@ def cross_validate_lambda(
     return EnsembleSolution(
         site_ids=tuple(e.site_id for e in estimates),
         eta=eta,
-        eta_by_arm=np.vstack([eta, eta]),
         method="adaptive_l1",
         lambda_=lam,
         cv_trace={"lambda": list(grid), "mean_validation_error": mean_err.tolist()},
         delta=delta_full,
     )
-
-
-def adaptive_ensemble(
-    estimates: list[SiteEstimate],
-    grid=DEFAULT_LAMBDA_GRID,
-    n_splits: int = 5,
-    seed: int = 0,
-) -> EnsembleSolution:
-    """Cross-validated adaptive weights (one weight per site, both arms)."""
-    return cross_validate_lambda(estimates, grid, n_splits, seed)
 
 
 def global_estimate(
@@ -320,9 +306,9 @@ def global_estimate(
     N = _total_n(estimates)
     tgt_est = estimates[t]
 
+    eta = solution.eta
     mu_g = []
     for arm in (0, 1):
-        eta = solution.eta_by_arm[arm]
         mu = tgt_est.mu[arm]
         combined = mu + sum(
             eta[i] * (estimates[i].mu[arm] - mu) for i in range(len(estimates))
@@ -334,7 +320,6 @@ def global_estimate(
     target_contrib = np.zeros(n_T)
     source_sq = 0.0
     for arm, sign in ((1, 1.0), (0, -1.0)):
-        eta = solution.eta_by_arm[arm]
         for i, est in enumerate(estimates):
             own, on_tgt = influence_values(est, N)
             if est.is_target:
@@ -344,7 +329,7 @@ def global_estimate(
     for i in src:
         est = estimates[i]
         own, _ = influence_values(est, N)
-        contrib = solution.eta_by_arm[1][i] * own[1] - solution.eta_by_arm[0][i] * own[0]
+        contrib = eta[i] * own[1] - eta[i] * own[0]
         source_sq += float(np.sum(contrib**2))
     sigma_hat = (float(np.sum(target_contrib**2)) + source_sq) / N
     variance = sigma_hat / N

@@ -1,12 +1,13 @@
 """Single-round simulated federation over in-memory site frames.
 
 The target site acts as coordinator. One round consists of a configuration
-broadcast, a moment-summary broadcast from the target, one summary-level
-upload per source, and the target's own estimate, after which the coordinator
-forms the global combination. Every cross-site payload is serialized to JSON
-at the boundary and decoded on the receiving side, and every message is logged
-so the ledger can be audited: only the declared summary-level schemas may
-cross sites, never individual rows.
+broadcast and a site phase (:func:`run_sites`: a moment-summary broadcast from
+the target, one summary-level upload per source, and the target's own
+estimate), after which the coordinator forms the global combination
+(:func:`combine`). The site phase never reads the weighting scheme. Every
+cross-site payload is serialized to JSON at the boundary and decoded on the
+receiving side, and every message is logged so the ledger can be audited: only
+the declared summary-level schemas may cross sites, never individual rows.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .errors import (
 from .federation import (
     DEFAULT_LAMBDA_GRID,
     GlobalReport,
-    adaptive_ensemble,
     combine_fixed,
+    cross_validate_lambda,
     global_estimate,
 )
-from .nuisance import DEFAULT_CLIP, CandidateSpec, fit_nuisances
+from .nuisance import DEFAULT_CLIP, CandidateSpec, NuisanceFit, fit_nuisances
 from .site_estimator import (
     SiteFrame,
     SourceSiteReport,
@@ -167,13 +168,10 @@ def site_split_seed(seed: int, site_id: str) -> int:
     return (int(seed) * 1_000_003 + zlib.crc32(site_id.encode("utf-8"))) % (2**31)
 
 
-def _source_node(
-    frame: SiteFrame, summary: MomentSummary, config: ProtocolConfig
-) -> SourceSiteReport:
-    """Everything a source computes locally from its data and the summary."""
-    tilt = solve_tilt(frame.V, summary, config.basis)
+def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
+    """Fit a site's nuisance models on its own data."""
     specs = config.specs_for(frame.site_id)
-    fit = fit_nuisances(
+    return fit_nuisances(
         frame.X,
         frame.y,
         frame.a,
@@ -184,15 +182,30 @@ def _source_node(
         kappa=config.kappa,
         clip=config.clip,
     )
-    return source_report(frame, fit, tilt)
 
 
-def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
-    """Execute one federated round and return the coordinator's report.
+@dataclass(frozen=True)
+class SitePhase:
+    """The site work of one round, which no weighting scheme changes.
 
-    Sources that raise a model-fitting or transport error are excluded from
-    the combination (logged in the report diagnostics); if every source fails
-    the round degrades to the target-only estimate with a warning.
+    ``estimates`` holds the target estimate first, then one estimate per
+    source that succeeded; ``failures`` maps each failed source to its error.
+    ``ledger`` logs the messages of the site phase; the config broadcast names
+    the weighting scheme, so :func:`combine` logs it.
+    """
+
+    estimates: list
+    ledger: list
+    failures: dict
+
+
+def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
+    """Run every site's local work: moment summary, tilts, nuisance fits,
+    source uploads and the target's own estimate.
+
+    Never reads ``config.method``, so one site phase serves every
+    weighting scheme. Sources that raise a model-fitting or
+    transport error are recorded in ``failures`` and left out.
     """
     targets = [f for f in frames if f.role == "target"]
     if len(targets) != 1:
@@ -202,17 +215,6 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     coordinator = target.site_id
 
     ledger: list[MessageRecord] = []
-    if sources:
-        ledger.append(
-            MessageRecord(
-                from_site=coordinator,
-                to_site="*",
-                kind="config",
-                round=0,
-                payload_text=json.dumps(config.to_dict()),
-            )
-        )
-
     summary_text = target_moments(target.V, config.basis, target.site_id).to_json()
     failures: dict[str, str] = {}
     estimates = []
@@ -229,7 +231,8 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
         )
         summary = MomentSummary.from_json(summary_text)
         try:
-            report = _source_node(src, summary, config)
+            tilt = solve_tilt(src.V, summary, config.basis)
+            report = source_report(src, _fit_site(src, config), tilt)
         except FedcausalError as exc:
             failures[src.site_id] = f"{type(exc).__name__}: {exc}"
             continue
@@ -247,19 +250,7 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
             complete_source_estimate(SourceSiteReport.from_json(report_text), target)
         )
 
-    tgt_specs = config.specs_for(target.site_id)
-    tgt_fit = fit_nuisances(
-        target.X,
-        target.y,
-        target.a,
-        tgt_specs["treatment"],
-        tgt_specs["outcome"],
-        fraction=config.train_fraction,
-        seed=site_split_seed(config.seed, target.site_id),
-        kappa=config.kappa,
-        clip=config.clip,
-    )
-    tgt_est = estimate_target(target, tgt_fit)
+    tgt_est = estimate_target(target, _fit_site(target, config))
     if sources:
         ledger.append(
             MessageRecord(
@@ -270,10 +261,20 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
                 payload_text=tgt_est.to_json(),
             )
         )
-    estimates = [tgt_est] + estimates
+    return SitePhase(estimates=[tgt_est] + estimates, ledger=ledger, failures=failures)
 
+
+def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
+    """Coordinator step: weight the site estimates by ``config.method``.
+
+    Leaves ``sites`` unchanged, so one site phase can be combined under
+    several weighting schemes. If every source failed the round degrades to
+    the target-only estimate with a warning.
+    """
+    estimates = sites.estimates
+    n_sources = len(estimates) - 1 + len(sites.failures)
     method = config.method
-    if sources and len(estimates) == 1:
+    if n_sources and len(estimates) == 1:
         warnings.warn(
             "all source sites failed; falling back to the target-only estimate",
             AllSourcesFailedWarning,
@@ -283,22 +284,43 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     if len(estimates) == 1:
         solution = combine_fixed(estimates, "target_only")
     elif method in ADAPTIVE_METHODS:
-        solution = adaptive_ensemble(
+        solution = cross_validate_lambda(
             estimates, grid=config.lambda_grid, n_splits=config.n_splits, seed=config.seed
         )
     else:
         solution = combine_fixed(estimates, method)
 
     result = global_estimate(estimates, solution, alpha=config.alpha, method=config.method)
-    result.privacy_ledger = ledger
+    broadcast = []
+    if n_sources:
+        broadcast.append(
+            MessageRecord(
+                from_site=estimates[0].site_id,
+                to_site="*",
+                kind="config",
+                round=0,
+                payload_text=json.dumps(config.to_dict()),
+            )
+        )
+    result.privacy_ledger = broadcast + sites.ledger
     result.diagnostics = {
-        "n_sites": len(frames),
-        "n_sources": len(sources),
+        "n_sites": n_sources + 1,
+        "n_sources": n_sources,
         "n_sources_used": len(estimates) - 1,
-        "failed_sources": failures,
+        "failed_sources": dict(sites.failures),
         "effective_method": method,
     }
     return result
+
+
+def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
+    """Execute one federated round and return the coordinator's report.
+
+    The round is the site phase (:func:`run_sites`) followed by the
+    coordinator's combine step (:func:`combine`); sources that fail are
+    listed in the report diagnostics.
+    """
+    return combine(run_sites(frames, config), config)
 
 
 def audit_ledger(report: GlobalReport) -> dict:

@@ -3,10 +3,10 @@
 Sites draw skew-normal covariates, with outcome and treatment models that are
 linear either in the raw covariates or in their nonlinear transform, so that
 an analyst modeling the raw covariates is correct at some sites and wrong at
-others. Each replication generates all sites, runs every requested method
-through the federated runtime, and records the effect estimate and confidence
-interval. Replications are pure functions of (seed, replication index), so
-results are identical for any worker-thread count.
+others. Each replication generates all sites, runs the federated site phase
+once per distinct candidate configuration, combines it under every requested
+method, and records the effect estimate and confidence interval. Replications
+are pure functions of (seed, replication index).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -25,19 +24,12 @@ import numpy as np
 from .density_ratio import BasisSpec
 from .errors import FedcausalError, ScenarioError
 from .federation import DEFAULT_LAMBDA_GRID
-from .fedruntime import ProtocolConfig, run_round
+from .fedruntime import ProtocolConfig, combine, run_sites
 from .nuisance import CandidateSpec, FeatureMap, kang_schafer
 from .numkit import expit
 from .site_estimator import SiteFrame
 
 BENCH_METHODS = ("target", "ss", "ivw", "aipw_l1", "mr_l1")
-_RUNTIME_METHOD = {
-    "target": "target_only",
-    "ss": "ss",
-    "ivw": "ivw",
-    "aipw_l1": "aipw_l1",
-    "mr_l1": "mr_l1",
-}
 
 OUTCOME_INTERCEPT = 210.0
 OUTCOME_COEF = np.array([27.4, 13.7, 13.7, 13.7])
@@ -195,6 +187,11 @@ def generate_site(site: SiteSpec, scenario: ScenarioSpec, rng: np.random.Generat
     )
 
 
+def runtime_method(method: str) -> str:
+    """The runtime weighting scheme behind a benchmark method name."""
+    return "target_only" if method == "target" else method
+
+
 def _candidate_group(ids_and_maps: list[tuple[str, FeatureMap]], target: str) -> list[CandidateSpec]:
     return [CandidateSpec(id=i, target=target, feature_map=m) for i, m in ids_and_maps]
 
@@ -226,7 +223,7 @@ def method_config(
         tgt_maps = [("x", raw)]
     else:
         if method == "mr_l1":
-            src_maps = [("x", raw), ("ks", kang_schafer_map())]
+            src_maps = [("x", raw), ("ks", FeatureMap("kangschafer"))]
         else:
             src_maps = [("x", raw)]
         tgt_maps = src_maps
@@ -243,16 +240,12 @@ def method_config(
     return ProtocolConfig(
         basis=BasisSpec("linear"),
         candidates=candidates,
-        method=_RUNTIME_METHOD[method],
+        method=runtime_method(method),
         alpha=alpha,
         lambda_grid=tuple(lambda_grid),
         n_splits=n_splits,
         seed=seed,
     )
-
-
-def kang_schafer_map() -> FeatureMap:
-    return FeatureMap("kangschafer")
 
 
 @dataclass(frozen=True)
@@ -327,8 +320,21 @@ class SimulationResult:
                 )
 
 
-def _rep_config_seed(seed: int, rep: int) -> int:
+def rep_config_seed(seed: int, rep: int) -> int:
+    """The protocol config seed of replication ``rep``."""
     return int(np.random.SeedSequence((seed, rep)).generate_state(1)[0] % (2**31))
+
+
+def replication_frames(scenario: ScenarioSpec, seed: int, rep: int) -> list[SiteFrame]:
+    """The site frames of replication ``rep``."""
+    return [
+        generate_site(
+            site,
+            scenario,
+            np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep, idx)))),
+        )
+        for idx, site in enumerate(scenario.sites)
+    ]
 
 
 def run_replication(
@@ -340,25 +346,31 @@ def run_replication(
     lambda_grid=DEFAULT_LAMBDA_GRID,
     n_splits: int = 5,
 ) -> tuple[list[ReplicationRow], dict]:
-    """One replication: generate all sites, run each method, score coverage."""
-    frames = [
-        generate_site(
-            site,
-            scenario,
-            np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep, idx)))),
-        )
-        for idx, site in enumerate(scenario.sites)
-    ]
-    cfg_seed = _rep_config_seed(seed, rep)
+    """One replication: generate all sites, run each method, score coverage.
+
+    Methods whose configs differ only in the weighting scheme share one site
+    phase; an error in that phase fails each of them.
+    """
+    frames = replication_frames(scenario, seed, rep)
+    cfg_seed = rep_config_seed(seed, rep)
     rows: list[ReplicationRow] = []
     failed: dict[str, str] = {}
+    phases: dict = {}  # config without its method -> site phase or its error
     for method in methods:
         config = method_config(
             method, scenario, alpha=alpha, lambda_grid=lambda_grid,
             n_splits=n_splits, seed=cfg_seed,
         )
+        key = json.dumps({**config.to_dict(), "method": None})
+        if key not in phases:
+            try:
+                phases[key] = run_sites(frames, config)
+            except FedcausalError as exc:
+                phases[key] = exc
         try:
-            report = run_round(frames, config)
+            if isinstance(phases[key], FedcausalError):
+                raise phases[key]
+            report = combine(phases[key], config)
         except FedcausalError as exc:
             failed[method] = f"{type(exc).__name__}: {exc}"
             continue
@@ -378,16 +390,6 @@ def run_replication(
     return rows, failed
 
 
-def thread_count() -> int:
-    """Worker threads for the replication loop (FEDCAUSAL_THREADS, default 1)."""
-    raw = os.environ.get("FEDCAUSAL_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(f"FEDCAUSAL_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def run_scenario(
     scenario: ScenarioSpec,
     methods=BENCH_METHODS,
@@ -400,8 +402,7 @@ def run_scenario(
     """Run the full Monte Carlo study.
 
     Aborts with :class:`ScenarioError` if more than 1 percent of replications
-    fail for any method. Replication rows are aggregated in replication order
-    regardless of the thread count.
+    fail for any method. Replication rows are aggregated in replication order.
     """
     methods = tuple(methods)
     for m in methods:
@@ -410,20 +411,15 @@ def run_scenario(
     if reps < 1:
         raise ScenarioError("reps must be positive")
 
-    def worker(rep: int):
-        return run_replication(
-            scenario, methods, seed, rep, alpha=alpha,
-            lambda_grid=lambda_grid, n_splits=n_splits,
-        )
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        n_threads = thread_count()
-        if n_threads == 1:
-            outcomes = [worker(rep) for rep in range(reps)]
-        else:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                outcomes = list(pool.map(worker, range(reps)))
+        outcomes = [
+            run_replication(
+                scenario, methods, seed, rep, alpha=alpha,
+                lambda_grid=lambda_grid, n_splits=n_splits,
+            )
+            for rep in range(reps)
+        ]
 
     result = SimulationResult(
         scenario=scenario.name,

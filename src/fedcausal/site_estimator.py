@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density_ratio import BasisSpec, TiltCoefficients, ratio_weights, truncate_weights
-from .errors import PositivityWarning
+from .errors import PositivityWarning, SingularJacobian
 from .nuisance import NuisanceFit, predict_outcome, predict_propensity
 from .numkit import add_intercept, fit_ols
 
@@ -247,6 +247,7 @@ def source_report(
     sensitivity A = dmu/dgamma, each unit contributes through A'B^{-1} times
     its centered moment-equation value. The same sensitivity vector is
     reported so the coordinator can add the matching target-sample term.
+    Raises :class:`SingularJacobian` when B is singular.
     """
     if source.role != "source":
         raise ValueError("source_report requires a source frame")
@@ -280,8 +281,10 @@ def source_report(
         A = -(psi * (zeta_d * h)[:, None]).mean(axis=0)
         try:
             w = np.linalg.solve(B, A)
-        except np.linalg.LinAlgError:
-            w = np.zeros(psi.shape[1])
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobian(
+                f"tilt Jacobian is singular at source {source.site_id}"
+            ) from exc
         xi_own[arm] = own - own.mean() + moment_noise @ w
         sens.append(w)
     return SourceSiteReport(

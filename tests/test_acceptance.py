@@ -6,7 +6,6 @@ with seed 0 and reused by every criterion that needs it.
 """
 
 import math
-import os
 import warnings
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from scipy import optimize
 
 from fedcausal.density_ratio import BasisSpec, ratio_weights, solve_tilt, target_moments
-from fedcausal.federation import adaptive_ensemble, combine_fixed, global_estimate, solve_l1_weights
+from fedcausal.federation import cross_validate_lambda, global_estimate, solve_l1_weights
 from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round, site_split_seed
 from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit, nnls_coordinate_descent
@@ -339,8 +338,8 @@ def test_criterion_8_runtime_equivalence_and_privacy():
                                 candidates["default"]["outcome"],
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(estimate_source(src, target, fit, tilt))
-        solution = adaptive_ensemble(estimates, grid=config.lambda_grid,
-                                     n_splits=config.n_splits, seed=seed)
+        solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
+                                         n_splits=config.n_splits, seed=seed)
         direct = global_estimate(estimates, solution, alpha=config.alpha,
                                  method=config.method)
         if not (runtime.delta_hat == direct.delta_hat
@@ -372,18 +371,23 @@ def test_criterion_8_runtime_equivalence_and_privacy():
     assert identical and census_ok, detail
 
 
-def test_criterion_9_thread_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path):
+    scenario = load_scenario("c1")
+    methods = ("target", "mr_l1")
     outputs = []
-    for threads in ("1", "3"):
-        os.environ["FEDCAUSAL_THREADS"] = threads
-        try:
-            result = run_scenario(load_scenario("c1"),
-                                  methods=("target", "mr_l1"), reps=12, seed=7)
-        finally:
-            del os.environ["FEDCAUSAL_THREADS"]
-        path = tmp_path / f"metrics_{threads}.csv"
+    for run in range(2):
+        result = run_scenario(scenario, methods=methods, reps=12, seed=7)
+        path = tmp_path / f"metrics_{run}.csv"
         result.write_metrics_csv(path)
         outputs.append(path.read_bytes())
-    ok = outputs[0] == outputs[1]
-    announce(9, ok, "metrics.csv byte-identical for 1 vs 3 worker threads")
+    one_by_one = [row for m in methods
+                  for row in run_scenario(scenario, methods=(m,), reps=12, seed=7).rows]
+
+    def order(r):
+        return r.method, r.rep
+
+    rows_ok = sorted(result.rows, key=order) == sorted(one_by_one, key=order)
+    ok = outputs[0] == outputs[1] and rows_ok
+    announce(9, ok, "metrics.csv byte-identical across two runs; "
+                    f"rows equal to one run per method: {rows_ok}")
     assert ok

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from fedcausal.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from fedcausal.numkit import expit
+from fedcausal.simbench import load_scenario, method_config, rep_config_seed
 
 
 def _write_site_csv(path, seed, n, names):
@@ -37,6 +39,12 @@ def test_simulate_smoke(tmp_path, capsys):
     assert manifest["reps"] == 2
     # 5 sites: one config broadcast, 4 moment summaries, 5 estimate records.
     assert manifest["ledger_audit"]["n_messages"] == 10
+    # The transcript is replication 0's round, config seed included.
+    config = method_config("target", load_scenario("c1"), seed=rep_config_seed(0, 0))
+    first = json.loads((out / "ledger.jsonl").read_text().splitlines()[0])
+    assert first["kind"] == "config"
+    assert first["digest"] == hashlib.sha256(
+        json.dumps(config.to_dict()).encode("utf-8")).hexdigest()
 
     code = main(["report", "--metrics", str(out / "metrics.csv")])
     assert code == EXIT_OK

@@ -10,7 +10,6 @@ from scipy import stats
 from fedcausal.errors import MissingTarget, ZeroVariance
 from fedcausal.federation import (
     EnsembleSolution,
-    adaptive_ensemble,
     combine_fixed,
     cross_validate_lambda,
     global_estimate,
@@ -57,7 +56,6 @@ def test_z_quantile_against_scipy():
 def test_combine_target_only():
     sol = combine_fixed(_trio(), "target_only")
     assert np.array_equal(sol.eta, [1.0, 0.0, 0.0])
-    assert np.array_equal(sol.eta_by_arm[0], sol.eta_by_arm[1])
 
 
 def test_combine_sample_size():
@@ -141,7 +139,7 @@ def test_cross_validate_lambda_empty_grid():
 
 def test_adaptive_ensemble_target_alone():
     rng = np.random.default_rng(6)
-    sol = adaptive_ensemble([_target_estimate(rng)])
+    sol = cross_validate_lambda([_target_estimate(rng)])
     assert np.array_equal(sol.eta, [1.0])
 
 
@@ -151,7 +149,7 @@ def test_adaptive_ensemble_duplicated_source():
     s1 = _source_estimate(rng, "s1")
     s1b = SiteEstimate(site_id="s1b", mu=s1.mu, xi_own=s1.xi_own.copy(),
                        xi_on_target=s1.xi_on_target.copy(), n_k=s1.n_k, n_T=s1.n_T)
-    sol = adaptive_ensemble([tgt, s1, s1b])
+    sol = cross_validate_lambda([tgt, s1, s1b])
     assert np.all(sol.eta >= 0.0)
     assert abs(sol.eta.sum() - 1.0) < 1e-12
 

@@ -14,13 +14,15 @@ from fedcausal.errors import (
     MissingTarget,
     PrivacyViolation,
 )
-from fedcausal.federation import adaptive_ensemble, combine_fixed, global_estimate
+from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import (
     MessageRecord,
     ProtocolConfig,
     audit_ledger,
     dump_ledger,
+    combine,
     run_round,
+    run_sites,
     site_split_seed,
 )
 from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
@@ -99,8 +101,8 @@ def test_run_round_matches_direct_composition():
                             seed=site_split_seed(config.seed, src.site_id),
                             clip=config.clip)
         estimates.append(estimate_source(src, target, fit, tilt))
-    solution = adaptive_ensemble(estimates, grid=config.lambda_grid,
-                                 n_splits=config.n_splits, seed=config.seed)
+    solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
+                                     n_splits=config.n_splits, seed=config.seed)
     direct = global_estimate(estimates, solution, alpha=config.alpha,
                              method=config.method)
 
@@ -109,6 +111,19 @@ def test_run_round_matches_direct_composition():
     assert via_runtime.variance == direct.variance
     assert via_runtime.ci == direct.ci
     assert np.array_equal(via_runtime.solution.eta, direct.solution.eta)
+
+
+def test_one_site_phase_combines_under_each_scheme():
+    frames = _make_frames(seed=7)
+    sites = run_sites(frames, _config("ivw", seed=2))
+    for method in ("mr_l1", "ivw", "target_only"):
+        config = _config(method, seed=2)
+        shared, alone = combine(sites, config), run_round(frames, config)
+        assert shared.delta_hat == alone.delta_hat
+        assert shared.variance == alone.variance
+        assert shared.diagnostics == alone.diagnostics
+        assert ([r.to_dict() for r in shared.privacy_ledger]
+                == [r.to_dict() for r in alone.privacy_ledger])
 
 
 def test_failed_source_is_dropped():

@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fedcausal import fedruntime
 from fedcausal.errors import ScenarioError
 from fedcausal.simbench import (
     BENCH_METHODS,
@@ -16,9 +18,9 @@ from fedcausal.simbench import (
     list_presets,
     load_scenario,
     method_config,
+    run_replication,
     run_scenario,
     sample_skew_normal,
-    thread_count,
 )
 
 
@@ -184,13 +186,22 @@ def test_run_scenario_same_seed_same_rows():
     assert [row.delta_hat for row in r1.rows] != [row.delta_hat for row in r3.rows]
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("FEDCAUSAL_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("FEDCAUSAL_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("FEDCAUSAL_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("FEDCAUSAL_THREADS", "lots")
-    with pytest.raises(ScenarioError):
-        thread_count()
+def test_site_phase_shared_across_methods(monkeypatch):
+    calls = []
+    fit = fedruntime.fit_nuisances
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(fedruntime, "fit_nuisances", counting_fit)
+    scenario = load_scenario("c1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows, failed = run_replication(scenario, BENCH_METHODS, seed=0, rep=0)
+        # target, ss, ivw and aipw_l1 share one site phase; mr_l1 has its own.
+        assert len(rows) + len(failed) == 5
+        assert len(calls) == 2 * len(scenario.sites)
+        calls.clear()
+        run_replication(scenario, ("mr_l1",), seed=0, rep=0)
+        assert len(calls) == len(scenario.sites)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedcausal.density_ratio import BasisSpec, TiltCoefficients, solve_tilt, target_moments
-from fedcausal.errors import PositivityWarning
+from fedcausal.errors import PositivityWarning, SingularJacobian
 from fedcausal.numkit import LinearFit, expit
 from fedcausal.nuisance import (
     CandidateSpec,
@@ -228,6 +228,20 @@ def test_source_report_requires_source_role():
     report = source_report(src, _zero_fit(2), tilt)
     with pytest.raises(ValueError):
         complete_source_estimate(report, src)
+
+
+def test_source_report_singular_jacobian_raises():
+    # V**2 equals V on a binary column, so the squares basis makes B singular.
+    rng = np.random.default_rng(13)
+    n = 200
+    X = np.column_stack([rng.integers(0, 2, n), rng.standard_normal(n)]).astype(float)
+    a = (rng.random(n) < 0.5).astype(int)
+    y = 1.0 + X[:, 1] + a + rng.standard_normal(n)
+    src = SiteFrame("src", "source", y, a, X, (0, 1))
+    basis = BasisSpec("linear_plus_squares")
+    tilt = TiltCoefficients(np.zeros(5), basis, 0.0)
+    with pytest.raises(SingularJacobian):
+        source_report(src, _zero_fit(2), tilt)
 
 
 def test_influence_values_scaling():
