@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MissingTarget, ZeroVariance
 from .numkit import nnls_coordinate_descent
-from .site_estimator import SiteEstimate, influence_values
+from .site_estimator import SiteEstimate, influence_values, split_masks
 
 FIXED_SCHEMES = ("target_only", "ss", "ivw")
 DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -128,10 +128,9 @@ def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolutio
         N = _total_n(estimates)
         inv_var = np.zeros(K)
         for i, est in enumerate(estimates):
-            own, on_tgt = influence_values(est, N)
-            own_d = own[1] - own[0]
+            own_sq, on_tgt = influence_values(est, N)
             tgt_d = on_tgt[1] - on_tgt[0]
-            sigma2 = (np.sum(own_d**2) + np.sum(tgt_d**2)) / N**2
+            sigma2 = (own_sq + np.sum(tgt_d**2)) / N**2
             if sigma2 <= 0.0:
                 raise ZeroVariance(f"site {est.site_id} has zero influence variance")
             inv_var[i] = 1.0 / sigma2
@@ -144,7 +143,7 @@ def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolutio
 
 
 def _stacked_system(estimates: list[SiteEstimate]):
-    """Stacked influence regression for the adaptive site weights.
+    """Target block of the stacked influence regression for the site weights.
 
     The regression works on the effect-difference (treated minus control)
     influence values, since one weight per site multiplies both arm means.
@@ -158,20 +157,18 @@ def _stacked_system(estimates: list[SiteEstimate]):
     plug-in standard error before entering the columns: the raw difference is
     dominated by the shared noise of the target estimate, which would anchor
     the fit to the target, while a real bias far exceeds the threshold and
-    still suppresses the site. Response rows are the target estimator's
-    contributions on target units followed by zeros on source units; source
-    rows of column k hold minus its own-unit contributions.
+    still suppresses the site. The response on target rows is the target
+    estimator's contributions. Source k's own-unit rows (minus its own-unit
+    contributions in column k, response zero) are summarized by their sum of
+    squares, returned per source as ``own_sq``; see :func:`_with_source_rows`.
     """
     t, src = _split_target(estimates)
     tgt_est = estimates[t]
     n_T = tgt_est.n_T
-    xi_T = (tgt_est.xi_own[1] - tgt_est.xi_own[0]) / n_T
-    n_rows = n_T + sum(estimates[i].n_k for i in src)
-    response = np.zeros(n_rows)
-    response[:n_T] = xi_T
-    G = np.zeros((n_rows, len(src)))
+    xi_T = (tgt_est.xi_on_target[1] - tgt_est.xi_on_target[0]) / n_T
+    G = np.zeros((n_T, len(src)))
     delta = np.zeros(len(src))
-    row = n_T
+    own_sq = np.array([estimates[i].own.sq / estimates[i].n_k**2 for i in src])
     var_T = float(np.sum(xi_T**2))
     arm_shift_sq = np.zeros(len(src))
     for col, i in enumerate(src):
@@ -181,17 +178,51 @@ def _stacked_system(estimates: list[SiteEstimate]):
             (est.mu[arm] - tgt_est.mu[arm]) ** 2 for arm in (0, 1)
         )
         on_tgt = (est.xi_on_target[1] - est.xi_on_target[0]) / n_T
-        own = (est.xi_own[1] - est.xi_own[0]) / est.n_k
         # Plug-in variance of delta_k; the cross term comes from the shared
         # target rows.
-        var_d = (var_T + float(np.sum(own**2)) + float(np.sum(on_tgt**2))
+        var_d = (var_T + own_sq[col] + float(np.sum(on_tgt**2))
                  - 2.0 * float(np.sum(xi_T * on_tgt)))
         threshold = 2.0 * math.sqrt(max(var_d, 0.0))
         shrunk = math.copysign(max(abs(delta[col]) - threshold, 0.0), delta[col])
-        G[:n_T, col] = xi_T - on_tgt - shrunk / math.sqrt(n_T)
-        G[row : row + est.n_k, col] = -own
-        row += est.n_k
-    return response, G, delta, arm_shift_sq, t, src
+        G[:, col] = xi_T - on_tgt - shrunk / math.sqrt(n_T)
+    return xi_T, G, own_sq, delta, arm_shift_sq, t, src
+
+
+def _with_source_rows(G_T: np.ndarray, r_T: np.ndarray, own_sq: np.ndarray):
+    """Append one pseudo-row per source to the target rows.
+
+    Source k's own-unit rows are nonzero only in column k and have response
+    zero, so their whole contribution to G'G is ``own_sq[k]`` on the diagonal
+    and to G'r is zero. The single row -sqrt(own_sq[k]) on column k, with
+    response zero, contributes exactly the same.
+    """
+    G = np.vstack([G_T, -np.diag(np.sqrt(own_sq))])
+    return G, np.concatenate([r_T, np.zeros(len(own_sq))])
+
+
+def _cv_halves(estimates: list[SiteEstimate], r_T, G_T, n_splits: int, seed: int):
+    """Yield the fit-half and validation-half rows of each CV split.
+
+    Every site splits its own units (:func:`split_masks`): the target's rows
+    are split here, while each source split its units before upload and sent
+    the sums of squares of both halves, which become its pseudo-rows.
+    """
+    t, src = _split_target(estimates)
+    sources = [estimates[i] for i in src]
+    for est in sources:
+        if len(est.own.fit_sq) != n_splits or len(est.own.val_sq) != n_splits:
+            raise ValueError(
+                f"site {est.site_id} summarizes {len(est.own.fit_sq)} splits, "
+                f"expected {n_splits}"
+            )
+    masks = split_masks(estimates[t].n_T, n_splits, seed, estimates[t].site_id)
+    for s, fit_units in enumerate(masks):
+        fit_sq = np.array([e.own.fit_sq[s] / e.n_k**2 for e in sources])
+        val_sq = np.array([e.own.val_sq[s] / e.n_k**2 for e in sources])
+        yield (
+            _with_source_rows(G_T[fit_units], r_T[fit_units], fit_sq),
+            _with_source_rows(G_T[~fit_units], r_T[~fit_units], val_sq),
+        )
 
 
 def _weights_from_source_eta(eta_src: np.ndarray, t: int, src: list[int], K: int) -> np.ndarray:
@@ -214,11 +245,11 @@ def solve_l1_weights(estimates: list[SiteEstimate], lambda_: float) -> np.ndarra
     from the target's; the target weight is the simplex remainder, floored at
     zero with renormalization.
     """
-    response, G, delta, arm_shift_sq, t, src = _stacked_system(estimates)
+    r_T, G_T, own_sq, delta, arm_shift_sq, t, src = _stacked_system(estimates)
     if not src:
         return _weights_from_source_eta(np.zeros(0), t, src, len(estimates))
-    penalties = lambda_ * arm_shift_sq
-    eta_src = nnls_coordinate_descent(G, response, penalties)
+    G, response = _with_source_rows(G_T, r_T, own_sq)
+    eta_src = nnls_coordinate_descent(G, response, lambda_ * arm_shift_sq)
     return _weights_from_source_eta(eta_src, t, src, len(estimates))
 
 
@@ -228,18 +259,19 @@ def cross_validate_lambda(
     n_splits: int = 5,
     seed: int = 0,
 ) -> EnsembleSolution:
-    """Choose the penalty by repeated 50/50 splits of the stacked rows.
+    """Choose the penalty by repeated 50/50 splits of every site's units.
 
-    Weights are fit on one half and scored by the unpenalized objective on
-    the other. The selected value is the largest penalty whose mean
-    validation error sits within one standard error of the minimum, which
-    stabilizes the weights when the error curve is nearly flat. The final
+    Each site splits its own units (:func:`_cv_halves`). Weights are fit on
+    one half and scored by the unpenalized objective on the other. The
+    selected value is the largest penalty whose mean validation error sits
+    within one standard error of the minimum, which stabilizes the weights
+    when the error curve is nearly flat. The final
     weights are refit on all rows at the chosen value.
     """
     grid = sorted(set(float(g) for g in grid))
     if not grid:
         raise ValueError("lambda grid must be non-empty")
-    response, G, delta, arm_shift_sq, t, src = _stacked_system(estimates)
+    r_T, G_T, own_sq, delta, arm_shift_sq, t, src = _stacked_system(estimates)
     K = len(estimates)
     if not src:
         eta = _weights_from_source_eta(np.zeros(0), t, src, K)
@@ -251,15 +283,9 @@ def cross_validate_lambda(
             delta=np.zeros(K),
         )
 
-    n_rows = len(response)
     errors = np.zeros((n_splits, len(grid)))
-    for s in range(n_splits):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, s)))
-        perm = rng.permutation(n_rows)
-        half = n_rows // 2
-        fit_rows, val_rows = perm[:half], perm[half:]
-        G_fit, r_fit = G[fit_rows], response[fit_rows]
-        G_val, r_val = G[val_rows], response[val_rows]
+    halves = _cv_halves(estimates, r_T, G_T, n_splits, seed)
+    for s, ((G_fit, r_fit), (G_val, r_val)) in enumerate(halves):
         for j, lam in enumerate(grid):
             eta_src = nnls_coordinate_descent(G_fit, r_fit, lam * arm_shift_sq)
             resid = r_val - G_val @ eta_src
@@ -298,11 +324,11 @@ def global_estimate(
     The variance sums squared per-unit contributions: on target units the
     weighted mix of every site's target-sample influence parts (which captures
     their cross-site covariance), and on each source's own units its weighted
-    own-sample part.
+    own-sample part, whose squares the source uploads already summed.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    t, src = _split_target(estimates)
+    t, _ = _split_target(estimates)
     N = _total_n(estimates)
     tgt_est = estimates[t]
 
@@ -319,18 +345,10 @@ def global_estimate(
     n_T = tgt_est.n_T
     target_contrib = np.zeros(n_T)
     source_sq = 0.0
-    for arm, sign in ((1, 1.0), (0, -1.0)):
-        for i, est in enumerate(estimates):
-            own, on_tgt = influence_values(est, N)
-            if est.is_target:
-                target_contrib += sign * eta[i] * own[arm]
-            else:
-                target_contrib += sign * eta[i] * on_tgt[arm]
-    for i in src:
-        est = estimates[i]
-        own, _ = influence_values(est, N)
-        contrib = eta[i] * own[1] - eta[i] * own[0]
-        source_sq += float(np.sum(contrib**2))
+    for i, est in enumerate(estimates):
+        own_sq, on_tgt = influence_values(est, N)
+        target_contrib += eta[i] * (on_tgt[1] - on_tgt[0])
+        source_sq += eta[i] ** 2 * own_sq
     sigma_hat = (float(np.sum(target_contrib**2)) + source_sq) / N
     variance = sigma_hat / N
     z = z_quantile(1.0 - alpha / 2.0)

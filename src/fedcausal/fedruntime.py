@@ -7,7 +7,8 @@ estimate), after which the coordinator forms the global combination
 (:func:`combine`). The site phase never reads the weighting scheme. Every
 cross-site payload is serialized to JSON at the boundary and decoded on the
 receiving side, and every message is logged so the ledger can be audited: only
-the declared summary-level schemas may cross sites, never individual rows.
+the declared summary-level schemas may cross sites, never individual rows or
+any per-unit value.
 """
 
 from __future__ import annotations
@@ -45,20 +46,48 @@ METHODS = ("target_only", "ss", "ivw", "aipw_l1", "mr_l1")
 ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
 MESSAGE_KINDS = ("config", "moment_summary", "site_estimate")
 
-# Payload keys each message kind may carry; anything else is a violation.
-_ALLOWED_KEYS = {
+# Declared shape of every payload key each message kind may carry: a scalar
+# ("text", "count", "number", "number?" for a nullable number), a nested
+# schema, "scalars" (an object of scalars, such as diagnostics), "candidates"
+# (the candidate model specs), or "[dim]": a flat numeric list whose length is
+# the protocol dimension ``dim``. The lambda grid and n_splits are declared by
+# the config broadcast, and the basis dimension by the moment summary, which
+# also fixes the number of projection coefficients (one plus the shared
+# covariates). No dimension depends on a site's sample size, so no per-unit
+# array passes the audit.
+_SCHEMAS = {
     "config": {
-        "basis", "method", "alpha", "lambda_grid", "n_splits", "seed",
-        "train_fraction", "clip", "kappa", "candidates",
+        "basis": "text", "method": "text", "alpha": "number",
+        "lambda_grid": "[lambda_grid]", "n_splits": "count", "seed": "count",
+        "train_fraction": "number", "clip": "[clip]", "kappa": "number?",
+        "candidates": "candidates",
     },
-    "moment_summary": {"site_id", "n", "basis", "mean_basis"},
+    "moment_summary": {
+        "site_id": "text", "n": "count", "basis": {"kind": "text", "d": "count"},
+        "mean_basis": "[basis]",
+    },
     "site_estimate": {
         # source upload
-        "site_id", "n_k", "mu_own0", "mu_own1", "xi_own", "tau0", "tau1",
-        "tilt_sens0", "tilt_sens1", "basis_kind", "diagnostics",
+        "site_id": "text", "n_k": "count", "mu_own0": "number", "mu_own1": "number",
+        "own_sq": "number", "fit_sq": "[n_splits]", "val_sq": "[n_splits]",
+        "tau0": "[projection]", "tau1": "[projection]",
+        "tilt_sens0": "[basis]", "tilt_sens1": "[basis]",
+        "basis_kind": "text", "diagnostics": "scalars",
         # target's own estimate
-        "mu0", "mu1", "n_T", "xi_on_target",
+        "mu0": "number", "mu1": "number", "n_T": "count",
     },
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_SCALARS = {
+    "text": lambda v: isinstance(v, str),
+    "count": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": _is_number,
+    "number?": lambda v: v is None or _is_number(v),
 }
 
 
@@ -232,7 +261,9 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
         summary = MomentSummary.from_json(summary_text)
         try:
             tilt = solve_tilt(src.V, summary, config.basis)
-            report = source_report(src, _fit_site(src, config), tilt)
+            report = source_report(
+                src, _fit_site(src, config), tilt, config.seed, config.n_splits
+            )
         except FedcausalError as exc:
             failures[src.site_id] = f"{type(exc).__name__}: {exc}"
             continue
@@ -323,14 +354,85 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     return combine(run_sites(frames, config), config)
 
 
+def _check_shape(value, spec, dims: dict, where: str) -> None:
+    """Raise :class:`PrivacyViolation` unless ``value`` has the declared shape."""
+    if isinstance(spec, dict) or spec == "scalars":
+        if not isinstance(value, dict):
+            raise PrivacyViolation(f"{where} is not an object")
+        extra = set(value) - set(spec) if isinstance(spec, dict) else set()
+        if extra:
+            raise PrivacyViolation(f"undeclared keys {sorted(extra)} in {where}")
+        for key, item in value.items():
+            if isinstance(spec, dict):
+                _check_shape(item, spec[key], dims, f"{where}.{key}")
+            elif isinstance(item, dict):
+                _check_shape(item, "scalars", dims, f"{where}.{key}")
+            elif not (item is None or isinstance(item, (str, bool)) or _is_number(item)):
+                raise PrivacyViolation(f"{where}.{key} is not a scalar")
+    elif spec == "candidates":
+        try:
+            ok = value == {
+                site: {
+                    role: [CandidateSpec.from_dict(d).to_dict() for d in specs]
+                    for role, specs in groups.items()
+                }
+                for site, groups in value.items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise PrivacyViolation(f"{where} is not a map of candidate specs")
+    elif spec.startswith("["):
+        if not (isinstance(value, list) and all(map(_is_number, value))):
+            raise PrivacyViolation(f"{where} is not a flat numeric list")
+        size = dims.get(spec[1:-1])
+        if len(value) != size:
+            raise PrivacyViolation(
+                f"{where} has length {len(value)}; its declared {spec} is {size}"
+            )
+    elif not _SCALARS[spec](value):
+        raise PrivacyViolation(f"{where} is not a {spec}")
+
+
+def _declared_dims(payloads: list) -> dict:
+    """Protocol dimensions declared by a round's config and moment summaries."""
+    dims = {"clip": 2}
+    for kind, payload in payloads:
+        if kind == "config":
+            grid = payload.get("lambda_grid")
+            found = {
+                "lambda_grid": len(grid) if isinstance(grid, list) else None,
+                "n_splits": payload.get("n_splits"),
+            }
+        elif kind == "moment_summary":
+            try:
+                basis = BasisSpec(payload["basis"]["kind"])
+                p = payload["basis"]["d"]
+                q = (p - 1) // (basis.dimension(1) - 1)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise PrivacyViolation("moment summary declares no valid basis") from exc
+            if q < 1 or basis.dimension(q) != p:
+                raise PrivacyViolation(f"basis dimension {p} fits no covariate count")
+            found = {"basis": p, "projection": q + 1}
+        else:
+            continue
+        for name, size in found.items():
+            if dims.setdefault(name, size) != size:
+                raise PrivacyViolation(f"messages disagree on the {name} dimension")
+    return dims
+
+
 def audit_ledger(report: GlobalReport) -> dict:
     """Validate every logged message against the declared payload schemas.
 
-    Raises :class:`PrivacyViolation` on an unknown message kind, an
-    undeclared payload key, or a digest/size mismatch; otherwise returns a
-    census of message counts and byte totals per kind.
+    Raises :class:`PrivacyViolation` on an unknown message kind, a
+    digest/size mismatch, an undeclared payload key, or a value whose shape
+    differs from its declaration: above all, any numeric list whose length is
+    not the declared protocol dimension (so per-unit arrays never pass).
+    Otherwise returns a census of message counts and byte totals per kind.
     """
     by_kind: dict[str, dict] = {}
+    payloads = []
     for rec in report.privacy_ledger:
         if rec.kind not in MESSAGE_KINDS:
             raise PrivacyViolation(f"unknown message kind {rec.kind!r}")
@@ -343,14 +445,13 @@ def audit_ledger(report: GlobalReport) -> dict:
             raise PrivacyViolation(f"non-JSON payload on a {rec.kind} message") from exc
         if not isinstance(payload, dict):
             raise PrivacyViolation(f"payload of a {rec.kind} message is not an object")
-        extra = set(payload) - _ALLOWED_KEYS[rec.kind]
-        if extra:
-            raise PrivacyViolation(
-                f"undeclared keys {sorted(extra)} in a {rec.kind} message"
-            )
+        payloads.append((rec.kind, payload))
         bucket = by_kind.setdefault(rec.kind, {"count": 0, "bytes": 0})
         bucket["count"] += 1
         bucket["bytes"] += rec.payload_bytes
+    dims = _declared_dims(payloads)
+    for kind, payload in payloads:
+        _check_shape(payload, _SCHEMAS[kind], dims, f"a {kind} message")
     return {
         "n_messages": len(report.privacy_ledger),
         "by_kind": by_kind,

@@ -105,9 +105,9 @@ def fit_logistic(
 
     n, d = X.shape
     beta = np.zeros(d)
-    ll = _bernoulli_loglik(expit(X @ beta), y)
+    p = expit(X @ beta)
+    ll = _bernoulli_loglik(p, y)
     for it in range(1, max_iter + 1):
-        p = expit(X @ beta)
         grad = X.T @ (y - p) / n
         if np.max(np.abs(grad)) <= tol:
             return LinearFit(coefficients=beta, converged=True, iterations=it - 1)
@@ -120,9 +120,11 @@ def fit_logistic(
         alpha = 1.0
         for halving in range(max_halvings + 1):
             cand = beta + alpha * step
-            ll_new = _bernoulli_loglik(expit(X @ cand), y)
+            p_new = expit(X @ cand)
+            ll_new = _bernoulli_loglik(p_new, y)
             if np.isfinite(ll_new) and ll_new >= ll:
-                beta, ll = cand, ll_new
+                # The accepted candidate's probabilities start the next iteration.
+                beta, p, ll = cand, p_new, ll_new
                 break
             alpha *= 0.5
         else:

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np

@@ -5,15 +5,17 @@ source site transports its information through three pieces: density-ratio
 weighting of its AIPW residuals, a projection of its outcome-model predictions
 onto the covariates shared with the target, and the mean of that projection
 over the target sample. The source side produces a :class:`SourceSiteReport`
-(the wire payload: own-unit terms plus projection coefficients); evaluating
-the projection on target units happens at the target, so no individual target
-rows are ever needed at a source.
+(the wire payload: the own-unit mean terms, sums of squared own-unit
+influence values, and projection coefficients); evaluating the projection on
+target units happens at the target, so no individual target rows are ever
+needed at a source, and no per-unit value ever leaves a source.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,30 +76,74 @@ class TauModel:
         return add_intercept(V) @ self.coefficients
 
 
+def split_masks(n: int, n_splits: int, seed: int, site_id: str) -> np.ndarray:
+    """Fit-half membership of a site's units in each cross-validation split.
+
+    Row ``s`` marks the ``n // 2`` units in the fit half of split ``s``; the
+    rest form its validation half. Each split draws from a stream seeded by
+    ``(seed, s, site id)``, so every site draws its folds locally and no unit
+    index ever crosses sites.
+    """
+    site = zlib.crc32(site_id.encode("utf-8"))
+    masks = np.zeros((n_splits, n), dtype=bool)
+    for s in range(n_splits):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, s, site)))
+        masks[s, rng.permutation(n)[: n // 2]] = True
+    return masks
+
+
+@dataclass(frozen=True)
+class OwnSummary:
+    """Sums of squared effect-difference influence values on a source's own units.
+
+    With d the treated-minus-control influence values, ``sq`` is the sum of
+    d**2 over all own units, and ``fit_sq[s]`` and ``val_sq[s]`` are its sums
+    over the fit and validation halves of split ``s`` (:func:`split_masks`).
+    They are all the coordinator needs of the own-unit part: the IVW and
+    global variances use ``sq``, and the adaptive weight regression uses one
+    pseudo-row per half.
+    """
+
+    sq: float
+    fit_sq: np.ndarray
+    val_sq: np.ndarray
+
+    @staticmethod
+    def of(d: np.ndarray, masks: np.ndarray) -> "OwnSummary":
+        sq = d * d
+        return OwnSummary(
+            sq=float(sq.sum()),
+            fit_sq=np.array([sq[m].sum() for m in masks]),
+            val_sq=np.array([sq[~m].sum() for m in masks]),
+        )
+
+
 @dataclass(frozen=True)
 class SiteEstimate:
-    """Per-arm mean estimates with per-unit influence parts.
+    """Per-arm mean estimates with their influence parts.
 
-    ``xi_own`` holds centered per-unit values on this site's own units (shape
-    (2, n_k), arm-indexed); for a source estimate ``xi_on_target`` holds the
-    centered projection values on target units (shape (2, n_T); empty for a
-    target estimate). Values are stored without the site-probability scaling;
-    see :func:`influence_values`.
+    ``xi_on_target`` holds centered per-unit values on the target's units
+    (shape (2, n_T), arm-indexed): the target estimate's own AIPW influence
+    values, or a source estimate's projection and tilt-noise terms. Both live
+    at the target, which coordinates. ``own`` summarizes a source's own-unit
+    part and is None for the target estimate. Values are stored without the
+    site-probability scaling; see :func:`influence_values`.
     """
 
     site_id: str
     mu: tuple[float, float]  # (mu_0, mu_1)
-    xi_own: np.ndarray
     xi_on_target: np.ndarray
     n_k: int
     n_T: int
+    own: OwnSummary | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def is_target(self) -> bool:
-        return self.xi_on_target.shape[1] == 0
+        return self.own is None
 
     def to_json(self) -> str:
+        """Scalar summary of the estimate; per-unit values are not sent."""
         return json.dumps(
             {
                 "site_id": self.site_id,
@@ -105,26 +151,8 @@ class SiteEstimate:
                 "mu1": self.mu[1],
                 "n_k": self.n_k,
                 "n_T": self.n_T,
-                "xi_own": [list(map(float, row)) for row in self.xi_own],
-                "xi_on_target": [list(map(float, row)) for row in self.xi_on_target],
                 "diagnostics": self.diagnostics,
             }
-        )
-
-    @staticmethod
-    def from_json(payload: str) -> "SiteEstimate":
-        obj = json.loads(payload)
-        xi_on_target = np.asarray(obj["xi_on_target"], dtype=float)
-        if xi_on_target.size == 0:
-            xi_on_target = np.zeros((2, 0))
-        return SiteEstimate(
-            site_id=obj["site_id"],
-            mu=(float(obj["mu0"]), float(obj["mu1"])),
-            xi_own=np.asarray(obj["xi_own"], dtype=float),
-            xi_on_target=xi_on_target,
-            n_k=int(obj["n_k"]),
-            n_T=int(obj["n_T"]),
-            diagnostics=obj.get("diagnostics", {}),
         )
 
 
@@ -132,16 +160,16 @@ class SiteEstimate:
 class SourceSiteReport:
     """Summary-level payload a source uploads to the coordinator.
 
-    Carries the source-sample terms of the transported estimator (their mean
-    and centered per-unit values) plus the per-arm projection coefficients;
-    the coordinator evaluates the projection on the target sample to complete
-    the estimate.
+    Carries the source-sample means of the transported estimator, the sums of
+    squares of its centered own-unit influence values (:class:`OwnSummary`),
+    and the per-arm projection coefficients; the coordinator evaluates the
+    projection on the target sample to complete the estimate.
     """
 
     site_id: str
     n_k: int
     mu_own: tuple[float, float]
-    xi_own: np.ndarray
+    own: OwnSummary
     tau_coefficients: tuple[np.ndarray, np.ndarray]  # arm 0, arm 1
     tilt_sensitivity: tuple[np.ndarray, np.ndarray] = (
         np.zeros(0),
@@ -157,7 +185,9 @@ class SourceSiteReport:
                 "n_k": self.n_k,
                 "mu_own0": self.mu_own[0],
                 "mu_own1": self.mu_own[1],
-                "xi_own": [list(map(float, row)) for row in self.xi_own],
+                "own_sq": self.own.sq,
+                "fit_sq": list(map(float, self.own.fit_sq)),
+                "val_sq": list(map(float, self.own.val_sq)),
                 "tau0": list(map(float, self.tau_coefficients[0])),
                 "tau1": list(map(float, self.tau_coefficients[1])),
                 "tilt_sens0": list(map(float, self.tilt_sensitivity[0])),
@@ -174,7 +204,11 @@ class SourceSiteReport:
             site_id=obj["site_id"],
             n_k=int(obj["n_k"]),
             mu_own=(float(obj["mu_own0"]), float(obj["mu_own1"])),
-            xi_own=np.asarray(obj["xi_own"], dtype=float),
+            own=OwnSummary(
+                sq=float(obj["own_sq"]),
+                fit_sq=np.asarray(obj["fit_sq"], dtype=float),
+                val_sq=np.asarray(obj["val_sq"], dtype=float),
+            ),
             tau_coefficients=(
                 np.asarray(obj["tau0"], dtype=float),
                 np.asarray(obj["tau1"], dtype=float),
@@ -218,8 +252,7 @@ def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:
     return SiteEstimate(
         site_id=frame.site_id,
         mu=(mu[0], mu[1]),
-        xi_own=xi,
-        xi_on_target=np.zeros((2, 0)),
+        xi_on_target=xi,
         n_k=frame.n,
         n_T=frame.n,
     )
@@ -234,9 +267,13 @@ def fit_tau(frame: SiteFrame, fit: NuisanceFit, arm: int) -> TauModel:
     return TauModel(arm=arm, coefficients=ols.coefficients)
 
 
-def source_report(
-    source: SiteFrame, fit: NuisanceFit, tilt: TiltCoefficients
-) -> SourceSiteReport:
+def source_influence(
+    source: SiteFrame,
+    fit: NuisanceFit,
+    tilt: TiltCoefficients,
+    seed: int = 0,
+    n_splits: int = 5,
+) -> tuple[SourceSiteReport, np.ndarray]:
     """Source-side portion of the transported estimator.
 
     Computes the tilt-weighted AIPW residual term and the tilt-weighted excess
@@ -247,10 +284,14 @@ def source_report(
     sensitivity A = dmu/dgamma, each unit contributes through A'B^{-1} times
     its centered moment-equation value. The same sensitivity vector is
     reported so the coordinator can add the matching target-sample term.
-    Raises :class:`SingularJacobian` when B is singular.
+
+    Returns the upload, which summarizes the per-unit values over this site's
+    own cross-validation folds (``seed``, ``n_splits``), together with the
+    centered per-unit values themselves (shape (2, n_k), arm-indexed), which
+    stay at the source. Raises :class:`SingularJacobian` when B is singular.
     """
     if source.role != "source":
-        raise ValueError("source_report requires a source frame")
+        raise ValueError("the source estimator requires a source frame")
     zeta_raw = ratio_weights(tilt, source.V)
     zeta, weight_diag = truncate_weights(zeta_raw)
     if _clipping_active(fit, source.X):
@@ -287,16 +328,29 @@ def source_report(
             ) from exc
         xi_own[arm] = own - own.mean() + moment_noise @ w
         sens.append(w)
-    return SourceSiteReport(
+    masks = split_masks(source.n, n_splits, seed, source.site_id)
+    report = SourceSiteReport(
         site_id=source.site_id,
         n_k=source.n,
         mu_own=(mu_own[0], mu_own[1]),
-        xi_own=xi_own,
+        own=OwnSummary.of(xi_own[1] - xi_own[0], masks),
         tau_coefficients=(tau_coefs[0], tau_coefs[1]),
         tilt_sensitivity=(sens[0], sens[1]),
         basis_kind=tilt.basis.kind,
         diagnostics={"zeta": weight_diag},
     )
+    return report, xi_own
+
+
+def source_report(
+    source: SiteFrame,
+    fit: NuisanceFit,
+    tilt: TiltCoefficients,
+    seed: int = 0,
+    n_splits: int = 5,
+) -> SourceSiteReport:
+    """The upload of :func:`source_influence`, without the per-unit values."""
+    return source_influence(source, fit, tilt, seed, n_splits)[0]
 
 
 def complete_source_estimate(report: SourceSiteReport, target: SiteFrame) -> SiteEstimate:
@@ -323,10 +377,10 @@ def complete_source_estimate(report: SourceSiteReport, target: SiteFrame) -> Sit
     return SiteEstimate(
         site_id=report.site_id,
         mu=(mu[0], mu[1]),
-        xi_own=report.xi_own,
         xi_on_target=xi_tgt,
         n_k=report.n_k,
         n_T=target.n,
+        own=report.own,
         diagnostics=report.diagnostics,
     )
 
@@ -336,23 +390,28 @@ def estimate_source(
     target: SiteFrame,
     fit: NuisanceFit,
     tilt: TiltCoefficients,
+    seed: int = 0,
+    n_splits: int = 5,
 ) -> SiteEstimate:
     """Transported estimate from one source site (report + completion)."""
-    return complete_source_estimate(source_report(source, fit, tilt), target)
+    return complete_source_estimate(
+        source_report(source, fit, tilt, seed, n_splits), target
+    )
 
 
 def influence_values(
     est: SiteEstimate, total_n: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Influence values with site probabilities replaced by empirical plug-ins.
+) -> tuple[float, np.ndarray]:
+    """Influence parts with site probabilities replaced by empirical plug-ins.
 
-    Own-unit values are scaled by ``total_n / n_k`` and target-unit values by
-    ``total_n / n_T``. When ``total_n`` is omitted the estimate's own sample
-    sizes are used (``n_T`` for a target estimate, ``n_k + n_T`` for a source
-    estimate); in a federation the caller passes the pooled total.
+    Returns the own-unit sum of squared effect-difference values scaled by
+    ``(total_n / n_k)**2`` (zero for the target estimate, whose own units are
+    the target units) and the target-unit values scaled by ``total_n / n_T``.
+    When ``total_n`` is omitted the estimate's own sample sizes are used
+    (``n_T`` for a target estimate, ``n_k + n_T`` for a source estimate); in
+    a federation the caller passes the pooled total.
     """
     if total_n is None:
         total_n = est.n_T if est.is_target else est.n_k + est.n_T
-    own = est.xi_own * (total_n / est.n_k)
-    on_target = est.xi_on_target * (total_n / est.n_T)
-    return own, on_target
+    own_sq = 0.0 if est.is_target else est.own.sq * (total_n / est.n_k) ** 2
+    return own_sq, est.xi_on_target * (total_n / est.n_T)

@@ -19,10 +19,14 @@ from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit, nnls_coordinate_descent
 from fedcausal.simbench import generate_site, load_scenario, method_config, run_scenario
 from fedcausal.site_estimator import (
+    OwnSummary,
     SiteEstimate,
     SiteFrame,
+    complete_source_estimate,
     estimate_source,
     estimate_target,
+    source_influence,
+    split_masks,
 )
 
 REPS = 500
@@ -239,12 +243,14 @@ def test_criterion_6_weight_solver_oracle():
     def centered(rows):
         return rows - rows.mean(axis=1, keepdims=True)
 
+    def summary(rows, site_id):
+        return OwnSummary.of(rows[1] - rows[0], split_masks(rows.shape[1], 5, 0, site_id))
+
     tgt = SiteEstimate("tgt", (1.0, 2.0), centered(rng.standard_normal((2, 300))),
-                       np.zeros((2, 0)), 300, 300)
+                       300, 300)
     sources = [
-        SiteEstimate(f"s{i}", (1.4, 2.7),
-                     centered(rng.standard_normal((2, 250))),
-                     centered(rng.standard_normal((2, 300))), 250, 300)
+        SiteEstimate(f"s{i}", (1.4, 2.7), centered(rng.standard_normal((2, 300))),
+                     250, 300, own=summary(centered(rng.standard_normal((2, 250))), f"s{i}"))
         for i in range(2)
     ]
     eta = solve_l1_weights([tgt] + sources, 1e12)
@@ -256,7 +262,9 @@ def test_criterion_6_weight_solver_oracle():
 
 
 def test_criterion_7_influence_checks(bench):
-    # Mean-zero influence parts of every site estimate in one replication.
+    # Mean-zero influence parts of every site estimate in one replication,
+    # checked where the per-unit values live: own-unit values at each source
+    # before they are summarized, target-unit values at the target.
     scenario = load_scenario("c1")
     frames = [generate_site(site, scenario, np.random.Generator(
         np.random.Philox(np.random.SeedSequence((SEED, 0, idx)))))
@@ -277,11 +285,14 @@ def test_criterion_7_influence_checks(bench):
                 est = estimate_target(frame, fit)
             else:
                 tilt = solve_tilt(frame.V, summary, basis)
-                est = estimate_source(frame, target, fit, tilt)
-            worst_mean = max(worst_mean, float(np.max(np.abs(est.xi_own.mean(axis=1)))))
-            if est.xi_on_target.size:
-                worst_mean = max(worst_mean,
-                                 float(np.max(np.abs(est.xi_on_target.mean(axis=1)))))
+                report, xi_own = source_influence(frame, fit, tilt, seed=config.seed,
+                                                  n_splits=config.n_splits)
+                assert xi_own.shape == (2, frame.n)
+                worst_mean = max(worst_mean, float(np.max(np.abs(xi_own.mean(axis=1)))))
+                est = complete_source_estimate(report, target)
+            assert est.xi_on_target.shape == (2, target.n)
+            worst_mean = max(worst_mean,
+                             float(np.max(np.abs(est.xi_on_target.mean(axis=1)))))
     centered_ok = worst_mean < 1e-8
 
     # Plug-in standard errors track the Monte Carlo spread at C=1.
@@ -337,7 +348,8 @@ def test_criterion_8_runtime_equivalence_and_privacy():
                                 candidates["default"]["treatment"],
                                 candidates["default"]["outcome"],
                                 seed=site_split_seed(seed, src.site_id))
-            estimates.append(estimate_source(src, target, fit, tilt))
+            estimates.append(estimate_source(src, target, fit, tilt, seed=seed,
+                                             n_splits=config.n_splits))
         solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
                                          n_splits=config.n_splits, seed=seed)
         direct = global_estimate(estimates, solution, alpha=config.alpha,

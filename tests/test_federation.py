@@ -9,30 +9,34 @@ from scipy import stats
 
 from fedcausal.errors import MissingTarget, ZeroVariance
 from fedcausal.federation import (
-    EnsembleSolution,
+    _cv_halves,
+    _stacked_system,
+    _with_source_rows,
     combine_fixed,
     cross_validate_lambda,
     global_estimate,
     solve_l1_weights,
     z_quantile,
 )
-from fedcausal.site_estimator import SiteEstimate
+from fedcausal.site_estimator import OwnSummary, SiteEstimate, split_masks
+
+
+def _centered(rng, n, scale=1.0):
+    xi = scale * rng.standard_normal((2, n))
+    return xi - xi.mean(axis=1, keepdims=True)
 
 
 def _target_estimate(rng, n=400, mu=(1.0, 2.0)):
-    xi = rng.standard_normal((2, n))
-    xi -= xi.mean(axis=1, keepdims=True)
-    return SiteEstimate(site_id="tgt", mu=mu, xi_own=xi,
-                        xi_on_target=np.zeros((2, 0)), n_k=n, n_T=n)
+    return SiteEstimate(site_id="tgt", mu=mu, xi_on_target=_centered(rng, n),
+                        n_k=n, n_T=n)
 
 
-def _source_estimate(rng, site_id, n_k=300, n_T=400, mu=(1.0, 2.0), scale=1.0):
-    own = scale * rng.standard_normal((2, n_k))
-    own -= own.mean(axis=1, keepdims=True)
-    on_tgt = scale * rng.standard_normal((2, n_T))
-    on_tgt -= on_tgt.mean(axis=1, keepdims=True)
-    return SiteEstimate(site_id=site_id, mu=mu, xi_own=own,
-                        xi_on_target=on_tgt, n_k=n_k, n_T=n_T)
+def _source_estimate(rng, site_id, n_k=300, n_T=400, mu=(1.0, 2.0), scale=1.0,
+                     n_splits=5, seed=0):
+    own = _centered(rng, n_k, scale)
+    own_sum = OwnSummary.of(own[1] - own[0], split_masks(n_k, n_splits, seed, site_id))
+    return SiteEstimate(site_id=site_id, mu=mu, xi_on_target=_centered(rng, n_T, scale),
+                        n_k=n_k, n_T=n_T, own=own_sum)
 
 
 def _trio(seed=0, mu_src=(1.0, 2.0)):
@@ -69,8 +73,8 @@ def test_combine_ivw_equal_variance_sources():
     rng = np.random.default_rng(1)
     tgt = _target_estimate(rng)
     s1 = _source_estimate(rng, "s1")
-    s2 = SiteEstimate(site_id="s2", mu=s1.mu, xi_own=s1.xi_own.copy(),
-                      xi_on_target=s1.xi_on_target.copy(), n_k=s1.n_k, n_T=s1.n_T)
+    s2 = SiteEstimate(site_id="s2", mu=s1.mu, xi_on_target=s1.xi_on_target.copy(),
+                      n_k=s1.n_k, n_T=s1.n_T, own=s1.own)
     sol = combine_fixed([tgt, s1, s2], "ivw")
     assert abs(sol.eta[1] - sol.eta[2]) < 1e-12
     assert abs(sol.eta.sum() - 1.0) < 1e-12
@@ -89,8 +93,8 @@ def test_combine_ivw_downweights_noisy_site():
 def test_combine_ivw_zero_variance():
     rng = np.random.default_rng(3)
     tgt = _target_estimate(rng)
-    flat = SiteEstimate(site_id="flat", mu=(1.0, 2.0), xi_own=np.zeros((2, 100)),
-                        xi_on_target=np.zeros((2, 400)), n_k=100, n_T=400)
+    flat = SiteEstimate(site_id="flat", mu=(1.0, 2.0), xi_on_target=np.zeros((2, 400)),
+                        n_k=100, n_T=400, own=OwnSummary(0.0, np.zeros(5), np.zeros(5)))
     with pytest.raises(ZeroVariance):
         combine_fixed([tgt, flat], "ivw")
 
@@ -132,6 +136,11 @@ def test_cross_validate_lambda_deterministic():
     assert sol1.delta is not None and sol1.delta[0] == 0.0
 
 
+def test_cross_validate_lambda_checks_split_count():
+    with pytest.raises(ValueError):
+        cross_validate_lambda(_trio(), n_splits=4)
+
+
 def test_cross_validate_lambda_empty_grid():
     with pytest.raises(ValueError):
         cross_validate_lambda(_trio(), grid=())
@@ -147,8 +156,8 @@ def test_adaptive_ensemble_duplicated_source():
     rng = np.random.default_rng(7)
     tgt = _target_estimate(rng)
     s1 = _source_estimate(rng, "s1")
-    s1b = SiteEstimate(site_id="s1b", mu=s1.mu, xi_own=s1.xi_own.copy(),
-                       xi_on_target=s1.xi_on_target.copy(), n_k=s1.n_k, n_T=s1.n_T)
+    s1b = SiteEstimate(site_id="s1b", mu=s1.mu, xi_on_target=s1.xi_on_target.copy(),
+                       n_k=s1.n_k, n_T=s1.n_T, own=s1.own)
     sol = cross_validate_lambda([tgt, s1, s1b])
     assert np.all(sol.eta >= 0.0)
     assert abs(sol.eta.sum() - 1.0) < 1e-12
@@ -160,7 +169,7 @@ def test_global_estimate_target_only_hand_computation():
     sol = combine_fixed([tgt], "target_only")
     report = global_estimate([tgt], sol, alpha=0.05)
     assert abs(report.delta_hat - 1.5) < 1e-12
-    xi_d = tgt.xi_own[1] - tgt.xi_own[0]
+    xi_d = tgt.xi_on_target[1] - tgt.xi_on_target[0]
     expected_var = float(np.sum(xi_d**2)) / 400**2
     assert abs(report.variance - expected_var) < 1e-15
     half = 1.959963984540054 * math.sqrt(expected_var)
@@ -194,3 +203,84 @@ def test_global_report_json():
     assert obj["method"] == "ivw"
     assert set(obj["eta"]) == {"tgt", "s1", "s2"}
     assert obj["ci"][0] < obj["delta_hat"] < obj["ci"][1]
+
+
+def _rel_close(a, b, tol=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.abs(a - b) <= tol * max(np.max(np.abs(b)), 1e-300)))
+
+
+def test_summary_algebra_matches_per_unit_formulas():
+    """Oracle: every coordinator quantity built from the uploaded sums equals
+    the per-unit formula it replaces, on random centered influence values."""
+    n_splits, seed = 5, 3
+    for trial in range(20):
+        rng = np.random.default_rng((trial, 41))
+        n_T = int(rng.integers(20, 200))
+        tgt = _target_estimate(rng, n=n_T, mu=tuple(rng.normal(size=2)))
+        sources, own_units = [], []
+        for k in range(int(rng.integers(1, 4))):
+            n_k = int(rng.integers(20, 300))
+            own = _centered(rng, n_k, scale=float(rng.uniform(0.5, 3.0)))
+            own_units.append(own[1] - own[0])
+            sources.append(SiteEstimate(
+                site_id=f"s{k}", mu=tuple(rng.normal(size=2)),
+                xi_on_target=_centered(rng, n_T), n_k=n_k, n_T=n_T,
+                own=OwnSummary.of(own[1] - own[0],
+                                  split_masks(n_k, n_splits, seed + k, f"s{k}"))))
+        estimates = [tgt] + sources
+        N = n_T + sum(e.n_k for e in sources)
+        d_T = [e.xi_on_target[1] - e.xi_on_target[0] for e in estimates]
+
+        # IVW: per-site variance from the per-unit values.
+        sigma2 = [np.sum((d_T[0] * N / n_T) ** 2) / N**2] + [
+            (np.sum((d * N / e.n_k) ** 2) + np.sum((d_T[i + 1] * N / n_T) ** 2)) / N**2
+            for i, (e, d) in enumerate(zip(sources, own_units))]
+        inv = 1.0 / np.array(sigma2)
+        ivw = combine_fixed(estimates, "ivw")
+        assert _rel_close(ivw.eta, inv / inv.sum())
+
+        # Global variance: target-unit mix plus each source's own-unit part.
+        eta = ivw.eta
+        target_contrib = sum(eta[i] * d_T[i] * N / n_T for i in range(len(estimates)))
+        source_sq = sum(np.sum((eta[i + 1] * d * N / e.n_k) ** 2)
+                        for i, (e, d) in enumerate(zip(sources, own_units)))
+        expected = (np.sum(target_contrib**2) + source_sq) / N**2
+        assert _rel_close(global_estimate(estimates, ivw).variance, expected)
+
+        # Stacked system: source k's per-unit rows are -d_k / n_k in column k.
+        r_T, G_T, own_sq, *_ = _stacked_system(estimates)
+
+        def per_unit_rows(target_units, source_units):
+            blocks = [G_T[target_units]]
+            for col, (e, d) in enumerate(zip(sources, own_units)):
+                block = np.zeros((int(source_units[col].sum()), len(sources)))
+                block[:, col] = -d[source_units[col]] / e.n_k
+                blocks.append(block)
+            r = np.concatenate([r_T[target_units]] + [np.zeros(len(b)) for b in blocks[1:]])
+            return np.vstack(blocks), r
+
+        def same_normal_equations(summary_rows, unit_rows):
+            (G, r), (G_u, r_u) = summary_rows, unit_rows
+            return _rel_close(G.T @ G, G_u.T @ G_u) and _rel_close(G.T @ r, G_u.T @ r_u)
+
+        everything = np.ones(n_T, dtype=bool)
+        all_units = [np.ones(e.n_k, dtype=bool) for e in sources]
+        assert same_normal_equations(_with_source_rows(G_T, r_T, own_sq),
+                                     per_unit_rows(everything, all_units))
+
+        # Per split: explicit fold masks at every site, fixed weights.
+        fold_T = split_masks(n_T, n_splits, seed, "tgt")
+        folds = [split_masks(e.n_k, n_splits, seed + k, e.site_id)
+                 for k, e in enumerate(sources)]
+        eta_src = rng.uniform(0.0, 0.5, len(sources))
+        halves = list(_cv_halves(estimates, r_T, G_T, n_splits, seed))
+        assert len(halves) == n_splits
+        for s, (fit_rows, val_rows) in enumerate(halves):
+            unit_fit = per_unit_rows(fold_T[s], [f[s] for f in folds])
+            unit_val = per_unit_rows(~fold_T[s], [~f[s] for f in folds])
+            assert same_normal_equations(fit_rows, unit_fit)
+            assert same_normal_equations(val_rows, unit_val)
+            (G_val, r_val), (G_uv, r_uv) = val_rows, unit_val
+            err = np.sum((r_val - G_val @ eta_src) ** 2)
+            assert _rel_close(err, np.sum((r_uv - G_uv @ eta_src) ** 2))

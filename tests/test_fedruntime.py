@@ -100,7 +100,8 @@ def test_run_round_matches_direct_composition():
                             fraction=config.train_fraction,
                             seed=site_split_seed(config.seed, src.site_id),
                             clip=config.clip)
-        estimates.append(estimate_source(src, target, fit, tilt))
+        estimates.append(estimate_source(src, target, fit, tilt,
+                                         seed=config.seed, n_splits=config.n_splits))
     solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
                                      n_splits=config.n_splits, seed=config.seed)
     direct = global_estimate(estimates, solution, alpha=config.alpha,
@@ -157,6 +158,41 @@ def test_audit_rejects_undeclared_keys():
     payload["rows"] = [[1.0, 2.0]]
     report.privacy_ledger[-1] = dataclasses.replace(
         rec, payload_text=json.dumps(payload))
+    with pytest.raises(PrivacyViolation):
+        audit_ledger(report)
+
+
+def test_audit_rejects_per_unit_arrays():
+    frames = _make_frames()
+    report = run_round(frames, _config("mr_l1"))
+    audit_ledger(report)
+    pos = next(i for i, r in enumerate(report.privacy_ledger)
+               if r.kind == "site_estimate" and r.from_site == "site1")
+    rec = report.privacy_ledger[pos]
+    n_k = frames[1].n
+    tampered = {
+        # The per-unit influence values the sources used to upload.
+        "xi_own": lambda p: p.update(xi_own=[[0.0] * n_k, [0.0] * n_k]),
+        # A declared key carrying one value per unit instead of the projection.
+        "tau0": lambda p: p.update(tau0=[0.0] * n_k),
+        # A per-split key nesting per-unit rows.
+        "fit_sq": lambda p: p.update(fit_sq=[[0.0] * n_k] * len(p["fit_sq"])),
+        "diagnostics": lambda p: p.update(diagnostics={"zeta": {"cap": [0.0] * n_k}}),
+    }
+    for name, tamper in tampered.items():
+        payload = json.loads(rec.payload_text)
+        tamper(payload)
+        report.privacy_ledger[pos] = dataclasses.replace(
+            rec, payload_text=json.dumps(payload))
+        with pytest.raises(PrivacyViolation):
+            audit_ledger(report)
+        report.privacy_ledger[pos] = rec
+    # A moment summary whose basis header disagrees with its means.
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                    if r.kind == "moment_summary")
+    payload = json.loads(rec.payload_text)
+    payload["mean_basis"] = payload["mean_basis"] + [0.0]
+    report.privacy_ledger[pos] = dataclasses.replace(rec, payload_text=json.dumps(payload))
     with pytest.raises(PrivacyViolation):
         audit_ledger(report)
 

@@ -15,7 +15,6 @@ from fedcausal.nuisance import (
     fit_nuisances,
 )
 from fedcausal.site_estimator import (
-    SiteEstimate,
     SiteFrame,
     SourceSiteReport,
     complete_source_estimate,
@@ -23,7 +22,9 @@ from fedcausal.site_estimator import (
     estimate_target,
     fit_tau,
     influence_values,
+    source_influence,
     source_report,
+    split_masks,
 )
 
 RAW_T = [CandidateSpec("p", "treatment", FeatureMap("raw"))]
@@ -94,8 +95,8 @@ def test_estimate_target_horvitz_thompson_reduction():
     for arm in (0, 1):
         expected = 2.0 * np.mean((a == arm) * y)
         assert abs(est.mu[arm] - expected) < 1e-12
-    assert est.xi_on_target.shape == (2, 0)
-    assert np.max(np.abs(est.xi_own.mean(axis=1))) < 1e-10
+    assert est.is_target and est.xi_on_target.shape == (2, n)
+    assert np.max(np.abs(est.xi_on_target.mean(axis=1))) < 1e-10
 
 
 def test_estimate_target_constant_outcome():
@@ -188,11 +189,13 @@ def test_source_estimate_equals_report_plus_completion():
     src, tgt = _linear_pair(seed=8)
     tilt = _tilt_for(src, tgt)
     fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
-    direct = estimate_source(src, tgt, fit, tilt)
-    report = source_report(src, fit, tilt)
+    direct = estimate_source(src, tgt, fit, tilt, seed=2, n_splits=3)
+    report = source_report(src, fit, tilt, seed=2, n_splits=3)
     wired = complete_source_estimate(SourceSiteReport.from_json(report.to_json()), tgt)
     assert direct.mu == wired.mu
-    assert np.array_equal(direct.xi_own, wired.xi_own)
+    assert direct.own.sq == wired.own.sq
+    assert np.array_equal(direct.own.fit_sq, wired.own.fit_sq)
+    assert np.array_equal(direct.own.val_sq, wired.own.val_sq)
     assert np.array_equal(direct.xi_on_target, wired.xi_on_target)
 
 
@@ -200,11 +203,20 @@ def test_source_influence_parts_are_centered():
     src, tgt = _linear_pair(seed=9)
     tilt = _tilt_for(src, tgt)
     fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=6)
-    est = estimate_source(src, tgt, fit, tilt)
-    assert np.max(np.abs(est.xi_own.mean(axis=1))) < 1e-8
+    # Own-unit values are checked at the source, before they are summarized.
+    report, xi_own = source_influence(src, fit, tilt, seed=4, n_splits=5)
+    assert np.max(np.abs(xi_own.mean(axis=1))) < 1e-8
+    assert xi_own.shape == (2, src.n)
+    est = complete_source_estimate(report, tgt)
     assert np.max(np.abs(est.xi_on_target.mean(axis=1))) < 1e-8
-    assert est.xi_own.shape == (2, src.n)
     assert est.xi_on_target.shape == (2, tgt.n)
+    # The upload summarizes exactly those values over the site's own folds.
+    d = xi_own[1] - xi_own[0]
+    masks = split_masks(src.n, 5, 4, src.site_id)
+    assert report.own.sq == float(np.sum(d * d))
+    assert np.allclose(report.own.fit_sq + report.own.val_sq, report.own.sq, rtol=1e-12)
+    assert np.array_equal(report.own.fit_sq, [np.sum(d[m] ** 2) for m in masks])
+    assert masks.shape == (5, src.n) and np.all(masks.sum(axis=1) == src.n // 2)
 
 
 def test_source_linearity_in_outcome_scale():
@@ -248,27 +260,28 @@ def test_influence_values_scaling():
     src, tgt = _linear_pair(seed=12)
     tilt = _tilt_for(src, tgt)
     est = estimate_source(src, tgt, _zero_fit(2), tilt)
-    own, on_tgt = influence_values(est, total_n=1300)
-    assert np.allclose(own, est.xi_own * (1300 / est.n_k))
+    own_sq, on_tgt = influence_values(est, total_n=1300)
+    assert np.isclose(own_sq, est.own.sq * (1300 / est.n_k) ** 2)
     assert np.allclose(on_tgt, est.xi_on_target * (1300 / est.n_T))
-    own_d, _ = influence_values(est)
-    assert np.allclose(own_d, est.xi_own * ((est.n_k + est.n_T) / est.n_k))
+    own_sq, _ = influence_values(est)
+    assert np.isclose(own_sq, est.own.sq * ((est.n_k + est.n_T) / est.n_k) ** 2)
+    tgt_est = estimate_target(tgt, _zero_fit(2))
+    own_sq, on_tgt = influence_values(tgt_est, total_n=1300)
+    assert own_sq == 0.0
+    assert np.allclose(on_tgt, tgt_est.xi_on_target * (1300 / tgt.n))
 
 
 def test_site_estimate_json_round_trip():
+    # The payload carries the estimate's scalars only, never per-unit values.
+    import json
     src, tgt = _linear_pair(seed=13)
-    tilt = _tilt_for(src, tgt)
-    est = estimate_source(src, tgt, _zero_fit(2), tilt)
-    back = SiteEstimate.from_json(est.to_json())
-    assert back.mu == est.mu
-    assert np.array_equal(back.xi_own, est.xi_own)
-    assert np.array_equal(back.xi_on_target, est.xi_on_target)
-    assert back.n_k == est.n_k and back.n_T == est.n_T
-
-    tgt_est = estimate_target(tgt, _zero_fit(2))
-    back = SiteEstimate.from_json(tgt_est.to_json())
-    assert back.is_target
-    assert back.xi_on_target.shape == (2, 0)
+    for est in (estimate_source(src, tgt, _zero_fit(2), _tilt_for(src, tgt)),
+                estimate_target(tgt, _zero_fit(2))):
+        back = json.loads(est.to_json())
+        assert (back["mu0"], back["mu1"]) == est.mu
+        assert back["n_k"] == est.n_k and back["n_T"] == est.n_T
+        assert back["site_id"] == est.site_id
+        assert not any(isinstance(v, list) for v in back.values())
 
 
 def test_source_report_json_round_trip_and_defaults():
@@ -278,7 +291,9 @@ def test_source_report_json_round_trip_and_defaults():
     report = source_report(src, fit, tilt)
     back = SourceSiteReport.from_json(report.to_json())
     assert back.mu_own == report.mu_own
-    assert np.array_equal(back.xi_own, report.xi_own)
+    assert back.own.sq == report.own.sq
+    assert np.array_equal(back.own.fit_sq, report.own.fit_sq)
+    assert np.array_equal(back.own.val_sq, report.own.val_sq)
     for arm in (0, 1):
         assert np.array_equal(back.tau_coefficients[arm], report.tau_coefficients[arm])
         assert np.array_equal(back.tilt_sensitivity[arm], report.tilt_sensitivity[arm])
