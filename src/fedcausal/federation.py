@@ -161,6 +161,7 @@ def _stacked_system(estimates: list[SiteEstimate]):
     estimator's contributions. Source k's own-unit rows (minus its own-unit
     contributions in column k, response zero) are summarized by their sum of
     squares, returned per source as ``own_sq``; see :func:`_with_source_rows`.
+    Callers reduce the rows to cross-products (:func:`_cross_products`).
     """
     t, src = _split_target(estimates)
     tgt_est = estimates[t]
@@ -188,24 +189,30 @@ def _stacked_system(estimates: list[SiteEstimate]):
     return xi_T, G, own_sq, delta, arm_shift_sq, t, src
 
 
-def _with_source_rows(G_T: np.ndarray, r_T: np.ndarray, own_sq: np.ndarray):
-    """Append one pseudo-row per source to the target rows.
+def _cross_products(G: np.ndarray, r: np.ndarray):
+    """(G'G, G'r, r'r) of a block of rows of the stacked regression."""
+    return G.T @ G, G.T @ r, float(r @ r)
+
+
+def _with_source_rows(products, source_sq: np.ndarray):
+    """Add each source's own-unit rows to the target rows' cross-products.
 
     Source k's own-unit rows are nonzero only in column k and have response
-    zero, so their whole contribution to G'G is ``own_sq[k]`` on the diagonal
-    and to G'r is zero. The single row -sqrt(own_sq[k]) on column k, with
-    response zero, contributes exactly the same.
+    zero, so their whole contribution is ``source_sq[k]`` on the diagonal of
+    G'G; G'r and r'r are unchanged.
     """
-    G = np.vstack([G_T, -np.diag(np.sqrt(own_sq))])
-    return G, np.concatenate([r_T, np.zeros(len(own_sq))])
+    gram, gtr, rtr = products
+    return gram + np.diag(source_sq), gtr, rtr
 
 
-def _cv_halves(estimates: list[SiteEstimate], r_T, G_T, n_splits: int, seed: int):
-    """Yield the fit-half and validation-half rows of each CV split.
+def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target, n_splits: int, seed: int):
+    """Yield the fit-half and validation-half cross-products of each CV split.
 
-    Every site splits its own units (:func:`split_masks`): the target's rows
-    are split here, while each source split its units before upload and sent
-    the sums of squares of both halves, which become its pseudo-rows.
+    Every site splits its own units (:func:`split_masks`). The target's fit
+    half is reduced from its masked rows and its validation half is
+    ``target`` (all target rows' cross-products) minus the fit half. Each
+    source split its units before upload and sent the sums of squares of
+    both halves.
     """
     t, src = _split_target(estimates)
     sources = [estimates[i] for i in src]
@@ -217,12 +224,17 @@ def _cv_halves(estimates: list[SiteEstimate], r_T, G_T, n_splits: int, seed: int
             )
     masks = split_masks(estimates[t].n_T, n_splits, seed, estimates[t].site_id)
     for s, fit_units in enumerate(masks):
+        fit = _cross_products(G_T[fit_units], r_T[fit_units])
+        val = tuple(whole - part for whole, part in zip(target, fit))
         fit_sq = np.array([e.own.fit_sq[s] / e.n_k**2 for e in sources])
         val_sq = np.array([e.own.val_sq[s] / e.n_k**2 for e in sources])
-        yield (
-            _with_source_rows(G_T[fit_units], r_T[fit_units], fit_sq),
-            _with_source_rows(G_T[~fit_units], r_T[~fit_units], val_sq),
-        )
+        yield _with_source_rows(fit, fit_sq), _with_source_rows(val, val_sq)
+
+
+def _squared_error(products, eta: np.ndarray) -> float:
+    """||r - G eta||^2 from cross-products: r'r - 2 eta'G'r + eta'G'G eta."""
+    gram, gtr, rtr = products
+    return rtr - 2.0 * float(eta @ gtr) + float(eta @ gram @ eta)
 
 
 def _weights_from_source_eta(eta_src: np.ndarray, t: int, src: list[int], K: int) -> np.ndarray:
@@ -237,6 +249,13 @@ def _weights_from_source_eta(eta_src: np.ndarray, t: int, src: list[int], K: int
     return eta
 
 
+def _refit(target, own_sq, penalties, t: int, src: list[int], K: int, support=None):
+    """Site weights from all rows: the target's cross-products plus every source."""
+    gram, gtr, _ = _with_source_rows(target, own_sq)
+    eta_src = nnls_coordinate_descent(gram, gtr, penalties, support)
+    return _weights_from_source_eta(eta_src, t, src, K)
+
+
 def solve_l1_weights(estimates: list[SiteEstimate], lambda_: float) -> np.ndarray:
     """Nonnegative site weights at a fixed penalty level.
 
@@ -248,9 +267,8 @@ def solve_l1_weights(estimates: list[SiteEstimate], lambda_: float) -> np.ndarra
     r_T, G_T, own_sq, delta, arm_shift_sq, t, src = _stacked_system(estimates)
     if not src:
         return _weights_from_source_eta(np.zeros(0), t, src, len(estimates))
-    G, response = _with_source_rows(G_T, r_T, own_sq)
-    eta_src = nnls_coordinate_descent(G, response, lambda_ * arm_shift_sq)
-    return _weights_from_source_eta(eta_src, t, src, len(estimates))
+    return _refit(_cross_products(G_T, r_T), own_sq, lambda_ * arm_shift_sq,
+                  t, src, len(estimates))
 
 
 def cross_validate_lambda(
@@ -261,12 +279,14 @@ def cross_validate_lambda(
 ) -> EnsembleSolution:
     """Choose the penalty by repeated 50/50 splits of every site's units.
 
-    Each site splits its own units (:func:`_cv_halves`). Weights are fit on
-    one half and scored by the unpenalized objective on the other. The
-    selected value is the largest penalty whose mean validation error sits
-    within one standard error of the minimum, which stabilizes the weights
-    when the error curve is nearly flat. The final
-    weights are refit on all rows at the chosen value.
+    Each site splits its own units (:func:`_cv_systems`). Weights are fit on
+    one half and scored by the unpenalized objective on the other, both from
+    K x K cross-products of the stacked system built once here; each fit
+    warm-starts from the support of the fit before it along the sorted grid.
+    The selected value is the largest penalty whose mean validation error
+    sits within one standard error of the minimum, which stabilizes the
+    weights when the error curve is nearly flat. The final weights are refit
+    on all rows at the chosen value.
     """
     grid = sorted(set(float(g) for g in grid))
     if not grid:
@@ -283,13 +303,18 @@ def cross_validate_lambda(
             delta=np.zeros(K),
         )
 
+    target = _cross_products(G_T, r_T)
     errors = np.zeros((n_splits, len(grid)))
-    halves = _cv_halves(estimates, r_T, G_T, n_splits, seed)
-    for s, ((G_fit, r_fit), (G_val, r_val)) in enumerate(halves):
+    halves = _cv_systems(estimates, r_T, G_T, target, n_splits, seed)
+    # Each fit warm-starts from the support at the previous penalty, or, for
+    # the first penalty, at the same penalty in the previous split.
+    supports = [None] * len(grid)
+    for s, ((gram_fit, gtr_fit, _), val) in enumerate(halves):
         for j, lam in enumerate(grid):
-            eta_src = nnls_coordinate_descent(G_fit, r_fit, lam * arm_shift_sq)
-            resid = r_val - G_val @ eta_src
-            errors[s, j] = float(resid @ resid)
+            start = supports[j - 1] if j else supports[0]
+            eta_src = nnls_coordinate_descent(gram_fit, gtr_fit, lam * arm_shift_sq, start)
+            supports[j] = eta_src > 0.0
+            errors[s, j] = _squared_error(val, eta_src)
     mean_err = errors.mean(axis=0)
     se_err = errors.std(axis=0, ddof=1) / math.sqrt(n_splits) if n_splits > 1 else np.zeros(len(grid))
     min_j = int(np.argmin(mean_err))
@@ -299,7 +324,7 @@ def cross_validate_lambda(
         if mean_err[j] <= cutoff and grid[j] > grid[best_j]:
             best_j = j
     lam = grid[best_j]
-    eta = solve_l1_weights(estimates, lam)
+    eta = _refit(target, own_sq, lam * arm_shift_sq, t, src, K, supports[best_j])
     delta_full = np.zeros(K)
     for col, i in enumerate(src):
         delta_full[i] = delta[col]

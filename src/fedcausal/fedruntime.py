@@ -91,23 +91,33 @@ _SCALARS = {
 }
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class MessageRecord:
-    """One logged cross-site message with its serialized payload."""
+    """One logged cross-site message with its serialized payload.
+
+    ``payload_digest`` (SHA-256 of the payload text) is fixed when the
+    message is logged, i.e. constructed; a record copied with other text
+    keeps the logged digest, so :func:`audit_ledger` detects the change.
+    """
 
     from_site: str
     to_site: str
     kind: str
     round: int
     payload_text: str = field(repr=False)
+    payload_digest: str = field(default="", repr=False)
+
+    def __post_init__(self):
+        if not self.payload_digest:
+            object.__setattr__(self, "payload_digest", _sha256(self.payload_text))
 
     @property
     def payload_bytes(self) -> int:
         return len(self.payload_text.encode("utf-8"))
-
-    @property
-    def payload_digest(self) -> str:
-        return hashlib.sha256(self.payload_text.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict:
         return {
@@ -436,8 +446,7 @@ def audit_ledger(report: GlobalReport) -> dict:
     for rec in report.privacy_ledger:
         if rec.kind not in MESSAGE_KINDS:
             raise PrivacyViolation(f"unknown message kind {rec.kind!r}")
-        raw = rec.payload_text.encode("utf-8")
-        if hashlib.sha256(raw).hexdigest() != rec.payload_digest:
+        if _sha256(rec.payload_text) != rec.payload_digest:
             raise PrivacyViolation(f"payload digest mismatch on a {rec.kind} message")
         try:
             payload = json.loads(rec.payload_text)

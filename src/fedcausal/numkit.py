@@ -1,9 +1,10 @@
 """Dense numerical primitives used by the statistical modules.
 
 Linear least squares, logistic regression via iteratively reweighted least
-squares (IRLS), a damped Newton root finder, and nonnegative coordinate-descent
-penalized least squares. All routines are deterministic pure functions of
-their inputs; no explicit matrix inversion is performed.
+squares (IRLS), a damped Newton root finder, and an exact active-set solver for
+nonnegative penalized least squares on cross-products. All routines are
+deterministic pure functions of their inputs; systems are solved by
+factorization, never by multiplying with an inverse.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .errors import (
 
 # Relative singular-value cutoff below which a design is treated as rank deficient.
 RANK_TOL = 1e-10
+# Variance inflation above which a Gram column counts as dependent on the others.
+MAX_VIF = 1e10
 
 
 @dataclass(frozen=True)
@@ -182,44 +185,125 @@ def newton_solve(
     raise NoConvergence(f"no convergence after {max_iter} iterations")
 
 
-def nnls_coordinate_descent(
-    G: np.ndarray,
-    r: np.ndarray,
-    penalties: np.ndarray,
-    tol: float = 1e-10,
-    max_sweeps: int = 10_000,
-) -> np.ndarray:
-    """Minimize ``||r - G eta||^2 + sum_k penalties[k] * eta[k]`` over eta >= 0.
 
-    Exact coordinate soft-threshold-at-zero updates; sweeps stop once the
-    largest coordinate change in a full sweep falls below ``tol``.
+
+def nnls_coordinate_descent(
+    gram: np.ndarray,
+    gtr: np.ndarray,
+    penalties: np.ndarray,
+    support: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100,
+) -> np.ndarray:
+    """Minimize ``||r - G eta||^2 + sum_k penalties[k] * eta[k]`` over eta >= 0,
+    given only the cross-products ``gram = G'G`` and ``gtr = G'r``.
+
+    Exact Lawson-Hanson active-set solve in Gram form (Bro and De Jong's fast
+    NNLS): columns enter the passive set by largest gradient, each passive
+    set's stationary point is solved directly, and a step back to the
+    feasible region drops columns that turn nonpositive. ``support`` (a
+    boolean mask, e.g. the previous penalty's ``eta > 0``) warm-starts the
+    passive set; a warm start changes the path, not the solution. Columns
+    with a zero Gram diagonal get ``eta_k = 0``. A column whose variance
+    inflation on the passive set would exceed ``MAX_VIF`` counts as dependent
+    on it and enters by exchange along the null direction instead of through
+    a singular solve. The result must pass the KKT conditions to relative
+    tolerance ``tol``.
+
+    The name predates the active-set method; it is kept because the
+    benchmark's tracer (``perfbench/tracing.py``) finds the weight solver by
+    it.
+
+    Raises
+    ------
+    ValueError
+        On mismatched shapes or negative penalties.
+    NoConvergence
+        If ``max_iter`` passive-set changes do not reach the KKT conditions,
+        or the final point fails them.
     """
-    G = np.asarray(G, dtype=float)
-    r = np.asarray(r, dtype=float)
+    gram = np.asarray(gram, dtype=float)
+    gtr = np.asarray(gtr, dtype=float)
     penalties = np.asarray(penalties, dtype=float)
-    p = G.shape[1]
+    p = gtr.shape[0]
+    if gtr.ndim != 1 or gram.shape != (p, p):
+        raise ValueError(f"need a p x p gram and length-p gtr, got {gram.shape} and {gtr.shape}")
     if penalties.shape != (p,):
         raise ValueError("penalties length must equal the number of columns")
-    if np.any(penalties < 0):
+    if (penalties < 0).any():
         raise ValueError("penalties must be nonnegative")
 
-    gram = G.T @ G
-    gtr = G.T @ r
-    diag = np.diag(gram)
-    eta = np.zeros(p)
-    for _sweep in range(max_sweeps):
-        max_change = 0.0
-        for k in range(p):
-            if diag[k] <= 0.0:
-                continue
-            # Partial residual correlation with column k, excluding eta_k itself.
-            rho = gtr[k] - gram[k] @ eta + diag[k] * eta[k]
-            numer = rho - 0.5 * penalties[k]
-            new = numer / diag[k] if numer > 0.0 else 0.0
-            change = abs(new - eta[k])
-            if change > max_change:
-                max_change = change
-            eta[k] = new
-        if max_change < tol:
+    # The objective is eta'gram eta - 2 c'eta; half its negative gradient is
+    # w = c - gram @ eta.
+    c = gtr - 0.5 * penalties
+    usable = gram.diagonal() > 0.0
+    abs_gram = np.abs(gram)
+    eye = np.eye(p)
+    rhs = np.column_stack((c, eye))
+
+    def stationary(passive):
+        """Stationary point over the passive columns (zero elsewhere), or
+        None when they are numerically dependent. Off the passive set the
+        system is the identity, so one p x p solve gives the point and the
+        passive columns' variance inflation gram_kk * inv(gram_PP)_kk."""
+        system = np.where(passive[:, None] & passive, gram, eye)
+        rhs[:, 0] = np.where(passive, c, 0.0)
+        try:
+            sol = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        vif = np.abs(system.diagonal() * sol.diagonal(1))
+        if not vif.max() <= MAX_VIF:  # also catches NaN
+            return None
+        return sol[:, 0]
+
+    passive = np.zeros(p, dtype=bool) if support is None else np.asarray(support, bool) & usable
+    eta = stationary(passive) if passive.any() else None
+    if eta is None:
+        passive[:] = False
+        eta = np.zeros(p)
+    while np.any(eta[passive] <= 0.0):  # warm start: keep the positive part
+        passive &= eta > 0.0
+        eta = stationary(passive)
+
+    for _ in range(max_iter):
+        w = c - gram @ eta
+        bound = tol * (np.abs(c) + abs_gram @ eta)
+        free = usable & ~passive & (w > bound)
+        if not free.any():
+            if not np.all(np.abs(w[passive]) <= bound[passive]):
+                raise NoConvergence("active-set solution fails the KKT conditions")
             return eta
-    raise NoConvergence(f"coordinate descent: no convergence in {max_sweeps} sweeps")
+        t = int(np.argmax(np.where(free, w, -np.inf)))
+        passive[t] = True
+        s = stationary(passive)
+        if s is None:
+            # Column t is numerically the passive columns times a
+            # (gram_Pt = gram_PP a). Moving along -a on them and +1 on t
+            # leaves gram @ eta unchanged and lowers the objective until a
+            # passive column reaches zero; that column leaves and t enters.
+            passive[t] = False
+            a = np.zeros(p)
+            a[passive] = np.linalg.solve(gram[passive][:, passive], gram[passive, t])
+            shrink = passive & (a > 0.0)
+            if not shrink.any():
+                raise NoConvergence("objective unbounded along a dependent column")
+            ratio = np.full(p, np.inf)
+            ratio[shrink] = eta[shrink] / a[shrink]
+            out = int(np.argmin(ratio))
+            eta = np.maximum(eta - ratio[out] * a, 0.0)
+            eta[out], eta[t] = 0.0, ratio[out]
+            passive = (passive & (eta > 0.0)) | (np.arange(p) == t)
+            s = stationary(passive)
+        while s is not None and np.any(s[passive] <= 0.0):
+            # Step from eta toward s until the first passive column hits zero.
+            neg = passive & (s <= 0.0)
+            steps = eta[neg] / np.maximum(eta[neg] - s[neg], np.finfo(float).tiny)
+            eta = eta + steps.min() * (s - eta)
+            eta[np.flatnonzero(neg)[np.argmin(steps)]] = 0.0
+            passive &= eta > 0.0
+            s = stationary(passive)
+        if s is None:
+            raise NoConvergence("passive columns became numerically dependent")
+        eta = s
+    raise NoConvergence(f"active set: no convergence in {max_iter} iterations")

@@ -214,10 +214,10 @@ class SourceSiteReport:
                 np.asarray(obj["tau1"], dtype=float),
             ),
             tilt_sensitivity=(
-                np.asarray(obj.get("tilt_sens0", []), dtype=float),
-                np.asarray(obj.get("tilt_sens1", []), dtype=float),
+                np.asarray(obj["tilt_sens0"], dtype=float),
+                np.asarray(obj["tilt_sens1"], dtype=float),
             ),
-            basis_kind=obj.get("basis_kind", "linear"),
+            basis_kind=obj["basis_kind"],
             diagnostics=obj.get("diagnostics", {}),
         )
 

@@ -227,7 +227,7 @@ def test_criterion_6_weight_solver_oracle():
         G = rng.standard_normal((40, 5))
         r = rng.standard_normal(40)
         penalties = rng.uniform(0.0, 2.0, 5)
-        eta = nnls_coordinate_descent(G, r, penalties)
+        eta = nnls_coordinate_descent(G.T @ G, G.T @ r, penalties)
 
         def objective(e):
             resid = r - G @ e

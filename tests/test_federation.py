@@ -9,7 +9,9 @@ from scipy import stats
 
 from fedcausal.errors import MissingTarget, ZeroVariance
 from fedcausal.federation import (
-    _cv_halves,
+    _cross_products,
+    _cv_systems,
+    _squared_error,
     _stacked_system,
     _with_source_rows,
     combine_fixed,
@@ -250,6 +252,7 @@ def test_summary_algebra_matches_per_unit_formulas():
 
         # Stacked system: source k's per-unit rows are -d_k / n_k in column k.
         r_T, G_T, own_sq, *_ = _stacked_system(estimates)
+        target = _cross_products(G_T, r_T)
 
         def per_unit_rows(target_units, source_units):
             blocks = [G_T[target_units]]
@@ -260,27 +263,28 @@ def test_summary_algebra_matches_per_unit_formulas():
             r = np.concatenate([r_T[target_units]] + [np.zeros(len(b)) for b in blocks[1:]])
             return np.vstack(blocks), r
 
-        def same_normal_equations(summary_rows, unit_rows):
-            (G, r), (G_u, r_u) = summary_rows, unit_rows
-            return _rel_close(G.T @ G, G_u.T @ G_u) and _rel_close(G.T @ r, G_u.T @ r_u)
+        def same_cross_products(products, unit_rows):
+            (gram, gtr, rtr), (G_u, r_u) = products, unit_rows
+            return (_rel_close(gram, G_u.T @ G_u) and _rel_close(gtr, G_u.T @ r_u)
+                    and _rel_close(rtr, r_u @ r_u))
 
         everything = np.ones(n_T, dtype=bool)
         all_units = [np.ones(e.n_k, dtype=bool) for e in sources]
-        assert same_normal_equations(_with_source_rows(G_T, r_T, own_sq),
-                                     per_unit_rows(everything, all_units))
+        assert same_cross_products(_with_source_rows(target, own_sq),
+                                   per_unit_rows(everything, all_units))
 
         # Per split: explicit fold masks at every site, fixed weights.
         fold_T = split_masks(n_T, n_splits, seed, "tgt")
         folds = [split_masks(e.n_k, n_splits, seed + k, e.site_id)
                  for k, e in enumerate(sources)]
         eta_src = rng.uniform(0.0, 0.5, len(sources))
-        halves = list(_cv_halves(estimates, r_T, G_T, n_splits, seed))
+        halves = list(_cv_systems(estimates, r_T, G_T, target, n_splits, seed))
         assert len(halves) == n_splits
-        for s, (fit_rows, val_rows) in enumerate(halves):
+        for s, (fit, val) in enumerate(halves):
             unit_fit = per_unit_rows(fold_T[s], [f[s] for f in folds])
             unit_val = per_unit_rows(~fold_T[s], [~f[s] for f in folds])
-            assert same_normal_equations(fit_rows, unit_fit)
-            assert same_normal_equations(val_rows, unit_val)
-            (G_val, r_val), (G_uv, r_uv) = val_rows, unit_val
-            err = np.sum((r_val - G_val @ eta_src) ** 2)
+            assert same_cross_products(fit, unit_fit)
+            assert same_cross_products(val, unit_val)
+            G_uv, r_uv = unit_val
+            err = _squared_error(val, eta_src)
             assert _rel_close(err, np.sum((r_uv - G_uv @ eta_src) ** 2))

@@ -203,11 +203,24 @@ def test_audit_rejects_bad_payloads():
     report.privacy_ledger.append(dataclasses.replace(good, kind="gossip"))
     with pytest.raises(PrivacyViolation):
         audit_ledger(report)
-    report.privacy_ledger[-1] = dataclasses.replace(good, payload_text="not json")
-    with pytest.raises(PrivacyViolation):
-        audit_ledger(report)
-    report.privacy_ledger[-1] = dataclasses.replace(good, payload_text="[1, 2]")
-    with pytest.raises(PrivacyViolation):
+    # Logged with their own text (and so a matching digest), malformed
+    # payloads still fail.
+    for text in ("not json", "[1, 2]"):
+        report.privacy_ledger[-1] = MessageRecord(
+            good.from_site, good.to_site, good.kind, good.round, payload_text=text)
+        with pytest.raises(PrivacyViolation):
+            audit_ledger(report)
+
+
+def test_audit_rejects_tampered_payload():
+    report = run_round(_make_frames(), _config("mr_l1"))
+    audit_ledger(report)
+    i, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                  if r.kind == "site_estimate")
+    payload = json.loads(rec.payload_text)
+    payload["mu_own1"] += 1.0  # well formed, but not what was logged
+    report.privacy_ledger[i] = dataclasses.replace(rec, payload_text=json.dumps(payload))
+    with pytest.raises(PrivacyViolation, match="digest"):
         audit_ledger(report)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special
 
 from fedcausal.errors import (
@@ -127,7 +129,7 @@ def test_nnls_matches_projected_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):
         G, r, penalties = _random_instance(rng)
-        eta = nnls_coordinate_descent(G, r, penalties)
+        eta = nnls_coordinate_descent(G.T @ G, G.T @ r, penalties)
         assert np.all(eta >= 0.0)
         oracle = optimize.minimize(
             lambda e: nnls_objective(G, r, penalties, e),
@@ -143,7 +145,7 @@ def test_nnls_matches_projected_oracle():
 def test_nnls_kkt_conditions():
     rng = np.random.default_rng(8)
     G, r, penalties = _random_instance(rng)
-    eta = nnls_coordinate_descent(G, r, penalties)
+    eta = nnls_coordinate_descent(G.T @ G, G.T @ r, penalties)
     grad = 2.0 * G.T @ (G @ eta - r) + penalties
     for k in range(len(eta)):
         if eta[k] > 0.0:
@@ -156,14 +158,14 @@ def test_nnls_recovers_nonnegative_truth():
     rng = np.random.default_rng(9)
     G = rng.standard_normal((60, 4))
     eta_true = np.array([0.5, 0.0, 2.0, 1.25])
-    eta = nnls_coordinate_descent(G, G @ eta_true, np.zeros(4))
+    eta = nnls_coordinate_descent(G.T @ G, G.T @ (G @ eta_true), np.zeros(4))
     assert np.allclose(eta, eta_true, atol=1e-8)
 
 
 def test_nnls_huge_penalty_gives_zero():
     rng = np.random.default_rng(10)
     G, r, _ = _random_instance(rng)
-    eta = nnls_coordinate_descent(G, r, np.full(5, 1e12))
+    eta = nnls_coordinate_descent(G.T @ G, G.T @ r, np.full(5, 1e12))
     assert np.array_equal(eta, np.zeros(5))
 
 
@@ -171,6 +173,68 @@ def test_nnls_penalty_validation():
     G = np.eye(3)
     r = np.ones(3)
     with pytest.raises(ValueError):
-        nnls_coordinate_descent(G, r, np.zeros(2))
+        nnls_coordinate_descent(G.T @ G, G.T @ r, np.zeros(2))
     with pytest.raises(ValueError):
-        nnls_coordinate_descent(G, r, np.array([0.0, -1.0, 0.0]))
+        nnls_coordinate_descent(G.T @ G, G.T @ r, np.array([0.0, -1.0, 0.0]))
+    with pytest.raises(ValueError):
+        nnls_coordinate_descent(np.ones((3, 2)), r, np.zeros(3))
+
+
+def test_nnls_dependent_column_enters_by_exchange():
+    # Column 0 is half of column 1. Column 1 enters first; column 0, with a
+    # smaller penalty, must then replace it along the null direction.
+    G = np.array([[1.0, 2.0]])
+    r = np.array([1.0])
+    eta = nnls_coordinate_descent(G.T @ G, G.T @ r, np.array([0.0, 1.0]))
+    assert np.allclose(eta, [1.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def _gram_problems(draw):
+    """Cross-products of random designs with K <= 8 columns: fewer rows than
+    columns or a duplicated column make the Gram matrix rank deficient, and
+    zeroed columns give zero rows and columns."""
+    K = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, K)) * rng.uniform(0.1, 10.0, K)
+    if K > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    X[:, draw(st.lists(st.booleans(), min_size=K, max_size=K))] = 0.0
+    r = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+    penalties = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 50.0),
+                              min_size=K, max_size=K))
+    support = draw(st.lists(st.booleans(), min_size=K, max_size=K))
+    return X.T @ X, X.T @ r, np.array(penalties), np.array(support)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_gram_problems())
+def test_nnls_gram_kkt_zero_columns_and_warm_start(problem):
+    gram, gtr, penalties, support = problem
+    eta = nnls_coordinate_descent(gram, gtr, penalties)
+    usable = np.diag(gram) > 0.0
+    assert np.all(eta >= 0.0)
+    assert np.all(eta[~usable] == 0.0)
+
+    # KKT for eta'G eta - 2 eta'G'r + penalties'eta, relative to the size of
+    # the terms that make up each gradient component.
+    grad = 2.0 * (gram @ eta - gtr) + penalties
+    scale = 2.0 * (np.abs(gram) @ eta + np.abs(gtr)) + penalties
+    active = eta > 0.0
+    assert np.all(np.abs(grad[active]) <= 1e-8 * scale[active])
+    assert np.all(grad[usable & ~active] >= -1e-8 * scale[usable & ~active])
+
+    warm = nnls_coordinate_descent(gram, gtr, penalties, support)
+    sub = gram[usable][:, usable]
+    if usable.any() and np.linalg.eigvalsh(sub)[0] > 1e-8 * np.max(np.diag(sub)):
+        # Positive definite on its usable columns: the minimizer is unique.
+        assert np.max(np.abs(warm - eta), initial=0.0) <= 1e-10 * max(1.0, np.max(eta))
+    else:
+        # A singular Gram matrix can have a set of minimizers; both starts
+        # must reach the same objective value.
+        def q(e):
+            return e @ gram @ e - 2.0 * e @ gtr + penalties @ e
+
+        size = eta @ gram @ eta + 2.0 * np.abs(gtr) @ eta + penalties @ eta
+        assert abs(q(warm) - q(eta)) <= 1e-10 * max(size, 1e-300)

@@ -284,7 +284,7 @@ def test_site_estimate_json_round_trip():
         assert not any(isinstance(v, list) for v in back.values())
 
 
-def test_source_report_json_round_trip_and_defaults():
+def test_source_report_json_round_trip():
     src, tgt = _linear_pair(seed=14)
     tilt = _tilt_for(src, tgt)
     fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=8)
@@ -298,13 +298,3 @@ def test_source_report_json_round_trip_and_defaults():
         assert np.array_equal(back.tau_coefficients[arm], report.tau_coefficients[arm])
         assert np.array_equal(back.tilt_sensitivity[arm], report.tilt_sensitivity[arm])
     assert back.basis_kind == report.basis_kind
-
-    # Older payloads without the sensitivity fields still decode.
-    import json
-    obj = json.loads(report.to_json())
-    del obj["tilt_sens0"], obj["tilt_sens1"], obj["basis_kind"]
-    legacy = SourceSiteReport.from_json(json.dumps(obj))
-    assert legacy.tilt_sensitivity[0].size == 0
-    assert legacy.basis_kind == "linear"
-    completed = complete_source_estimate(legacy, tgt)
-    assert completed.n_T == tgt.n
