@@ -19,7 +19,6 @@ from .federation import (
     combine_fixed,
     cross_validate_lambda,
     global_estimate,
-    z_quantile,
 )
 from .fedruntime import (
     MessageRecord,
@@ -101,5 +100,4 @@ __all__ = [
     "solve_tilt",
     "target_moments",
     "truncate_weights",
-    "z_quantile",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -22,39 +23,6 @@ FIXED_SCHEMES = ("target_only", "ss", "ivw")
 DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
-def z_quantile(p: float) -> float:
-    """Standard normal quantile via Acklam's rational approximation plus one
-    Halley refinement step (absolute error well below 1e-9)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # Halley refinement against the normal CDF.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
-
-
 @dataclass(frozen=True)
 class EnsembleSolution:
     """Site weights chosen by a fixed scheme or the adaptive penalized fit."""
@@ -64,7 +32,6 @@ class EnsembleSolution:
     method: str
     lambda_: float | None = None
     cv_trace: dict = field(default_factory=dict)
-    delta: np.ndarray | None = None  # effect-difference shift per site, 0 for target
 
 
 @dataclass
@@ -168,13 +135,12 @@ def _stacked_system(estimates: list[SiteEstimate]):
     n_T = tgt_est.n_T
     xi_T = (tgt_est.xi_on_target[1] - tgt_est.xi_on_target[0]) / n_T
     G = np.zeros((n_T, len(src)))
-    delta = np.zeros(len(src))
     own_sq = np.array([estimates[i].own.sq / estimates[i].n_k**2 for i in src])
     var_T = float(np.sum(xi_T**2))
     arm_shift_sq = np.zeros(len(src))
     for col, i in enumerate(src):
         est = estimates[i]
-        delta[col] = (est.mu[1] - est.mu[0]) - (tgt_est.mu[1] - tgt_est.mu[0])
+        delta = (est.mu[1] - est.mu[0]) - (tgt_est.mu[1] - tgt_est.mu[0])
         arm_shift_sq[col] = 0.5 * sum(
             (est.mu[arm] - tgt_est.mu[arm]) ** 2 for arm in (0, 1)
         )
@@ -184,9 +150,9 @@ def _stacked_system(estimates: list[SiteEstimate]):
         var_d = (var_T + own_sq[col] + float(np.sum(on_tgt**2))
                  - 2.0 * float(np.sum(xi_T * on_tgt)))
         threshold = 2.0 * math.sqrt(max(var_d, 0.0))
-        shrunk = math.copysign(max(abs(delta[col]) - threshold, 0.0), delta[col])
+        shrunk = math.copysign(max(abs(delta) - threshold, 0.0), delta)
         G[:, col] = xi_T - on_tgt - shrunk / math.sqrt(n_T)
-    return xi_T, G, own_sq, delta, arm_shift_sq, t, src
+    return xi_T, G, own_sq, arm_shift_sq, t, src
 
 
 def _cross_products(G: np.ndarray, r: np.ndarray):
@@ -264,7 +230,7 @@ def solve_l1_weights(estimates: list[SiteEstimate], lambda_: float) -> np.ndarra
     from the target's; the target weight is the simplex remainder, floored at
     zero with renormalization.
     """
-    r_T, G_T, own_sq, delta, arm_shift_sq, t, src = _stacked_system(estimates)
+    r_T, G_T, own_sq, arm_shift_sq, t, src = _stacked_system(estimates)
     if not src:
         return _weights_from_source_eta(np.zeros(0), t, src, len(estimates))
     return _refit(_cross_products(G_T, r_T), own_sq, lambda_ * arm_shift_sq,
@@ -291,7 +257,7 @@ def cross_validate_lambda(
     grid = sorted(set(float(g) for g in grid))
     if not grid:
         raise ValueError("lambda grid must be non-empty")
-    r_T, G_T, own_sq, delta, arm_shift_sq, t, src = _stacked_system(estimates)
+    r_T, G_T, own_sq, arm_shift_sq, t, src = _stacked_system(estimates)
     K = len(estimates)
     if not src:
         eta = _weights_from_source_eta(np.zeros(0), t, src, K)
@@ -300,7 +266,6 @@ def cross_validate_lambda(
             eta=eta,
             method="adaptive_l1",
             lambda_=grid[0],
-            delta=np.zeros(K),
         )
 
     target = _cross_products(G_T, r_T)
@@ -325,16 +290,12 @@ def cross_validate_lambda(
             best_j = j
     lam = grid[best_j]
     eta = _refit(target, own_sq, lam * arm_shift_sq, t, src, K, supports[best_j])
-    delta_full = np.zeros(K)
-    for col, i in enumerate(src):
-        delta_full[i] = delta[col]
     return EnsembleSolution(
         site_ids=tuple(e.site_id for e in estimates),
         eta=eta,
         method="adaptive_l1",
         lambda_=lam,
         cv_trace={"lambda": list(grid), "mean_validation_error": mean_err.tolist()},
-        delta=delta_full,
     )
 
 
@@ -376,7 +337,7 @@ def global_estimate(
         source_sq += eta[i] ** 2 * own_sq
     sigma_hat = (float(np.sum(target_contrib**2)) + source_sq) / N
     variance = sigma_hat / N
-    z = z_quantile(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * math.sqrt(variance)
     per_site = [
         {

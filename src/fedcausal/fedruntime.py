@@ -5,10 +5,12 @@ broadcast and a site phase (:func:`run_sites`: a moment-summary broadcast from
 the target, one summary-level upload per source, and the target's own
 estimate), after which the coordinator forms the global combination
 (:func:`combine`). The site phase never reads the weighting scheme. Every
-cross-site payload is serialized to JSON at the boundary and decoded on the
-receiving side, and every message is logged so the ledger can be audited: only
-the declared summary-level schemas may cross sites, never individual rows or
-any per-unit value.
+cross-site payload is serialized to JSON at the boundary, and every message is
+logged so the ledger can be audited: only the declared summary-level schemas
+may cross sites, never individual rows or any per-unit value. Moment summaries
+and source uploads are decoded on the receiving side; the config broadcast is
+logged as sent and never decoded, because every site reads the in-memory
+config.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .site_estimator import (
 
 METHODS = ("target_only", "ss", "ivw", "aipw_l1", "mr_l1")
 ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
-MESSAGE_KINDS = ("config", "moment_summary", "site_estimate")
 
 # Declared shape of every payload key each message kind may carry: a scalar
 # ("text", "count", "number", "number?" for a nullable number), a nested
@@ -179,27 +180,6 @@ class ProtocolConfig:
                 for site, groups in self.candidates.items()
             },
         }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "ProtocolConfig":
-        return ProtocolConfig(
-            basis=BasisSpec(kind=obj["basis"]),
-            candidates={
-                site: {
-                    role: [CandidateSpec.from_dict(d) for d in specs]
-                    for role, specs in groups.items()
-                }
-                for site, groups in obj["candidates"].items()
-            },
-            method=obj["method"],
-            alpha=float(obj["alpha"]),
-            lambda_grid=tuple(obj["lambda_grid"]),
-            n_splits=int(obj["n_splits"]),
-            seed=int(obj["seed"]),
-            train_fraction=float(obj["train_fraction"]),
-            clip=tuple(obj["clip"]),
-            kappa=obj.get("kappa"),
-        )
 
 
 def site_split_seed(seed: int, site_id: str) -> int:
@@ -444,7 +424,7 @@ def audit_ledger(report: GlobalReport) -> dict:
     by_kind: dict[str, dict] = {}
     payloads = []
     for rec in report.privacy_ledger:
-        if rec.kind not in MESSAGE_KINDS:
+        if rec.kind not in _SCHEMAS:
             raise PrivacyViolation(f"unknown message kind {rec.kind!r}")
         if _sha256(rec.payload_text) != rec.payload_digest:
             raise PrivacyViolation(f"payload digest mismatch on a {rec.kind} message")

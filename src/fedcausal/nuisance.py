@@ -10,7 +10,6 @@ weighted candidates are then refit on the full site sample for prediction.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,9 +60,6 @@ class CandidateSpec:
     target: str  # treatment | outcome
     feature_map: FeatureMap
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def to_dict(self) -> dict:
         fm: dict = {"kind": self.feature_map.kind}
         if self.feature_map.columns is not None:
@@ -102,8 +98,6 @@ class MixedModel:
 
     candidates: tuple[FittedCandidate, ...]
     weights: np.ndarray
-    split_seed: int
-    train_fraction: float
 
     def predict_probability(self, X: np.ndarray) -> np.ndarray:
         out = np.zeros(np.atleast_2d(X).shape[0])
@@ -211,12 +205,7 @@ def _mix(
             refits.append(FittedCandidate(spec=spec, fit=fit_one(design, y)))
         else:
             refits.append(FittedCandidate(spec=spec, fit=None))
-    return MixedModel(
-        candidates=tuple(refits),
-        weights=weights,
-        split_seed=seed,
-        train_fraction=fraction,
-    )
+    return MixedModel(candidates=tuple(refits), weights=weights)
 
 
 def mix_propensity(
@@ -266,16 +255,17 @@ def mix_outcome(
     return _mix(X_arm, y_arm, specs, fraction, seed, fit_ols, log_score)
 
 
-def predict_propensity(fit: NuisanceFit, X: np.ndarray, arm: int) -> np.ndarray:
-    """Mixture propensity for the requested arm, clipped to the fit's bounds."""
+def predict(fit: NuisanceFit, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Arm-indexed (2, n) propensities and outcome means on ``X``.
+
+    Evaluates each mixture once. Propensities are clipped to the fit's
+    bounds; ``clipped`` tells whether the clip changed any of them.
+    """
     p1 = fit.pi.predict_probability(X)
-    p = p1 if arm == 1 else 1.0 - p1
-    return np.clip(p, fit.clip[0], fit.clip[1])
-
-
-def predict_outcome(fit: NuisanceFit, X: np.ndarray, arm: int) -> np.ndarray:
-    model = fit.m1 if arm == 1 else fit.m0
-    return model.predict_mean(X)
+    unclipped = np.stack([1.0 - p1, p1])
+    pi = np.clip(unclipped, fit.clip[0], fit.clip[1])
+    m = np.stack([fit.m0.predict_mean(X), fit.m1.predict_mean(X)])
+    return pi, m, bool(np.any(pi != unclipped))
 
 
 def fit_nuisances(

@@ -217,7 +217,7 @@ def nnls_coordinate_descent(
     Raises
     ------
     ValueError
-        On mismatched shapes or negative penalties.
+        On mismatched shapes, non-finite input or negative penalties.
     NoConvergence
         If ``max_iter`` passive-set changes do not reach the KKT conditions,
         or the final point fails them.
@@ -230,6 +230,8 @@ def nnls_coordinate_descent(
         raise ValueError(f"need a p x p gram and length-p gtr, got {gram.shape} and {gtr.shape}")
     if penalties.shape != (p,):
         raise ValueError("penalties length must equal the number of columns")
+    if not (np.isfinite(gram).all() and np.isfinite(gtr).all() and np.isfinite(penalties).all()):
+        raise ValueError("gram, gtr and penalties must be finite")
     if (penalties < 0).any():
         raise ValueError("penalties must be nonnegative")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .density_ratio import BasisSpec, TiltCoefficients, ratio_weights, truncate_weights
 from .errors import PositivityWarning, SingularJacobian
-from .nuisance import NuisanceFit, predict_outcome, predict_propensity
+from .nuisance import NuisanceFit, predict
 from .numkit import add_intercept, fit_ols
 
 
@@ -63,17 +63,6 @@ class SiteFrame:
     @property
     def V(self) -> np.ndarray:
         return self.X[:, list(self.shared_cols)]
-
-
-@dataclass(frozen=True)
-class TauModel:
-    """Linear projection of outcome-model predictions onto (1, V)."""
-
-    arm: int
-    coefficients: np.ndarray
-
-    def predict(self, V: np.ndarray) -> np.ndarray:
-        return add_intercept(V) @ self.coefficients
 
 
 def split_masks(n: int, n_splits: int, seed: int, site_id: str) -> np.ndarray:
@@ -171,11 +160,9 @@ class SourceSiteReport:
     mu_own: tuple[float, float]
     own: OwnSummary
     tau_coefficients: tuple[np.ndarray, np.ndarray]  # arm 0, arm 1
-    tilt_sensitivity: tuple[np.ndarray, np.ndarray] = (
-        np.zeros(0),
-        np.zeros(0),
-    )  # B^{-1} dmu/dgamma per arm, for the tilt-noise variance term
-    basis_kind: str = "linear"
+    # B^{-1} dmu/dgamma per arm, for the tilt-noise variance term
+    tilt_sensitivity: tuple[np.ndarray, np.ndarray]
+    basis_kind: str
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -222,30 +209,19 @@ class SourceSiteReport:
         )
 
 
-def _aipw_kernel(frame: SiteFrame, fit: NuisanceFit, arm: int) -> np.ndarray:
-    """Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a on the frame's units."""
-    pi = predict_propensity(fit, frame.X, arm)
-    m = predict_outcome(fit, frame.X, arm)
-    ind = (frame.a == arm).astype(float)
-    return ind / pi * (frame.y - m) + m
-
-
-def _clipping_active(fit: NuisanceFit, X: np.ndarray) -> bool:
-    p1 = fit.pi.predict_probability(X)
-    lo, hi = fit.clip
-    return bool(np.any(p1 < lo) or np.any(p1 > hi) or np.any(1.0 - p1 < lo) or np.any(1.0 - p1 > hi))
-
-
 def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:
     """Standard AIPW estimate on the target sample with centered influence values."""
     if frame.role != "target":
         raise ValueError("estimate_target requires a target frame")
-    if _clipping_active(fit, frame.X):
+    pi, m, clipped = predict(fit, frame.X)
+    if clipped:
         warnings.warn("propensity clipping active on target units", PositivityWarning, stacklevel=2)
     mu = []
     xi = np.zeros((2, frame.n))
     for arm in (0, 1):
-        kernel = _aipw_kernel(frame, fit, arm)
+        # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a.
+        ind = (frame.a == arm).astype(float)
+        kernel = ind / pi[arm] * (frame.y - m[arm]) + m[arm]
         mu_a = float(kernel.mean())
         mu.append(mu_a)
         xi[arm] = kernel - mu_a
@@ -256,15 +232,6 @@ def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:
         n_k=frame.n,
         n_T=frame.n,
     )
-
-
-def fit_tau(frame: SiteFrame, fit: NuisanceFit, arm: int) -> TauModel:
-    """Regress the outcome-model predictions on (1, V) over all source units."""
-    if frame.role != "source":
-        raise ValueError("fit_tau requires a source frame")
-    m_hat = predict_outcome(fit, frame.X, arm)
-    ols = fit_ols(add_intercept(frame.V), m_hat)
-    return TauModel(arm=arm, coefficients=ols.coefficients)
 
 
 def source_influence(
@@ -278,7 +245,8 @@ def source_influence(
 
     Computes the tilt-weighted AIPW residual term and the tilt-weighted excess
     of the outcome model over its shared-covariate projection, both means over
-    the source sample, plus the projection coefficients per arm. The per-unit
+    the source sample, plus the projection coefficients per arm (the outcome
+    model's predictions regressed on (1, V) over all source units). The per-unit
     influence values include the first-order term from estimating the tilt
     coefficients: with the moment-matching Jacobian B and the estimator's
     sensitivity A = dmu/dgamma, each unit contributes through A'B^{-1} times
@@ -294,7 +262,8 @@ def source_influence(
         raise ValueError("the source estimator requires a source frame")
     zeta_raw = ratio_weights(tilt, source.V)
     zeta, weight_diag = truncate_weights(zeta_raw)
-    if _clipping_active(fit, source.X):
+    pi, m, clipped = predict(fit, source.X)
+    if clipped:
         warnings.warn(
             f"propensity clipping active on source {source.site_id}",
             PositivityWarning,
@@ -304,17 +273,16 @@ def source_influence(
     zeta_psi = psi * zeta_raw[:, None]
     B = zeta_psi.T @ psi / source.n
     moment_noise = zeta_psi - zeta_psi.mean(axis=0)
+    design_V = add_intercept(source.V)
     mu_own = []
     xi_own = np.zeros((2, source.n))
     tau_coefs = []
     sens = []
     for arm in (0, 1):
-        pi = predict_propensity(fit, source.X, arm)
-        m = predict_outcome(fit, source.X, arm)
-        tau = fit_tau(source, fit, arm)
-        tau_coefs.append(tau.coefficients)
+        tau = fit_ols(design_V, m[arm]).coefficients
+        tau_coefs.append(tau)
         ind = (source.a == arm).astype(float)
-        h = ind / pi * (source.y - m) + (m - tau.predict(source.V))
+        h = ind / pi[arm] * (source.y - m[arm]) + (m[arm] - design_V @ tau)
         own = zeta * h
         mu_own.append(float(own.mean()))
         # Derivative of the truncated weight is zero where the cap binds.
@@ -364,16 +332,13 @@ def complete_source_estimate(report: SourceSiteReport, target: SiteFrame) -> Sit
         raise ValueError("completion requires the target frame")
     psi_tgt = BasisSpec(report.basis_kind).expand(target.X)
     psi_centered = psi_tgt - psi_tgt.mean(axis=0)
+    design = add_intercept(target.X)
     mu = []
     xi_tgt = np.zeros((2, target.n))
     for arm in (0, 1):
-        tau = TauModel(arm=arm, coefficients=report.tau_coefficients[arm])
-        on_target = tau.predict(target.X)
+        on_target = design @ report.tau_coefficients[arm]
         mu.append(report.mu_own[arm] + float(on_target.mean()))
-        xi_tgt[arm] = on_target - on_target.mean()
-        w = report.tilt_sensitivity[arm]
-        if w.size:
-            xi_tgt[arm] -= psi_centered @ w
+        xi_tgt[arm] = on_target - on_target.mean() - psi_centered @ report.tilt_sensitivity[arm]
     return SiteEstimate(
         site_id=report.site_id,
         mu=(mu[0], mu[1]),
@@ -399,19 +364,13 @@ def estimate_source(
     )
 
 
-def influence_values(
-    est: SiteEstimate, total_n: int | None = None
-) -> tuple[float, np.ndarray]:
+def influence_values(est: SiteEstimate, total_n: int) -> tuple[float, np.ndarray]:
     """Influence parts with site probabilities replaced by empirical plug-ins.
 
     Returns the own-unit sum of squared effect-difference values scaled by
     ``(total_n / n_k)**2`` (zero for the target estimate, whose own units are
-    the target units) and the target-unit values scaled by ``total_n / n_T``.
-    When ``total_n`` is omitted the estimate's own sample sizes are used
-    (``n_T`` for a target estimate, ``n_k + n_T`` for a source estimate); in
-    a federation the caller passes the pooled total.
+    the target units) and the target-unit values scaled by ``total_n / n_T``,
+    where ``total_n`` is the federation's pooled sample size.
     """
-    if total_n is None:
-        total_n = est.n_T if est.is_target else est.n_k + est.n_T
     own_sq = 0.0 if est.is_target else est.own.sq * (total_n / est.n_k) ** 2
     return own_sq, est.xi_on_target * (total_n / est.n_T)

@@ -18,7 +18,6 @@ from fedcausal.federation import (
     cross_validate_lambda,
     global_estimate,
     solve_l1_weights,
-    z_quantile,
 )
 from fedcausal.site_estimator import OwnSummary, SiteEstimate, split_masks
 
@@ -51,12 +50,17 @@ def _trio(seed=0, mu_src=(1.0, 2.0)):
 
 
 def test_z_quantile_against_scipy():
-    for p in (1e-6, 0.01, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999, 1 - 1e-6):
-        assert abs(z_quantile(p) - stats.norm.ppf(p)) < 1e-9
-    with pytest.raises(ValueError):
-        z_quantile(0.0)
-    with pytest.raises(ValueError):
-        z_quantile(1.0)
+    # The CI half-width is the normal quantile times the standard error.
+    estimates = _trio()
+    sol = combine_fixed(estimates, "ss")
+    for alpha in (0.001, 0.01, 0.05, 0.2, 0.5):
+        report = global_estimate(estimates, sol, alpha=alpha)
+        half = 0.5 * (report.ci[1] - report.ci[0])
+        expected = stats.norm.ppf(1.0 - alpha / 2.0) * math.sqrt(report.variance)
+        assert abs(half - expected) < 1e-9
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            global_estimate(estimates, sol, alpha=alpha)
 
 
 def test_combine_target_only():
@@ -135,7 +139,6 @@ def test_cross_validate_lambda_deterministic():
     assert sol1.method == "adaptive_l1"
     assert sol1.lambda_ in sol1.cv_trace["lambda"]
     assert len(sol1.cv_trace["mean_validation_error"]) == len(sol1.cv_trace["lambda"])
-    assert sol1.delta is not None and sol1.delta[0] == 0.0
 
 
 def test_cross_validate_lambda_checks_split_count():

@@ -18,8 +18,7 @@ from fedcausal.nuisance import (
     kang_schafer,
     mix_outcome,
     mix_propensity,
-    predict_outcome,
-    predict_propensity,
+    predict,
     split_data,
 )
 
@@ -166,23 +165,24 @@ def test_failed_candidate_gets_zero_weight():
 def _constant_model(coefficients):
     spec = CandidateSpec("c", "outcome", FeatureMap("raw"))
     cand = FittedCandidate(spec=spec, fit=LinearFit(np.asarray(coefficients, float)))
-    return MixedModel(candidates=(cand,), weights=np.array([1.0]),
-                      split_seed=0, train_fraction=0.5)
+    return MixedModel(candidates=(cand,), weights=np.array([1.0]))
 
 
 def test_predict_propensity_identities():
     X = np.random.default_rng(5).standard_normal((20, 2))
     flat = _constant_model([0.0, 0.0, 0.0])
     fit = NuisanceFit(pi=flat, m1=flat, m0=flat)
-    p1 = predict_propensity(fit, X, 1)
-    p0 = predict_propensity(fit, X, 0)
+    (p0, p1), _, clipped = predict(fit, X)
     assert np.all(p1 == 0.5)
     assert np.allclose(p1 + p0, 1.0, atol=1e-15)
+    assert not clipped
 
     steep = _constant_model([50.0, 0.0, 0.0])
     fit = NuisanceFit(pi=steep, m1=flat, m0=flat, clip=(0.01, 0.99))
-    assert np.all(predict_propensity(fit, X, 1) == 0.99)
-    assert np.all(predict_propensity(fit, X, 0) == 0.01)
+    pi, _, clipped = predict(fit, X)
+    assert np.all(pi[1] == 0.99)
+    assert np.all(pi[0] == 0.01)
+    assert clipped
 
 
 def test_mixture_prediction_is_weighted_sum():
@@ -190,8 +190,7 @@ def test_mixture_prediction_is_weighted_sum():
     spec = CandidateSpec("c", "treatment", FeatureMap("raw"))
     c1 = FittedCandidate(spec=spec, fit=LinearFit(np.array([0.2, 1.0, 0.0])))
     c2 = FittedCandidate(spec=spec, fit=LinearFit(np.array([-0.5, 0.0, 2.0])))
-    mix = MixedModel(candidates=(c1, c2), weights=np.array([0.3, 0.7]),
-                     split_seed=0, train_fraction=0.5)
+    mix = MixedModel(candidates=(c1, c2), weights=np.array([0.3, 0.7]))
     expected = 0.3 * c1.predict_probability(X) + 0.7 * c2.predict_probability(X)
     assert np.allclose(mix.predict_probability(X), expected, atol=1e-15)
 
@@ -204,7 +203,8 @@ def test_predict_outcome_constant_fit():
     spec = CandidateSpec("c", "outcome", FeatureMap("raw"))
     model = mix_outcome(X, y, a, 1, [spec], seed=8)
     fit = NuisanceFit(pi=_constant_model([0.0, 0.0, 0.0]), m1=model, m0=model)
-    assert np.allclose(predict_outcome(fit, X, 1), 3.25, atol=1e-9)
+    _, m, _ = predict(fit, X)
+    assert np.allclose(m[1], 3.25, atol=1e-9)
 
 
 def test_fit_nuisances_bundle():
@@ -214,8 +214,8 @@ def test_fit_nuisances_bundle():
     t_spec = [CandidateSpec("p", "treatment", FeatureMap("raw"))]
     o_spec = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
     fit = fit_nuisances(X, y, a, t_spec, o_spec, seed=9)
-    p = predict_propensity(fit, X, 1)
-    assert np.all((p >= fit.clip[0]) & (p <= fit.clip[1]))
+    pi, m, _ = predict(fit, X)
+    assert np.all((pi[1] >= fit.clip[0]) & (pi[1] <= fit.clip[1]))
     # Outcome mixtures are fit per arm, so the effect lands in the contrast.
-    gap = predict_outcome(fit, X, 1) - predict_outcome(fit, X, 0)
+    gap = m[1] - m[0]
     assert abs(gap.mean() - 1.0) < 0.3

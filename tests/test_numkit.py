@@ -180,6 +180,21 @@ def test_nnls_penalty_validation():
         nnls_coordinate_descent(np.ones((3, 2)), r, np.zeros(3))
 
 
+def test_nnls_rejects_non_finite_input():
+    # Each of these once returned weights: the NaN column or penalty was
+    # silently zeroed or ignored.
+    gram = np.eye(2)
+    cases = [
+        (gram, np.array([np.nan, 1.0]), np.zeros(2)),
+        (gram, np.array([np.nan, np.nan]), np.zeros(2)),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), np.zeros(2)),
+        (gram, np.ones(2), np.array([np.nan, 0.0])),
+    ]
+    for g, gtr, penalties in cases:
+        with pytest.raises(ValueError, match="finite"):
+            nnls_coordinate_descent(g, gtr, penalties)
+
+
 def test_nnls_dependent_column_enters_by_exchange():
     # Column 0 is half of column 1. Column 1 enters first; column 0, with a
     # smaller penalty, must then replace it along the null direction.

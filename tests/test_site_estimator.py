@@ -5,7 +5,7 @@ import pytest
 
 from fedcausal.density_ratio import BasisSpec, TiltCoefficients, solve_tilt, target_moments
 from fedcausal.errors import PositivityWarning, SingularJacobian
-from fedcausal.numkit import LinearFit, expit
+from fedcausal.numkit import LinearFit, add_intercept, expit
 from fedcausal.nuisance import (
     CandidateSpec,
     FeatureMap,
@@ -20,7 +20,6 @@ from fedcausal.site_estimator import (
     complete_source_estimate,
     estimate_source,
     estimate_target,
-    fit_tau,
     influence_values,
     source_influence,
     source_report,
@@ -34,8 +33,7 @@ RAW_O = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
 def _zero_model(d):
     spec = CandidateSpec("z", "outcome", FeatureMap("raw"))
     cand = FittedCandidate(spec=spec, fit=LinearFit(np.zeros(d + 1)))
-    return MixedModel(candidates=(cand,), weights=np.array([1.0]),
-                      split_seed=0, train_fraction=0.5)
+    return MixedModel(candidates=(cand,), weights=np.array([1.0]))
 
 
 def _zero_fit(d):
@@ -66,6 +64,11 @@ def _linear_pair(seed=0, n_src=800, n_tgt=500, shift=0.4):
 def _tilt_for(src, tgt):
     basis = BasisSpec("linear")
     return solve_tilt(src.V, target_moments(tgt.V, basis, tgt.site_id), basis)
+
+
+def _untilted(n_shared):
+    return TiltCoefficients(gamma=np.zeros(n_shared + 1), basis=BasisSpec("linear"),
+                            residual_norm=0.0)
 
 
 def test_site_frame_validation():
@@ -109,7 +112,7 @@ def test_estimate_target_constant_outcome():
     spec = CandidateSpec("c", "outcome", FeatureMap("raw"))
     const = MixedModel(
         candidates=(FittedCandidate(spec=spec, fit=LinearFit(np.array([7.5, 0.0, 0.0]))),),
-        weights=np.array([1.0]), split_seed=0, train_fraction=0.5)
+        weights=np.array([1.0]))
     est = estimate_target(frame, NuisanceFit(pi=z, m1=const, m0=const))
     assert est.mu == (7.5, 7.5)
 
@@ -128,7 +131,7 @@ def test_estimate_target_positivity_warning():
     spec = CandidateSpec("p", "treatment", FeatureMap("raw"))
     steep = MixedModel(
         candidates=(FittedCandidate(spec=spec, fit=LinearFit(np.array([20.0, 0.0]))),),
-        weights=np.array([1.0]), split_seed=0, train_fraction=0.5)
+        weights=np.array([1.0]))
     fit = NuisanceFit(pi=steep, m1=_zero_model(1), m0=_zero_model(1))
     with pytest.warns(PositivityWarning):
         estimate_target(frame, fit)
@@ -138,12 +141,13 @@ def test_fit_tau_exact_on_linear_predictions():
     # The outcome model is linear in X = V, so its projection on (1, V) is itself.
     src, tgt = _linear_pair(seed=4)
     fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=1)
+    report = source_report(src, fit, _untilted(2))
     for arm in (0, 1):
-        tau = fit_tau(src, fit, arm)
+        tau = report.tau_coefficients[arm]
         m_hat = fit.m1.predict_mean(src.X) if arm == 1 else fit.m0.predict_mean(src.X)
-        assert np.max(np.abs(tau.predict(src.V) - m_hat)) < 1e-8
+        assert np.max(np.abs(add_intercept(src.V) @ tau - m_hat)) < 1e-8
     with pytest.raises(ValueError):
-        fit_tau(tgt, fit, 1)
+        source_report(tgt, fit, _untilted(2))
 
 
 def test_fit_tau_slope_recovery_with_orthogonal_noise():
@@ -159,17 +163,15 @@ def test_fit_tau_slope_recovery_with_orthogonal_noise():
     y = X @ beta + rng.standard_normal(n)
     src = SiteFrame("s", "source", y, a, X, (0, 1))
     fit = fit_nuisances(X, y, a, RAW_T, RAW_O, seed=2)
-    tau = fit_tau(src, fit, 1)
-    assert np.allclose(tau.coefficients[1:], beta[:2], atol=0.15)
+    tau = source_report(src, fit, _untilted(2)).tau_coefficients[1]
+    assert np.allclose(tau[1:], beta[:2], atol=0.15)
 
 
 def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    tilt = TiltCoefficients(gamma=np.zeros(3), basis=BasisSpec("linear"),
-                            residual_norm=0.0)
-    est = estimate_source(src, tgt, _zero_fit(2), tilt)
+    est = estimate_source(src, tgt, _zero_fit(2), _untilted(2))
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
         assert abs(est.mu[arm] - expected) < 1e-12
@@ -263,7 +265,7 @@ def test_influence_values_scaling():
     own_sq, on_tgt = influence_values(est, total_n=1300)
     assert np.isclose(own_sq, est.own.sq * (1300 / est.n_k) ** 2)
     assert np.allclose(on_tgt, est.xi_on_target * (1300 / est.n_T))
-    own_sq, _ = influence_values(est)
+    own_sq, _ = influence_values(est, est.n_k + est.n_T)
     assert np.isclose(own_sq, est.own.sq * ((est.n_k + est.n_T) / est.n_k) ** 2)
     tgt_est = estimate_target(tgt, _zero_fit(2))
     own_sq, on_tgt = influence_values(tgt_est, total_n=1300)
@@ -298,3 +300,23 @@ def test_source_report_json_round_trip():
         assert np.array_equal(back.tau_coefficients[arm], report.tau_coefficients[arm])
         assert np.array_equal(back.tilt_sensitivity[arm], report.tilt_sensitivity[arm])
     assert back.basis_kind == report.basis_kind
+
+
+def test_each_site_fit_is_evaluated_once_per_frame(monkeypatch):
+    # One propensity mixture and two outcome mixtures per frame.
+    calls = {"predict_probability": 0, "predict_mean": 0}
+    for name in calls:
+        original = getattr(MixedModel, name)
+
+        def counted(self, X, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, X)
+
+        monkeypatch.setattr(MixedModel, name, counted)
+    src, tgt = _linear_pair(seed=15)
+    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=9)
+    for run in (lambda: source_report(src, fit, _tilt_for(src, tgt)),
+                lambda: estimate_target(tgt, fit)):
+        calls.update(predict_probability=0, predict_mean=0)
+        run()
+        assert calls == {"predict_probability": 1, "predict_mean": 2}
