@@ -53,7 +53,6 @@ from .site_estimator import (
     SourceSiteReport,
     estimate_source,
     estimate_target,
-    influence_values,
 )
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "fit_nuisances",
     "generate_site",
     "global_estimate",
-    "influence_values",
     "kang_schafer",
     "load_scenario",
     "method_config",

@@ -3,7 +3,9 @@
 Fixed weighting schemes (target-only, sample-size, inverse-variance), adaptive
 nonnegative weights from a penalized regression of influence values with
 cross-validated penalty, and the influence-based variance and confidence
-interval of the combined effect estimate.
+interval of the combined effect estimate. Every variance here is a sum of
+squared contributions exactly as the sites hold them (see
+:mod:`fedcausal.site_estimator`): no quantity is rescaled by a sample size.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import MissingTarget, ZeroVariance
 from .numkit import nnls_coordinate_descent
-from .site_estimator import SiteEstimate, influence_values, split_masks
+from .site_estimator import SiteEstimate, split_masks
 
 FIXED_SCHEMES = ("target_only", "ss", "ivw")
 DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -58,6 +60,8 @@ class GlobalReport:
                 "alpha": self.alpha,
                 "method": self.method,
                 "eta": {s: float(w) for s, w in zip(self.solution.site_ids, self.solution.eta)},
+                "lambda": self.solution.lambda_,
+                "cv_trace": self.solution.cv_trace,
                 "per_site": self.per_site,
                 "privacy_ledger": [r.to_dict() for r in self.privacy_ledger],
                 "diagnostics": self.diagnostics,
@@ -74,11 +78,6 @@ def _split_target(estimates: list[SiteEstimate]) -> tuple[int, list[int]]:
     return t, [i for i in range(len(estimates)) if i != t]
 
 
-def _total_n(estimates: list[SiteEstimate]) -> int:
-    t, src = _split_target(estimates)
-    return estimates[t].n_T + sum(estimates[i].n_k for i in src)
-
-
 def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolution:
     """Fixed weighting: target-only, sample-size (n_k/N), or inverse variance."""
     if scheme not in FIXED_SCHEMES:
@@ -91,13 +90,10 @@ def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolutio
     elif scheme == "ss":
         n = np.array([e.n_k for e in estimates], dtype=float)
         eta = n / n.sum()
-    else:  # ivw, with per-site variance from the delta influence values
-        N = _total_n(estimates)
+    else:  # ivw, each site's variance summed from its contributions
         inv_var = np.zeros(K)
         for i, est in enumerate(estimates):
-            own_sq, on_tgt = influence_values(est, N)
-            tgt_d = on_tgt[1] - on_tgt[0]
-            sigma2 = (own_sq + np.sum(tgt_d**2)) / N**2
+            sigma2 = (0.0 if est.is_target else est.own.sq) + float(np.sum(est.on_target**2))
             if sigma2 <= 0.0:
                 raise ZeroVariance(f"site {est.site_id} has zero influence variance")
             inv_var[i] = 1.0 / sigma2
@@ -112,12 +108,9 @@ def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolutio
 def _stacked_system(estimates: list[SiteEstimate]):
     """Target block of the stacked influence regression for the site weights.
 
-    The regression works on the effect-difference (treated minus control)
-    influence values, since one weight per site multiplies both arm means.
-    Rows hold per-unit contributions to the estimator deviations (centered
-    influence values divided by the relevant sample size), so the sum of
-    squares estimates the combination's variance and the lambda grid acts on
-    a comparable scale. Each target row of column k also carries
+    Rows hold the sites' effect-difference contributions as they are, so the
+    sum of squares estimates the combination's variance and the lambda grid
+    acts on a comparable scale. Each target row of column k also carries
     -shrunk_delta_k / sqrt(n_T), which adds the squared combined shift to the
     objective, making it a mean-squared-error estimate (variance plus squared
     bias). The shift estimate delta_k is soft-thresholded at twice its
@@ -133,9 +126,9 @@ def _stacked_system(estimates: list[SiteEstimate]):
     t, src = _split_target(estimates)
     tgt_est = estimates[t]
     n_T = tgt_est.n_T
-    xi_T = (tgt_est.xi_on_target[1] - tgt_est.xi_on_target[0]) / n_T
+    xi_T = tgt_est.on_target
     G = np.zeros((n_T, len(src)))
-    own_sq = np.array([estimates[i].own.sq / estimates[i].n_k**2 for i in src])
+    own_sq = np.array([estimates[i].own.sq for i in src])
     var_T = float(np.sum(xi_T**2))
     arm_shift_sq = np.zeros(len(src))
     for col, i in enumerate(src):
@@ -144,7 +137,7 @@ def _stacked_system(estimates: list[SiteEstimate]):
         arm_shift_sq[col] = 0.5 * sum(
             (est.mu[arm] - tgt_est.mu[arm]) ** 2 for arm in (0, 1)
         )
-        on_tgt = (est.xi_on_target[1] - est.xi_on_target[0]) / n_T
+        on_tgt = est.on_target
         # Plug-in variance of delta_k; the cross term comes from the shared
         # target rows.
         var_d = (var_T + own_sq[col] + float(np.sum(on_tgt**2))
@@ -192,8 +185,8 @@ def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target, n_splits: int, 
     for s, fit_units in enumerate(masks):
         fit = _cross_products(G_T[fit_units], r_T[fit_units])
         val = tuple(whole - part for whole, part in zip(target, fit))
-        fit_sq = np.array([e.own.fit_sq[s] / e.n_k**2 for e in sources])
-        val_sq = np.array([e.own.val_sq[s] / e.n_k**2 for e in sources])
+        fit_sq = np.array([e.own.fit_sq[s] for e in sources])
+        val_sq = np.array([e.own.val_sq[s] for e in sources])
         yield _with_source_rows(fit, fit_sq), _with_source_rows(val, val_sq)
 
 
@@ -308,14 +301,13 @@ def global_estimate(
     """Weighted combination with influence-based variance and normal CI.
 
     The variance sums squared per-unit contributions: on target units the
-    weighted mix of every site's target-sample influence parts (which captures
+    weighted mix of every site's target-unit contributions (which captures
     their cross-site covariance), and on each source's own units its weighted
-    own-sample part, whose squares the source uploads already summed.
+    own-unit part, whose squares the source uploads already summed.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    t, _ = _split_target(estimates)
-    N = _total_n(estimates)
+    t, src = _split_target(estimates)
     tgt_est = estimates[t]
 
     eta = solution.eta
@@ -328,15 +320,9 @@ def global_estimate(
         mu_g.append(float(combined))
     delta_hat = mu_g[1] - mu_g[0]
 
-    n_T = tgt_est.n_T
-    target_contrib = np.zeros(n_T)
-    source_sq = 0.0
-    for i, est in enumerate(estimates):
-        own_sq, on_tgt = influence_values(est, N)
-        target_contrib += eta[i] * (on_tgt[1] - on_tgt[0])
-        source_sq += eta[i] ** 2 * own_sq
-    sigma_hat = (float(np.sum(target_contrib**2)) + source_sq) / N
-    variance = sigma_hat / N
+    target_contrib = sum(eta[i] * est.on_target for i, est in enumerate(estimates))
+    variance = float(np.sum(target_contrib**2)) + sum(
+        eta[i] ** 2 * estimates[i].own.sq for i in src)
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * math.sqrt(variance)
     per_site = [

@@ -35,7 +35,7 @@ from .federation import (
     cross_validate_lambda,
     global_estimate,
 )
-from .nuisance import DEFAULT_CLIP, CandidateSpec, NuisanceFit, fit_nuisances
+from .nuisance import CandidateSpec, NuisanceFit, fit_nuisances
 from .site_estimator import (
     SiteFrame,
     SourceSiteReport,
@@ -48,7 +48,7 @@ METHODS = ("target_only", "ss", "ivw", "aipw_l1", "mr_l1")
 ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
 
 # Declared shape of every payload key each message kind may carry: a scalar
-# ("text", "count", "number", "number?" for a nullable number), a nested
+# ("text", "count", "number"), a nested
 # schema, "scalars" (an object of scalars, such as diagnostics), "candidates"
 # (the candidate model specs), or "[dim]": a flat numeric list whose length is
 # the protocol dimension ``dim``. The lambda grid and n_splits are declared by
@@ -60,7 +60,6 @@ _SCHEMAS = {
     "config": {
         "basis": "text", "method": "text", "alpha": "number",
         "lambda_grid": "[lambda_grid]", "n_splits": "count", "seed": "count",
-        "train_fraction": "number", "clip": "[clip]", "kappa": "number?",
         "candidates": "candidates",
     },
     "moment_summary": {
@@ -72,7 +71,7 @@ _SCHEMAS = {
         "site_id": "text", "n_k": "count", "mu_own0": "number", "mu_own1": "number",
         "own_sq": "number", "fit_sq": "[n_splits]", "val_sq": "[n_splits]",
         "tau0": "[projection]", "tau1": "[projection]",
-        "tilt_sens0": "[basis]", "tilt_sens1": "[basis]",
+        "tilt_sens": "[basis]",
         "basis_kind": "text", "diagnostics": "scalars",
         # target's own estimate
         "mu0": "number", "mu1": "number", "n_T": "count",
@@ -88,7 +87,6 @@ _SCALARS = {
     "text": lambda v: isinstance(v, str),
     "count": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": _is_number,
-    "number?": lambda v: v is None or _is_number(v),
 }
 
 
@@ -146,9 +144,6 @@ class ProtocolConfig:
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     n_splits: int = 5
     seed: int = 0
-    train_fraction: float = 0.5
-    clip: tuple[float, float] = DEFAULT_CLIP
-    kappa: float | None = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -169,9 +164,6 @@ class ProtocolConfig:
             "lambda_grid": list(self.lambda_grid),
             "n_splits": self.n_splits,
             "seed": self.seed,
-            "train_fraction": self.train_fraction,
-            "clip": list(self.clip),
-            "kappa": self.kappa,
             "candidates": {
                 site: {
                     role: [spec.to_dict() for spec in specs]
@@ -196,10 +188,7 @@ def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
         frame.a,
         specs["treatment"],
         specs["outcome"],
-        fraction=config.train_fraction,
         seed=site_split_seed(config.seed, frame.site_id),
-        kappa=config.kappa,
-        clip=config.clip,
     )
 
 
@@ -386,7 +375,7 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
 
 def _declared_dims(payloads: list) -> dict:
     """Protocol dimensions declared by a round's config and moment summaries."""
-    dims = {"clip": 2}
+    dims = {}
     for kind, payload in payloads:
         if kind == "config":
             grid = payload.get("lambda_grid")

@@ -119,7 +119,6 @@ class NuisanceFit:
     pi: MixedModel
     m1: MixedModel
     m0: MixedModel
-    clip: tuple[float, float] = DEFAULT_CLIP
 
 
 def split_data(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +154,6 @@ def _mix(
     X: np.ndarray,
     y: np.ndarray,
     specs: list[CandidateSpec],
-    fraction: float,
     seed: int,
     fit_one,
     log_score,
@@ -164,7 +162,7 @@ def _mix(
     if not specs:
         raise ValueError("need at least one candidate spec")
     n = len(y)
-    train_idx, val_idx = split_data(n, fraction, seed)
+    train_idx, val_idx = split_data(n, 0.5, seed)
     if len(val_idx) < 2:
         raise TooFewUnits("validation set needs at least 2 units")
 
@@ -212,7 +210,6 @@ def mix_propensity(
     X: np.ndarray,
     a: np.ndarray,
     specs: list[CandidateSpec],
-    fraction: float = 0.5,
     seed: int = 0,
 ) -> MixedModel:
     """Mix treatment candidates by cumulative Bernoulli validation likelihood."""
@@ -222,7 +219,7 @@ def mix_propensity(
         p = np.clip(expit(linear), 1e-12, 1.0 - 1e-12)
         return y * np.log(p) + (1.0 - y) * np.log1p(-p)
 
-    return _mix(X, a, specs, fraction, seed, fit_logistic, log_score)
+    return _mix(X, a, specs, seed, fit_logistic, log_score)
 
 
 def default_kappa(n_candidates: int) -> int:
@@ -236,34 +233,32 @@ def mix_outcome(
     a: np.ndarray,
     arm: int,
     specs: list[CandidateSpec],
-    fraction: float = 0.5,
     seed: int = 0,
-    kappa: float | None = None,
 ) -> MixedModel:
-    """Mix outcome candidates on the given arm's units by cumulative squared error."""
+    """Mix outcome candidates on the given arm's units by cumulative squared error,
+    at temperature :func:`default_kappa`."""
     mask = np.asarray(a) == arm
     if mask.sum() < 4:
         raise TooFewUnits(f"need at least 4 units with A={arm} to split")
-    if kappa is None:
-        kappa = default_kappa(len(specs))
+    kappa = default_kappa(len(specs))
     X_arm = np.atleast_2d(np.asarray(X, dtype=float))[mask]
     y_arm = np.asarray(y, dtype=float)[mask]
 
     def log_score(linear, y_obs):
         return -kappa * (y_obs - linear) ** 2
 
-    return _mix(X_arm, y_arm, specs, fraction, seed, fit_ols, log_score)
+    return _mix(X_arm, y_arm, specs, seed, fit_ols, log_score)
 
 
 def predict(fit: NuisanceFit, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Arm-indexed (2, n) propensities and outcome means on ``X``.
 
-    Evaluates each mixture once. Propensities are clipped to the fit's
-    bounds; ``clipped`` tells whether the clip changed any of them.
+    Evaluates each mixture once. Propensities are clipped to
+    ``DEFAULT_CLIP``; ``clipped`` tells whether the clip changed any of them.
     """
     p1 = fit.pi.predict_probability(X)
     unclipped = np.stack([1.0 - p1, p1])
-    pi = np.clip(unclipped, fit.clip[0], fit.clip[1])
+    pi = np.clip(unclipped, *DEFAULT_CLIP)
     m = np.stack([fit.m0.predict_mean(X), fit.m1.predict_mean(X)])
     return pi, m, bool(np.any(pi != unclipped))
 
@@ -274,13 +269,11 @@ def fit_nuisances(
     a: np.ndarray,
     treatment_specs: list[CandidateSpec],
     outcome_specs: list[CandidateSpec],
-    fraction: float = 0.5,
     seed: int = 0,
-    kappa: float | None = None,
-    clip: tuple[float, float] = DEFAULT_CLIP,
 ) -> NuisanceFit:
-    """Fit the full nuisance bundle (propensity mixture, per-arm outcome mixtures)."""
-    pi = mix_propensity(X, a, treatment_specs, fraction=fraction, seed=seed)
-    m1 = mix_outcome(X, y, a, 1, outcome_specs, fraction=fraction, seed=seed, kappa=kappa)
-    m0 = mix_outcome(X, y, a, 0, outcome_specs, fraction=fraction, seed=seed, kappa=kappa)
-    return NuisanceFit(pi=pi, m1=m1, m0=m0, clip=clip)
+    """Fit the full nuisance bundle (propensity mixture, per-arm outcome mixtures)
+    on a 0.5 train split seeded by ``seed``."""
+    pi = mix_propensity(X, a, treatment_specs, seed=seed)
+    m1 = mix_outcome(X, y, a, 1, outcome_specs, seed=seed)
+    m0 = mix_outcome(X, y, a, 0, outcome_specs, seed=seed)
+    return NuisanceFit(pi=pi, m1=m1, m0=m0)

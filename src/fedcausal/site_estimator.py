@@ -6,14 +6,21 @@ weighting of its AIPW residuals, a projection of its outcome-model predictions
 onto the covariates shared with the target, and the mean of that projection
 over the target sample. The source side produces a :class:`SourceSiteReport`
 (the wire payload: the own-unit mean terms, sums of squared own-unit
-influence values, and projection coefficients); evaluating the projection on
+contributions, and projection coefficients); evaluating the projection on
 target units happens at the target, so no individual target rows are ever
 needed at a source, and no per-unit value ever leaves a source.
+
+One weight per site multiplies both arm means, so the federation only ever
+needs the influence of the treated-minus-control difference. Every site
+estimate therefore carries a single influence vector of *contributions*: the
+centered effect-difference influence values divided by the sample size of the
+site that holds them, so that sums of squared contributions are variances.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -83,11 +90,12 @@ def split_masks(n: int, n_splits: int, seed: int, site_id: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OwnSummary:
-    """Sums of squared effect-difference influence values on a source's own units.
+    """Sums of squared effect-difference contributions on a source's own units.
 
-    With d the treated-minus-control influence values, ``sq`` is the sum of
-    d**2 over all own units, and ``fit_sq[s]`` and ``val_sq[s]`` are its sums
-    over the fit and validation halves of split ``s`` (:func:`split_masks`).
+    With d the own-unit contributions, ``sq`` is the sum of d**2 over all own
+    units (the own-unit part of the estimate's variance), and ``fit_sq[s]``
+    and ``val_sq[s]`` are its sums over the fit and validation halves of
+    split ``s`` (:func:`split_masks`).
     They are all the coordinator needs of the own-unit part: the IVW and
     global variances use ``sq``, and the adaptive weight regression uses one
     pseudo-row per half.
@@ -109,23 +117,25 @@ class OwnSummary:
 
 @dataclass(frozen=True)
 class SiteEstimate:
-    """Per-arm mean estimates with their influence parts.
+    """Per-arm mean estimates with their effect-difference influence part.
 
-    ``xi_on_target`` holds centered per-unit values on the target's units
-    (shape (2, n_T), arm-indexed): the target estimate's own AIPW influence
-    values, or a source estimate's projection and tilt-noise terms. Both live
-    at the target, which coordinates. ``own`` summarizes a source's own-unit
-    part and is None for the target estimate. Values are stored without the
-    site-probability scaling; see :func:`influence_values`.
+    ``on_target`` holds one contribution per target unit (the centered
+    treated-minus-control influence values divided by n_T): the target
+    estimate's own AIPW part, or a source estimate's projection and tilt-noise
+    part. Both live at the target, which coordinates. ``own`` summarizes a
+    source's own-unit contributions and is None for the target estimate.
     """
 
     site_id: str
     mu: tuple[float, float]  # (mu_0, mu_1)
-    xi_on_target: np.ndarray
+    on_target: np.ndarray
     n_k: int
-    n_T: int
     own: OwnSummary | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def n_T(self) -> int:
+        return len(self.on_target)
 
     @property
     def is_target(self) -> bool:
@@ -150,9 +160,10 @@ class SourceSiteReport:
     """Summary-level payload a source uploads to the coordinator.
 
     Carries the source-sample means of the transported estimator, the sums of
-    squares of its centered own-unit influence values (:class:`OwnSummary`),
-    and the per-arm projection coefficients; the coordinator evaluates the
-    projection on the target sample to complete the estimate.
+    squares of its own-unit contributions (:class:`OwnSummary`), the per-arm
+    projection coefficients, and the tilt sensitivity of the effect
+    difference; the coordinator evaluates the projection and the tilt-noise
+    term on the target sample to complete the estimate.
     """
 
     site_id: str
@@ -160,8 +171,8 @@ class SourceSiteReport:
     mu_own: tuple[float, float]
     own: OwnSummary
     tau_coefficients: tuple[np.ndarray, np.ndarray]  # arm 0, arm 1
-    # B^{-1} dmu/dgamma per arm, for the tilt-noise variance term
-    tilt_sensitivity: tuple[np.ndarray, np.ndarray]
+    # B^{-1} d(mu_1 - mu_0)/dgamma, for the tilt-noise variance term
+    tilt_sensitivity: np.ndarray
     basis_kind: str
     diagnostics: dict = field(default_factory=dict)
 
@@ -177,8 +188,7 @@ class SourceSiteReport:
                 "val_sq": list(map(float, self.own.val_sq)),
                 "tau0": list(map(float, self.tau_coefficients[0])),
                 "tau1": list(map(float, self.tau_coefficients[1])),
-                "tilt_sens0": list(map(float, self.tilt_sensitivity[0])),
-                "tilt_sens1": list(map(float, self.tilt_sensitivity[1])),
+                "tilt_sens": list(map(float, self.tilt_sensitivity)),
                 "basis_kind": self.basis_kind,
                 "diagnostics": self.diagnostics,
             }
@@ -200,37 +210,41 @@ class SourceSiteReport:
                 np.asarray(obj["tau0"], dtype=float),
                 np.asarray(obj["tau1"], dtype=float),
             ),
-            tilt_sensitivity=(
-                np.asarray(obj["tilt_sens0"], dtype=float),
-                np.asarray(obj["tilt_sens1"], dtype=float),
-            ),
+            tilt_sensitivity=np.asarray(obj["tilt_sens"], dtype=float),
             basis_kind=obj["basis_kind"],
             diagnostics=obj.get("diagnostics", {}),
         )
 
 
+def _warn_clipping(where: str) -> None:
+    """Warn of propensity clipping at the first caller outside this module.
+
+    Python 3.12's ``warnings.warn(skip_file_prefixes=...)`` does the same: a
+    clipping warning raised during a round names the round's own line.
+    """
+    level, frame = 2, sys._getframe(1)
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(f"propensity clipping active on {where}", PositivityWarning,
+                  stacklevel=level)
+
+
 def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:
-    """Standard AIPW estimate on the target sample with centered influence values."""
+    """Standard AIPW estimate on the target sample with its contributions."""
     if frame.role != "target":
         raise ValueError("estimate_target requires a target frame")
     pi, m, clipped = predict(fit, frame.X)
     if clipped:
-        warnings.warn("propensity clipping active on target units", PositivityWarning, stacklevel=2)
-    mu = []
-    xi = np.zeros((2, frame.n))
-    for arm in (0, 1):
-        # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a.
-        ind = (frame.a == arm).astype(float)
-        kernel = ind / pi[arm] * (frame.y - m[arm]) + m[arm]
-        mu_a = float(kernel.mean())
-        mu.append(mu_a)
-        xi[arm] = kernel - mu_a
+        _warn_clipping("target units")
+    # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a, arm-indexed.
+    ind = np.stack([frame.a == 0, frame.a == 1]).astype(float)
+    kernel = ind / pi * (frame.y - m) + m
+    d = kernel[1] - kernel[0]
     return SiteEstimate(
         site_id=frame.site_id,
-        mu=(mu[0], mu[1]),
-        xi_on_target=xi,
+        mu=(float(kernel[0].mean()), float(kernel[1].mean())),
+        on_target=(d - d.mean()) / frame.n,
         n_k=frame.n,
-        n_T=frame.n,
     )
 
 
@@ -246,17 +260,18 @@ def source_influence(
     Computes the tilt-weighted AIPW residual term and the tilt-weighted excess
     of the outcome model over its shared-covariate projection, both means over
     the source sample, plus the projection coefficients per arm (the outcome
-    model's predictions regressed on (1, V) over all source units). The per-unit
-    influence values include the first-order term from estimating the tilt
-    coefficients: with the moment-matching Jacobian B and the estimator's
-    sensitivity A = dmu/dgamma, each unit contributes through A'B^{-1} times
-    its centered moment-equation value. The same sensitivity vector is
-    reported so the coordinator can add the matching target-sample term.
+    model's predictions regressed on (1, V) over all source units). The
+    own-unit contributions include the first-order term from estimating the
+    tilt coefficients: with the moment-matching Jacobian B and the effect
+    difference's sensitivity A = d(mu_1 - mu_0)/dgamma, each unit contributes
+    through A'B^{-1} times its centered moment-equation value. The same
+    sensitivity vector is reported so the coordinator can add the matching
+    target-sample term.
 
-    Returns the upload, which summarizes the per-unit values over this site's
+    Returns the upload, which summarizes the contributions over this site's
     own cross-validation folds (``seed``, ``n_splits``), together with the
-    centered per-unit values themselves (shape (2, n_k), arm-indexed), which
-    stay at the source. Raises :class:`SingularJacobian` when B is singular.
+    contributions themselves (shape (n_k,)), which stay at the source. Raises
+    :class:`SingularJacobian` when B is singular.
     """
     if source.role != "source":
         raise ValueError("the source estimator requires a source frame")
@@ -264,50 +279,35 @@ def source_influence(
     zeta, weight_diag = truncate_weights(zeta_raw)
     pi, m, clipped = predict(fit, source.X)
     if clipped:
-        warnings.warn(
-            f"propensity clipping active on source {source.site_id}",
-            PositivityWarning,
-            stacklevel=2,
-        )
+        _warn_clipping(f"source {source.site_id}")
     psi = tilt.basis.expand(source.V)
     zeta_psi = psi * zeta_raw[:, None]
     B = zeta_psi.T @ psi / source.n
-    moment_noise = zeta_psi - zeta_psi.mean(axis=0)
     design_V = add_intercept(source.V)
-    mu_own = []
-    xi_own = np.zeros((2, source.n))
-    tau_coefs = []
-    sens = []
-    for arm in (0, 1):
-        tau = fit_ols(design_V, m[arm]).coefficients
-        tau_coefs.append(tau)
-        ind = (source.a == arm).astype(float)
-        h = ind / pi[arm] * (source.y - m[arm]) + (m[arm] - design_V @ tau)
-        own = zeta * h
-        mu_own.append(float(own.mean()))
-        # Derivative of the truncated weight is zero where the cap binds.
-        zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
-        A = -(psi * (zeta_d * h)[:, None]).mean(axis=0)
-        try:
-            w = np.linalg.solve(B, A)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(
-                f"tilt Jacobian is singular at source {source.site_id}"
-            ) from exc
-        xi_own[arm] = own - own.mean() + moment_noise @ w
-        sens.append(w)
-    masks = split_masks(source.n, n_splits, seed, source.site_id)
+    tau = [fit_ols(design_V, m[arm]).coefficients for arm in (0, 1)]
+    ind = np.stack([source.a == 0, source.a == 1]).astype(float)
+    h = ind / pi * (source.y - m) + (m - np.stack([design_V @ t for t in tau]))
+    own = zeta * h
+    # Derivative of the truncated weight is zero where the cap binds.
+    zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
+    A = -(psi * (zeta_d * (h[1] - h[0]))[:, None]).mean(axis=0)
+    try:
+        w = np.linalg.solve(B, A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"tilt Jacobian is singular at source {source.site_id}") from exc
+    d = own[1] - own[0]
+    contributions = (d - d.mean() + (zeta_psi - zeta_psi.mean(axis=0)) @ w) / source.n
     report = SourceSiteReport(
         site_id=source.site_id,
         n_k=source.n,
-        mu_own=(mu_own[0], mu_own[1]),
-        own=OwnSummary.of(xi_own[1] - xi_own[0], masks),
-        tau_coefficients=(tau_coefs[0], tau_coefs[1]),
-        tilt_sensitivity=(sens[0], sens[1]),
+        mu_own=(float(own[0].mean()), float(own[1].mean())),
+        own=OwnSummary.of(contributions, split_masks(source.n, n_splits, seed, source.site_id)),
+        tau_coefficients=(tau[0], tau[1]),
+        tilt_sensitivity=w,
         basis_kind=tilt.basis.kind,
         diagnostics={"zeta": weight_diag},
     )
-    return report, xi_own
+    return report, contributions
 
 
 def source_report(
@@ -317,7 +317,7 @@ def source_report(
     seed: int = 0,
     n_splits: int = 5,
 ) -> SourceSiteReport:
-    """The upload of :func:`source_influence`, without the per-unit values."""
+    """The upload of :func:`source_influence`, without the contributions."""
     return source_influence(source, fit, tilt, seed, n_splits)[0]
 
 
@@ -326,25 +326,20 @@ def complete_source_estimate(report: SourceSiteReport, target: SiteFrame) -> Sit
 
     Also adds the target half of the tilt-noise influence term: the target
     basis means feed the moment-matching equation, so their sampling noise
-    propagates into the source estimate through the reported sensitivity.
+    propagates into the effect difference through the reported sensitivity.
     """
     if target.role != "target":
         raise ValueError("completion requires the target frame")
     psi_tgt = BasisSpec(report.basis_kind).expand(target.X)
-    psi_centered = psi_tgt - psi_tgt.mean(axis=0)
     design = add_intercept(target.X)
-    mu = []
-    xi_tgt = np.zeros((2, target.n))
-    for arm in (0, 1):
-        on_target = design @ report.tau_coefficients[arm]
-        mu.append(report.mu_own[arm] + float(on_target.mean()))
-        xi_tgt[arm] = on_target - on_target.mean() - psi_centered @ report.tilt_sensitivity[arm]
+    projected = [design @ tau for tau in report.tau_coefficients]
+    d = projected[1] - projected[0]
+    tilt_noise = (psi_tgt - psi_tgt.mean(axis=0)) @ report.tilt_sensitivity
     return SiteEstimate(
         site_id=report.site_id,
-        mu=(mu[0], mu[1]),
-        xi_on_target=xi_tgt,
+        mu=tuple(mu + float(p.mean()) for mu, p in zip(report.mu_own, projected)),
+        on_target=(d - d.mean() - tilt_noise) / target.n,
         n_k=report.n_k,
-        n_T=target.n,
         own=report.own,
         diagnostics=report.diagnostics,
     )
@@ -362,15 +357,3 @@ def estimate_source(
     return complete_source_estimate(
         source_report(source, fit, tilt, seed, n_splits), target
     )
-
-
-def influence_values(est: SiteEstimate, total_n: int) -> tuple[float, np.ndarray]:
-    """Influence parts with site probabilities replaced by empirical plug-ins.
-
-    Returns the own-unit sum of squared effect-difference values scaled by
-    ``(total_n / n_k)**2`` (zero for the target estimate, whose own units are
-    the target units) and the target-unit values scaled by ``total_n / n_T``,
-    where ``total_n`` is the federation's pooled sample size.
-    """
-    own_sq = 0.0 if est.is_target else est.own.sq * (total_n / est.n_k) ** 2
-    return own_sq, est.xi_on_target * (total_n / est.n_T)

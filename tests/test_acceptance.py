@@ -240,17 +240,17 @@ def test_criterion_6_weight_solver_oracle():
     objective_ok = worst_gap < 1e-6
 
     # A huge penalty must hand all weight back to the target site.
-    def centered(rows):
-        return rows - rows.mean(axis=1, keepdims=True)
+    def contributions(rows):
+        d = rows[1] - rows[0]
+        return (d - d.mean()) / len(d)
 
     def summary(rows, site_id):
-        return OwnSummary.of(rows[1] - rows[0], split_masks(rows.shape[1], 5, 0, site_id))
+        return OwnSummary.of(contributions(rows), split_masks(rows.shape[1], 5, 0, site_id))
 
-    tgt = SiteEstimate("tgt", (1.0, 2.0), centered(rng.standard_normal((2, 300))),
-                       300, 300)
+    tgt = SiteEstimate("tgt", (1.0, 2.0), contributions(rng.standard_normal((2, 300))), 300)
     sources = [
-        SiteEstimate(f"s{i}", (1.4, 2.7), centered(rng.standard_normal((2, 300))),
-                     250, 300, own=summary(centered(rng.standard_normal((2, 250))), f"s{i}"))
+        SiteEstimate(f"s{i}", (1.4, 2.7), contributions(rng.standard_normal((2, 300))),
+                     250, own=summary(rng.standard_normal((2, 250)), f"s{i}"))
         for i in range(2)
     ]
     eta = solve_l1_weights([tgt] + sources, 1e12)
@@ -262,9 +262,10 @@ def test_criterion_6_weight_solver_oracle():
 
 
 def test_criterion_7_influence_checks(bench):
-    # Mean-zero influence parts of every site estimate in one replication,
-    # checked where the per-unit values live: own-unit values at each source
-    # before they are summarized, target-unit values at the target.
+    # Mean-zero effect-difference influence parts of every site estimate in
+    # one replication, checked where the per-unit values live: own-unit values
+    # at each source before they are summarized, target-unit values at the
+    # target. A contribution vector sums to the mean of its influence values.
     scenario = load_scenario("c1")
     frames = [generate_site(site, scenario, np.random.Generator(
         np.random.Philox(np.random.SeedSequence((SEED, 0, idx)))))
@@ -285,14 +286,13 @@ def test_criterion_7_influence_checks(bench):
                 est = estimate_target(frame, fit)
             else:
                 tilt = solve_tilt(frame.V, summary, basis)
-                report, xi_own = source_influence(frame, fit, tilt, seed=config.seed,
-                                                  n_splits=config.n_splits)
-                assert xi_own.shape == (2, frame.n)
-                worst_mean = max(worst_mean, float(np.max(np.abs(xi_own.mean(axis=1)))))
+                report, own = source_influence(frame, fit, tilt, seed=config.seed,
+                                               n_splits=config.n_splits)
+                assert own.shape == (frame.n,)
+                worst_mean = max(worst_mean, abs(float(own.sum())))
                 est = complete_source_estimate(report, target)
-            assert est.xi_on_target.shape == (2, target.n)
-            worst_mean = max(worst_mean,
-                             float(np.max(np.abs(est.xi_on_target.mean(axis=1)))))
+            assert est.on_target.shape == (target.n,)
+            worst_mean = max(worst_mean, abs(float(est.on_target.sum())))
     centered_ok = worst_mean < 1e-8
 
     # Plug-in standard errors track the Monte Carlo spread at C=1.

@@ -76,6 +76,11 @@ def test_estimate_end_to_end(tmp_path, capsys):
     assert np.isfinite(report["delta_hat"])
     assert report["ci"][0] < report["delta_hat"] < report["ci"][1]
     assert set(report["eta"]) == {"tgt", "src"}
+    # The adaptive weights report the chosen penalty and the CV curve.
+    curve = report["cv_trace"]
+    assert report["lambda"] in curve["lambda"]
+    assert len(curve["mean_validation_error"]) == len(curve["lambda"])
+    assert all(np.isfinite(curve["mean_validation_error"]))
     assert (out / "report.json").is_file()
     assert (out / "ledger.jsonl").is_file()
 
@@ -86,6 +91,7 @@ def test_estimate_target_only(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["method"] == "target_only"
+    assert report["lambda"] is None and report["cv_trace"] == {}
 
 
 def test_estimate_data_errors(tmp_path, capsys):

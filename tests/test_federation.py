@@ -22,22 +22,22 @@ from fedcausal.federation import (
 from fedcausal.site_estimator import OwnSummary, SiteEstimate, split_masks
 
 
-def _centered(rng, n, scale=1.0):
-    xi = scale * rng.standard_normal((2, n))
-    return xi - xi.mean(axis=1, keepdims=True)
+def _contributions(rng, n, scale=1.0):
+    """Centered effect-difference influence values divided by n."""
+    d = scale * rng.standard_normal(n)
+    return (d - d.mean()) / n
 
 
 def _target_estimate(rng, n=400, mu=(1.0, 2.0)):
-    return SiteEstimate(site_id="tgt", mu=mu, xi_on_target=_centered(rng, n),
-                        n_k=n, n_T=n)
+    return SiteEstimate(site_id="tgt", mu=mu, on_target=_contributions(rng, n), n_k=n)
 
 
 def _source_estimate(rng, site_id, n_k=300, n_T=400, mu=(1.0, 2.0), scale=1.0,
                      n_splits=5, seed=0):
-    own = _centered(rng, n_k, scale)
-    own_sum = OwnSummary.of(own[1] - own[0], split_masks(n_k, n_splits, seed, site_id))
-    return SiteEstimate(site_id=site_id, mu=mu, xi_on_target=_centered(rng, n_T, scale),
-                        n_k=n_k, n_T=n_T, own=own_sum)
+    own = OwnSummary.of(_contributions(rng, n_k, scale),
+                        split_masks(n_k, n_splits, seed, site_id))
+    return SiteEstimate(site_id=site_id, mu=mu, on_target=_contributions(rng, n_T, scale),
+                        n_k=n_k, own=own)
 
 
 def _trio(seed=0, mu_src=(1.0, 2.0)):
@@ -79,8 +79,8 @@ def test_combine_ivw_equal_variance_sources():
     rng = np.random.default_rng(1)
     tgt = _target_estimate(rng)
     s1 = _source_estimate(rng, "s1")
-    s2 = SiteEstimate(site_id="s2", mu=s1.mu, xi_on_target=s1.xi_on_target.copy(),
-                      n_k=s1.n_k, n_T=s1.n_T, own=s1.own)
+    s2 = SiteEstimate(site_id="s2", mu=s1.mu, on_target=s1.on_target.copy(),
+                      n_k=s1.n_k, own=s1.own)
     sol = combine_fixed([tgt, s1, s2], "ivw")
     assert abs(sol.eta[1] - sol.eta[2]) < 1e-12
     assert abs(sol.eta.sum() - 1.0) < 1e-12
@@ -99,8 +99,8 @@ def test_combine_ivw_downweights_noisy_site():
 def test_combine_ivw_zero_variance():
     rng = np.random.default_rng(3)
     tgt = _target_estimate(rng)
-    flat = SiteEstimate(site_id="flat", mu=(1.0, 2.0), xi_on_target=np.zeros((2, 400)),
-                        n_k=100, n_T=400, own=OwnSummary(0.0, np.zeros(5), np.zeros(5)))
+    flat = SiteEstimate(site_id="flat", mu=(1.0, 2.0), on_target=np.zeros(400),
+                        n_k=100, own=OwnSummary(0.0, np.zeros(5), np.zeros(5)))
     with pytest.raises(ZeroVariance):
         combine_fixed([tgt, flat], "ivw")
 
@@ -161,8 +161,8 @@ def test_adaptive_ensemble_duplicated_source():
     rng = np.random.default_rng(7)
     tgt = _target_estimate(rng)
     s1 = _source_estimate(rng, "s1")
-    s1b = SiteEstimate(site_id="s1b", mu=s1.mu, xi_on_target=s1.xi_on_target.copy(),
-                       n_k=s1.n_k, n_T=s1.n_T, own=s1.own)
+    s1b = SiteEstimate(site_id="s1b", mu=s1.mu, on_target=s1.on_target.copy(),
+                       n_k=s1.n_k, own=s1.own)
     sol = cross_validate_lambda([tgt, s1, s1b])
     assert np.all(sol.eta >= 0.0)
     assert abs(sol.eta.sum() - 1.0) < 1e-12
@@ -174,7 +174,7 @@ def test_global_estimate_target_only_hand_computation():
     sol = combine_fixed([tgt], "target_only")
     report = global_estimate([tgt], sol, alpha=0.05)
     assert abs(report.delta_hat - 1.5) < 1e-12
-    xi_d = tgt.xi_on_target[1] - tgt.xi_on_target[0]
+    xi_d = tgt.on_target * 400  # the centered influence values
     expected_var = float(np.sum(xi_d**2)) / 400**2
     assert abs(report.variance - expected_var) < 1e-15
     half = 1.959963984540054 * math.sqrt(expected_var)
@@ -217,7 +217,11 @@ def _rel_close(a, b, tol=1e-12):
 
 def test_summary_algebra_matches_per_unit_formulas():
     """Oracle: every coordinator quantity built from the uploaded sums equals
-    the per-unit formula it replaces, on random centered influence values."""
+    the per-unit formula it replaces, on random centered influence values.
+
+    The IVW and global-variance oracles are written in the pooled scale
+    (site probabilities n_k / N, influence values d = n * contribution), which
+    the per-site contributions make an identity."""
     n_splits, seed = 5, 3
     for trial in range(20):
         rng = np.random.default_rng((trial, 41))
@@ -226,16 +230,15 @@ def test_summary_algebra_matches_per_unit_formulas():
         sources, own_units = [], []
         for k in range(int(rng.integers(1, 4))):
             n_k = int(rng.integers(20, 300))
-            own = _centered(rng, n_k, scale=float(rng.uniform(0.5, 3.0)))
-            own_units.append(own[1] - own[0])
+            own = _contributions(rng, n_k, scale=float(rng.uniform(0.5, 3.0)))
+            own_units.append(own * n_k)
             sources.append(SiteEstimate(
                 site_id=f"s{k}", mu=tuple(rng.normal(size=2)),
-                xi_on_target=_centered(rng, n_T), n_k=n_k, n_T=n_T,
-                own=OwnSummary.of(own[1] - own[0],
-                                  split_masks(n_k, n_splits, seed + k, f"s{k}"))))
+                on_target=_contributions(rng, n_T), n_k=n_k,
+                own=OwnSummary.of(own, split_masks(n_k, n_splits, seed + k, f"s{k}"))))
         estimates = [tgt] + sources
         N = n_T + sum(e.n_k for e in sources)
-        d_T = [e.xi_on_target[1] - e.xi_on_target[0] for e in estimates]
+        d_T = [e.on_target * n_T for e in estimates]
 
         # IVW: per-site variance from the per-unit values.
         sigma2 = [np.sum((d_T[0] * N / n_T) ** 2) / N**2] + [

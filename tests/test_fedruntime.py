@@ -12,6 +12,7 @@ from fedcausal.errors import (
     AllSourcesFailedWarning,
     CandidateFitWarning,
     MissingTarget,
+    PositivityWarning,
     PrivacyViolation,
 )
 from fedcausal.federation import cross_validate_lambda, global_estimate
@@ -30,13 +31,13 @@ from fedcausal.numkit import expit
 from fedcausal.site_estimator import SiteFrame, estimate_source, estimate_target
 
 
-def _make_frames(seed=0, n=150, n_sources=2, degenerate=()):
+def _make_frames(seed=0, n=150, n_sources=2, degenerate=(), slope=0.5):
     rng = np.random.default_rng(seed)
     frames = []
     for i in range(n_sources + 1):
         role = "target" if i == 0 else "source"
         X = rng.standard_normal((n, 2)) + (0.0 if role == "target" else 0.3)
-        p = expit(0.5 * X[:, 0])
+        p = expit(slope * X[:, 0])
         a = (rng.random(n) < p).astype(int)
         site = f"site{i}"
         if site in degenerate:
@@ -89,17 +90,13 @@ def test_run_round_matches_direct_composition():
         fit_nuisances(target.X, target.y, target.a,
                       config.specs_for(target.site_id)["treatment"],
                       config.specs_for(target.site_id)["outcome"],
-                      fraction=config.train_fraction,
-                      seed=site_split_seed(config.seed, target.site_id),
-                      clip=config.clip))]
+                      seed=site_split_seed(config.seed, target.site_id)))]
     for src in frames[1:]:
         tilt = solve_tilt(src.V, summary, config.basis)
         fit = fit_nuisances(src.X, src.y, src.a,
                             config.specs_for(src.site_id)["treatment"],
                             config.specs_for(src.site_id)["outcome"],
-                            fraction=config.train_fraction,
-                            seed=site_split_seed(config.seed, src.site_id),
-                            clip=config.clip)
+                            seed=site_split_seed(config.seed, src.site_id))
         estimates.append(estimate_source(src, target, fit, tilt,
                                          seed=config.seed, n_splits=config.n_splits))
     solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
@@ -125,6 +122,19 @@ def test_one_site_phase_combines_under_each_scheme():
         assert shared.diagnostics == alone.diagnostics
         assert ([r.to_dict() for r in shared.privacy_ledger]
                 == [r.to_dict() for r in alone.privacy_ledger])
+
+
+def test_clipping_warning_names_the_round():
+    # A steep propensity clips at the target and at every source; each
+    # warning points at the round's line, not inside the site estimator.
+    frames = _make_frames(seed=8, slope=6.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_round(frames, _config("ivw"))
+    clipping = [w for w in caught if issubclass(w.category, PositivityWarning)]
+    assert {str(w.message).rsplit(" ", 1)[-1] for w in clipping} == {
+        "units", "site1", "site2"}
+    assert all(w.filename.endswith("fedruntime.py") for w in clipping)
 
 
 def test_failed_source_is_dropped():
@@ -175,6 +185,7 @@ def test_audit_rejects_per_unit_arrays():
         "xi_own": lambda p: p.update(xi_own=[[0.0] * n_k, [0.0] * n_k]),
         # A declared key carrying one value per unit instead of the projection.
         "tau0": lambda p: p.update(tau0=[0.0] * n_k),
+        "tilt_sens": lambda p: p.update(tilt_sens=[0.0] * n_k),
         # A per-split key nesting per-unit rows.
         "fit_sq": lambda p: p.update(fit_sq=[[0.0] * n_k] * len(p["fit_sq"])),
         "diagnostics": lambda p: p.update(diagnostics={"zeta": {"cap": [0.0] * n_k}}),

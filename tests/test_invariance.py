@@ -1,0 +1,113 @@
+"""Property tests: what one round promises under relabelling and rescaling.
+
+Each example runs whole rounds (``run_sites`` then ``combine``) on small
+random frames. Units are never permuted within a site: the nuisance split and
+the cross-validation folds are positional, so a round does not promise
+invariance to the order of a site's rows.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedcausal.density_ratio import BasisSpec
+from fedcausal.fedruntime import METHODS, ProtocolConfig, combine, run_sites
+from fedcausal.nuisance import CandidateSpec, FeatureMap
+from fedcausal.numkit import expit
+from fedcausal.site_estimator import SiteFrame
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+# Small federations: a target and one to three sources of 60 to 150 units.
+federations = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "sizes": st.lists(st.integers(60, 150), min_size=2, max_size=4),
+})
+
+
+def _frames(seed, sizes, scale=1.0, shift=0.0):
+    """Target first (shared covariates only), then sources with one more."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for i, n in enumerate(sizes):
+        role = "target" if i == 0 else "source"
+        X = rng.standard_normal((n, 3)) + (0.0 if i == 0 else rng.uniform(-0.5, 0.5, 3))
+        a = (rng.random(n) < expit(0.6 * X[:, 0] - 0.3 * X[:, 2])).astype(int)
+        y = 1.0 + X @ [1.0, -0.5, 0.8] + a * (1.0 + 0.5 * X[:, 1]) + rng.standard_normal(n)
+        frames.append(SiteFrame(f"site{i}", role, scale * y + shift, a,
+                                X[:, :2] if i == 0 else X, (0, 1)))
+    return frames
+
+
+def _config(method, seed):
+    # One candidate per role: the outcome-mixing score is a squared error,
+    # so mixing weights over several candidates depend on the outcome scale.
+    raw = FeatureMap("raw")
+    return ProtocolConfig(
+        basis=BasisSpec("linear"),
+        candidates={"default": {
+            "treatment": [CandidateSpec("p", "treatment", raw)],
+            "outcome": [CandidateSpec("m", "outcome", raw)],
+        }},
+        method=method,
+        seed=seed % 1000,
+    )
+
+
+def _rounds(frames, seed):
+    """One site phase combined under each method."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sites = run_sites(frames, _config("ivw", seed))
+        return {m: combine(sites, _config(m, seed)) for m in METHODS}
+
+
+def _eta(report):
+    return dict(zip(report.solution.site_ids, report.solution.eta))
+
+
+@PROPERTY
+@given(federations)
+def test_weights_lie_on_the_simplex(fed):
+    for method, report in _rounds(_frames(**fed), fed["seed"]).items():
+        eta = report.solution.eta
+        assert np.all(eta >= 0.0), method
+        assert abs(eta.sum() - 1.0) < 1e-12, method
+
+
+@PROPERTY
+@given(federations, st.data())
+def test_source_order_does_not_matter(fed, data):
+    frames = _frames(**fed)
+    order = data.draw(st.permutations(range(1, len(frames))))
+    reordered = [frames[0]] + [frames[i] for i in order]
+    before = _rounds(frames, fed["seed"])
+    after = _rounds(reordered, fed["seed"])
+    for method in METHODS:
+        x, y = before[method], after[method]
+        assert abs(x.delta_hat - y.delta_hat) <= 1e-10, method
+        assert abs(x.variance - y.variance) <= 1e-10 * x.variance, method
+        eta_x, eta_y = _eta(x), _eta(y)
+        assert eta_x.keys() == eta_y.keys()
+        assert all(abs(eta_x[s] - eta_y[s]) <= 1e-10 for s in eta_x), method
+
+
+@PROPERTY
+@given(federations,
+       st.floats(0.2, 5.0) | st.floats(-5.0, -0.2),
+       st.floats(-10.0, 10.0))
+def test_affine_outcome_map_scales_effect_and_se(fed, c, b):
+    # y -> c y + b: the effect scales by c and its standard error by |c|.
+    # This holds for the fixed schemes, and with one outcome candidate for
+    # the adaptive ones too: every cross-validation error and penalty then
+    # scales by c**2, so the same penalty and weights are chosen.
+    base = _rounds(_frames(**fed), fed["seed"])
+    mapped = _rounds(_frames(**fed, scale=c, shift=b), fed["seed"])
+    for method in METHODS:
+        x, y = base[method], mapped[method]
+        se = np.sqrt(x.variance)
+        tol = 1e-9 * abs(c) * (abs(x.delta_hat) + se)
+        assert abs(y.delta_hat - c * x.delta_hat) <= tol, method
+        assert abs(np.sqrt(y.variance) - abs(c) * se) <= 1e-9 * abs(c) * se, method

@@ -8,6 +8,7 @@ import pytest
 from fedcausal.errors import CandidateFitWarning, TooFewUnits
 from fedcausal.numkit import LinearFit, expit
 from fedcausal.nuisance import (
+    DEFAULT_CLIP,
     CandidateSpec,
     FeatureMap,
     FittedCandidate,
@@ -115,7 +116,7 @@ def test_mix_outcome_risk_dominance():
     y = 2.0 * X[:, 0] - X[:, 1] + 0.5 * a + rng.standard_normal(len(a))
     good = CandidateSpec("good", "outcome", FeatureMap("subset", (0, 1)))
     noise = CandidateSpec("noise", "outcome", FeatureMap("subset", (2,)))
-    model = mix_outcome(X, y, a, 1, [good, noise], seed=3, kappa=1)
+    model = mix_outcome(X, y, a, 1, [good, noise], seed=3)
     assert model.weights[0] > 0.9
 
 
@@ -139,8 +140,7 @@ def test_mix_outcome_log_space_no_overflow():
     good = CandidateSpec("good", "outcome", FeatureMap("subset", (0,)))
     awful = CandidateSpec("awful", "outcome", FeatureMap("subset", (1,)))
     y_shifted = y.copy()
-    model = mix_outcome(X, y_shifted + 1000.0 * X[:, 1], a, 1, [good, awful],
-                        seed=4, kappa=1)
+    model = mix_outcome(X, y_shifted + 1000.0 * X[:, 1], a, 1, [good, awful], seed=4)
     assert np.all(np.isfinite(model.weights))
     assert abs(model.weights.sum() - 1.0) < 1e-12
     assert np.all(model.weights >= 0.0)
@@ -178,7 +178,7 @@ def test_predict_propensity_identities():
     assert not clipped
 
     steep = _constant_model([50.0, 0.0, 0.0])
-    fit = NuisanceFit(pi=steep, m1=flat, m0=flat, clip=(0.01, 0.99))
+    fit = NuisanceFit(pi=steep, m1=flat, m0=flat)
     pi, _, clipped = predict(fit, X)
     assert np.all(pi[1] == 0.99)
     assert np.all(pi[0] == 0.01)
@@ -215,7 +215,7 @@ def test_fit_nuisances_bundle():
     o_spec = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
     fit = fit_nuisances(X, y, a, t_spec, o_spec, seed=9)
     pi, m, _ = predict(fit, X)
-    assert np.all((pi[1] >= fit.clip[0]) & (pi[1] <= fit.clip[1]))
+    assert np.all((pi[1] >= DEFAULT_CLIP[0]) & (pi[1] <= DEFAULT_CLIP[1]))
     # Outcome mixtures are fit per arm, so the effect lands in the contrast.
     gap = m[1] - m[0]
     assert abs(gap.mean() - 1.0) < 0.3

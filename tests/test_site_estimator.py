@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from fedcausal.density_ratio import BasisSpec, TiltCoefficients, solve_tilt, target_moments
+from fedcausal.density_ratio import (
+    BasisSpec,
+    TiltCoefficients,
+    ratio_weights,
+    solve_tilt,
+    target_moments,
+    truncate_weights,
+)
 from fedcausal.errors import PositivityWarning, SingularJacobian
-from fedcausal.numkit import LinearFit, add_intercept, expit
+from fedcausal.numkit import LinearFit, add_intercept, expit, fit_ols
 from fedcausal.nuisance import (
     CandidateSpec,
     FeatureMap,
@@ -13,6 +20,7 @@ from fedcausal.nuisance import (
     MixedModel,
     NuisanceFit,
     fit_nuisances,
+    predict,
 )
 from fedcausal.site_estimator import (
     SiteFrame,
@@ -20,7 +28,6 @@ from fedcausal.site_estimator import (
     complete_source_estimate,
     estimate_source,
     estimate_target,
-    influence_values,
     source_influence,
     source_report,
     split_masks,
@@ -98,8 +105,9 @@ def test_estimate_target_horvitz_thompson_reduction():
     for arm in (0, 1):
         expected = 2.0 * np.mean((a == arm) * y)
         assert abs(est.mu[arm] - expected) < 1e-12
-    assert est.is_target and est.xi_on_target.shape == (2, n)
-    assert np.max(np.abs(est.xi_on_target.mean(axis=1))) < 1e-10
+    assert est.is_target and est.on_target.shape == (n,) and est.n_T == n
+    # The contributions sum to the mean of the centered influence values.
+    assert abs(est.on_target.sum()) < 1e-10
 
 
 def test_estimate_target_constant_outcome():
@@ -198,22 +206,22 @@ def test_source_estimate_equals_report_plus_completion():
     assert direct.own.sq == wired.own.sq
     assert np.array_equal(direct.own.fit_sq, wired.own.fit_sq)
     assert np.array_equal(direct.own.val_sq, wired.own.val_sq)
-    assert np.array_equal(direct.xi_on_target, wired.xi_on_target)
+    assert np.array_equal(direct.on_target, wired.on_target)
 
 
 def test_source_influence_parts_are_centered():
     src, tgt = _linear_pair(seed=9)
     tilt = _tilt_for(src, tgt)
     fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=6)
-    # Own-unit values are checked at the source, before they are summarized.
-    report, xi_own = source_influence(src, fit, tilt, seed=4, n_splits=5)
-    assert np.max(np.abs(xi_own.mean(axis=1))) < 1e-8
-    assert xi_own.shape == (2, src.n)
+    # Own-unit contributions are checked at the source, before they are
+    # summarized; each vector sums to the mean of its influence values.
+    report, d = source_influence(src, fit, tilt, seed=4, n_splits=5)
+    assert abs(d.sum()) < 1e-8
+    assert d.shape == (src.n,)
     est = complete_source_estimate(report, tgt)
-    assert np.max(np.abs(est.xi_on_target.mean(axis=1))) < 1e-8
-    assert est.xi_on_target.shape == (2, tgt.n)
+    assert abs(est.on_target.sum()) < 1e-8
+    assert est.on_target.shape == (tgt.n,) and est.n_T == tgt.n
     # The upload summarizes exactly those values over the site's own folds.
-    d = xi_own[1] - xi_own[0]
     masks = split_masks(src.n, 5, 4, src.site_id)
     assert report.own.sq == float(np.sum(d * d))
     assert np.allclose(report.own.fit_sq + report.own.val_sq, report.own.sq, rtol=1e-12)
@@ -258,21 +266,6 @@ def test_source_report_singular_jacobian_raises():
         source_report(src, _zero_fit(2), tilt)
 
 
-def test_influence_values_scaling():
-    src, tgt = _linear_pair(seed=12)
-    tilt = _tilt_for(src, tgt)
-    est = estimate_source(src, tgt, _zero_fit(2), tilt)
-    own_sq, on_tgt = influence_values(est, total_n=1300)
-    assert np.isclose(own_sq, est.own.sq * (1300 / est.n_k) ** 2)
-    assert np.allclose(on_tgt, est.xi_on_target * (1300 / est.n_T))
-    own_sq, _ = influence_values(est, est.n_k + est.n_T)
-    assert np.isclose(own_sq, est.own.sq * ((est.n_k + est.n_T) / est.n_k) ** 2)
-    tgt_est = estimate_target(tgt, _zero_fit(2))
-    own_sq, on_tgt = influence_values(tgt_est, total_n=1300)
-    assert own_sq == 0.0
-    assert np.allclose(on_tgt, tgt_est.xi_on_target * (1300 / tgt.n))
-
-
 def test_site_estimate_json_round_trip():
     # The payload carries the estimate's scalars only, never per-unit values.
     import json
@@ -298,7 +291,7 @@ def test_source_report_json_round_trip():
     assert np.array_equal(back.own.val_sq, report.own.val_sq)
     for arm in (0, 1):
         assert np.array_equal(back.tau_coefficients[arm], report.tau_coefficients[arm])
-        assert np.array_equal(back.tilt_sensitivity[arm], report.tilt_sensitivity[arm])
+    assert np.array_equal(back.tilt_sensitivity, report.tilt_sensitivity)
     assert back.basis_kind == report.basis_kind
 
 
@@ -320,3 +313,54 @@ def test_each_site_fit_is_evaluated_once_per_frame(monkeypatch):
         calls.update(predict_probability=0, predict_mean=0)
         run()
         assert calls == {"predict_probability": 1, "predict_mean": 2}
+
+
+def _rel_close(a, b, tol=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.all(np.abs(a - b) <= tol * np.max(np.abs(b))))
+
+
+def test_contributions_match_per_arm_construction():
+    # The per-arm construction written out: a projection and a tilt
+    # sensitivity per arm (two solves of B), the difference taken at the end.
+    rng = np.random.default_rng(17)
+    n_s, n_t = 700, 400
+    X = rng.standard_normal((n_s, 3))
+    X[:, 2] += 0.5 * X[:, 0]
+    a = (rng.random(n_s) < expit(0.5 * X[:, 0] - 0.3 * X[:, 2])).astype(int)
+    y = 1.0 + X @ np.array([1.0, -0.5, 0.8]) + a * (1.0 + 0.5 * X[:, 2]) + rng.standard_normal(n_s)
+    src = SiteFrame("src", "source", y, a, X, (0, 1))
+    V_t = rng.standard_normal((n_t, 2)) + 0.3
+    tgt = SiteFrame("tgt", "target", np.zeros(n_t), np.zeros(n_t, int), V_t, (0, 1))
+    basis = BasisSpec("linear_plus_squares")
+    tilt = solve_tilt(src.V, target_moments(tgt.V, basis, tgt.site_id), basis)
+    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
+    report, contributions = source_influence(src, fit, tilt, seed=3, n_splits=4)
+    est = complete_source_estimate(report, tgt)
+
+    pi, m, _ = predict(fit, src.X)
+    zeta_raw = ratio_weights(tilt, src.V)
+    zeta, _ = truncate_weights(zeta_raw)
+    zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
+    psi = basis.expand(src.V)
+    B = (psi * zeta_raw[:, None]).T @ psi / n_s
+    moment_noise = psi * zeta_raw[:, None] - (psi * zeta_raw[:, None]).mean(axis=0)
+    psi_t = basis.expand(tgt.X)
+    xi_own, xi_tgt = [], []
+    for arm in (0, 1):
+        tau = fit_ols(add_intercept(src.V), m[arm]).coefficients
+        h = (src.a == arm) / pi[arm] * (src.y - m[arm]) + m[arm] - add_intercept(src.V) @ tau
+        own = zeta * h
+        sens = np.linalg.solve(B, -(psi * (zeta_d * h)[:, None]).mean(axis=0))
+        xi_own.append(own - own.mean() + moment_noise @ sens)
+        projected = add_intercept(tgt.X) @ tau
+        xi_tgt.append(projected - projected.mean() - (psi_t - psi_t.mean(axis=0)) @ sens)
+    own_d = (xi_own[1] - xi_own[0]) / n_s
+    tgt_d = (xi_tgt[1] - xi_tgt[0]) / n_t
+
+    assert _rel_close(contributions, own_d)
+    assert _rel_close(est.on_target, tgt_d)
+    masks = split_masks(n_s, 4, 3, src.site_id)
+    assert _rel_close(report.own.sq, np.sum(own_d**2))
+    assert _rel_close(report.own.fit_sq, [np.sum(own_d[f] ** 2) for f in masks])
+    assert _rel_close(report.own.val_sq, [np.sum(own_d[~f] ** 2) for f in masks])
