@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -38,14 +39,28 @@ EXIT_RUNTIME = 3
 EXIT_DATA = 4
 
 
-def _parse_lambda_grid(text: str) -> tuple[float, ...]:
-    try:
-        grid = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad lambda grid {text!r}")
-    if not grid or any(v < 0 for v in grid):
-        raise argparse.ArgumentTypeError("lambda grid must be nonnegative and non-empty")
-    return grid
+def _checked(convert, ok, rule: str):
+    """An argparse ``type=``: convert the text, then require ``ok`` of the value."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return parse
+
+
+_parse_alpha = _checked(float, lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)")
+_parse_seed = _checked(int, lambda v: v >= 0, "seed must be >= 0")
+_parse_lambda_grid = _checked(
+    lambda text: tuple(float(v) for v in text.split(",")),
+    lambda grid: all(math.isfinite(v) and v >= 0 for v in grid),
+    "lambda grid values must be finite and nonnegative",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of: " + ",".join(BENCH_METHODS),
     )
     sim.add_argument("--reps", type=int, default=500)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--alpha", type=float, default=0.05)
+    sim.add_argument("--seed", type=_parse_seed, default=0)
+    sim.add_argument("--alpha", type=_parse_alpha, default=0.05)
     sim.add_argument("--lambda-grid", type=_parse_lambda_grid,
                      default=DEFAULT_LAMBDA_GRID)
     sim.add_argument("--out", required=True, help="output directory")
@@ -74,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--source", action="append", default=[],
                      help="source site CSV; repeatable")
     est.add_argument("--method", default="mr_l1", choices=BENCH_METHODS)
-    est.add_argument("--alpha", type=float, default=0.05)
+    est.add_argument("--alpha", type=_parse_alpha, default=0.05)
     est.add_argument("--lambda-grid", type=_parse_lambda_grid,
                      default=DEFAULT_LAMBDA_GRID)
-    est.add_argument("--seed", type=int, default=0)
+    est.add_argument("--seed", type=_parse_seed, default=0)
     est.add_argument("--out", default=None, help="directory for report.json and ledger.jsonl")
 
     rep = sub.add_parser("report", help="print a metrics.csv as an aligned table")
@@ -96,8 +111,8 @@ def _cmd_simulate(args) -> int:
     if not methods or unknown:
         print(f"error: unknown methods {unknown}", file=sys.stderr)
         return EXIT_USAGE
-    if args.reps < 1 or not 0.0 < args.alpha < 1.0:
-        print("error: reps must be >= 1 and alpha in (0, 1)", file=sys.stderr)
+    if args.reps < 1:
+        print("error: reps must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
     try:

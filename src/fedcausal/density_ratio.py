@@ -19,6 +19,9 @@ from .errors import EmptySample, ExtremeWeightsWarning
 from .numkit import newton_solve
 
 BASIS_KINDS = ("linear", "linear_plus_squares")
+TRUNCATION_PERCENTILE = 99.9
+TRUNCATION_FACTOR = 10.0
+EXTREME_RATIO = 100.0
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,12 @@ def solve_tilt(
     source_V: np.ndarray,
     target_summary: MomentSummary,
     basis: BasisSpec,
-    tol: float = 1e-10,
 ) -> TiltCoefficients:
     """Solve the moment-matching equation for the tilt coefficients.
 
     The residual is the target basis mean minus the tilt-weighted source basis
-    mean; the solve starts at gamma = 0, the no-shift reference point.
+    mean; the Newton solve starts at gamma = 0, the no-shift reference point,
+    and stops at a residual norm of ``numkit.NEWTON_TOL``.
     """
     if basis.kind != target_summary.basis.kind:
         raise ValueError("basis mismatch between source and target summary")
@@ -125,7 +128,7 @@ def solve_tilt(
         w = np.exp(-psi @ gamma)
         return (psi * w[:, None]).T @ psi / n_k
 
-    gamma = newton_solve(residual, jacobian, np.zeros(d), tol=tol)
+    gamma = newton_solve(residual, jacobian, np.zeros(d))
     return TiltCoefficients(
         gamma=gamma,
         basis=basis,
@@ -141,27 +144,22 @@ def ratio_weights(coeffs: TiltCoefficients, source_V: np.ndarray) -> np.ndarray:
     return np.exp(-psi @ coeffs.gamma)
 
 
-def truncate_weights(
-    weights: np.ndarray,
-    percentile: float = 99.9,
-    factor: float = 10.0,
-    extreme_ratio: float = 100.0,
-) -> tuple[np.ndarray, dict]:
+def truncate_weights(weights: np.ndarray) -> tuple[np.ndarray, dict]:
     """Cap extreme density-ratio weights inside estimators.
 
-    The cap is ``factor`` times the given upper percentile. Returns the capped
-    weights and a diagnostics dict; warns when the post-cap max/mean ratio
-    exceeds ``extreme_ratio``.
+    The cap is ``TRUNCATION_FACTOR`` times the ``TRUNCATION_PERCENTILE``
+    percentile. Returns the capped weights and a diagnostics dict; warns when
+    the post-cap max/mean ratio exceeds ``EXTREME_RATIO``.
     """
     weights = np.asarray(weights, dtype=float)
-    cap = float(np.percentile(weights, percentile)) * factor
+    cap = float(np.percentile(weights, TRUNCATION_PERCENTILE)) * TRUNCATION_FACTOR
     capped = np.minimum(weights, cap)
     n_capped = int(np.sum(weights > cap))
     ratio = float(capped.max() / capped.mean()) if capped.mean() > 0 else np.inf
     diagnostics = {"cap": cap, "n_capped": n_capped, "max_over_mean": ratio}
-    if ratio > extreme_ratio:
+    if ratio > EXTREME_RATIO:
         warnings.warn(
-            f"density-ratio weights max/mean = {ratio:.1f} exceeds {extreme_ratio}",
+            f"density-ratio weights max/mean = {ratio:.1f} exceeds {EXTREME_RATIO}",
             ExtremeWeightsWarning,
             stacklevel=2,
         )

@@ -63,3 +63,7 @@ class CandidateFitWarning(UserWarning):
 
 class AllSourcesFailedWarning(UserWarning):
     """Every source site failed; the run degraded to target-only estimation."""
+
+
+class ConvergenceWarning(UserWarning):
+    """An iterative fit stopped at its iteration cap and its result is used anyway."""

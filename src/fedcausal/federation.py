@@ -215,21 +215,6 @@ def _refit(target, own_sq, penalties, t: int, src: list[int], K: int, support=No
     return _weights_from_source_eta(eta_src, t, src, K)
 
 
-def solve_l1_weights(estimates: list[SiteEstimate], lambda_: float) -> np.ndarray:
-    """Nonnegative site weights at a fixed penalty level.
-
-    Source coefficients solve the stacked regression, each penalized by
-    ``lambda_`` times the mean squared per-arm shift of that site's estimates
-    from the target's; the target weight is the simplex remainder, floored at
-    zero with renormalization.
-    """
-    r_T, G_T, own_sq, arm_shift_sq, t, src = _stacked_system(estimates)
-    if not src:
-        return _weights_from_source_eta(np.zeros(0), t, src, len(estimates))
-    return _refit(_cross_products(G_T, r_T), own_sq, lambda_ * arm_shift_sq,
-                  t, src, len(estimates))
-
-
 def cross_validate_lambda(
     estimates: list[SiteEstimate],
     grid=DEFAULT_LAMBDA_GRID,

@@ -121,17 +121,15 @@ class NuisanceFit:
     m0: MixedModel
 
 
-def split_data(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded-shuffle partition into train (floor(fraction*n)) and validation.
+def split_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded-shuffle partition into train (the first n // 2) and validation.
 
     Validation indices keep the shuffle ordering, which also fixes the ordering
     of the cumulative-risk products.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
-    n_train = int(math.floor(fraction * n))
-    if n_train < 1 or n - n_train < 1:
-        raise TooFewUnits(f"split of {n} units at fraction {fraction} leaves a part empty")
+    n_train = n // 2
+    if n_train < 1:
+        raise TooFewUnits(f"a half split of {n} units leaves a part empty")
     perm = np.random.default_rng(seed).permutation(n)
     return perm[:n_train], perm[n_train:]
 
@@ -162,7 +160,7 @@ def _mix(
     if not specs:
         raise ValueError("need at least one candidate spec")
     n = len(y)
-    train_idx, val_idx = split_data(n, 0.5, seed)
+    train_idx, val_idx = split_data(n, seed)
     if len(val_idx) < 2:
         raise TooFewUnits("validation set needs at least 2 units")
 

@@ -4,16 +4,19 @@ Linear least squares, logistic regression via iteratively reweighted least
 squares (IRLS), a damped Newton root finder, and an exact active-set solver for
 nonnegative penalized least squares on cross-products. All routines are
 deterministic pure functions of their inputs; systems are solved by
-factorization, never by multiplying with an inverse.
+factorization, never by multiplying with an inverse. Tolerances and
+iteration caps are module constants, named in each solver's docstring.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ConvergenceWarning,
     MissingClass,
     NoConvergence,
     RankDeficient,
@@ -25,6 +28,13 @@ from .errors import (
 RANK_TOL = 1e-10
 # Variance inflation above which a Gram column counts as dependent on the others.
 MAX_VIF = 1e10
+IRLS_TOL = 1e-8
+IRLS_MAX_ITER = 100
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 200
+MAX_HALVINGS = 30
+NNLS_TOL = 1e-10
+NNLS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -78,25 +88,19 @@ def _bernoulli_loglik(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
-def fit_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-    max_halvings: int = 30,
-) -> LinearFit:
+def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
     """Logistic regression by IRLS (Newton) with step halving.
 
     Convergence is declared when the mean score vector has infinity norm at
-    most ``tol``; after ``max_iter`` iterations the fit is returned with
-    ``converged=False``.
+    most ``IRLS_TOL``; after ``IRLS_MAX_ITER`` iterations the fit is returned
+    with ``converged=False`` and a :class:`ConvergenceWarning`.
 
     Raises
     ------
     MissingClass
         If ``y`` is constant.
     Separated
-        If step halving fails ``max_halvings`` consecutive times, indicating
+        If step halving fails ``MAX_HALVINGS`` consecutive times, indicating
         quasi-separation.
     """
     X = np.asarray(X, dtype=float)
@@ -110,9 +114,9 @@ def fit_logistic(
     beta = np.zeros(d)
     p = expit(X @ beta)
     ll = _bernoulli_loglik(p, y)
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         grad = X.T @ (y - p) / n
-        if np.max(np.abs(grad)) <= tol:
+        if np.max(np.abs(grad)) <= IRLS_TOL:
             return LinearFit(coefficients=beta, converged=True, iterations=it - 1)
         w = np.clip(p * (1.0 - p), 1e-10, None)
         hess = (X * w[:, None]).T @ X / n
@@ -121,7 +125,7 @@ def fit_logistic(
         except np.linalg.LinAlgError as exc:
             raise Separated(f"singular IRLS system at iteration {it}") from exc
         alpha = 1.0
-        for halving in range(max_halvings + 1):
+        for _halving in range(MAX_HALVINGS + 1):
             cand = beta + alpha * step
             p_new = expit(X @ cand)
             ll_new = _bernoulli_loglik(p_new, y)
@@ -132,20 +136,22 @@ def fit_logistic(
             alpha *= 0.5
         else:
             raise Separated(
-                f"step halving failed {max_halvings} times at iteration {it}"
+                f"step halving failed {MAX_HALVINGS} times at iteration {it}"
             )
-    return LinearFit(coefficients=beta, converged=False, iterations=max_iter)
+    warnings.warn(
+        f"IRLS stopped at its {IRLS_MAX_ITER}-iteration cap before converging",
+        ConvergenceWarning,
+        stacklevel=2,
+    )
+    return LinearFit(coefficients=beta, converged=False, iterations=IRLS_MAX_ITER)
 
 
-def newton_solve(
-    residual,
-    jacobian,
-    x0: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    max_halvings: int = 30,
-) -> np.ndarray:
+def newton_solve(residual, jacobian, x0: np.ndarray) -> np.ndarray:
     """Damped Newton root finder enforcing monotone residual decrease.
+
+    Converges when the infinity norm of the residual is at most ``NEWTON_TOL``
+    within ``NEWTON_MAX_ITER`` iterations of at most ``MAX_HALVINGS`` step
+    halvings each.
 
     Parameters
     ----------
@@ -153,16 +159,14 @@ def newton_solve(
         Map an (d,) vector to the residual vector / Jacobian matrix.
     x0 : array_like
         Starting point.
-    tol : float
-        Convergence threshold on the infinity norm of the residual.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     r = np.atleast_1d(residual(x))
     nr = np.max(np.abs(r))
     if not np.isfinite(nr):
         raise NoConvergence("residual not finite at starting point")
-    for _ in range(max_iter):
-        if nr <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if nr <= NEWTON_TOL:
             return x
         jac = np.atleast_2d(jacobian(x))
         try:
@@ -172,7 +176,7 @@ def newton_solve(
         if not np.all(np.isfinite(step)):
             raise SingularJacobian("Jacobian solve produced non-finite step")
         alpha = 1.0
-        for _halving in range(max_halvings + 1):
+        for _halving in range(MAX_HALVINGS + 1):
             x_new = x - alpha * step
             r_new = np.atleast_1d(residual(x_new))
             nr_new = np.max(np.abs(r_new))
@@ -182,9 +186,7 @@ def newton_solve(
             alpha *= 0.5
         else:
             raise NoConvergence("step halving could not reduce the residual")
-    raise NoConvergence(f"no convergence after {max_iter} iterations")
-
-
+    raise NoConvergence(f"no convergence after {NEWTON_MAX_ITER} iterations")
 
 
 def nnls_coordinate_descent(
@@ -192,8 +194,6 @@ def nnls_coordinate_descent(
     gtr: np.ndarray,
     penalties: np.ndarray,
     support: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
 ) -> np.ndarray:
     """Minimize ``||r - G eta||^2 + sum_k penalties[k] * eta[k]`` over eta >= 0,
     given only the cross-products ``gram = G'G`` and ``gtr = G'r``.
@@ -208,7 +208,7 @@ def nnls_coordinate_descent(
     inflation on the passive set would exceed ``MAX_VIF`` counts as dependent
     on it and enters by exchange along the null direction instead of through
     a singular solve. The result must pass the KKT conditions to relative
-    tolerance ``tol``.
+    tolerance ``NNLS_TOL``.
 
     The name predates the active-set method; it is kept because the
     benchmark's tracer (``perfbench/tracing.py``) finds the weight solver by
@@ -219,7 +219,7 @@ def nnls_coordinate_descent(
     ValueError
         On mismatched shapes, non-finite input or negative penalties.
     NoConvergence
-        If ``max_iter`` passive-set changes do not reach the KKT conditions,
+        If ``NNLS_MAX_ITER`` passive-set changes do not reach the KKT conditions,
         or the final point fails them.
     """
     gram = np.asarray(gram, dtype=float)
@@ -268,9 +268,9 @@ def nnls_coordinate_descent(
         passive &= eta > 0.0
         eta = stationary(passive)
 
-    for _ in range(max_iter):
+    for _ in range(NNLS_MAX_ITER):
         w = c - gram @ eta
-        bound = tol * (np.abs(c) + abs_gram @ eta)
+        bound = NNLS_TOL * (np.abs(c) + abs_gram @ eta)
         free = usable & ~passive & (w > bound)
         if not free.any():
             if not np.all(np.abs(w[passive]) <= bound[passive]):
@@ -308,4 +308,4 @@ def nnls_coordinate_descent(
         if s is None:
             raise NoConvergence("passive columns became numerically dependent")
         eta = s
-    raise NoConvergence(f"active set: no convergence in {max_iter} iterations")
+    raise NoConvergence(f"active set: no convergence in {NNLS_MAX_ITER} iterations")

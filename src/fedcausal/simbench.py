@@ -129,11 +129,6 @@ def load_scenario(name_or_path: str) -> ScenarioSpec:
     return ScenarioSpec.from_dict(obj)
 
 
-def list_presets() -> list[str]:
-    folder = resources.files("fedcausal").joinpath("presets")
-    return sorted(p.name[:-5] for p in folder.iterdir() if p.name.endswith(".json"))
-
-
 def sample_skew_normal(rng: np.random.Generator, n: int, shape: np.ndarray) -> np.ndarray:
     """Draw n rows of independent skew-normal(0, 1, shape_p) covariates.
 
@@ -201,7 +196,6 @@ def method_config(
     scenario: ScenarioSpec,
     alpha: float = 0.05,
     lambda_grid=DEFAULT_LAMBDA_GRID,
-    n_splits: int = 5,
     seed: int = 0,
 ) -> ProtocolConfig:
     """Candidate-model and runtime configuration for one benchmark method.
@@ -243,7 +237,6 @@ def method_config(
         method=runtime_method(method),
         alpha=alpha,
         lambda_grid=tuple(lambda_grid),
-        n_splits=n_splits,
         seed=seed,
     )
 
@@ -344,7 +337,6 @@ def run_replication(
     rep: int,
     alpha: float = 0.05,
     lambda_grid=DEFAULT_LAMBDA_GRID,
-    n_splits: int = 5,
 ) -> tuple[list[ReplicationRow], dict]:
     """One replication: generate all sites, run each method, score coverage.
 
@@ -358,8 +350,7 @@ def run_replication(
     phases: dict = {}  # config without its method -> site phase or its error
     for method in methods:
         config = method_config(
-            method, scenario, alpha=alpha, lambda_grid=lambda_grid,
-            n_splits=n_splits, seed=cfg_seed,
+            method, scenario, alpha=alpha, lambda_grid=lambda_grid, seed=cfg_seed,
         )
         key = json.dumps({**config.to_dict(), "method": None})
         if key not in phases:
@@ -397,7 +388,6 @@ def run_scenario(
     seed: int = 0,
     alpha: float = 0.05,
     lambda_grid=DEFAULT_LAMBDA_GRID,
-    n_splits: int = 5,
 ) -> SimulationResult:
     """Run the full Monte Carlo study.
 
@@ -415,8 +405,7 @@ def run_scenario(
         warnings.simplefilter("ignore")
         outcomes = [
             run_replication(
-                scenario, methods, seed, rep, alpha=alpha,
-                lambda_grid=lambda_grid, n_splits=n_splits,
+                scenario, methods, seed, rep, alpha=alpha, lambda_grid=lambda_grid,
             )
             for rep in range(reps)
         ]

@@ -343,17 +343,3 @@ def complete_source_estimate(report: SourceSiteReport, target: SiteFrame) -> Sit
         own=report.own,
         diagnostics=report.diagnostics,
     )
-
-
-def estimate_source(
-    source: SiteFrame,
-    target: SiteFrame,
-    fit: NuisanceFit,
-    tilt: TiltCoefficients,
-    seed: int = 0,
-    n_splits: int = 5,
-) -> SiteEstimate:
-    """Transported estimate from one source site (report + completion)."""
-    return complete_source_estimate(
-        source_report(source, fit, tilt, seed, n_splits), target
-    )

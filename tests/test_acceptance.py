@@ -13,7 +13,7 @@ import pytest
 from scipy import optimize
 
 from fedcausal.density_ratio import BasisSpec, ratio_weights, solve_tilt, target_moments
-from fedcausal.federation import cross_validate_lambda, global_estimate, solve_l1_weights
+from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round, site_split_seed
 from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit, nnls_coordinate_descent
@@ -23,9 +23,9 @@ from fedcausal.site_estimator import (
     SiteEstimate,
     SiteFrame,
     complete_source_estimate,
-    estimate_source,
     estimate_target,
     source_influence,
+    source_report,
     split_masks,
 )
 
@@ -177,7 +177,7 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep):
     fit = fit_nuisances(src.X, src.y, src.a,
                         [CandidateSpec("p", "treatment", p_map)],
                         [CandidateSpec("m", "outcome", m_map)], seed=rep)
-    est = estimate_source(src, tgt, fit, tilt)
+    est = complete_source_estimate(source_report(src, fit, tilt), tgt)
     return est.mu[1] - est.mu[0]
 
 
@@ -253,7 +253,7 @@ def test_criterion_6_weight_solver_oracle():
                      250, own=summary(rng.standard_normal((2, 250)), f"s{i}"))
         for i in range(2)
     ]
-    eta = solve_l1_weights([tgt] + sources, 1e12)
+    eta = cross_validate_lambda([tgt] + sources, grid=(1e12,)).eta
     target_only_ok = bool(np.array_equal(eta, [1.0, 0.0, 0.0]))
 
     detail = f"max objective gap {worst_gap:.2e}, huge-lambda weights {eta.tolist()}"
@@ -348,8 +348,8 @@ def test_criterion_8_runtime_equivalence_and_privacy():
                                 candidates["default"]["treatment"],
                                 candidates["default"]["outcome"],
                                 seed=site_split_seed(seed, src.site_id))
-            estimates.append(estimate_source(src, target, fit, tilt, seed=seed,
-                                             n_splits=config.n_splits))
+            estimates.append(complete_source_estimate(
+                source_report(src, fit, tilt, seed=seed, n_splits=config.n_splits), target))
         solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
                                          n_splits=config.n_splits, seed=seed)
         direct = global_estimate(estimates, solution, alpha=config.alpha,

@@ -65,6 +65,23 @@ def test_simulate_usage_errors(tmp_path):
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "1.5"),
+    ("--alpha", "0"),
+    ("--lambda-grid", "nan"),
+    ("--lambda-grid", "0,inf"),
+    ("--seed", "-1"),
+])
+def test_out_of_range_arguments_are_usage_errors(tmp_path, command, flag, value):
+    # Rejected while parsing, before any file is read or scenario run.
+    inputs = {"simulate": ["--scenario", "c1", "--reps", "1", "--out", str(tmp_path)],
+              "estimate": ["--target", str(tmp_path / "absent.csv")]}
+    with pytest.raises(SystemExit) as err:
+        main([command, *inputs[command], f"{flag}={value}"])
+    assert err.value.code == EXIT_USAGE
+
+
 def test_estimate_end_to_end(tmp_path, capsys):
     tgt = _write_site_csv(tmp_path / "tgt.csv", 1, 250, ["x1", "x2"])
     src = _write_site_csv(tmp_path / "src.csv", 2, 300, ["x1", "x2", "x3"])

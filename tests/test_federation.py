@@ -17,7 +17,6 @@ from fedcausal.federation import (
     combine_fixed,
     cross_validate_lambda,
     global_estimate,
-    solve_l1_weights,
 )
 from fedcausal.site_estimator import OwnSummary, SiteEstimate, split_masks
 
@@ -119,13 +118,13 @@ def test_huge_lambda_gives_target_only():
     # Sources whose means differ from the target's carry positive penalty
     # weight, so an enormous lambda shuts them off exactly.
     estimates = _trio(mu_src=(1.5, 2.5))
-    eta = solve_l1_weights(estimates, 1e12)
+    eta = cross_validate_lambda(estimates, grid=(1e12,)).eta
     assert np.array_equal(eta, [1.0, 0.0, 0.0])
 
 
 def test_solve_l1_weights_simplex():
     for lam in (0.0, 1e-3, 0.1, 1.0):
-        eta = solve_l1_weights(_trio(), lam)
+        eta = cross_validate_lambda(_trio(), grid=(lam,)).eta
         assert np.all(eta >= 0.0)
         assert abs(eta.sum() - 1.0) < 1e-12
 

@@ -28,7 +28,12 @@ from fedcausal.fedruntime import (
 )
 from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit
-from fedcausal.site_estimator import SiteFrame, estimate_source, estimate_target
+from fedcausal.site_estimator import (
+    SiteFrame,
+    complete_source_estimate,
+    estimate_target,
+    source_report,
+)
 
 
 def _make_frames(seed=0, n=150, n_sources=2, degenerate=(), slope=0.5):
@@ -97,8 +102,8 @@ def test_run_round_matches_direct_composition():
                             config.specs_for(src.site_id)["treatment"],
                             config.specs_for(src.site_id)["outcome"],
                             seed=site_split_seed(config.seed, src.site_id))
-        estimates.append(estimate_source(src, target, fit, tilt,
-                                         seed=config.seed, n_splits=config.n_splits))
+        estimates.append(complete_source_estimate(
+            source_report(src, fit, tilt, seed=config.seed, n_splits=config.n_splits), target))
     solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
                                      n_splits=config.n_splits, seed=config.seed)
     direct = global_estimate(estimates, solution, alpha=config.alpha,

@@ -1,22 +1,25 @@
-"""Property tests: what one round promises under relabelling and rescaling.
+"""Property tests: what one round promises under relabelling and rescaling,
+and that every wire payload survives JSON with equal values.
 
-Each example runs whole rounds (``run_sites`` then ``combine``) on small
-random frames. Units are never permuted within a site: the nuisance split and
+The round examples run whole rounds (``run_sites`` then ``combine``) on
+small random frames. Units are never permuted within a site: the nuisance split and
 the cross-validation folds are positional, so a round does not promise
 invariance to the order of a site's rows.
 """
 
+import dataclasses
+import json
 import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcausal.density_ratio import BasisSpec
+from fedcausal.density_ratio import BASIS_KINDS, BasisSpec, MomentSummary
 from fedcausal.fedruntime import METHODS, ProtocolConfig, combine, run_sites
 from fedcausal.nuisance import CandidateSpec, FeatureMap
 from fedcausal.numkit import expit
-from fedcausal.site_estimator import SiteFrame
+from fedcausal.site_estimator import OwnSummary, SiteFrame, SourceSiteReport
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -111,3 +114,75 @@ def test_affine_outcome_map_scales_effect_and_se(fed, c, b):
         tol = 1e-9 * abs(c) * (abs(x.delta_hat) + se)
         assert abs(y.delta_hat - c * x.delta_hat) <= tol, method
         assert abs(np.sqrt(y.variance) - abs(c) * se) <= 1e-9 * abs(c) * se, method
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+vectors = st.lists(finite, max_size=6).map(lambda v: np.array(v, dtype=float))
+bases = st.sampled_from(BASIS_KINDS).map(BasisSpec)
+moment_summaries = st.builds(MomentSummary, site_id=st.text(max_size=8),
+                             n=st.integers(1, 10**9), basis=bases, mean_basis=vectors)
+source_reports = st.builds(
+    SourceSiteReport,
+    site_id=st.text(max_size=8),
+    n_k=st.integers(1, 10**9),
+    mu_own=st.tuples(finite, finite),
+    own=st.builds(OwnSummary, sq=finite, fit_sq=vectors, val_sq=vectors),
+    tau_coefficients=st.tuples(vectors, vectors),
+    tilt_sensitivity=vectors,
+    basis_kind=st.sampled_from(BASIS_KINDS),
+    diagnostics=st.dictionaries(st.text(max_size=5), st.dictionaries(
+        st.text(max_size=5), finite | st.integers(0, 10**9), max_size=3), max_size=2),
+)
+candidate_specs = st.builds(
+    CandidateSpec,
+    id=st.text(max_size=8),
+    target=st.sampled_from(("treatment", "outcome")),
+    feature_map=st.builds(FeatureMap, kind=st.sampled_from(("raw", "kangschafer", "subset")),
+                          columns=st.none() | st.lists(st.integers(0, 50)).map(tuple)),
+)
+configs = st.builds(
+    ProtocolConfig,
+    basis=bases,
+    candidates=st.dictionaries(st.text(max_size=8), st.fixed_dictionaries({
+        "treatment": st.lists(candidate_specs, max_size=3),
+        "outcome": st.lists(candidate_specs, max_size=3),
+    }), max_size=3),
+    method=st.sampled_from(METHODS),
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    lambda_grid=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=9).map(tuple),
+    n_splits=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _assert_same(x, y):
+    """Field-by-field equality of two payload dataclasses; arrays by value."""
+    assert type(x) is type(y)
+    for f in dataclasses.fields(x):
+        a, b = getattr(x, f.name), getattr(y, f.name)
+        if dataclasses.is_dataclass(a):
+            _assert_same(a, b)
+        elif isinstance(a, (tuple, np.ndarray)):
+            assert len(a) == len(b) and all(np.array_equal(p, q) for p, q in zip(a, b)), f.name
+        else:
+            assert a == b, f.name
+
+
+@PROPERTY
+@given(moment_summaries, source_reports)
+def test_uploads_round_trip_through_json(summary, report):
+    _assert_same(MomentSummary.from_json(summary.to_json()), summary)
+    _assert_same(SourceSiteReport.from_json(report.to_json()), report)
+
+
+@PROPERTY
+@given(configs)
+def test_config_broadcast_round_trips_through_json(config):
+    sent = json.loads(json.dumps(config.to_dict()))
+    assert sent["basis"] == config.basis.kind
+    assert (sent["method"], sent["alpha"], sent["n_splits"], sent["seed"]) == (
+        config.method, config.alpha, config.n_splits, config.seed)
+    assert sent["lambda_grid"] == list(config.lambda_grid)
+    assert {site: {role: [CandidateSpec.from_dict(spec) for spec in specs]
+                   for role, specs in groups.items()}
+            for site, groups in sent["candidates"].items()} == config.candidates

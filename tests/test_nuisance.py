@@ -53,21 +53,19 @@ def test_candidate_spec_round_trip():
 
 
 def test_split_data_deterministic_partition():
-    tr1, va1 = split_data(100, 0.5, seed=3)
-    tr2, va2 = split_data(100, 0.5, seed=3)
+    tr1, va1 = split_data(100, seed=3)
+    tr2, va2 = split_data(100, seed=3)
     assert np.array_equal(tr1, tr2) and np.array_equal(va1, va2)
     assert len(tr1) == 50 and len(va1) == 50
     assert sorted(np.concatenate([tr1, va1])) == list(range(100))
-    tr3, _ = split_data(100, 0.5, seed=4)
+    tr3, _ = split_data(100, seed=4)
     assert not np.array_equal(tr1, tr3)
 
 
 def test_split_data_floors():
     with pytest.raises(TooFewUnits):
-        split_data(1, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        split_data(10, 1.5, seed=0)
-    tr, va = split_data(7, 0.5, seed=0)
+        split_data(1, seed=0)
+    tr, va = split_data(7, seed=0)
     assert len(tr) == 3 and len(va) == 4
 
 

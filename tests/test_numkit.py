@@ -1,12 +1,16 @@
 """Tests for the dense numerical primitives, with scipy as independent oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, special
 
+from fedcausal import numkit
 from fedcausal.errors import (
+    ConvergenceWarning,
     MissingClass,
     NoConvergence,
     RankDeficient,
@@ -75,6 +79,21 @@ def test_fit_logistic_against_scipy_mle():
 
     oracle = optimize.minimize(nll, np.zeros(3), method="BFGS", options={"gtol": 1e-9})
     assert np.allclose(fit.coefficients, oracle.x, atol=1e-5)
+
+
+def test_fit_logistic_warns_at_the_iteration_cap(monkeypatch):
+    rng = np.random.default_rng(2)
+    X = add_intercept(rng.standard_normal((400, 2)))
+    y = (rng.random(400) < special.expit(X @ [0.3, -1.0, 0.7])).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        converged = fit_logistic(X, y)
+    assert converged.converged and converged.iterations > 1
+
+    monkeypatch.setattr(numkit, "IRLS_MAX_ITER", 1)
+    with pytest.warns(ConvergenceWarning):
+        capped = fit_logistic(X, y)
+    assert not capped.converged and capped.iterations == 1
 
 
 def test_fit_logistic_missing_class():

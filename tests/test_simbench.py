@@ -4,18 +4,18 @@ import csv
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedcausal import fedruntime
+from fedcausal import fedruntime, simbench
 from fedcausal.errors import ScenarioError
 from fedcausal.simbench import (
     BENCH_METHODS,
     ScenarioSpec,
     SiteSpec,
     generate_site,
-    list_presets,
     load_scenario,
     method_config,
     run_replication,
@@ -94,7 +94,7 @@ def test_scenario_validation():
 
 
 def test_presets_load():
-    names = list_presets()
+    names = sorted(p.stem for p in Path(simbench.__file__).with_name("presets").glob("*.json"))
     assert names == ["c0", "c05", "c1", "mismatch"]
     for name in names:
         sc = load_scenario(name)

@@ -26,7 +26,6 @@ from fedcausal.site_estimator import (
     SiteFrame,
     SourceSiteReport,
     complete_source_estimate,
-    estimate_source,
     estimate_target,
     source_influence,
     source_report,
@@ -179,7 +178,7 @@ def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    est = estimate_source(src, tgt, _zero_fit(2), _untilted(2))
+    est = complete_source_estimate(source_report(src, _zero_fit(2), _untilted(2)), tgt)
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
         assert abs(est.mu[arm] - expected) < 1e-12
@@ -190,7 +189,7 @@ def test_source_no_shift_agrees_with_target():
     tilt = _tilt_for(src, tgt)
     fit_s = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
     fit_t = fit_nuisances(tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
-    est_s = estimate_source(src, tgt, fit_s, tilt)
+    est_s = complete_source_estimate(source_report(src, fit_s, tilt), tgt)
     est_t = estimate_target(tgt, fit_t)
     assert abs((est_s.mu[1] - est_s.mu[0]) - (est_t.mu[1] - est_t.mu[0])) < 0.25
 
@@ -199,8 +198,8 @@ def test_source_estimate_equals_report_plus_completion():
     src, tgt = _linear_pair(seed=8)
     tilt = _tilt_for(src, tgt)
     fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
-    direct = estimate_source(src, tgt, fit, tilt, seed=2, n_splits=3)
     report = source_report(src, fit, tilt, seed=2, n_splits=3)
+    direct = complete_source_estimate(report, tgt)
     wired = complete_source_estimate(SourceSiteReport.from_json(report.to_json()), tgt)
     assert direct.mu == wired.mu
     assert direct.own.sq == wired.own.sq
@@ -233,11 +232,11 @@ def test_source_linearity_in_outcome_scale():
     src, tgt = _linear_pair(seed=10)
     tilt = _tilt_for(src, tgt)
     fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
-    est = estimate_source(src, tgt, fit, tilt)
+    est = complete_source_estimate(source_report(src, fit, tilt), tgt)
 
     scaled = SiteFrame(src.site_id, "source", 3.0 * src.y, src.a, src.X, src.shared_cols)
     fit_scaled = fit_nuisances(scaled.X, scaled.y, scaled.a, RAW_T, RAW_O, seed=7)
-    est_scaled = estimate_source(scaled, tgt, fit_scaled, tilt)
+    est_scaled = complete_source_estimate(source_report(scaled, fit_scaled, tilt), tgt)
     for arm in (0, 1):
         assert abs(est_scaled.mu[arm] - 3.0 * est.mu[arm]) < 1e-9 * max(1.0, abs(est.mu[arm]))
 
@@ -270,7 +269,8 @@ def test_site_estimate_json_round_trip():
     # The payload carries the estimate's scalars only, never per-unit values.
     import json
     src, tgt = _linear_pair(seed=13)
-    for est in (estimate_source(src, tgt, _zero_fit(2), _tilt_for(src, tgt)),
+    for est in (complete_source_estimate(
+                    source_report(src, _zero_fit(2), _tilt_for(src, tgt)), tgt),
                 estimate_target(tgt, _zero_fit(2))):
         back = json.loads(est.to_json())
         assert (back["mu0"], back["mu1"]) == est.mu
