@@ -5,7 +5,9 @@ from different feature maps of its covariates. Candidates are fit on a seeded
 train split; mixing weights come from cumulative predictive risk on the
 validation split (Bernoulli likelihood for treatment models, exponentiated
 negative squared error for outcome models), accumulated in log space. The
-weighted candidates are then refit on the full site sample for prediction.
+weighted candidates are then refit on the full site sample, and the mixtures
+are evaluated on the site's own units, the only units any estimator needs
+them on.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CandidateFitWarning, FedcausalError, TooFewUnits
-from .numkit import LinearFit, add_intercept, expit, fit_logistic, fit_ols
+from .numkit import add_intercept, expit, fit_logistic, fit_ols
 
 DEFAULT_CLIP = (0.01, 0.99)
 
@@ -78,47 +80,13 @@ class CandidateSpec:
 
 
 @dataclass(frozen=True)
-class FittedCandidate:
-    spec: CandidateSpec
-    fit: LinearFit | None  # None when the candidate failed
-
-    def design(self, X: np.ndarray) -> np.ndarray:
-        return add_intercept(self.spec.feature_map.apply(X))
-
-    def predict_linear(self, X: np.ndarray) -> np.ndarray:
-        return self.design(X) @ self.fit.coefficients
-
-    def predict_probability(self, X: np.ndarray) -> np.ndarray:
-        return expit(self.predict_linear(X))
-
-
-@dataclass(frozen=True)
-class MixedModel:
-    """Fitted candidates plus simplex mixing weights."""
-
-    candidates: tuple[FittedCandidate, ...]
-    weights: np.ndarray
-
-    def predict_probability(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.atleast_2d(X).shape[0])
-        for w, cand in zip(self.weights, self.candidates):
-            if w > 0.0 and cand.fit is not None:
-                out += w * cand.predict_probability(X)
-        return out
-
-    def predict_mean(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.atleast_2d(X).shape[0])
-        for w, cand in zip(self.weights, self.candidates):
-            if w > 0.0 and cand.fit is not None:
-                out += w * cand.predict_linear(X)
-        return out
-
-
-@dataclass(frozen=True)
 class NuisanceFit:
-    pi: MixedModel
-    m1: MixedModel
-    m0: MixedModel
+    """Arm-indexed (2, n) propensities, clipped to ``DEFAULT_CLIP``, and outcome
+    means of a site's units; ``clipped`` tells whether the clip changed any."""
+
+    pi: np.ndarray
+    m: np.ndarray
+    clipped: bool
 
 
 def split_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,75 +117,73 @@ def _log_softmax_weights(cum_log_risk: np.ndarray) -> np.ndarray:
 
 
 def _mix(
-    X: np.ndarray,
+    designs: dict,
     y: np.ndarray,
+    rows: np.ndarray,
     specs: list[CandidateSpec],
     seed: int,
     fit_one,
     log_score,
-) -> MixedModel:
-    """Shared mixing driver for treatment and outcome candidates."""
+    link,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared mixing routine for treatment and outcome candidates.
+
+    Fits each candidate on the train split of ``rows``, scores it on the
+    validation split and refits it on all of ``rows``; a candidate that fails
+    either fit gets weight zero. Returns the weights and the mixture on every
+    unit of the site.
+    """
     if not specs:
         raise ValueError("need at least one candidate spec")
-    n = len(y)
-    train_idx, val_idx = split_data(n, seed)
+    train_idx, val_idx = (rows[idx] for idx in split_data(len(rows), seed))
     if len(val_idx) < 2:
         raise TooFewUnits("validation set needs at least 2 units")
 
-    train_fits: list[LinearFit | None] = []
-    for spec in specs:
-        design = add_intercept(spec.feature_map.apply(X[train_idx]))
+    # Per-unit validation log scores and full-sample coefficients of each
+    # candidate that fits.
+    scores, coefficients = [], {}
+    for j, spec in enumerate(specs):
+        design = designs[spec.feature_map]
         try:
-            train_fits.append(fit_one(design, y[train_idx]))
+            train_fit = fit_one(design[train_idx], y[train_idx])
+            coefficients[j] = fit_one(design[rows], y[rows]).coefficients
         except FedcausalError as exc:
-            warnings.warn(
-                f"candidate {spec.id!r} failed on the training split: {exc}",
-                CandidateFitWarning,
-                stacklevel=3,
-            )
-            train_fits.append(None)
-    alive = [j for j, f in enumerate(train_fits) if f is not None]
-    if not alive:
+            warnings.warn(f"candidate {spec.id!r} failed to fit: {exc}", CandidateFitWarning,
+                          stacklevel=3)
+            continue
+        scores.append(log_score(design[val_idx] @ train_fit.coefficients, y[val_idx]))
+    if not coefficients:
         raise TooFewUnits("all candidates failed to fit")
-
-    # Per-unit log scores of each surviving candidate on the validation split.
-    n_val = len(val_idx)
-    scores = np.zeros((n_val, len(alive)))
-    for col, j in enumerate(alive):
-        design = add_intercept(specs[j].feature_map.apply(X[val_idx]))
-        scores[:, col] = log_score(design @ train_fits[j].coefficients, y[val_idx])
+    scores = np.column_stack(scores)
     cum = np.zeros_like(scores)
     cum[1:] = np.cumsum(scores[:-1], axis=0)
-    alive_weights = _log_softmax_weights(cum)
-
     weights = np.zeros(len(specs))
-    weights[alive] = alive_weights
+    weights[list(coefficients)] = _log_softmax_weights(cum)
     weights /= weights.sum()
 
-    refits: list[FittedCandidate] = []
-    for j, spec in enumerate(specs):
-        if weights[j] > 0.0:
-            design = add_intercept(spec.feature_map.apply(X))
-            refits.append(FittedCandidate(spec=spec, fit=fit_one(design, y)))
-        else:
-            refits.append(FittedCandidate(spec=spec, fit=None))
-    return MixedModel(candidates=tuple(refits), weights=weights)
+    fitted = np.zeros(len(y))
+    for j, beta in coefficients.items():
+        fitted += weights[j] * link(designs[specs[j].feature_map] @ beta)
+    return weights, fitted
 
 
 def mix_propensity(
-    X: np.ndarray,
+    designs: dict,
     a: np.ndarray,
     specs: list[CandidateSpec],
     seed: int = 0,
-) -> MixedModel:
-    """Mix treatment candidates by cumulative Bernoulli validation likelihood."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mix treatment candidates by cumulative Bernoulli validation likelihood.
+
+    ``designs`` maps each feature map to its design on the site's units.
+    Returns the weights and the mixed P(A=1) of every unit."""
     a = np.asarray(a, dtype=float)
 
     def log_score(linear, y):
         p = np.clip(expit(linear), 1e-12, 1.0 - 1e-12)
         return y * np.log(p) + (1.0 - y) * np.log1p(-p)
 
-    return _mix(X, a, specs, seed, fit_logistic, log_score)
+    return _mix(designs, a, np.arange(len(a)), specs, seed, fit_logistic, log_score, expit)
 
 
 def default_kappa(n_candidates: int) -> int:
@@ -226,39 +192,27 @@ def default_kappa(n_candidates: int) -> int:
 
 
 def mix_outcome(
-    X: np.ndarray,
+    designs: dict,
     y: np.ndarray,
     a: np.ndarray,
     arm: int,
     specs: list[CandidateSpec],
     seed: int = 0,
-) -> MixedModel:
-    """Mix outcome candidates on the given arm's units by cumulative squared error,
-    at temperature :func:`default_kappa`."""
-    mask = np.asarray(a) == arm
-    if mask.sum() < 4:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mix outcome candidates fitted on the given arm's units by cumulative
+    squared error, at temperature :func:`default_kappa`.
+
+    Returns the weights and the mixed outcome mean of every unit."""
+    rows = np.flatnonzero(np.asarray(a) == arm)
+    if len(rows) < 4:
         raise TooFewUnits(f"need at least 4 units with A={arm} to split")
     kappa = default_kappa(len(specs))
-    X_arm = np.atleast_2d(np.asarray(X, dtype=float))[mask]
-    y_arm = np.asarray(y, dtype=float)[mask]
 
     def log_score(linear, y_obs):
         return -kappa * (y_obs - linear) ** 2
 
-    return _mix(X_arm, y_arm, specs, seed, fit_ols, log_score)
-
-
-def predict(fit: NuisanceFit, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Arm-indexed (2, n) propensities and outcome means on ``X``.
-
-    Evaluates each mixture once. Propensities are clipped to
-    ``DEFAULT_CLIP``; ``clipped`` tells whether the clip changed any of them.
-    """
-    p1 = fit.pi.predict_probability(X)
-    unclipped = np.stack([1.0 - p1, p1])
-    pi = np.clip(unclipped, *DEFAULT_CLIP)
-    m = np.stack([fit.m0.predict_mean(X), fit.m1.predict_mean(X)])
-    return pi, m, bool(np.any(pi != unclipped))
+    return _mix(designs, np.asarray(y, dtype=float), rows, specs, seed, fit_ols, log_score,
+                lambda linear: linear)
 
 
 def fit_nuisances(
@@ -269,9 +223,14 @@ def fit_nuisances(
     outcome_specs: list[CandidateSpec],
     seed: int = 0,
 ) -> NuisanceFit:
-    """Fit the full nuisance bundle (propensity mixture, per-arm outcome mixtures)
-    on a 0.5 train split seeded by ``seed``."""
-    pi = mix_propensity(X, a, treatment_specs, seed=seed)
-    m1 = mix_outcome(X, y, a, 1, outcome_specs, seed=seed)
-    m0 = mix_outcome(X, y, a, 0, outcome_specs, seed=seed)
-    return NuisanceFit(pi=pi, m1=m1, m0=m0)
+    """Fit the propensity and per-arm outcome mixtures on a 0.5 train split
+    seeded by ``seed``, on one design per distinct feature map, and evaluate
+    them on the site's units."""
+    maps = dict.fromkeys(s.feature_map for s in (*treatment_specs, *outcome_specs))
+    designs = {fm: add_intercept(fm.apply(X)) for fm in maps}
+    p1 = mix_propensity(designs, a, treatment_specs, seed=seed)[1]
+    m1 = mix_outcome(designs, y, a, 1, outcome_specs, seed=seed)[1]
+    m0 = mix_outcome(designs, y, a, 0, outcome_specs, seed=seed)[1]
+    unclipped = np.stack([1.0 - p1, p1])
+    pi = np.clip(unclipped, *DEFAULT_CLIP)
+    return NuisanceFit(pi=pi, m=np.stack([m0, m1]), clipped=bool(np.any(pi != unclipped)))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .density_ratio import BasisSpec, TiltCoefficients, ratio_weights, truncate_weights
 from .errors import PositivityWarning, SingularJacobian
-from .nuisance import NuisanceFit, predict
+from .nuisance import NuisanceFit
 from .numkit import add_intercept, fit_ols
 
 
@@ -216,15 +216,20 @@ class SourceSiteReport:
         )
 
 
-def _warn_clipping(where: str) -> None:
-    """Warn of propensity clipping at the first caller outside this module.
+def _check_fit(frame: SiteFrame, fit: NuisanceFit, where: str) -> None:
+    """Reject a nuisance fit of another frame's units, and warn of propensity
+    clipping at the first caller outside this module.
 
     Python 3.12's ``warnings.warn(skip_file_prefixes=...)`` does the same: a
     clipping warning raised during a round names the round's own line.
     """
-    level, frame = 2, sys._getframe(1)
-    while frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
+    if not fit.pi.shape == fit.m.shape == (2, frame.n):
+        raise ValueError(f"the nuisance fit does not cover the {frame.n} units of {where}")
+    if not fit.clipped:
+        return
+    level, caller = 2, sys._getframe(1)
+    while caller.f_globals.get("__name__") == __name__:
+        level, caller = level + 1, caller.f_back
     warnings.warn(f"propensity clipping active on {where}", PositivityWarning,
                   stacklevel=level)
 
@@ -233,12 +238,10 @@ def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:
     """Standard AIPW estimate on the target sample with its contributions."""
     if frame.role != "target":
         raise ValueError("estimate_target requires a target frame")
-    pi, m, clipped = predict(fit, frame.X)
-    if clipped:
-        _warn_clipping("target units")
+    _check_fit(frame, fit, "target units")
     # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a, arm-indexed.
     ind = np.stack([frame.a == 0, frame.a == 1]).astype(float)
-    kernel = ind / pi * (frame.y - m) + m
+    kernel = ind / fit.pi * (frame.y - fit.m) + fit.m
     d = kernel[1] - kernel[0]
     return SiteEstimate(
         site_id=frame.site_id,
@@ -277,16 +280,14 @@ def source_influence(
         raise ValueError("the source estimator requires a source frame")
     zeta_raw = ratio_weights(tilt, source.V)
     zeta, weight_diag = truncate_weights(zeta_raw)
-    pi, m, clipped = predict(fit, source.X)
-    if clipped:
-        _warn_clipping(f"source {source.site_id}")
+    _check_fit(source, fit, f"source {source.site_id}")
     psi = tilt.basis.expand(source.V)
     zeta_psi = psi * zeta_raw[:, None]
     B = zeta_psi.T @ psi / source.n
     design_V = add_intercept(source.V)
-    tau = [fit_ols(design_V, m[arm]).coefficients for arm in (0, 1)]
+    tau = [fit_ols(design_V, fit.m[arm]).coefficients for arm in (0, 1)]
     ind = np.stack([source.a == 0, source.a == 1]).astype(float)
-    h = ind / pi * (source.y - m) + (m - np.stack([design_V @ t for t in tau]))
+    h = ind / fit.pi * (source.y - fit.m) + (fit.m - np.stack([design_V @ t for t in tau]))
     own = zeta * h
     # Derivative of the truncated weight is zero where the cap binds.
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)

@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 from fedcausal.errors import CandidateFitWarning, TooFewUnits
-from fedcausal.numkit import LinearFit, expit
+from fedcausal.numkit import add_intercept, expit, fit_logistic
 from fedcausal.nuisance import (
     DEFAULT_CLIP,
     CandidateSpec,
     FeatureMap,
-    FittedCandidate,
-    MixedModel,
-    NuisanceFit,
     default_kappa,
     fit_nuisances,
     kang_schafer,
     mix_outcome,
     mix_propensity,
-    predict,
     split_data,
 )
 
@@ -76,6 +72,10 @@ def test_default_kappa():
     assert default_kappa(25) == 3
 
 
+def _designs(X, specs):
+    return {s.feature_map: add_intercept(s.feature_map.apply(X)) for s in specs}
+
+
 def _sim_binary(rng, n=2000):
     X = rng.standard_normal((n, 3))
     X[:, 2] = rng.standard_normal(n)  # pure noise column
@@ -88,12 +88,12 @@ def test_mix_propensity_single_and_symmetry():
     rng = np.random.default_rng(0)
     X, a = _sim_binary(rng)
     raw = CandidateSpec("only", "treatment", FeatureMap("subset", (0, 1)))
-    model = mix_propensity(X, a, [raw], seed=1)
-    assert np.array_equal(model.weights, [1.0])
+    weights, _ = mix_propensity(_designs(X, [raw]), a, [raw], seed=1)
+    assert np.array_equal(weights, [1.0])
 
     twin = CandidateSpec("twin", "treatment", FeatureMap("subset", (0, 1)))
-    model = mix_propensity(X, a, [raw, twin], seed=1)
-    assert np.array_equal(model.weights, [0.5, 0.5])
+    weights, _ = mix_propensity(_designs(X, [raw]), a, [raw, twin], seed=1)
+    assert np.array_equal(weights, [0.5, 0.5])
 
 
 def test_mix_propensity_risk_dominance():
@@ -101,11 +101,12 @@ def test_mix_propensity_risk_dominance():
     X, a = _sim_binary(rng)
     good = CandidateSpec("good", "treatment", FeatureMap("subset", (0, 1)))
     noise = CandidateSpec("noise", "treatment", FeatureMap("subset", (2,)))
-    model = mix_propensity(X, a, [good, noise], seed=2)
-    assert model.weights[0] > 0.9
+    designs = _designs(X, [good, noise])
+    weights, _ = mix_propensity(designs, a, [good, noise], seed=2)
+    assert weights[0] > 0.9
     # Permuting the candidate list permutes the weights.
-    flipped = mix_propensity(X, a, [noise, good], seed=2)
-    assert np.array_equal(flipped.weights, model.weights[::-1])
+    flipped, _ = mix_propensity(designs, a, [noise, good], seed=2)
+    assert np.array_equal(flipped, weights[::-1])
 
 
 def test_mix_outcome_risk_dominance():
@@ -114,8 +115,8 @@ def test_mix_outcome_risk_dominance():
     y = 2.0 * X[:, 0] - X[:, 1] + 0.5 * a + rng.standard_normal(len(a))
     good = CandidateSpec("good", "outcome", FeatureMap("subset", (0, 1)))
     noise = CandidateSpec("noise", "outcome", FeatureMap("subset", (2,)))
-    model = mix_outcome(X, y, a, 1, [good, noise], seed=3)
-    assert model.weights[0] > 0.9
+    weights, _ = mix_outcome(_designs(X, [good, noise]), y, a, 1, [good, noise], seed=3)
+    assert weights[0] > 0.9
 
 
 def test_mix_outcome_too_few_units():
@@ -124,7 +125,7 @@ def test_mix_outcome_too_few_units():
     a = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
     spec = CandidateSpec("m", "outcome", FeatureMap("raw"))
     with pytest.raises(TooFewUnits):
-        mix_outcome(X, y, a, 1, [spec], seed=0)
+        mix_outcome(_designs(X, [spec]), y, a, 1, [spec], seed=0)
 
 
 def test_mix_outcome_log_space_no_overflow():
@@ -138,10 +139,11 @@ def test_mix_outcome_log_space_no_overflow():
     good = CandidateSpec("good", "outcome", FeatureMap("subset", (0,)))
     awful = CandidateSpec("awful", "outcome", FeatureMap("subset", (1,)))
     y_shifted = y.copy()
-    model = mix_outcome(X, y_shifted + 1000.0 * X[:, 1], a, 1, [good, awful], seed=4)
-    assert np.all(np.isfinite(model.weights))
-    assert abs(model.weights.sum() - 1.0) < 1e-12
-    assert np.all(model.weights >= 0.0)
+    weights, _ = mix_outcome(_designs(X, [good, awful]), y_shifted + 1000.0 * X[:, 1], a, 1,
+                             [good, awful], seed=4)
+    assert np.all(np.isfinite(weights))
+    assert abs(weights.sum() - 1.0) < 1e-12
+    assert np.all(weights >= 0.0)
 
 
 def test_failed_candidate_gets_zero_weight():
@@ -153,56 +155,57 @@ def test_failed_candidate_gets_zero_weight():
     a = np.ones(n, dtype=int)
     ok = CandidateSpec("ok", "outcome", FeatureMap("subset", (0, 1)))
     broken = CandidateSpec("broken", "outcome", FeatureMap("subset", (2,)))
+    designs = _designs(X, [ok, broken])
     with pytest.warns(CandidateFitWarning):
-        model = mix_outcome(X, y, a, 1, [ok, broken], seed=5)
-    assert model.weights[1] == 0.0
-    assert model.weights[0] == 1.0
-    assert model.candidates[1].fit is None
-
-
-def _constant_model(coefficients):
-    spec = CandidateSpec("c", "outcome", FeatureMap("raw"))
-    cand = FittedCandidate(spec=spec, fit=LinearFit(np.asarray(coefficients, float)))
-    return MixedModel(candidates=(cand,), weights=np.array([1.0]))
+        weights, fitted = mix_outcome(designs, y, a, 1, [ok, broken], seed=5)
+    assert weights[1] == 0.0
+    assert weights[0] == 1.0
+    assert np.array_equal(fitted, mix_outcome(designs, y, a, 1, [ok], seed=5)[1])
 
 
 def test_predict_propensity_identities():
-    X = np.random.default_rng(5).standard_normal((20, 2))
-    flat = _constant_model([0.0, 0.0, 0.0])
-    fit = NuisanceFit(pi=flat, m1=flat, m0=flat)
-    (p0, p1), _, clipped = predict(fit, X)
-    assert np.all(p1 == 0.5)
-    assert np.allclose(p1 + p0, 1.0, atol=1e-15)
-    assert not clipped
+    rng = np.random.default_rng(5)
+    X, a = _sim_binary(rng, n=400)
+    y = X[:, 0] + rng.standard_normal(400)
+    raw = [CandidateSpec("p", "treatment", FeatureMap("raw"))]
+    outcome = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
+    fit = fit_nuisances(X, y, a, raw, outcome, seed=6)
+    assert np.allclose(fit.pi[0] + fit.pi[1], 1.0, atol=1e-15)
+    assert fit.pi.shape == fit.m.shape == (2, 400)
+    assert not fit.clipped
 
-    steep = _constant_model([50.0, 0.0, 0.0])
-    fit = NuisanceFit(pi=steep, m1=flat, m0=flat)
-    pi, _, clipped = predict(fit, X)
-    assert np.all(pi[1] == 0.99)
-    assert np.all(pi[0] == 0.01)
-    assert clipped
+    # A steep propensity sends many units past the clip at both ends.
+    a = (rng.random(400) < expit(6.0 * X[:, 0])).astype(int)
+    fit = fit_nuisances(X, y, a, raw, outcome, seed=6)
+    assert fit.clipped
+    assert fit.pi[1].max() == DEFAULT_CLIP[1] and fit.pi[1].min() == DEFAULT_CLIP[0]
+    assert fit.pi[0].max() == DEFAULT_CLIP[1] and fit.pi[0].min() == DEFAULT_CLIP[0]
 
 
 def test_mixture_prediction_is_weighted_sum():
-    X = np.random.default_rng(6).standard_normal((15, 2))
-    spec = CandidateSpec("c", "treatment", FeatureMap("raw"))
-    c1 = FittedCandidate(spec=spec, fit=LinearFit(np.array([0.2, 1.0, 0.0])))
-    c2 = FittedCandidate(spec=spec, fit=LinearFit(np.array([-0.5, 0.0, 2.0])))
-    mix = MixedModel(candidates=(c1, c2), weights=np.array([0.3, 0.7]))
-    expected = 0.3 * c1.predict_probability(X) + 0.7 * c2.predict_probability(X)
-    assert np.allclose(mix.predict_probability(X), expected, atol=1e-15)
+    rng = np.random.default_rng(6)
+    X, a = _sim_binary(rng, n=300)
+    specs = [CandidateSpec("c1", "treatment", FeatureMap("subset", (0,))),
+             CandidateSpec("c2", "treatment", FeatureMap("subset", (1, 2)))]
+    designs = _designs(X, specs)
+    weights, fitted = mix_propensity(designs, a, specs, seed=7)
+    assert np.all(weights > 0.0)
+    expected = sum(
+        w * expit(designs[s.feature_map] @ fit_logistic(designs[s.feature_map], a).coefficients)
+        for w, s in zip(weights, specs)
+    )
+    assert np.allclose(fitted, expected, atol=1e-15)
 
 
 def test_predict_outcome_constant_fit():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((40, 2))
     y = np.full(40, 3.25)
-    a = np.ones(40, dtype=int)
+    a = np.tile([0, 1], 20)
     spec = CandidateSpec("c", "outcome", FeatureMap("raw"))
-    model = mix_outcome(X, y, a, 1, [spec], seed=8)
-    fit = NuisanceFit(pi=_constant_model([0.0, 0.0, 0.0]), m1=model, m0=model)
-    _, m, _ = predict(fit, X)
-    assert np.allclose(m[1], 3.25, atol=1e-9)
+    fit = fit_nuisances(X, y, a, [CandidateSpec("p", "treatment", FeatureMap("raw"))], [spec],
+                        seed=8)
+    assert np.allclose(fit.m, 3.25, atol=1e-9)
 
 
 def test_fit_nuisances_bundle():
@@ -212,8 +215,27 @@ def test_fit_nuisances_bundle():
     t_spec = [CandidateSpec("p", "treatment", FeatureMap("raw"))]
     o_spec = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
     fit = fit_nuisances(X, y, a, t_spec, o_spec, seed=9)
-    pi, m, _ = predict(fit, X)
-    assert np.all((pi[1] >= DEFAULT_CLIP[0]) & (pi[1] <= DEFAULT_CLIP[1]))
+    assert np.all((fit.pi[1] >= DEFAULT_CLIP[0]) & (fit.pi[1] <= DEFAULT_CLIP[1]))
     # Outcome mixtures are fit per arm, so the effect lands in the contrast.
-    gap = m[1] - m[0]
+    gap = fit.m[1] - fit.m[0]
     assert abs(gap.mean() - 1.0) < 0.3
+
+
+def test_each_feature_map_is_applied_once_per_fit(monkeypatch):
+    # Treatment and outcome candidates on the raw map share one design.
+    calls = []
+    original = FeatureMap.apply
+
+    def counted(self, X):
+        calls.append(self)
+        return original(self, X)
+
+    monkeypatch.setattr(FeatureMap, "apply", counted)
+    rng = np.random.default_rng(10)
+    X, a = _sim_binary(rng, n=300)
+    y = X[:, 0] + a + rng.standard_normal(300)
+    raw, sub = FeatureMap("raw"), FeatureMap("subset", (0, 1))
+    treatment = [CandidateSpec("p", "treatment", raw)]
+    outcome = [CandidateSpec("m1", "outcome", raw), CandidateSpec("m2", "outcome", sub)]
+    fit_nuisances(X, y, a, treatment, outcome, seed=11)
+    assert len(calls) == 2 and set(calls) == {raw, sub}

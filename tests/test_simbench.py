@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedcausal import fedruntime, simbench
-from fedcausal.errors import ScenarioError
+from fedcausal.errors import CandidateFitWarning, ScenarioError
 from fedcausal.simbench import (
     BENCH_METHODS,
     ScenarioSpec,
@@ -205,3 +205,12 @@ def test_site_phase_shared_across_methods(monkeypatch):
         calls.clear()
         run_replication(scenario, ("mr_l1",), seed=0, rep=0)
         assert len(calls) == len(scenario.sites)
+
+
+@pytest.mark.parametrize("seed,rep", [(101, 434), (104, 412)])
+def test_failed_full_sample_refit_drops_the_candidate(seed, rep):
+    # The target's kangschafer propensity candidate fits on its train split
+    # but not on all units here; it gets weight zero instead of failing the round.
+    with pytest.warns(CandidateFitWarning):
+        rows, failed = run_replication(load_scenario("c0"), ("mr_l1",), seed, rep)
+    assert failed == {} and len(rows) == 1

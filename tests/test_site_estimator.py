@@ -12,16 +12,8 @@ from fedcausal.density_ratio import (
     truncate_weights,
 )
 from fedcausal.errors import PositivityWarning, SingularJacobian
-from fedcausal.numkit import LinearFit, add_intercept, expit, fit_ols
-from fedcausal.nuisance import (
-    CandidateSpec,
-    FeatureMap,
-    FittedCandidate,
-    MixedModel,
-    NuisanceFit,
-    fit_nuisances,
-    predict,
-)
+from fedcausal.numkit import add_intercept, expit, fit_ols
+from fedcausal.nuisance import CandidateSpec, FeatureMap, NuisanceFit, fit_nuisances
 from fedcausal.site_estimator import (
     SiteFrame,
     SourceSiteReport,
@@ -36,16 +28,10 @@ RAW_T = [CandidateSpec("p", "treatment", FeatureMap("raw"))]
 RAW_O = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
 
 
-def _zero_model(d):
-    spec = CandidateSpec("z", "outcome", FeatureMap("raw"))
-    cand = FittedCandidate(spec=spec, fit=LinearFit(np.zeros(d + 1)))
-    return MixedModel(candidates=(cand,), weights=np.array([1.0]))
-
-
-def _zero_fit(d):
-    # Propensity 0.5 everywhere, outcome models identically zero.
-    z = _zero_model(d)
-    return NuisanceFit(pi=z, m1=z, m0=z)
+def _fit(n, p1=0.5, m=0.0, clipped=False):
+    # Constant propensity P(A=1) = p1 and outcome means m on n units.
+    return NuisanceFit(pi=np.stack([np.full(n, 1.0 - p1), np.full(n, p1)]),
+                       m=np.full((2, n), m), clipped=clipped)
 
 
 def _linear_pair(seed=0, n_src=800, n_tgt=500, shift=0.4):
@@ -100,7 +86,7 @@ def test_estimate_target_horvitz_thompson_reduction():
     a = rng.integers(0, 2, n)
     X = rng.standard_normal((n, 2))
     frame = SiteFrame("t", "target", y, a, X, (0, 1))
-    est = estimate_target(frame, _zero_fit(2))
+    est = estimate_target(frame, _fit(n))
     for arm in (0, 1):
         expected = 2.0 * np.mean((a == arm) * y)
         assert abs(est.mu[arm] - expected) < 1e-12
@@ -115,19 +101,14 @@ def test_estimate_target_constant_outcome():
     X = np.random.default_rng(2).standard_normal((n, 2))
     y = np.full(n, 7.5)
     frame = SiteFrame("t", "target", y, a, X, (0, 1))
-    z = _zero_model(2)
-    spec = CandidateSpec("c", "outcome", FeatureMap("raw"))
-    const = MixedModel(
-        candidates=(FittedCandidate(spec=spec, fit=LinearFit(np.array([7.5, 0.0, 0.0]))),),
-        weights=np.array([1.0]))
-    est = estimate_target(frame, NuisanceFit(pi=z, m1=const, m0=const))
+    est = estimate_target(frame, _fit(n, m=7.5))
     assert est.mu == (7.5, 7.5)
 
 
 def test_estimate_target_requires_target_role():
     src, tgt = _linear_pair()
     with pytest.raises(ValueError):
-        estimate_target(src, _zero_fit(2))
+        estimate_target(src, _fit(src.n))
 
 
 def test_estimate_target_positivity_warning():
@@ -135,13 +116,9 @@ def test_estimate_target_positivity_warning():
     n = 50
     frame = SiteFrame("t", "target", rng.standard_normal(n),
                       rng.integers(0, 2, n), rng.standard_normal((n, 1)), (0,))
-    spec = CandidateSpec("p", "treatment", FeatureMap("raw"))
-    steep = MixedModel(
-        candidates=(FittedCandidate(spec=spec, fit=LinearFit(np.array([20.0, 0.0]))),),
-        weights=np.array([1.0]))
-    fit = NuisanceFit(pi=steep, m1=_zero_model(1), m0=_zero_model(1))
+    # Every propensity clipped at 0.99.
     with pytest.warns(PositivityWarning):
-        estimate_target(frame, fit)
+        estimate_target(frame, _fit(n, p1=0.99, clipped=True))
 
 
 def test_fit_tau_exact_on_linear_predictions():
@@ -151,8 +128,7 @@ def test_fit_tau_exact_on_linear_predictions():
     report = source_report(src, fit, _untilted(2))
     for arm in (0, 1):
         tau = report.tau_coefficients[arm]
-        m_hat = fit.m1.predict_mean(src.X) if arm == 1 else fit.m0.predict_mean(src.X)
-        assert np.max(np.abs(add_intercept(src.V) @ tau - m_hat)) < 1e-8
+        assert np.max(np.abs(add_intercept(src.V) @ tau - fit.m[arm])) < 1e-8
     with pytest.raises(ValueError):
         source_report(tgt, fit, _untilted(2))
 
@@ -178,7 +154,7 @@ def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    est = complete_source_estimate(source_report(src, _zero_fit(2), _untilted(2)), tgt)
+    est = complete_source_estimate(source_report(src, _fit(src.n), _untilted(2)), tgt)
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
         assert abs(est.mu[arm] - expected) < 1e-12
@@ -245,8 +221,8 @@ def test_source_report_requires_source_role():
     src, tgt = _linear_pair(seed=11)
     tilt = _tilt_for(src, tgt)
     with pytest.raises(ValueError):
-        source_report(tgt, _zero_fit(2), tilt)
-    report = source_report(src, _zero_fit(2), tilt)
+        source_report(tgt, _fit(tgt.n), tilt)
+    report = source_report(src, _fit(src.n), tilt)
     with pytest.raises(ValueError):
         complete_source_estimate(report, src)
 
@@ -262,7 +238,7 @@ def test_source_report_singular_jacobian_raises():
     basis = BasisSpec("linear_plus_squares")
     tilt = TiltCoefficients(np.zeros(5), basis, 0.0)
     with pytest.raises(SingularJacobian):
-        source_report(src, _zero_fit(2), tilt)
+        source_report(src, _fit(n), tilt)
 
 
 def test_site_estimate_json_round_trip():
@@ -270,8 +246,8 @@ def test_site_estimate_json_round_trip():
     import json
     src, tgt = _linear_pair(seed=13)
     for est in (complete_source_estimate(
-                    source_report(src, _zero_fit(2), _tilt_for(src, tgt)), tgt),
-                estimate_target(tgt, _zero_fit(2))):
+                    source_report(src, _fit(src.n), _tilt_for(src, tgt)), tgt),
+                estimate_target(tgt, _fit(tgt.n))):
         back = json.loads(est.to_json())
         assert (back["mu0"], back["mu1"]) == est.mu
         assert back["n_k"] == est.n_k and back["n_T"] == est.n_T
@@ -295,24 +271,21 @@ def test_source_report_json_round_trip():
     assert back.basis_kind == report.basis_kind
 
 
-def test_each_site_fit_is_evaluated_once_per_frame(monkeypatch):
-    # One propensity mixture and two outcome mixtures per frame.
-    calls = {"predict_probability": 0, "predict_mean": 0}
-    for name in calls:
-        original = getattr(MixedModel, name)
-
-        def counted(self, X, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(self, X)
-
-        monkeypatch.setattr(MixedModel, name, counted)
+def test_estimate_target_rejects_a_fit_of_another_frame():
     src, tgt = _linear_pair(seed=15)
-    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=9)
-    for run in (lambda: source_report(src, fit, _tilt_for(src, tgt)),
-                lambda: estimate_target(tgt, fit)):
-        calls.update(predict_probability=0, predict_mean=0)
-        run()
-        assert calls == {"predict_probability": 1, "predict_mean": 2}
+    with pytest.raises(ValueError):
+        estimate_target(tgt, _fit(tgt.n - 1))
+    with pytest.raises(ValueError):
+        estimate_target(tgt, fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=9))
+
+
+def test_source_influence_rejects_a_fit_of_another_frame():
+    src, tgt = _linear_pair(seed=16)
+    tilt = _tilt_for(src, tgt)
+    with pytest.raises(ValueError):
+        source_influence(src, _fit(src.n + 1), tilt)
+    with pytest.raises(ValueError):
+        source_influence(src, fit_nuisances(tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=9), tilt)
 
 
 def _rel_close(a, b, tol=1e-12):
@@ -338,7 +311,7 @@ def test_contributions_match_per_arm_construction():
     report, contributions = source_influence(src, fit, tilt, seed=3, n_splits=4)
     est = complete_source_estimate(report, tgt)
 
-    pi, m, _ = predict(fit, src.X)
+    pi, m = fit.pi, fit.m
     zeta_raw = ratio_weights(tilt, src.V)
     zeta, _ = truncate_weights(zeta_raw)
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
