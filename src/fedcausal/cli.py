@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .density_ratio import BasisSpec
 from .errors import FedcausalError, ScenarioError
 from .federation import DEFAULT_LAMBDA_GRID
 from .fedruntime import ProtocolConfig, audit_ledger, dump_ledger, run_round
@@ -204,11 +203,10 @@ def _cmd_estimate(args) -> int:
 
     raw = FeatureMap("raw")
     candidates = {"default": {
-        "treatment": [CandidateSpec("x", "treatment", raw)],
-        "outcome": [CandidateSpec("x", "outcome", raw)],
+        "treatment": [CandidateSpec("x", raw)],
+        "outcome": [CandidateSpec("x", raw)],
     }}
     config = ProtocolConfig(
-        basis=BasisSpec("linear"),
         candidates=candidates,
         method=runtime_method(args.method),
         alpha=args.alpha,

@@ -1,10 +1,11 @@
 """Exponential-tilt density ratio between target and source covariate laws.
 
-The target site shares only the sample mean of a basis expansion of its
-shared covariates; each source site solves the moment-matching estimating
-equation with its own data. The ratio model is ``exp(-gamma' psi(V))`` with a
-basis ``psi`` whose first element is the constant 1, so the fitted weights
-average to one over the source sample by construction.
+The target site shares only the sample means of its shared covariates; each
+source site solves the moment-matching estimating equation with its own data.
+The ratio model is ``exp(-gamma' psi(V))`` with the linear basis
+``psi(V) = (1, V)`` (``numkit.add_intercept``), so the fitted weights average
+to one over the source sample and balance the shared-covariate means, as in
+entropy balancing. A summary of q shared covariates has dimension d = q + 1.
 """
 
 from __future__ import annotations
@@ -16,45 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample, ExtremeWeightsWarning
-from .numkit import newton_solve
+from .numkit import add_intercept, newton_solve
 
-BASIS_KINDS = ("linear", "linear_plus_squares")
 TRUNCATION_PERCENTILE = 99.9
 TRUNCATION_FACTOR = 10.0
 EXTREME_RATIO = 100.0
 
 
 @dataclass(frozen=True)
-class BasisSpec:
-    """Basis expansion for the tilt model: constant 1 plus covariate terms."""
-
-    kind: str = "linear"
-
-    def __post_init__(self):
-        if self.kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-
-    def expand(self, V: np.ndarray) -> np.ndarray:
-        """Map an (n, q) covariate block to its (n, d) basis expansion."""
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        ones = np.ones((V.shape[0], 1))
-        if self.kind == "linear":
-            return np.hstack([ones, V])
-        return np.hstack([ones, V, V**2])
-
-    def dimension(self, n_covariates: int) -> int:
-        if self.kind == "linear":
-            return 1 + n_covariates
-        return 1 + 2 * n_covariates
-
-
-@dataclass(frozen=True)
 class MomentSummary:
-    """Summary-level payload: basis means of the target covariates."""
+    """Summary-level payload: means of ``(1, V)`` over the target units."""
 
     site_id: str
     n: int
-    basis: BasisSpec
     mean_basis: np.ndarray
 
     def to_json(self) -> str:
@@ -62,7 +37,7 @@ class MomentSummary:
             {
                 "site_id": self.site_id,
                 "n": self.n,
-                "basis": {"kind": self.basis.kind, "d": len(self.mean_basis)},
+                "d": len(self.mean_basis),
                 "mean_basis": list(map(float, self.mean_basis)),
             }
         )
@@ -73,7 +48,6 @@ class MomentSummary:
         return MomentSummary(
             site_id=obj["site_id"],
             n=int(obj["n"]),
-            basis=BasisSpec(kind=obj["basis"]["kind"]),
             mean_basis=np.asarray(obj["mean_basis"], dtype=float),
         )
 
@@ -81,38 +55,29 @@ class MomentSummary:
 @dataclass(frozen=True)
 class TiltCoefficients:
     gamma: np.ndarray
-    basis: BasisSpec
     residual_norm: float
 
 
-def target_moments(V_target: np.ndarray, basis: BasisSpec, site_id: str = "target") -> MomentSummary:
-    """Componentwise sample mean of ``psi(V)`` over the target units."""
+def target_moments(V_target: np.ndarray, site_id: str = "target") -> MomentSummary:
+    """Componentwise sample mean of ``(1, V)`` over the target units."""
     V_target = np.atleast_2d(np.asarray(V_target, dtype=float))
     if V_target.shape[0] == 0:
         raise EmptySample("target covariate block is empty")
-    psi = basis.expand(V_target)
     return MomentSummary(
         site_id=site_id,
         n=V_target.shape[0],
-        basis=basis,
-        mean_basis=psi.mean(axis=0),
+        mean_basis=add_intercept(V_target).mean(axis=0),
     )
 
 
-def solve_tilt(
-    source_V: np.ndarray,
-    target_summary: MomentSummary,
-    basis: BasisSpec,
-) -> TiltCoefficients:
+def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoefficients:
     """Solve the moment-matching equation for the tilt coefficients.
 
     The residual is the target basis mean minus the tilt-weighted source basis
     mean; the Newton solve starts at gamma = 0, the no-shift reference point,
     and stops at a residual norm of ``numkit.NEWTON_TOL``.
     """
-    if basis.kind != target_summary.basis.kind:
-        raise ValueError("basis mismatch between source and target summary")
-    psi = basis.expand(source_V)
+    psi = add_intercept(source_V)
     n_k, d = psi.shape
     if n_k < d:
         raise EmptySample(f"source sample size {n_k} below basis dimension {d}")
@@ -131,14 +96,13 @@ def solve_tilt(
     gamma = newton_solve(residual, jacobian, np.zeros(d))
     return TiltCoefficients(
         gamma=gamma,
-        basis=basis,
         residual_norm=float(np.max(np.abs(residual(gamma)))),
     )
 
 
 def ratio_weights(coeffs: TiltCoefficients, source_V: np.ndarray) -> np.ndarray:
     """Evaluate ``exp(-gamma' psi(V))`` on source units; strictly positive."""
-    psi = coeffs.basis.expand(source_V)
+    psi = add_intercept(source_V)
     if psi.shape[1] != len(coeffs.gamma):
         raise ValueError("dimension mismatch between coefficients and covariates")
     return np.exp(-psi @ coeffs.gamma)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MissingTarget, ZeroVariance
 from .numkit import nnls_coordinate_descent
-from .site_estimator import SiteEstimate, split_masks
+from .site_estimator import CV_SPLITS, SiteEstimate, split_masks
 
 FIXED_SCHEMES = ("target_only", "ss", "ivw")
 DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -164,7 +164,7 @@ def _with_source_rows(products, source_sq: np.ndarray):
     return gram + np.diag(source_sq), gtr, rtr
 
 
-def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target, n_splits: int, seed: int):
+def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target, seed: int):
     """Yield the fit-half and validation-half cross-products of each CV split.
 
     Every site splits its own units (:func:`split_masks`). The target's fit
@@ -176,12 +176,12 @@ def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target, n_splits: int, 
     t, src = _split_target(estimates)
     sources = [estimates[i] for i in src]
     for est in sources:
-        if len(est.own.fit_sq) != n_splits or len(est.own.val_sq) != n_splits:
+        if len(est.own.fit_sq) != CV_SPLITS or len(est.own.val_sq) != CV_SPLITS:
             raise ValueError(
                 f"site {est.site_id} summarizes {len(est.own.fit_sq)} splits, "
-                f"expected {n_splits}"
+                f"expected {CV_SPLITS}"
             )
-    masks = split_masks(estimates[t].n_T, n_splits, seed, estimates[t].site_id)
+    masks = split_masks(estimates[t].n_T, seed, estimates[t].site_id)
     for s, fit_units in enumerate(masks):
         fit = _cross_products(G_T[fit_units], r_T[fit_units])
         val = tuple(whole - part for whole, part in zip(target, fit))
@@ -218,10 +218,10 @@ def _refit(target, own_sq, penalties, t: int, src: list[int], K: int, support=No
 def cross_validate_lambda(
     estimates: list[SiteEstimate],
     grid=DEFAULT_LAMBDA_GRID,
-    n_splits: int = 5,
     seed: int = 0,
 ) -> EnsembleSolution:
-    """Choose the penalty by repeated 50/50 splits of every site's units.
+    """Choose the penalty by ``CV_SPLITS`` repeated 50/50 splits of every
+    site's units.
 
     Each site splits its own units (:func:`_cv_systems`). Weights are fit on
     one half and scored by the unpenalized objective on the other, both from
@@ -247,8 +247,8 @@ def cross_validate_lambda(
         )
 
     target = _cross_products(G_T, r_T)
-    errors = np.zeros((n_splits, len(grid)))
-    halves = _cv_systems(estimates, r_T, G_T, target, n_splits, seed)
+    errors = np.zeros((CV_SPLITS, len(grid)))
+    halves = _cv_systems(estimates, r_T, G_T, target, seed)
     # Each fit warm-starts from the support at the previous penalty, or, for
     # the first penalty, at the same penalty in the previous split.
     supports = [None] * len(grid)
@@ -259,7 +259,7 @@ def cross_validate_lambda(
             supports[j] = eta_src > 0.0
             errors[s, j] = _squared_error(val, eta_src)
     mean_err = errors.mean(axis=0)
-    se_err = errors.std(axis=0, ddof=1) / math.sqrt(n_splits) if n_splits > 1 else np.zeros(len(grid))
+    se_err = errors.std(axis=0, ddof=1) / math.sqrt(CV_SPLITS)
     min_j = int(np.argmin(mean_err))
     cutoff = mean_err[min_j] + se_err[min_j]
     best_j = min_j

@@ -21,7 +21,7 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 
-from .density_ratio import BasisSpec, MomentSummary, solve_tilt, target_moments
+from .density_ratio import MomentSummary, solve_tilt, target_moments
 from .errors import (
     AllSourcesFailedWarning,
     FedcausalError,
@@ -37,6 +37,7 @@ from .federation import (
 )
 from .nuisance import CandidateSpec, NuisanceFit, fit_nuisances
 from .site_estimator import (
+    CV_SPLITS,
     SiteFrame,
     SourceSiteReport,
     complete_source_estimate,
@@ -48,31 +49,28 @@ METHODS = ("target_only", "ss", "ivw", "aipw_l1", "mr_l1")
 ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
 
 # Declared shape of every payload key each message kind may carry: a scalar
-# ("text", "count", "number"), a nested
-# schema, "scalars" (an object of scalars, such as diagnostics), "candidates"
-# (the candidate model specs), or "[dim]": a flat numeric list whose length is
-# the protocol dimension ``dim``. The lambda grid and n_splits are declared by
-# the config broadcast, and the basis dimension by the moment summary, which
-# also fixes the number of projection coefficients (one plus the shared
-# covariates). No dimension depends on a site's sample size, so no per-unit
+# ("text", "count", "number"), "scalars" (an object of scalars, such as
+# diagnostics), "candidates" (the candidate model specs), or "[dim]": a flat
+# numeric list whose length is the protocol dimension ``dim``. The config
+# broadcast declares the lambda grid's length and the moment summary the basis
+# dimension ``d`` = 1 + the shared covariates, which is also the number of
+# projection coefficients; the split sums have the protocol's fixed
+# ``CV_SPLITS``. No dimension depends on a site's sample size, so no per-unit
 # array passes the audit.
 _SCHEMAS = {
     "config": {
-        "basis": "text", "method": "text", "alpha": "number",
-        "lambda_grid": "[lambda_grid]", "n_splits": "count", "seed": "count",
-        "candidates": "candidates",
+        "method": "text", "alpha": "number", "lambda_grid": "[lambda_grid]",
+        "seed": "count", "candidates": "candidates",
     },
     "moment_summary": {
-        "site_id": "text", "n": "count", "basis": {"kind": "text", "d": "count"},
-        "mean_basis": "[basis]",
+        "site_id": "text", "n": "count", "d": "count", "mean_basis": "[basis]",
     },
     "site_estimate": {
         # source upload
         "site_id": "text", "n_k": "count", "mu_own0": "number", "mu_own1": "number",
-        "own_sq": "number", "fit_sq": "[n_splits]", "val_sq": "[n_splits]",
-        "tau0": "[projection]", "tau1": "[projection]",
-        "tilt_sens": "[basis]",
-        "basis_kind": "text", "diagnostics": "scalars",
+        "own_sq": "number", "fit_sq": "[cv_splits]", "val_sq": "[cv_splits]",
+        "tau0": "[basis]", "tau1": "[basis]", "tilt_sens": "[basis]",
+        "diagnostics": "scalars",
         # target's own estimate
         "mu0": "number", "mu1": "number", "n_T": "count",
     },
@@ -137,12 +135,10 @@ class ProtocolConfig:
     specs; sites absent from the map fall back to the ``"default"`` entry.
     """
 
-    basis: BasisSpec
     candidates: dict
     method: str = "mr_l1"
     alpha: float = 0.05
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
-    n_splits: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -158,11 +154,9 @@ class ProtocolConfig:
 
     def to_dict(self) -> dict:
         return {
-            "basis": self.basis.kind,
             "method": self.method,
             "alpha": self.alpha,
             "lambda_grid": list(self.lambda_grid),
-            "n_splits": self.n_splits,
             "seed": self.seed,
             "candidates": {
                 site: {
@@ -183,6 +177,7 @@ def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
     """Fit a site's nuisance models on its own data."""
     specs = config.specs_for(frame.site_id)
     return fit_nuisances(
+        frame.site_id,
         frame.X,
         frame.y,
         frame.a,
@@ -223,7 +218,7 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
     coordinator = target.site_id
 
     ledger: list[MessageRecord] = []
-    summary_text = target_moments(target.V, config.basis, target.site_id).to_json()
+    summary_text = target_moments(target.V, target.site_id).to_json()
     failures: dict[str, str] = {}
     estimates = []
 
@@ -239,10 +234,8 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
         )
         summary = MomentSummary.from_json(summary_text)
         try:
-            tilt = solve_tilt(src.V, summary, config.basis)
-            report = source_report(
-                src, _fit_site(src, config), tilt, config.seed, config.n_splits
-            )
+            tilt = solve_tilt(src.V, summary)
+            report = source_report(src, _fit_site(src, config), tilt, config.seed)
         except FedcausalError as exc:
             failures[src.site_id] = f"{type(exc).__name__}: {exc}"
             continue
@@ -294,9 +287,7 @@ def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
     if len(estimates) == 1:
         solution = combine_fixed(estimates, "target_only")
     elif method in ADAPTIVE_METHODS:
-        solution = cross_validate_lambda(
-            estimates, grid=config.lambda_grid, n_splits=config.n_splits, seed=config.seed
-        )
+        solution = cross_validate_lambda(estimates, grid=config.lambda_grid, seed=config.seed)
     else:
         solution = combine_fixed(estimates, method)
 
@@ -374,25 +365,18 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
 
 
 def _declared_dims(payloads: list) -> dict:
-    """Protocol dimensions declared by a round's config and moment summaries."""
-    dims = {}
+    """Protocol dimensions: the fixed split count, and those declared by a
+    round's config and moment summaries."""
+    dims = {"cv_splits": CV_SPLITS}
     for kind, payload in payloads:
         if kind == "config":
             grid = payload.get("lambda_grid")
-            found = {
-                "lambda_grid": len(grid) if isinstance(grid, list) else None,
-                "n_splits": payload.get("n_splits"),
-            }
+            found = {"lambda_grid": len(grid) if isinstance(grid, list) else None}
         elif kind == "moment_summary":
-            try:
-                basis = BasisSpec(payload["basis"]["kind"])
-                p = payload["basis"]["d"]
-                q = (p - 1) // (basis.dimension(1) - 1)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PrivacyViolation("moment summary declares no valid basis") from exc
-            if q < 1 or basis.dimension(q) != p:
-                raise PrivacyViolation(f"basis dimension {p} fits no covariate count")
-            found = {"basis": p, "projection": q + 1}
+            d = payload.get("d")
+            if not (_SCALARS["count"](d) and d >= 2):
+                raise PrivacyViolation(f"moment summary declares no valid basis size {d!r}")
+            found = {"basis": d}
         else:
             continue
         for name, size in found.items():

@@ -59,14 +59,13 @@ class FeatureMap:
 @dataclass(frozen=True)
 class CandidateSpec:
     id: str
-    target: str  # treatment | outcome
     feature_map: FeatureMap
 
     def to_dict(self) -> dict:
         fm: dict = {"kind": self.feature_map.kind}
         if self.feature_map.columns is not None:
             fm["columns"] = list(self.feature_map.columns)
-        return {"id": self.id, "target": self.target, "feature_map": fm}
+        return {"id": self.id, "feature_map": fm}
 
     @staticmethod
     def from_dict(obj: dict) -> "CandidateSpec":
@@ -74,7 +73,6 @@ class CandidateSpec:
         cols = tuple(fm["columns"]) if "columns" in fm and fm["columns"] is not None else None
         return CandidateSpec(
             id=obj["id"],
-            target=obj["target"],
             feature_map=FeatureMap(kind=fm["kind"], columns=cols),
         )
 
@@ -117,6 +115,7 @@ def _log_softmax_weights(cum_log_risk: np.ndarray) -> np.ndarray:
 
 
 def _mix(
+    site_id: str,
     designs: dict,
     y: np.ndarray,
     rows: np.ndarray,
@@ -148,8 +147,8 @@ def _mix(
             train_fit = fit_one(design[train_idx], y[train_idx])
             coefficients[j] = fit_one(design[rows], y[rows]).coefficients
         except FedcausalError as exc:
-            warnings.warn(f"candidate {spec.id!r} failed to fit: {exc}", CandidateFitWarning,
-                          stacklevel=3)
+            warnings.warn(f"{site_id}: candidate {spec.id!r} failed to fit: {exc}",
+                          CandidateFitWarning, stacklevel=3)
             continue
         scores.append(log_score(design[val_idx] @ train_fit.coefficients, y[val_idx]))
     if not coefficients:
@@ -168,6 +167,7 @@ def _mix(
 
 
 def mix_propensity(
+    site_id: str,
     designs: dict,
     a: np.ndarray,
     specs: list[CandidateSpec],
@@ -175,7 +175,8 @@ def mix_propensity(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mix treatment candidates by cumulative Bernoulli validation likelihood.
 
-    ``designs`` maps each feature map to its design on the site's units.
+    ``designs`` maps each feature map to its design on the units of site
+    ``site_id``, which labels the warning for a candidate that fails to fit.
     Returns the weights and the mixed P(A=1) of every unit."""
     a = np.asarray(a, dtype=float)
 
@@ -183,7 +184,8 @@ def mix_propensity(
         p = np.clip(expit(linear), 1e-12, 1.0 - 1e-12)
         return y * np.log(p) + (1.0 - y) * np.log1p(-p)
 
-    return _mix(designs, a, np.arange(len(a)), specs, seed, fit_logistic, log_score, expit)
+    return _mix(site_id, designs, a, np.arange(len(a)), specs, seed, fit_logistic, log_score,
+                expit)
 
 
 def default_kappa(n_candidates: int) -> int:
@@ -192,6 +194,7 @@ def default_kappa(n_candidates: int) -> int:
 
 
 def mix_outcome(
+    site_id: str,
     designs: dict,
     y: np.ndarray,
     a: np.ndarray,
@@ -211,11 +214,12 @@ def mix_outcome(
     def log_score(linear, y_obs):
         return -kappa * (y_obs - linear) ** 2
 
-    return _mix(designs, np.asarray(y, dtype=float), rows, specs, seed, fit_ols, log_score,
-                lambda linear: linear)
+    return _mix(site_id, designs, np.asarray(y, dtype=float), rows, specs, seed, fit_ols,
+                log_score, lambda linear: linear)
 
 
 def fit_nuisances(
+    site_id: str,
     X: np.ndarray,
     y: np.ndarray,
     a: np.ndarray,
@@ -225,12 +229,12 @@ def fit_nuisances(
 ) -> NuisanceFit:
     """Fit the propensity and per-arm outcome mixtures on a 0.5 train split
     seeded by ``seed``, on one design per distinct feature map, and evaluate
-    them on the site's units."""
+    them on the units of site ``site_id``."""
     maps = dict.fromkeys(s.feature_map for s in (*treatment_specs, *outcome_specs))
     designs = {fm: add_intercept(fm.apply(X)) for fm in maps}
-    p1 = mix_propensity(designs, a, treatment_specs, seed=seed)[1]
-    m1 = mix_outcome(designs, y, a, 1, outcome_specs, seed=seed)[1]
-    m0 = mix_outcome(designs, y, a, 0, outcome_specs, seed=seed)[1]
+    p1 = mix_propensity(site_id, designs, a, treatment_specs, seed=seed)[1]
+    m1 = mix_outcome(site_id, designs, y, a, 1, outcome_specs, seed=seed)[1]
+    m0 = mix_outcome(site_id, designs, y, a, 0, outcome_specs, seed=seed)[1]
     unclipped = np.stack([1.0 - p1, p1])
     pi = np.clip(unclipped, *DEFAULT_CLIP)
     return NuisanceFit(pi=pi, m=np.stack([m0, m1]), clipped=bool(np.any(pi != unclipped)))

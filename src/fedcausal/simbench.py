@@ -21,7 +21,6 @@ from importlib import resources
 
 import numpy as np
 
-from .density_ratio import BasisSpec
 from .errors import FedcausalError, ScenarioError
 from .federation import DEFAULT_LAMBDA_GRID
 from .fedruntime import ProtocolConfig, combine, run_sites
@@ -187,8 +186,8 @@ def runtime_method(method: str) -> str:
     return "target_only" if method == "target" else method
 
 
-def _candidate_group(ids_and_maps: list[tuple[str, FeatureMap]], target: str) -> list[CandidateSpec]:
-    return [CandidateSpec(id=i, target=target, feature_map=m) for i, m in ids_and_maps]
+def _candidate_group(ids_and_maps: list[tuple[str, FeatureMap]]) -> list[CandidateSpec]:
+    return [CandidateSpec(id=i, feature_map=m) for i, m in ids_and_maps]
 
 
 def method_config(
@@ -223,16 +222,15 @@ def method_config(
         tgt_maps = src_maps
     candidates = {
         "default": {
-            "treatment": _candidate_group(src_maps, "treatment"),
-            "outcome": _candidate_group(src_maps, "outcome"),
+            "treatment": _candidate_group(src_maps),
+            "outcome": _candidate_group(src_maps),
         },
         scenario.target.id: {
-            "treatment": _candidate_group(tgt_maps, "treatment"),
-            "outcome": _candidate_group(tgt_maps, "outcome"),
+            "treatment": _candidate_group(tgt_maps),
+            "outcome": _candidate_group(tgt_maps),
         },
     }
     return ProtocolConfig(
-        basis=BasisSpec("linear"),
         candidates=candidates,
         method=runtime_method(method),
         alpha=alpha,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_ratio import BasisSpec, TiltCoefficients, ratio_weights, truncate_weights
+from .density_ratio import TiltCoefficients, ratio_weights, truncate_weights
 from .errors import PositivityWarning, SingularJacobian
 from .nuisance import NuisanceFit
 from .numkit import add_intercept, fit_ols
@@ -72,8 +72,12 @@ class SiteFrame:
         return self.X[:, list(self.shared_cols)]
 
 
-def split_masks(n: int, n_splits: int, seed: int, site_id: str) -> np.ndarray:
-    """Fit-half membership of a site's units in each cross-validation split.
+CV_SPLITS = 5
+
+
+def split_masks(n: int, seed: int, site_id: str) -> np.ndarray:
+    """Fit-half membership of a site's units in each of the ``CV_SPLITS``
+    cross-validation splits.
 
     Row ``s`` marks the ``n // 2`` units in the fit half of split ``s``; the
     rest form its validation half. Each split draws from a stream seeded by
@@ -81,8 +85,8 @@ def split_masks(n: int, n_splits: int, seed: int, site_id: str) -> np.ndarray:
     index ever crosses sites.
     """
     site = zlib.crc32(site_id.encode("utf-8"))
-    masks = np.zeros((n_splits, n), dtype=bool)
-    for s in range(n_splits):
+    masks = np.zeros((CV_SPLITS, n), dtype=bool)
+    for s in range(CV_SPLITS):
         rng = np.random.default_rng(np.random.SeedSequence((seed, s, site)))
         masks[s, rng.permutation(n)[: n // 2]] = True
     return masks
@@ -173,7 +177,6 @@ class SourceSiteReport:
     tau_coefficients: tuple[np.ndarray, np.ndarray]  # arm 0, arm 1
     # B^{-1} d(mu_1 - mu_0)/dgamma, for the tilt-noise variance term
     tilt_sensitivity: np.ndarray
-    basis_kind: str
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -189,7 +192,6 @@ class SourceSiteReport:
                 "tau0": list(map(float, self.tau_coefficients[0])),
                 "tau1": list(map(float, self.tau_coefficients[1])),
                 "tilt_sens": list(map(float, self.tilt_sensitivity)),
-                "basis_kind": self.basis_kind,
                 "diagnostics": self.diagnostics,
             }
         )
@@ -211,7 +213,6 @@ class SourceSiteReport:
                 np.asarray(obj["tau1"], dtype=float),
             ),
             tilt_sensitivity=np.asarray(obj["tilt_sens"], dtype=float),
-            basis_kind=obj["basis_kind"],
             diagnostics=obj.get("diagnostics", {}),
         )
 
@@ -256,23 +257,22 @@ def source_influence(
     fit: NuisanceFit,
     tilt: TiltCoefficients,
     seed: int = 0,
-    n_splits: int = 5,
 ) -> tuple[SourceSiteReport, np.ndarray]:
     """Source-side portion of the transported estimator.
 
     Computes the tilt-weighted AIPW residual term and the tilt-weighted excess
     of the outcome model over its shared-covariate projection, both means over
     the source sample, plus the projection coefficients per arm (the outcome
-    model's predictions regressed on (1, V) over all source units). The
-    own-unit contributions include the first-order term from estimating the
-    tilt coefficients: with the moment-matching Jacobian B and the effect
-    difference's sensitivity A = d(mu_1 - mu_0)/dgamma, each unit contributes
-    through A'B^{-1} times its centered moment-equation value. The same
-    sensitivity vector is reported so the coordinator can add the matching
-    target-sample term.
+    model's predictions regressed on psi = (1, V), the tilt basis, over all
+    source units). The own-unit contributions include the first-order term
+    from estimating the tilt coefficients: with the moment-matching Jacobian
+    B and the effect difference's sensitivity A = d(mu_1 - mu_0)/dgamma, each
+    unit contributes through A'B^{-1} times its centered moment-equation
+    value. The same sensitivity vector is reported so the coordinator can add
+    the matching target-sample term.
 
     Returns the upload, which summarizes the contributions over this site's
-    own cross-validation folds (``seed``, ``n_splits``), together with the
+    own cross-validation folds (:func:`split_masks` with ``seed``), with the
     contributions themselves (shape (n_k,)), which stay at the source. Raises
     :class:`SingularJacobian` when B is singular.
     """
@@ -281,13 +281,12 @@ def source_influence(
     zeta_raw = ratio_weights(tilt, source.V)
     zeta, weight_diag = truncate_weights(zeta_raw)
     _check_fit(source, fit, f"source {source.site_id}")
-    psi = tilt.basis.expand(source.V)
+    psi = add_intercept(source.V)
     zeta_psi = psi * zeta_raw[:, None]
     B = zeta_psi.T @ psi / source.n
-    design_V = add_intercept(source.V)
-    tau = [fit_ols(design_V, fit.m[arm]).coefficients for arm in (0, 1)]
+    tau = [fit_ols(psi, fit.m[arm]).coefficients for arm in (0, 1)]
     ind = np.stack([source.a == 0, source.a == 1]).astype(float)
-    h = ind / fit.pi * (source.y - fit.m) + (fit.m - np.stack([design_V @ t for t in tau]))
+    h = ind / fit.pi * (source.y - fit.m) + (fit.m - np.stack([psi @ t for t in tau]))
     own = zeta * h
     # Derivative of the truncated weight is zero where the cap binds.
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
@@ -302,10 +301,9 @@ def source_influence(
         site_id=source.site_id,
         n_k=source.n,
         mu_own=(float(own[0].mean()), float(own[1].mean())),
-        own=OwnSummary.of(contributions, split_masks(source.n, n_splits, seed, source.site_id)),
+        own=OwnSummary.of(contributions, split_masks(source.n, seed, source.site_id)),
         tau_coefficients=(tau[0], tau[1]),
         tilt_sensitivity=w,
-        basis_kind=tilt.basis.kind,
         diagnostics={"zeta": weight_diag},
     )
     return report, contributions
@@ -316,26 +314,25 @@ def source_report(
     fit: NuisanceFit,
     tilt: TiltCoefficients,
     seed: int = 0,
-    n_splits: int = 5,
 ) -> SourceSiteReport:
     """The upload of :func:`source_influence`, without the contributions."""
-    return source_influence(source, fit, tilt, seed, n_splits)[0]
+    return source_influence(source, fit, tilt, seed)[0]
 
 
 def complete_source_estimate(report: SourceSiteReport, target: SiteFrame) -> SiteEstimate:
     """Target-side completion: add the projection mean over target units.
 
     Also adds the target half of the tilt-noise influence term: the target
-    basis means feed the moment-matching equation, so their sampling noise
-    propagates into the effect difference through the reported sensitivity.
+    means of psi = (1, V) feed the moment-matching equation, so their sampling
+    noise propagates into the effect difference through the reported
+    sensitivity.
     """
     if target.role != "target":
         raise ValueError("completion requires the target frame")
-    psi_tgt = BasisSpec(report.basis_kind).expand(target.X)
-    design = add_intercept(target.X)
-    projected = [design @ tau for tau in report.tau_coefficients]
+    psi = add_intercept(target.X)
+    projected = [psi @ tau for tau in report.tau_coefficients]
     d = projected[1] - projected[0]
-    tilt_noise = (psi_tgt - psi_tgt.mean(axis=0)) @ report.tilt_sensitivity
+    tilt_noise = (psi - psi.mean(axis=0)) @ report.tilt_sensitivity
     return SiteEstimate(
         site_id=report.site_id,
         mu=tuple(mu + float(p.mean()) for mu, p in zip(report.mu_own, projected)),

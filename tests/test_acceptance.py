@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fedcausal.density_ratio import BasisSpec, ratio_weights, solve_tilt, target_moments
+from fedcausal.density_ratio import ratio_weights, solve_tilt, target_moments
 from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round, site_split_seed
 from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
@@ -118,13 +118,12 @@ def test_criterion_3_orderings(bench):
 
 def test_criterion_4_density_ratio_oracles():
     rng = np.random.default_rng(100)
-    basis = BasisSpec("linear")
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(1, 4))
         V_src = rng.standard_normal((int(rng.integers(200, 500)), d))
         V_tgt = rng.standard_normal((400, d)) + rng.uniform(-0.8, 0.8, d)
-        tilt = solve_tilt(V_src, target_moments(V_tgt, basis), basis)
+        tilt = solve_tilt(V_src, target_moments(V_tgt))
         worst = max(worst, tilt.residual_norm)
     residual_ok = worst < 1e-8
 
@@ -133,7 +132,7 @@ def test_criterion_4_density_ratio_oracles():
     n = 20_000
     V_src = rng.standard_normal((n, 2))
     V_tgt = rng.standard_normal((n, 2)) + np.array([0.3, 0.3])
-    tilt = solve_tilt(V_src, target_moments(V_tgt, basis), basis)
+    tilt = solve_tilt(V_src, target_moments(V_tgt))
     zeta = ratio_weights(tilt, V_src)
 
     pooled = np.vstack([V_src, V_tgt])
@@ -172,11 +171,10 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep):
     V_tgt = scale * rng.standard_normal((n, 2)) + 0.4
     src = SiteFrame("src", "source", y, a, X_src, (0, 1))
     tgt = SiteFrame("tgt", "target", np.zeros(n), np.zeros(n, int), V_tgt, (0, 1))
-    basis = BasisSpec("linear")
-    tilt = solve_tilt(src.V, target_moments(tgt.V, basis), basis)
-    fit = fit_nuisances(src.X, src.y, src.a,
-                        [CandidateSpec("p", "treatment", p_map)],
-                        [CandidateSpec("m", "outcome", m_map)], seed=rep)
+    tilt = solve_tilt(src.V, target_moments(tgt.V))
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
+                        [CandidateSpec("p", p_map)],
+                        [CandidateSpec("m", m_map)], seed=rep)
     est = complete_source_estimate(source_report(src, fit, tilt), tgt)
     return est.mu[1] - est.mu[0]
 
@@ -245,7 +243,7 @@ def test_criterion_6_weight_solver_oracle():
         return (d - d.mean()) / len(d)
 
     def summary(rows, site_id):
-        return OwnSummary.of(contributions(rows), split_masks(rows.shape[1], 5, 0, site_id))
+        return OwnSummary.of(contributions(rows), split_masks(rows.shape[1], 0, site_id))
 
     tgt = SiteEstimate("tgt", (1.0, 2.0), contributions(rng.standard_normal((2, 300))), 300)
     sources = [
@@ -272,22 +270,20 @@ def test_criterion_7_influence_checks(bench):
         for idx, site in enumerate(scenario.sites)]
     config = method_config("mr_l1", scenario, seed=SEED)
     target = next(f for f in frames if f.role == "target")
-    basis = config.basis
-    summary = target_moments(target.V, basis, target.site_id)
+    summary = target_moments(target.V, target.site_id)
     worst_mean = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for frame in frames:
             specs = config.specs_for(frame.site_id)
-            fit = fit_nuisances(frame.X, frame.y, frame.a,
+            fit = fit_nuisances(frame.site_id, frame.X, frame.y, frame.a,
                                 specs["treatment"], specs["outcome"],
                                 seed=site_split_seed(config.seed, frame.site_id))
             if frame.role == "target":
                 est = estimate_target(frame, fit)
             else:
-                tilt = solve_tilt(frame.V, summary, basis)
-                report, own = source_influence(frame, fit, tilt, seed=config.seed,
-                                               n_splits=config.n_splits)
+                tilt = solve_tilt(frame.V, summary)
+                report, own = source_influence(frame, fit, tilt, seed=config.seed)
                 assert own.shape == (frame.n,)
                 worst_mean = max(worst_mean, abs(float(own.sum())))
                 est = complete_source_estimate(report, target)
@@ -326,32 +322,30 @@ def _equivalence_frames(seed, n=150):
 def test_criterion_8_runtime_equivalence_and_privacy():
     raw = FeatureMap("raw")
     candidates = {"default": {
-        "treatment": [CandidateSpec("p", "treatment", raw)],
-        "outcome": [CandidateSpec("m", "outcome", raw)],
+        "treatment": [CandidateSpec("p", raw)],
+        "outcome": [CandidateSpec("m", raw)],
     }}
     identical = True
     for seed in range(20):
         frames = _equivalence_frames(seed)
-        config = ProtocolConfig(basis=BasisSpec("linear"), candidates=candidates,
-                                method="mr_l1", seed=seed)
+        config = ProtocolConfig(candidates=candidates, method="mr_l1", seed=seed)
         runtime = run_round(frames, config)
 
         target = frames[0]
-        summary = target_moments(target.V, config.basis, target.site_id)
+        summary = target_moments(target.V, target.site_id)
         estimates = [estimate_target(target, fit_nuisances(
-            target.X, target.y, target.a,
+            target.site_id, target.X, target.y, target.a,
             candidates["default"]["treatment"], candidates["default"]["outcome"],
             seed=site_split_seed(seed, target.site_id)))]
         for src in frames[1:]:
-            tilt = solve_tilt(src.V, summary, config.basis)
-            fit = fit_nuisances(src.X, src.y, src.a,
+            tilt = solve_tilt(src.V, summary)
+            fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
                                 candidates["default"]["treatment"],
                                 candidates["default"]["outcome"],
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
-                source_report(src, fit, tilt, seed=seed, n_splits=config.n_splits), target))
-        solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
-                                         n_splits=config.n_splits, seed=seed)
+                source_report(src, fit, tilt, seed=seed), target))
+        solution = cross_validate_lambda(estimates, grid=config.lambda_grid, seed=seed)
         direct = global_estimate(estimates, solution, alpha=config.alpha,
                                  method=config.method)
         if not (runtime.delta_hat == direct.delta_hat

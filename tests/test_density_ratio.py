@@ -1,59 +1,46 @@
 """Tests for the exponential-tilt density-ratio model."""
 
+import json
+
 import numpy as np
 import pytest
 
 from fedcausal.density_ratio import (
-    BasisSpec,
     MomentSummary,
+    TiltCoefficients,
     ratio_weights,
     solve_tilt,
     target_moments,
     truncate_weights,
 )
 from fedcausal.errors import EmptySample, ExtremeWeightsWarning
+from fedcausal.numkit import add_intercept
 
 
 def test_basis_expand_linear():
+    # The tilt basis is (1, V): the ratio is exp(-(g0 + g1 V1 + g2 V2)).
     V = np.arange(6.0).reshape(3, 2)
-    psi = BasisSpec("linear").expand(V)
-    assert psi.shape == (3, 3)
-    assert np.all(psi[:, 0] == 1.0)
-    assert np.array_equal(psi[:, 1:], V)
-
-
-def test_basis_expand_squares():
-    V = np.array([[2.0, -1.0]])
-    psi = BasisSpec("linear_plus_squares").expand(V)
-    assert np.array_equal(psi, np.array([[1.0, 2.0, -1.0, 4.0, 1.0]]))
-
-
-def test_basis_dimension():
-    assert BasisSpec("linear").dimension(3) == 4
-    assert BasisSpec("linear_plus_squares").dimension(3) == 7
-
-
-def test_basis_unknown_kind():
-    with pytest.raises(ValueError):
-        BasisSpec("cubic")
+    tilt = TiltCoefficients(np.array([0.5, -1.0, 2.0]), 0.0)
+    expected = np.exp(-(0.5 - V[:, 0] + 2.0 * V[:, 1]))
+    assert np.allclose(ratio_weights(tilt, V), expected, rtol=1e-15, atol=0.0)
 
 
 def test_target_moments_values():
     V = np.array([[1.0, 3.0], [3.0, 5.0]])
-    summary = target_moments(V, BasisSpec("linear"), site_id="t")
+    summary = target_moments(V, site_id="t")
     assert summary.n == 2
     assert np.allclose(summary.mean_basis, [1.0, 2.0, 4.0])
     with pytest.raises(EmptySample):
-        target_moments(np.zeros((0, 2)), BasisSpec("linear"))
+        target_moments(np.zeros((0, 2)))
 
 
 def test_moment_summary_json_round_trip():
-    summary = target_moments(np.random.default_rng(0).standard_normal((10, 3)),
-                             BasisSpec("linear_plus_squares"), site_id="tgt")
-    back = MomentSummary.from_json(summary.to_json())
+    summary = target_moments(np.random.default_rng(0).standard_normal((10, 3)), site_id="tgt")
+    text = summary.to_json()
+    assert json.loads(text)["d"] == 4
+    back = MomentSummary.from_json(text)
     assert back.site_id == summary.site_id
     assert back.n == summary.n
-    assert back.basis.kind == summary.basis.kind
     assert np.array_equal(back.mean_basis, summary.mean_basis)
 
 
@@ -61,29 +48,28 @@ def test_solve_tilt_matches_moments_on_random_shifts():
     # 100 random shifted-Gaussian source/target pairs; the fitted weights must
     # reproduce the target basis means essentially exactly.
     rng = np.random.default_rng(42)
-    basis = BasisSpec("linear")
     for _ in range(100):
         d = rng.integers(1, 4)
         n = int(rng.integers(200, 500))
         V_src = rng.standard_normal((n, d))
         shift = rng.uniform(-0.8, 0.8, d)
         V_tgt = rng.standard_normal((400, d)) + shift
-        summary = target_moments(V_tgt, basis)
-        tilt = solve_tilt(V_src, summary, basis)
+        summary = target_moments(V_tgt)
+        tilt = solve_tilt(V_src, summary)
         assert tilt.residual_norm < 1e-8
         zeta = ratio_weights(tilt, V_src)
         assert np.all(zeta > 0.0)
         # First basis element is the constant 1, so the weights average to 1.
         assert abs(zeta.mean() - 1.0) < 1e-8
-        weighted = (basis.expand(V_src) * zeta[:, None]).mean(axis=0)
+        weighted = (add_intercept(V_src) * zeta[:, None]).mean(axis=0)
         assert np.max(np.abs(weighted - summary.mean_basis)) < 1e-8
 
 
 def test_solve_tilt_no_shift_is_near_identity():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((500, 2))
-    summary = target_moments(V, BasisSpec("linear"))
-    tilt = solve_tilt(V, summary, BasisSpec("linear"))
+    summary = target_moments(V)
+    tilt = solve_tilt(V, summary)
     zeta = ratio_weights(tilt, V)
     assert np.max(np.abs(zeta - 1.0)) < 1e-6
 
@@ -91,22 +77,19 @@ def test_solve_tilt_no_shift_is_near_identity():
 def test_solve_tilt_input_validation():
     rng = np.random.default_rng(6)
     V = rng.standard_normal((50, 2))
-    summary = target_moments(V, BasisSpec("linear"))
-    with pytest.raises(ValueError):
-        solve_tilt(V, summary, BasisSpec("linear_plus_squares"))
+    summary = target_moments(V)
     with pytest.raises(EmptySample):
-        solve_tilt(V[:2], summary, BasisSpec("linear"))
-    bad = MomentSummary(site_id="t", n=50, basis=BasisSpec("linear"),
-                        mean_basis=np.zeros(7))
+        solve_tilt(V[:2], summary)
+    bad = MomentSummary(site_id="t", n=50, mean_basis=np.zeros(7))
     with pytest.raises(ValueError):
-        solve_tilt(V, bad, BasisSpec("linear"))
+        solve_tilt(V, bad)
 
 
 def test_ratio_weights_dimension_mismatch():
     rng = np.random.default_rng(7)
     V = rng.standard_normal((50, 2))
-    summary = target_moments(V, BasisSpec("linear"))
-    tilt = solve_tilt(V, summary, BasisSpec("linear"))
+    summary = target_moments(V)
+    tilt = solve_tilt(V, summary)
     with pytest.raises(ValueError):
         ratio_weights(tilt, rng.standard_normal((10, 3)))
 

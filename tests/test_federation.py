@@ -1,5 +1,6 @@
 """Tests for the federated combination of site estimates."""
 
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,7 @@ from fedcausal.federation import (
     cross_validate_lambda,
     global_estimate,
 )
-from fedcausal.site_estimator import OwnSummary, SiteEstimate, split_masks
+from fedcausal.site_estimator import CV_SPLITS, OwnSummary, SiteEstimate, split_masks
 
 
 def _contributions(rng, n, scale=1.0):
@@ -31,10 +32,8 @@ def _target_estimate(rng, n=400, mu=(1.0, 2.0)):
     return SiteEstimate(site_id="tgt", mu=mu, on_target=_contributions(rng, n), n_k=n)
 
 
-def _source_estimate(rng, site_id, n_k=300, n_T=400, mu=(1.0, 2.0), scale=1.0,
-                     n_splits=5, seed=0):
-    own = OwnSummary.of(_contributions(rng, n_k, scale),
-                        split_masks(n_k, n_splits, seed, site_id))
+def _source_estimate(rng, site_id, n_k=300, n_T=400, mu=(1.0, 2.0), scale=1.0, seed=0):
+    own = OwnSummary.of(_contributions(rng, n_k, scale), split_masks(n_k, seed, site_id))
     return SiteEstimate(site_id=site_id, mu=mu, on_target=_contributions(rng, n_T, scale),
                         n_k=n_k, own=own)
 
@@ -141,8 +140,13 @@ def test_cross_validate_lambda_deterministic():
 
 
 def test_cross_validate_lambda_checks_split_count():
+    # A source that summarizes fewer splits than the protocol's CV_SPLITS.
+    estimates = _trio()
+    own = estimates[1].own
+    short = OwnSummary(own.sq, own.fit_sq[:-1], own.val_sq[:-1])
+    estimates[1] = dataclasses.replace(estimates[1], own=short)
     with pytest.raises(ValueError):
-        cross_validate_lambda(_trio(), n_splits=4)
+        cross_validate_lambda(estimates)
 
 
 def test_cross_validate_lambda_empty_grid():
@@ -221,7 +225,7 @@ def test_summary_algebra_matches_per_unit_formulas():
     The IVW and global-variance oracles are written in the pooled scale
     (site probabilities n_k / N, influence values d = n * contribution), which
     the per-site contributions make an identity."""
-    n_splits, seed = 5, 3
+    seed = 3
     for trial in range(20):
         rng = np.random.default_rng((trial, 41))
         n_T = int(rng.integers(20, 200))
@@ -234,7 +238,7 @@ def test_summary_algebra_matches_per_unit_formulas():
             sources.append(SiteEstimate(
                 site_id=f"s{k}", mu=tuple(rng.normal(size=2)),
                 on_target=_contributions(rng, n_T), n_k=n_k,
-                own=OwnSummary.of(own, split_masks(n_k, n_splits, seed + k, f"s{k}"))))
+                own=OwnSummary.of(own, split_masks(n_k, seed + k, f"s{k}"))))
         estimates = [tgt] + sources
         N = n_T + sum(e.n_k for e in sources)
         d_T = [e.on_target * n_T for e in estimates]
@@ -279,12 +283,12 @@ def test_summary_algebra_matches_per_unit_formulas():
                                    per_unit_rows(everything, all_units))
 
         # Per split: explicit fold masks at every site, fixed weights.
-        fold_T = split_masks(n_T, n_splits, seed, "tgt")
-        folds = [split_masks(e.n_k, n_splits, seed + k, e.site_id)
+        fold_T = split_masks(n_T, seed, "tgt")
+        folds = [split_masks(e.n_k, seed + k, e.site_id)
                  for k, e in enumerate(sources)]
         eta_src = rng.uniform(0.0, 0.5, len(sources))
-        halves = list(_cv_systems(estimates, r_T, G_T, target, n_splits, seed))
-        assert len(halves) == n_splits
+        halves = list(_cv_systems(estimates, r_T, G_T, target, seed))
+        assert len(halves) == CV_SPLITS
         for s, (fit, val) in enumerate(halves):
             unit_fit = per_unit_rows(fold_T[s], [f[s] for f in folds])
             unit_val = per_unit_rows(~fold_T[s], [~f[s] for f in folds])

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedcausal.density_ratio import BasisSpec, solve_tilt, target_moments
+from fedcausal.density_ratio import solve_tilt, target_moments
 from fedcausal.errors import (
     AllSourcesFailedWarning,
     CandidateFitWarning,
@@ -17,6 +17,7 @@ from fedcausal.errors import (
 )
 from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import (
+    _SCHEMAS,
     MessageRecord,
     ProtocolConfig,
     audit_ledger,
@@ -55,14 +56,19 @@ def _make_frames(seed=0, n=150, n_sources=2, degenerate=(), slope=0.5):
 def _config(method="mr_l1", seed=0):
     raw = FeatureMap("raw")
     return ProtocolConfig(
-        basis=BasisSpec("linear"),
         candidates={"default": {
-            "treatment": [CandidateSpec("p", "treatment", raw)],
-            "outcome": [CandidateSpec("m", "outcome", raw)],
+            "treatment": [CandidateSpec("p", raw)],
+            "outcome": [CandidateSpec("m", raw)],
         }},
         method=method,
         seed=seed,
     )
+
+
+def _relogged(rec, payload):
+    """``rec`` logged with another payload, under that payload's own digest,
+    so the audit judges the payload's shape and not a digest mismatch."""
+    return dataclasses.replace(rec, payload_text=json.dumps(payload), payload_digest="")
 
 
 def test_message_census_and_audit():
@@ -89,23 +95,22 @@ def test_run_round_matches_direct_composition():
     via_runtime = run_round(frames, config)
 
     target = frames[0]
-    summary = target_moments(target.V, config.basis, target.site_id)
+    summary = target_moments(target.V, target.site_id)
     estimates = [estimate_target(
         target,
-        fit_nuisances(target.X, target.y, target.a,
+        fit_nuisances(target.site_id, target.X, target.y, target.a,
                       config.specs_for(target.site_id)["treatment"],
                       config.specs_for(target.site_id)["outcome"],
                       seed=site_split_seed(config.seed, target.site_id)))]
     for src in frames[1:]:
-        tilt = solve_tilt(src.V, summary, config.basis)
-        fit = fit_nuisances(src.X, src.y, src.a,
+        tilt = solve_tilt(src.V, summary)
+        fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
                             config.specs_for(src.site_id)["treatment"],
                             config.specs_for(src.site_id)["outcome"],
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
-            source_report(src, fit, tilt, seed=config.seed, n_splits=config.n_splits), target))
-    solution = cross_validate_lambda(estimates, grid=config.lambda_grid,
-                                     n_splits=config.n_splits, seed=config.seed)
+            source_report(src, fit, tilt, seed=config.seed), target))
+    solution = cross_validate_lambda(estimates, grid=config.lambda_grid, seed=config.seed)
     direct = global_estimate(estimates, solution, alpha=config.alpha,
                              method=config.method)
 
@@ -171,9 +176,8 @@ def test_audit_rejects_undeclared_keys():
     rec = report.privacy_ledger[-1]
     payload = json.loads(rec.payload_text)
     payload["rows"] = [[1.0, 2.0]]
-    report.privacy_ledger[-1] = dataclasses.replace(
-        rec, payload_text=json.dumps(payload))
-    with pytest.raises(PrivacyViolation):
+    report.privacy_ledger[-1] = _relogged(rec, payload)
+    with pytest.raises(PrivacyViolation, match="undeclared keys"):
         audit_ledger(report)
 
 
@@ -193,24 +197,46 @@ def test_audit_rejects_per_unit_arrays():
         "tilt_sens": lambda p: p.update(tilt_sens=[0.0] * n_k),
         # A per-split key nesting per-unit rows.
         "fit_sq": lambda p: p.update(fit_sq=[[0.0] * n_k] * len(p["fit_sq"])),
+        # One split sum more than the protocol's split count.
+        "val_sq": lambda p: p.update(val_sq=p["val_sq"] + [0.0]),
         "diagnostics": lambda p: p.update(diagnostics={"zeta": {"cap": [0.0] * n_k}}),
     }
     for name, tamper in tampered.items():
         payload = json.loads(rec.payload_text)
         tamper(payload)
-        report.privacy_ledger[pos] = dataclasses.replace(
-            rec, payload_text=json.dumps(payload))
+        report.privacy_ledger[pos] = _relogged(rec, payload)
         with pytest.raises(PrivacyViolation):
             audit_ledger(report)
         report.privacy_ledger[pos] = rec
-    # A moment summary whose basis header disagrees with its means.
+    # A moment summary whose "d" disagrees with its means, or declares no
+    # valid basis size: missing, below 2, or not an integer.
     pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
                     if r.kind == "moment_summary")
-    payload = json.loads(rec.payload_text)
-    payload["mean_basis"] = payload["mean_basis"] + [0.0]
-    report.privacy_ledger[pos] = dataclasses.replace(rec, payload_text=json.dumps(payload))
-    with pytest.raises(PrivacyViolation):
-        audit_ledger(report)
+    header = {
+        "disagrees": lambda p: p.update(mean_basis=p["mean_basis"] + [0.0]),
+        "missing": lambda p: p.pop("d"),
+        "one": lambda p: p.update(d=1, mean_basis=[1.0]),
+        "float": lambda p: p.update(d=float(p["d"])),
+        "text": lambda p: p.update(d=str(p["d"])),
+    }
+    for name, tamper in header.items():
+        payload = json.loads(rec.payload_text)
+        tamper(payload)
+        report.privacy_ledger[pos] = _relogged(rec, payload)
+        with pytest.raises(PrivacyViolation):
+            audit_ledger(report)
+    report.privacy_ledger[pos] = rec
+    audit_ledger(report)
+
+
+def test_audit_schema_declares_only_what_a_round_sends():
+    # Every declared key is sent in a round with sources: a stale
+    # declaration would quietly widen what the audit accepts.
+    report = run_round(_make_frames(), _config("mr_l1"))
+    sent = {}
+    for rec in report.privacy_ledger:
+        sent.setdefault(rec.kind, set()).update(json.loads(rec.payload_text))
+    assert sent == {kind: set(schema) for kind, schema in _SCHEMAS.items()}
 
 
 def test_audit_rejects_bad_payloads():
@@ -260,7 +286,7 @@ def test_protocol_config_round_trip():
     assert config.specs_for("anything") is config.candidates["default"]
     with pytest.raises(ValueError):
         _config("bootstrap")
-    plain = ProtocolConfig(basis=BasisSpec("linear"), candidates={"site0": {}})
+    plain = ProtocolConfig(candidates={"site0": {}})
     with pytest.raises(ValueError):
         plain.specs_for("site9")
 

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcausal.density_ratio import BASIS_KINDS, BasisSpec, MomentSummary
+from fedcausal.density_ratio import MomentSummary
 from fedcausal.fedruntime import METHODS, ProtocolConfig, combine, run_sites
 from fedcausal.nuisance import CandidateSpec, FeatureMap
 from fedcausal.numkit import expit
@@ -49,10 +49,9 @@ def _config(method, seed):
     # so mixing weights over several candidates depend on the outcome scale.
     raw = FeatureMap("raw")
     return ProtocolConfig(
-        basis=BasisSpec("linear"),
         candidates={"default": {
-            "treatment": [CandidateSpec("p", "treatment", raw)],
-            "outcome": [CandidateSpec("m", "outcome", raw)],
+            "treatment": [CandidateSpec("p", raw)],
+            "outcome": [CandidateSpec("m", raw)],
         }},
         method=method,
         seed=seed % 1000,
@@ -118,9 +117,8 @@ def test_affine_outcome_map_scales_effect_and_se(fed, c, b):
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, max_size=6).map(lambda v: np.array(v, dtype=float))
-bases = st.sampled_from(BASIS_KINDS).map(BasisSpec)
 moment_summaries = st.builds(MomentSummary, site_id=st.text(max_size=8),
-                             n=st.integers(1, 10**9), basis=bases, mean_basis=vectors)
+                             n=st.integers(1, 10**9), mean_basis=vectors)
 source_reports = st.builds(
     SourceSiteReport,
     site_id=st.text(max_size=8),
@@ -129,20 +127,17 @@ source_reports = st.builds(
     own=st.builds(OwnSummary, sq=finite, fit_sq=vectors, val_sq=vectors),
     tau_coefficients=st.tuples(vectors, vectors),
     tilt_sensitivity=vectors,
-    basis_kind=st.sampled_from(BASIS_KINDS),
     diagnostics=st.dictionaries(st.text(max_size=5), st.dictionaries(
         st.text(max_size=5), finite | st.integers(0, 10**9), max_size=3), max_size=2),
 )
 candidate_specs = st.builds(
     CandidateSpec,
     id=st.text(max_size=8),
-    target=st.sampled_from(("treatment", "outcome")),
     feature_map=st.builds(FeatureMap, kind=st.sampled_from(("raw", "kangschafer", "subset")),
                           columns=st.none() | st.lists(st.integers(0, 50)).map(tuple)),
 )
 configs = st.builds(
     ProtocolConfig,
-    basis=bases,
     candidates=st.dictionaries(st.text(max_size=8), st.fixed_dictionaries({
         "treatment": st.lists(candidate_specs, max_size=3),
         "outcome": st.lists(candidate_specs, max_size=3),
@@ -150,7 +145,6 @@ configs = st.builds(
     method=st.sampled_from(METHODS),
     alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     lambda_grid=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=9).map(tuple),
-    n_splits=st.integers(1, 20),
     seed=st.integers(0, 2**32 - 1),
 )
 
@@ -179,9 +173,8 @@ def test_uploads_round_trip_through_json(summary, report):
 @given(configs)
 def test_config_broadcast_round_trips_through_json(config):
     sent = json.loads(json.dumps(config.to_dict()))
-    assert sent["basis"] == config.basis.kind
-    assert (sent["method"], sent["alpha"], sent["n_splits"], sent["seed"]) == (
-        config.method, config.alpha, config.n_splits, config.seed)
+    assert (sent["method"], sent["alpha"], sent["seed"]) == (
+        config.method, config.alpha, config.seed)
     assert sent["lambda_grid"] == list(config.lambda_grid)
     assert {site: {role: [CandidateSpec.from_dict(spec) for spec in specs]
                    for role, specs in groups.items()}

@@ -41,10 +41,11 @@ def test_feature_maps():
 
 
 def test_candidate_spec_round_trip():
-    spec = CandidateSpec("m1", "outcome", FeatureMap("subset", (0, 2)))
+    spec = CandidateSpec("m1", FeatureMap("subset", (0, 2)))
     back = CandidateSpec.from_dict(spec.to_dict())
     assert back == spec
-    spec = CandidateSpec("p1", "treatment", FeatureMap("raw"))
+    spec = CandidateSpec("p1", FeatureMap("raw"))
+    assert spec.to_dict() == {"id": "p1", "feature_map": {"kind": "raw"}}
     assert CandidateSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -87,25 +88,25 @@ def _sim_binary(rng, n=2000):
 def test_mix_propensity_single_and_symmetry():
     rng = np.random.default_rng(0)
     X, a = _sim_binary(rng)
-    raw = CandidateSpec("only", "treatment", FeatureMap("subset", (0, 1)))
-    weights, _ = mix_propensity(_designs(X, [raw]), a, [raw], seed=1)
+    raw = CandidateSpec("only", FeatureMap("subset", (0, 1)))
+    weights, _ = mix_propensity("s0", _designs(X, [raw]), a, [raw], seed=1)
     assert np.array_equal(weights, [1.0])
 
-    twin = CandidateSpec("twin", "treatment", FeatureMap("subset", (0, 1)))
-    weights, _ = mix_propensity(_designs(X, [raw]), a, [raw, twin], seed=1)
+    twin = CandidateSpec("twin", FeatureMap("subset", (0, 1)))
+    weights, _ = mix_propensity("s0", _designs(X, [raw]), a, [raw, twin], seed=1)
     assert np.array_equal(weights, [0.5, 0.5])
 
 
 def test_mix_propensity_risk_dominance():
     rng = np.random.default_rng(1)
     X, a = _sim_binary(rng)
-    good = CandidateSpec("good", "treatment", FeatureMap("subset", (0, 1)))
-    noise = CandidateSpec("noise", "treatment", FeatureMap("subset", (2,)))
+    good = CandidateSpec("good", FeatureMap("subset", (0, 1)))
+    noise = CandidateSpec("noise", FeatureMap("subset", (2,)))
     designs = _designs(X, [good, noise])
-    weights, _ = mix_propensity(designs, a, [good, noise], seed=2)
+    weights, _ = mix_propensity("s0", designs, a, [good, noise], seed=2)
     assert weights[0] > 0.9
     # Permuting the candidate list permutes the weights.
-    flipped, _ = mix_propensity(designs, a, [noise, good], seed=2)
+    flipped, _ = mix_propensity("s0", designs, a, [noise, good], seed=2)
     assert np.array_equal(flipped, weights[::-1])
 
 
@@ -113,9 +114,9 @@ def test_mix_outcome_risk_dominance():
     rng = np.random.default_rng(2)
     X, a = _sim_binary(rng)
     y = 2.0 * X[:, 0] - X[:, 1] + 0.5 * a + rng.standard_normal(len(a))
-    good = CandidateSpec("good", "outcome", FeatureMap("subset", (0, 1)))
-    noise = CandidateSpec("noise", "outcome", FeatureMap("subset", (2,)))
-    weights, _ = mix_outcome(_designs(X, [good, noise]), y, a, 1, [good, noise], seed=3)
+    good = CandidateSpec("good", FeatureMap("subset", (0, 1)))
+    noise = CandidateSpec("noise", FeatureMap("subset", (2,)))
+    weights, _ = mix_outcome("s0", _designs(X, [good, noise]), y, a, 1, [good, noise], seed=3)
     assert weights[0] > 0.9
 
 
@@ -123,9 +124,9 @@ def test_mix_outcome_too_few_units():
     X = np.zeros((10, 2))
     y = np.zeros(10)
     a = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    spec = CandidateSpec("m", "outcome", FeatureMap("raw"))
+    spec = CandidateSpec("m", FeatureMap("raw"))
     with pytest.raises(TooFewUnits):
-        mix_outcome(_designs(X, [spec]), y, a, 1, [spec], seed=0)
+        mix_outcome("s0", _designs(X, [spec]), y, a, 1, [spec], seed=0)
 
 
 def test_mix_outcome_log_space_no_overflow():
@@ -136,10 +137,10 @@ def test_mix_outcome_log_space_no_overflow():
     X = rng.standard_normal((n, 2))
     y = X[:, 0] + rng.standard_normal(n)
     a = np.ones(n, dtype=int)
-    good = CandidateSpec("good", "outcome", FeatureMap("subset", (0,)))
-    awful = CandidateSpec("awful", "outcome", FeatureMap("subset", (1,)))
+    good = CandidateSpec("good", FeatureMap("subset", (0,)))
+    awful = CandidateSpec("awful", FeatureMap("subset", (1,)))
     y_shifted = y.copy()
-    weights, _ = mix_outcome(_designs(X, [good, awful]), y_shifted + 1000.0 * X[:, 1], a, 1,
+    weights, _ = mix_outcome("s0", _designs(X, [good, awful]), y_shifted + 1000.0 * X[:, 1], a, 1,
                              [good, awful], seed=4)
     assert np.all(np.isfinite(weights))
     assert abs(weights.sum() - 1.0) < 1e-12
@@ -153,30 +154,30 @@ def test_failed_candidate_gets_zero_weight():
     X[:, 2] = 1.0  # constant column duplicates the intercept
     y = X[:, 0] + rng.standard_normal(n)
     a = np.ones(n, dtype=int)
-    ok = CandidateSpec("ok", "outcome", FeatureMap("subset", (0, 1)))
-    broken = CandidateSpec("broken", "outcome", FeatureMap("subset", (2,)))
+    ok = CandidateSpec("ok", FeatureMap("subset", (0, 1)))
+    broken = CandidateSpec("broken", FeatureMap("subset", (2,)))
     designs = _designs(X, [ok, broken])
-    with pytest.warns(CandidateFitWarning):
-        weights, fitted = mix_outcome(designs, y, a, 1, [ok, broken], seed=5)
+    with pytest.warns(CandidateFitWarning, match="^s0: candidate 'broken' failed"):
+        weights, fitted = mix_outcome("s0", designs, y, a, 1, [ok, broken], seed=5)
     assert weights[1] == 0.0
     assert weights[0] == 1.0
-    assert np.array_equal(fitted, mix_outcome(designs, y, a, 1, [ok], seed=5)[1])
+    assert np.array_equal(fitted, mix_outcome("s0", designs, y, a, 1, [ok], seed=5)[1])
 
 
 def test_predict_propensity_identities():
     rng = np.random.default_rng(5)
     X, a = _sim_binary(rng, n=400)
     y = X[:, 0] + rng.standard_normal(400)
-    raw = [CandidateSpec("p", "treatment", FeatureMap("raw"))]
-    outcome = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
-    fit = fit_nuisances(X, y, a, raw, outcome, seed=6)
+    raw = [CandidateSpec("p", FeatureMap("raw"))]
+    outcome = [CandidateSpec("m", FeatureMap("raw"))]
+    fit = fit_nuisances("s0", X, y, a, raw, outcome, seed=6)
     assert np.allclose(fit.pi[0] + fit.pi[1], 1.0, atol=1e-15)
     assert fit.pi.shape == fit.m.shape == (2, 400)
     assert not fit.clipped
 
     # A steep propensity sends many units past the clip at both ends.
     a = (rng.random(400) < expit(6.0 * X[:, 0])).astype(int)
-    fit = fit_nuisances(X, y, a, raw, outcome, seed=6)
+    fit = fit_nuisances("s0", X, y, a, raw, outcome, seed=6)
     assert fit.clipped
     assert fit.pi[1].max() == DEFAULT_CLIP[1] and fit.pi[1].min() == DEFAULT_CLIP[0]
     assert fit.pi[0].max() == DEFAULT_CLIP[1] and fit.pi[0].min() == DEFAULT_CLIP[0]
@@ -185,10 +186,10 @@ def test_predict_propensity_identities():
 def test_mixture_prediction_is_weighted_sum():
     rng = np.random.default_rng(6)
     X, a = _sim_binary(rng, n=300)
-    specs = [CandidateSpec("c1", "treatment", FeatureMap("subset", (0,))),
-             CandidateSpec("c2", "treatment", FeatureMap("subset", (1, 2)))]
+    specs = [CandidateSpec("c1", FeatureMap("subset", (0,))),
+             CandidateSpec("c2", FeatureMap("subset", (1, 2)))]
     designs = _designs(X, specs)
-    weights, fitted = mix_propensity(designs, a, specs, seed=7)
+    weights, fitted = mix_propensity("s0", designs, a, specs, seed=7)
     assert np.all(weights > 0.0)
     expected = sum(
         w * expit(designs[s.feature_map] @ fit_logistic(designs[s.feature_map], a).coefficients)
@@ -202,8 +203,8 @@ def test_predict_outcome_constant_fit():
     X = rng.standard_normal((40, 2))
     y = np.full(40, 3.25)
     a = np.tile([0, 1], 20)
-    spec = CandidateSpec("c", "outcome", FeatureMap("raw"))
-    fit = fit_nuisances(X, y, a, [CandidateSpec("p", "treatment", FeatureMap("raw"))], [spec],
+    spec = CandidateSpec("c", FeatureMap("raw"))
+    fit = fit_nuisances("s0", X, y, a, [CandidateSpec("p", FeatureMap("raw"))], [spec],
                         seed=8)
     assert np.allclose(fit.m, 3.25, atol=1e-9)
 
@@ -212,9 +213,9 @@ def test_fit_nuisances_bundle():
     rng = np.random.default_rng(8)
     X, a = _sim_binary(rng, n=600)
     y = X[:, 0] + a + rng.standard_normal(600)
-    t_spec = [CandidateSpec("p", "treatment", FeatureMap("raw"))]
-    o_spec = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
-    fit = fit_nuisances(X, y, a, t_spec, o_spec, seed=9)
+    t_spec = [CandidateSpec("p", FeatureMap("raw"))]
+    o_spec = [CandidateSpec("m", FeatureMap("raw"))]
+    fit = fit_nuisances("s0", X, y, a, t_spec, o_spec, seed=9)
     assert np.all((fit.pi[1] >= DEFAULT_CLIP[0]) & (fit.pi[1] <= DEFAULT_CLIP[1]))
     # Outcome mixtures are fit per arm, so the effect lands in the contrast.
     gap = fit.m[1] - fit.m[0]
@@ -235,7 +236,7 @@ def test_each_feature_map_is_applied_once_per_fit(monkeypatch):
     X, a = _sim_binary(rng, n=300)
     y = X[:, 0] + a + rng.standard_normal(300)
     raw, sub = FeatureMap("raw"), FeatureMap("subset", (0, 1))
-    treatment = [CandidateSpec("p", "treatment", raw)]
-    outcome = [CandidateSpec("m1", "outcome", raw), CandidateSpec("m2", "outcome", sub)]
-    fit_nuisances(X, y, a, treatment, outcome, seed=11)
+    treatment = [CandidateSpec("p", raw)]
+    outcome = [CandidateSpec("m1", raw), CandidateSpec("m2", sub)]
+    fit_nuisances("s0", X, y, a, treatment, outcome, seed=11)
     assert len(calls) == 2 and set(calls) == {raw, sub}

@@ -211,6 +211,8 @@ def test_site_phase_shared_across_methods(monkeypatch):
 def test_failed_full_sample_refit_drops_the_candidate(seed, rep):
     # The target's kangschafer propensity candidate fits on its train split
     # but not on all units here; it gets weight zero instead of failing the round.
-    with pytest.warns(CandidateFitWarning):
+    # Every preset site proposes the same candidate ids, so the warning names
+    # the site (site1 is c0's target).
+    with pytest.warns(CandidateFitWarning, match="^site1: candidate 'ks' failed to fit"):
         rows, failed = run_replication(load_scenario("c0"), ("mr_l1",), seed, rep)
     assert failed == {} and len(rows) == 1

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from fedcausal.density_ratio import (
-    BasisSpec,
     TiltCoefficients,
     ratio_weights,
     solve_tilt,
     target_moments,
     truncate_weights,
 )
-from fedcausal.errors import PositivityWarning, SingularJacobian
+from fedcausal.errors import ExtremeWeightsWarning, PositivityWarning, SingularJacobian
 from fedcausal.numkit import add_intercept, expit, fit_ols
 from fedcausal.nuisance import CandidateSpec, FeatureMap, NuisanceFit, fit_nuisances
 from fedcausal.site_estimator import (
@@ -24,8 +23,8 @@ from fedcausal.site_estimator import (
     split_masks,
 )
 
-RAW_T = [CandidateSpec("p", "treatment", FeatureMap("raw"))]
-RAW_O = [CandidateSpec("m", "outcome", FeatureMap("raw"))]
+RAW_T = [CandidateSpec("p", FeatureMap("raw"))]
+RAW_O = [CandidateSpec("m", FeatureMap("raw"))]
 
 
 def _fit(n, p1=0.5, m=0.0, clipped=False):
@@ -54,13 +53,11 @@ def _linear_pair(seed=0, n_src=800, n_tgt=500, shift=0.4):
 
 
 def _tilt_for(src, tgt):
-    basis = BasisSpec("linear")
-    return solve_tilt(src.V, target_moments(tgt.V, basis, tgt.site_id), basis)
+    return solve_tilt(src.V, target_moments(tgt.V, tgt.site_id))
 
 
 def _untilted(n_shared):
-    return TiltCoefficients(gamma=np.zeros(n_shared + 1), basis=BasisSpec("linear"),
-                            residual_norm=0.0)
+    return TiltCoefficients(gamma=np.zeros(n_shared + 1), residual_norm=0.0)
 
 
 def test_site_frame_validation():
@@ -124,7 +121,7 @@ def test_estimate_target_positivity_warning():
 def test_fit_tau_exact_on_linear_predictions():
     # The outcome model is linear in X = V, so its projection on (1, V) is itself.
     src, tgt = _linear_pair(seed=4)
-    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=1)
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=1)
     report = source_report(src, fit, _untilted(2))
     for arm in (0, 1):
         tau = report.tau_coefficients[arm]
@@ -145,7 +142,7 @@ def test_fit_tau_slope_recovery_with_orthogonal_noise():
     a = rng.integers(0, 2, n)
     y = X @ beta + rng.standard_normal(n)
     src = SiteFrame("s", "source", y, a, X, (0, 1))
-    fit = fit_nuisances(X, y, a, RAW_T, RAW_O, seed=2)
+    fit = fit_nuisances("src", X, y, a, RAW_T, RAW_O, seed=2)
     tau = source_report(src, fit, _untilted(2)).tau_coefficients[1]
     assert np.allclose(tau[1:], beta[:2], atol=0.15)
 
@@ -163,8 +160,8 @@ def test_source_degenerate_weighted_mean_reduction():
 def test_source_no_shift_agrees_with_target():
     src, tgt = _linear_pair(seed=7, shift=0.0, n_src=2000, n_tgt=2000)
     tilt = _tilt_for(src, tgt)
-    fit_s = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
-    fit_t = fit_nuisances(tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
+    fit_s = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
+    fit_t = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
     est_s = complete_source_estimate(source_report(src, fit_s, tilt), tgt)
     est_t = estimate_target(tgt, fit_t)
     assert abs((est_s.mu[1] - est_s.mu[0]) - (est_t.mu[1] - est_t.mu[0])) < 0.25
@@ -173,8 +170,8 @@ def test_source_no_shift_agrees_with_target():
 def test_source_estimate_equals_report_plus_completion():
     src, tgt = _linear_pair(seed=8)
     tilt = _tilt_for(src, tgt)
-    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
-    report = source_report(src, fit, tilt, seed=2, n_splits=3)
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
+    report = source_report(src, fit, tilt, seed=2)
     direct = complete_source_estimate(report, tgt)
     wired = complete_source_estimate(SourceSiteReport.from_json(report.to_json()), tgt)
     assert direct.mu == wired.mu
@@ -187,17 +184,17 @@ def test_source_estimate_equals_report_plus_completion():
 def test_source_influence_parts_are_centered():
     src, tgt = _linear_pair(seed=9)
     tilt = _tilt_for(src, tgt)
-    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=6)
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=6)
     # Own-unit contributions are checked at the source, before they are
     # summarized; each vector sums to the mean of its influence values.
-    report, d = source_influence(src, fit, tilt, seed=4, n_splits=5)
+    report, d = source_influence(src, fit, tilt, seed=4)
     assert abs(d.sum()) < 1e-8
     assert d.shape == (src.n,)
     est = complete_source_estimate(report, tgt)
     assert abs(est.on_target.sum()) < 1e-8
     assert est.on_target.shape == (tgt.n,) and est.n_T == tgt.n
     # The upload summarizes exactly those values over the site's own folds.
-    masks = split_masks(src.n, 5, 4, src.site_id)
+    masks = split_masks(src.n, 4, src.site_id)
     assert report.own.sq == float(np.sum(d * d))
     assert np.allclose(report.own.fit_sq + report.own.val_sq, report.own.sq, rtol=1e-12)
     assert np.array_equal(report.own.fit_sq, [np.sum(d[m] ** 2) for m in masks])
@@ -207,11 +204,12 @@ def test_source_influence_parts_are_centered():
 def test_source_linearity_in_outcome_scale():
     src, tgt = _linear_pair(seed=10)
     tilt = _tilt_for(src, tgt)
-    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
     est = complete_source_estimate(source_report(src, fit, tilt), tgt)
 
     scaled = SiteFrame(src.site_id, "source", 3.0 * src.y, src.a, src.X, src.shared_cols)
-    fit_scaled = fit_nuisances(scaled.X, scaled.y, scaled.a, RAW_T, RAW_O, seed=7)
+    fit_scaled = fit_nuisances(scaled.site_id, scaled.X, scaled.y, scaled.a, RAW_T, RAW_O,
+                               seed=7)
     est_scaled = complete_source_estimate(source_report(scaled, fit_scaled, tilt), tgt)
     for arm in (0, 1):
         assert abs(est_scaled.mu[arm] - 3.0 * est.mu[arm]) < 1e-9 * max(1.0, abs(est.mu[arm]))
@@ -228,16 +226,18 @@ def test_source_report_requires_source_role():
 
 
 def test_source_report_singular_jacobian_raises():
-    # V**2 equals V on a binary column, so the squares basis makes B singular.
+    # The tilt underflows to zero on every unit but unit 0, whose first shared
+    # covariate is 0: B = psi_0 psi_0' / n has a zero column although
+    # psi = (1, V) has full rank.
     rng = np.random.default_rng(13)
     n = 200
-    X = np.column_stack([rng.integers(0, 2, n), rng.standard_normal(n)]).astype(float)
+    X = np.column_stack([1.0 + rng.uniform(0.0, 1.0, n), rng.standard_normal(n)])
+    X[0, 0] = 0.0
     a = (rng.random(n) < 0.5).astype(int)
     y = 1.0 + X[:, 1] + a + rng.standard_normal(n)
     src = SiteFrame("src", "source", y, a, X, (0, 1))
-    basis = BasisSpec("linear_plus_squares")
-    tilt = TiltCoefficients(np.zeros(5), basis, 0.0)
-    with pytest.raises(SingularJacobian):
+    tilt = TiltCoefficients(np.array([0.0, 1000.0, 0.0]), 0.0)
+    with pytest.raises(SingularJacobian), pytest.warns(ExtremeWeightsWarning):
         source_report(src, _fit(n), tilt)
 
 
@@ -258,7 +258,7 @@ def test_site_estimate_json_round_trip():
 def test_source_report_json_round_trip():
     src, tgt = _linear_pair(seed=14)
     tilt = _tilt_for(src, tgt)
-    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=8)
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=8)
     report = source_report(src, fit, tilt)
     back = SourceSiteReport.from_json(report.to_json())
     assert back.mu_own == report.mu_own
@@ -268,7 +268,6 @@ def test_source_report_json_round_trip():
     for arm in (0, 1):
         assert np.array_equal(back.tau_coefficients[arm], report.tau_coefficients[arm])
     assert np.array_equal(back.tilt_sensitivity, report.tilt_sensitivity)
-    assert back.basis_kind == report.basis_kind
 
 
 def test_estimate_target_rejects_a_fit_of_another_frame():
@@ -276,7 +275,8 @@ def test_estimate_target_rejects_a_fit_of_another_frame():
     with pytest.raises(ValueError):
         estimate_target(tgt, _fit(tgt.n - 1))
     with pytest.raises(ValueError):
-        estimate_target(tgt, fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=9))
+        estimate_target(tgt, fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O,
+                                           seed=9))
 
 
 def test_source_influence_rejects_a_fit_of_another_frame():
@@ -284,8 +284,9 @@ def test_source_influence_rejects_a_fit_of_another_frame():
     tilt = _tilt_for(src, tgt)
     with pytest.raises(ValueError):
         source_influence(src, _fit(src.n + 1), tilt)
+    fit_of_target = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=9)
     with pytest.raises(ValueError):
-        source_influence(src, fit_nuisances(tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=9), tilt)
+        source_influence(src, fit_of_target, tilt)
 
 
 def _rel_close(a, b, tol=1e-12):
@@ -305,20 +306,19 @@ def test_contributions_match_per_arm_construction():
     src = SiteFrame("src", "source", y, a, X, (0, 1))
     V_t = rng.standard_normal((n_t, 2)) + 0.3
     tgt = SiteFrame("tgt", "target", np.zeros(n_t), np.zeros(n_t, int), V_t, (0, 1))
-    basis = BasisSpec("linear_plus_squares")
-    tilt = solve_tilt(src.V, target_moments(tgt.V, basis, tgt.site_id), basis)
-    fit = fit_nuisances(src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
-    report, contributions = source_influence(src, fit, tilt, seed=3, n_splits=4)
+    tilt = solve_tilt(src.V, target_moments(tgt.V, tgt.site_id))
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
+    report, contributions = source_influence(src, fit, tilt, seed=3)
     est = complete_source_estimate(report, tgt)
 
     pi, m = fit.pi, fit.m
     zeta_raw = ratio_weights(tilt, src.V)
     zeta, _ = truncate_weights(zeta_raw)
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
-    psi = basis.expand(src.V)
+    psi = add_intercept(src.V)
     B = (psi * zeta_raw[:, None]).T @ psi / n_s
     moment_noise = psi * zeta_raw[:, None] - (psi * zeta_raw[:, None]).mean(axis=0)
-    psi_t = basis.expand(tgt.X)
+    psi_t = add_intercept(tgt.X)
     xi_own, xi_tgt = [], []
     for arm in (0, 1):
         tau = fit_ols(add_intercept(src.V), m[arm]).coefficients
@@ -333,7 +333,7 @@ def test_contributions_match_per_arm_construction():
 
     assert _rel_close(contributions, own_d)
     assert _rel_close(est.on_target, tgt_d)
-    masks = split_masks(n_s, 4, 3, src.site_id)
+    masks = split_masks(n_s, 3, src.site_id)
     assert _rel_close(report.own.sq, np.sum(own_d**2))
     assert _rel_close(report.own.fit_sq, [np.sum(own_d[f] ** 2) for f in masks])
     assert _rel_close(report.own.val_sq, [np.sum(own_d[~f] ** 2) for f in masks])
