@@ -29,14 +29,12 @@ class MomentSummary:
     """Summary-level payload: means of ``(1, V)`` over the target units."""
 
     site_id: str
-    n: int
     mean_basis: np.ndarray
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "site_id": self.site_id,
-                "n": self.n,
                 "d": len(self.mean_basis),
                 "mean_basis": list(map(float, self.mean_basis)),
             }
@@ -47,7 +45,6 @@ class MomentSummary:
         obj = json.loads(payload)
         return MomentSummary(
             site_id=obj["site_id"],
-            n=int(obj["n"]),
             mean_basis=np.asarray(obj["mean_basis"], dtype=float),
         )
 
@@ -63,11 +60,7 @@ def target_moments(V_target: np.ndarray, site_id: str = "target") -> MomentSumma
     V_target = np.atleast_2d(np.asarray(V_target, dtype=float))
     if V_target.shape[0] == 0:
         raise EmptySample("target covariate block is empty")
-    return MomentSummary(
-        site_id=site_id,
-        n=V_target.shape[0],
-        mean_basis=add_intercept(V_target).mean(axis=0),
-    )
+    return MomentSummary(site_id=site_id, mean_basis=add_intercept(V_target).mean(axis=0))
 
 
 def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoefficients:
@@ -75,7 +68,10 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
 
     The residual is the target basis mean minus the tilt-weighted source basis
     mean; the Newton solve starts at gamma = 0, the no-shift reference point,
-    and stops at a residual norm of ``numkit.NEWTON_TOL``.
+    and stops at a residual norm of ``numkit.NEWTON_TOL``. The weighted basis
+    psi * exp(-psi gamma) is computed once per trial gamma: the Newton solver
+    asks for the Jacobian only at the point whose residual it accepted last,
+    and the reported residual norm is that of the returned gamma.
     """
     psi = add_intercept(source_V)
     n_k, d = psi.shape
@@ -85,13 +81,17 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
         raise ValueError("target summary dimension does not match basis")
     tgt = np.asarray(target_summary.mean_basis, dtype=float)
 
+    last = {}  # the last trial gamma, its weighted basis and its residual
+
     def residual(gamma):
-        w = np.exp(-psi @ gamma)
-        return tgt - (psi * w[:, None]).mean(axis=0)
+        if not np.array_equal(last.get("gamma"), gamma):
+            weighted = psi * np.exp(-psi @ gamma)[:, None]
+            last.update(gamma=gamma, weighted=weighted, r=tgt - weighted.mean(axis=0))
+        return last["r"]
 
     def jacobian(gamma):
-        w = np.exp(-psi @ gamma)
-        return (psi * w[:, None]).T @ psi / n_k
+        residual(gamma)
+        return last["weighted"].T @ psi / n_k
 
     gamma = newton_solve(residual, jacobian, np.zeros(d))
     return TiltCoefficients(
@@ -100,11 +100,11 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
     )
 
 
-def ratio_weights(coeffs: TiltCoefficients, source_V: np.ndarray) -> np.ndarray:
-    """Evaluate ``exp(-gamma' psi(V))`` on source units; strictly positive."""
-    psi = add_intercept(source_V)
+def ratio_weights(coeffs: TiltCoefficients, psi: np.ndarray) -> np.ndarray:
+    """Evaluate ``exp(-gamma' psi)`` on source units, given their tilt basis
+    ``psi = (1, V)``; strictly positive."""
     if psi.shape[1] != len(coeffs.gamma):
-        raise ValueError("dimension mismatch between coefficients and covariates")
+        raise ValueError("dimension mismatch between coefficients and basis")
     return np.exp(-psi @ coeffs.gamma)
 
 

@@ -63,7 +63,7 @@ _SCHEMAS = {
         "seed": "count", "candidates": "candidates",
     },
     "moment_summary": {
-        "site_id": "text", "n": "count", "d": "count", "mean_basis": "[basis]",
+        "site_id": "text", "d": "count", "mean_basis": "[basis]",
     },
     "site_estimate": {
         # source upload

@@ -7,7 +7,9 @@ validation split (Bernoulli likelihood for treatment models, exponentiated
 negative squared error for outcome models), accumulated in log space. The
 weighted candidates are then refit on the full site sample, and the mixtures
 are evaluated on the site's own units, the only units any estimator needs
-them on.
+them on. A lone candidate has weight 1 whatever its risk, so it is fit once,
+on all units, and no split is drawn; the sample must still be large enough
+to split.
 """
 
 from __future__ import annotations
@@ -87,15 +89,24 @@ class NuisanceFit:
     clipped: bool
 
 
+def _train_size(n: int) -> int:
+    """Size n // 2 of the train half of n units; raises :class:`TooFewUnits`
+    unless the train half has a unit and the validation half has two."""
+    n_train = n // 2
+    if n_train < 1:
+        raise TooFewUnits(f"a half split of {n} units leaves a part empty")
+    if n - n_train < 2:
+        raise TooFewUnits("validation set needs at least 2 units")
+    return n_train
+
+
 def split_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded-shuffle partition into train (the first n // 2) and validation.
 
     Validation indices keep the shuffle ordering, which also fixes the ordering
     of the cumulative-risk products.
     """
-    n_train = n // 2
-    if n_train < 1:
-        raise TooFewUnits(f"a half split of {n} units leaves a part empty")
+    n_train = _train_size(n)
     perm = np.random.default_rng(seed).permutation(n)
     return perm[:n_train], perm[n_train:]
 
@@ -114,6 +125,18 @@ def _log_softmax_weights(cum_log_risk: np.ndarray) -> np.ndarray:
     return w.mean(axis=0)
 
 
+def _fit_or_warn(site_id: str, spec: CandidateSpec, fit_one, design: np.ndarray,
+                 y: np.ndarray) -> np.ndarray | None:
+    """Coefficients of ``fit_one(design, y)``, or None after a
+    :class:`CandidateFitWarning` naming the site and candidate if the fit fails."""
+    try:
+        return fit_one(design, y).coefficients
+    except FedcausalError as exc:
+        warnings.warn(f"{site_id}: candidate {spec.id!r} failed to fit: {exc}",
+                      CandidateFitWarning, stacklevel=4)
+        return None
+
+
 def _mix(
     site_id: str,
     designs: dict,
@@ -129,28 +152,32 @@ def _mix(
 
     Fits each candidate on the train split of ``rows``, scores it on the
     validation split and refits it on all of ``rows``; a candidate that fails
-    either fit gets weight zero. Returns the weights and the mixture on every
-    unit of the site.
+    either fit gets weight zero. A lone candidate's weight is 1 whatever its
+    score, so it is only fit on all of ``rows``. Returns the weights and the
+    mixture on every unit of the site.
     """
     if not specs:
         raise ValueError("need at least one candidate spec")
+    if len(specs) == 1:
+        _train_size(len(rows))  # the size floors hold with or without a split
+        design = designs[specs[0].feature_map]
+        beta = _fit_or_warn(site_id, specs[0], fit_one, design[rows], y[rows])
+        if beta is None:
+            raise TooFewUnits("all candidates failed to fit")
+        return np.ones(1), link(design @ beta)
     train_idx, val_idx = (rows[idx] for idx in split_data(len(rows), seed))
-    if len(val_idx) < 2:
-        raise TooFewUnits("validation set needs at least 2 units")
 
     # Per-unit validation log scores and full-sample coefficients of each
     # candidate that fits.
     scores, coefficients = [], {}
     for j, spec in enumerate(specs):
         design = designs[spec.feature_map]
-        try:
-            train_fit = fit_one(design[train_idx], y[train_idx])
-            coefficients[j] = fit_one(design[rows], y[rows]).coefficients
-        except FedcausalError as exc:
-            warnings.warn(f"{site_id}: candidate {spec.id!r} failed to fit: {exc}",
-                          CandidateFitWarning, stacklevel=3)
-            continue
-        scores.append(log_score(design[val_idx] @ train_fit.coefficients, y[val_idx]))
+        train_beta = _fit_or_warn(site_id, spec, fit_one, design[train_idx], y[train_idx])
+        beta = None if train_beta is None else _fit_or_warn(site_id, spec, fit_one,
+                                                            design[rows], y[rows])
+        if beta is not None:
+            coefficients[j] = beta
+            scores.append(log_score(design[val_idx] @ train_beta, y[val_idx]))
     if not coefficients:
         raise TooFewUnits("all candidates failed to fit")
     scores = np.column_stack(scores)

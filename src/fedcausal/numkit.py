@@ -53,14 +53,11 @@ def add_intercept(X: np.ndarray) -> np.ndarray:
 
 
 def expit(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: with e = exp(-|z|), it is
+    1 / (1 + e) for z >= 0 and e / (1 + e) otherwise, so exp never overflows."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -83,9 +80,11 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(coefficients=coef)
 
 
-def _bernoulli_loglik(p: np.ndarray, y: np.ndarray) -> float:
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+def _bernoulli_loglik(p: np.ndarray, y: np.ndarray, y0: np.ndarray) -> float:
+    """Bernoulli log-likelihood of ``y`` at ``p`` clipped to [1e-12, 1 - 1e-12];
+    ``y0`` is 1 - y."""
+    p = np.minimum(np.maximum(p, 1e-12), 1.0 - 1e-12)
+    return float(np.sum(y * np.log(p) + y0 * np.log1p(-p)))
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -105,20 +104,21 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isin(y, (0.0, 1.0))):
+    if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y must be binary 0/1")
     if y.min() == y.max():
         raise MissingClass("response is constant; both classes required")
 
     n, d = X.shape
     beta = np.zeros(d)
+    y0 = 1.0 - y
     p = expit(X @ beta)
-    ll = _bernoulli_loglik(p, y)
+    ll = _bernoulli_loglik(p, y, y0)
     for it in range(1, IRLS_MAX_ITER + 1):
         grad = X.T @ (y - p) / n
         if np.max(np.abs(grad)) <= IRLS_TOL:
             return LinearFit(coefficients=beta, converged=True, iterations=it - 1)
-        w = np.clip(p * (1.0 - p), 1e-10, None)
+        w = np.maximum(p * (1.0 - p), 1e-10)
         hess = (X * w[:, None]).T @ X / n
         try:
             step = np.linalg.solve(hess, grad)
@@ -128,7 +128,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
         for _halving in range(MAX_HALVINGS + 1):
             cand = beta + alpha * step
             p_new = expit(X @ cand)
-            ll_new = _bernoulli_loglik(p_new, y)
+            ll_new = _bernoulli_loglik(p_new, y, y0)
             if np.isfinite(ll_new) and ll_new >= ll:
                 # The accepted candidate's probabilities start the next iteration.
                 beta, p, ll = cand, p_new, ll_new

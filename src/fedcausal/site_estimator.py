@@ -278,10 +278,10 @@ def source_influence(
     """
     if source.role != "source":
         raise ValueError("the source estimator requires a source frame")
-    zeta_raw = ratio_weights(tilt, source.V)
+    psi = add_intercept(source.V)
+    zeta_raw = ratio_weights(tilt, psi)
     zeta, weight_diag = truncate_weights(zeta_raw)
     _check_fit(source, fit, f"source {source.site_id}")
-    psi = add_intercept(source.V)
     zeta_psi = psi * zeta_raw[:, None]
     B = zeta_psi.T @ psi / source.n
     tau = [fit_ols(psi, fit.m[arm]).coefficients for arm in (0, 1)]

@@ -16,7 +16,7 @@ from fedcausal.density_ratio import ratio_weights, solve_tilt, target_moments
 from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round, site_split_seed
 from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
-from fedcausal.numkit import expit, nnls_coordinate_descent
+from fedcausal.numkit import add_intercept, expit, nnls_coordinate_descent
 from fedcausal.simbench import generate_site, load_scenario, method_config, run_scenario
 from fedcausal.site_estimator import (
     OwnSummary,
@@ -133,7 +133,7 @@ def test_criterion_4_density_ratio_oracles():
     V_src = rng.standard_normal((n, 2))
     V_tgt = rng.standard_normal((n, 2)) + np.array([0.3, 0.3])
     tilt = solve_tilt(V_src, target_moments(V_tgt))
-    zeta = ratio_weights(tilt, V_src)
+    zeta = ratio_weights(tilt, add_intercept(V_src))
 
     pooled = np.vstack([V_src, V_tgt])
     label = np.concatenate([np.zeros(n), np.ones(n)])

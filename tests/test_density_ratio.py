@@ -14,7 +14,7 @@ from fedcausal.density_ratio import (
     truncate_weights,
 )
 from fedcausal.errors import EmptySample, ExtremeWeightsWarning
-from fedcausal.numkit import add_intercept
+from fedcausal.numkit import add_intercept, newton_solve
 
 
 def test_basis_expand_linear():
@@ -22,13 +22,13 @@ def test_basis_expand_linear():
     V = np.arange(6.0).reshape(3, 2)
     tilt = TiltCoefficients(np.array([0.5, -1.0, 2.0]), 0.0)
     expected = np.exp(-(0.5 - V[:, 0] + 2.0 * V[:, 1]))
-    assert np.allclose(ratio_weights(tilt, V), expected, rtol=1e-15, atol=0.0)
+    assert np.allclose(ratio_weights(tilt, add_intercept(V)), expected, rtol=1e-15, atol=0.0)
 
 
 def test_target_moments_values():
     V = np.array([[1.0, 3.0], [3.0, 5.0]])
     summary = target_moments(V, site_id="t")
-    assert summary.n == 2
+    assert summary.site_id == "t"
     assert np.allclose(summary.mean_basis, [1.0, 2.0, 4.0])
     with pytest.raises(EmptySample):
         target_moments(np.zeros((0, 2)))
@@ -37,10 +37,10 @@ def test_target_moments_values():
 def test_moment_summary_json_round_trip():
     summary = target_moments(np.random.default_rng(0).standard_normal((10, 3)), site_id="tgt")
     text = summary.to_json()
+    assert json.loads(text).keys() == {"site_id", "d", "mean_basis"}
     assert json.loads(text)["d"] == 4
     back = MomentSummary.from_json(text)
     assert back.site_id == summary.site_id
-    assert back.n == summary.n
     assert np.array_equal(back.mean_basis, summary.mean_basis)
 
 
@@ -57,7 +57,7 @@ def test_solve_tilt_matches_moments_on_random_shifts():
         summary = target_moments(V_tgt)
         tilt = solve_tilt(V_src, summary)
         assert tilt.residual_norm < 1e-8
-        zeta = ratio_weights(tilt, V_src)
+        zeta = ratio_weights(tilt, add_intercept(V_src))
         assert np.all(zeta > 0.0)
         # First basis element is the constant 1, so the weights average to 1.
         assert abs(zeta.mean() - 1.0) < 1e-8
@@ -65,12 +65,39 @@ def test_solve_tilt_matches_moments_on_random_shifts():
         assert np.max(np.abs(weighted - summary.mean_basis)) < 1e-8
 
 
+def _tilt_with_separate_closures(V, summary):
+    """The tilt solve with a residual and a Jacobian that each weight the
+    basis afresh."""
+    psi = add_intercept(V)
+
+    def residual(gamma):
+        return summary.mean_basis - (psi * np.exp(-psi @ gamma)[:, None]).mean(axis=0)
+
+    def jacobian(gamma):
+        return (psi * np.exp(-psi @ gamma)[:, None]).T @ psi / len(psi)
+
+    gamma = newton_solve(residual, jacobian, np.zeros(psi.shape[1]))
+    return gamma, float(np.max(np.abs(residual(gamma))))
+
+
+def test_solve_tilt_equals_separate_residual_and_jacobian():
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        d = rng.integers(1, 4)
+        V_src = rng.standard_normal((int(rng.integers(50, 400)), d))
+        summary = target_moments(rng.standard_normal((300, d)) + rng.uniform(-1.0, 1.0, d))
+        gamma, residual_norm = _tilt_with_separate_closures(V_src, summary)
+        tilt = solve_tilt(V_src, summary)
+        assert np.array_equal(tilt.gamma, gamma)
+        assert tilt.residual_norm == residual_norm
+
+
 def test_solve_tilt_no_shift_is_near_identity():
     rng = np.random.default_rng(5)
     V = rng.standard_normal((500, 2))
     summary = target_moments(V)
     tilt = solve_tilt(V, summary)
-    zeta = ratio_weights(tilt, V)
+    zeta = ratio_weights(tilt, add_intercept(V))
     assert np.max(np.abs(zeta - 1.0)) < 1e-6
 
 
@@ -80,7 +107,7 @@ def test_solve_tilt_input_validation():
     summary = target_moments(V)
     with pytest.raises(EmptySample):
         solve_tilt(V[:2], summary)
-    bad = MomentSummary(site_id="t", n=50, mean_basis=np.zeros(7))
+    bad = MomentSummary(site_id="t", mean_basis=np.zeros(7))
     with pytest.raises(ValueError):
         solve_tilt(V, bad)
 
@@ -91,7 +118,7 @@ def test_ratio_weights_dimension_mismatch():
     summary = target_moments(V)
     tilt = solve_tilt(V, summary)
     with pytest.raises(ValueError):
-        ratio_weights(tilt, rng.standard_normal((10, 3)))
+        ratio_weights(tilt, add_intercept(rng.standard_normal((10, 3))))
 
 
 def test_truncate_weights_no_op_on_mild_weights():

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fedcausal import nuisance
 from fedcausal.errors import CandidateFitWarning, TooFewUnits
-from fedcausal.numkit import add_intercept, expit, fit_logistic
+from fedcausal.numkit import add_intercept, expit, fit_logistic, fit_ols
 from fedcausal.nuisance import (
     DEFAULT_CLIP,
     CandidateSpec,
@@ -127,6 +128,95 @@ def test_mix_outcome_too_few_units():
     spec = CandidateSpec("m", FeatureMap("raw"))
     with pytest.raises(TooFewUnits):
         mix_outcome("s0", _designs(X, [spec]), y, a, 1, [spec], seed=0)
+
+
+def _counted(monkeypatch, name):
+    """Replace the fitter ``name`` that the mixing routines call with one that
+    records the number of rows of each fit."""
+    rows = []
+    original = getattr(nuisance, name)
+
+    def counted(X, y):
+        rows.append(len(y))
+        return original(X, y)
+
+    monkeypatch.setattr(nuisance, name, counted)
+    return rows
+
+
+def test_lone_candidate_is_fit_once_on_all_units(monkeypatch):
+    rng = np.random.default_rng(12)
+    X, a = _sim_binary(rng, n=301)
+    y = X[:, 0] - X[:, 1] + a + rng.standard_normal(301)
+    spec = CandidateSpec("only", FeatureMap("subset", (0, 1)))
+    design = _designs(X, [spec])[spec.feature_map]
+
+    # The fit sees the rows gathered from the design, as `_mix` passes them:
+    # the design is column-major and its gather row-major, and BLAS rounds
+    # the two layouts differently.
+    every = np.arange(301)
+    logistic_rows = _counted(monkeypatch, "fit_logistic")
+    weights, fitted = mix_propensity("s0", {spec.feature_map: design}, a, [spec], seed=13)
+    assert logistic_rows == [301]
+    assert np.array_equal(weights, [1.0])
+    assert np.array_equal(fitted, expit(design @ fit_logistic(design[every], a).coefficients))
+
+    ols_rows = _counted(monkeypatch, "fit_ols")
+    arm = np.flatnonzero(a == 1)
+    weights, fitted = mix_outcome("s0", {spec.feature_map: design}, y, a, 1, [spec], seed=13)
+    assert ols_rows == [len(arm)]
+    assert np.array_equal(weights, [1.0])
+    assert np.array_equal(fitted, design @ fit_ols(design[arm], y[arm]).coefficients)
+
+
+def test_two_candidates_cost_two_fits_each(monkeypatch):
+    rng = np.random.default_rng(14)
+    X, a = _sim_binary(rng, n=301)
+    y = X[:, 0] + a + rng.standard_normal(301)
+    specs = [CandidateSpec("c1", FeatureMap("subset", (0,))),
+             CandidateSpec("c2", FeatureMap("subset", (1, 2)))]
+    designs = _designs(X, specs)
+    logistic_rows = _counted(monkeypatch, "fit_logistic")
+    mix_propensity("s0", designs, a, specs, seed=15)
+    assert logistic_rows == [150, 301, 150, 301]
+    ols_rows = _counted(monkeypatch, "fit_ols")
+    mix_outcome("s0", designs, y, a, 0, specs, seed=15)
+    n0 = int(np.sum(a == 0))
+    assert ols_rows == [n0 // 2, n0, n0 // 2, n0]
+
+
+def test_lone_candidate_needs_only_both_classes_in_the_full_sample():
+    # Every treated unit falls in the validation half of the seeded split, so
+    # a train-half fit would see one class; the lone candidate is fit on all
+    # units instead, and fits.
+    n, seed = 60, 16
+    train, val = split_data(n, seed)
+    a = np.zeros(n, dtype=int)
+    a[val[:12]] = 1
+    X = np.random.default_rng(17).standard_normal((n, 1))
+    spec = CandidateSpec("only", FeatureMap("raw"))
+    design = _designs(X, [spec])[spec.feature_map]
+    assert a[train].max() == 0
+    weights, fitted = mix_propensity("s0", {spec.feature_map: design}, a, [spec], seed=seed)
+    assert np.array_equal(weights, [1.0])
+    every = np.arange(n)
+    assert np.array_equal(fitted, expit(design @ fit_logistic(design[every], a).coefficients))
+
+
+def test_lone_candidate_keeps_the_split_size_floors():
+    spec = CandidateSpec("only", FeatureMap("raw"))
+    for n, message in ((1, "leaves a part empty"), (2, "validation set needs at least 2")):
+        X = np.arange(float(n))[:, None]
+        with pytest.raises(TooFewUnits, match=message):
+            mix_propensity("s0", _designs(X, [spec]), np.arange(n) % 2, [spec], seed=0)
+
+
+def test_lone_candidate_that_fails_to_fit():
+    X = np.random.default_rng(18).standard_normal((20, 2))
+    spec = CandidateSpec("only", FeatureMap("raw"))
+    with pytest.warns(CandidateFitWarning, match="^s0: candidate 'only' failed"):
+        with pytest.raises(TooFewUnits, match="all candidates failed to fit"):
+            mix_propensity("s0", _designs(X, [spec]), np.ones(20, dtype=int), [spec], seed=0)
 
 
 def test_mix_outcome_log_space_no_overflow():

@@ -46,6 +46,29 @@ def test_expit_matches_scipy():
     assert np.all(np.isfinite(out))
 
 
+def _masked_expit(z):
+    """The two-branch form, each branch on its own masked gather."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_expit_is_bitwise_the_masked_formula():
+    rng = np.random.default_rng(11)
+    z = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 750.0, -750.0, 36.7, -36.7, 745.2, -745.2],
+        np.linspace(-60.0, 60.0, 4001),
+        30.0 * rng.standard_normal(2000),
+    ])
+    new, old = expit(z), _masked_expit(z)
+    assert np.array_equal(np.isnan(new), np.isnan(old))
+    finite = ~np.isnan(old)
+    assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
+
+
 def test_fit_ols_exact_recovery():
     rng = np.random.default_rng(0)
     X = add_intercept(rng.standard_normal((50, 3)))

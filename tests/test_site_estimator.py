@@ -312,7 +312,7 @@ def test_contributions_match_per_arm_construction():
     est = complete_source_estimate(report, tgt)
 
     pi, m = fit.pi, fit.m
-    zeta_raw = ratio_weights(tilt, src.V)
+    zeta_raw = ratio_weights(tilt, add_intercept(src.V))
     zeta, _ = truncate_weights(zeta_raw)
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
     psi = add_intercept(src.V)
