@@ -19,16 +19,14 @@ import numpy as np
 from . import __version__
 from .errors import FedcausalError, ScenarioError
 from .federation import DEFAULT_LAMBDA_GRID
-from .fedruntime import ProtocolConfig, audit_ledger, dump_ledger, run_round
+from .fedruntime import METHODS, ProtocolConfig, audit_ledger, dump_ledger, run_round
 from .nuisance import CandidateSpec, FeatureMap
 from .simbench import (
-    BENCH_METHODS,
     load_scenario,
     method_config,
     rep_config_seed,
     replication_frames,
     run_scenario,
-    runtime_method,
 )
 from .site_estimator import SiteFrame
 
@@ -73,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte Carlo benchmark scenario")
     sim.add_argument("--scenario", required=True, help="preset name or scenario JSON path")
     sim.add_argument(
-        "--methods", default=",".join(BENCH_METHODS),
-        help="comma-separated subset of: " + ",".join(BENCH_METHODS),
+        "--methods", default=",".join(METHODS),
+        help="comma-separated subset of: " + ",".join(METHODS),
     )
     sim.add_argument("--reps", type=int, default=500)
     sim.add_argument("--seed", type=_parse_seed, default=0)
@@ -87,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--target", required=True, help="target site CSV (y,a,x1..xp)")
     est.add_argument("--source", action="append", default=[],
                      help="source site CSV; repeatable")
-    est.add_argument("--method", default="mr_l1", choices=BENCH_METHODS)
+    est.add_argument("--method", default="mr_l1", choices=METHODS)
     est.add_argument("--alpha", type=_parse_alpha, default=0.05)
     est.add_argument("--lambda-grid", type=_parse_lambda_grid,
                      default=DEFAULT_LAMBDA_GRID)
@@ -106,7 +104,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    unknown = [m for m in methods if m not in BENCH_METHODS]
+    unknown = [m for m in methods if m not in METHODS]
     if not methods or unknown:
         print(f"error: unknown methods {unknown}", file=sys.stderr)
         return EXIT_USAGE
@@ -127,12 +125,18 @@ def _cmd_simulate(args) -> int:
     result.write_metrics_csv(os.path.join(args.out, "metrics.csv"))
     result.write_replications_csv(os.path.join(args.out, "replications.csv"))
 
-    # Protocol transcript of replication 0, for inspection and audit.
+    # Protocol transcript of replication 0, for inspection and audit. The
+    # study tolerates a few failed replications, so this round may fail too.
     config = method_config(methods[0], scenario, alpha=args.alpha,
                            lambda_grid=args.lambda_grid,
                            seed=rep_config_seed(args.seed, 0))
-    report = run_round(replication_frames(scenario, args.seed, 0), config)
-    dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
+    try:
+        report = run_round(replication_frames(scenario, args.seed, 0), config)
+        dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
+        ledger_audit = audit_ledger(report)
+    except FedcausalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     manifest = {
         "scenario": scenario.name,
@@ -143,7 +147,7 @@ def _cmd_simulate(args) -> int:
         "lambda_grid": list(args.lambda_grid),
         "failures": result.failures,
         "version": __version__,
-        "ledger_audit": audit_ledger(report),
+        "ledger_audit": ledger_audit,
     }
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -208,7 +212,7 @@ def _cmd_estimate(args) -> int:
     }}
     config = ProtocolConfig(
         candidates=candidates,
-        method=runtime_method(args.method),
+        method=args.method,
         alpha=args.alpha,
         lambda_grid=args.lambda_grid,
         seed=args.seed,

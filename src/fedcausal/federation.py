@@ -3,7 +3,9 @@
 Fixed weighting schemes (target-only, sample-size, inverse-variance), adaptive
 nonnegative weights from a penalized regression of influence values with
 cross-validated penalty, and the influence-based variance and confidence
-interval of the combined effect estimate. Every variance here is a sum of
+interval of the combined effect estimate. Every function here takes the site
+estimates target first, as :func:`fedcausal.fedruntime.run_sites` lists them,
+and returns the site weights eta in that order. Every variance here is a sum of
 squared contributions exactly as the sites hold them (see
 :mod:`fedcausal.site_estimator`): no quantity is rescaled by a sample size.
 """
@@ -21,17 +23,19 @@ from .errors import MissingTarget, ZeroVariance
 from .numkit import nnls_coordinate_descent
 from .site_estimator import CV_SPLITS, SiteEstimate, split_masks
 
-FIXED_SCHEMES = ("target_only", "ss", "ivw")
+FIXED_SCHEMES = ("target", "ss", "ivw")
 DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
 class EnsembleSolution:
-    """Site weights chosen by a fixed scheme or the adaptive penalized fit."""
+    """Site weights chosen by a fixed scheme or the adaptive penalized fit.
 
-    site_ids: tuple[str, ...]
-    eta: np.ndarray  # one weight per site, shared by both arms
-    method: str
+    ``eta`` holds one weight per site, shared by both arms, target first and
+    then the sources in the order of the estimates they were fit to.
+    """
+
+    eta: np.ndarray
     lambda_: float | None = None
     cv_trace: dict = field(default_factory=dict)
 
@@ -59,7 +63,7 @@ class GlobalReport:
                 "ci": list(self.ci),
                 "alpha": self.alpha,
                 "method": self.method,
-                "eta": {s: float(w) for s, w in zip(self.solution.site_ids, self.solution.eta)},
+                "eta": {site["site_id"]: site["eta"] for site in self.per_site},
                 "lambda": self.solution.lambda_,
                 "cv_trace": self.solution.cv_trace,
                 "per_site": self.per_site,
@@ -70,23 +74,23 @@ class GlobalReport:
         )
 
 
-def _split_target(estimates: list[SiteEstimate]) -> tuple[int, list[int]]:
-    target_pos = [i for i, e in enumerate(estimates) if e.is_target]
-    if len(target_pos) != 1:
-        raise MissingTarget(f"expected exactly one target estimate, got {len(target_pos)}")
-    t = target_pos[0]
-    return t, [i for i in range(len(estimates)) if i != t]
+def _target_first(estimates: list[SiteEstimate]) -> SiteEstimate:
+    """The target estimate, which must come first and be the only one."""
+    if not (estimates and estimates[0].is_target
+            and not any(e.is_target for e in estimates[1:])):
+        raise MissingTarget("expected the target estimate first and no other")
+    return estimates[0]
 
 
 def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolution:
     """Fixed weighting: target-only, sample-size (n_k/N), or inverse variance."""
     if scheme not in FIXED_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    t, src = _split_target(estimates)
+    _target_first(estimates)
     K = len(estimates)
     eta = np.zeros(K)
-    if scheme == "target_only":
-        eta[t] = 1.0
+    if scheme == "target":
+        eta[0] = 1.0
     elif scheme == "ss":
         n = np.array([e.n_k for e in estimates], dtype=float)
         eta = n / n.sum()
@@ -98,11 +102,7 @@ def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolutio
                 raise ZeroVariance(f"site {est.site_id} has zero influence variance")
             inv_var[i] = 1.0 / sigma2
         eta = inv_var / inv_var.sum()
-    return EnsembleSolution(
-        site_ids=tuple(e.site_id for e in estimates),
-        eta=eta,
-        method=scheme,
-    )
+    return EnsembleSolution(eta=eta)
 
 
 def _stacked_system(estimates: list[SiteEstimate]):
@@ -123,16 +123,15 @@ def _stacked_system(estimates: list[SiteEstimate]):
     squares, returned per source as ``own_sq``; see :func:`_with_source_rows`.
     Callers reduce the rows to cross-products (:func:`_cross_products`).
     """
-    t, src = _split_target(estimates)
-    tgt_est = estimates[t]
+    tgt_est = _target_first(estimates)
+    sources = estimates[1:]
     n_T = tgt_est.n_T
     xi_T = tgt_est.on_target
-    G = np.zeros((n_T, len(src)))
-    own_sq = np.array([estimates[i].own.sq for i in src])
+    G = np.zeros((n_T, len(sources)))
+    own_sq = np.array([est.own.sq for est in sources])
     var_T = float(np.sum(xi_T**2))
-    arm_shift_sq = np.zeros(len(src))
-    for col, i in enumerate(src):
-        est = estimates[i]
+    arm_shift_sq = np.zeros(len(sources))
+    for col, est in enumerate(sources):
         delta = (est.mu[1] - est.mu[0]) - (tgt_est.mu[1] - tgt_est.mu[0])
         arm_shift_sq[col] = 0.5 * sum(
             (est.mu[arm] - tgt_est.mu[arm]) ** 2 for arm in (0, 1)
@@ -145,7 +144,7 @@ def _stacked_system(estimates: list[SiteEstimate]):
         threshold = 2.0 * math.sqrt(max(var_d, 0.0))
         shrunk = math.copysign(max(abs(delta) - threshold, 0.0), delta)
         G[:, col] = xi_T - on_tgt - shrunk / math.sqrt(n_T)
-    return xi_T, G, own_sq, arm_shift_sq, t, src
+    return xi_T, G, own_sq, arm_shift_sq
 
 
 def _cross_products(G: np.ndarray, r: np.ndarray):
@@ -173,15 +172,14 @@ def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target, seed: int):
     source split its units before upload and sent the sums of squares of
     both halves.
     """
-    t, src = _split_target(estimates)
-    sources = [estimates[i] for i in src]
+    sources = estimates[1:]
     for est in sources:
         if len(est.own.fit_sq) != CV_SPLITS or len(est.own.val_sq) != CV_SPLITS:
             raise ValueError(
                 f"site {est.site_id} summarizes {len(est.own.fit_sq)} splits, "
                 f"expected {CV_SPLITS}"
             )
-    masks = split_masks(estimates[t].n_T, seed, estimates[t].site_id)
+    masks = split_masks(estimates[0].n_T, seed, estimates[0].site_id)
     for s, fit_units in enumerate(masks):
         fit = _cross_products(G_T[fit_units], r_T[fit_units])
         val = tuple(whole - part for whole, part in zip(target, fit))
@@ -194,25 +192,6 @@ def _squared_error(products, eta: np.ndarray) -> float:
     """||r - G eta||^2 from cross-products: r'r - 2 eta'G'r + eta'G'G eta."""
     gram, gtr, rtr = products
     return rtr - 2.0 * float(eta @ gtr) + float(eta @ gram @ eta)
-
-
-def _weights_from_source_eta(eta_src: np.ndarray, t: int, src: list[int], K: int) -> np.ndarray:
-    eta = np.zeros(K)
-    total = eta_src.sum()
-    if total > 1.0:
-        eta_src = eta_src / total
-        total = 1.0
-    for col, i in enumerate(src):
-        eta[i] = eta_src[col]
-    eta[t] = 1.0 - total
-    return eta
-
-
-def _refit(target, own_sq, penalties, t: int, src: list[int], K: int, support=None):
-    """Site weights from all rows: the target's cross-products plus every source."""
-    gram, gtr, _ = _with_source_rows(target, own_sq)
-    eta_src = nnls_coordinate_descent(gram, gtr, penalties, support)
-    return _weights_from_source_eta(eta_src, t, src, K)
 
 
 def cross_validate_lambda(
@@ -230,22 +209,13 @@ def cross_validate_lambda(
     The selected value is the largest penalty whose mean validation error
     sits within one standard error of the minimum, which stabilizes the
     weights when the error curve is nearly flat. The final weights are refit
-    on all rows at the chosen value.
+    on all rows at the chosen value; if the source weights sum above one they
+    are scaled to sum to one, and the target takes the remainder.
     """
     grid = sorted(set(float(g) for g in grid))
     if not grid:
         raise ValueError("lambda grid must be non-empty")
-    r_T, G_T, own_sq, arm_shift_sq, t, src = _stacked_system(estimates)
-    K = len(estimates)
-    if not src:
-        eta = _weights_from_source_eta(np.zeros(0), t, src, K)
-        return EnsembleSolution(
-            site_ids=tuple(e.site_id for e in estimates),
-            eta=eta,
-            method="adaptive_l1",
-            lambda_=grid[0],
-        )
-
+    r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
     target = _cross_products(G_T, r_T)
     errors = np.zeros((CV_SPLITS, len(grid)))
     halves = _cv_systems(estimates, r_T, G_T, target, seed)
@@ -267,11 +237,14 @@ def cross_validate_lambda(
         if mean_err[j] <= cutoff and grid[j] > grid[best_j]:
             best_j = j
     lam = grid[best_j]
-    eta = _refit(target, own_sq, lam * arm_shift_sq, t, src, K, supports[best_j])
+    gram, gtr, _ = _with_source_rows(target, own_sq)
+    eta_src = nnls_coordinate_descent(gram, gtr, lam * arm_shift_sq, supports[best_j])
+    total = eta_src.sum()
+    if total > 1.0:
+        eta_src = eta_src / total
+        total = 1.0
     return EnsembleSolution(
-        site_ids=tuple(e.site_id for e in estimates),
-        eta=eta,
-        method="adaptive_l1",
+        eta=np.concatenate(([1.0 - total], eta_src)),
         lambda_=lam,
         cv_trace={"lambda": list(grid), "mean_validation_error": mean_err.tolist()},
     )
@@ -280,8 +253,8 @@ def cross_validate_lambda(
 def global_estimate(
     estimates: list[SiteEstimate],
     solution: EnsembleSolution,
+    method: str,
     alpha: float = 0.05,
-    method: str | None = None,
 ) -> GlobalReport:
     """Weighted combination with influence-based variance and normal CI.
 
@@ -292,8 +265,7 @@ def global_estimate(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    t, src = _split_target(estimates)
-    tgt_est = estimates[t]
+    tgt_est = _target_first(estimates)
 
     eta = solution.eta
     mu_g = []
@@ -307,7 +279,7 @@ def global_estimate(
 
     target_contrib = sum(eta[i] * est.on_target for i, est in enumerate(estimates))
     variance = float(np.sum(target_contrib**2)) + sum(
-        eta[i] ** 2 * estimates[i].own.sq for i in src)
+        eta[i] ** 2 * est.own.sq for i, est in enumerate(estimates[1:], 1))
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     half = z * math.sqrt(variance)
     per_site = [
@@ -327,7 +299,7 @@ def global_estimate(
         variance=variance,
         ci=(delta_hat - half, delta_hat + half),
         alpha=alpha,
-        method=method or solution.method,
+        method=method,
         solution=solution,
         per_site=per_site,
     )

@@ -45,7 +45,7 @@ from .site_estimator import (
     source_report,
 )
 
-METHODS = ("target_only", "ss", "ivw", "aipw_l1", "mr_l1")
+METHODS = ("target", "ss", "ivw", "aipw_l1", "mr_l1")
 ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
 
 # Declared shape of every payload key each message kind may carry: a scalar
@@ -192,7 +192,8 @@ class SitePhase:
     """The site work of one round, which no weighting scheme changes.
 
     ``estimates`` holds the target estimate first, then one estimate per
-    source that succeeded; ``failures`` maps each failed source to its error.
+    source that succeeded, in frame order; the coordinator's weights follow
+    the same order. ``failures`` maps each failed source to its error.
     ``ledger`` logs the messages of the site phase; the config broadcast names
     the weighting scheme, so :func:`combine` logs it.
     """
@@ -277,21 +278,21 @@ def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
     estimates = sites.estimates
     n_sources = len(estimates) - 1 + len(sites.failures)
     method = config.method
-    if n_sources and len(estimates) == 1:
-        warnings.warn(
-            "all source sites failed; falling back to the target-only estimate",
-            AllSourcesFailedWarning,
-            stacklevel=2,
-        )
-        method = "target_only"
     if len(estimates) == 1:
-        solution = combine_fixed(estimates, "target_only")
+        if n_sources:
+            warnings.warn(
+                "all source sites failed; falling back to the target-only estimate",
+                AllSourcesFailedWarning,
+                stacklevel=2,
+            )
+            method = "target"
+        solution = combine_fixed(estimates, "target")
     elif method in ADAPTIVE_METHODS:
         solution = cross_validate_lambda(estimates, grid=config.lambda_grid, seed=config.seed)
     else:
         solution = combine_fixed(estimates, method)
 
-    result = global_estimate(estimates, solution, alpha=config.alpha, method=config.method)
+    result = global_estimate(estimates, solution, config.method, alpha=config.alpha)
     broadcast = []
     if n_sources:
         broadcast.append(

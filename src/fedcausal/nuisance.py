@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CandidateFitWarning, FedcausalError, TooFewUnits
-from .numkit import add_intercept, expit, fit_logistic, fit_ols
+from .numkit import add_intercept, bernoulli_loglik, expit, fit_logistic, fit_ols
 
 DEFAULT_CLIP = (0.01, 0.99)
 
@@ -208,8 +208,7 @@ def mix_propensity(
     a = np.asarray(a, dtype=float)
 
     def log_score(linear, y):
-        p = np.clip(expit(linear), 1e-12, 1.0 - 1e-12)
-        return y * np.log(p) + (1.0 - y) * np.log1p(-p)
+        return bernoulli_loglik(expit(linear), y, 1.0 - y)
 
     return _mix(site_id, designs, a, np.arange(len(a)), specs, seed, fit_logistic, log_score,
                 expit)

@@ -80,11 +80,11 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(coefficients=coef)
 
 
-def _bernoulli_loglik(p: np.ndarray, y: np.ndarray, y0: np.ndarray) -> float:
-    """Bernoulli log-likelihood of ``y`` at ``p`` clipped to [1e-12, 1 - 1e-12];
-    ``y0`` is 1 - y."""
+def bernoulli_loglik(p: np.ndarray, y: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Per-unit Bernoulli log-likelihood of ``y`` at ``p`` clipped to
+    [1e-12, 1 - 1e-12]; ``y0`` is 1 - y."""
     p = np.minimum(np.maximum(p, 1e-12), 1.0 - 1e-12)
-    return float(np.sum(y * np.log(p) + y0 * np.log1p(-p)))
+    return y * np.log(p) + y0 * np.log1p(-p)
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -113,7 +113,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
     beta = np.zeros(d)
     y0 = 1.0 - y
     p = expit(X @ beta)
-    ll = _bernoulli_loglik(p, y, y0)
+    ll = float(np.sum(bernoulli_loglik(p, y, y0)))
     for it in range(1, IRLS_MAX_ITER + 1):
         grad = X.T @ (y - p) / n
         if np.max(np.abs(grad)) <= IRLS_TOL:
@@ -128,7 +128,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
         for _halving in range(MAX_HALVINGS + 1):
             cand = beta + alpha * step
             p_new = expit(X @ cand)
-            ll_new = _bernoulli_loglik(p_new, y, y0)
+            ll_new = float(np.sum(bernoulli_loglik(p_new, y, y0)))
             if np.isfinite(ll_new) and ll_new >= ll:
                 # The accepted candidate's probabilities start the next iteration.
                 beta, p, ll = cand, p_new, ll_new

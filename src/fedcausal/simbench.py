@@ -23,12 +23,10 @@ import numpy as np
 
 from .errors import FedcausalError, ScenarioError
 from .federation import DEFAULT_LAMBDA_GRID
-from .fedruntime import ProtocolConfig, combine, run_sites
+from .fedruntime import METHODS, ProtocolConfig, combine, run_sites
 from .nuisance import CandidateSpec, FeatureMap, kang_schafer
 from .numkit import expit
 from .site_estimator import SiteFrame
-
-BENCH_METHODS = ("target", "ss", "ivw", "aipw_l1", "mr_l1")
 
 OUTCOME_INTERCEPT = 210.0
 OUTCOME_COEF = np.array([27.4, 13.7, 13.7, 13.7])
@@ -181,11 +179,6 @@ def generate_site(site: SiteSpec, scenario: ScenarioSpec, rng: np.random.Generat
     )
 
 
-def runtime_method(method: str) -> str:
-    """The runtime weighting scheme behind a benchmark method name."""
-    return "target_only" if method == "target" else method
-
-
 def _candidate_group(ids_and_maps: list[tuple[str, FeatureMap]]) -> list[CandidateSpec]:
     return [CandidateSpec(id=i, feature_map=m) for i, m in ids_and_maps]
 
@@ -204,8 +197,8 @@ def method_config(
     a transformed-covariate candidate at every site (under mismatch, the
     sources' second candidate is the shared subset instead).
     """
-    if method not in BENCH_METHODS:
-        raise ScenarioError(f"unknown method {method!r}; choose from {BENCH_METHODS}")
+    if method not in METHODS:
+        raise ScenarioError(f"unknown method {method!r}; choose from {METHODS}")
     raw = FeatureMap("raw")
     if scenario.mismatch:
         sub = FeatureMap("subset", scenario.shared_cols)
@@ -232,7 +225,7 @@ def method_config(
     }
     return ProtocolConfig(
         candidates=candidates,
-        method=runtime_method(method),
+        method=method,
         alpha=alpha,
         lambda_grid=tuple(lambda_grid),
         seed=seed,
@@ -381,7 +374,7 @@ def run_replication(
 
 def run_scenario(
     scenario: ScenarioSpec,
-    methods=BENCH_METHODS,
+    methods=METHODS,
     reps: int = 500,
     seed: int = 0,
     alpha: float = 0.05,
@@ -394,7 +387,7 @@ def run_scenario(
     """
     methods = tuple(methods)
     for m in methods:
-        if m not in BENCH_METHODS:
+        if m not in METHODS:
             raise ScenarioError(f"unknown method {m!r}")
     if reps < 1:
         raise ScenarioError("reps must be positive")

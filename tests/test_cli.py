@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from fedcausal import cli
 from fedcausal.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from fedcausal.errors import TooFewUnits
 from fedcausal.numkit import expit
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed
 
@@ -50,6 +52,22 @@ def test_simulate_smoke(tmp_path, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert "method" in printed and "target" in printed
+
+
+def test_simulate_transcript_round_error_is_reported(tmp_path, capsys, monkeypatch):
+    # The study tolerates a few failed replications, so replaying replication
+    # 0 for the ledger can fail after the CSVs are written.
+    def failing_round(frames, config):
+        raise TooFewUnits("validation set needs at least 2 units")
+
+    monkeypatch.setattr(cli, "run_round", failing_round)
+    out = tmp_path / "run"
+    code = main(["simulate", "--scenario", "c1", "--methods", "target",
+                 "--reps", "1", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: validation set needs at least 2 units\n"
+    assert (out / "metrics.csv").is_file()
+    assert not (out / "manifest.json").exists()
 
 
 def test_simulate_usage_errors(tmp_path):
@@ -107,7 +125,7 @@ def test_estimate_target_only(tmp_path, capsys):
     code = main(["estimate", "--target", str(tgt), "--method", "target"])
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["method"] == "target_only"
+    assert report["method"] == "target"
     assert report["lambda"] is None and report["cv_trace"] == {}
 
 

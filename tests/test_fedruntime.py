@@ -85,7 +85,8 @@ def test_target_alone_has_empty_ledger():
     report = run_round(_make_frames(n_sources=0), _config("mr_l1"))
     assert report.privacy_ledger == []
     assert audit_ledger(report)["n_messages"] == 0
-    assert report.solution.method == "target_only"
+    assert report.solution.lambda_ is None  # the fixed target scheme, not the CV
+    assert [site["eta"] for site in report.per_site] == [1.0]
     assert np.isfinite(report.delta_hat)
 
 
@@ -124,7 +125,7 @@ def test_run_round_matches_direct_composition():
 def test_one_site_phase_combines_under_each_scheme():
     frames = _make_frames(seed=7)
     sites = run_sites(frames, _config("ivw", seed=2))
-    for method in ("mr_l1", "ivw", "target_only"):
+    for method in ("mr_l1", "ivw", "target"):
         config = _config(method, seed=2)
         shared, alone = combine(sites, config), run_round(frames, config)
         assert shared.delta_hat == alone.delta_hat
@@ -161,7 +162,7 @@ def test_all_sources_failed_degrades_to_target_only():
     frames = _make_frames(seed=5, n_sources=1, degenerate=("site1",))
     with pytest.warns(AllSourcesFailedWarning):
         report = run_round(frames, _config("ivw"))
-    assert report.diagnostics["effective_method"] == "target_only"
+    assert report.diagnostics["effective_method"] == "target"
     assert np.isfinite(report.delta_hat)
 
 

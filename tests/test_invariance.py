@@ -67,7 +67,7 @@ def _rounds(frames, seed):
 
 
 def _eta(report):
-    return dict(zip(report.solution.site_ids, report.solution.eta))
+    return {site["site_id"]: site["eta"] for site in report.per_site}
 
 
 @PROPERTY

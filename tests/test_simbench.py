@@ -11,8 +11,8 @@ import pytest
 
 from fedcausal import fedruntime, simbench
 from fedcausal.errors import CandidateFitWarning, ScenarioError
+from fedcausal.fedruntime import METHODS
 from fedcausal.simbench import (
-    BENCH_METHODS,
     ScenarioSpec,
     SiteSpec,
     generate_site,
@@ -175,7 +175,7 @@ def test_run_scenario_validation():
         run_scenario(_small_scenario(), methods=("target", "magic"), reps=2)
     with pytest.raises(ScenarioError):
         run_scenario(_small_scenario(), reps=0)
-    assert set(BENCH_METHODS) == {"target", "ss", "ivw", "aipw_l1", "mr_l1"}
+    assert set(METHODS) == {"target", "ss", "ivw", "aipw_l1", "mr_l1"}
 
 
 def test_run_scenario_same_seed_same_rows():
@@ -198,7 +198,7 @@ def test_site_phase_shared_across_methods(monkeypatch):
     scenario = load_scenario("c1")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows, failed = run_replication(scenario, BENCH_METHODS, seed=0, rep=0)
+        rows, failed = run_replication(scenario, METHODS, seed=0, rep=0)
         # target, ss, ivw and aipw_l1 share one site phase; mr_l1 has its own.
         assert len(rows) + len(failed) == 5
         assert len(calls) == 2 * len(scenario.sites)
