@@ -26,41 +26,42 @@ EXTREME_RATIO = 100.0
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Summary-level payload: means of ``(1, V)`` over the target units."""
+    """Summary-level payload: means of ``(1, V)`` over the target units.
 
-    site_id: str
+    The wire form also carries the basis dimension ``d``, which the ledger
+    audit reads; the sender is the logged message's ``from_site``.
+    """
+
     mean_basis: np.ndarray
 
     def to_json(self) -> str:
         return json.dumps(
-            {
-                "site_id": self.site_id,
-                "d": len(self.mean_basis),
-                "mean_basis": list(map(float, self.mean_basis)),
-            }
+            {"d": len(self.mean_basis), "mean_basis": list(map(float, self.mean_basis))}
         )
 
     @staticmethod
     def from_json(payload: str) -> "MomentSummary":
-        obj = json.loads(payload)
-        return MomentSummary(
-            site_id=obj["site_id"],
-            mean_basis=np.asarray(obj["mean_basis"], dtype=float),
-        )
+        return MomentSummary(np.asarray(json.loads(payload)["mean_basis"], dtype=float))
 
 
 @dataclass(frozen=True)
 class TiltCoefficients:
+    """A solved tilt: its coefficients and residual norm, the weights
+    ``exp(-psi gamma)`` on the source units, and the moment-matching Jacobian
+    ``B = mean(psi psi' exp(-psi gamma))``, all at the returned gamma."""
+
     gamma: np.ndarray
     residual_norm: float
+    weights: np.ndarray
+    jacobian: np.ndarray
 
 
-def target_moments(V_target: np.ndarray, site_id: str = "target") -> MomentSummary:
+def target_moments(V_target: np.ndarray) -> MomentSummary:
     """Componentwise sample mean of ``(1, V)`` over the target units."""
     V_target = np.atleast_2d(np.asarray(V_target, dtype=float))
     if V_target.shape[0] == 0:
         raise EmptySample("target covariate block is empty")
-    return MomentSummary(site_id=site_id, mean_basis=add_intercept(V_target).mean(axis=0))
+    return MomentSummary(add_intercept(V_target).mean(axis=0))
 
 
 def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoefficients:
@@ -71,7 +72,8 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
     and stops at a residual norm of ``numkit.NEWTON_TOL``. The weighted basis
     psi * exp(-psi gamma) is computed once per trial gamma: the Newton solver
     asks for the Jacobian only at the point whose residual it accepted last,
-    and the reported residual norm is that of the returned gamma.
+    and the reported residual norm, weights and Jacobian are those of the
+    returned gamma.
     """
     psi = add_intercept(source_V)
     n_k, d = psi.shape
@@ -81,12 +83,14 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
         raise ValueError("target summary dimension does not match basis")
     tgt = np.asarray(target_summary.mean_basis, dtype=float)
 
-    last = {}  # the last trial gamma, its weighted basis and its residual
+    last = {}  # the last trial gamma, its weights, weighted basis and residual
 
     def residual(gamma):
         if not np.array_equal(last.get("gamma"), gamma):
-            weighted = psi * np.exp(-psi @ gamma)[:, None]
-            last.update(gamma=gamma, weighted=weighted, r=tgt - weighted.mean(axis=0))
+            weights = np.exp(-psi @ gamma)
+            weighted = psi * weights[:, None]
+            last.update(gamma=gamma, weights=weights, weighted=weighted,
+                        r=tgt - weighted.mean(axis=0))
         return last["r"]
 
     def jacobian(gamma):
@@ -94,18 +98,13 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
         return last["weighted"].T @ psi / n_k
 
     gamma = newton_solve(residual, jacobian, np.zeros(d))
+    B = jacobian(gamma)  # also leaves ``last`` at the returned gamma
     return TiltCoefficients(
         gamma=gamma,
-        residual_norm=float(np.max(np.abs(residual(gamma)))),
+        residual_norm=float(np.max(np.abs(last["r"]))),
+        weights=last["weights"],
+        jacobian=B,
     )
-
-
-def ratio_weights(coeffs: TiltCoefficients, psi: np.ndarray) -> np.ndarray:
-    """Evaluate ``exp(-gamma' psi)`` on source units, given their tilt basis
-    ``psi = (1, V)``; strictly positive."""
-    if psi.shape[1] != len(coeffs.gamma):
-        raise ValueError("dimension mismatch between coefficients and basis")
-    return np.exp(-psi @ coeffs.gamma)
 
 
 def truncate_weights(weights: np.ndarray) -> tuple[np.ndarray, dict]:

@@ -1,16 +1,17 @@
 """Single-round simulated federation over in-memory site frames.
 
-The target site acts as coordinator. One round consists of a configuration
-broadcast and a site phase (:func:`run_sites`: a moment-summary broadcast from
-the target, one summary-level upload per source, and the target's own
-estimate), after which the coordinator forms the global combination
-(:func:`combine`). The site phase never reads the weighting scheme. Every
-cross-site payload is serialized to JSON at the boundary, and every message is
-logged so the ledger can be audited: only the declared summary-level schemas
-may cross sites, never individual rows or any per-unit value. Moment summaries
-and source uploads are decoded on the receiving side; the config broadcast is
-logged as sent and never decoded, because every site reads the in-memory
-config.
+The target site acts as coordinator. One round is a site phase
+(:func:`run_sites`: the config broadcast of the seed and candidate models, a
+moment-summary broadcast from the target, one summary-level upload per source,
+and the target's own estimate), after which the coordinator forms the global
+combination (:func:`combine`). The weighting scheme, the CI level and the
+penalty grid are the coordinator's own settings: the site phase never reads
+them and no message carries them. Every cross-site payload is serialized to
+JSON at the boundary, and every message is logged so the ledger can be
+audited: only the declared summary-level schemas may cross sites, never
+individual rows or any per-unit value. Moment summaries and source uploads are
+decoded on the receiving side; the config broadcast is logged as sent and
+never decoded, because every site reads the in-memory config.
 """
 
 from __future__ import annotations
@@ -51,20 +52,14 @@ ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
 # Declared shape of every payload key each message kind may carry: a scalar
 # ("text", "count", "number"), "scalars" (an object of scalars, such as
 # diagnostics), "candidates" (the candidate model specs), or "[dim]": a flat
-# numeric list whose length is the protocol dimension ``dim``. The config
-# broadcast declares the lambda grid's length and the moment summary the basis
-# dimension ``d`` = 1 + the shared covariates, which is also the number of
-# projection coefficients; the split sums have the protocol's fixed
-# ``CV_SPLITS``. No dimension depends on a site's sample size, so no per-unit
-# array passes the audit.
+# numeric list whose length is the protocol dimension ``dim``. The moment
+# summary declares the basis dimension ``d`` = 1 + the shared covariates, which
+# is also the number of projection coefficients; the split sums have the
+# protocol's fixed ``CV_SPLITS``. No dimension depends on a site's sample
+# size, so no per-unit array passes the audit.
 _SCHEMAS = {
-    "config": {
-        "method": "text", "alpha": "number", "lambda_grid": "[lambda_grid]",
-        "seed": "count", "candidates": "candidates",
-    },
-    "moment_summary": {
-        "site_id": "text", "d": "count", "mean_basis": "[basis]",
-    },
+    "config": {"seed": "count", "candidates": "candidates"},
+    "moment_summary": {"d": "count", "mean_basis": "[basis]"},
     "site_estimate": {
         # source upload
         "site_id": "text", "n_k": "count", "mu_own0": "number", "mu_own1": "number",
@@ -129,10 +124,12 @@ class MessageRecord:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Round configuration broadcast by the coordinator.
+    """Round configuration set by the coordinator.
 
     ``candidates`` maps site id to its treatment and outcome candidate model
     specs; sites absent from the map fall back to the ``"default"`` entry.
+    Only ``seed`` and ``candidates`` are broadcast (:meth:`to_dict`);
+    ``method``, ``alpha`` and ``lambda_grid`` stay with the coordinator.
     """
 
     candidates: dict
@@ -153,10 +150,8 @@ class ProtocolConfig:
         raise ValueError(f"no candidate specs for site {site_id!r}")
 
     def to_dict(self) -> dict:
+        """The config broadcast: what the sites read."""
         return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "lambda_grid": list(self.lambda_grid),
             "seed": self.seed,
             "candidates": {
                 site: {
@@ -194,8 +189,8 @@ class SitePhase:
     ``estimates`` holds the target estimate first, then one estimate per
     source that succeeded, in frame order; the coordinator's weights follow
     the same order. ``failures`` maps each failed source to its error.
-    ``ledger`` logs the messages of the site phase; the config broadcast names
-    the weighting scheme, so :func:`combine` logs it.
+    ``ledger`` logs every message of the round, the config broadcast first;
+    the combine step sends none.
     """
 
     estimates: list
@@ -204,11 +199,11 @@ class SitePhase:
 
 
 def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
-    """Run every site's local work: moment summary, tilts, nuisance fits,
-    source uploads and the target's own estimate.
+    """Run every site's local work: config broadcast, moment summary, tilts,
+    nuisance fits, source uploads and the target's own estimate.
 
-    Never reads ``config.method``, so one site phase serves every
-    weighting scheme. Sources that raise a model-fitting or
+    Reads only the broadcast part of ``config``, so one site phase serves
+    every weighting scheme. Sources that raise a model-fitting or
     transport error are recorded in ``failures`` and left out.
     """
     targets = [f for f in frames if f.role == "target"]
@@ -219,7 +214,17 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
     coordinator = target.site_id
 
     ledger: list[MessageRecord] = []
-    summary_text = target_moments(target.V, target.site_id).to_json()
+    if sources:
+        ledger.append(
+            MessageRecord(
+                from_site=coordinator,
+                to_site="*",
+                kind="config",
+                round=0,
+                payload_text=json.dumps(config.to_dict()),
+            )
+        )
+    summary_text = target_moments(target.V).to_json()
     failures: dict[str, str] = {}
     estimates = []
 
@@ -271,40 +276,28 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
 def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
     """Coordinator step: weight the site estimates by ``config.method``.
 
+    Sends no message: the report's ledger is a copy of the site phase's.
     Leaves ``sites`` unchanged, so one site phase can be combined under
-    several weighting schemes. If every source failed the round degrades to
-    the target-only estimate with a warning.
+    several weighting schemes. A round with the target estimate alone uses
+    the target-only weights, reported as its ``effective_method``, with a
+    warning if sources were configured and every one failed.
     """
     estimates = sites.estimates
     n_sources = len(estimates) - 1 + len(sites.failures)
-    method = config.method
-    if len(estimates) == 1:
-        if n_sources:
-            warnings.warn(
-                "all source sites failed; falling back to the target-only estimate",
-                AllSourcesFailedWarning,
-                stacklevel=2,
-            )
-            method = "target"
-        solution = combine_fixed(estimates, "target")
-    elif method in ADAPTIVE_METHODS:
+    if len(estimates) == 1 and n_sources:
+        warnings.warn(
+            "all source sites failed; falling back to the target-only estimate",
+            AllSourcesFailedWarning,
+            stacklevel=2,
+        )
+    method = "target" if len(estimates) == 1 else config.method
+    if method in ADAPTIVE_METHODS:
         solution = cross_validate_lambda(estimates, grid=config.lambda_grid, seed=config.seed)
     else:
         solution = combine_fixed(estimates, method)
 
     result = global_estimate(estimates, solution, config.method, alpha=config.alpha)
-    broadcast = []
-    if n_sources:
-        broadcast.append(
-            MessageRecord(
-                from_site=estimates[0].site_id,
-                to_site="*",
-                kind="config",
-                round=0,
-                payload_text=json.dumps(config.to_dict()),
-            )
-        )
-    result.privacy_ledger = broadcast + sites.ledger
+    result.privacy_ledger = list(sites.ledger)
     result.diagnostics = {
         "n_sites": n_sources + 1,
         "n_sources": n_sources,
@@ -366,23 +359,17 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
 
 
 def _declared_dims(payloads: list) -> dict:
-    """Protocol dimensions: the fixed split count, and those declared by a
-    round's config and moment summaries."""
+    """Protocol dimensions: the fixed split count, and the basis dimension
+    ``d`` declared by a round's moment summaries."""
     dims = {"cv_splits": CV_SPLITS}
     for kind, payload in payloads:
-        if kind == "config":
-            grid = payload.get("lambda_grid")
-            found = {"lambda_grid": len(grid) if isinstance(grid, list) else None}
-        elif kind == "moment_summary":
-            d = payload.get("d")
-            if not (_SCALARS["count"](d) and d >= 2):
-                raise PrivacyViolation(f"moment summary declares no valid basis size {d!r}")
-            found = {"basis": d}
-        else:
+        if kind != "moment_summary":
             continue
-        for name, size in found.items():
-            if dims.setdefault(name, size) != size:
-                raise PrivacyViolation(f"messages disagree on the {name} dimension")
+        d = payload.get("d")
+        if not (_SCALARS["count"](d) and d >= 2):
+            raise PrivacyViolation(f"moment summary declares no valid basis size {d!r}")
+        if dims.setdefault("basis", d) != d:
+            raise PrivacyViolation("messages disagree on the basis dimension")
     return dims
 
 

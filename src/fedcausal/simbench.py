@@ -331,19 +331,19 @@ def run_replication(
 ) -> tuple[list[ReplicationRow], dict]:
     """One replication: generate all sites, run each method, score coverage.
 
-    Methods whose configs differ only in the weighting scheme share one site
-    phase; an error in that phase fails each of them.
+    Methods whose configs broadcast the same text share one site phase; an
+    error in that phase fails each of them.
     """
     frames = replication_frames(scenario, seed, rep)
     cfg_seed = rep_config_seed(seed, rep)
     rows: list[ReplicationRow] = []
     failed: dict[str, str] = {}
-    phases: dict = {}  # config without its method -> site phase or its error
+    phases: dict = {}  # config broadcast text -> site phase or its error
     for method in methods:
         config = method_config(
             method, scenario, alpha=alpha, lambda_grid=lambda_grid, seed=cfg_seed,
         )
-        key = json.dumps({**config.to_dict(), "method": None})
+        key = json.dumps(config.to_dict())
         if key not in phases:
             try:
                 phases[key] = run_sites(frames, config)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_ratio import TiltCoefficients, ratio_weights, truncate_weights
+from .density_ratio import TiltCoefficients, truncate_weights
 from .errors import PositivityWarning, SingularJacobian
 from .nuisance import NuisanceFit
 from .numkit import add_intercept, fit_ols
@@ -269,7 +269,8 @@ def source_influence(
     B and the effect difference's sensitivity A = d(mu_1 - mu_0)/dgamma, each
     unit contributes through A'B^{-1} times its centered moment-equation
     value. The same sensitivity vector is reported so the coordinator can add
-    the matching target-sample term.
+    the matching target-sample term. ``tilt`` is this source's
+    :func:`solve_tilt` result; its weights and B are used as solved.
 
     Returns the upload, which summarizes the contributions over this site's
     own cross-validation folds (:func:`split_masks` with ``seed``), with the
@@ -279,11 +280,10 @@ def source_influence(
     if source.role != "source":
         raise ValueError("the source estimator requires a source frame")
     psi = add_intercept(source.V)
-    zeta_raw = ratio_weights(tilt, psi)
+    zeta_raw, B = tilt.weights, tilt.jacobian
     zeta, weight_diag = truncate_weights(zeta_raw)
     _check_fit(source, fit, f"source {source.site_id}")
     zeta_psi = psi * zeta_raw[:, None]
-    B = zeta_psi.T @ psi / source.n
     tau = [fit_ols(psi, fit.m[arm]).coefficients for arm in (0, 1)]
     ind = np.stack([source.a == 0, source.a == 1]).astype(float)
     h = ind / fit.pi * (source.y - fit.m) + (fit.m - np.stack([psi @ t for t in tau]))

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fedcausal.density_ratio import ratio_weights, solve_tilt, target_moments
+from fedcausal.density_ratio import solve_tilt, target_moments
 from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round, site_split_seed
 from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
-from fedcausal.numkit import add_intercept, expit, nnls_coordinate_descent
+from fedcausal.numkit import expit, nnls_coordinate_descent
 from fedcausal.simbench import generate_site, load_scenario, method_config, run_scenario
 from fedcausal.site_estimator import (
     OwnSummary,
@@ -133,7 +133,7 @@ def test_criterion_4_density_ratio_oracles():
     V_src = rng.standard_normal((n, 2))
     V_tgt = rng.standard_normal((n, 2)) + np.array([0.3, 0.3])
     tilt = solve_tilt(V_src, target_moments(V_tgt))
-    zeta = ratio_weights(tilt, add_intercept(V_src))
+    zeta = tilt.weights
 
     pooled = np.vstack([V_src, V_tgt])
     label = np.concatenate([np.zeros(n), np.ones(n)])
@@ -270,7 +270,7 @@ def test_criterion_7_influence_checks(bench):
         for idx, site in enumerate(scenario.sites)]
     config = method_config("mr_l1", scenario, seed=SEED)
     target = next(f for f in frames if f.role == "target")
-    summary = target_moments(target.V, target.site_id)
+    summary = target_moments(target.V)
     worst_mean = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -332,7 +332,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
         runtime = run_round(frames, config)
 
         target = frames[0]
-        summary = target_moments(target.V, target.site_id)
+        summary = target_moments(target.V)
         estimates = [estimate_target(target, fit_nuisances(
             target.site_id, target.X, target.y, target.a,
             candidates["default"]["treatment"], candidates["default"]["outcome"],

@@ -3,13 +3,14 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from fedcausal import cli
 from fedcausal.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from fedcausal.errors import TooFewUnits
+from fedcausal.errors import AllSourcesFailedWarning, TooFewUnits
 from fedcausal.numkit import expit
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed
 
@@ -127,6 +128,20 @@ def test_estimate_target_only(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["method"] == "target"
     assert report["lambda"] is None and report["cv_trace"] == {}
+
+
+def test_estimate_without_sources_reports_target_weights(tmp_path, capsys):
+    # No source is configured, so the adaptive method has nothing to weight:
+    # the round uses the target-only weights and says so, without a warning.
+    tgt = _write_site_csv(tmp_path / "tgt.csv", 3, 200, ["x1", "x2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AllSourcesFailedWarning)
+        code = main(["estimate", "--target", str(tgt), "--method", "mr_l1"])
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["diagnostics"]["effective_method"] == "target"
+    assert report["eta"] == {"tgt": 1.0}
+    assert report["lambda"] is None and report["privacy_ledger"] == []
 
 
 def test_estimate_data_errors(tmp_path, capsys):

@@ -7,8 +7,6 @@ import pytest
 
 from fedcausal.density_ratio import (
     MomentSummary,
-    TiltCoefficients,
-    ratio_weights,
     solve_tilt,
     target_moments,
     truncate_weights,
@@ -18,29 +16,32 @@ from fedcausal.numkit import add_intercept, newton_solve
 
 
 def test_basis_expand_linear():
-    # The tilt basis is (1, V): the ratio is exp(-(g0 + g1 V1 + g2 V2)).
-    V = np.arange(6.0).reshape(3, 2)
-    tilt = TiltCoefficients(np.array([0.5, -1.0, 2.0]), 0.0)
-    expected = np.exp(-(0.5 - V[:, 0] + 2.0 * V[:, 1]))
-    assert np.allclose(ratio_weights(tilt, add_intercept(V)), expected, rtol=1e-15, atol=0.0)
+    # The tilt basis is (1, V): the ratio is exp(-(g0 + g1 V1 + g2 V2)), and
+    # the Jacobian is the ratio-weighted mean of psi psi'.
+    rng = np.random.default_rng(1)
+    V = rng.standard_normal((40, 2))
+    tilt = solve_tilt(V, target_moments(V + 0.3))
+    g = tilt.gamma
+    expected = np.exp(-(g[0] + g[1] * V[:, 0] + g[2] * V[:, 1]))
+    assert np.allclose(tilt.weights, expected, rtol=1e-12, atol=0.0)
+    psi = add_intercept(V)
+    assert np.array_equal(tilt.jacobian, (psi * tilt.weights[:, None]).T @ psi / len(V))
 
 
 def test_target_moments_values():
     V = np.array([[1.0, 3.0], [3.0, 5.0]])
-    summary = target_moments(V, site_id="t")
-    assert summary.site_id == "t"
+    summary = target_moments(V)
     assert np.allclose(summary.mean_basis, [1.0, 2.0, 4.0])
     with pytest.raises(EmptySample):
         target_moments(np.zeros((0, 2)))
 
 
 def test_moment_summary_json_round_trip():
-    summary = target_moments(np.random.default_rng(0).standard_normal((10, 3)), site_id="tgt")
+    summary = target_moments(np.random.default_rng(0).standard_normal((10, 3)))
     text = summary.to_json()
-    assert json.loads(text).keys() == {"site_id", "d", "mean_basis"}
+    assert json.loads(text).keys() == {"d", "mean_basis"}
     assert json.loads(text)["d"] == 4
     back = MomentSummary.from_json(text)
-    assert back.site_id == summary.site_id
     assert np.array_equal(back.mean_basis, summary.mean_basis)
 
 
@@ -57,7 +58,7 @@ def test_solve_tilt_matches_moments_on_random_shifts():
         summary = target_moments(V_tgt)
         tilt = solve_tilt(V_src, summary)
         assert tilt.residual_norm < 1e-8
-        zeta = ratio_weights(tilt, add_intercept(V_src))
+        zeta = tilt.weights
         assert np.all(zeta > 0.0)
         # First basis element is the constant 1, so the weights average to 1.
         assert abs(zeta.mean() - 1.0) < 1e-8
@@ -67,7 +68,8 @@ def test_solve_tilt_matches_moments_on_random_shifts():
 
 def _tilt_with_separate_closures(V, summary):
     """The tilt solve with a residual and a Jacobian that each weight the
-    basis afresh."""
+    basis afresh; returns gamma, the residual norm, the weights and the
+    Jacobian at gamma."""
     psi = add_intercept(V)
 
     def residual(gamma):
@@ -77,7 +79,8 @@ def _tilt_with_separate_closures(V, summary):
         return (psi * np.exp(-psi @ gamma)[:, None]).T @ psi / len(psi)
 
     gamma = newton_solve(residual, jacobian, np.zeros(psi.shape[1]))
-    return gamma, float(np.max(np.abs(residual(gamma))))
+    return (gamma, float(np.max(np.abs(residual(gamma)))), np.exp(-psi @ gamma),
+            jacobian(gamma))
 
 
 def test_solve_tilt_equals_separate_residual_and_jacobian():
@@ -86,10 +89,12 @@ def test_solve_tilt_equals_separate_residual_and_jacobian():
         d = rng.integers(1, 4)
         V_src = rng.standard_normal((int(rng.integers(50, 400)), d))
         summary = target_moments(rng.standard_normal((300, d)) + rng.uniform(-1.0, 1.0, d))
-        gamma, residual_norm = _tilt_with_separate_closures(V_src, summary)
+        gamma, residual_norm, weights, B = _tilt_with_separate_closures(V_src, summary)
         tilt = solve_tilt(V_src, summary)
         assert np.array_equal(tilt.gamma, gamma)
         assert tilt.residual_norm == residual_norm
+        assert np.array_equal(tilt.weights, weights)
+        assert np.array_equal(tilt.jacobian, B)
 
 
 def test_solve_tilt_no_shift_is_near_identity():
@@ -97,8 +102,7 @@ def test_solve_tilt_no_shift_is_near_identity():
     V = rng.standard_normal((500, 2))
     summary = target_moments(V)
     tilt = solve_tilt(V, summary)
-    zeta = ratio_weights(tilt, add_intercept(V))
-    assert np.max(np.abs(zeta - 1.0)) < 1e-6
+    assert np.max(np.abs(tilt.weights - 1.0)) < 1e-6
 
 
 def test_solve_tilt_input_validation():
@@ -107,18 +111,9 @@ def test_solve_tilt_input_validation():
     summary = target_moments(V)
     with pytest.raises(EmptySample):
         solve_tilt(V[:2], summary)
-    bad = MomentSummary(site_id="t", mean_basis=np.zeros(7))
+    bad = MomentSummary(np.zeros(7))
     with pytest.raises(ValueError):
         solve_tilt(V, bad)
-
-
-def test_ratio_weights_dimension_mismatch():
-    rng = np.random.default_rng(7)
-    V = rng.standard_normal((50, 2))
-    summary = target_moments(V)
-    tilt = solve_tilt(V, summary)
-    with pytest.raises(ValueError):
-        ratio_weights(tilt, add_intercept(rng.standard_normal((10, 3))))
 
 
 def test_truncate_weights_no_op_on_mild_weights():

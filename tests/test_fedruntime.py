@@ -18,6 +18,7 @@ from fedcausal.errors import (
 from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import (
     _SCHEMAS,
+    METHODS,
     MessageRecord,
     ProtocolConfig,
     audit_ledger,
@@ -82,7 +83,12 @@ def test_message_census_and_audit():
 
 
 def test_target_alone_has_empty_ledger():
-    report = run_round(_make_frames(n_sources=0), _config("mr_l1"))
+    # No source is configured, so none failed: no warning, and the round
+    # reports the target-only weights it used as its effective method.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AllSourcesFailedWarning)
+        report = run_round(_make_frames(n_sources=0), _config("mr_l1"))
+    assert report.diagnostics["effective_method"] == "target"
     assert report.privacy_ledger == []
     assert audit_ledger(report)["n_messages"] == 0
     assert report.solution.lambda_ is None  # the fixed target scheme, not the CV
@@ -96,7 +102,7 @@ def test_run_round_matches_direct_composition():
     via_runtime = run_round(frames, config)
 
     target = frames[0]
-    summary = target_moments(target.V, target.site_id)
+    summary = target_moments(target.V)
     estimates = [estimate_target(
         target,
         fit_nuisances(target.site_id, target.X, target.y, target.a,
@@ -133,6 +139,19 @@ def test_one_site_phase_combines_under_each_scheme():
         assert shared.diagnostics == alone.diagnostics
         assert ([r.to_dict() for r in shared.privacy_ledger]
                 == [r.to_dict() for r in alone.privacy_ledger])
+
+
+def test_combine_reports_the_site_phase_ledger():
+    # The combine step sends nothing: every report carries the site phase's
+    # transcript, as its own list.
+    sites = run_sites(_make_frames(seed=7), _config("ivw", seed=2))
+    logged = list(sites.ledger)
+    assert [r.kind for r in logged][:2] == ["config", "moment_summary"]
+    for method in METHODS:
+        report = combine(sites, _config(method, seed=2))
+        assert report.privacy_ledger == sites.ledger
+        report.privacy_ledger.append(logged[0])
+        assert sites.ledger == logged
 
 
 def test_clipping_warning_names_the_round():
@@ -230,6 +249,20 @@ def test_audit_rejects_per_unit_arrays():
     audit_ledger(report)
 
 
+def test_audit_rejects_a_config_carrying_per_unit_values():
+    # The penalty grid is the coordinator's own setting; a broadcast carrying
+    # one "grid" value per target unit is per-unit data and must not pass.
+    frames = _make_frames()
+    report = run_round(frames, _config("mr_l1"))
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                    if r.kind == "config")
+    payload = json.loads(rec.payload_text)
+    payload["lambda_grid"] = [float(v) for v in frames[0].y]
+    report.privacy_ledger[pos] = _relogged(rec, payload)
+    with pytest.raises(PrivacyViolation):
+        audit_ledger(report)
+
+
 def test_audit_schema_declares_only_what_a_round_sends():
     # Every declared key is sent in a round with sources: a stale
     # declaration would quietly widen what the audit accepts.
@@ -279,11 +312,12 @@ def test_no_raw_outcome_or_covariate_arrays_leave_a_site():
 
 
 def test_protocol_config_round_trip():
-    # The broadcast is logged as sent; sites read the in-memory config.
+    # The broadcast is logged as sent; sites read the in-memory config. It
+    # carries what the sites read, and none of the coordinator's settings.
     config = _config("ivw", seed=9)
     payload = config.to_dict()
     assert json.loads(json.dumps(payload)) == payload
-    assert payload["method"] == "ivw" and payload["seed"] == 9
+    assert set(payload) == {"seed", "candidates"} and payload["seed"] == 9
     assert config.specs_for("anything") is config.candidates["default"]
     with pytest.raises(ValueError):
         _config("bootstrap")

@@ -117,7 +117,7 @@ def test_affine_outcome_map_scales_effect_and_se(fed, c, b):
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, max_size=6).map(lambda v: np.array(v, dtype=float))
-moment_summaries = st.builds(MomentSummary, site_id=st.text(max_size=8), mean_basis=vectors)
+moment_summaries = st.builds(MomentSummary, mean_basis=vectors)
 source_reports = st.builds(
     SourceSiteReport,
     site_id=st.text(max_size=8),
@@ -172,9 +172,8 @@ def test_uploads_round_trip_through_json(summary, report):
 @given(configs)
 def test_config_broadcast_round_trips_through_json(config):
     sent = json.loads(json.dumps(config.to_dict()))
-    assert (sent["method"], sent["alpha"], sent["seed"]) == (
-        config.method, config.alpha, config.seed)
-    assert sent["lambda_grid"] == list(config.lambda_grid)
+    assert set(sent) == {"seed", "candidates"}
+    assert sent["seed"] == config.seed
     assert {site: {role: [CandidateSpec.from_dict(spec) for spec in specs]
                    for role, specs in groups.items()}
             for site, groups in sent["candidates"].items()} == config.candidates

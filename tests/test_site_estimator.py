@@ -5,7 +5,6 @@ import pytest
 
 from fedcausal.density_ratio import (
     TiltCoefficients,
-    ratio_weights,
     solve_tilt,
     target_moments,
     truncate_weights,
@@ -53,11 +52,19 @@ def _linear_pair(seed=0, n_src=800, n_tgt=500, shift=0.4):
 
 
 def _tilt_for(src, tgt):
-    return solve_tilt(src.V, target_moments(tgt.V, tgt.site_id))
+    return solve_tilt(src.V, target_moments(tgt.V))
 
 
-def _untilted(n_shared):
-    return TiltCoefficients(gamma=np.zeros(n_shared + 1), residual_norm=0.0)
+def _tilt_at(V, gamma):
+    """The tilt with coefficients ``gamma`` on source covariates ``V``,
+    whether or not it matches any target's moments."""
+    psi = add_intercept(V)
+    weights = np.exp(-psi @ gamma)
+    return TiltCoefficients(gamma, 0.0, weights, (psi * weights[:, None]).T @ psi / len(psi))
+
+
+def _untilted(frame):
+    return _tilt_at(frame.V, np.zeros(frame.V.shape[1] + 1))
 
 
 def test_site_frame_validation():
@@ -122,12 +129,12 @@ def test_fit_tau_exact_on_linear_predictions():
     # The outcome model is linear in X = V, so its projection on (1, V) is itself.
     src, tgt = _linear_pair(seed=4)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=1)
-    report = source_report(src, fit, _untilted(2))
+    report = source_report(src, fit, _untilted(src))
     for arm in (0, 1):
         tau = report.tau_coefficients[arm]
         assert np.max(np.abs(add_intercept(src.V) @ tau - fit.m[arm])) < 1e-8
     with pytest.raises(ValueError):
-        source_report(tgt, fit, _untilted(2))
+        source_report(tgt, fit, _untilted(src))
 
 
 def test_fit_tau_slope_recovery_with_orthogonal_noise():
@@ -143,7 +150,7 @@ def test_fit_tau_slope_recovery_with_orthogonal_noise():
     y = X @ beta + rng.standard_normal(n)
     src = SiteFrame("s", "source", y, a, X, (0, 1))
     fit = fit_nuisances("src", X, y, a, RAW_T, RAW_O, seed=2)
-    tau = source_report(src, fit, _untilted(2)).tau_coefficients[1]
+    tau = source_report(src, fit, _untilted(src)).tau_coefficients[1]
     assert np.allclose(tau[1:], beta[:2], atol=0.15)
 
 
@@ -151,7 +158,7 @@ def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    est = complete_source_estimate(source_report(src, _fit(src.n), _untilted(2)), tgt)
+    est = complete_source_estimate(source_report(src, _fit(src.n), _untilted(src)), tgt)
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
         assert abs(est.mu[arm] - expected) < 1e-12
@@ -236,7 +243,7 @@ def test_source_report_singular_jacobian_raises():
     a = (rng.random(n) < 0.5).astype(int)
     y = 1.0 + X[:, 1] + a + rng.standard_normal(n)
     src = SiteFrame("src", "source", y, a, X, (0, 1))
-    tilt = TiltCoefficients(np.array([0.0, 1000.0, 0.0]), 0.0)
+    tilt = _tilt_at(src.V, np.array([0.0, 1000.0, 0.0]))
     with pytest.raises(SingularJacobian), pytest.warns(ExtremeWeightsWarning):
         source_report(src, _fit(n), tilt)
 
@@ -306,13 +313,13 @@ def test_contributions_match_per_arm_construction():
     src = SiteFrame("src", "source", y, a, X, (0, 1))
     V_t = rng.standard_normal((n_t, 2)) + 0.3
     tgt = SiteFrame("tgt", "target", np.zeros(n_t), np.zeros(n_t, int), V_t, (0, 1))
-    tilt = solve_tilt(src.V, target_moments(tgt.V, tgt.site_id))
+    tilt = solve_tilt(src.V, target_moments(tgt.V))
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
     report, contributions = source_influence(src, fit, tilt, seed=3)
     est = complete_source_estimate(report, tgt)
 
     pi, m = fit.pi, fit.m
-    zeta_raw = ratio_weights(tilt, add_intercept(src.V))
+    zeta_raw = np.exp(-add_intercept(src.V) @ tilt.gamma)
     zeta, _ = truncate_weights(zeta_raw)
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
     psi = add_intercept(src.V)
