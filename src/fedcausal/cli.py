@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FedcausalError, ScenarioError
-from .federation import DEFAULT_LAMBDA_GRID
+from .federation import LAMBDA_GRID
 from .fedruntime import METHODS, ProtocolConfig, audit_ledger, dump_ledger, run_round
 from .nuisance import CandidateSpec, FeatureMap
 from .simbench import (
@@ -53,11 +52,6 @@ def _checked(convert, ok, rule: str):
 
 _parse_alpha = _checked(float, lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)")
 _parse_seed = _checked(int, lambda v: v >= 0, "seed must be >= 0")
-_parse_lambda_grid = _checked(
-    lambda text: tuple(float(v) for v in text.split(",")),
-    lambda grid: all(math.isfinite(v) and v >= 0 for v in grid),
-    "lambda grid values must be finite and nonnegative",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=500)
     sim.add_argument("--seed", type=_parse_seed, default=0)
     sim.add_argument("--alpha", type=_parse_alpha, default=0.05)
-    sim.add_argument("--lambda-grid", type=_parse_lambda_grid,
-                     default=DEFAULT_LAMBDA_GRID)
     sim.add_argument("--out", required=True, help="output directory")
 
     est = sub.add_parser("estimate", help="estimate from per-site CSV files")
@@ -87,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="source site CSV; repeatable")
     est.add_argument("--method", default="mr_l1", choices=METHODS)
     est.add_argument("--alpha", type=_parse_alpha, default=0.05)
-    est.add_argument("--lambda-grid", type=_parse_lambda_grid,
-                     default=DEFAULT_LAMBDA_GRID)
     est.add_argument("--seed", type=_parse_seed, default=0)
     est.add_argument("--out", default=None, help="directory for report.json and ledger.jsonl")
 
@@ -114,8 +104,7 @@ def _cmd_simulate(args) -> int:
 
     try:
         result = run_scenario(
-            scenario, methods=methods, reps=args.reps, seed=args.seed,
-            alpha=args.alpha, lambda_grid=args.lambda_grid,
+            scenario, methods=methods, reps=args.reps, seed=args.seed, alpha=args.alpha,
         )
     except (ScenarioError, FedcausalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -128,7 +117,6 @@ def _cmd_simulate(args) -> int:
     # Protocol transcript of replication 0, for inspection and audit. The
     # study tolerates a few failed replications, so this round may fail too.
     config = method_config(methods[0], scenario, alpha=args.alpha,
-                           lambda_grid=args.lambda_grid,
                            seed=rep_config_seed(args.seed, 0))
     try:
         report = run_round(replication_frames(scenario, args.seed, 0), config)
@@ -144,7 +132,7 @@ def _cmd_simulate(args) -> int:
         "reps": args.reps,
         "seed": args.seed,
         "alpha": args.alpha,
-        "lambda_grid": list(args.lambda_grid),
+        "lambda_grid": list(LAMBDA_GRID),
         "failures": result.failures,
         "version": __version__,
         "ledger_audit": ledger_audit,
@@ -167,6 +155,9 @@ def _read_site_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
         rows = list(reader)
     if len(header) < 3 or header[0] != "y" or header[1] != "a":
         raise ValueError(f"{path}: header must start with y,a followed by covariates")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise ValueError(f"{path}: repeated column names {repeated}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     try:
@@ -210,15 +201,13 @@ def _cmd_estimate(args) -> int:
         "treatment": [CandidateSpec("x", raw)],
         "outcome": [CandidateSpec("x", raw)],
     }}
-    config = ProtocolConfig(
-        candidates=candidates,
-        method=args.method,
-        alpha=args.alpha,
-        lambda_grid=args.lambda_grid,
-        seed=args.seed,
-    )
+    config = ProtocolConfig(candidates=candidates, method=args.method,
+                            alpha=args.alpha, seed=args.seed)
     try:
         report = run_round(frames, config)
+    except ValueError as exc:  # invalid frames, such as repeated site ids
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except FedcausalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

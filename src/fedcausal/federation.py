@@ -23,8 +23,11 @@ from .errors import MissingTarget, ZeroVariance
 from .numkit import nnls_coordinate_descent
 from .site_estimator import CV_SPLITS, SiteEstimate, split_masks
 
+# The weighting methods: fixed schemes, and the adaptive penalized ensembles
+# whose penalty is cross-validated over the protocol's fixed grid.
 FIXED_SCHEMES = ("target", "ss", "ivw")
-DEFAULT_LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
+LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ def _squared_error(products, eta: np.ndarray) -> float:
 
 def cross_validate_lambda(
     estimates: list[SiteEstimate],
-    grid=DEFAULT_LAMBDA_GRID,
+    grid=LAMBDA_GRID,
     seed: int = 0,
 ) -> EnsembleSolution:
     """Choose the penalty by ``CV_SPLITS`` repeated 50/50 splits of every

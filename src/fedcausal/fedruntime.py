@@ -4,9 +4,10 @@ The target site acts as coordinator. One round is a site phase
 (:func:`run_sites`: the config broadcast of the seed and candidate models, a
 moment-summary broadcast from the target, one summary-level upload per source,
 and the target's own estimate), after which the coordinator forms the global
-combination (:func:`combine`). The weighting scheme, the CI level and the
-penalty grid are the coordinator's own settings: the site phase never reads
-them and no message carries them. Every cross-site payload is serialized to
+combination (:func:`combine`). The weighting scheme and the CI level are the
+coordinator's own settings, and the penalty grid is the protocol constant
+:data:`~fedcausal.federation.LAMBDA_GRID`: the site phase never reads them and
+no message carries them. Every cross-site payload is serialized to
 JSON at the boundary, and every message is logged so the ledger can be
 audited: only the declared summary-level schemas may cross sites, never
 individual rows or any per-unit value. Moment summaries and source uploads are
@@ -30,7 +31,8 @@ from .errors import (
     PrivacyViolation,
 )
 from .federation import (
-    DEFAULT_LAMBDA_GRID,
+    ADAPTIVE_METHODS,
+    FIXED_SCHEMES,
     GlobalReport,
     combine_fixed,
     cross_validate_lambda,
@@ -46,8 +48,7 @@ from .site_estimator import (
     source_report,
 )
 
-METHODS = ("target", "ss", "ivw", "aipw_l1", "mr_l1")
-ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
+METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 
 # Declared shape of every payload key each message kind may carry: a scalar
 # ("text", "count", "number"), "scalars" (an object of scalars, such as
@@ -129,13 +130,13 @@ class ProtocolConfig:
     ``candidates`` maps site id to its treatment and outcome candidate model
     specs; sites absent from the map fall back to the ``"default"`` entry.
     Only ``seed`` and ``candidates`` are broadcast (:meth:`to_dict`);
-    ``method``, ``alpha`` and ``lambda_grid`` stay with the coordinator.
+    ``method`` and ``alpha`` stay with the coordinator. The adaptive methods'
+    penalty grid is no setting but the protocol constant ``LAMBDA_GRID``.
     """
 
     candidates: dict
     method: str = "mr_l1"
     alpha: float = 0.05
-    lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     seed: int = 0
 
     def __post_init__(self):
@@ -204,11 +205,16 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
 
     Reads only the broadcast part of ``config``, so one site phase serves
     every weighting scheme. Sources that raise a model-fitting or
-    transport error are recorded in ``failures`` and left out.
+    transport error are recorded in ``failures`` and left out. Site ids
+    address the messages and the weights, so they must be distinct.
     """
     targets = [f for f in frames if f.role == "target"]
     if len(targets) != 1:
         raise MissingTarget(f"expected exactly one target frame, got {len(targets)}")
+    ids = [f.site_id for f in frames]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"site ids must be distinct; repeated: {repeated}")
     target = targets[0]
     sources = [f for f in frames if f.role == "source"]
     coordinator = target.site_id
@@ -292,7 +298,7 @@ def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
         )
     method = "target" if len(estimates) == 1 else config.method
     if method in ADAPTIVE_METHODS:
-        solution = cross_validate_lambda(estimates, grid=config.lambda_grid, seed=config.seed)
+        solution = cross_validate_lambda(estimates, seed=config.seed)
     else:
         solution = combine_fixed(estimates, method)
 

@@ -22,7 +22,6 @@ from importlib import resources
 import numpy as np
 
 from .errors import FedcausalError, ScenarioError
-from .federation import DEFAULT_LAMBDA_GRID
 from .fedruntime import METHODS, ProtocolConfig, combine, run_sites
 from .nuisance import CandidateSpec, FeatureMap, kang_schafer
 from .numkit import expit
@@ -187,7 +186,6 @@ def method_config(
     method: str,
     scenario: ScenarioSpec,
     alpha: float = 0.05,
-    lambda_grid=DEFAULT_LAMBDA_GRID,
     seed: int = 0,
 ) -> ProtocolConfig:
     """Candidate-model and runtime configuration for one benchmark method.
@@ -223,13 +221,7 @@ def method_config(
             "outcome": _candidate_group(tgt_maps),
         },
     }
-    return ProtocolConfig(
-        candidates=candidates,
-        method=method,
-        alpha=alpha,
-        lambda_grid=tuple(lambda_grid),
-        seed=seed,
-    )
+    return ProtocolConfig(candidates=candidates, method=method, alpha=alpha, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -327,7 +319,6 @@ def run_replication(
     seed: int,
     rep: int,
     alpha: float = 0.05,
-    lambda_grid=DEFAULT_LAMBDA_GRID,
 ) -> tuple[list[ReplicationRow], dict]:
     """One replication: generate all sites, run each method, score coverage.
 
@@ -340,9 +331,7 @@ def run_replication(
     failed: dict[str, str] = {}
     phases: dict = {}  # config broadcast text -> site phase or its error
     for method in methods:
-        config = method_config(
-            method, scenario, alpha=alpha, lambda_grid=lambda_grid, seed=cfg_seed,
-        )
+        config = method_config(method, scenario, alpha=alpha, seed=cfg_seed)
         key = json.dumps(config.to_dict())
         if key not in phases:
             try:
@@ -378,7 +367,6 @@ def run_scenario(
     reps: int = 500,
     seed: int = 0,
     alpha: float = 0.05,
-    lambda_grid=DEFAULT_LAMBDA_GRID,
 ) -> SimulationResult:
     """Run the full Monte Carlo study.
 
@@ -395,9 +383,7 @@ def run_scenario(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         outcomes = [
-            run_replication(
-                scenario, methods, seed, rep, alpha=alpha, lambda_grid=lambda_grid,
-            )
+            run_replication(scenario, methods, seed, rep, alpha=alpha)
             for rep in range(reps)
         ]
 

@@ -345,7 +345,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
                 source_report(src, fit, tilt, seed=seed), target))
-        solution = cross_validate_lambda(estimates, grid=config.lambda_grid, seed=seed)
+        solution = cross_validate_lambda(estimates, seed=seed)
         direct = global_estimate(estimates, solution, alpha=config.alpha,
                                  method=config.method)
         if not (runtime.delta_hat == direct.delta_hat

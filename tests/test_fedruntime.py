@@ -82,6 +82,15 @@ def test_message_census_and_audit():
     assert report.diagnostics["n_sources_used"] == 2
 
 
+def test_run_sites_rejects_repeated_site_ids():
+    # Site ids address the messages and the weights; the library path has no
+    # CLI in front of it to catch a repeat.
+    frames = _make_frames()
+    frames[2] = dataclasses.replace(frames[2], site_id=frames[0].site_id)
+    with pytest.raises(ValueError, match=r"repeated: \['site0'\]"):
+        run_sites(frames, _config())
+
+
 def test_target_alone_has_empty_ledger():
     # No source is configured, so none failed: no warning, and the round
     # reports the target-only weights it used as its effective method.
@@ -117,7 +126,7 @@ def test_run_round_matches_direct_composition():
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
             source_report(src, fit, tilt, seed=config.seed), target))
-    solution = cross_validate_lambda(estimates, grid=config.lambda_grid, seed=config.seed)
+    solution = cross_validate_lambda(estimates, seed=config.seed)
     direct = global_estimate(estimates, solution, alpha=config.alpha,
                              method=config.method)
 

@@ -143,7 +143,6 @@ configs = st.builds(
     }), max_size=3),
     method=st.sampled_from(METHODS),
     alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    lambda_grid=st.lists(st.floats(0.0, 1e12), min_size=1, max_size=9).map(tuple),
     seed=st.integers(0, 2**32 - 1),
 )
 
