@@ -52,6 +52,12 @@ def _checked(convert, ok, rule: str):
 
 _parse_alpha = _checked(float, lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)")
 _parse_seed = _checked(int, lambda v: v >= 0, "seed must be >= 0")
+_parse_reps = _checked(int, lambda v: v >= 1, "reps must be >= 1")
+_parse_methods = _checked(
+    lambda text: tuple(m.strip() for m in text.split(",") if m.strip()),
+    lambda methods: bool(methods) and set(methods) <= set(METHODS),
+    "methods must be a non-empty, comma-separated subset of: " + ",".join(METHODS),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte Carlo benchmark scenario")
     sim.add_argument("--scenario", required=True, help="preset name or scenario JSON path")
     sim.add_argument(
-        "--methods", default=",".join(METHODS),
+        "--methods", type=_parse_methods, default=METHODS,
         help="comma-separated subset of: " + ",".join(METHODS),
     )
-    sim.add_argument("--reps", type=int, default=500)
+    sim.add_argument("--reps", type=_parse_reps, default=500)
     sim.add_argument("--seed", type=_parse_seed, default=0)
     sim.add_argument("--alpha", type=_parse_alpha, default=0.05)
     sim.add_argument("--out", required=True, help="output directory")
@@ -87,36 +93,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path: str) -> bool:
+    """Create the directory ``path``, or print why it cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_simulate(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    unknown = [m for m in methods if m not in METHODS]
-    if not methods or unknown:
-        print(f"error: unknown methods {unknown}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.reps < 1:
-        print("error: reps must be >= 1", file=sys.stderr)
+    if not _make_out_dir(args.out):
         return EXIT_USAGE
 
     try:
         result = run_scenario(
-            scenario, methods=methods, reps=args.reps, seed=args.seed, alpha=args.alpha,
+            scenario, methods=args.methods, reps=args.reps, seed=args.seed, alpha=args.alpha,
         )
     except (ScenarioError, FedcausalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    os.makedirs(args.out, exist_ok=True)
     result.write_metrics_csv(os.path.join(args.out, "metrics.csv"))
     result.write_replications_csv(os.path.join(args.out, "replications.csv"))
 
     # Protocol transcript of replication 0, for inspection and audit. The
     # study tolerates a few failed replications, so this round may fail too.
-    config = method_config(methods[0], scenario, alpha=args.alpha,
+    config = method_config(args.methods[0], scenario, alpha=args.alpha,
                            seed=rep_config_seed(args.seed, 0))
     try:
         report = run_round(replication_frames(scenario, args.seed, 0), config)
@@ -128,7 +137,7 @@ def _cmd_simulate(args) -> int:
 
     manifest = {
         "scenario": scenario.name,
-        "methods": list(methods),
+        "methods": list(args.methods),
         "reps": args.reps,
         "seed": args.seed,
         "alpha": args.alpha,
@@ -140,7 +149,7 @@ def _cmd_simulate(args) -> int:
     with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    print(f"wrote metrics for {len(methods)} methods x {args.reps} reps to {args.out}")
+    print(f"wrote metrics for {len(args.methods)} methods x {args.reps} reps to {args.out}")
     return EXIT_OK
 
 
@@ -203,6 +212,8 @@ def _cmd_estimate(args) -> int:
     }}
     config = ProtocolConfig(candidates=candidates, method=args.method,
                             alpha=args.alpha, seed=args.seed)
+    if args.out and not _make_out_dir(args.out):
+        return EXIT_USAGE
     try:
         report = run_round(frames, config)
     except ValueError as exc:  # invalid frames, such as repeated site ids
@@ -214,7 +225,6 @@ def _cmd_estimate(args) -> int:
 
     print(report.to_json())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
         dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
@@ -238,7 +248,8 @@ def _cmd_report(args) -> int:
             v = float(cell)
         except ValueError:
             return cell
-        return cell if v == int(v) and "." not in cell else f"{v:.3f}"
+        keep = not np.isfinite(v) or (v.is_integer() and "." not in cell)
+        return cell if keep else f"{v:.3f}"
 
     table = [header] + [[fmt(c) for c in r] for r in body]
     widths = [max(len(r[j]) for r in table) for j in range(len(header))]

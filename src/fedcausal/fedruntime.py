@@ -3,16 +3,17 @@
 The target site acts as coordinator. One round is a site phase
 (:func:`run_sites`: the config broadcast of the seed and candidate models, a
 moment-summary broadcast from the target, one summary-level upload per source,
-and the target's own estimate), after which the coordinator forms the global
-combination (:func:`combine`). The weighting scheme and the CI level are the
-coordinator's own settings, and the penalty grid is the protocol constant
-:data:`~fedcausal.federation.LAMBDA_GRID`: the site phase never reads them and
-no message carries them. Every cross-site payload is serialized to
-JSON at the boundary, and every message is logged so the ledger can be
-audited: only the declared summary-level schemas may cross sites, never
-individual rows or any per-unit value. Moment summaries and source uploads are
-decoded on the receiving side; the config broadcast is logged as sent and
-never decoded, because every site reads the in-memory config.
+and the target's own estimate, which stays at the target), after which the
+coordinator forms the global combination (:func:`combine`). The weighting
+scheme and the CI level are the coordinator's own settings, and the penalty
+grid is the protocol constant :data:`~fedcausal.federation.LAMBDA_GRID`: the
+site phase never reads them and no message carries them. Every cross-site
+payload is serialized to JSON at the boundary, and every cross-site message is
+logged so the ledger can be audited: only the declared summary-level schemas
+may cross sites, never individual rows or any per-unit value. Moment
+summaries and source uploads are decoded on the receiving side; the config
+broadcast is logged as sent and never decoded, because every site reads the
+in-memory config.
 """
 
 from __future__ import annotations
@@ -62,13 +63,10 @@ _SCHEMAS = {
     "config": {"seed": "count", "candidates": "candidates"},
     "moment_summary": {"d": "count", "mean_basis": "[basis]"},
     "site_estimate": {
-        # source upload
         "site_id": "text", "n_k": "count", "mu_own0": "number", "mu_own1": "number",
         "own_sq": "number", "fit_sq": "[cv_splits]", "val_sq": "[cv_splits]",
         "tau0": "[basis]", "tau1": "[basis]", "tilt_sens": "[basis]",
         "diagnostics": "scalars",
-        # target's own estimate
-        "mu0": "number", "mu1": "number", "n_T": "count",
     },
 }
 
@@ -190,8 +188,8 @@ class SitePhase:
     ``estimates`` holds the target estimate first, then one estimate per
     source that succeeded, in frame order; the coordinator's weights follow
     the same order. ``failures`` maps each failed source to its error.
-    ``ledger`` logs every message of the round, the config broadcast first;
-    the combine step sends none.
+    ``ledger`` logs every cross-site message of the round, the config
+    broadcast first; the combine step sends none.
     """
 
     estimates: list
@@ -201,7 +199,8 @@ class SitePhase:
 
 def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
     """Run every site's local work: config broadcast, moment summary, tilts,
-    nuisance fits, source uploads and the target's own estimate.
+    nuisance fits, source uploads and the target's own estimate, which is
+    not a message.
 
     Reads only the broadcast part of ``config``, so one site phase serves
     every weighting scheme. Sources that raise a model-fitting or
@@ -266,16 +265,6 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
         )
 
     tgt_est = estimate_target(target, _fit_site(target, config))
-    if sources:
-        ledger.append(
-            MessageRecord(
-                from_site=coordinator,
-                to_site=coordinator,
-                kind="site_estimate",
-                round=0,
-                payload_text=tgt_est.to_json(),
-            )
-        )
     return SitePhase(estimates=[tgt_est] + estimates, ledger=ledger, failures=failures)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CandidateFitWarning, FedcausalError, TooFewUnits
+from .errors import CandidateFitWarning, FedcausalError, PositivityWarning, TooFewUnits
 from .numkit import add_intercept, bernoulli_loglik, expit, fit_logistic, fit_ols
 
 DEFAULT_CLIP = (0.01, 0.99)
@@ -82,11 +82,10 @@ class CandidateSpec:
 @dataclass(frozen=True)
 class NuisanceFit:
     """Arm-indexed (2, n) propensities, clipped to ``DEFAULT_CLIP``, and outcome
-    means of a site's units; ``clipped`` tells whether the clip changed any."""
+    means of a site's units."""
 
     pi: np.ndarray
     m: np.ndarray
-    clipped: bool
 
 
 def _train_size(n: int) -> int:
@@ -255,7 +254,8 @@ def fit_nuisances(
 ) -> NuisanceFit:
     """Fit the propensity and per-arm outcome mixtures on a 0.5 train split
     seeded by ``seed``, on one design per distinct feature map, and evaluate
-    them on the units of site ``site_id``."""
+    them on the units of site ``site_id``. Warns with
+    :class:`PositivityWarning` if the clip changes any propensity."""
     maps = dict.fromkeys(s.feature_map for s in (*treatment_specs, *outcome_specs))
     designs = {fm: add_intercept(fm.apply(X)) for fm in maps}
     p1 = mix_propensity(site_id, designs, a, treatment_specs, seed=seed)[1]
@@ -263,4 +263,7 @@ def fit_nuisances(
     m0 = mix_outcome(site_id, designs, y, a, 0, outcome_specs, seed=seed)[1]
     unclipped = np.stack([1.0 - p1, p1])
     pi = np.clip(unclipped, *DEFAULT_CLIP)
-    return NuisanceFit(pi=pi, m=np.stack([m0, m1]), clipped=bool(np.any(pi != unclipped)))
+    if np.any(pi != unclipped):
+        warnings.warn(f"propensity clipping active at site {site_id}", PositivityWarning,
+                      stacklevel=2)
+    return NuisanceFit(pi=pi, m=np.stack([m0, m1]))

@@ -20,15 +20,13 @@ site that holds them, so that sums of squared contributions are variances.
 from __future__ import annotations
 
 import json
-import sys
-import warnings
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .density_ratio import TiltCoefficients, truncate_weights
-from .errors import PositivityWarning, SingularJacobian
+from .errors import SingularJacobian
 from .nuisance import NuisanceFit
 from .numkit import add_intercept, fit_ols
 
@@ -146,7 +144,13 @@ class SiteEstimate:
         return self.own is None
 
     def to_json(self) -> str:
-        """Scalar summary of the estimate; per-unit values are not sent."""
+        """Scalar summary of the estimate; per-unit values are left out.
+
+        No package code calls it: it is kept only because the benchmark's
+        tracer names it among the wire codecs (``perfbench/tracing.py``,
+        checked by ``tests/test_traced_names.py``), and goes with the
+        benchmark refresh (ROADMAP items 5 and 6).
+        """
         return json.dumps(
             {
                 "site_id": self.site_id,
@@ -218,21 +222,9 @@ class SourceSiteReport:
 
 
 def _check_fit(frame: SiteFrame, fit: NuisanceFit, where: str) -> None:
-    """Reject a nuisance fit of another frame's units, and warn of propensity
-    clipping at the first caller outside this module.
-
-    Python 3.12's ``warnings.warn(skip_file_prefixes=...)`` does the same: a
-    clipping warning raised during a round names the round's own line.
-    """
+    """Reject a nuisance fit of another frame's units."""
     if not fit.pi.shape == fit.m.shape == (2, frame.n):
         raise ValueError(f"the nuisance fit does not cover the {frame.n} units of {where}")
-    if not fit.clipped:
-        return
-    level, caller = 2, sys._getframe(1)
-    while caller.f_globals.get("__name__") == __name__:
-        level, caller = level + 1, caller.f_back
-    warnings.warn(f"propensity clipping active on {where}", PositivityWarning,
-                  stacklevel=level)
 
 
 def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:

@@ -355,7 +355,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
             break
 
     # Privacy audit: every acceptance preset has a clean ledger with exactly
-    # one config broadcast, K-1 moment summaries, and K estimate records.
+    # one config broadcast, K-1 moment summaries, and K-1 source uploads.
     census_ok = True
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -368,7 +368,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
             census = audit_ledger(report)
             k = len(scenario.sites)
             by_kind = {kind: c["count"] for kind, c in census["by_kind"].items()}
-            if by_kind != {"config": 1, "moment_summary": k - 1, "site_estimate": k}:
+            if by_kind != {"config": 1, "moment_summary": k - 1, "site_estimate": k - 1}:
                 census_ok = False
 
     detail = (f"bit-identical over 20 seeds: {identical}; "

@@ -43,8 +43,8 @@ def test_simulate_smoke(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario"] == "c1"
     assert manifest["reps"] == 2
-    # 5 sites: one config broadcast, 4 moment summaries, 5 estimate records.
-    assert manifest["ledger_audit"]["n_messages"] == 10
+    # 5 sites: one config broadcast, 4 moment summaries, 4 source uploads.
+    assert manifest["ledger_audit"]["n_messages"] == 9
     # The transcript is replication 0's round, config seed included.
     config = method_config("target", load_scenario("c1"), seed=rep_config_seed(0, 0))
     first = json.loads((out / "ledger.jsonl").read_text().splitlines()[0])
@@ -77,10 +77,27 @@ def test_simulate_transcript_round_error_is_reported(tmp_path, capsys, monkeypat
 def test_simulate_usage_errors(tmp_path):
     out = str(tmp_path / "x")
     assert main(["simulate", "--scenario", "nope", "--out", out]) == EXIT_USAGE
-    assert main(["simulate", "--scenario", "c1", "--methods", "magic",
-                 "--out", out]) == EXIT_USAGE
-    assert main(["simulate", "--scenario", "c1", "--reps", "0",
-                 "--out", out]) == EXIT_USAGE
+    # Rejected while parsing, like the out-of-range arguments below.
+    for flag, value in (("--methods", "magic"), ("--methods", ","), ("--reps", "0")):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--scenario", "c1", flag, value, "--out", out])
+        assert err.value.code == EXIT_USAGE
+
+
+def test_simulate_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # The output directory is made before the study runs, so a name that
+    # cannot be a directory fails at once.
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_study)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code = main(["simulate", "--scenario", "c1", "--methods", "target",
+                 "--reps", "3", "--out", str(afile)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
@@ -197,6 +214,22 @@ def test_estimate_rejects_repeated_column_names(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {bad}: repeated column names ['x1']\n"
 
 
+def test_estimate_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # Checked before the round runs, so no report is printed.
+    def no_round(frames, config):
+        raise AssertionError("the round ran")
+
+    monkeypatch.setattr(cli, "run_round", no_round)
+    tgt = _write_site_csv(tmp_path / "tgt.csv", 1, 200, ["x1", "x2"])
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code = main(["estimate", "--target", str(tgt), "--out", str(afile)])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert afile.read_text() == "kept\n"
+
+
 def test_estimate_runtime_error(tmp_path, capsys):
     # Constant treatment at the target cannot be fit.
     path = tmp_path / "flat.csv"
@@ -216,6 +249,16 @@ def test_report_data_errors(tmp_path):
     not_metrics = tmp_path / "other.csv"
     not_metrics.write_text("a,b\n1,2\n")
     assert main(["report", "--metrics", str(not_metrics)]) == EXIT_DATA
+
+
+def test_report_prints_non_finite_cells_as_written(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("method,reps,rmse,se_over_sd\nmr_l1,3,nan,inf\nivw,3,0.05,-inf\n")
+    assert main(["report", "--metrics", str(metrics)]) == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["method", "reps", "rmse", "se_over_sd"],
+                    ["mr_l1", "3", "nan", "inf"],
+                    ["ivw", "3", "0.050", "-inf"]]
 
 
 def test_version_flag(capsys):

@@ -75,10 +75,13 @@ def _relogged(rec, payload):
 def test_message_census_and_audit():
     report = run_round(_make_frames(), _config("ivw"))
     census = audit_ledger(report)
-    assert census["n_messages"] == 6  # 1 config + 2 summaries + 3 estimates
+    assert census["n_messages"] == 5  # 1 config + 2 summaries + 2 source uploads
     assert census["by_kind"]["config"]["count"] == 1
     assert census["by_kind"]["moment_summary"]["count"] == 2
-    assert census["by_kind"]["site_estimate"]["count"] == 3
+    assert census["by_kind"]["site_estimate"]["count"] == 2
+    # The ledger holds cross-site messages only: the target's own estimate
+    # stays at the target.
+    assert all(r.from_site != r.to_site for r in report.privacy_ledger)
     assert report.diagnostics["n_sources_used"] == 2
 
 
@@ -165,14 +168,15 @@ def test_combine_reports_the_site_phase_ledger():
 
 def test_clipping_warning_names_the_round():
     # A steep propensity clips at the target and at every source; each
-    # warning points at the round's line, not inside the site estimator.
+    # warning names its site and points at the round's line, not inside the
+    # nuisance fit.
     frames = _make_frames(seed=8, slope=6.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_round(frames, _config("ivw"))
     clipping = [w for w in caught if issubclass(w.category, PositivityWarning)]
     assert {str(w.message).rsplit(" ", 1)[-1] for w in clipping} == {
-        "units", "site1", "site2"}
+        "site0", "site1", "site2"}
     assert all(w.filename.endswith("fedruntime.py") for w in clipping)
 
 

@@ -1,12 +1,13 @@
 """Tests for the candidate nuisance models and risk-weighted mixing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fedcausal import nuisance
-from fedcausal.errors import CandidateFitWarning, TooFewUnits
+from fedcausal.errors import CandidateFitWarning, PositivityWarning, TooFewUnits
 from fedcausal.numkit import add_intercept, expit, fit_logistic, fit_ols
 from fedcausal.nuisance import (
     DEFAULT_CLIP,
@@ -260,15 +261,16 @@ def test_predict_propensity_identities():
     y = X[:, 0] + rng.standard_normal(400)
     raw = [CandidateSpec("p", FeatureMap("raw"))]
     outcome = [CandidateSpec("m", FeatureMap("raw"))]
-    fit = fit_nuisances("s0", X, y, a, raw, outcome, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PositivityWarning)
+        fit = fit_nuisances("s0", X, y, a, raw, outcome, seed=6)
     assert np.allclose(fit.pi[0] + fit.pi[1], 1.0, atol=1e-15)
     assert fit.pi.shape == fit.m.shape == (2, 400)
-    assert not fit.clipped
 
     # A steep propensity sends many units past the clip at both ends.
     a = (rng.random(400) < expit(6.0 * X[:, 0])).astype(int)
-    fit = fit_nuisances("s0", X, y, a, raw, outcome, seed=6)
-    assert fit.clipped
+    with pytest.warns(PositivityWarning, match="^propensity clipping active at site s0$"):
+        fit = fit_nuisances("s0", X, y, a, raw, outcome, seed=6)
     assert fit.pi[1].max() == DEFAULT_CLIP[1] and fit.pi[1].min() == DEFAULT_CLIP[0]
     assert fit.pi[0].max() == DEFAULT_CLIP[1] and fit.pi[0].min() == DEFAULT_CLIP[0]
 

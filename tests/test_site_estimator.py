@@ -9,7 +9,7 @@ from fedcausal.density_ratio import (
     target_moments,
     truncate_weights,
 )
-from fedcausal.errors import ExtremeWeightsWarning, PositivityWarning, SingularJacobian
+from fedcausal.errors import ExtremeWeightsWarning, SingularJacobian
 from fedcausal.numkit import add_intercept, expit, fit_ols
 from fedcausal.nuisance import CandidateSpec, FeatureMap, NuisanceFit, fit_nuisances
 from fedcausal.site_estimator import (
@@ -26,10 +26,10 @@ RAW_T = [CandidateSpec("p", FeatureMap("raw"))]
 RAW_O = [CandidateSpec("m", FeatureMap("raw"))]
 
 
-def _fit(n, p1=0.5, m=0.0, clipped=False):
+def _fit(n, p1=0.5, m=0.0):
     # Constant propensity P(A=1) = p1 and outcome means m on n units.
     return NuisanceFit(pi=np.stack([np.full(n, 1.0 - p1), np.full(n, p1)]),
-                       m=np.full((2, n), m), clipped=clipped)
+                       m=np.full((2, n), m))
 
 
 def _linear_pair(seed=0, n_src=800, n_tgt=500, shift=0.4):
@@ -113,16 +113,6 @@ def test_estimate_target_requires_target_role():
     src, tgt = _linear_pair()
     with pytest.raises(ValueError):
         estimate_target(src, _fit(src.n))
-
-
-def test_estimate_target_positivity_warning():
-    rng = np.random.default_rng(3)
-    n = 50
-    frame = SiteFrame("t", "target", rng.standard_normal(n),
-                      rng.integers(0, 2, n), rng.standard_normal((n, 1)), (0,))
-    # Every propensity clipped at 0.99.
-    with pytest.warns(PositivityWarning):
-        estimate_target(frame, _fit(n, p1=0.99, clipped=True))
 
 
 def test_fit_tau_exact_on_linear_predictions():

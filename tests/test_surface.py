@@ -1,5 +1,6 @@
-"""The package keeps no public function that only tests call: each one is
-referenced by package code outside its own definition."""
+"""The package keeps no public function that only tests call, each one
+referenced by package code outside its own definition, and no module import
+that its module never uses."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,21 @@ def test_every_public_function_has_a_package_caller():
         and not any(node.name in _referenced_names(t, node) for t in trees.values())
     ]
     assert uncalled == []
+
+
+def test_every_module_import_is_used():
+    # An import the module never names is left over from deleted code.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [
+                    f"{path.name}:{alias.asname or alias.name.split('.')[0]}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in used
+                ]
+    assert unused == []
