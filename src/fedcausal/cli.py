@@ -55,8 +55,8 @@ _parse_seed = _checked(int, lambda v: v >= 0, "seed must be >= 0")
 _parse_reps = _checked(int, lambda v: v >= 1, "reps must be >= 1")
 _parse_methods = _checked(
     lambda text: tuple(m.strip() for m in text.split(",") if m.strip()),
-    lambda methods: bool(methods) and set(methods) <= set(METHODS),
-    "methods must be a non-empty, comma-separated subset of: " + ",".join(METHODS),
+    lambda methods: 0 < len(methods) == len(set(methods)) and set(methods) <= set(METHODS),
+    "methods must be a non-empty list of distinct names from: " + ",".join(METHODS),
 )
 
 
@@ -242,6 +242,11 @@ def _cmd_report(args) -> int:
         print(f"error: {args.metrics} is not a metrics table", file=sys.stderr)
         return EXIT_DATA
     header, body = rows[0], rows[1:]
+    for row_no, r in enumerate(body, 2):
+        if len(r) != len(header):
+            print(f"error: {args.metrics}: row {row_no} has {len(r)} cells, "
+                  f"expected {len(header)}", file=sys.stderr)
+            return EXIT_DATA
 
     def fmt(cell: str) -> str:
         try:

@@ -166,29 +166,26 @@ def _with_source_rows(products, source_sq: np.ndarray):
     return gram + np.diag(source_sq), gtr, rtr
 
 
-def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target, seed: int):
+def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, whole, seed: int):
     """Yield the fit-half and validation-half cross-products of each CV split.
 
-    Every site splits its own units (:func:`split_masks`). The target's fit
-    half is reduced from its masked rows and its validation half is
-    ``target`` (all target rows' cross-products) minus the fit half. Each
-    source split its units before upload and sent the sums of squares of
-    both halves.
+    Every site splits its own units (:func:`split_masks`). The fit half is
+    reduced from the target's masked rows plus each source's uploaded
+    fit-half sum of squares; the validation half is ``whole`` (the
+    cross-products of all rows, target and source) minus the fit half.
     """
     sources = estimates[1:]
     for est in sources:
-        if len(est.own.fit_sq) != CV_SPLITS or len(est.own.val_sq) != CV_SPLITS:
+        if len(est.own.fit_sq) != CV_SPLITS:
             raise ValueError(
                 f"site {est.site_id} summarizes {len(est.own.fit_sq)} splits, "
                 f"expected {CV_SPLITS}"
             )
     masks = split_masks(estimates[0].n_T, seed, estimates[0].site_id)
     for s, fit_units in enumerate(masks):
-        fit = _cross_products(G_T[fit_units], r_T[fit_units])
-        val = tuple(whole - part for whole, part in zip(target, fit))
         fit_sq = np.array([e.own.fit_sq[s] for e in sources])
-        val_sq = np.array([e.own.val_sq[s] for e in sources])
-        yield _with_source_rows(fit, fit_sq), _with_source_rows(val, val_sq)
+        fit = _with_source_rows(_cross_products(G_T[fit_units], r_T[fit_units]), fit_sq)
+        yield fit, tuple(all_rows - part for all_rows, part in zip(whole, fit))
 
 
 def _squared_error(products, eta: np.ndarray) -> float:
@@ -219,9 +216,9 @@ def cross_validate_lambda(
     if not grid:
         raise ValueError("lambda grid must be non-empty")
     r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
-    target = _cross_products(G_T, r_T)
+    whole = _with_source_rows(_cross_products(G_T, r_T), own_sq)
     errors = np.zeros((CV_SPLITS, len(grid)))
-    halves = _cv_systems(estimates, r_T, G_T, target, seed)
+    halves = _cv_systems(estimates, r_T, G_T, whole, seed)
     # Each fit warm-starts from the support at the previous penalty, or, for
     # the first penalty, at the same penalty in the previous split.
     supports = [None] * len(grid)
@@ -240,7 +237,7 @@ def cross_validate_lambda(
         if mean_err[j] <= cutoff and grid[j] > grid[best_j]:
             best_j = j
     lam = grid[best_j]
-    gram, gtr, _ = _with_source_rows(target, own_sq)
+    gram, gtr, _ = whole
     eta_src = nnls_coordinate_descent(gram, gtr, lam * arm_shift_sq, supports[best_j])
     total = eta_src.sum()
     if total > 1.0:

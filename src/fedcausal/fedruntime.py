@@ -52,19 +52,21 @@ from .site_estimator import (
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 
 # Declared shape of every payload key each message kind may carry: a scalar
-# ("text", "count", "number"), "scalars" (an object of scalars, such as
-# diagnostics), "candidates" (the candidate model specs), or "[dim]": a flat
-# numeric list whose length is the protocol dimension ``dim``. The moment
-# summary declares the basis dimension ``d`` = 1 + the shared covariates, which
-# is also the number of projection coefficients; the split sums have the
-# protocol's fixed ``CV_SPLITS``. No dimension depends on a site's sample
-# size, so no per-unit array passes the audit.
+# ("count", "number"), "scalars" (an object of scalars, such as diagnostics),
+# "candidates" (the candidate model specs), or "[dim]": a flat numeric list
+# whose length is the protocol dimension ``dim``. The moment summary declares
+# the basis dimension ``d`` = 1 + the shared covariates, which is also the
+# number of projection coefficients; a source upload sums its squared
+# contributions once over all its units (``own_sq``) and once per fit half of
+# the protocol's fixed ``CV_SPLITS`` (``fit_sq``). No dimension depends on a
+# site's sample size, so no per-unit array passes the audit, and no payload
+# names its sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
     "config": {"seed": "count", "candidates": "candidates"},
     "moment_summary": {"d": "count", "mean_basis": "[basis]"},
     "site_estimate": {
-        "site_id": "text", "n_k": "count", "mu_own0": "number", "mu_own1": "number",
-        "own_sq": "number", "fit_sq": "[cv_splits]", "val_sq": "[cv_splits]",
+        "n_k": "count", "mu_own0": "number", "mu_own1": "number",
+        "own_sq": "number", "fit_sq": "[cv_splits]",
         "tau0": "[basis]", "tau1": "[basis]", "tilt_sens": "[basis]",
         "diagnostics": "scalars",
     },
@@ -76,7 +78,6 @@ def _is_number(value) -> bool:
 
 
 _SCALARS = {
-    "text": lambda v: isinstance(v, str),
     "count": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": _is_number,
 }
@@ -250,19 +251,17 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
         except FedcausalError as exc:
             failures[src.site_id] = f"{type(exc).__name__}: {exc}"
             continue
-        report_text = report.to_json()
-        ledger.append(
-            MessageRecord(
-                from_site=src.site_id,
-                to_site=coordinator,
-                kind="site_estimate",
-                round=0,
-                payload_text=report_text,
-            )
+        upload = MessageRecord(
+            from_site=src.site_id,
+            to_site=coordinator,
+            kind="site_estimate",
+            round=0,
+            payload_text=report.to_json(),
         )
-        estimates.append(
-            complete_source_estimate(SourceSiteReport.from_json(report_text), target)
-        )
+        ledger.append(upload)
+        estimates.append(complete_source_estimate(
+            upload.from_site, SourceSiteReport.from_json(upload.payload_text), target
+        ))
 
     tgt_est = estimate_target(target, _fit_site(target, config))
     return SitePhase(estimates=[tgt_est] + estimates, ledger=ledger, failures=failures)

@@ -374,6 +374,8 @@ def run_scenario(
     fail for any method. Replication rows are aggregated in replication order.
     """
     methods = tuple(methods)
+    if not methods or len(set(methods)) != len(methods):
+        raise ScenarioError(f"methods must be non-empty and distinct, got {methods}")
     for m in methods:
         if m not in METHODS:
             raise ScenarioError(f"unknown method {m!r}")

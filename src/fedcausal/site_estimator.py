@@ -96,25 +96,19 @@ class OwnSummary:
 
     With d the own-unit contributions, ``sq`` is the sum of d**2 over all own
     units (the own-unit part of the estimate's variance), and ``fit_sq[s]``
-    and ``val_sq[s]`` are its sums over the fit and validation halves of
-    split ``s`` (:func:`split_masks`).
+    is its sum over the fit half of split ``s`` (:func:`split_masks`).
     They are all the coordinator needs of the own-unit part: the IVW and
     global variances use ``sq``, and the adaptive weight regression uses one
-    pseudo-row per half.
+    pseudo-row per half, the validation half's being ``sq - fit_sq[s]``.
     """
 
     sq: float
     fit_sq: np.ndarray
-    val_sq: np.ndarray
 
     @staticmethod
     def of(d: np.ndarray, masks: np.ndarray) -> "OwnSummary":
         sq = d * d
-        return OwnSummary(
-            sq=float(sq.sum()),
-            fit_sq=np.array([sq[m].sum() for m in masks]),
-            val_sq=np.array([sq[~m].sum() for m in masks]),
-        )
+        return OwnSummary(sq=float(sq.sum()), fit_sq=np.array([sq[m].sum() for m in masks]))
 
 
 @dataclass(frozen=True)
@@ -171,10 +165,10 @@ class SourceSiteReport:
     squares of its own-unit contributions (:class:`OwnSummary`), the per-arm
     projection coefficients, and the tilt sensitivity of the effect
     difference; the coordinator evaluates the projection and the tilt-noise
-    term on the target sample to complete the estimate.
+    term on the target sample to complete the estimate. It does not name its
+    sender: the message that carries it does.
     """
 
-    site_id: str
     n_k: int
     mu_own: tuple[float, float]
     own: OwnSummary
@@ -186,13 +180,11 @@ class SourceSiteReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "site_id": self.site_id,
                 "n_k": self.n_k,
                 "mu_own0": self.mu_own[0],
                 "mu_own1": self.mu_own[1],
                 "own_sq": self.own.sq,
                 "fit_sq": list(map(float, self.own.fit_sq)),
-                "val_sq": list(map(float, self.own.val_sq)),
                 "tau0": list(map(float, self.tau_coefficients[0])),
                 "tau1": list(map(float, self.tau_coefficients[1])),
                 "tilt_sens": list(map(float, self.tilt_sensitivity)),
@@ -204,14 +196,9 @@ class SourceSiteReport:
     def from_json(payload: str) -> "SourceSiteReport":
         obj = json.loads(payload)
         return SourceSiteReport(
-            site_id=obj["site_id"],
             n_k=int(obj["n_k"]),
             mu_own=(float(obj["mu_own0"]), float(obj["mu_own1"])),
-            own=OwnSummary(
-                sq=float(obj["own_sq"]),
-                fit_sq=np.asarray(obj["fit_sq"], dtype=float),
-                val_sq=np.asarray(obj["val_sq"], dtype=float),
-            ),
+            own=OwnSummary(float(obj["own_sq"]), np.asarray(obj["fit_sq"], dtype=float)),
             tau_coefficients=(
                 np.asarray(obj["tau0"], dtype=float),
                 np.asarray(obj["tau1"], dtype=float),
@@ -290,7 +277,6 @@ def source_influence(
     d = own[1] - own[0]
     contributions = (d - d.mean() + (zeta_psi - zeta_psi.mean(axis=0)) @ w) / source.n
     report = SourceSiteReport(
-        site_id=source.site_id,
         n_k=source.n,
         mu_own=(float(own[0].mean()), float(own[1].mean())),
         own=OwnSummary.of(contributions, split_masks(source.n, seed, source.site_id)),
@@ -311,8 +297,11 @@ def source_report(
     return source_influence(source, fit, tilt, seed)[0]
 
 
-def complete_source_estimate(report: SourceSiteReport, target: SiteFrame) -> SiteEstimate:
-    """Target-side completion: add the projection mean over target units.
+def complete_source_estimate(
+    site_id: str, report: SourceSiteReport, target: SiteFrame
+) -> SiteEstimate:
+    """Target-side completion of the upload of source ``site_id``: add the
+    projection mean over target units.
 
     Also adds the target half of the tilt-noise influence term: the target
     means of psi = (1, V) feed the moment-matching equation, so their sampling
@@ -326,7 +315,7 @@ def complete_source_estimate(report: SourceSiteReport, target: SiteFrame) -> Sit
     d = projected[1] - projected[0]
     tilt_noise = (psi - psi.mean(axis=0)) @ report.tilt_sensitivity
     return SiteEstimate(
-        site_id=report.site_id,
+        site_id=site_id,
         mu=tuple(mu + float(p.mean()) for mu, p in zip(report.mu_own, projected)),
         on_target=(d - d.mean() - tilt_noise) / target.n,
         n_k=report.n_k,

@@ -175,7 +175,7 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep):
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
                         [CandidateSpec("p", p_map)],
                         [CandidateSpec("m", m_map)], seed=rep)
-    est = complete_source_estimate(source_report(src, fit, tilt), tgt)
+    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt), tgt)
     return est.mu[1] - est.mu[0]
 
 
@@ -286,7 +286,7 @@ def test_criterion_7_influence_checks(bench):
                 report, own = source_influence(frame, fit, tilt, seed=config.seed)
                 assert own.shape == (frame.n,)
                 worst_mean = max(worst_mean, abs(float(own.sum())))
-                est = complete_source_estimate(report, target)
+                est = complete_source_estimate(frame.site_id, report, target)
             assert est.on_target.shape == (target.n,)
             worst_mean = max(worst_mean, abs(float(est.on_target.sum())))
     centered_ok = worst_mean < 1e-8
@@ -344,7 +344,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
                                 candidates["default"]["outcome"],
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
-                source_report(src, fit, tilt, seed=seed), target))
+                src.site_id, source_report(src, fit, tilt, seed=seed), target))
         solution = cross_validate_lambda(estimates, seed=seed)
         direct = global_estimate(estimates, solution, alpha=config.alpha,
                                  method=config.method)

@@ -78,7 +78,8 @@ def test_simulate_usage_errors(tmp_path):
     out = str(tmp_path / "x")
     assert main(["simulate", "--scenario", "nope", "--out", out]) == EXIT_USAGE
     # Rejected while parsing, like the out-of-range arguments below.
-    for flag, value in (("--methods", "magic"), ("--methods", ","), ("--reps", "0")):
+    for flag, value in (("--methods", "magic"), ("--methods", ","),
+                        ("--methods", "ivw,ivw"), ("--reps", "0")):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--scenario", "c1", flag, value, "--out", out])
         assert err.value.code == EXIT_USAGE
@@ -244,11 +245,19 @@ def test_estimate_runtime_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_report_data_errors(tmp_path):
+def test_report_data_errors(tmp_path, capsys):
     assert main(["report", "--metrics", str(tmp_path / "none.csv")]) == EXIT_DATA
     not_metrics = tmp_path / "other.csv"
     not_metrics.write_text("a,b\n1,2\n")
     assert main(["report", "--metrics", str(not_metrics)]) == EXIT_DATA
+    # A short row and a blank line inside the table are ragged rows.
+    for text, bad in (("method,reps,mae\nivw,3\n", "row 2 has 2 cells"),
+                      ("method,reps,mae\nivw,3,0.1\n\nss,3,0.2\n", "row 3 has 0 cells")):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--metrics", str(ragged)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {ragged}: {bad}, expected 3\n"
 
 
 def test_report_prints_non_finite_cells_as_written(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_combine_ivw_zero_variance():
     rng = np.random.default_rng(3)
     tgt = _target_estimate(rng)
     flat = SiteEstimate(site_id="flat", mu=(1.0, 2.0), on_target=np.zeros(400),
-                        n_k=100, own=OwnSummary(0.0, np.zeros(5), np.zeros(5)))
+                        n_k=100, own=OwnSummary(0.0, np.zeros(5)))
     with pytest.raises(ZeroVariance):
         combine_fixed([tgt, flat], "ivw")
 
@@ -144,7 +144,7 @@ def test_cross_validate_lambda_checks_split_count():
     # A source that summarizes fewer splits than the protocol's CV_SPLITS.
     estimates = _trio()
     own = estimates[1].own
-    short = OwnSummary(own.sq, own.fit_sq[:-1], own.val_sq[:-1])
+    short = OwnSummary(own.sq, own.fit_sq[:-1])
     estimates[1] = dataclasses.replace(estimates[1], own=short)
     with pytest.raises(ValueError):
         cross_validate_lambda(estimates)
@@ -262,7 +262,7 @@ def test_summary_algebra_matches_per_unit_formulas():
 
         # Stacked system: source k's per-unit rows are -d_k / n_k in column k.
         r_T, G_T, own_sq, *_ = _stacked_system(estimates)
-        target = _cross_products(G_T, r_T)
+        whole = _with_source_rows(_cross_products(G_T, r_T), own_sq)
 
         def per_unit_rows(target_units, source_units):
             blocks = [G_T[target_units]]
@@ -280,15 +280,14 @@ def test_summary_algebra_matches_per_unit_formulas():
 
         everything = np.ones(n_T, dtype=bool)
         all_units = [np.ones(e.n_k, dtype=bool) for e in sources]
-        assert same_cross_products(_with_source_rows(target, own_sq),
-                                   per_unit_rows(everything, all_units))
+        assert same_cross_products(whole, per_unit_rows(everything, all_units))
 
         # Per split: explicit fold masks at every site, fixed weights.
         fold_T = split_masks(n_T, seed, "tgt")
         folds = [split_masks(e.n_k, seed + k, e.site_id)
                  for k, e in enumerate(sources)]
         eta_src = rng.uniform(0.0, 0.5, len(sources))
-        halves = list(_cv_systems(estimates, r_T, G_T, target, seed))
+        halves = list(_cv_systems(estimates, r_T, G_T, whole, seed))
         assert len(halves) == CV_SPLITS
         for s, (fit, val) in enumerate(halves):
             unit_fit = per_unit_rows(fold_T[s], [f[s] for f in folds])

@@ -17,6 +17,7 @@ from fedcausal.errors import (
 )
 from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import (
+    _SCALARS,
     _SCHEMAS,
     METHODS,
     MessageRecord,
@@ -128,7 +129,7 @@ def test_run_round_matches_direct_composition():
                             config.specs_for(src.site_id)["outcome"],
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
-            source_report(src, fit, tilt, seed=config.seed), target))
+            src.site_id, source_report(src, fit, tilt, seed=config.seed), target))
     solution = cross_validate_lambda(estimates, seed=config.seed)
     direct = global_estimate(estimates, solution, alpha=config.alpha,
                              method=config.method)
@@ -231,7 +232,7 @@ def test_audit_rejects_per_unit_arrays():
         # A per-split key nesting per-unit rows.
         "fit_sq": lambda p: p.update(fit_sq=[[0.0] * n_k] * len(p["fit_sq"])),
         # One split sum more than the protocol's split count.
-        "val_sq": lambda p: p.update(val_sq=p["val_sq"] + [0.0]),
+        "fit_sq_long": lambda p: p.update(fit_sq=p["fit_sq"] + [0.0]),
         "diagnostics": lambda p: p.update(diagnostics={"zeta": {"cap": [0.0] * n_k}}),
     }
     for name, tamper in tampered.items():
@@ -284,6 +285,10 @@ def test_audit_schema_declares_only_what_a_round_sends():
     for rec in report.privacy_ledger:
         sent.setdefault(rec.kind, set()).update(json.loads(rec.payload_text))
     assert sent == {kind: set(schema) for kind, schema in _SCHEMAS.items()}
+    # Every scalar type is declared by some key, so a deleted key cannot
+    # leave its type behind.
+    declared = {spec for schema in _SCHEMAS.values() for spec in schema.values()}
+    assert set(_SCALARS) <= declared
 
 
 def test_audit_rejects_bad_payloads():
@@ -313,6 +318,15 @@ def test_audit_rejects_tampered_payload():
         audit_ledger(report)
 
 
+def _string_values(value):
+    """Every string value in a decoded payload, at any depth; keys excluded."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return {s for item in value for s in _string_values(item)}
+    return {value} if isinstance(value, str) else set()
+
+
 def test_no_raw_outcome_or_covariate_arrays_leave_a_site():
     frames = _make_frames(seed=6)
     report = run_round(frames, _config("mr_l1"))
@@ -322,6 +336,9 @@ def test_no_raw_outcome_or_covariate_arrays_leave_a_site():
         for frame in frames:
             assert repr(float(frame.y[0])) not in flat
             assert repr(float(frame.X[0, 0])) not in flat
+        # No payload names its sender; the record does. The config's
+        # candidate map is keyed by site id, so only values are checked.
+        assert rec.from_site not in _string_values(payload)
 
 
 def test_protocol_config_round_trip():

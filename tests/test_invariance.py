@@ -120,10 +120,9 @@ vectors = st.lists(finite, max_size=6).map(lambda v: np.array(v, dtype=float))
 moment_summaries = st.builds(MomentSummary, mean_basis=vectors)
 source_reports = st.builds(
     SourceSiteReport,
-    site_id=st.text(max_size=8),
     n_k=st.integers(1, 10**9),
     mu_own=st.tuples(finite, finite),
-    own=st.builds(OwnSummary, sq=finite, fit_sq=vectors, val_sq=vectors),
+    own=st.builds(OwnSummary, sq=finite, fit_sq=vectors),
     tau_coefficients=st.tuples(vectors, vectors),
     tilt_sensitivity=vectors,
     diagnostics=st.dictionaries(st.text(max_size=5), st.dictionaries(

@@ -175,6 +175,9 @@ def test_run_scenario_validation():
         run_scenario(_small_scenario(), methods=("target", "magic"), reps=2)
     with pytest.raises(ScenarioError):
         run_scenario(_small_scenario(), reps=0)
+    for methods in ((), ("ivw", "ivw")):
+        with pytest.raises(ScenarioError):
+            run_scenario(_small_scenario(), methods=methods, reps=2)
     assert set(METHODS) == {"target", "ss", "ivw", "aipw_l1", "mr_l1"}
 
 

@@ -148,7 +148,8 @@ def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    est = complete_source_estimate(source_report(src, _fit(src.n), _untilted(src)), tgt)
+    report = source_report(src, _fit(src.n), _untilted(src))
+    est = complete_source_estimate(src.site_id, report, tgt)
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
         assert abs(est.mu[arm] - expected) < 1e-12
@@ -159,7 +160,7 @@ def test_source_no_shift_agrees_with_target():
     tilt = _tilt_for(src, tgt)
     fit_s = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
     fit_t = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
-    est_s = complete_source_estimate(source_report(src, fit_s, tilt), tgt)
+    est_s = complete_source_estimate(src.site_id, source_report(src, fit_s, tilt), tgt)
     est_t = estimate_target(tgt, fit_t)
     assert abs((est_s.mu[1] - est_s.mu[0]) - (est_t.mu[1] - est_t.mu[0])) < 0.25
 
@@ -169,12 +170,12 @@ def test_source_estimate_equals_report_plus_completion():
     tilt = _tilt_for(src, tgt)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
     report = source_report(src, fit, tilt, seed=2)
-    direct = complete_source_estimate(report, tgt)
-    wired = complete_source_estimate(SourceSiteReport.from_json(report.to_json()), tgt)
+    direct = complete_source_estimate(src.site_id, report, tgt)
+    wired = complete_source_estimate(
+        src.site_id, SourceSiteReport.from_json(report.to_json()), tgt)
     assert direct.mu == wired.mu
     assert direct.own.sq == wired.own.sq
     assert np.array_equal(direct.own.fit_sq, wired.own.fit_sq)
-    assert np.array_equal(direct.own.val_sq, wired.own.val_sq)
     assert np.array_equal(direct.on_target, wired.on_target)
 
 
@@ -187,13 +188,12 @@ def test_source_influence_parts_are_centered():
     report, d = source_influence(src, fit, tilt, seed=4)
     assert abs(d.sum()) < 1e-8
     assert d.shape == (src.n,)
-    est = complete_source_estimate(report, tgt)
+    est = complete_source_estimate(src.site_id, report, tgt)
     assert abs(est.on_target.sum()) < 1e-8
     assert est.on_target.shape == (tgt.n,) and est.n_T == tgt.n
     # The upload summarizes exactly those values over the site's own folds.
     masks = split_masks(src.n, 4, src.site_id)
     assert report.own.sq == float(np.sum(d * d))
-    assert np.allclose(report.own.fit_sq + report.own.val_sq, report.own.sq, rtol=1e-12)
     assert np.array_equal(report.own.fit_sq, [np.sum(d[m] ** 2) for m in masks])
     assert masks.shape == (5, src.n) and np.all(masks.sum(axis=1) == src.n // 2)
 
@@ -202,12 +202,13 @@ def test_source_linearity_in_outcome_scale():
     src, tgt = _linear_pair(seed=10)
     tilt = _tilt_for(src, tgt)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
-    est = complete_source_estimate(source_report(src, fit, tilt), tgt)
+    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt), tgt)
 
     scaled = SiteFrame(src.site_id, "source", 3.0 * src.y, src.a, src.X, src.shared_cols)
     fit_scaled = fit_nuisances(scaled.site_id, scaled.X, scaled.y, scaled.a, RAW_T, RAW_O,
                                seed=7)
-    est_scaled = complete_source_estimate(source_report(scaled, fit_scaled, tilt), tgt)
+    est_scaled = complete_source_estimate(
+        scaled.site_id, source_report(scaled, fit_scaled, tilt), tgt)
     for arm in (0, 1):
         assert abs(est_scaled.mu[arm] - 3.0 * est.mu[arm]) < 1e-9 * max(1.0, abs(est.mu[arm]))
 
@@ -219,7 +220,7 @@ def test_source_report_requires_source_role():
         source_report(tgt, _fit(tgt.n), tilt)
     report = source_report(src, _fit(src.n), tilt)
     with pytest.raises(ValueError):
-        complete_source_estimate(report, src)
+        complete_source_estimate(src.site_id, report, src)
 
 
 def test_source_report_singular_jacobian_raises():
@@ -243,7 +244,7 @@ def test_site_estimate_json_round_trip():
     import json
     src, tgt = _linear_pair(seed=13)
     for est in (complete_source_estimate(
-                    source_report(src, _fit(src.n), _tilt_for(src, tgt)), tgt),
+                    src.site_id, source_report(src, _fit(src.n), _tilt_for(src, tgt)), tgt),
                 estimate_target(tgt, _fit(tgt.n))):
         back = json.loads(est.to_json())
         assert (back["mu0"], back["mu1"]) == est.mu
@@ -261,7 +262,6 @@ def test_source_report_json_round_trip():
     assert back.mu_own == report.mu_own
     assert back.own.sq == report.own.sq
     assert np.array_equal(back.own.fit_sq, report.own.fit_sq)
-    assert np.array_equal(back.own.val_sq, report.own.val_sq)
     for arm in (0, 1):
         assert np.array_equal(back.tau_coefficients[arm], report.tau_coefficients[arm])
     assert np.array_equal(back.tilt_sensitivity, report.tilt_sensitivity)
@@ -306,7 +306,7 @@ def test_contributions_match_per_arm_construction():
     tilt = solve_tilt(src.V, target_moments(tgt.V))
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
     report, contributions = source_influence(src, fit, tilt, seed=3)
-    est = complete_source_estimate(report, tgt)
+    est = complete_source_estimate(src.site_id, report, tgt)
 
     pi, m = fit.pi, fit.m
     zeta_raw = np.exp(-add_intercept(src.V) @ tilt.gamma)
@@ -333,4 +333,3 @@ def test_contributions_match_per_arm_construction():
     masks = split_masks(n_s, 3, src.site_id)
     assert _rel_close(report.own.sq, np.sum(own_d**2))
     assert _rel_close(report.own.fit_sq, [np.sum(own_d[f] ** 2) for f in masks])
-    assert _rel_close(report.own.val_sq, [np.sum(own_d[~f] ** 2) for f in masks])
