@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FedcausalError, ScenarioError
-from .federation import LAMBDA_GRID
+from .federation import ALPHA, LAMBDA_GRID
 from .fedruntime import METHODS, ProtocolConfig, audit_ledger, dump_ledger, run_round
 from .nuisance import CandidateSpec, FeatureMap
 from .simbench import (
@@ -50,7 +50,6 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-_parse_alpha = _checked(float, lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)")
 _parse_seed = _checked(int, lambda v: v >= 0, "seed must be >= 0")
 _parse_reps = _checked(int, lambda v: v >= 1, "reps must be >= 1")
 _parse_methods = _checked(
@@ -76,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--reps", type=_parse_reps, default=500)
     sim.add_argument("--seed", type=_parse_seed, default=0)
-    sim.add_argument("--alpha", type=_parse_alpha, default=0.05)
     sim.add_argument("--out", required=True, help="output directory")
 
     est = sub.add_parser("estimate", help="estimate from per-site CSV files")
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--source", action="append", default=[],
                      help="source site CSV; repeatable")
     est.add_argument("--method", default="mr_l1", choices=METHODS)
-    est.add_argument("--alpha", type=_parse_alpha, default=0.05)
     est.add_argument("--seed", type=_parse_seed, default=0)
     est.add_argument("--out", default=None, help="directory for report.json and ledger.jsonl")
 
@@ -113,9 +110,7 @@ def _cmd_simulate(args) -> int:
         return EXIT_USAGE
 
     try:
-        result = run_scenario(
-            scenario, methods=args.methods, reps=args.reps, seed=args.seed, alpha=args.alpha,
-        )
+        result = run_scenario(scenario, methods=args.methods, reps=args.reps, seed=args.seed)
     except (ScenarioError, FedcausalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -125,8 +120,7 @@ def _cmd_simulate(args) -> int:
 
     # Protocol transcript of replication 0, for inspection and audit. The
     # study tolerates a few failed replications, so this round may fail too.
-    config = method_config(args.methods[0], scenario, alpha=args.alpha,
-                           seed=rep_config_seed(args.seed, 0))
+    config = method_config(args.methods[0], scenario, seed=rep_config_seed(args.seed, 0))
     try:
         report = run_round(replication_frames(scenario, args.seed, 0), config)
         dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
@@ -140,7 +134,7 @@ def _cmd_simulate(args) -> int:
         "methods": list(args.methods),
         "reps": args.reps,
         "seed": args.seed,
-        "alpha": args.alpha,
+        "alpha": ALPHA,
         "lambda_grid": list(LAMBDA_GRID),
         "failures": result.failures,
         "version": __version__,
@@ -169,12 +163,13 @@ def _read_site_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
         raise ValueError(f"{path}: repeated column names {repeated}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    for row_no, r in enumerate(rows, 2):
+        if len(r) != len(header):
+            raise ValueError(f"{path}: row {row_no} has {len(r)} cells, expected {len(header)}")
     try:
         data = np.array(rows, dtype=float)
     except ValueError:
         raise ValueError(f"{path}: non-numeric cell")
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite values")
     y, a, X = data[:, 0], data[:, 1], data[:, 2:]
@@ -210,8 +205,7 @@ def _cmd_estimate(args) -> int:
         "treatment": [CandidateSpec("x", raw)],
         "outcome": [CandidateSpec("x", raw)],
     }}
-    config = ProtocolConfig(candidates=candidates, method=args.method,
-                            alpha=args.alpha, seed=args.seed)
+    config = ProtocolConfig(candidates=candidates, method=args.method, seed=args.seed)
     if args.out and not _make_out_dir(args.out):
         return EXIT_USAGE
     try:

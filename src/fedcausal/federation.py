@@ -24,10 +24,12 @@ from .numkit import nnls_coordinate_descent
 from .site_estimator import CV_SPLITS, SiteEstimate, split_masks
 
 # The weighting methods: fixed schemes, and the adaptive penalized ensembles
-# whose penalty is cross-validated over the protocol's fixed grid.
+# whose penalty is cross-validated over the protocol's fixed grid. Every
+# interval is at the protocol's level ALPHA; a report's variance gives any other.
 FIXED_SCHEMES = ("target", "ss", "ivw")
 ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
 LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class GlobalReport:
     mu: tuple[float, float]
     variance: float
     ci: tuple[float, float]
-    alpha: float
     method: str
     solution: EnsembleSolution
     per_site: list = field(default_factory=list)
@@ -64,7 +65,7 @@ class GlobalReport:
                 "mu1": self.mu[1],
                 "variance": self.variance,
                 "ci": list(self.ci),
-                "alpha": self.alpha,
+                "alpha": ALPHA,
                 "method": self.method,
                 "eta": {site["site_id"]: site["eta"] for site in self.per_site},
                 "lambda": self.solution.lambda_,
@@ -254,17 +255,15 @@ def global_estimate(
     estimates: list[SiteEstimate],
     solution: EnsembleSolution,
     method: str,
-    alpha: float = 0.05,
 ) -> GlobalReport:
-    """Weighted combination with influence-based variance and normal CI.
+    """Weighted combination with influence-based variance and normal CI at
+    level ``ALPHA``.
 
     The variance sums squared per-unit contributions: on target units the
     weighted mix of every site's target-unit contributions (which captures
     their cross-site covariance), and on each source's own units its weighted
     own-unit part, whose squares the source uploads already summed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
     tgt_est = _target_first(estimates)
 
     eta = solution.eta
@@ -280,7 +279,7 @@ def global_estimate(
     target_contrib = sum(eta[i] * est.on_target for i, est in enumerate(estimates))
     variance = float(np.sum(target_contrib**2)) + sum(
         eta[i] ** 2 * est.own.sq for i, est in enumerate(estimates[1:], 1))
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - ALPHA / 2.0)
     half = z * math.sqrt(variance)
     per_site = [
         {
@@ -298,7 +297,6 @@ def global_estimate(
         mu=(mu_g[0], mu_g[1]),
         variance=variance,
         ci=(delta_hat - half, delta_hat + half),
-        alpha=alpha,
         method=method,
         solution=solution,
         per_site=per_site,

@@ -99,7 +99,6 @@ class MessageRecord:
     from_site: str
     to_site: str
     kind: str
-    round: int
     payload_text: str = field(repr=False)
     payload_digest: str = field(default="", repr=False)
 
@@ -116,7 +115,6 @@ class MessageRecord:
             "from_site": self.from_site,
             "to_site": self.to_site,
             "kind": self.kind,
-            "round": self.round,
             "bytes": self.payload_bytes,
             "digest": self.payload_digest,
         }
@@ -129,13 +127,13 @@ class ProtocolConfig:
     ``candidates`` maps site id to its treatment and outcome candidate model
     specs; sites absent from the map fall back to the ``"default"`` entry.
     Only ``seed`` and ``candidates`` are broadcast (:meth:`to_dict`);
-    ``method`` and ``alpha`` stay with the coordinator. The adaptive methods'
-    penalty grid is no setting but the protocol constant ``LAMBDA_GRID``.
+    ``method`` stays with the coordinator. The adaptive methods' penalty grid
+    and the interval level are no settings but the protocol constants
+    ``LAMBDA_GRID`` and ``ALPHA``.
     """
 
     candidates: dict
     method: str = "mr_l1"
-    alpha: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -226,7 +224,6 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
                 from_site=coordinator,
                 to_site="*",
                 kind="config",
-                round=0,
                 payload_text=json.dumps(config.to_dict()),
             )
         )
@@ -240,7 +237,6 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
                 from_site=coordinator,
                 to_site=src.site_id,
                 kind="moment_summary",
-                round=0,
                 payload_text=summary_text,
             )
         )
@@ -255,7 +251,6 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
             from_site=src.site_id,
             to_site=coordinator,
             kind="site_estimate",
-            round=0,
             payload_text=report.to_json(),
         )
         ledger.append(upload)
@@ -290,7 +285,7 @@ def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
     else:
         solution = combine_fixed(estimates, method)
 
-    result = global_estimate(estimates, solution, config.method, alpha=config.alpha)
+    result = global_estimate(estimates, solution, config.method)
     result.privacy_ledger = list(sites.ledger)
     result.diagnostics = {
         "n_sites": n_sources + 1,

@@ -139,7 +139,8 @@ def sample_skew_normal(rng: np.random.Generator, n: int, shape: np.ndarray) -> n
 
 
 def generate_site(site: SiteSpec, scenario: ScenarioSpec, rng: np.random.Generator) -> SiteFrame:
-    """Generate one site's frame; the true treatment effect is zero.
+    """Generate one site's frame, with the constant treatment effect
+    ``scenario.true_delta`` added to every treated unit's outcome.
 
     Sites with dgp "z" build their outcome and treatment models on the
     standardized nonlinear transform of the covariates. Standardization keeps
@@ -163,7 +164,7 @@ def generate_site(site: SiteSpec, scenario: ScenarioSpec, rng: np.random.Generat
     p_treat = expit(features @ alpha_coef)
     a = (rng.random(site.n) < p_treat).astype(int)
     eps = rng.standard_normal(site.n)
-    y = OUTCOME_INTERCEPT + features @ beta + eps
+    y = OUTCOME_INTERCEPT + features @ beta + scenario.true_delta * a + eps
 
     shared = scenario.shared_cols
     X_obs = X[:, list(shared)] if site.role == "target" else X
@@ -185,7 +186,6 @@ def _candidate_group(ids_and_maps: list[tuple[str, FeatureMap]]) -> list[Candida
 def method_config(
     method: str,
     scenario: ScenarioSpec,
-    alpha: float = 0.05,
     seed: int = 0,
 ) -> ProtocolConfig:
     """Candidate-model and runtime configuration for one benchmark method.
@@ -221,7 +221,7 @@ def method_config(
             "outcome": _candidate_group(tgt_maps),
         },
     }
-    return ProtocolConfig(candidates=candidates, method=method, alpha=alpha, seed=seed)
+    return ProtocolConfig(candidates=candidates, method=method, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,6 @@ def run_replication(
     methods,
     seed: int,
     rep: int,
-    alpha: float = 0.05,
 ) -> tuple[list[ReplicationRow], dict]:
     """One replication: generate all sites, run each method, score coverage.
 
@@ -331,7 +330,7 @@ def run_replication(
     failed: dict[str, str] = {}
     phases: dict = {}  # config broadcast text -> site phase or its error
     for method in methods:
-        config = method_config(method, scenario, alpha=alpha, seed=cfg_seed)
+        config = method_config(method, scenario, seed=cfg_seed)
         key = json.dumps(config.to_dict())
         if key not in phases:
             try:
@@ -366,7 +365,6 @@ def run_scenario(
     methods=METHODS,
     reps: int = 500,
     seed: int = 0,
-    alpha: float = 0.05,
 ) -> SimulationResult:
     """Run the full Monte Carlo study.
 
@@ -384,10 +382,7 @@ def run_scenario(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        outcomes = [
-            run_replication(scenario, methods, seed, rep, alpha=alpha)
-            for rep in range(reps)
-        ]
+        outcomes = [run_replication(scenario, methods, seed, rep) for rep in range(reps)]
 
     result = SimulationResult(
         scenario=scenario.name,

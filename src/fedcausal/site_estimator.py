@@ -208,20 +208,21 @@ class SourceSiteReport:
         )
 
 
-def _check_fit(frame: SiteFrame, fit: NuisanceFit, where: str) -> None:
-    """Reject a nuisance fit of another frame's units."""
+def _ipw_residual(frame: SiteFrame, fit: NuisanceFit, where: str) -> np.ndarray:
+    """Per-unit I(A=a)/pi_a * (Y - m_a), arm-indexed; rejects a nuisance fit
+    of another frame's units."""
     if not fit.pi.shape == fit.m.shape == (2, frame.n):
         raise ValueError(f"the nuisance fit does not cover the {frame.n} units of {where}")
+    ind = np.stack([frame.a == 0, frame.a == 1]).astype(float)
+    return ind / fit.pi * (frame.y - fit.m)
 
 
 def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:
     """Standard AIPW estimate on the target sample with its contributions."""
     if frame.role != "target":
         raise ValueError("estimate_target requires a target frame")
-    _check_fit(frame, fit, "target units")
     # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a, arm-indexed.
-    ind = np.stack([frame.a == 0, frame.a == 1]).astype(float)
-    kernel = ind / fit.pi * (frame.y - fit.m) + fit.m
+    kernel = _ipw_residual(frame, fit, "target units") + fit.m
     d = kernel[1] - kernel[0]
     return SiteEstimate(
         site_id=frame.site_id,
@@ -261,11 +262,10 @@ def source_influence(
     psi = add_intercept(source.V)
     zeta_raw, B = tilt.weights, tilt.jacobian
     zeta, weight_diag = truncate_weights(zeta_raw)
-    _check_fit(source, fit, f"source {source.site_id}")
+    resid = _ipw_residual(source, fit, f"source {source.site_id}")
     zeta_psi = psi * zeta_raw[:, None]
     tau = [fit_ols(psi, fit.m[arm]).coefficients for arm in (0, 1)]
-    ind = np.stack([source.a == 0, source.a == 1]).astype(float)
-    h = ind / fit.pi * (source.y - fit.m) + (fit.m - np.stack([psi @ t for t in tau]))
+    h = resid + (fit.m - np.stack([psi @ t for t in tau]))
     own = zeta * h
     # Derivative of the truncated weight is zero where the cap binds.
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)

@@ -346,8 +346,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
             estimates.append(complete_source_estimate(
                 src.site_id, source_report(src, fit, tilt, seed=seed), target))
         solution = cross_validate_lambda(estimates, seed=seed)
-        direct = global_estimate(estimates, solution, alpha=config.alpha,
-                                 method=config.method)
+        direct = global_estimate(estimates, solution, method=config.method)
         if not (runtime.delta_hat == direct.delta_hat
                 and runtime.variance == direct.variance
                 and runtime.ci == direct.ci):

@@ -101,19 +101,29 @@ def test_simulate_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypat
     assert afile.read_text() == "kept\n"
 
 
+def _required_args(command, tmp_path):
+    return {"simulate": ["--scenario", "c1", "--reps", "1", "--out", str(tmp_path)],
+            "estimate": ["--target", str(tmp_path / "absent.csv")]}[command]
+
+
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
 @pytest.mark.parametrize("flag,value", [
-    ("--alpha", "1.5"),
-    ("--alpha", "0"),
     ("--seed", "-1"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, command, flag, value):
     # Rejected while parsing, before any file is read or scenario run.
-    inputs = {"simulate": ["--scenario", "c1", "--reps", "1", "--out", str(tmp_path)],
-              "estimate": ["--target", str(tmp_path / "absent.csv")]}
     with pytest.raises(SystemExit) as err:
-        main([command, *inputs[command], f"{flag}={value}"])
+        main([command, *_required_args(command, tmp_path), f"{flag}={value}"])
     assert err.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_alpha_is_an_unknown_argument(tmp_path, capsys, command):
+    # Every interval is at the protocol level federation.ALPHA.
+    with pytest.raises(SystemExit) as err:
+        main([command, *_required_args(command, tmp_path), "--alpha", "0.1"])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --alpha 0.1" in capsys.readouterr().err
 
 
 def test_estimate_end_to_end(tmp_path, capsys):
@@ -182,6 +192,17 @@ def test_estimate_data_errors(tmp_path, capsys):
     assert main(["estimate", "--target", str(tgt),
                  "--source", str(src)]) == EXIT_DATA
     capsys.readouterr()
+
+
+def test_estimate_names_a_row_of_the_wrong_length(tmp_path, capsys):
+    # Rows are numbered from the header as row 1, as `report` numbers them.
+    for text, bad in (("y,a,x1\n1,0,0.5\n2,1\n", "row 3 has 2 cells"),
+                      ("y,a,x1\n1,0,0.5\n\n2,1,0.1\n", "row 3 has 0 cells"),
+                      ("y,a,x1\n1,0,0.5,9\n2,1,0.1,9\n", "row 2 has 4 cells")):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(text)
+        assert main(["estimate", "--target", str(ragged)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {ragged}: {bad}, expected 3\n"
 
 
 def test_estimate_rejects_repeated_site_ids(tmp_path, capsys):

@@ -10,6 +10,7 @@ from scipy import stats
 
 from fedcausal.errors import MissingTarget, ZeroVariance
 from fedcausal.federation import (
+    ALPHA,
     _cross_products,
     _cv_systems,
     _squared_error,
@@ -48,17 +49,15 @@ def _trio(seed=0, mu_src=(1.0, 2.0)):
 
 
 def test_z_quantile_against_scipy():
-    # The CI half-width is the normal quantile times the standard error.
+    # The CI half-width is the normal quantile at the protocol level times
+    # the standard error.
     estimates = _trio()
     sol = combine_fixed(estimates, "ss")
-    for alpha in (0.001, 0.01, 0.05, 0.2, 0.5):
-        report = global_estimate(estimates, sol, "ss", alpha=alpha)
-        half = 0.5 * (report.ci[1] - report.ci[0])
-        expected = stats.norm.ppf(1.0 - alpha / 2.0) * math.sqrt(report.variance)
-        assert abs(half - expected) < 1e-9
-    for alpha in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            global_estimate(estimates, sol, "ss", alpha=alpha)
+    report = global_estimate(estimates, sol, "ss")
+    half = 0.5 * (report.ci[1] - report.ci[0])
+    expected = stats.norm.ppf(1.0 - ALPHA / 2.0) * math.sqrt(report.variance)
+    assert abs(half - expected) < 1e-9
+    assert json.loads(report.to_json())["alpha"] == ALPHA == 0.05
 
 
 def test_combine_target_only():
@@ -176,7 +175,7 @@ def test_global_estimate_target_only_hand_computation():
     rng = np.random.default_rng(8)
     tgt = _target_estimate(rng, n=400, mu=(1.0, 2.5))
     sol = combine_fixed([tgt], "target")
-    report = global_estimate([tgt], sol, "target", alpha=0.05)
+    report = global_estimate([tgt], sol, "target")
     assert abs(report.delta_hat - 1.5) < 1e-12
     xi_d = tgt.on_target * 400  # the centered influence values
     expected_var = float(np.sum(xi_d**2)) / 400**2
@@ -195,13 +194,6 @@ def test_global_estimate_weighted_mean():
     assert abs(report.delta_hat - expected) < 1e-12
     assert [p["site_id"] for p in report.per_site] == ["tgt", "s1", "s2"]
     assert abs(sum(p["eta"] for p in report.per_site) - 1.0) < 1e-12
-
-
-def test_global_estimate_alpha_validation():
-    estimates = _trio()
-    sol = combine_fixed(estimates, "ss")
-    with pytest.raises(ValueError):
-        global_estimate(estimates, sol, "ss", alpha=1.5)
 
 
 def test_global_report_json():

@@ -131,8 +131,7 @@ def test_run_round_matches_direct_composition():
         estimates.append(complete_source_estimate(
             src.site_id, source_report(src, fit, tilt, seed=config.seed), target))
     solution = cross_validate_lambda(estimates, seed=config.seed)
-    direct = global_estimate(estimates, solution, alpha=config.alpha,
-                             method=config.method)
+    direct = global_estimate(estimates, solution, method=config.method)
 
     assert via_runtime.delta_hat == direct.delta_hat
     assert via_runtime.mu == direct.mu
@@ -301,7 +300,7 @@ def test_audit_rejects_bad_payloads():
     # payloads still fail.
     for text in ("not json", "[1, 2]"):
         report.privacy_ledger[-1] = MessageRecord(
-            good.from_site, good.to_site, good.kind, good.round, payload_text=text)
+            good.from_site, good.to_site, good.kind, payload_text=text)
         with pytest.raises(PrivacyViolation):
             audit_ledger(report)
 
@@ -372,10 +371,10 @@ def test_dump_ledger_jsonl(tmp_path):
     assert len(lines) == len(report.privacy_ledger)
     first = json.loads(lines[0])
     assert first["kind"] == "config"
-    assert set(first) == {"from_site", "to_site", "kind", "round", "bytes", "digest"}
+    assert set(first) == {"from_site", "to_site", "kind", "bytes", "digest"}
 
 
 def test_message_record_digest():
-    rec = MessageRecord("a", "b", "config", 0, payload_text='{"x": 1}')
+    rec = MessageRecord("a", "b", "config", payload_text='{"x": 1}')
     assert rec.payload_bytes == 8
     assert len(rec.payload_digest) == 64

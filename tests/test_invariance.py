@@ -141,7 +141,6 @@ configs = st.builds(
         "outcome": st.lists(candidate_specs, max_size=3),
     }), max_size=3),
     method=st.sampled_from(METHODS),
-    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     seed=st.integers(0, 2**32 - 1),
 )
 

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo benchmark harness."""
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -70,6 +71,25 @@ def test_generate_site_transform_dgp_runs():
     frame = generate_site(scenario.sites[1], scenario, np.random.default_rng(10))
     assert np.all(np.isfinite(frame.y))
     assert 0 < frame.a.mean() < 1
+
+
+def test_generate_site_adds_the_true_effect_to_treated_outcomes():
+    zero = _small_scenario()
+    two = dataclasses.replace(zero, true_delta=2.0)
+    f0 = generate_site(zero.sites[1], zero, np.random.default_rng(11))
+    f2 = generate_site(two.sites[1], two, np.random.default_rng(11))
+    assert np.array_equal(f0.a, f2.a) and np.array_equal(f0.X, f2.X)
+    assert np.allclose(f2.y - f0.y, 2.0 * f0.a, rtol=0.0, atol=1e-12)
+
+
+def test_run_scenario_scores_against_a_nonzero_true_effect():
+    # The estimates recover the effect the scenario names, so its intervals
+    # cover it as they cover a zero effect.
+    scenario = dataclasses.replace(load_scenario("c1"), true_delta=2.0)
+    result = run_scenario(scenario, methods=("target", "ivw"), reps=10, seed=0)
+    for m in result.metrics():
+        assert m.coverage >= 0.8, m
+        assert m.rmse < 0.5, m
 
 
 def test_scenario_validation():
