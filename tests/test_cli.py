@@ -108,6 +108,7 @@ def _required_args(command, tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
 @pytest.mark.parametrize("flag,value", [
+    ("--alpha", "0"), ("--alpha", "1.5"),  # --alpha is not an option at all
     ("--seed", "-1"),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, command, flag, value):
