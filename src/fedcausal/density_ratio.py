@@ -107,12 +107,13 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
     )
 
 
-def truncate_weights(weights: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Cap extreme density-ratio weights inside estimators.
+def truncate_weights(site_id: str, weights: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Cap extreme density-ratio weights of source ``site_id`` inside estimators.
 
     The cap is ``TRUNCATION_FACTOR`` times the ``TRUNCATION_PERCENTILE``
-    percentile. Returns the capped weights and a diagnostics dict; warns when
-    the post-cap max/mean ratio exceeds ``EXTREME_RATIO``.
+    percentile. Returns the capped weights and a diagnostics dict, which stays
+    at the site (only the benchmark's tracer reads it); warns, naming the
+    site, when the post-cap max/mean ratio exceeds ``EXTREME_RATIO``.
     """
     weights = np.asarray(weights, dtype=float)
     cap = float(np.percentile(weights, TRUNCATION_PERCENTILE)) * TRUNCATION_FACTOR
@@ -122,7 +123,8 @@ def truncate_weights(weights: np.ndarray) -> tuple[np.ndarray, dict]:
     diagnostics = {"cap": cap, "n_capped": n_capped, "max_over_mean": ratio}
     if ratio > EXTREME_RATIO:
         warnings.warn(
-            f"density-ratio weights max/mean = {ratio:.1f} exceeds {EXTREME_RATIO}",
+            f"site {site_id}: density-ratio weights max/mean = {ratio:.1f} "
+            f"exceeds {EXTREME_RATIO}",
             ExtremeWeightsWarning,
             stacklevel=2,
         )

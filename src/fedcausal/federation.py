@@ -288,7 +288,6 @@ def global_estimate(
             "mu1": est.mu[1],
             "n_k": est.n_k,
             "eta": float(solution.eta[i]),
-            "diagnostics": est.diagnostics,
         }
         for i, est in enumerate(estimates)
     ]

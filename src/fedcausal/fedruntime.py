@@ -52,15 +52,15 @@ from .site_estimator import (
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 
 # Declared shape of every payload key each message kind may carry: a scalar
-# ("count", "number"), "scalars" (an object of scalars, such as diagnostics),
-# "candidates" (the candidate model specs), or "[dim]": a flat numeric list
-# whose length is the protocol dimension ``dim``. The moment summary declares
-# the basis dimension ``d`` = 1 + the shared covariates, which is also the
-# number of projection coefficients; a source upload sums its squared
-# contributions once over all its units (``own_sq``) and once per fit half of
-# the protocol's fixed ``CV_SPLITS`` (``fit_sq``). No dimension depends on a
-# site's sample size, so no per-unit array passes the audit, and no payload
-# names its sender: the ledger's ``from_site`` does.
+# ("count", "number"), "candidates" (the candidate model specs), or "[dim]": a
+# flat numeric list whose length is the protocol dimension ``dim``. No key
+# takes an open object. The moment summary declares the basis dimension ``d``
+# = 1 + the shared covariates, which is also the number of projection
+# coefficients; a source upload sums its squared contributions once over all
+# its units (``own_sq``) and once per fit half of the protocol's fixed
+# ``CV_SPLITS`` (``fit_sq``). No dimension depends on a site's sample size, so
+# no per-unit values pass the audit, and no payload names its sender: the
+# ledger's ``from_site`` does.
 _SCHEMAS = {
     "config": {"seed": "count", "candidates": "candidates"},
     "moment_summary": {"d": "count", "mean_basis": "[basis]"},
@@ -68,7 +68,6 @@ _SCHEMAS = {
         "n_k": "count", "mu_own0": "number", "mu_own1": "number",
         "own_sq": "number", "fit_sq": "[cv_splits]",
         "tau0": "[basis]", "tau1": "[basis]", "tilt_sens": "[basis]",
-        "diagnostics": "scalars",
     },
 }
 
@@ -309,19 +308,14 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
 
 def _check_shape(value, spec, dims: dict, where: str) -> None:
     """Raise :class:`PrivacyViolation` unless ``value`` has the declared shape."""
-    if isinstance(spec, dict) or spec == "scalars":
+    if isinstance(spec, dict):
         if not isinstance(value, dict):
             raise PrivacyViolation(f"{where} is not an object")
-        extra = set(value) - set(spec) if isinstance(spec, dict) else set()
+        extra = set(value) - set(spec)
         if extra:
             raise PrivacyViolation(f"undeclared keys {sorted(extra)} in {where}")
         for key, item in value.items():
-            if isinstance(spec, dict):
-                _check_shape(item, spec[key], dims, f"{where}.{key}")
-            elif isinstance(item, dict):
-                _check_shape(item, "scalars", dims, f"{where}.{key}")
-            elif not (item is None or isinstance(item, (str, bool)) or _is_number(item)):
-                raise PrivacyViolation(f"{where}.{key} is not a scalar")
+            _check_shape(item, spec[key], dims, f"{where}.{key}")
     elif spec == "candidates":
         try:
             ok = value == {

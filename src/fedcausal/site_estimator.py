@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,6 @@ class SiteEstimate:
     on_target: np.ndarray
     n_k: int
     own: OwnSummary | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def n_T(self) -> int:
@@ -152,7 +151,6 @@ class SiteEstimate:
                 "mu1": self.mu[1],
                 "n_k": self.n_k,
                 "n_T": self.n_T,
-                "diagnostics": self.diagnostics,
             }
         )
 
@@ -165,8 +163,10 @@ class SourceSiteReport:
     squares of its own-unit contributions (:class:`OwnSummary`), the per-arm
     projection coefficients, and the tilt sensitivity of the effect
     difference; the coordinator evaluates the projection and the tilt-noise
-    term on the target sample to complete the estimate. It does not name its
-    sender: the message that carries it does.
+    term on the target sample to complete the estimate. Each field is a count,
+    a number or a vector of protocol-fixed length; site-local facts such as
+    the weight diagnostics stay at the source. It does not name its sender:
+    the message that carries it does.
     """
 
     n_k: int
@@ -175,7 +175,6 @@ class SourceSiteReport:
     tau_coefficients: tuple[np.ndarray, np.ndarray]  # arm 0, arm 1
     # B^{-1} d(mu_1 - mu_0)/dgamma, for the tilt-noise variance term
     tilt_sensitivity: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -188,7 +187,6 @@ class SourceSiteReport:
                 "tau0": list(map(float, self.tau_coefficients[0])),
                 "tau1": list(map(float, self.tau_coefficients[1])),
                 "tilt_sens": list(map(float, self.tilt_sensitivity)),
-                "diagnostics": self.diagnostics,
             }
         )
 
@@ -204,7 +202,6 @@ class SourceSiteReport:
                 np.asarray(obj["tau1"], dtype=float),
             ),
             tilt_sensitivity=np.asarray(obj["tilt_sens"], dtype=float),
-            diagnostics=obj.get("diagnostics", {}),
         )
 
 
@@ -261,7 +258,7 @@ def source_influence(
         raise ValueError("the source estimator requires a source frame")
     psi = add_intercept(source.V)
     zeta_raw, B = tilt.weights, tilt.jacobian
-    zeta, weight_diag = truncate_weights(zeta_raw)
+    zeta, _ = truncate_weights(source.site_id, zeta_raw)
     resid = _ipw_residual(source, fit, f"source {source.site_id}")
     zeta_psi = psi * zeta_raw[:, None]
     tau = [fit_ols(psi, fit.m[arm]).coefficients for arm in (0, 1)]
@@ -282,7 +279,6 @@ def source_influence(
         own=OwnSummary.of(contributions, split_masks(source.n, seed, source.site_id)),
         tau_coefficients=(tau[0], tau[1]),
         tilt_sensitivity=w,
-        diagnostics={"zeta": weight_diag},
     )
     return report, contributions
 
@@ -320,5 +316,4 @@ def complete_source_estimate(
         on_target=(d - d.mean() - tilt_noise) / target.n,
         n_k=report.n_k,
         own=report.own,
-        diagnostics=report.diagnostics,
     )

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fedcausal.density_ratio import solve_tilt, target_moments
+from fedcausal.density_ratio import TiltCoefficients, solve_tilt, target_moments
 from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round, site_split_seed
 from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
-from fedcausal.numkit import expit, nnls_coordinate_descent
+from fedcausal.numkit import add_intercept, expit, nnls_coordinate_descent
 from fedcausal.simbench import generate_site, load_scenario, method_config, run_scenario
 from fedcausal.site_estimator import (
     OwnSummary,
@@ -162,16 +162,37 @@ MR_ALPHA = np.array([0.8, -0.5, 0.0, 0.0])
 MR_EFFECT = 1.0
 
 
-def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep):
+MR_TARGET_MEAN = 0.4  # mean of each shared covariate at the target
+
+
+def _unit_tilt(psi, summary):
+    """Unit weights posing as a solved tilt: a source that skips transport."""
+    n = len(psi)
+    return TiltCoefficients(
+        gamma=np.zeros(psi.shape[1]),
+        residual_norm=float(np.max(np.abs(summary.mean_basis - psi.mean(axis=0)))),
+        weights=np.ones(n),
+        jacobian=psi.T @ psi / n,
+    )
+
+
+def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep, modifier=0.0, unit_tilt=False):
     X_src = rng.standard_normal((n, 4))
     p = expit(X_src @ MR_ALPHA)
     a = (rng.random(n) < p).astype(int)
-    y = X_src @ MR_BETA + MR_EFFECT * a + rng.standard_normal(n)
+    # With a modifier the effect varies with X0 around its target mean, so the
+    # target ATE stays MR_EFFECT while the source's own ATE does not.
+    effect = MR_EFFECT + modifier * (X_src[:, 0] - MR_TARGET_MEAN)
+    y = X_src @ MR_BETA + effect * a + rng.standard_normal(n)
     scale = 1.0 if zeta_ok else 0.6
-    V_tgt = scale * rng.standard_normal((n, 2)) + 0.4
+    V_tgt = scale * rng.standard_normal((n, 2)) + MR_TARGET_MEAN
     src = SiteFrame("src", "source", y, a, X_src, (0, 1))
     tgt = SiteFrame("tgt", "target", np.zeros(n), np.zeros(n, int), V_tgt, (0, 1))
-    tilt = solve_tilt(src.V, target_moments(tgt.V))
+    summary = target_moments(tgt.V)
+    if unit_tilt:
+        tilt = _unit_tilt(add_intercept(src.V), summary)
+    else:
+        tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
                         [CandidateSpec("p", p_map)],
                         [CandidateSpec("m", m_map)], seed=rep)
@@ -179,42 +200,68 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep):
     return est.mu[1] - est.mu[0]
 
 
-def test_criterion_5_multiply_robust():
-    # Correctness switches: the treatment/outcome truth is linear in the raw
-    # covariates with treatment driven only by the shared pair, so the raw
-    # feature map is correct, the non-shared pair is wrong, and the shared
-    # pair gives a wrong outcome model whose projection on V is still right.
-    raw = FeatureMap("raw")
-    shared = FeatureMap("subset", (0, 1))
-    other = FeatureMap("subset", (2, 3))
-    combos = [
-        ("b1c1", raw, other, True),    # propensity + density ratio correct
-        ("b1c2", raw, shared, False),  # propensity + projection correct
-        ("b2c1", other, raw, True),    # outcome + density ratio correct
-        ("b2c2", other, raw, False),   # outcome + projection correct
-    ]
-    reps, n = 100, 5000
-    results = {}
+# Correctness switches: the treatment/outcome truth is linear in the raw
+# covariates with treatment driven only by the shared pair, so the raw
+# feature map is correct, the non-shared pair is wrong, and the shared
+# pair gives a wrong outcome model whose projection on V is still right.
+MR_RAW = FeatureMap("raw")
+MR_SHARED = FeatureMap("subset", (0, 1))
+MR_OTHER = FeatureMap("subset", (2, 3))
+MR_COMBOS = [
+    ("b1c1", MR_RAW, MR_OTHER, True),    # propensity + density ratio correct
+    ("b1c2", MR_RAW, MR_SHARED, False),  # propensity + projection correct
+    ("b2c1", MR_OTHER, MR_RAW, True),    # outcome + density ratio correct
+    ("b2c2", MR_OTHER, MR_RAW, False),   # outcome + projection correct
+]
+MR_REPS, MR_N = 100, 5000
+
+
+def _mr_bias(idx, p_map, m_map, zeta_ok, **kwargs):
+    """Bias of the transported source estimate over MR_REPS replications
+    seeded by ``(idx, rep, 2024)``, with its Monte Carlo se."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for idx, (name, p_map, m_map, zeta_ok) in enumerate(
-                combos + [("all_wrong", other, other, False)]):
-            deltas = np.array([
-                _mr_replication(np.random.default_rng((idx, rep, 2024)), n,
-                                zeta_ok, p_map, m_map, rep)
-                for rep in range(reps)
-            ])
-            bias = float(deltas.mean() - MR_EFFECT)
-            se = float(deltas.std(ddof=1) / math.sqrt(reps))
-            results[name] = (bias, se)
+        deltas = np.array([
+            _mr_replication(np.random.default_rng((idx, rep, 2024)), MR_N,
+                            zeta_ok, p_map, m_map, rep, **kwargs)
+            for rep in range(MR_REPS)
+        ])
+    return float(deltas.mean() - MR_EFFECT), float(deltas.std(ddof=1) / math.sqrt(MR_REPS))
+
+
+def test_criterion_5_multiply_robust():
+    combos = MR_COMBOS + [("all_wrong", MR_OTHER, MR_OTHER, False)]
+    results = {name: _mr_bias(idx, p_map, m_map, zeta_ok)
+               for idx, (name, p_map, m_map, zeta_ok) in enumerate(combos)}
 
     unbiased_ok = all(abs(results[name][0]) < 3.0 * results[name][1]
-                      for name, _, _, _ in combos)
+                      for name, _, _, _ in MR_COMBOS)
     bias, se = results["all_wrong"]
     power_ok = abs(bias) > 3.0 * se
     detail = "; ".join(f"{k} bias {b:+.4f} (se {s:.4f})"
                        for k, (b, s) in results.items())
     announce(5, unbiased_ok and power_ok, detail)
+    assert unbiased_ok and power_ok, detail
+
+
+def test_criterion_5b_transport_under_effect_modification():
+    # With an effect that varies with the shared X0, a source's own ATE
+    # differs from the target's, so only a working density ratio keeps the
+    # transported estimate unbiased. Same switches, seeds, reps and n as
+    # criterion 5; the power check is b1c1 with the transport skipped.
+    results = {name: _mr_bias(idx, p_map, m_map, zeta_ok, modifier=1.0)
+               for idx, (name, p_map, m_map, zeta_ok) in enumerate(MR_COMBOS)}
+    _, p_map, m_map, zeta_ok = MR_COMBOS[0]
+    results["b1c1_unit_tilt"] = _mr_bias(0, p_map, m_map, zeta_ok, modifier=1.0,
+                                         unit_tilt=True)
+
+    unbiased_ok = all(abs(results[name][0]) < 3.0 * results[name][1]
+                      for name, _, _, _ in MR_COMBOS)
+    bias, se = results["b1c1_unit_tilt"]
+    power_ok = abs(bias) > 3.0 * se
+    detail = "; ".join(f"{k} bias {b:+.4f} (se {s:.4f})"
+                       for k, (b, s) in results.items())
+    announce("5b", unbiased_ok and power_ok, detail)
     assert unbiased_ok and power_ok, detail
 
 

@@ -118,7 +118,7 @@ def test_solve_tilt_input_validation():
 
 def test_truncate_weights_no_op_on_mild_weights():
     w = np.linspace(0.5, 2.0, 100)
-    capped, diag = truncate_weights(w)
+    capped, diag = truncate_weights("s", w)
     assert np.array_equal(capped, w)
     assert diag["n_capped"] == 0
 
@@ -126,7 +126,7 @@ def test_truncate_weights_no_op_on_mild_weights():
 def test_truncate_weights_caps_extremes():
     w = np.ones(2000)
     w[0] = 1e5
-    capped, diag = truncate_weights(w)
+    capped, diag = truncate_weights("s", w)
     assert diag["n_capped"] == 1
     assert capped[0] == diag["cap"]
     assert capped[0] < w[0]
@@ -138,5 +138,5 @@ def test_truncate_weights_warns_on_concentration():
     # distribution stays concentrated enough to trip the ratio alarm.
     w = np.ones(1000)
     w[:5] = 1000.0
-    with pytest.warns(ExtremeWeightsWarning):
-        truncate_weights(w)
+    with pytest.warns(ExtremeWeightsWarning, match="site s7: "):
+        truncate_weights("s7", w)

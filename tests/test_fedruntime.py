@@ -233,6 +233,8 @@ def test_audit_rejects_per_unit_arrays():
         # One split sum more than the protocol's split count.
         "fit_sq_long": lambda p: p.update(fit_sq=p["fit_sq"] + [0.0]),
         "diagnostics": lambda p: p.update(diagnostics={"zeta": {"cap": [0.0] * n_k}}),
+        # One scalar per unit, each under a key of its own.
+        "keyed": lambda p: p.update(diagnostics={"zeta": {f"u{i}": 0.0 for i in range(n_k)}}),
     }
     for name, tamper in tampered.items():
         payload = json.loads(rec.payload_text)
@@ -288,6 +290,9 @@ def test_audit_schema_declares_only_what_a_round_sends():
     # leave its type behind.
     declared = {spec for schema in _SCHEMAS.values() for spec in schema.values()}
     assert set(_SCALARS) <= declared
+    # No declared type is an open object: each is a scalar, the candidate
+    # specs, or a list of a protocol dimension, so no value grows with n.
+    assert declared <= set(_SCALARS) | {"candidates", "[basis]", "[cv_splits]"}
 
 
 def test_audit_rejects_bad_payloads():

@@ -125,8 +125,6 @@ source_reports = st.builds(
     own=st.builds(OwnSummary, sq=finite, fit_sq=vectors),
     tau_coefficients=st.tuples(vectors, vectors),
     tilt_sensitivity=vectors,
-    diagnostics=st.dictionaries(st.text(max_size=5), st.dictionaries(
-        st.text(max_size=5), finite | st.integers(0, 10**9), max_size=3), max_size=2),
 )
 candidate_specs = st.builds(
     CandidateSpec,

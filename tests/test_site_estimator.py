@@ -310,7 +310,7 @@ def test_contributions_match_per_arm_construction():
 
     pi, m = fit.pi, fit.m
     zeta_raw = np.exp(-add_intercept(src.V) @ tilt.gamma)
-    zeta, _ = truncate_weights(zeta_raw)
+    zeta, _ = truncate_weights(src.site_id, zeta_raw)
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
     psi = add_intercept(src.V)
     B = (psi * zeta_raw[:, None]).T @ psi / n_s
