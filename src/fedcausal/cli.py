@@ -19,7 +19,7 @@ from . import __version__
 from .errors import FedcausalError, ScenarioError
 from .federation import ALPHA, LAMBDA_GRID
 from .fedruntime import METHODS, ProtocolConfig, audit_ledger, dump_ledger, run_round
-from .nuisance import CandidateSpec, FeatureMap
+from .nuisance import FeatureMap
 from .simbench import (
     load_scenario,
     method_config,
@@ -200,11 +200,8 @@ def _cmd_estimate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    raw = FeatureMap("raw")
-    candidates = {"default": {
-        "treatment": [CandidateSpec("x", raw)],
-        "outcome": [CandidateSpec("x", raw)],
-    }}
+    raw = [FeatureMap("raw")]
+    candidates = {"default": {"treatment": raw, "outcome": raw}}
     config = ProtocolConfig(candidates=candidates, method=args.method, seed=args.seed)
     if args.out and not _make_out_dir(args.out):
         return EXIT_USAGE

@@ -28,16 +28,14 @@ EXTREME_RATIO = 100.0
 class MomentSummary:
     """Summary-level payload: means of ``(1, V)`` over the target units.
 
-    The wire form also carries the basis dimension ``d``, which the ledger
-    audit reads; the sender is the logged message's ``from_site``.
+    Its length is the basis dimension, which the ledger audit reads; the
+    sender is the logged message's ``from_site``.
     """
 
     mean_basis: np.ndarray
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"d": len(self.mean_basis), "mean_basis": list(map(float, self.mean_basis))}
-        )
+        return json.dumps({"mean_basis": list(map(float, self.mean_basis))})
 
     @staticmethod
     def from_json(payload: str) -> "MomentSummary":

@@ -195,36 +195,29 @@ def _squared_error(products, eta: np.ndarray) -> float:
     return rtr - 2.0 * float(eta @ gtr) + float(eta @ gram @ eta)
 
 
-def cross_validate_lambda(
-    estimates: list[SiteEstimate],
-    grid=LAMBDA_GRID,
-    seed: int = 0,
-) -> EnsembleSolution:
-    """Choose the penalty by ``CV_SPLITS`` repeated 50/50 splits of every
-    site's units.
+def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> EnsembleSolution:
+    """Choose the penalty from ``LAMBDA_GRID`` by ``CV_SPLITS`` repeated 50/50
+    splits of every site's units.
 
     Each site splits its own units (:func:`_cv_systems`). Weights are fit on
     one half and scored by the unpenalized objective on the other, both from
     K x K cross-products of the stacked system built once here; each fit
-    warm-starts from the support of the fit before it along the sorted grid.
+    warm-starts from the support of the fit before it along the increasing grid.
     The selected value is the largest penalty whose mean validation error
     sits within one standard error of the minimum, which stabilizes the
     weights when the error curve is nearly flat. The final weights are refit
     on all rows at the chosen value; if the source weights sum above one they
     are scaled to sum to one, and the target takes the remainder.
     """
-    grid = sorted(set(float(g) for g in grid))
-    if not grid:
-        raise ValueError("lambda grid must be non-empty")
     r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
     whole = _with_source_rows(_cross_products(G_T, r_T), own_sq)
-    errors = np.zeros((CV_SPLITS, len(grid)))
+    errors = np.zeros((CV_SPLITS, len(LAMBDA_GRID)))
     halves = _cv_systems(estimates, r_T, G_T, whole, seed)
     # Each fit warm-starts from the support at the previous penalty, or, for
     # the first penalty, at the same penalty in the previous split.
-    supports = [None] * len(grid)
+    supports = [None] * len(LAMBDA_GRID)
     for s, ((gram_fit, gtr_fit, _), val) in enumerate(halves):
-        for j, lam in enumerate(grid):
+        for j, lam in enumerate(LAMBDA_GRID):
             start = supports[j - 1] if j else supports[0]
             eta_src = nnls_coordinate_descent(gram_fit, gtr_fit, lam * arm_shift_sq, start)
             supports[j] = eta_src > 0.0
@@ -232,12 +225,8 @@ def cross_validate_lambda(
     mean_err = errors.mean(axis=0)
     se_err = errors.std(axis=0, ddof=1) / math.sqrt(CV_SPLITS)
     min_j = int(np.argmin(mean_err))
-    cutoff = mean_err[min_j] + se_err[min_j]
-    best_j = min_j
-    for j in range(len(grid)):
-        if mean_err[j] <= cutoff and grid[j] > grid[best_j]:
-            best_j = j
-    lam = grid[best_j]
+    best_j = np.flatnonzero(mean_err <= mean_err[min_j] + se_err[min_j])[-1]
+    lam = LAMBDA_GRID[best_j]
     gram, gtr, _ = whole
     eta_src = nnls_coordinate_descent(gram, gtr, lam * arm_shift_sq, supports[best_j])
     total = eta_src.sum()
@@ -247,7 +236,7 @@ def cross_validate_lambda(
     return EnsembleSolution(
         eta=np.concatenate(([1.0 - total], eta_src)),
         lambda_=lam,
-        cv_trace={"lambda": list(grid), "mean_validation_error": mean_err.tolist()},
+        cv_trace={"lambda": list(LAMBDA_GRID), "mean_validation_error": mean_err.tolist()},
     )
 
 

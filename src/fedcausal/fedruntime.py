@@ -39,7 +39,7 @@ from .federation import (
     cross_validate_lambda,
     global_estimate,
 )
-from .nuisance import CandidateSpec, NuisanceFit, fit_nuisances
+from .nuisance import FeatureMap, NuisanceFit, fit_nuisances
 from .site_estimator import (
     CV_SPLITS,
     SiteFrame,
@@ -52,18 +52,18 @@ from .site_estimator import (
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 
 # Declared shape of every payload key each message kind may carry: a scalar
-# ("count", "number"), "candidates" (the candidate model specs), or "[dim]": a
-# flat numeric list whose length is the protocol dimension ``dim``. No key
-# takes an open object. The moment summary declares the basis dimension ``d``
-# = 1 + the shared covariates, which is also the number of projection
-# coefficients; a source upload sums its squared contributions once over all
-# its units (``own_sq``) and once per fit half of the protocol's fixed
-# ``CV_SPLITS`` (``fit_sq``). No dimension depends on a site's sample size, so
-# no per-unit values pass the audit, and no payload names its sender: the
-# ledger's ``from_site`` does.
+# ("count", "number"), "candidates" (each site's candidate feature maps), or
+# "[dim]": a flat numeric list whose length is the protocol dimension ``dim``.
+# No key takes an open object. The basis dimension is the length of the
+# moment summaries' ``mean_basis``, 1 + the shared covariates, which is also
+# the number of projection coefficients; a source upload sums its squared
+# contributions once over all its units (``own_sq``) and once per fit half of
+# the protocol's fixed ``CV_SPLITS`` (``fit_sq``). No dimension depends on a
+# site's sample size, so no per-unit values pass the audit, and no payload
+# names its sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
     "config": {"seed": "count", "candidates": "candidates"},
-    "moment_summary": {"d": "count", "mean_basis": "[basis]"},
+    "moment_summary": {"mean_basis": "[basis]"},
     "site_estimate": {
         "n_k": "count", "mu_own0": "number", "mu_own1": "number",
         "own_sq": "number", "fit_sq": "[cv_splits]",
@@ -123,12 +123,12 @@ class MessageRecord:
 class ProtocolConfig:
     """Round configuration set by the coordinator.
 
-    ``candidates`` maps site id to its treatment and outcome candidate model
-    specs; sites absent from the map fall back to the ``"default"`` entry.
-    Only ``seed`` and ``candidates`` are broadcast (:meth:`to_dict`);
-    ``method`` stays with the coordinator. The adaptive methods' penalty grid
-    and the interval level are no settings but the protocol constants
-    ``LAMBDA_GRID`` and ``ALPHA``.
+    ``candidates`` maps site id to its treatment and outcome candidate models,
+    each a list of :class:`~fedcausal.nuisance.FeatureMap`; sites absent from
+    the map fall back to the ``"default"`` entry. Only ``seed`` and
+    ``candidates`` are broadcast (:meth:`to_dict`); ``method`` stays with the
+    coordinator. The adaptive methods' penalty grid and the interval level
+    are no settings but the protocol constants ``LAMBDA_GRID`` and ``ALPHA``.
     """
 
     candidates: dict
@@ -144,17 +144,14 @@ class ProtocolConfig:
             return self.candidates[site_id]
         if "default" in self.candidates:
             return self.candidates["default"]
-        raise ValueError(f"no candidate specs for site {site_id!r}")
+        raise ValueError(f"no candidate models for site {site_id!r}")
 
     def to_dict(self) -> dict:
         """The config broadcast: what the sites read."""
         return {
             "seed": self.seed,
             "candidates": {
-                site: {
-                    role: [spec.to_dict() for spec in specs]
-                    for role, specs in groups.items()
-                }
+                site: {role: [fm.to_dict() for fm in maps] for role, maps in groups.items()}
                 for site, groups in self.candidates.items()
             },
         }
@@ -266,9 +263,11 @@ def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
 
     Sends no message: the report's ledger is a copy of the site phase's.
     Leaves ``sites`` unchanged, so one site phase can be combined under
-    several weighting schemes. A round with the target estimate alone uses
-    the target-only weights, reported as its ``effective_method``, with a
-    warning if sources were configured and every one failed.
+    several weighting schemes. The report's ``effective_method`` names what
+    ran: a round with the target estimate alone uses the target-only
+    weights, with a warning if sources were configured and every one failed,
+    and ``mr_l1`` with one feature map in every candidate group is
+    ``aipw_l1``.
     """
     estimates = sites.estimates
     n_sources = len(estimates) - 1 + len(sites.failures)
@@ -278,7 +277,13 @@ def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
             AllSourcesFailedWarning,
             stacklevel=2,
         )
-    method = "target" if len(estimates) == 1 else config.method
+    method = config.method
+    if len(estimates) == 1:
+        method = "target"
+    elif method == "mr_l1" and all(
+        len(maps) == 1 for groups in config.candidates.values() for maps in groups.values()
+    ):
+        method = "aipw_l1"
     if method in ADAPTIVE_METHODS:
         solution = cross_validate_lambda(estimates, seed=config.seed)
     else:
@@ -319,16 +324,14 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
     elif spec == "candidates":
         try:
             ok = value == {
-                site: {
-                    role: [CandidateSpec.from_dict(d).to_dict() for d in specs]
-                    for role, specs in groups.items()
-                }
+                site: {role: [FeatureMap.from_dict(d).to_dict() for d in maps]
+                       for role, maps in groups.items()}
                 for site, groups in value.items()
             }
         except (AttributeError, KeyError, TypeError, ValueError):
             ok = False
         if not ok:
-            raise PrivacyViolation(f"{where} is not a map of candidate specs")
+            raise PrivacyViolation(f"{where} is not a map of candidate feature maps")
     elif spec.startswith("["):
         if not (isinstance(value, list) and all(map(_is_number, value))):
             raise PrivacyViolation(f"{where} is not a flat numeric list")
@@ -342,17 +345,17 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
 
 
 def _declared_dims(payloads: list) -> dict:
-    """Protocol dimensions: the fixed split count, and the basis dimension
-    ``d`` declared by a round's moment summaries."""
+    """Protocol dimensions: the fixed split count, and the basis dimension,
+    the length of a round's moment summaries' ``mean_basis``."""
     dims = {"cv_splits": CV_SPLITS}
     for kind, payload in payloads:
         if kind != "moment_summary":
             continue
-        d = payload.get("d")
-        if not (_SCALARS["count"](d) and d >= 2):
-            raise PrivacyViolation(f"moment summary declares no valid basis size {d!r}")
-        if dims.setdefault("basis", d) != d:
-            raise PrivacyViolation("messages disagree on the basis dimension")
+        basis = payload.get("mean_basis")
+        if not (isinstance(basis, list) and len(basis) >= 2):
+            raise PrivacyViolation("moment summary has no basis of length 2 or more")
+        if dims.setdefault("basis", len(basis)) != len(basis):
+            raise PrivacyViolation("moment summaries disagree on the basis dimension")
     return dims
 
 

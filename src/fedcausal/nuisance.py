@@ -40,10 +40,28 @@ def kang_schafer(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Selects or derives model features from a site's covariate matrix."""
+    """A candidate model's features of a site's covariate matrix: all of them
+    (``raw``), their :func:`kang_schafer` transform, or the given ``columns``
+    (``subset``). A map is checked when it is built, so one decoded from the
+    config broadcast holds a kind and, for a subset only, a non-empty tuple of
+    distinct non-negative column indices: nothing else."""
 
-    kind: str  # raw | kangschafer | subset
+    kind: str
     columns: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("raw", "kangschafer", "subset"):
+            raise ValueError(f"unknown feature map kind {self.kind!r}")
+        if (self.columns is not None) != (self.kind == "subset"):
+            raise ValueError("a subset feature map, and only a subset, takes columns")
+        if self.columns is not None and not (
+            isinstance(self.columns, tuple) and self.columns
+            and all(isinstance(c, int) and not isinstance(c, bool) and c >= 0
+                    for c in self.columns)
+            and len(set(self.columns)) == len(self.columns)
+        ):
+            raise ValueError(f"subset columns {self.columns!r} are not a tuple of "
+                             "distinct non-negative ints")
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -51,32 +69,17 @@ class FeatureMap:
             return X
         if self.kind == "kangschafer":
             return kang_schafer(X)
-        if self.kind == "subset":
-            if not self.columns:
-                raise ValueError("subset feature map needs columns")
-            return X[:, list(self.columns)]
-        raise ValueError(f"unknown feature map kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class CandidateSpec:
-    id: str
-    feature_map: FeatureMap
+        return X[:, list(self.columns)]
 
     def to_dict(self) -> dict:
-        fm: dict = {"kind": self.feature_map.kind}
-        if self.feature_map.columns is not None:
-            fm["columns"] = list(self.feature_map.columns)
-        return {"id": self.id, "feature_map": fm}
+        """Wire form: ``{"kind"}``, or ``{"kind", "columns"}`` for a subset."""
+        if self.columns is None:
+            return {"kind": self.kind}
+        return {"kind": self.kind, "columns": list(self.columns)}
 
     @staticmethod
-    def from_dict(obj: dict) -> "CandidateSpec":
-        fm = obj["feature_map"]
-        cols = tuple(fm["columns"]) if "columns" in fm and fm["columns"] is not None else None
-        return CandidateSpec(
-            id=obj["id"],
-            feature_map=FeatureMap(kind=fm["kind"], columns=cols),
-        )
+    def from_dict(obj: dict) -> "FeatureMap":
+        return FeatureMap(obj["kind"], tuple(obj["columns"]) if "columns" in obj else None)
 
 
 @dataclass(frozen=True)
@@ -124,14 +127,16 @@ def _log_softmax_weights(cum_log_risk: np.ndarray) -> np.ndarray:
     return w.mean(axis=0)
 
 
-def _fit_or_warn(site_id: str, spec: CandidateSpec, fit_one, design: np.ndarray,
+def _fit_or_warn(site_id: str, fm: FeatureMap, fit_one, design: np.ndarray,
                  y: np.ndarray) -> np.ndarray | None:
     """Coefficients of ``fit_one(design, y)``, or None after a
-    :class:`CandidateFitWarning` naming the site and candidate if the fit fails."""
+    :class:`CandidateFitWarning` naming the site and the candidate's feature
+    map (its kind, and its columns for a subset) if the fit fails."""
     try:
         return fit_one(design, y).coefficients
     except FedcausalError as exc:
-        warnings.warn(f"{site_id}: candidate {spec.id!r} failed to fit: {exc}",
+        label = fm.kind if fm.columns is None else f"{fm.kind} {list(fm.columns)}"
+        warnings.warn(f"{site_id}: candidate {label} failed to fit: {exc}",
                       CandidateFitWarning, stacklevel=4)
         return None
 
@@ -141,7 +146,7 @@ def _mix(
     designs: dict,
     y: np.ndarray,
     rows: np.ndarray,
-    specs: list[CandidateSpec],
+    maps: list[FeatureMap],
     seed: int,
     fit_one,
     log_score,
@@ -155,12 +160,12 @@ def _mix(
     score, so it is only fit on all of ``rows``. Returns the weights and the
     mixture on every unit of the site.
     """
-    if not specs:
-        raise ValueError("need at least one candidate spec")
-    if len(specs) == 1:
+    if not maps:
+        raise ValueError("need at least one candidate feature map")
+    if len(maps) == 1:
         _train_size(len(rows))  # the size floors hold with or without a split
-        design = designs[specs[0].feature_map]
-        beta = _fit_or_warn(site_id, specs[0], fit_one, design[rows], y[rows])
+        design = designs[maps[0]]
+        beta = _fit_or_warn(site_id, maps[0], fit_one, design[rows], y[rows])
         if beta is None:
             raise TooFewUnits("all candidates failed to fit")
         return np.ones(1), link(design @ beta)
@@ -169,10 +174,10 @@ def _mix(
     # Per-unit validation log scores and full-sample coefficients of each
     # candidate that fits.
     scores, coefficients = [], {}
-    for j, spec in enumerate(specs):
-        design = designs[spec.feature_map]
-        train_beta = _fit_or_warn(site_id, spec, fit_one, design[train_idx], y[train_idx])
-        beta = None if train_beta is None else _fit_or_warn(site_id, spec, fit_one,
+    for j, fm in enumerate(maps):
+        design = designs[fm]
+        train_beta = _fit_or_warn(site_id, fm, fit_one, design[train_idx], y[train_idx])
+        beta = None if train_beta is None else _fit_or_warn(site_id, fm, fit_one,
                                                             design[rows], y[rows])
         if beta is not None:
             coefficients[j] = beta
@@ -182,13 +187,13 @@ def _mix(
     scores = np.column_stack(scores)
     cum = np.zeros_like(scores)
     cum[1:] = np.cumsum(scores[:-1], axis=0)
-    weights = np.zeros(len(specs))
+    weights = np.zeros(len(maps))
     weights[list(coefficients)] = _log_softmax_weights(cum)
     weights /= weights.sum()
 
     fitted = np.zeros(len(y))
     for j, beta in coefficients.items():
-        fitted += weights[j] * link(designs[specs[j].feature_map] @ beta)
+        fitted += weights[j] * link(designs[maps[j]] @ beta)
     return weights, fitted
 
 
@@ -196,7 +201,7 @@ def mix_propensity(
     site_id: str,
     designs: dict,
     a: np.ndarray,
-    specs: list[CandidateSpec],
+    maps: list[FeatureMap],
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mix treatment candidates by cumulative Bernoulli validation likelihood.
@@ -209,7 +214,7 @@ def mix_propensity(
     def log_score(linear, y):
         return bernoulli_loglik(expit(linear), y, 1.0 - y)
 
-    return _mix(site_id, designs, a, np.arange(len(a)), specs, seed, fit_logistic, log_score,
+    return _mix(site_id, designs, a, np.arange(len(a)), maps, seed, fit_logistic, log_score,
                 expit)
 
 
@@ -224,7 +229,7 @@ def mix_outcome(
     y: np.ndarray,
     a: np.ndarray,
     arm: int,
-    specs: list[CandidateSpec],
+    maps: list[FeatureMap],
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mix outcome candidates fitted on the given arm's units by cumulative
@@ -234,12 +239,12 @@ def mix_outcome(
     rows = np.flatnonzero(np.asarray(a) == arm)
     if len(rows) < 4:
         raise TooFewUnits(f"need at least 4 units with A={arm} to split")
-    kappa = default_kappa(len(specs))
+    kappa = default_kappa(len(maps))
 
     def log_score(linear, y_obs):
         return -kappa * (y_obs - linear) ** 2
 
-    return _mix(site_id, designs, np.asarray(y, dtype=float), rows, specs, seed, fit_ols,
+    return _mix(site_id, designs, np.asarray(y, dtype=float), rows, maps, seed, fit_ols,
                 log_score, lambda linear: linear)
 
 
@@ -248,19 +253,19 @@ def fit_nuisances(
     X: np.ndarray,
     y: np.ndarray,
     a: np.ndarray,
-    treatment_specs: list[CandidateSpec],
-    outcome_specs: list[CandidateSpec],
+    treatment_maps: list[FeatureMap],
+    outcome_maps: list[FeatureMap],
     seed: int = 0,
 ) -> NuisanceFit:
     """Fit the propensity and per-arm outcome mixtures on a 0.5 train split
     seeded by ``seed``, on one design per distinct feature map, and evaluate
     them on the units of site ``site_id``. Warns with
     :class:`PositivityWarning` if the clip changes any propensity."""
-    maps = dict.fromkeys(s.feature_map for s in (*treatment_specs, *outcome_specs))
+    maps = dict.fromkeys((*treatment_maps, *outcome_maps))
     designs = {fm: add_intercept(fm.apply(X)) for fm in maps}
-    p1 = mix_propensity(site_id, designs, a, treatment_specs, seed=seed)[1]
-    m1 = mix_outcome(site_id, designs, y, a, 1, outcome_specs, seed=seed)[1]
-    m0 = mix_outcome(site_id, designs, y, a, 0, outcome_specs, seed=seed)[1]
+    p1 = mix_propensity(site_id, designs, a, treatment_maps, seed=seed)[1]
+    m1 = mix_outcome(site_id, designs, y, a, 1, outcome_maps, seed=seed)[1]
+    m0 = mix_outcome(site_id, designs, y, a, 0, outcome_maps, seed=seed)[1]
     unclipped = np.stack([1.0 - p1, p1])
     pi = np.clip(unclipped, *DEFAULT_CLIP)
     if np.any(pi != unclipped):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FedcausalError, ScenarioError
 from .fedruntime import METHODS, ProtocolConfig, combine, run_sites
-from .nuisance import CandidateSpec, FeatureMap, kang_schafer
+from .nuisance import FeatureMap, kang_schafer
 from .numkit import expit
 from .site_estimator import SiteFrame
 
@@ -179,10 +179,6 @@ def generate_site(site: SiteSpec, scenario: ScenarioSpec, rng: np.random.Generat
     )
 
 
-def _candidate_group(ids_and_maps: list[tuple[str, FeatureMap]]) -> list[CandidateSpec]:
-    return [CandidateSpec(id=i, feature_map=m) for i, m in ids_and_maps]
-
-
 def method_config(
     method: str,
     scenario: ScenarioSpec,
@@ -200,26 +196,14 @@ def method_config(
     raw = FeatureMap("raw")
     if scenario.mismatch:
         sub = FeatureMap("subset", scenario.shared_cols)
-        if method == "mr_l1":
-            src_maps = [("x", raw), ("x-sub", sub)]
-        else:
-            src_maps = [("x-sub", sub)]
-        tgt_maps = [("x", raw)]
+        src_maps = [raw, sub] if method == "mr_l1" else [sub]
+        tgt_maps = [raw]
     else:
-        if method == "mr_l1":
-            src_maps = [("x", raw), ("ks", FeatureMap("kangschafer"))]
-        else:
-            src_maps = [("x", raw)]
+        src_maps = [raw, FeatureMap("kangschafer")] if method == "mr_l1" else [raw]
         tgt_maps = src_maps
     candidates = {
-        "default": {
-            "treatment": _candidate_group(src_maps),
-            "outcome": _candidate_group(src_maps),
-        },
-        scenario.target.id: {
-            "treatment": _candidate_group(tgt_maps),
-            "outcome": _candidate_group(tgt_maps),
-        },
+        "default": {"treatment": src_maps, "outcome": src_maps},
+        scenario.target.id: {"treatment": tgt_maps, "outcome": tgt_maps},
     }
     return ProtocolConfig(candidates=candidates, method=method, seed=seed)
 

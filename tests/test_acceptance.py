@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from fedcausal import federation
 from fedcausal.density_ratio import TiltCoefficients, solve_tilt, target_moments
 from fedcausal.federation import cross_validate_lambda, global_estimate
 from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round, site_split_seed
-from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
+from fedcausal.nuisance import FeatureMap, fit_nuisances
 from fedcausal.numkit import add_intercept, expit, nnls_coordinate_descent
 from fedcausal.simbench import generate_site, load_scenario, method_config, run_scenario
 from fedcausal.site_estimator import (
@@ -193,9 +194,7 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep, modifier=0.0, unit_tilt=
         tilt = _unit_tilt(add_intercept(src.V), summary)
     else:
         tilt = solve_tilt(src.V, summary)
-    fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
-                        [CandidateSpec("p", p_map)],
-                        [CandidateSpec("m", m_map)], seed=rep)
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, [p_map], [m_map], seed=rep)
     est = complete_source_estimate(src.site_id, source_report(src, fit, tilt), tgt)
     return est.mu[1] - est.mu[0]
 
@@ -265,7 +264,7 @@ def test_criterion_5b_transport_under_effect_modification():
     assert unbiased_ok and power_ok, detail
 
 
-def test_criterion_6_weight_solver_oracle():
+def test_criterion_6_weight_solver_oracle(monkeypatch):
     rng = np.random.default_rng(200)
     worst_gap = 0.0
     for _ in range(50):
@@ -298,7 +297,8 @@ def test_criterion_6_weight_solver_oracle():
                      250, own=summary(rng.standard_normal((2, 250)), f"s{i}"))
         for i in range(2)
     ]
-    eta = cross_validate_lambda([tgt] + sources, grid=(1e12,)).eta
+    monkeypatch.setattr(federation, "LAMBDA_GRID", (1e12,))
+    eta = cross_validate_lambda([tgt] + sources).eta
     target_only_ok = bool(np.array_equal(eta, [1.0, 0.0, 0.0]))
 
     detail = f"max objective gap {worst_gap:.2e}, huge-lambda weights {eta.tolist()}"
@@ -367,11 +367,8 @@ def _equivalence_frames(seed, n=150):
 
 
 def test_criterion_8_runtime_equivalence_and_privacy():
-    raw = FeatureMap("raw")
-    candidates = {"default": {
-        "treatment": [CandidateSpec("p", raw)],
-        "outcome": [CandidateSpec("m", raw)],
-    }}
+    raw = [FeatureMap("raw")]
+    candidates = {"default": {"treatment": raw, "outcome": raw}}
     identical = True
     for seed in range(20):
         frames = _equivalence_frames(seed)

@@ -147,6 +147,24 @@ def test_estimate_end_to_end(tmp_path, capsys):
     assert (out / "ledger.jsonl").is_file()
 
 
+def test_estimate_labels_a_one_candidate_mr_l1_round_as_aipw_l1(tmp_path, capsys):
+    # estimate gives every site one raw candidate, so its default mr_l1 runs
+    # exactly the aipw_l1 round; the report keeps the requested name and says
+    # what ran.
+    tgt = _write_site_csv(tmp_path / "tgt.csv", 1, 250, ["x1", "x2"])
+    src = _write_site_csv(tmp_path / "src.csv", 2, 300, ["x1", "x2", "x3"])
+    reports = {}
+    for method in (None, "aipw_l1"):
+        extra = [] if method is None else ["--method", method]
+        assert main(["estimate", "--target", str(tgt), "--source", str(src), *extra]) == EXIT_OK
+        reports[method] = json.loads(capsys.readouterr().out)
+    default, aipw = reports[None], reports["aipw_l1"]
+    assert default["method"] == "mr_l1"
+    assert default["diagnostics"]["effective_method"] == "aipw_l1"
+    assert aipw["diagnostics"]["effective_method"] == "aipw_l1"
+    assert default["delta_hat"] == aipw["delta_hat"] and default["ci"] == aipw["ci"]
+
+
 def test_estimate_target_only(tmp_path, capsys):
     tgt = _write_site_csv(tmp_path / "tgt.csv", 3, 200, ["x1", "x2"])
     code = main(["estimate", "--target", str(tgt), "--method", "target"])

@@ -39,8 +39,8 @@ def test_target_moments_values():
 def test_moment_summary_json_round_trip():
     summary = target_moments(np.random.default_rng(0).standard_normal((10, 3)))
     text = summary.to_json()
-    assert json.loads(text).keys() == {"d", "mean_basis"}
-    assert json.loads(text)["d"] == 4
+    assert json.loads(text).keys() == {"mean_basis"}
+    assert len(json.loads(text)["mean_basis"]) == 4
     back = MomentSummary.from_json(text)
     assert np.array_equal(back.mean_basis, summary.mean_basis)
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fedcausal import federation
 from fedcausal.errors import MissingTarget, ZeroVariance
 from fedcausal.federation import (
     ALPHA,
+    LAMBDA_GRID,
     _cross_products,
     _cv_systems,
     _squared_error,
@@ -114,17 +116,26 @@ def test_combine_validation():
         combine_fixed([_source_estimate(rng, "s1"), _target_estimate(rng)], "ss")
 
 
-def test_huge_lambda_gives_target_only():
+def test_lambda_grid_increases_strictly_from_zero():
+    # The one-standard-error rule picks the last grid index within its
+    # cutoff, which is the largest penalty only on an increasing grid.
+    assert LAMBDA_GRID[0] == 0.0
+    assert all(a < b for a, b in zip(LAMBDA_GRID, LAMBDA_GRID[1:]))
+
+
+def test_huge_lambda_gives_target_only(monkeypatch):
     # Sources whose means differ from the target's carry positive penalty
     # weight, so an enormous lambda shuts them off exactly.
+    monkeypatch.setattr(federation, "LAMBDA_GRID", (1e12,))
     estimates = _trio(mu_src=(1.5, 2.5))
-    eta = cross_validate_lambda(estimates, grid=(1e12,)).eta
+    eta = cross_validate_lambda(estimates).eta
     assert np.array_equal(eta, [1.0, 0.0, 0.0])
 
 
-def test_solve_l1_weights_simplex():
+def test_solve_l1_weights_simplex(monkeypatch):
     for lam in (0.0, 1e-3, 0.1, 1.0):
-        eta = cross_validate_lambda(_trio(), grid=(lam,)).eta
+        monkeypatch.setattr(federation, "LAMBDA_GRID", (lam,))
+        eta = cross_validate_lambda(_trio()).eta
         assert np.all(eta >= 0.0)
         assert abs(eta.sum() - 1.0) < 1e-12
 
@@ -147,11 +158,6 @@ def test_cross_validate_lambda_checks_split_count():
     estimates[1] = dataclasses.replace(estimates[1], own=short)
     with pytest.raises(ValueError):
         cross_validate_lambda(estimates)
-
-
-def test_cross_validate_lambda_empty_grid():
-    with pytest.raises(ValueError):
-        cross_validate_lambda(_trio(), grid=())
 
 
 def test_adaptive_ensemble_target_alone():

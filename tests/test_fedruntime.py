@@ -29,8 +29,9 @@ from fedcausal.fedruntime import (
     run_sites,
     site_split_seed,
 )
-from fedcausal.nuisance import CandidateSpec, FeatureMap, fit_nuisances
+from fedcausal.nuisance import FeatureMap, fit_nuisances
 from fedcausal.numkit import expit
+from fedcausal.simbench import load_scenario, method_config
 from fedcausal.site_estimator import (
     SiteFrame,
     complete_source_estimate,
@@ -56,12 +57,9 @@ def _make_frames(seed=0, n=150, n_sources=2, degenerate=(), slope=0.5):
 
 
 def _config(method="mr_l1", seed=0):
-    raw = FeatureMap("raw")
+    raw = [FeatureMap("raw")]
     return ProtocolConfig(
-        candidates={"default": {
-            "treatment": [CandidateSpec("p", raw)],
-            "outcome": [CandidateSpec("m", raw)],
-        }},
+        candidates={"default": {"treatment": raw, "outcome": raw}},
         method=method,
         seed=seed,
     )
@@ -243,22 +241,21 @@ def test_audit_rejects_per_unit_arrays():
         with pytest.raises(PrivacyViolation):
             audit_ledger(report)
         report.privacy_ledger[pos] = rec
-    # A moment summary whose "d" disagrees with its means, or declares no
-    # valid basis size: missing, below 2, or not an integer.
-    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
-                    if r.kind == "moment_summary")
-    header = {
-        "disagrees": lambda p: p.update(mean_basis=p["mean_basis"] + [0.0]),
-        "missing": lambda p: p.pop("d"),
-        "one": lambda p: p.update(d=1, mean_basis=[1.0]),
-        "float": lambda p: p.update(d=float(p["d"])),
-        "text": lambda p: p.update(d=str(p["d"])),
+    # The basis dimension is the length of the moment summaries' means. The
+    # second summary here is one longer than the first, or too short to hold
+    # an intercept and a covariate, or restates the dimension as a key.
+    pos, rec = [(i, r) for i, r in enumerate(report.privacy_ledger)
+                if r.kind == "moment_summary"][1]
+    summary = {
+        "disagrees": (lambda p: p.update(mean_basis=p["mean_basis"] + [0.0]), "disagree"),
+        "one": (lambda p: p.update(mean_basis=[1.0]), "no basis"),
+        "d": (lambda p: p.update(d=len(p["mean_basis"])), "undeclared keys"),
     }
-    for name, tamper in header.items():
+    for name, (tamper, message) in summary.items():
         payload = json.loads(rec.payload_text)
         tamper(payload)
         report.privacy_ledger[pos] = _relogged(rec, payload)
-        with pytest.raises(PrivacyViolation):
+        with pytest.raises(PrivacyViolation, match=message):
             audit_ledger(report)
     report.privacy_ledger[pos] = rec
     audit_ledger(report)
@@ -278,6 +275,35 @@ def test_audit_rejects_a_config_carrying_per_unit_values():
         audit_ledger(report)
 
 
+def test_audit_rejects_candidate_columns_carrying_per_unit_values():
+    # A subset feature map's columns are distinct non-negative ints, so a
+    # candidate whose columns hold the target's outcomes does not pass.
+    frames = _make_frames()
+    report = run_round(frames, _config("mr_l1"))
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                    if r.kind == "config")
+    payload = json.loads(rec.payload_text)
+    outcomes = [float(v) for v in frames[0].y]
+    payload["candidates"]["default"]["treatment"].append({"kind": "subset", "columns": outcomes})
+    report.privacy_ledger[pos] = _relogged(rec, payload)
+    with pytest.raises(PrivacyViolation, match="candidate feature maps"):
+        audit_ledger(report)
+    # The same map with int columns is well formed.
+    payload["candidates"]["default"]["treatment"][-1]["columns"] = [0, 1]
+    report.privacy_ledger[pos] = _relogged(rec, payload)
+    audit_ledger(report)
+
+
+def test_config_strings_are_only_feature_map_kinds():
+    # A candidate is its feature map: the broadcast names no candidate, and
+    # its only string values are map kinds (site ids are keys).
+    for preset in ("c1", "c0", "mismatch"):
+        scenario = load_scenario(preset)
+        for method in METHODS:
+            payload = json.loads(json.dumps(method_config(method, scenario).to_dict()))
+            assert _string_values(payload) <= {"raw", "kangschafer", "subset"}
+
+
 def test_audit_schema_declares_only_what_a_round_sends():
     # Every declared key is sent in a round with sources: a stale
     # declaration would quietly widen what the audit accepts.
@@ -291,7 +317,7 @@ def test_audit_schema_declares_only_what_a_round_sends():
     declared = {spec for schema in _SCHEMAS.values() for spec in schema.values()}
     assert set(_SCALARS) <= declared
     # No declared type is an open object: each is a scalar, the candidate
-    # specs, or a list of a protocol dimension, so no value grows with n.
+    # feature maps, or a list of a protocol dimension, so no value grows with n.
     assert declared <= set(_SCALARS) | {"candidates", "[basis]", "[cv_splits]"}
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fedcausal.density_ratio import MomentSummary
 from fedcausal.fedruntime import METHODS, ProtocolConfig, combine, run_sites
-from fedcausal.nuisance import CandidateSpec, FeatureMap
+from fedcausal.nuisance import FeatureMap
 from fedcausal.numkit import expit
 from fedcausal.site_estimator import OwnSummary, SiteFrame, SourceSiteReport
 
@@ -47,12 +47,9 @@ def _frames(seed, sizes, scale=1.0, shift=0.0):
 def _config(method, seed):
     # One candidate per role: the outcome-mixing score is a squared error,
     # so mixing weights over several candidates depend on the outcome scale.
-    raw = FeatureMap("raw")
+    raw = [FeatureMap("raw")]
     return ProtocolConfig(
-        candidates={"default": {
-            "treatment": [CandidateSpec("p", raw)],
-            "outcome": [CandidateSpec("m", raw)],
-        }},
+        candidates={"default": {"treatment": raw, "outcome": raw}},
         method=method,
         seed=seed % 1000,
     )
@@ -126,17 +123,15 @@ source_reports = st.builds(
     tau_coefficients=st.tuples(vectors, vectors),
     tilt_sensitivity=vectors,
 )
-candidate_specs = st.builds(
-    CandidateSpec,
-    id=st.text(max_size=8),
-    feature_map=st.builds(FeatureMap, kind=st.sampled_from(("raw", "kangschafer", "subset")),
-                          columns=st.none() | st.lists(st.integers(0, 50)).map(tuple)),
+feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) | st.builds(
+    FeatureMap, kind=st.just("subset"),
+    columns=st.lists(st.integers(0, 50), min_size=1, unique=True).map(tuple),
 )
 configs = st.builds(
     ProtocolConfig,
     candidates=st.dictionaries(st.text(max_size=8), st.fixed_dictionaries({
-        "treatment": st.lists(candidate_specs, max_size=3),
-        "outcome": st.lists(candidate_specs, max_size=3),
+        "treatment": st.lists(feature_maps, max_size=3),
+        "outcome": st.lists(feature_maps, max_size=3),
     }), max_size=3),
     method=st.sampled_from(METHODS),
     seed=st.integers(0, 2**32 - 1),
@@ -169,6 +164,6 @@ def test_config_broadcast_round_trips_through_json(config):
     sent = json.loads(json.dumps(config.to_dict()))
     assert set(sent) == {"seed", "candidates"}
     assert sent["seed"] == config.seed
-    assert {site: {role: [CandidateSpec.from_dict(spec) for spec in specs]
-                   for role, specs in groups.items()}
+    assert {site: {role: [FeatureMap.from_dict(fm) for fm in maps]
+                   for role, maps in groups.items()}
             for site, groups in sent["candidates"].items()} == config.candidates

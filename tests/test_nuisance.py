@@ -11,7 +11,6 @@ from fedcausal.errors import CandidateFitWarning, PositivityWarning, TooFewUnits
 from fedcausal.numkit import add_intercept, expit, fit_logistic, fit_ols
 from fedcausal.nuisance import (
     DEFAULT_CLIP,
-    CandidateSpec,
     FeatureMap,
     default_kappa,
     fit_nuisances,
@@ -36,19 +35,28 @@ def test_feature_maps():
     assert np.array_equal(FeatureMap("raw").apply(X), X)
     assert np.array_equal(FeatureMap("subset", (3, 1)).apply(X), X[:, [3, 1]])
     assert np.array_equal(FeatureMap("kangschafer").apply(X), kang_schafer(X))
-    with pytest.raises(ValueError):
-        FeatureMap("subset").apply(X)
-    with pytest.raises(ValueError):
-        FeatureMap("pca").apply(X)
+    # A map checks itself when built: a known kind and, for a subset only, a
+    # non-empty tuple of distinct non-negative ints, so no other value can
+    # ride on one.
+    bad = [
+        ("pca", None), ("raw", (0,)), ("kangschafer", (0, 1)), ("subset", None),
+        ("subset", ()), ("subset", [0, 1]), ("subset", (0, 0)), ("subset", (-1,)),
+        ("subset", (1.0,)), ("subset", (True,)), ("subset", ("0",)),
+    ]
+    for kind, columns in bad:
+        with pytest.raises(ValueError):
+            FeatureMap(kind, columns)
 
 
-def test_candidate_spec_round_trip():
-    spec = CandidateSpec("m1", FeatureMap("subset", (0, 2)))
-    back = CandidateSpec.from_dict(spec.to_dict())
-    assert back == spec
-    spec = CandidateSpec("p1", FeatureMap("raw"))
-    assert spec.to_dict() == {"id": "p1", "feature_map": {"kind": "raw"}}
-    assert CandidateSpec.from_dict(spec.to_dict()) == spec
+def test_feature_map_round_trip():
+    fm = FeatureMap("subset", (0, 2))
+    assert fm.to_dict() == {"kind": "subset", "columns": [0, 2]}
+    assert FeatureMap.from_dict(fm.to_dict()) == fm
+    fm = FeatureMap("raw")
+    assert fm.to_dict() == {"kind": "raw"}
+    assert FeatureMap.from_dict(fm.to_dict()) == fm
+    with pytest.raises(ValueError):
+        FeatureMap.from_dict({"kind": "subset", "columns": [0.0, 2.0]})
 
 
 def test_split_data_deterministic_partition():
@@ -75,8 +83,8 @@ def test_default_kappa():
     assert default_kappa(25) == 3
 
 
-def _designs(X, specs):
-    return {s.feature_map: add_intercept(s.feature_map.apply(X)) for s in specs}
+def _designs(X, maps):
+    return {fm: add_intercept(fm.apply(X)) for fm in maps}
 
 
 def _sim_binary(rng, n=2000):
@@ -90,20 +98,19 @@ def _sim_binary(rng, n=2000):
 def test_mix_propensity_single_and_symmetry():
     rng = np.random.default_rng(0)
     X, a = _sim_binary(rng)
-    raw = CandidateSpec("only", FeatureMap("subset", (0, 1)))
-    weights, _ = mix_propensity("s0", _designs(X, [raw]), a, [raw], seed=1)
+    fm = FeatureMap("subset", (0, 1))
+    weights, _ = mix_propensity("s0", _designs(X, [fm]), a, [fm], seed=1)
     assert np.array_equal(weights, [1.0])
 
-    twin = CandidateSpec("twin", FeatureMap("subset", (0, 1)))
-    weights, _ = mix_propensity("s0", _designs(X, [raw]), a, [raw, twin], seed=1)
+    weights, _ = mix_propensity("s0", _designs(X, [fm]), a, [fm, fm], seed=1)
     assert np.array_equal(weights, [0.5, 0.5])
 
 
 def test_mix_propensity_risk_dominance():
     rng = np.random.default_rng(1)
     X, a = _sim_binary(rng)
-    good = CandidateSpec("good", FeatureMap("subset", (0, 1)))
-    noise = CandidateSpec("noise", FeatureMap("subset", (2,)))
+    good = FeatureMap("subset", (0, 1))
+    noise = FeatureMap("subset", (2,))
     designs = _designs(X, [good, noise])
     weights, _ = mix_propensity("s0", designs, a, [good, noise], seed=2)
     assert weights[0] > 0.9
@@ -116,8 +123,8 @@ def test_mix_outcome_risk_dominance():
     rng = np.random.default_rng(2)
     X, a = _sim_binary(rng)
     y = 2.0 * X[:, 0] - X[:, 1] + 0.5 * a + rng.standard_normal(len(a))
-    good = CandidateSpec("good", FeatureMap("subset", (0, 1)))
-    noise = CandidateSpec("noise", FeatureMap("subset", (2,)))
+    good = FeatureMap("subset", (0, 1))
+    noise = FeatureMap("subset", (2,))
     weights, _ = mix_outcome("s0", _designs(X, [good, noise]), y, a, 1, [good, noise], seed=3)
     assert weights[0] > 0.9
 
@@ -126,9 +133,9 @@ def test_mix_outcome_too_few_units():
     X = np.zeros((10, 2))
     y = np.zeros(10)
     a = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    spec = CandidateSpec("m", FeatureMap("raw"))
+    fm = FeatureMap("raw")
     with pytest.raises(TooFewUnits):
-        mix_outcome("s0", _designs(X, [spec]), y, a, 1, [spec], seed=0)
+        mix_outcome("s0", _designs(X, [fm]), y, a, 1, [fm], seed=0)
 
 
 def _counted(monkeypatch, name):
@@ -149,22 +156,22 @@ def test_lone_candidate_is_fit_once_on_all_units(monkeypatch):
     rng = np.random.default_rng(12)
     X, a = _sim_binary(rng, n=301)
     y = X[:, 0] - X[:, 1] + a + rng.standard_normal(301)
-    spec = CandidateSpec("only", FeatureMap("subset", (0, 1)))
-    design = _designs(X, [spec])[spec.feature_map]
+    fm = FeatureMap("subset", (0, 1))
+    design = _designs(X, [fm])[fm]
 
     # The fit sees the rows gathered from the design, as `_mix` passes them:
     # the design is column-major and its gather row-major, and BLAS rounds
     # the two layouts differently.
     every = np.arange(301)
     logistic_rows = _counted(monkeypatch, "fit_logistic")
-    weights, fitted = mix_propensity("s0", {spec.feature_map: design}, a, [spec], seed=13)
+    weights, fitted = mix_propensity("s0", {fm: design}, a, [fm], seed=13)
     assert logistic_rows == [301]
     assert np.array_equal(weights, [1.0])
     assert np.array_equal(fitted, expit(design @ fit_logistic(design[every], a).coefficients))
 
     ols_rows = _counted(monkeypatch, "fit_ols")
     arm = np.flatnonzero(a == 1)
-    weights, fitted = mix_outcome("s0", {spec.feature_map: design}, y, a, 1, [spec], seed=13)
+    weights, fitted = mix_outcome("s0", {fm: design}, y, a, 1, [fm], seed=13)
     assert ols_rows == [len(arm)]
     assert np.array_equal(weights, [1.0])
     assert np.array_equal(fitted, design @ fit_ols(design[arm], y[arm]).coefficients)
@@ -174,14 +181,13 @@ def test_two_candidates_cost_two_fits_each(monkeypatch):
     rng = np.random.default_rng(14)
     X, a = _sim_binary(rng, n=301)
     y = X[:, 0] + a + rng.standard_normal(301)
-    specs = [CandidateSpec("c1", FeatureMap("subset", (0,))),
-             CandidateSpec("c2", FeatureMap("subset", (1, 2)))]
-    designs = _designs(X, specs)
+    maps = [FeatureMap("subset", (0,)), FeatureMap("subset", (1, 2))]
+    designs = _designs(X, maps)
     logistic_rows = _counted(monkeypatch, "fit_logistic")
-    mix_propensity("s0", designs, a, specs, seed=15)
+    mix_propensity("s0", designs, a, maps, seed=15)
     assert logistic_rows == [150, 301, 150, 301]
     ols_rows = _counted(monkeypatch, "fit_ols")
-    mix_outcome("s0", designs, y, a, 0, specs, seed=15)
+    mix_outcome("s0", designs, y, a, 0, maps, seed=15)
     n0 = int(np.sum(a == 0))
     assert ols_rows == [n0 // 2, n0, n0 // 2, n0]
 
@@ -195,29 +201,29 @@ def test_lone_candidate_needs_only_both_classes_in_the_full_sample():
     a = np.zeros(n, dtype=int)
     a[val[:12]] = 1
     X = np.random.default_rng(17).standard_normal((n, 1))
-    spec = CandidateSpec("only", FeatureMap("raw"))
-    design = _designs(X, [spec])[spec.feature_map]
+    fm = FeatureMap("raw")
+    design = _designs(X, [fm])[fm]
     assert a[train].max() == 0
-    weights, fitted = mix_propensity("s0", {spec.feature_map: design}, a, [spec], seed=seed)
+    weights, fitted = mix_propensity("s0", {fm: design}, a, [fm], seed=seed)
     assert np.array_equal(weights, [1.0])
     every = np.arange(n)
     assert np.array_equal(fitted, expit(design @ fit_logistic(design[every], a).coefficients))
 
 
 def test_lone_candidate_keeps_the_split_size_floors():
-    spec = CandidateSpec("only", FeatureMap("raw"))
+    fm = FeatureMap("raw")
     for n, message in ((1, "leaves a part empty"), (2, "validation set needs at least 2")):
         X = np.arange(float(n))[:, None]
         with pytest.raises(TooFewUnits, match=message):
-            mix_propensity("s0", _designs(X, [spec]), np.arange(n) % 2, [spec], seed=0)
+            mix_propensity("s0", _designs(X, [fm]), np.arange(n) % 2, [fm], seed=0)
 
 
 def test_lone_candidate_that_fails_to_fit():
     X = np.random.default_rng(18).standard_normal((20, 2))
-    spec = CandidateSpec("only", FeatureMap("raw"))
-    with pytest.warns(CandidateFitWarning, match="^s0: candidate 'only' failed"):
+    fm = FeatureMap("raw")
+    with pytest.warns(CandidateFitWarning, match=r"^s0: candidate raw failed"):
         with pytest.raises(TooFewUnits, match="all candidates failed to fit"):
-            mix_propensity("s0", _designs(X, [spec]), np.ones(20, dtype=int), [spec], seed=0)
+            mix_propensity("s0", _designs(X, [fm]), np.ones(20, dtype=int), [fm], seed=0)
 
 
 def test_mix_outcome_log_space_no_overflow():
@@ -228,8 +234,8 @@ def test_mix_outcome_log_space_no_overflow():
     X = rng.standard_normal((n, 2))
     y = X[:, 0] + rng.standard_normal(n)
     a = np.ones(n, dtype=int)
-    good = CandidateSpec("good", FeatureMap("subset", (0,)))
-    awful = CandidateSpec("awful", FeatureMap("subset", (1,)))
+    good = FeatureMap("subset", (0,))
+    awful = FeatureMap("subset", (1,))
     y_shifted = y.copy()
     weights, _ = mix_outcome("s0", _designs(X, [good, awful]), y_shifted + 1000.0 * X[:, 1], a, 1,
                              [good, awful], seed=4)
@@ -245,10 +251,10 @@ def test_failed_candidate_gets_zero_weight():
     X[:, 2] = 1.0  # constant column duplicates the intercept
     y = X[:, 0] + rng.standard_normal(n)
     a = np.ones(n, dtype=int)
-    ok = CandidateSpec("ok", FeatureMap("subset", (0, 1)))
-    broken = CandidateSpec("broken", FeatureMap("subset", (2,)))
+    ok = FeatureMap("subset", (0, 1))
+    broken = FeatureMap("subset", (2,))
     designs = _designs(X, [ok, broken])
-    with pytest.warns(CandidateFitWarning, match="^s0: candidate 'broken' failed"):
+    with pytest.warns(CandidateFitWarning, match=r"^s0: candidate subset \[2\] failed"):
         weights, fitted = mix_outcome("s0", designs, y, a, 1, [ok, broken], seed=5)
     assert weights[1] == 0.0
     assert weights[0] == 1.0
@@ -259,8 +265,8 @@ def test_predict_propensity_identities():
     rng = np.random.default_rng(5)
     X, a = _sim_binary(rng, n=400)
     y = X[:, 0] + rng.standard_normal(400)
-    raw = [CandidateSpec("p", FeatureMap("raw"))]
-    outcome = [CandidateSpec("m", FeatureMap("raw"))]
+    raw = [FeatureMap("raw")]
+    outcome = [FeatureMap("raw")]
     with warnings.catch_warnings():
         warnings.simplefilter("error", PositivityWarning)
         fit = fit_nuisances("s0", X, y, a, raw, outcome, seed=6)
@@ -278,14 +284,13 @@ def test_predict_propensity_identities():
 def test_mixture_prediction_is_weighted_sum():
     rng = np.random.default_rng(6)
     X, a = _sim_binary(rng, n=300)
-    specs = [CandidateSpec("c1", FeatureMap("subset", (0,))),
-             CandidateSpec("c2", FeatureMap("subset", (1, 2)))]
-    designs = _designs(X, specs)
-    weights, fitted = mix_propensity("s0", designs, a, specs, seed=7)
+    maps = [FeatureMap("subset", (0,)), FeatureMap("subset", (1, 2))]
+    designs = _designs(X, maps)
+    weights, fitted = mix_propensity("s0", designs, a, maps, seed=7)
     assert np.all(weights > 0.0)
     expected = sum(
-        w * expit(designs[s.feature_map] @ fit_logistic(designs[s.feature_map], a).coefficients)
-        for w, s in zip(weights, specs)
+        w * expit(designs[fm] @ fit_logistic(designs[fm], a).coefficients)
+        for w, fm in zip(weights, maps)
     )
     assert np.allclose(fitted, expected, atol=1e-15)
 
@@ -295,9 +300,8 @@ def test_predict_outcome_constant_fit():
     X = rng.standard_normal((40, 2))
     y = np.full(40, 3.25)
     a = np.tile([0, 1], 20)
-    spec = CandidateSpec("c", FeatureMap("raw"))
-    fit = fit_nuisances("s0", X, y, a, [CandidateSpec("p", FeatureMap("raw"))], [spec],
-                        seed=8)
+    fm = FeatureMap("raw")
+    fit = fit_nuisances("s0", X, y, a, [fm], [fm], seed=8)
     assert np.allclose(fit.m, 3.25, atol=1e-9)
 
 
@@ -305,9 +309,9 @@ def test_fit_nuisances_bundle():
     rng = np.random.default_rng(8)
     X, a = _sim_binary(rng, n=600)
     y = X[:, 0] + a + rng.standard_normal(600)
-    t_spec = [CandidateSpec("p", FeatureMap("raw"))]
-    o_spec = [CandidateSpec("m", FeatureMap("raw"))]
-    fit = fit_nuisances("s0", X, y, a, t_spec, o_spec, seed=9)
+    t_maps = [FeatureMap("raw")]
+    o_maps = [FeatureMap("raw")]
+    fit = fit_nuisances("s0", X, y, a, t_maps, o_maps, seed=9)
     assert np.all((fit.pi[1] >= DEFAULT_CLIP[0]) & (fit.pi[1] <= DEFAULT_CLIP[1]))
     # Outcome mixtures are fit per arm, so the effect lands in the contrast.
     gap = fit.m[1] - fit.m[0]
@@ -328,7 +332,7 @@ def test_each_feature_map_is_applied_once_per_fit(monkeypatch):
     X, a = _sim_binary(rng, n=300)
     y = X[:, 0] + a + rng.standard_normal(300)
     raw, sub = FeatureMap("raw"), FeatureMap("subset", (0, 1))
-    treatment = [CandidateSpec("p", raw)]
-    outcome = [CandidateSpec("m1", raw), CandidateSpec("m2", sub)]
+    treatment = [raw]
+    outcome = [raw, sub]
     fit_nuisances("s0", X, y, a, treatment, outcome, seed=11)
     assert len(calls) == 2 and set(calls) == {raw, sub}

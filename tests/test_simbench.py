@@ -148,7 +148,7 @@ def test_method_config_candidate_layout():
     config = method_config("mr_l1", scenario)
     default = config.candidates["default"]
     assert len(default["treatment"]) == 2
-    assert {c.feature_map.kind for c in default["outcome"]} == {"raw", "kangschafer"}
+    assert {fm.kind for fm in default["outcome"]} == {"raw", "kangschafer"}
     config = method_config("ivw", scenario)
     assert len(config.candidates["default"]["treatment"]) == 1
     with pytest.raises(ScenarioError):
@@ -156,9 +156,9 @@ def test_method_config_candidate_layout():
 
     mm = _small_scenario(mismatch=True)
     config = method_config("mr_l1", mm)
-    kinds = {c.feature_map.kind for c in config.candidates["default"]["outcome"]}
+    kinds = {fm.kind for fm in config.candidates["default"]["outcome"]}
     assert kinds == {"raw", "subset"}
-    tgt_kinds = {c.feature_map.kind for c in config.candidates["t"]["outcome"]}
+    tgt_kinds = {fm.kind for fm in config.candidates["t"]["outcome"]}
     assert tgt_kinds == {"raw"}
 
 
@@ -234,8 +234,8 @@ def test_site_phase_shared_across_methods(monkeypatch):
 def test_failed_full_sample_refit_drops_the_candidate(seed, rep):
     # The target's kangschafer propensity candidate fits on its train split
     # but not on all units here; it gets weight zero instead of failing the round.
-    # Every preset site proposes the same candidate ids, so the warning names
+    # Every preset site proposes the same feature maps, so the warning names
     # the site (site1 is c0's target).
-    with pytest.warns(CandidateFitWarning, match="^site1: candidate 'ks' failed to fit"):
+    with pytest.warns(CandidateFitWarning, match="^site1: candidate kangschafer failed to fit"):
         rows, failed = run_replication(load_scenario("c0"), ("mr_l1",), seed, rep)
     assert failed == {} and len(rows) == 1

@@ -11,7 +11,7 @@ from fedcausal.density_ratio import (
 )
 from fedcausal.errors import ExtremeWeightsWarning, SingularJacobian
 from fedcausal.numkit import add_intercept, expit, fit_ols
-from fedcausal.nuisance import CandidateSpec, FeatureMap, NuisanceFit, fit_nuisances
+from fedcausal.nuisance import FeatureMap, NuisanceFit, fit_nuisances
 from fedcausal.site_estimator import (
     SiteFrame,
     SourceSiteReport,
@@ -22,8 +22,8 @@ from fedcausal.site_estimator import (
     split_masks,
 )
 
-RAW_T = [CandidateSpec("p", FeatureMap("raw"))]
-RAW_O = [CandidateSpec("m", FeatureMap("raw"))]
+RAW_T = [FeatureMap("raw")]
+RAW_O = [FeatureMap("raw")]
 
 
 def _fit(n, p1=0.5, m=0.0):

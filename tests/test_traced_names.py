@@ -45,3 +45,38 @@ def test_benchmark_workloads_name_known_methods_and_scenarios():
         unknown = [m for m in methods if m not in METHODS]
         assert not unknown, f"workload {name} runs unknown methods {unknown}"
         load_scenario(scenario)
+
+
+# The counts the tracer's hooks record from arguments and results; each is
+# recorded, zero included, whenever its function runs.
+HOOK_COUNTS = (
+    "numkit.newton_solve.jac_evals",
+    "numkit.fit_logistic.iters",
+    "numkit.fit_logistic.nonconverged",
+    "density_ratio.truncate_weights.n_capped",
+    "federation.lambda_zero",
+)
+
+
+def test_one_traced_replication_records_every_span_and_count():
+    # Replication 0 of the c1_all5 workload, seed 0, under the tracer: a
+    # function whose call, arguments or result no longer fit its hook fails
+    # here rather than only in a benchmark trace run. fedruntime.run_round is
+    # traced but not called by a replication.
+    from fedcausal import simbench
+
+    tracing = _load("tracing")
+    scenario_name, methods, _pace = _load("run").WORKLOADS["c1_all5"]
+    scenario = simbench.load_scenario(scenario_name)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        simbench.run_replication(scenario, methods, 0, 0)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    expected = {f"{modname}.{attr}" for modname, attr in tracing.FUNCTIONS}
+    unseen = expected - {"fedruntime.run_round"} - {span[0] for span in tracer.spans}
+    assert not unseen, f"traced functions that recorded no span: {sorted(unseen)}"
+    unrecorded = [name for name in HOOK_COUNTS if name not in tracer.counts[0]]
+    assert not unrecorded, f"hook counts not recorded: {unrecorded}"
