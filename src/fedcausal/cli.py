@@ -200,9 +200,9 @@ def _cmd_estimate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    raw = [FeatureMap("raw")]
-    candidates = {"default": {"treatment": raw, "outcome": raw}}
-    config = ProtocolConfig(candidates=candidates, method=args.method, seed=args.seed)
+    raw = {"treatment": [FeatureMap("raw")], "outcome": [FeatureMap("raw")]}
+    config = ProtocolConfig(candidates={"target": raw, "source": raw}, method=args.method,
+                            seed=args.seed)
     if args.out and not _make_out_dir(args.out):
         return EXIT_USAGE
     try:

@@ -41,6 +41,10 @@ class ZeroVariance(FedcausalError):
     """Inverse-variance weighting needs strictly positive site variances."""
 
 
+class MissingColumns(FedcausalError):
+    """A candidate feature map reads covariate columns that a site does not hold."""
+
+
 class PrivacyViolation(FedcausalError):
     """A federation payload carried individual-level data or an unknown field."""
 

@@ -124,8 +124,8 @@ def _stacked_system(estimates: list[SiteEstimate]):
     still suppresses the site. The response on target rows is the target
     estimator's contributions. Source k's own-unit rows (minus its own-unit
     contributions in column k, response zero) are summarized by their sum of
-    squares, returned per source as ``own_sq``; see :func:`_with_source_rows`.
-    Callers reduce the rows to cross-products (:func:`_cross_products`).
+    squares, returned per source as ``own_sq``. Callers reduce the rows to
+    cross-products (:func:`_cross_products`).
     """
     tgt_est = _target_first(estimates)
     sources = estimates[1:]
@@ -151,20 +151,15 @@ def _stacked_system(estimates: list[SiteEstimate]):
     return xi_T, G, own_sq, arm_shift_sq
 
 
-def _cross_products(G: np.ndarray, r: np.ndarray):
-    """(G'G, G'r, r'r) of a block of rows of the stacked regression."""
-    return G.T @ G, G.T @ r, float(r @ r)
-
-
-def _with_source_rows(products, source_sq: np.ndarray):
-    """Add each source's own-unit rows to the target rows' cross-products.
+def _cross_products(G: np.ndarray, r: np.ndarray, source_sq: np.ndarray):
+    """(G'G, G'r, r'r) of a block of target rows ``G``, ``r`` of the stacked
+    regression plus each source's own-unit rows.
 
     Source k's own-unit rows are nonzero only in column k and have response
     zero, so their whole contribution is ``source_sq[k]`` on the diagonal of
-    G'G; G'r and r'r are unchanged.
+    G'G; G'r and r'r are the target rows' alone.
     """
-    gram, gtr, rtr = products
-    return gram + np.diag(source_sq), gtr, rtr
+    return G.T @ G + np.diag(source_sq), G.T @ r, float(r @ r)
 
 
 def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, whole, seed: int):
@@ -185,7 +180,7 @@ def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, whole, seed: int):
     masks = split_masks(estimates[0].n_T, seed, estimates[0].site_id)
     for s, fit_units in enumerate(masks):
         fit_sq = np.array([e.own.fit_sq[s] for e in sources])
-        fit = _with_source_rows(_cross_products(G_T[fit_units], r_T[fit_units]), fit_sq)
+        fit = _cross_products(G_T[fit_units], r_T[fit_units], fit_sq)
         yield fit, tuple(all_rows - part for all_rows, part in zip(whole, fit))
 
 
@@ -210,7 +205,7 @@ def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> Ensem
     are scaled to sum to one, and the target takes the remainder.
     """
     r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
-    whole = _with_source_rows(_cross_products(G_T, r_T), own_sq)
+    whole = _cross_products(G_T, r_T, own_sq)
     errors = np.zeros((CV_SPLITS, len(LAMBDA_GRID)))
     halves = _cv_systems(estimates, r_T, G_T, whole, seed)
     # Each fit warm-starts from the support at the previous penalty, or, for

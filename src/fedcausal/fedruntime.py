@@ -1,19 +1,20 @@
 """Single-round simulated federation over in-memory site frames.
 
 The target site acts as coordinator. One round is a site phase
-(:func:`run_sites`: the config broadcast of the seed and candidate models, a
-moment-summary broadcast from the target, one summary-level upload per source,
-and the target's own estimate, which stays at the target), after which the
-coordinator forms the global combination (:func:`combine`). The weighting
-scheme and the CI level are the coordinator's own settings, and the penalty
-grid is the protocol constant :data:`~fedcausal.federation.LAMBDA_GRID`: the
-site phase never reads them and no message carries them. Every cross-site
-payload is serialized to JSON at the boundary, and every cross-site message is
-logged so the ledger can be audited: only the declared summary-level schemas
-may cross sites, never individual rows or any per-unit value. Moment
-summaries and source uploads are decoded on the receiving side; the config
-broadcast is logged as sent and never decoded, because every site reads the
-in-memory config.
+(:func:`run_sites`: the config broadcast of the seed and the sources'
+candidate models, a moment-summary broadcast from the target, one
+summary-level upload per source, and the target's own estimate, which stays at
+the target), after which the coordinator forms the global combination
+(:func:`combine`). The weighting scheme and the target's candidate models are
+the coordinator's own settings, and the penalty grid and the CI level are
+protocol constants (:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no
+message carries them, and the site phase never reads the scheme. Every
+cross-site payload is serialized to JSON at the boundary, and every cross-site
+message is logged so the ledger can be audited: only the declared
+summary-level schemas may cross sites, never individual rows or any per-unit
+value. Moment summaries and source uploads are decoded on the receiving side;
+the config broadcast is logged as sent and never decoded, because every site
+reads the in-memory config.
 """
 
 from __future__ import annotations
@@ -52,17 +53,18 @@ from .site_estimator import (
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 
 # Declared shape of every payload key each message kind may carry: a scalar
-# ("count", "number"), "candidates" (each site's candidate feature maps), or
-# "[dim]": a flat numeric list whose length is the protocol dimension ``dim``.
-# No key takes an open object. The basis dimension is the length of the
-# moment summaries' ``mean_basis``, 1 + the shared covariates, which is also
-# the number of projection coefficients; a source upload sums its squared
-# contributions once over all its units (``own_sq``) and once per fit half of
-# the protocol's fixed ``CV_SPLITS`` (``fit_sq``). No dimension depends on a
-# site's sample size, so no per-unit values pass the audit, and no payload
-# names its sender: the ledger's ``from_site`` does.
+# ("count", "number"), "maps" (a list of candidate feature maps), "[dim]" (a
+# flat numeric list whose length is the protocol dimension ``dim``), or an
+# object of fixed keys, so no payload has a free-text key. The basis
+# dimension is the length of the moment summaries' ``mean_basis``, 1 + the
+# shared covariates, which is also the number of projection coefficients; a
+# source upload sums its squared contributions once over all its units
+# (``own_sq``) and once per fit half of the protocol's fixed ``CV_SPLITS``
+# (``fit_sq``). No dimension depends on a site's sample size, so no per-unit
+# values pass the audit, and no payload names its sender: the ledger's
+# ``from_site`` does.
 _SCHEMAS = {
-    "config": {"seed": "count", "candidates": "candidates"},
+    "config": {"seed": "count", "candidates": {"treatment": "maps", "outcome": "maps"}},
     "moment_summary": {"mean_basis": "[basis]"},
     "site_estimate": {
         "n_k": "count", "mu_own0": "number", "mu_own1": "number",
@@ -123,12 +125,11 @@ class MessageRecord:
 class ProtocolConfig:
     """Round configuration set by the coordinator.
 
-    ``candidates`` maps site id to its treatment and outcome candidate models,
-    each a list of :class:`~fedcausal.nuisance.FeatureMap`; sites absent from
-    the map fall back to the ``"default"`` entry. Only ``seed`` and
-    ``candidates`` are broadcast (:meth:`to_dict`); ``method`` stays with the
-    coordinator. The adaptive methods' penalty grid and the interval level
-    are no settings but the protocol constants ``LAMBDA_GRID`` and ``ALPHA``.
+    ``candidates`` is ``{"target": group, "source": group}``, keyed by
+    :attr:`SiteFrame.role`; a group is ``{"treatment": maps, "outcome": maps}``
+    of :class:`~fedcausal.nuisance.FeatureMap` lists. The broadcast
+    (:meth:`to_dict`) carries ``seed`` and the source group, all that the
+    sources read; the target's group and ``method`` stay with the coordinator.
     """
 
     candidates: dict
@@ -138,22 +139,17 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-
-    def specs_for(self, site_id: str) -> dict:
-        if site_id in self.candidates:
-            return self.candidates[site_id]
-        if "default" in self.candidates:
-            return self.candidates["default"]
-        raise ValueError(f"no candidate models for site {site_id!r}")
+        if {role: set(group) for role, group in self.candidates.items()} != {
+                "target": {"treatment", "outcome"}, "source": {"treatment", "outcome"}}:
+            raise ValueError('candidates must be {"target", "source"} groups of '
+                             '{"treatment", "outcome"} feature maps')
 
     def to_dict(self) -> dict:
-        """The config broadcast: what the sites read."""
+        """The config broadcast: what the sources read."""
         return {
             "seed": self.seed,
-            "candidates": {
-                site: {role: [fm.to_dict() for fm in maps] for role, maps in groups.items()}
-                for site, groups in self.candidates.items()
-            },
+            "candidates": {role: [fm.to_dict() for fm in maps]
+                           for role, maps in self.candidates["source"].items()},
         }
 
 
@@ -163,17 +159,10 @@ def site_split_seed(seed: int, site_id: str) -> int:
 
 
 def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
-    """Fit a site's nuisance models on its own data."""
-    specs = config.specs_for(frame.site_id)
-    return fit_nuisances(
-        frame.site_id,
-        frame.X,
-        frame.y,
-        frame.a,
-        specs["treatment"],
-        specs["outcome"],
-        seed=site_split_seed(config.seed, frame.site_id),
-    )
+    """Fit a site's nuisance models on its own data, with its role's candidates."""
+    group = config.candidates[frame.role]
+    return fit_nuisances(frame.site_id, frame.X, frame.y, frame.a, group["treatment"],
+                         group["outcome"], seed=site_split_seed(config.seed, frame.site_id))
 
 
 @dataclass(frozen=True)
@@ -197,10 +186,11 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
     nuisance fits, source uploads and the target's own estimate, which is
     not a message.
 
-    Reads only the broadcast part of ``config``, so one site phase serves
-    every weighting scheme. Sources that raise a model-fitting or
-    transport error are recorded in ``failures`` and left out. Site ids
-    address the messages and the weights, so they must be distinct.
+    Reads ``config.seed`` and ``config.candidates``, never the weighting
+    scheme, so one site phase serves every scheme. Sources that raise a
+    model-fitting, transport or missing-column error are recorded in
+    ``failures`` and left out. Site ids address the messages and the weights,
+    so they must be distinct.
     """
     targets = [f for f in frames if f.role == "target"]
     if len(targets) != 1:
@@ -321,17 +311,13 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
             raise PrivacyViolation(f"undeclared keys {sorted(extra)} in {where}")
         for key, item in value.items():
             _check_shape(item, spec[key], dims, f"{where}.{key}")
-    elif spec == "candidates":
+    elif spec == "maps":
         try:
-            ok = value == {
-                site: {role: [FeatureMap.from_dict(d).to_dict() for d in maps]
-                       for role, maps in groups.items()}
-                for site, groups in value.items()
-            }
-        except (AttributeError, KeyError, TypeError, ValueError):
+            ok = value == [FeatureMap.from_dict(d).to_dict() for d in value]
+        except (KeyError, TypeError, ValueError):
             ok = False
         if not ok:
-            raise PrivacyViolation(f"{where} is not a map of candidate feature maps")
+            raise PrivacyViolation(f"{where} is not a list of candidate feature maps")
     elif spec.startswith("["):
         if not (isinstance(value, list) and all(map(_is_number, value))):
             raise PrivacyViolation(f"{where} is not a flat numeric list")

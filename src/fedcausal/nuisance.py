@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CandidateFitWarning, FedcausalError, PositivityWarning, TooFewUnits
+from .errors import (CandidateFitWarning, FedcausalError, MissingColumns, PositivityWarning,
+                     TooFewUnits)
 from .numkit import add_intercept, bernoulli_loglik, expit, fit_logistic, fit_ols
 
 DEFAULT_CLIP = (0.01, 0.99)
@@ -63,13 +64,19 @@ class FeatureMap:
             raise ValueError(f"subset columns {self.columns!r} are not a tuple of "
                              "distinct non-negative ints")
 
+    def __str__(self) -> str:
+        return self.kind if self.columns is None else f"{self.kind} {list(self.columns)}"
+
     def apply(self, X: np.ndarray) -> np.ndarray:
+        """The map's features of ``X``; :class:`MissingColumns` if it does not fit them."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.kind == "raw":
             return X
-        if self.kind == "kangschafer":
+        if self.kind == "kangschafer" and X.shape[1] == 4:
             return kang_schafer(X)
-        return X[:, list(self.columns)]
+        if self.kind == "subset" and max(self.columns) < X.shape[1]:
+            return X[:, list(self.columns)]
+        raise MissingColumns(f"feature map {self} does not fit {X.shape[1]} covariate columns")
 
     def to_dict(self) -> dict:
         """Wire form: ``{"kind"}``, or ``{"kind", "columns"}`` for a subset."""
@@ -135,8 +142,7 @@ def _fit_or_warn(site_id: str, fm: FeatureMap, fit_one, design: np.ndarray,
     try:
         return fit_one(design, y).coefficients
     except FedcausalError as exc:
-        label = fm.kind if fm.columns is None else f"{fm.kind} {list(fm.columns)}"
-        warnings.warn(f"{site_id}: candidate {label} failed to fit: {exc}",
+        warnings.warn(f"{site_id}: candidate {fm} failed to fit: {exc}",
                       CandidateFitWarning, stacklevel=4)
         return None
 

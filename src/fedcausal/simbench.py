@@ -49,6 +49,13 @@ class SiteSpec:
     dgp: str  # x: models linear in raw covariates | z: linear in the transform
 
 
+def _json_value(value, types: tuple, what: str):
+    """``value`` if it is of one of ``types``; a bool is only a bool, never a number."""
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        raise ScenarioError(f"{what} {value!r} has the wrong JSON type")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A full multi-site design plus the covariate-mismatch switch."""
@@ -78,22 +85,21 @@ class ScenarioSpec:
             raise ScenarioError("the mismatch design uses dgp 'x' at every site")
 
     @property
-    def target(self) -> SiteSpec:
-        return next(s for s in self.sites if s.role == "target")
-
-    @property
     def shared_cols(self) -> tuple[int, ...]:
         return (0, 1) if self.mismatch else (0, 1, 2, 3)
 
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioSpec":
+        """A scenario from decoded JSON, type-checked and not coerced: ``mismatch`` is a
+        bool, ``n`` an integer, and ``skew`` and ``true_delta`` are numbers."""
         try:
             sites = tuple(
                 SiteSpec(
                     id=str(s["id"]),
                     role=str(s["role"]),
-                    n=int(s["n"]),
-                    skew=tuple(float(v) for v in s["skew"]),
+                    n=_json_value(s["n"], (int,), f"site {s['id']} n"),
+                    skew=tuple(float(_json_value(v, (int, float), f"site {s['id']} skew"))
+                               for v in s["skew"]),
                     dgp=str(s["dgp"]),
                 )
                 for s in obj["sites"]
@@ -101,8 +107,9 @@ class ScenarioSpec:
             return ScenarioSpec(
                 name=str(obj["name"]),
                 sites=sites,
-                mismatch=bool(obj.get("mismatch", False)),
-                true_delta=float(obj.get("true_delta", 0.0)),
+                mismatch=_json_value(obj.get("mismatch", False), (bool,), "mismatch"),
+                true_delta=float(_json_value(obj.get("true_delta", 0.0), (int, float),
+                                             "true_delta")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
@@ -186,10 +193,10 @@ def method_config(
 ) -> ProtocolConfig:
     """Candidate-model and runtime configuration for one benchmark method.
 
-    The single-candidate methods model the raw covariates everywhere (the
-    shared subset at sources under mismatch); the multiply-robust method adds
-    a transformed-covariate candidate at every site (under mismatch, the
-    sources' second candidate is the shared subset instead).
+    Both roles' groups model the raw covariates, and the multiply-robust
+    method adds a transformed-covariate candidate. Under mismatch the target
+    keeps its one raw candidate on the covariates it holds, and the sources
+    model the shared subset, which mr_l1 mixes with their raw covariates.
     """
     if method not in METHODS:
         raise ScenarioError(f"unknown method {method!r}; choose from {METHODS}")
@@ -201,10 +208,8 @@ def method_config(
     else:
         src_maps = [raw, FeatureMap("kangschafer")] if method == "mr_l1" else [raw]
         tgt_maps = src_maps
-    candidates = {
-        "default": {"treatment": src_maps, "outcome": src_maps},
-        scenario.target.id: {"treatment": tgt_maps, "outcome": tgt_maps},
-    }
+    candidates = {role: {"treatment": maps, "outcome": maps}
+                  for role, maps in (("target", tgt_maps), ("source", src_maps))}
     return ProtocolConfig(candidates=candidates, method=method, seed=seed)
 
 
@@ -305,17 +310,18 @@ def run_replication(
 ) -> tuple[list[ReplicationRow], dict]:
     """One replication: generate all sites, run each method, score coverage.
 
-    Methods whose configs broadcast the same text share one site phase; an
-    error in that phase fails each of them.
+    Methods whose configs agree on all that the site phase reads, the seed
+    and both candidate groups, share one site phase; an error in that phase
+    fails each of them.
     """
     frames = replication_frames(scenario, seed, rep)
     cfg_seed = rep_config_seed(seed, rep)
     rows: list[ReplicationRow] = []
     failed: dict[str, str] = {}
-    phases: dict = {}  # config broadcast text -> site phase or its error
+    phases: dict = {}  # seed and candidate groups -> site phase or its error
     for method in methods:
         config = method_config(method, scenario, seed=cfg_seed)
-        key = json.dumps(config.to_dict())
+        key = repr((config.seed, config.candidates))
         if key not in phases:
             try:
                 phases[key] = run_sites(frames, config)

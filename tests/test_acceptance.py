@@ -322,9 +322,9 @@ def test_criterion_7_influence_checks(bench):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for frame in frames:
-            specs = config.specs_for(frame.site_id)
+            group = config.candidates[frame.role]
             fit = fit_nuisances(frame.site_id, frame.X, frame.y, frame.a,
-                                specs["treatment"], specs["outcome"],
+                                group["treatment"], group["outcome"],
                                 seed=site_split_seed(config.seed, frame.site_id))
             if frame.role == "target":
                 est = estimate_target(frame, fit)
@@ -368,7 +368,8 @@ def _equivalence_frames(seed, n=150):
 
 def test_criterion_8_runtime_equivalence_and_privacy():
     raw = [FeatureMap("raw")]
-    candidates = {"default": {"treatment": raw, "outcome": raw}}
+    group = {"treatment": raw, "outcome": raw}
+    candidates = {"target": group, "source": group}
     identical = True
     for seed in range(20):
         frames = _equivalence_frames(seed)
@@ -379,13 +380,10 @@ def test_criterion_8_runtime_equivalence_and_privacy():
         summary = target_moments(target.V)
         estimates = [estimate_target(target, fit_nuisances(
             target.site_id, target.X, target.y, target.a,
-            candidates["default"]["treatment"], candidates["default"]["outcome"],
-            seed=site_split_seed(seed, target.site_id)))]
+            raw, raw, seed=site_split_seed(seed, target.site_id)))]
         for src in frames[1:]:
             tilt = solve_tilt(src.V, summary)
-            fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
-                                candidates["default"]["treatment"],
-                                candidates["default"]["outcome"],
+            fit = fit_nuisances(src.site_id, src.X, src.y, src.a, raw, raw,
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
                 src.site_id, source_report(src, fit, tilt, seed=seed), target))

@@ -17,7 +17,6 @@ from fedcausal.federation import (
     _cv_systems,
     _squared_error,
     _stacked_system,
-    _with_source_rows,
     combine_fixed,
     cross_validate_lambda,
     global_estimate,
@@ -260,7 +259,7 @@ def test_summary_algebra_matches_per_unit_formulas():
 
         # Stacked system: source k's per-unit rows are -d_k / n_k in column k.
         r_T, G_T, own_sq, *_ = _stacked_system(estimates)
-        whole = _with_source_rows(_cross_products(G_T, r_T), own_sq)
+        whole = _cross_products(G_T, r_T, own_sq)
 
         def per_unit_rows(target_units, source_units):
             blocks = [G_T[target_units]]

@@ -56,10 +56,14 @@ def _make_frames(seed=0, n=150, n_sources=2, degenerate=(), slope=0.5):
     return frames
 
 
-def _config(method="mr_l1", seed=0):
-    raw = [FeatureMap("raw")]
+def _group(*maps):
+    return {"treatment": list(maps), "outcome": list(maps)}
+
+
+def _config(method="mr_l1", seed=0, target=_group(FeatureMap("raw")),
+            source=_group(FeatureMap("raw"))):
     return ProtocolConfig(
-        candidates={"default": {"treatment": raw, "outcome": raw}},
+        candidates={"target": target, "source": source},
         method=method,
         seed=seed,
     )
@@ -117,14 +121,14 @@ def test_run_round_matches_direct_composition():
     estimates = [estimate_target(
         target,
         fit_nuisances(target.site_id, target.X, target.y, target.a,
-                      config.specs_for(target.site_id)["treatment"],
-                      config.specs_for(target.site_id)["outcome"],
+                      config.candidates["target"]["treatment"],
+                      config.candidates["target"]["outcome"],
                       seed=site_split_seed(config.seed, target.site_id)))]
     for src in frames[1:]:
         tilt = solve_tilt(src.V, summary)
         fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
-                            config.specs_for(src.site_id)["treatment"],
-                            config.specs_for(src.site_id)["outcome"],
+                            config.candidates["source"]["treatment"],
+                            config.candidates["source"]["outcome"],
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
             src.site_id, source_report(src, fit, tilt, seed=config.seed), target))
@@ -186,6 +190,41 @@ def test_failed_source_is_dropped():
     assert report.diagnostics["n_sources_used"] == 1
     assert "site2" in report.diagnostics["failed_sources"]
     assert "TooFewUnits" in report.diagnostics["failed_sources"]["site2"]
+
+
+def test_a_map_that_does_not_fit_a_source_fails_that_source():
+    # The sources hold two covariates: a subset column past them, or the
+    # four-column Kang-Schafer transform, fails each source as a site, and
+    # the round falls back to the target's own estimate.
+    frames = _make_frames(seed=5)
+    for bad in (FeatureMap("subset", (7,)), FeatureMap("kangschafer")):
+        with pytest.warns(AllSourcesFailedWarning):
+            report = run_round(frames, _config("mr_l1", source=_group(bad)))
+        failed = report.diagnostics["failed_sources"]
+        assert set(failed) == {"site1", "site2"}
+        assert all(reason.startswith("MissingColumns: feature map ") for reason in failed.values())
+        assert report.diagnostics["effective_method"] == "target"
+        assert [site["site_id"] for site in report.per_site] == ["site0"]
+
+
+def test_target_group_stays_with_the_coordinator():
+    # The target's candidates differ from the sources'. The target fits its
+    # own group, the sources theirs, and the broadcast carries the sources'
+    # group alone.
+    frames = _make_frames(seed=3)
+    own = FeatureMap("subset", (0,))
+    config = _config("ivw", seed=4, target=_group(own))
+    report = run_round(frames, config)
+    sent = [json.loads(r.payload_text) for r in report.privacy_ledger]
+    assert sent[0] == {"seed": 4, "candidates": {"treatment": [{"kind": "raw"}],
+                                                  "outcome": [{"kind": "raw"}]}}
+    assert all("subset" not in r.payload_text for r in report.privacy_ledger)
+    audit_ledger(report)
+    target = frames[0]
+    fit = fit_nuisances(target.site_id, target.X, target.y, target.a, [own], [own],
+                        seed=site_split_seed(4, target.site_id))
+    assert run_sites(frames, config).estimates[0].mu == estimate_target(target, fit).mu
+    assert report.delta_hat != run_round(frames, _config("ivw", seed=4)).delta_hat
 
 
 def test_all_sources_failed_degrades_to_target_only():
@@ -284,41 +323,87 @@ def test_audit_rejects_candidate_columns_carrying_per_unit_values():
                     if r.kind == "config")
     payload = json.loads(rec.payload_text)
     outcomes = [float(v) for v in frames[0].y]
-    payload["candidates"]["default"]["treatment"].append({"kind": "subset", "columns": outcomes})
+    payload["candidates"]["treatment"].append({"kind": "subset", "columns": outcomes})
     report.privacy_ledger[pos] = _relogged(rec, payload)
     with pytest.raises(PrivacyViolation, match="candidate feature maps"):
         audit_ledger(report)
     # The same map with int columns is well formed.
-    payload["candidates"]["default"]["treatment"][-1]["columns"] = [0, 1]
+    payload["candidates"]["treatment"][-1]["columns"] = [0, 1]
     report.privacy_ledger[pos] = _relogged(rec, payload)
     audit_ledger(report)
 
 
+def test_audit_rejects_a_config_carrying_per_unit_values_in_keys():
+    # The broadcast's keys are fixed, so the target's outcomes written into a
+    # key do not pass: neither as a site id holding a group nor as a key
+    # inside the group.
+    frames = _make_frames()
+    report = run_round(frames, _config("mr_l1"))
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                    if r.kind == "config")
+    key = "y=" + ",".join(f"{v:.6f}" for v in frames[0].y)
+    tampered = {
+        "site id": lambda p: p.update(candidates={key: p["candidates"]}),
+        "in group": lambda p: p["candidates"].update({key: []}),
+    }
+    for name, tamper in tampered.items():
+        payload = json.loads(rec.payload_text)
+        tamper(payload)
+        report.privacy_ledger[pos] = _relogged(rec, payload)
+        with pytest.raises(PrivacyViolation, match="undeclared keys"):
+            audit_ledger(report)
+    report.privacy_ledger[pos] = rec
+    audit_ledger(report)
+
+
 def test_config_strings_are_only_feature_map_kinds():
-    # A candidate is its feature map: the broadcast names no candidate, and
-    # its only string values are map kinds (site ids are keys).
+    # For every preset and method the broadcast is the seed and the sources'
+    # group: the target's group stays with the coordinator. A candidate is
+    # its feature map and every key is a fixed wire key, so the broadcast's
+    # only other strings are map kinds.
+    keys = {"seed", "candidates", "treatment", "outcome", "kind", "columns"}
     for preset in ("c1", "c0", "mismatch"):
         scenario = load_scenario(preset)
         for method in METHODS:
-            payload = json.loads(json.dumps(method_config(method, scenario).to_dict()))
-            assert _string_values(payload) <= {"raw", "kangschafer", "subset"}
+            config = method_config(method, scenario, seed=3)
+            payload = json.loads(json.dumps(config.to_dict()))
+            assert payload == {"seed": 3, "candidates": {
+                role: [fm.to_dict() for fm in maps]
+                for role, maps in config.candidates["source"].items()}}
+            assert _strings(payload) - keys <= {"raw", "kangschafer", "subset"}
+
+
+def _key_paths(tree, prefix=()):
+    """Every key path through nested objects; lists are leaves."""
+    if not isinstance(tree, dict):
+        return set()
+    return {path for key, item in tree.items()
+            for path in {prefix + (key,)} | _key_paths(item, prefix + (key,))}
+
+
+def _leaf_specs(spec):
+    """Every leaf type of a declared spec, at any depth."""
+    if isinstance(spec, dict):
+        return {leaf for item in spec.values() for leaf in _leaf_specs(item)}
+    return {spec}
 
 
 def test_audit_schema_declares_only_what_a_round_sends():
-    # Every declared key is sent in a round with sources: a stale
-    # declaration would quietly widen what the audit accepts.
+    # Every declared key, at every depth, is sent in a round with sources: a
+    # stale declaration would quietly widen what the audit accepts.
     report = run_round(_make_frames(), _config("mr_l1"))
     sent = {}
     for rec in report.privacy_ledger:
-        sent.setdefault(rec.kind, set()).update(json.loads(rec.payload_text))
-    assert sent == {kind: set(schema) for kind, schema in _SCHEMAS.items()}
+        sent.setdefault(rec.kind, set()).update(_key_paths(json.loads(rec.payload_text)))
+    assert sent == {kind: _key_paths(schema) for kind, schema in _SCHEMAS.items()}
     # Every scalar type is declared by some key, so a deleted key cannot
     # leave its type behind.
-    declared = {spec for schema in _SCHEMAS.values() for spec in schema.values()}
+    declared = _leaf_specs(_SCHEMAS)
     assert set(_SCALARS) <= declared
-    # No declared type is an open object: each is a scalar, the candidate
-    # feature maps, or a list of a protocol dimension, so no value grows with n.
-    assert declared <= set(_SCALARS) | {"candidates", "[basis]", "[cv_splits]"}
+    # No declared type is an open object: each is a scalar, a list of
+    # candidate feature maps, or a list of a protocol dimension, so no value
+    # grows with n.
+    assert declared <= set(_SCALARS) | {"maps", "[basis]", "[cv_splits]"}
 
 
 def test_audit_rejects_bad_payloads():
@@ -348,12 +433,12 @@ def test_audit_rejects_tampered_payload():
         audit_ledger(report)
 
 
-def _string_values(value):
-    """Every string value in a decoded payload, at any depth; keys excluded."""
+def _strings(value):
+    """Every string in a decoded payload, keys and values, at any depth."""
     if isinstance(value, dict):
-        value = list(value.values())
+        value = list(value) + list(value.values())
     if isinstance(value, list):
-        return {s for item in value for s in _string_values(item)}
+        return {s for item in value for s in _strings(item)}
     return {value} if isinstance(value, str) else set()
 
 
@@ -366,9 +451,8 @@ def test_no_raw_outcome_or_covariate_arrays_leave_a_site():
         for frame in frames:
             assert repr(float(frame.y[0])) not in flat
             assert repr(float(frame.X[0, 0])) not in flat
-        # No payload names its sender; the record does. The config's
-        # candidate map is keyed by site id, so only values are checked.
-        assert rec.from_site not in _string_values(payload)
+        # No payload names its sender, in a key or a value; the record does.
+        assert not {f.site_id for f in frames} & _strings(payload)
 
 
 def test_protocol_config_round_trip():
@@ -377,13 +461,18 @@ def test_protocol_config_round_trip():
     config = _config("ivw", seed=9)
     payload = config.to_dict()
     assert json.loads(json.dumps(payload)) == payload
-    assert set(payload) == {"seed", "candidates"} and payload["seed"] == 9
-    assert config.specs_for("anything") is config.candidates["default"]
+    assert payload == {"seed": 9, "candidates": {"treatment": [{"kind": "raw"}],
+                                                  "outcome": [{"kind": "raw"}]}}
     with pytest.raises(ValueError):
         _config("bootstrap")
-    plain = ProtocolConfig(candidates={"site0": {}})
-    with pytest.raises(ValueError):
-        plain.specs_for("site9")
+    # The candidates are exactly one group per role, each of two model lists.
+    group = _group(FeatureMap("raw"))
+    for candidates in ({"site0": group}, {"target": group},
+                       {"target": group, "source": group, "site1": group},
+                       {"target": group, "source": {"treatment": []}},
+                       {"target": group, "source": {**group, "site1": []}}):
+        with pytest.raises(ValueError, match="candidates"):
+            ProtocolConfig(candidates=candidates)
 
 
 def test_site_split_seed_is_stable():

@@ -47,9 +47,9 @@ def _frames(seed, sizes, scale=1.0, shift=0.0):
 def _config(method, seed):
     # One candidate per role: the outcome-mixing score is a squared error,
     # so mixing weights over several candidates depend on the outcome scale.
-    raw = [FeatureMap("raw")]
+    raw = {"treatment": [FeatureMap("raw")], "outcome": [FeatureMap("raw")]}
     return ProtocolConfig(
-        candidates={"default": {"treatment": raw, "outcome": raw}},
+        candidates={"target": raw, "source": raw},
         method=method,
         seed=seed % 1000,
     )
@@ -127,12 +127,13 @@ feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) |
     FeatureMap, kind=st.just("subset"),
     columns=st.lists(st.integers(0, 50), min_size=1, unique=True).map(tuple),
 )
+groups = st.fixed_dictionaries({
+    "treatment": st.lists(feature_maps, max_size=3),
+    "outcome": st.lists(feature_maps, max_size=3),
+})
 configs = st.builds(
     ProtocolConfig,
-    candidates=st.dictionaries(st.text(max_size=8), st.fixed_dictionaries({
-        "treatment": st.lists(feature_maps, max_size=3),
-        "outcome": st.lists(feature_maps, max_size=3),
-    }), max_size=3),
+    candidates=st.fixed_dictionaries({"target": groups, "source": groups}),
     method=st.sampled_from(METHODS),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -164,6 +165,6 @@ def test_config_broadcast_round_trips_through_json(config):
     sent = json.loads(json.dumps(config.to_dict()))
     assert set(sent) == {"seed", "candidates"}
     assert sent["seed"] == config.seed
-    assert {site: {role: [FeatureMap.from_dict(fm) for fm in maps]
-                   for role, maps in groups.items()}
-            for site, groups in sent["candidates"].items()} == config.candidates
+    # Only the sources' group is sent; the target's stays with the coordinator.
+    assert {role: [FeatureMap.from_dict(fm) for fm in maps]
+            for role, maps in sent["candidates"].items()} == config.candidates["source"]

@@ -1,13 +1,14 @@
 """Tests for the candidate nuisance models and risk-weighted mixing."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from fedcausal import nuisance
-from fedcausal.errors import CandidateFitWarning, PositivityWarning, TooFewUnits
+from fedcausal.errors import CandidateFitWarning, MissingColumns, PositivityWarning, TooFewUnits
 from fedcausal.numkit import add_intercept, expit, fit_logistic, fit_ols
 from fedcausal.nuisance import (
     DEFAULT_CLIP,
@@ -35,6 +36,11 @@ def test_feature_maps():
     assert np.array_equal(FeatureMap("raw").apply(X), X)
     assert np.array_equal(FeatureMap("subset", (3, 1)).apply(X), X[:, [3, 1]])
     assert np.array_equal(FeatureMap("kangschafer").apply(X), kang_schafer(X))
+    # A map that does not fit the covariates raises a fedcausal error, which
+    # fails the site that holds them and not the round.
+    for fm in (FeatureMap("subset", (1, 4)), FeatureMap("kangschafer")):
+        with pytest.raises(MissingColumns, match=re.escape(f"feature map {fm} does not fit")):
+            fm.apply(X[:, :3])
     # A map checks itself when built: a known kind and, for a subset only, a
     # non-empty tuple of distinct non-negative ints, so no other value can
     # ride on one.

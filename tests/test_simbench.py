@@ -13,6 +13,7 @@ import pytest
 from fedcausal import fedruntime, simbench
 from fedcausal.errors import CandidateFitWarning, ScenarioError
 from fedcausal.fedruntime import METHODS
+from fedcausal.nuisance import FeatureMap
 from fedcausal.simbench import (
     ScenarioSpec,
     SiteSpec,
@@ -58,7 +59,7 @@ def test_generate_site_deterministic():
 
 def test_generate_site_mismatch_restricts_target():
     scenario = _small_scenario(mismatch=True)
-    tgt = generate_site(scenario.target, scenario, np.random.default_rng(8))
+    tgt = generate_site(scenario.sites[0], scenario, np.random.default_rng(8))
     src = generate_site(scenario.sites[1], scenario, np.random.default_rng(9))
     assert tgt.X.shape[1] == 2
     assert tgt.shared_cols == (0, 1)
@@ -113,6 +114,34 @@ def test_scenario_validation():
         ScenarioSpec.from_dict({"name": "x"})
 
 
+def test_scenario_json_types_are_checked_not_coerced():
+    # A string "false" is not the bool false, and 300.9 units is no sample size.
+    good = {"name": "x", "mismatch": False, "true_delta": 0, "sites": [
+        {"id": "t", "role": "target", "n": 50, "skew": [0, 0.5, 0, 0], "dgp": "x"}]}
+    assert ScenarioSpec.from_dict(good).sites[0].n == 50
+
+    def site(**fields):
+        return lambda obj: obj["sites"][0].update(fields)
+
+    bad = {
+        "mismatch text": lambda obj: obj.update(mismatch="false"),
+        "mismatch int": lambda obj: obj.update(mismatch=0),
+        "true_delta text": lambda obj: obj.update(true_delta="0"),
+        "true_delta bool": lambda obj: obj.update(true_delta=False),
+        "n float": site(n=300.9),
+        "n whole float": site(n=300.0),
+        "n bool": site(n=True),
+        "n text": site(n="300"),
+        "skew text": site(skew=[0, "0.5", 0, 0]),
+        "skew bool": site(skew=[0, True, 0, 0]),
+    }
+    for name, tamper in bad.items():
+        obj = json.loads(json.dumps(good))
+        tamper(obj)
+        with pytest.raises(ScenarioError, match="wrong JSON type"):
+            ScenarioSpec.from_dict(obj)
+
+
 def test_presets_load():
     names = sorted(p.stem for p in Path(simbench.__file__).with_name("presets").glob("*.json"))
     assert names == ["c0", "c05", "c1", "mismatch"]
@@ -146,19 +175,20 @@ def test_load_scenario_from_file(tmp_path):
 def test_method_config_candidate_layout():
     scenario = _small_scenario()
     config = method_config("mr_l1", scenario)
-    default = config.candidates["default"]
-    assert len(default["treatment"]) == 2
-    assert {fm.kind for fm in default["outcome"]} == {"raw", "kangschafer"}
+    source = config.candidates["source"]
+    assert len(source["treatment"]) == 2
+    assert {fm.kind for fm in source["outcome"]} == {"raw", "kangschafer"}
+    assert config.candidates["target"] == source
     config = method_config("ivw", scenario)
-    assert len(config.candidates["default"]["treatment"]) == 1
+    assert len(config.candidates["source"]["treatment"]) == 1
     with pytest.raises(ScenarioError):
         method_config("bootstrap", scenario)
 
     mm = _small_scenario(mismatch=True)
     config = method_config("mr_l1", mm)
-    kinds = {fm.kind for fm in config.candidates["default"]["outcome"]}
+    kinds = {fm.kind for fm in config.candidates["source"]["outcome"]}
     assert kinds == {"raw", "subset"}
-    tgt_kinds = {fm.kind for fm in config.candidates["t"]["outcome"]}
+    tgt_kinds = {fm.kind for fm in config.candidates["target"]["outcome"]}
     assert tgt_kinds == {"raw"}
 
 
@@ -228,6 +258,30 @@ def test_site_phase_shared_across_methods(monkeypatch):
         calls.clear()
         run_replication(scenario, ("mr_l1",), seed=0, rep=0)
         assert len(calls) == len(scenario.sites)
+
+
+def test_site_phase_shared_only_with_the_same_target_group(monkeypatch):
+    # Two methods that broadcast the same source group but give the target
+    # different candidates run different site phases, so each gets the rows
+    # it gets alone.
+    scenario = _small_scenario()
+    inner = simbench.method_config
+    own = [FeatureMap("subset", (0, 1))]
+
+    def config(method, scenario, seed=0):
+        cfg = inner(method, scenario, seed=seed)
+        if method == "ss":
+            target = {"treatment": own, "outcome": own}
+            cfg = dataclasses.replace(cfg, candidates={**cfg.candidates, "target": target})
+        return cfg
+
+    monkeypatch.setattr(simbench, "method_config", config)
+    assert config("ss", scenario).to_dict() == config("ivw", scenario).to_dict()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        together, failed = run_replication(scenario, ("ss", "ivw"), seed=2, rep=1)
+        alone = [row for m in ("ss", "ivw") for row in run_replication(scenario, (m,), 2, 1)[0]]
+    assert failed == {} and together == alone
 
 
 @pytest.mark.parametrize("seed,rep", [(101, 434), (104, 412)])
