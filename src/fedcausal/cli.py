@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -118,11 +119,13 @@ def _cmd_simulate(args) -> int:
     result.write_metrics_csv(os.path.join(args.out, "metrics.csv"))
     result.write_replications_csv(os.path.join(args.out, "replications.csv"))
 
-    # Protocol transcript of replication 0, for inspection and audit. The
-    # study tolerates a few failed replications, so this round may fail too.
+    # Protocol transcript of replication 0, replayed as silently as the study,
+    # which tolerates a few failed replications, so this round may fail too.
     config = method_config(args.methods[0], scenario, seed=rep_config_seed(args.seed, 0))
     try:
-        report = run_round(replication_frames(scenario, args.seed, 0), config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_round(replication_frames(scenario, args.seed, 0), config)
         dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
         ledger_audit = audit_ledger(report)
     except FedcausalError as exc:

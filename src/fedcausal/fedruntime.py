@@ -3,18 +3,19 @@
 The target site acts as coordinator. One round is a site phase
 (:func:`run_sites`: the config broadcast of the seed and the sources'
 candidate models, a moment-summary broadcast from the target, one
-summary-level upload per source, and the target's own estimate, which stays at
-the target), after which the coordinator forms the global combination
-(:func:`combine`). The weighting scheme and the target's candidate models are
-the coordinator's own settings, and the penalty grid and the CI level are
-protocol constants (:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no
-message carries them, and the site phase never reads the scheme. Every
-cross-site payload is serialized to JSON at the boundary, and every cross-site
-message is logged so the ledger can be audited: only the declared
-summary-level schemas may cross sites, never individual rows or any per-unit
-value. Moment summaries and source uploads are decoded on the receiving side;
-the config broadcast is logged as sent and never decoded, because every site
-reads the in-memory config.
+summary-level upload per source holding its finished estimate, and the
+target's own estimate, which stays at the target), after which the
+coordinator forms the global combination (:func:`combine`). The weighting
+scheme and the target's candidate models are the coordinator's own settings,
+and the penalty grid and the CI level are protocol constants
+(:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message carries
+them, and the site phase never reads the scheme. Every cross-site payload is
+serialized to JSON at the boundary, and every cross-site message is logged so
+the ledger can be audited: only the declared summary-level schemas may cross
+sites, never individual rows or any per-unit value. Moment summaries and
+source uploads are decoded on the receiving side; the config broadcast is
+logged as sent and never decoded, because every site reads the in-memory
+config.
 """
 
 from __future__ import annotations
@@ -57,19 +58,19 @@ METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 # flat numeric list whose length is the protocol dimension ``dim``), or an
 # object of fixed keys, so no payload has a free-text key. The basis
 # dimension is the length of the moment summaries' ``mean_basis``, 1 + the
-# shared covariates, which is also the number of projection coefficients; a
-# source upload sums its squared contributions once over all its units
-# (``own_sq``) and once per fit half of the protocol's fixed ``CV_SPLITS``
-# (``fit_sq``). No dimension depends on a site's sample size, so no per-unit
-# values pass the audit, and no payload names its sender: the ledger's
-# ``from_site`` does.
+# shared covariates, which is also the length of a source's one
+# target-influence vector (``target_coef``); a source upload carries its two
+# finished arm means and sums its squared contributions once over all its
+# units (``own_sq``) and once per fit half of the protocol's fixed
+# ``CV_SPLITS`` (``fit_sq``). No dimension depends on a site's sample size,
+# so no per-unit values pass the audit, and no payload names its sender: the
+# ledger's ``from_site`` does.
 _SCHEMAS = {
     "config": {"seed": "count", "candidates": {"treatment": "maps", "outcome": "maps"}},
     "moment_summary": {"mean_basis": "[basis]"},
     "site_estimate": {
-        "n_k": "count", "mu_own0": "number", "mu_own1": "number",
-        "own_sq": "number", "fit_sq": "[cv_splits]",
-        "tau0": "[basis]", "tau1": "[basis]", "tilt_sens": "[basis]",
+        "n_k": "count", "mu0": "number", "mu1": "number",
+        "own_sq": "number", "fit_sq": "[cv_splits]", "target_coef": "[basis]",
     },
 }
 
@@ -229,7 +230,7 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
         summary = MomentSummary.from_json(summary_text)
         try:
             tilt = solve_tilt(src.V, summary)
-            report = source_report(src, _fit_site(src, config), tilt, config.seed)
+            report = source_report(src, _fit_site(src, config), tilt, summary, config.seed)
         except FedcausalError as exc:
             failures[src.site_id] = f"{type(exc).__name__}: {exc}"
             continue

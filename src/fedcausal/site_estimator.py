@@ -2,13 +2,15 @@
 
 The target site uses a standard AIPW estimator on its own covariates. Each
 source site transports its information through three pieces: density-ratio
-weighting of its AIPW residuals, a projection of its outcome-model predictions
-onto the covariates shared with the target, and the mean of that projection
-over the target sample. The source side produces a :class:`SourceSiteReport`
-(the wire payload: the own-unit mean terms, sums of squared own-unit
-contributions, and projection coefficients); evaluating the projection on
-target units happens at the target, so no individual target rows are ever
-needed at a source, and no per-unit value ever leaves a source.
+weighting of its AIPW residuals, a linear projection of its outcome-model
+predictions onto psi = (1, V), the tilt basis of the covariates shared with
+the target, and the mean of that projection over the target sample, which is
+the projection evaluated at the target mean of psi the source receives. The
+source finishes its own estimate and uploads a :class:`SourceSiteReport` (the
+transported arm means, sums of squared own-unit contributions, and one
+target-influence coefficient vector); the target only evaluates that vector
+on its centered psi values, so no individual target rows are ever needed at a
+source, and no per-unit value ever leaves a source.
 
 One weight per site multiplies both arm means, so the federation only ever
 needs the influence of the treated-minus-control difference. Every site
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density_ratio import TiltCoefficients, truncate_weights
+from .density_ratio import MomentSummary, TiltCoefficients, truncate_weights
 from .errors import SingularJacobian
 from .nuisance import NuisanceFit
 from .numkit import add_intercept, fit_ols
@@ -35,9 +37,9 @@ from .numkit import add_intercept, fit_ols
 class SiteFrame:
     """One site's individual-level data.
 
-    ``shared_cols`` indexes the columns of ``X`` observed at the target site;
-    a target frame's ``X`` holds only those shared columns (in the same order
-    the sources use).
+    ``shared_cols`` holds the distinct indices of the columns of ``X``
+    observed at the target site; a target frame's ``X`` holds only those
+    shared columns (in the same order the sources use). ``a`` is 0/1.
     """
 
     site_id: str
@@ -56,9 +58,16 @@ class SiteFrame:
         n = len(self.y)
         if len(self.a) != n or self.X.shape[0] != n or n < 1:
             raise ValueError("y, a, X must share a positive length")
-        if not self.shared_cols:
-            raise ValueError("shared_cols must be non-empty")
-        if self.role == "target" and tuple(self.shared_cols) != tuple(range(self.X.shape[1])):
+        cols = self.shared_cols
+        if not (isinstance(cols, tuple) and cols
+                and all(isinstance(c, int) and not isinstance(c, bool)
+                        and 0 <= c < self.X.shape[1] for c in cols)
+                and len(set(cols)) == len(cols)):
+            raise ValueError(f"shared_cols {cols!r} are not a non-empty tuple of distinct "
+                             f"column indices below {self.X.shape[1]}")
+        if not np.all((self.a == 0) | (self.a == 1)):
+            raise ValueError("a must be a 0/1 treatment indicator")
+        if self.role == "target" and cols != tuple(range(self.X.shape[1])):
             raise ValueError("a target frame's X must hold exactly the shared columns")
 
     @property
@@ -159,34 +168,29 @@ class SiteEstimate:
 class SourceSiteReport:
     """Summary-level payload a source uploads to the coordinator.
 
-    Carries the source-sample means of the transported estimator, the sums of
-    squares of its own-unit contributions (:class:`OwnSummary`), the per-arm
-    projection coefficients, and the tilt sensitivity of the effect
-    difference; the coordinator evaluates the projection and the tilt-noise
-    term on the target sample to complete the estimate. Each field is a count,
-    a number or a vector of protocol-fixed length; site-local facts such as
-    the weight diagnostics stay at the source. It does not name its sender:
-    the message that carries it does.
+    Carries the transported arm means, the sums of squares of the own-unit
+    contributions (:class:`OwnSummary`), and the target-influence coefficients
+    of the effect difference: the target-unit contributions are the centered
+    psi = (1, V) values times ``target_coef``, divided by n_T. Each field is a
+    count, a number or a vector of protocol-fixed length; site-local facts
+    such as the weight diagnostics stay at the source. It does not name its
+    sender: the message that carries it does.
     """
 
     n_k: int
-    mu_own: tuple[float, float]
+    mu: tuple[float, float]  # (mu_0, mu_1)
     own: OwnSummary
-    tau_coefficients: tuple[np.ndarray, np.ndarray]  # arm 0, arm 1
-    # B^{-1} d(mu_1 - mu_0)/dgamma, for the tilt-noise variance term
-    tilt_sensitivity: np.ndarray
+    target_coef: np.ndarray
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "n_k": self.n_k,
-                "mu_own0": self.mu_own[0],
-                "mu_own1": self.mu_own[1],
+                "mu0": self.mu[0],
+                "mu1": self.mu[1],
                 "own_sq": self.own.sq,
                 "fit_sq": list(map(float, self.own.fit_sq)),
-                "tau0": list(map(float, self.tau_coefficients[0])),
-                "tau1": list(map(float, self.tau_coefficients[1])),
-                "tilt_sens": list(map(float, self.tilt_sensitivity)),
+                "target_coef": list(map(float, self.target_coef)),
             }
         )
 
@@ -195,13 +199,9 @@ class SourceSiteReport:
         obj = json.loads(payload)
         return SourceSiteReport(
             n_k=int(obj["n_k"]),
-            mu_own=(float(obj["mu_own0"]), float(obj["mu_own1"])),
+            mu=(float(obj["mu0"]), float(obj["mu1"])),
             own=OwnSummary(float(obj["own_sq"]), np.asarray(obj["fit_sq"], dtype=float)),
-            tau_coefficients=(
-                np.asarray(obj["tau0"], dtype=float),
-                np.asarray(obj["tau1"], dtype=float),
-            ),
-            tilt_sensitivity=np.asarray(obj["tilt_sens"], dtype=float),
+            target_coef=np.asarray(obj["target_coef"], dtype=float),
         )
 
 
@@ -233,21 +233,23 @@ def source_influence(
     source: SiteFrame,
     fit: NuisanceFit,
     tilt: TiltCoefficients,
+    summary: MomentSummary,
     seed: int = 0,
 ) -> tuple[SourceSiteReport, np.ndarray]:
-    """Source-side portion of the transported estimator.
+    """Source-side transported estimator.
 
-    Computes the tilt-weighted AIPW residual term and the tilt-weighted excess
-    of the outcome model over its shared-covariate projection, both means over
-    the source sample, plus the projection coefficients per arm (the outcome
-    model's predictions regressed on psi = (1, V), the tilt basis, over all
-    source units). The own-unit contributions include the first-order term
-    from estimating the tilt coefficients: with the moment-matching Jacobian
-    B and the effect difference's sensitivity A = d(mu_1 - mu_0)/dgamma, each
-    unit contributes through A'B^{-1} times its centered moment-equation
-    value. The same sensitivity vector is reported so the coordinator can add
-    the matching target-sample term. ``tilt`` is this source's
-    :func:`solve_tilt` result; its weights and B are used as solved.
+    Each arm mean is the source-sample mean of the tilt-weighted AIPW residual
+    plus the tilt-weighted excess of the outcome model over its projection
+    tau_a on psi = (1, V), the tilt basis (fitted over all source units), plus
+    the projection's target mean, ``summary.mean_basis @ tau_a``. The own-unit
+    contributions include the first-order term from estimating the tilt
+    coefficients: with the moment-matching Jacobian B and the effect
+    difference's sensitivity A = d(mu_1 - mu_0)/dgamma, each unit contributes
+    through A'B^{-1} times its centered moment-equation value. On the target
+    side the projection and the target basis means both vary, so a target
+    unit contributes its centered psi times tau_1 - tau_0 - B^{-1}A, the
+    reported ``target_coef``. ``tilt`` is this source's :func:`solve_tilt`
+    result for ``summary``; its weights and B are used as solved.
 
     Returns the upload, which summarizes the contributions over this site's
     own cross-validation folds (:func:`split_masks` with ``seed``), with the
@@ -275,10 +277,9 @@ def source_influence(
     contributions = (d - d.mean() + (zeta_psi - zeta_psi.mean(axis=0)) @ w) / source.n
     report = SourceSiteReport(
         n_k=source.n,
-        mu_own=(float(own[0].mean()), float(own[1].mean())),
+        mu=tuple(float(own[arm].mean() + summary.mean_basis @ tau[arm]) for arm in (0, 1)),
         own=OwnSummary.of(contributions, split_masks(source.n, seed, source.site_id)),
-        tau_coefficients=(tau[0], tau[1]),
-        tilt_sensitivity=w,
+        target_coef=tau[1] - tau[0] - w,
     )
     return report, contributions
 
@@ -287,33 +288,26 @@ def source_report(
     source: SiteFrame,
     fit: NuisanceFit,
     tilt: TiltCoefficients,
+    summary: MomentSummary,
     seed: int = 0,
 ) -> SourceSiteReport:
     """The upload of :func:`source_influence`, without the contributions."""
-    return source_influence(source, fit, tilt, seed)[0]
+    return source_influence(source, fit, tilt, summary, seed)[0]
 
 
 def complete_source_estimate(
     site_id: str, report: SourceSiteReport, target: SiteFrame
 ) -> SiteEstimate:
-    """Target-side completion of the upload of source ``site_id``: add the
-    projection mean over target units.
-
-    Also adds the target half of the tilt-noise influence term: the target
-    means of psi = (1, V) feed the moment-matching equation, so their sampling
-    noise propagates into the effect difference through the reported
-    sensitivity.
-    """
+    """Target-side estimate of source ``site_id`` from its upload: the
+    target-unit contributions are the centered psi = (1, V) values times the
+    reported ``target_coef``, divided by n_T."""
     if target.role != "target":
         raise ValueError("completion requires the target frame")
     psi = add_intercept(target.X)
-    projected = [psi @ tau for tau in report.tau_coefficients]
-    d = projected[1] - projected[0]
-    tilt_noise = (psi - psi.mean(axis=0)) @ report.tilt_sensitivity
     return SiteEstimate(
         site_id=site_id,
-        mu=tuple(mu + float(p.mean()) for mu, p in zip(report.mu_own, projected)),
-        on_target=(d - d.mean() - tilt_noise) / target.n,
+        mu=report.mu,
+        on_target=(psi - psi.mean(axis=0)) @ report.target_coef / target.n,
         n_k=report.n_k,
         own=report.own,
     )

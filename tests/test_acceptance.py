@@ -195,7 +195,7 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep, modifier=0.0, unit_tilt=
     else:
         tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, [p_map], [m_map], seed=rep)
-    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt), tgt)
+    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt, summary), tgt)
     return est.mu[1] - est.mu[0]
 
 
@@ -330,7 +330,7 @@ def test_criterion_7_influence_checks(bench):
                 est = estimate_target(frame, fit)
             else:
                 tilt = solve_tilt(frame.V, summary)
-                report, own = source_influence(frame, fit, tilt, seed=config.seed)
+                report, own = source_influence(frame, fit, tilt, summary, seed=config.seed)
                 assert own.shape == (frame.n,)
                 worst_mean = max(worst_mean, abs(float(own.sum())))
                 est = complete_source_estimate(frame.site_id, report, target)
@@ -386,7 +386,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
             fit = fit_nuisances(src.site_id, src.X, src.y, src.a, raw, raw,
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
-                src.site_id, source_report(src, fit, tilt, seed=seed), target))
+                src.site_id, source_report(src, fit, tilt, summary, seed=seed), target))
         solution = cross_validate_lambda(estimates, seed=seed)
         direct = global_estimate(estimates, solution, method=config.method)
         if not (runtime.delta_hat == direct.delta_hat

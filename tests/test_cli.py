@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -72,6 +75,20 @@ def test_simulate_transcript_round_error_is_reported(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == "error: validation set needs at least 2 units\n"
     assert (out / "metrics.csv").is_file()
     assert not (out / "manifest.json").exists()
+
+
+def test_simulate_prints_no_warnings(tmp_path):
+    # The study runs with warnings silenced, and so does the transcript's
+    # replay of its replication 0: on c0, propensity clipping is active at
+    # three sites of that round, and stderr stays empty.
+    src = Path(cli.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "fedcausal.cli", "simulate", "--scenario", "c0",
+         "--methods", "mr_l1", "--reps", "1", "--seed", "5", "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == EXIT_OK
+    assert run.stderr == ""
 
 
 def test_simulate_usage_errors(tmp_path):

@@ -131,7 +131,7 @@ def test_run_round_matches_direct_composition():
                             config.candidates["source"]["outcome"],
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
-            src.site_id, source_report(src, fit, tilt, seed=config.seed), target))
+            src.site_id, source_report(src, fit, tilt, summary, seed=config.seed), target))
     solution = cross_validate_lambda(estimates, seed=config.seed)
     direct = global_estimate(estimates, solution, method=config.method)
 
@@ -249,6 +249,17 @@ def test_audit_rejects_undeclared_keys():
     report.privacy_ledger[-1] = _relogged(rec, payload)
     with pytest.raises(PrivacyViolation, match="undeclared keys"):
         audit_ledger(report)
+    # A source finishes its own estimate: the per-arm projections, the tilt
+    # sensitivity and the unfinished arm means are not part of the upload,
+    # even when shaped like the declared fields.
+    assert rec.kind == "site_estimate"
+    for key, like in (("tau0", "target_coef"), ("tau1", "target_coef"),
+                      ("tilt_sens", "target_coef"), ("mu_own0", "mu0")):
+        payload = json.loads(rec.payload_text)
+        payload[key] = payload[like]
+        report.privacy_ledger[-1] = _relogged(rec, payload)
+        with pytest.raises(PrivacyViolation, match="undeclared keys"):
+            audit_ledger(report)
 
 
 def test_audit_rejects_per_unit_arrays():
@@ -262,9 +273,8 @@ def test_audit_rejects_per_unit_arrays():
     tampered = {
         # The per-unit influence values the sources used to upload.
         "xi_own": lambda p: p.update(xi_own=[[0.0] * n_k, [0.0] * n_k]),
-        # A declared key carrying one value per unit instead of the projection.
-        "tau0": lambda p: p.update(tau0=[0.0] * n_k),
-        "tilt_sens": lambda p: p.update(tilt_sens=[0.0] * n_k),
+        # The declared basis vector carrying one value per unit.
+        "target_coef": lambda p: p.update(target_coef=[0.0] * n_k),
         # A per-split key nesting per-unit rows.
         "fit_sq": lambda p: p.update(fit_sq=[[0.0] * n_k] * len(p["fit_sq"])),
         # One split sum more than the protocol's split count.
@@ -427,7 +437,7 @@ def test_audit_rejects_tampered_payload():
     i, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
                   if r.kind == "site_estimate")
     payload = json.loads(rec.payload_text)
-    payload["mu_own1"] += 1.0  # well formed, but not what was logged
+    payload["mu1"] += 1.0  # well formed, but not what was logged
     report.privacy_ledger[i] = dataclasses.replace(rec, payload_text=json.dumps(payload))
     with pytest.raises(PrivacyViolation, match="digest"):
         audit_ledger(report)

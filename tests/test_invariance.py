@@ -118,10 +118,9 @@ moment_summaries = st.builds(MomentSummary, mean_basis=vectors)
 source_reports = st.builds(
     SourceSiteReport,
     n_k=st.integers(1, 10**9),
-    mu_own=st.tuples(finite, finite),
+    mu=st.tuples(finite, finite),
     own=st.builds(OwnSummary, sq=finite, fit_sq=vectors),
-    tau_coefficients=st.tuples(vectors, vectors),
-    tilt_sensitivity=vectors,
+    target_coef=vectors,
 )
 feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) | st.builds(
     FeatureMap, kind=st.just("subset"),

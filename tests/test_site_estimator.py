@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedcausal.density_ratio import (
+    MomentSummary,
     TiltCoefficients,
     solve_tilt,
     target_moments,
@@ -51,10 +52,6 @@ def _linear_pair(seed=0, n_src=800, n_tgt=500, shift=0.4):
     return src, tgt
 
 
-def _tilt_for(src, tgt):
-    return solve_tilt(src.V, target_moments(tgt.V))
-
-
 def _tilt_at(V, gamma):
     """The tilt with coefficients ``gamma`` on source covariates ``V``,
     whether or not it matches any target's moments."""
@@ -65,6 +62,16 @@ def _tilt_at(V, gamma):
 
 def _untilted(frame):
     return _tilt_at(frame.V, np.zeros(frame.V.shape[1] + 1))
+
+
+def _projections(src, fit, tilt):
+    """The per-arm projection coefficients tau_a of the outcome model on
+    psi = (1, V), read off the upload: each arm mean is affine in the target
+    basis mean it receives, with slope tau_a. Returns shape (2, basis)."""
+    dim = src.V.shape[1] + 1
+    mu = np.array([source_report(src, fit, tilt, MomentSummary(mean_basis)).mu
+                   for mean_basis in np.vstack([np.zeros(dim), np.eye(dim)])])
+    return (mu[1:] - mu[0]).T
 
 
 def test_site_frame_validation():
@@ -81,6 +88,19 @@ def test_site_frame_validation():
         SiteFrame("s", "target", y, a, X, (0,))  # extra non-shared column
     frame = SiteFrame("s", "source", y, a, X, (1,))
     assert frame.V.shape == (3, 1)
+
+
+def test_site_frame_rejects_bad_columns_and_treatment():
+    # Each of these used to build: a negative index selected the last column
+    # silently, one past X failed mid-round, a repeated one made B singular.
+    y, a, X = np.zeros(3), np.array([0, 1, 0]), np.zeros((3, 2))
+    for cols in ((-1, 0), (0, 5), (0, 2), (0, 0), (0.0, 1), (True,), [0, 1]):
+        with pytest.raises(ValueError, match="shared_cols"):
+            SiteFrame("s", "source", y, a, X, cols)
+    for bad in ([0, 2, 1], [0.5, 1, 0], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="0/1"):
+            SiteFrame("s", "source", y, np.array(bad), X, (0,))
+    assert SiteFrame("s", "source", y, a.astype(float), X, (1, 0)).V.shape == (3, 2)
 
 
 def test_estimate_target_horvitz_thompson_reduction():
@@ -119,12 +139,10 @@ def test_fit_tau_exact_on_linear_predictions():
     # The outcome model is linear in X = V, so its projection on (1, V) is itself.
     src, tgt = _linear_pair(seed=4)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=1)
-    report = source_report(src, fit, _untilted(src))
-    for arm in (0, 1):
-        tau = report.tau_coefficients[arm]
+    for arm, tau in enumerate(_projections(src, fit, _untilted(src))):
         assert np.max(np.abs(add_intercept(src.V) @ tau - fit.m[arm])) < 1e-8
     with pytest.raises(ValueError):
-        source_report(tgt, fit, _untilted(src))
+        source_report(tgt, fit, _untilted(src), target_moments(tgt.V))
 
 
 def test_fit_tau_slope_recovery_with_orthogonal_noise():
@@ -140,7 +158,7 @@ def test_fit_tau_slope_recovery_with_orthogonal_noise():
     y = X @ beta + rng.standard_normal(n)
     src = SiteFrame("s", "source", y, a, X, (0, 1))
     fit = fit_nuisances("src", X, y, a, RAW_T, RAW_O, seed=2)
-    tau = source_report(src, fit, _untilted(src)).tau_coefficients[1]
+    tau = _projections(src, fit, _untilted(src))[1]
     assert np.allclose(tau[1:], beta[:2], atol=0.15)
 
 
@@ -148,7 +166,7 @@ def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    report = source_report(src, _fit(src.n), _untilted(src))
+    report = source_report(src, _fit(src.n), _untilted(src), target_moments(tgt.V))
     est = complete_source_estimate(src.site_id, report, tgt)
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
@@ -157,19 +175,20 @@ def test_source_degenerate_weighted_mean_reduction():
 
 def test_source_no_shift_agrees_with_target():
     src, tgt = _linear_pair(seed=7, shift=0.0, n_src=2000, n_tgt=2000)
-    tilt = _tilt_for(src, tgt)
+    summary = target_moments(tgt.V)
     fit_s = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
     fit_t = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
-    est_s = complete_source_estimate(src.site_id, source_report(src, fit_s, tilt), tgt)
+    est_s = complete_source_estimate(
+        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), summary), tgt)
     est_t = estimate_target(tgt, fit_t)
     assert abs((est_s.mu[1] - est_s.mu[0]) - (est_t.mu[1] - est_t.mu[0])) < 0.25
 
 
 def test_source_estimate_equals_report_plus_completion():
     src, tgt = _linear_pair(seed=8)
-    tilt = _tilt_for(src, tgt)
+    summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
-    report = source_report(src, fit, tilt, seed=2)
+    report = source_report(src, fit, solve_tilt(src.V, summary), summary, seed=2)
     direct = complete_source_estimate(src.site_id, report, tgt)
     wired = complete_source_estimate(
         src.site_id, SourceSiteReport.from_json(report.to_json()), tgt)
@@ -181,11 +200,11 @@ def test_source_estimate_equals_report_plus_completion():
 
 def test_source_influence_parts_are_centered():
     src, tgt = _linear_pair(seed=9)
-    tilt = _tilt_for(src, tgt)
+    summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=6)
     # Own-unit contributions are checked at the source, before they are
     # summarized; each vector sums to the mean of its influence values.
-    report, d = source_influence(src, fit, tilt, seed=4)
+    report, d = source_influence(src, fit, solve_tilt(src.V, summary), summary, seed=4)
     assert abs(d.sum()) < 1e-8
     assert d.shape == (src.n,)
     est = complete_source_estimate(src.site_id, report, tgt)
@@ -200,25 +219,27 @@ def test_source_influence_parts_are_centered():
 
 def test_source_linearity_in_outcome_scale():
     src, tgt = _linear_pair(seed=10)
-    tilt = _tilt_for(src, tgt)
+    summary = target_moments(tgt.V)
+    tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
-    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt), tgt)
+    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt, summary), tgt)
 
     scaled = SiteFrame(src.site_id, "source", 3.0 * src.y, src.a, src.X, src.shared_cols)
     fit_scaled = fit_nuisances(scaled.site_id, scaled.X, scaled.y, scaled.a, RAW_T, RAW_O,
                                seed=7)
     est_scaled = complete_source_estimate(
-        scaled.site_id, source_report(scaled, fit_scaled, tilt), tgt)
+        scaled.site_id, source_report(scaled, fit_scaled, tilt, summary), tgt)
     for arm in (0, 1):
         assert abs(est_scaled.mu[arm] - 3.0 * est.mu[arm]) < 1e-9 * max(1.0, abs(est.mu[arm]))
 
 
 def test_source_report_requires_source_role():
     src, tgt = _linear_pair(seed=11)
-    tilt = _tilt_for(src, tgt)
+    summary = target_moments(tgt.V)
+    tilt = solve_tilt(src.V, summary)
     with pytest.raises(ValueError):
-        source_report(tgt, _fit(tgt.n), tilt)
-    report = source_report(src, _fit(src.n), tilt)
+        source_report(tgt, _fit(tgt.n), tilt, summary)
+    report = source_report(src, _fit(src.n), tilt, summary)
     with pytest.raises(ValueError):
         complete_source_estimate(src.site_id, report, src)
 
@@ -236,15 +257,17 @@ def test_source_report_singular_jacobian_raises():
     src = SiteFrame("src", "source", y, a, X, (0, 1))
     tilt = _tilt_at(src.V, np.array([0.0, 1000.0, 0.0]))
     with pytest.raises(SingularJacobian), pytest.warns(ExtremeWeightsWarning):
-        source_report(src, _fit(n), tilt)
+        source_report(src, _fit(n), tilt, target_moments(src.V))
 
 
 def test_site_estimate_json_round_trip():
     # The payload carries the estimate's scalars only, never per-unit values.
     import json
     src, tgt = _linear_pair(seed=13)
+    summary = target_moments(tgt.V)
     for est in (complete_source_estimate(
-                    src.site_id, source_report(src, _fit(src.n), _tilt_for(src, tgt)), tgt),
+                    src.site_id,
+                    source_report(src, _fit(src.n), solve_tilt(src.V, summary), summary), tgt),
                 estimate_target(tgt, _fit(tgt.n))):
         back = json.loads(est.to_json())
         assert (back["mu0"], back["mu1"]) == est.mu
@@ -255,16 +278,15 @@ def test_site_estimate_json_round_trip():
 
 def test_source_report_json_round_trip():
     src, tgt = _linear_pair(seed=14)
-    tilt = _tilt_for(src, tgt)
+    summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=8)
-    report = source_report(src, fit, tilt)
+    report = source_report(src, fit, solve_tilt(src.V, summary), summary)
     back = SourceSiteReport.from_json(report.to_json())
-    assert back.mu_own == report.mu_own
+    assert back.mu == report.mu
     assert back.own.sq == report.own.sq
     assert np.array_equal(back.own.fit_sq, report.own.fit_sq)
-    for arm in (0, 1):
-        assert np.array_equal(back.tau_coefficients[arm], report.tau_coefficients[arm])
-    assert np.array_equal(back.tilt_sensitivity, report.tilt_sensitivity)
+    assert np.array_equal(back.target_coef, report.target_coef)
+    assert report.target_coef.shape == summary.mean_basis.shape
 
 
 def test_estimate_target_rejects_a_fit_of_another_frame():
@@ -278,12 +300,13 @@ def test_estimate_target_rejects_a_fit_of_another_frame():
 
 def test_source_influence_rejects_a_fit_of_another_frame():
     src, tgt = _linear_pair(seed=16)
-    tilt = _tilt_for(src, tgt)
+    summary = target_moments(tgt.V)
+    tilt = solve_tilt(src.V, summary)
     with pytest.raises(ValueError):
-        source_influence(src, _fit(src.n + 1), tilt)
+        source_influence(src, _fit(src.n + 1), tilt, summary)
     fit_of_target = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=9)
     with pytest.raises(ValueError):
-        source_influence(src, fit_of_target, tilt)
+        source_influence(src, fit_of_target, tilt, summary)
 
 
 def _rel_close(a, b, tol=1e-12):
@@ -293,7 +316,8 @@ def _rel_close(a, b, tol=1e-12):
 
 def test_contributions_match_per_arm_construction():
     # The per-arm construction written out: a projection and a tilt
-    # sensitivity per arm (two solves of B), the difference taken at the end.
+    # sensitivity per arm (two solves of B), each arm mean completed on the
+    # target sample, the difference taken at the end.
     rng = np.random.default_rng(17)
     n_s, n_t = 700, 400
     X = rng.standard_normal((n_s, 3))
@@ -303,9 +327,10 @@ def test_contributions_match_per_arm_construction():
     src = SiteFrame("src", "source", y, a, X, (0, 1))
     V_t = rng.standard_normal((n_t, 2)) + 0.3
     tgt = SiteFrame("tgt", "target", np.zeros(n_t), np.zeros(n_t, int), V_t, (0, 1))
-    tilt = solve_tilt(src.V, target_moments(tgt.V))
+    summary = target_moments(tgt.V)
+    tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
-    report, contributions = source_influence(src, fit, tilt, seed=3)
+    report, contributions = source_influence(src, fit, tilt, summary, seed=3)
     est = complete_source_estimate(src.site_id, report, tgt)
 
     pi, m = fit.pi, fit.m
@@ -316,7 +341,7 @@ def test_contributions_match_per_arm_construction():
     B = (psi * zeta_raw[:, None]).T @ psi / n_s
     moment_noise = psi * zeta_raw[:, None] - (psi * zeta_raw[:, None]).mean(axis=0)
     psi_t = add_intercept(tgt.X)
-    xi_own, xi_tgt = [], []
+    xi_own, xi_tgt, mu = [], [], []
     for arm in (0, 1):
         tau = fit_ols(add_intercept(src.V), m[arm]).coefficients
         h = (src.a == arm) / pi[arm] * (src.y - m[arm]) + m[arm] - add_intercept(src.V) @ tau
@@ -325,11 +350,14 @@ def test_contributions_match_per_arm_construction():
         xi_own.append(own - own.mean() + moment_noise @ sens)
         projected = add_intercept(tgt.X) @ tau
         xi_tgt.append(projected - projected.mean() - (psi_t - psi_t.mean(axis=0)) @ sens)
+        mu.append(own.mean() + projected.mean())
     own_d = (xi_own[1] - xi_own[0]) / n_s
     tgt_d = (xi_tgt[1] - xi_tgt[0]) / n_t
 
     assert _rel_close(contributions, own_d)
     assert _rel_close(est.on_target, tgt_d)
+    for arm in (0, 1):
+        assert _rel_close(est.mu[arm], mu[arm])
     masks = split_masks(n_s, 3, src.site_id)
     assert _rel_close(report.own.sq, np.sum(own_d**2))
     assert _rel_close(report.own.fit_sq, [np.sum(own_d[f] ** 2) for f in masks])
