@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, ExtremeWeightsWarning
+from .errors import EmptySample, ExtremeWeightsWarning, MissingColumns
 from .numkit import add_intercept, newton_solve
 
 TRUNCATION_PERCENTILE = 99.9
@@ -78,7 +78,8 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
     if n_k < d:
         raise EmptySample(f"source sample size {n_k} below basis dimension {d}")
     if len(target_summary.mean_basis) != d:
-        raise ValueError("target summary dimension does not match basis")
+        raise MissingColumns(f"target summary has {len(target_summary.mean_basis)} basis "
+                             f"entries, the source's shared covariates give {d}")
     tgt = np.asarray(target_summary.mean_basis, dtype=float)
 
     last = {}  # the last trial gamma, its weights, weighted basis and residual

@@ -42,7 +42,9 @@ class ZeroVariance(FedcausalError):
 
 
 class MissingColumns(FedcausalError):
-    """A candidate feature map reads covariate columns that a site does not hold."""
+    """A site's covariates do not fit what a round asks of them: a candidate
+    feature map reads columns the site does not hold, or the site shares a
+    different number of covariates than the target's moment summary."""
 
 
 class PrivacyViolation(FedcausalError):

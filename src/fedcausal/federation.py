@@ -2,7 +2,8 @@
 
 Fixed weighting schemes (target-only, sample-size, inverse-variance), adaptive
 nonnegative weights from a penalized regression of influence values with
-cross-validated penalty, and the influence-based variance and confidence
+cross-validated penalty (every split and penalty fit in one batched solve,
+then one refit), and the influence-based variance and confidence
 interval of the combined effect estimate. Every function here takes the site
 estimates target first, as :func:`fedcausal.fedruntime.run_sites` lists them,
 and returns the site weights eta in that order. Every variance here is a sum of
@@ -184,20 +185,15 @@ def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, whole, seed: int):
         yield fit, tuple(all_rows - part for all_rows, part in zip(whole, fit))
 
 
-def _squared_error(products, eta: np.ndarray) -> float:
-    """||r - G eta||^2 from cross-products: r'r - 2 eta'G'r + eta'G'G eta."""
-    gram, gtr, rtr = products
-    return rtr - 2.0 * float(eta @ gtr) + float(eta @ gram @ eta)
-
-
 def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> EnsembleSolution:
     """Choose the penalty from ``LAMBDA_GRID`` by ``CV_SPLITS`` repeated 50/50
     splits of every site's units.
 
     Each site splits its own units (:func:`_cv_systems`). Weights are fit on
-    one half and scored by the unpenalized objective on the other, both from
-    K x K cross-products of the stacked system built once here; each fit
-    warm-starts from the support of the fit before it along the increasing grid.
+    one half and scored by the unpenalized objective ||r - G eta||^2 on the
+    other, both from K x K cross-products of the stacked system built once
+    here: every (split, penalty) fit is one problem of a single batched
+    solve, and every score comes from the validation half's cross-products.
     The selected value is the largest penalty whose mean validation error
     sits within one standard error of the minimum, which stabilizes the
     weights when the error curve is nearly flat. The final weights are refit
@@ -206,31 +202,27 @@ def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> Ensem
     """
     r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
     whole = _cross_products(G_T, r_T, own_sq)
-    errors = np.zeros((CV_SPLITS, len(LAMBDA_GRID)))
-    halves = _cv_systems(estimates, r_T, G_T, whole, seed)
-    # Each fit warm-starts from the support at the previous penalty, or, for
-    # the first penalty, at the same penalty in the previous split.
-    supports = [None] * len(LAMBDA_GRID)
-    for s, ((gram_fit, gtr_fit, _), val) in enumerate(halves):
-        for j, lam in enumerate(LAMBDA_GRID):
-            start = supports[j - 1] if j else supports[0]
-            eta_src = nnls_coordinate_descent(gram_fit, gtr_fit, lam * arm_shift_sq, start)
-            supports[j] = eta_src > 0.0
-            errors[s, j] = _squared_error(val, eta_src)
+    fits, vals = zip(*_cv_systems(estimates, r_T, G_T, whole, seed))
+    gram_fit, gtr_fit, _ = map(np.array, zip(*fits))
+    gram_val, gtr_val, rtr_val = map(np.array, zip(*vals))
+    penalties = np.array(LAMBDA_GRID)[:, None] * arm_shift_sq
+    # (split, penalty, source) weights; the score is r'r - 2 eta'G'r + eta'G'G eta.
+    eta_cv = nnls_coordinate_descent(gram_fit[:, None], gtr_fit[:, None], penalties)
+    errors = (rtr_val[:, None] - 2.0 * np.einsum("slk,sk->sl", eta_cv, gtr_val)
+              + np.einsum("slj,sjk,slk->sl", eta_cv, gram_val, eta_cv))
     mean_err = errors.mean(axis=0)
     se_err = errors.std(axis=0, ddof=1) / math.sqrt(CV_SPLITS)
     min_j = int(np.argmin(mean_err))
     best_j = np.flatnonzero(mean_err <= mean_err[min_j] + se_err[min_j])[-1]
-    lam = LAMBDA_GRID[best_j]
     gram, gtr, _ = whole
-    eta_src = nnls_coordinate_descent(gram, gtr, lam * arm_shift_sq, supports[best_j])
+    eta_src = nnls_coordinate_descent(gram, gtr, penalties[best_j])
     total = eta_src.sum()
     if total > 1.0:
         eta_src = eta_src / total
         total = 1.0
     return EnsembleSolution(
         eta=np.concatenate(([1.0 - total], eta_src)),
-        lambda_=lam,
+        lambda_=LAMBDA_GRID[best_j],
         cv_trace={"lambda": list(LAMBDA_GRID), "mean_validation_error": mean_err.tolist()},
     )
 

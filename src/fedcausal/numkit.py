@@ -2,7 +2,8 @@
 
 Linear least squares, logistic regression via iteratively reweighted least
 squares (IRLS), a damped Newton root finder, and an exact active-set solver for
-nonnegative penalized least squares on cross-products. All routines are
+nonnegative penalized least squares on cross-products, which solves a batch
+of such problems in one call. All routines are
 deterministic pure functions of their inputs; systems are solved by
 factorization, never by multiplying with an inverse. Tolerances and
 iteration caps are module constants, named in each solver's docstring.
@@ -10,6 +11,7 @@ iteration caps are module constants, named in each solver's docstring.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -193,22 +195,24 @@ def nnls_coordinate_descent(
     gram: np.ndarray,
     gtr: np.ndarray,
     penalties: np.ndarray,
-    support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimize ``||r - G eta||^2 + sum_k penalties[k] * eta[k]`` over eta >= 0,
     given only the cross-products ``gram = G'G`` and ``gtr = G'r``.
 
+    Solves a batch of problems in one call: ``gram`` is (..., p, p), ``gtr``
+    and ``penalties`` are (..., p), and the three broadcast against each
+    other to the batch shape of the returned eta (..., p).
+
     Exact Lawson-Hanson active-set solve in Gram form (Bro and De Jong's fast
-    NNLS): columns enter the passive set by largest gradient, each passive
-    set's stationary point is solved directly, and a step back to the
-    feasible region drops columns that turn nonpositive. ``support`` (a
-    boolean mask, e.g. the previous penalty's ``eta > 0``) warm-starts the
-    passive set; a warm start changes the path, not the solution. Columns
-    with a zero Gram diagonal get ``eta_k = 0``. A column whose variance
-    inflation on the passive set would exceed ``MAX_VIF`` counts as dependent
-    on it and enters by exchange along the null direction instead of through
-    a singular solve. The result must pass the KKT conditions to relative
-    tolerance ``NNLS_TOL``.
+    NNLS), run on all problems in lockstep: columns enter each problem's
+    passive set by largest gradient, the stationary points of all passive
+    sets are solved in one stacked solve, and a step back to the feasible
+    region drops columns that turn nonpositive. Columns with a zero
+    Gram diagonal get ``eta_k = 0``. A column whose variance inflation on the
+    passive set would exceed ``MAX_VIF`` counts as dependent on it and enters
+    by exchange along the null direction instead of through a singular solve.
+    Each problem follows the same steps as when solved alone, and its result
+    must pass the KKT conditions to relative tolerance ``NNLS_TOL``.
 
     The name predates the active-set method; it is kept because the
     benchmark's tracer (``perfbench/tracing.py``) finds the weight solver by
@@ -219,93 +223,114 @@ def nnls_coordinate_descent(
     ValueError
         On mismatched shapes, non-finite input or negative penalties.
     NoConvergence
-        If ``NNLS_MAX_ITER`` passive-set changes do not reach the KKT conditions,
-        or the final point fails them.
+        If some problem's ``NNLS_MAX_ITER`` passive-set changes do not reach
+        the KKT conditions, or its final point fails them.
     """
     gram = np.asarray(gram, dtype=float)
     gtr = np.asarray(gtr, dtype=float)
     penalties = np.asarray(penalties, dtype=float)
-    p = gtr.shape[0]
-    if gtr.ndim != 1 or gram.shape != (p, p):
-        raise ValueError(f"need a p x p gram and length-p gtr, got {gram.shape} and {gtr.shape}")
-    if penalties.shape != (p,):
+    p = gtr.shape[-1] if gtr.ndim else -1
+    if gram.shape[-2:] != (p, p):
+        raise ValueError(f"need a ... x p x p gram and ... x p gtr, got {gram.shape} and {gtr.shape}")
+    if penalties.shape[-1:] != (p,):
         raise ValueError("penalties length must equal the number of columns")
+    batch = np.broadcast_shapes(gram.shape[:-2], gtr.shape[:-1], penalties.shape[:-1])
     if not (np.isfinite(gram).all() and np.isfinite(gtr).all() and np.isfinite(penalties).all()):
         raise ValueError("gram, gtr and penalties must be finite")
     if (penalties < 0).any():
         raise ValueError("penalties must be nonnegative")
 
-    # The objective is eta'gram eta - 2 c'eta; half its negative gradient is
-    # w = c - gram @ eta.
-    c = gtr - 0.5 * penalties
-    usable = gram.diagonal() > 0.0
-    abs_gram = np.abs(gram)
+    # Problems are rows. The objective is eta'gram eta - 2 c'eta; half its
+    # negative gradient is w = c - gram @ eta.
+    n = math.prod(batch)
+    gram = np.broadcast_to(gram, batch + (p, p)).reshape(n, p, p)
+    c = np.broadcast_to(gtr - 0.5 * penalties, batch + (p,)).reshape(n, p)
+    usable = np.diagonal(gram, axis1=1, axis2=2) > 0.0
+    both = np.concatenate((gram, np.abs(gram)), axis=1)  # gram @ eta, |gram| @ eta
+    abs_c = np.abs(c)
     eye = np.eye(p)
-    rhs = np.column_stack((c, eye))
+    # Off the passive set the system is the identity, so one p x p solve of
+    # [c | I] gives the stationary point and the passive columns' variance
+    # inflation gram_kk * inv(gram_PP)_kk.
+    rhs = np.zeros((n, p, p + 1))
+    rhs[:, :, 1:] = eye
+    eta = np.zeros((n, p))
+    passive = np.zeros((n, p), dtype=bool)
+    entries = np.zeros(n, dtype=int)
+    # A problem is current when eta is its passive set's stationary point. A
+    # finished problem stays current and is solved again on each pass, to the
+    # same point, so the stack needs no bookkeeping of finished rows.
+    current = np.ones(n, dtype=bool)
 
-    def stationary(passive):
-        """Stationary point over the passive columns (zero elsewhere), or
-        None when they are numerically dependent. Off the passive set the
-        system is the identity, so one p x p solve gives the point and the
-        passive columns' variance inflation gram_kk * inv(gram_PP)_kk."""
-        system = np.where(passive[:, None] & passive, gram, eye)
-        rhs[:, 0] = np.where(passive, c, 0.0)
+    while True:
+        products = both @ eta[:, :, None]
+        w = c - products[:, :p, 0]
+        bound = NNLS_TOL * (abs_c + products[:, p:, 0])
+        free = current[:, None] & usable & ~passive & (w > bound)
+        enter = free.any(axis=1)
+        if current.all() and not enter.any():
+            if not np.all(np.abs(w[passive]) <= bound[passive]):
+                raise NoConvergence("active-set solution fails the KKT conditions")
+            return eta.reshape(batch + (p,))
+        entries += enter
+        if entries.max() > NNLS_MAX_ITER:
+            raise NoConvergence(f"active set: no convergence in {NNLS_MAX_ITER} iterations")
+        t = np.argmax(np.where(free, w, -np.inf), axis=1)
+        passive[enter, t[enter]] = True
+
+        # np.linalg.solve fails a whole stack for one singular system; such a
+        # stack is solved one at a time.
+        system = np.where(passive[:, :, None] & passive[:, None, :], gram, eye)
+        rhs[:, :, 0] = np.where(passive, c, 0.0)
         try:
             sol = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:
-            return None
-        vif = np.abs(system.diagonal() * sol.diagonal(1))
-        if not vif.max() <= MAX_VIF:  # also catches NaN
-            return None
-        return sol[:, 0]
+            sol = np.full(rhs.shape, np.nan)
+            for i in range(n):
+                try:
+                    sol[i] = np.linalg.solve(system[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    pass  # left NaN, so its variance inflation fails below
+        vif = np.abs(np.diagonal(system, axis1=1, axis2=2)
+                     * np.diagonal(sol, offset=1, axis1=1, axis2=2))
+        independent = vif.max(axis=1) <= MAX_VIF  # also rejects NaN
+        if not independent.all():
+            if not (independent | enter).all():
+                raise NoConvergence("passive columns became numerically dependent")
+            for i in np.flatnonzero(~independent):
+                # Column t is numerically the passive columns times a
+                # (gram_Pt = gram_PP a). Moving along -a on them and +1 on t
+                # leaves gram @ eta unchanged and lowers the objective until
+                # a passive column reaches zero; that column leaves and t
+                # enters. The next pass solves the new passive set.
+                P = passive[i]
+                P[t[i]] = False
+                a = np.zeros(p)
+                a[P] = np.linalg.solve(gram[i][P][:, P], gram[i][P, t[i]])
+                shrink = P & (a > 0.0)
+                if not shrink.any():
+                    raise NoConvergence("objective unbounded along a dependent column")
+                ratio = np.full(p, np.inf)
+                ratio[shrink] = eta[i, shrink] / a[shrink]
+                out = int(np.argmin(ratio))
+                eta[i] = np.maximum(eta[i] - ratio[out] * a, 0.0)
+                eta[i, out], eta[i, t[i]] = 0.0, ratio[out]
+                passive[i] = (P & (eta[i] > 0.0)) | (np.arange(p) == t[i])
 
-    passive = np.zeros(p, dtype=bool) if support is None else np.asarray(support, bool) & usable
-    eta = stationary(passive) if passive.any() else None
-    if eta is None:
-        passive[:] = False
-        eta = np.zeros(p)
-    while np.any(eta[passive] <= 0.0):  # warm start: keep the positive part
-        passive &= eta > 0.0
-        eta = stationary(passive)
-
-    for _ in range(NNLS_MAX_ITER):
-        w = c - gram @ eta
-        bound = NNLS_TOL * (np.abs(c) + abs_gram @ eta)
-        free = usable & ~passive & (w > bound)
-        if not free.any():
-            if not np.all(np.abs(w[passive]) <= bound[passive]):
-                raise NoConvergence("active-set solution fails the KKT conditions")
-            return eta
-        t = int(np.argmax(np.where(free, w, -np.inf)))
-        passive[t] = True
-        s = stationary(passive)
-        if s is None:
-            # Column t is numerically the passive columns times a
-            # (gram_Pt = gram_PP a). Moving along -a on them and +1 on t
-            # leaves gram @ eta unchanged and lowers the objective until a
-            # passive column reaches zero; that column leaves and t enters.
-            passive[t] = False
-            a = np.zeros(p)
-            a[passive] = np.linalg.solve(gram[passive][:, passive], gram[passive, t])
-            shrink = passive & (a > 0.0)
-            if not shrink.any():
-                raise NoConvergence("objective unbounded along a dependent column")
-            ratio = np.full(p, np.inf)
-            ratio[shrink] = eta[shrink] / a[shrink]
-            out = int(np.argmin(ratio))
-            eta = np.maximum(eta - ratio[out] * a, 0.0)
-            eta[out], eta[t] = 0.0, ratio[out]
-            passive = (passive & (eta > 0.0)) | (np.arange(p) == t)
-            s = stationary(passive)
-        while s is not None and np.any(s[passive] <= 0.0):
+        s = sol[:, :, 0]
+        neg = passive & (s <= 0.0)
+        infeasible = neg.any(axis=1)
+        current = independent & ~infeasible
+        eta = np.where(current[:, None], s, eta)
+        if infeasible.any():
             # Step from eta toward s until the first passive column hits zero.
-            neg = passive & (s <= 0.0)
-            steps = eta[neg] / np.maximum(eta[neg] - s[neg], np.finfo(float).tiny)
-            eta = eta + steps.min() * (s - eta)
-            eta[np.flatnonzero(neg)[np.argmin(steps)]] = 0.0
-            passive &= eta > 0.0
-            s = stationary(passive)
-        if s is None:
-            raise NoConvergence("passive columns became numerically dependent")
-        eta = s
-    raise NoConvergence(f"active set: no convergence in {NNLS_MAX_ITER} iterations")
+            back = np.flatnonzero(independent & infeasible)
+            e, s, neg = eta[back], s[back], neg[back]
+            steps = np.full(e.shape, np.inf)
+            steps[neg] = e[neg] / np.maximum(e[neg] - s[neg], np.finfo(float).tiny)
+            out = np.argmin(steps, axis=1)
+            k = np.arange(len(back))
+            e = e + steps[k, out][:, None] * (s - e)
+            e[k, out] = 0.0
+            eta[back] = e
+            passive[back] &= e > 0.0

@@ -11,7 +11,7 @@ from fedcausal.density_ratio import (
     target_moments,
     truncate_weights,
 )
-from fedcausal.errors import EmptySample, ExtremeWeightsWarning
+from fedcausal.errors import EmptySample, ExtremeWeightsWarning, MissingColumns
 from fedcausal.numkit import add_intercept, newton_solve
 
 
@@ -112,7 +112,7 @@ def test_solve_tilt_input_validation():
     with pytest.raises(EmptySample):
         solve_tilt(V[:2], summary)
     bad = MomentSummary(np.zeros(7))
-    with pytest.raises(ValueError):
+    with pytest.raises(MissingColumns, match="7 basis entries"):
         solve_tilt(V, bad)
 
 

@@ -11,16 +11,19 @@ from scipy import stats
 from fedcausal import federation
 from fedcausal.errors import MissingTarget, ZeroVariance
 from fedcausal.federation import (
+    ADAPTIVE_METHODS,
     ALPHA,
     LAMBDA_GRID,
     _cross_products,
     _cv_systems,
-    _squared_error,
     _stacked_system,
     combine_fixed,
     cross_validate_lambda,
     global_estimate,
 )
+from fedcausal.fedruntime import run_round, run_sites
+from fedcausal.numkit import nnls_coordinate_descent
+from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
 from fedcausal.site_estimator import CV_SPLITS, OwnSummary, SiteEstimate, split_masks
 
 
@@ -157,6 +160,71 @@ def test_cross_validate_lambda_checks_split_count():
     estimates[1] = dataclasses.replace(estimates[1], own=short)
     with pytest.raises(ValueError):
         cross_validate_lambda(estimates)
+
+
+def _squared_error(products, eta):
+    """||r - G eta||^2 from cross-products: r'r - 2 eta'G'r + eta'G'G eta."""
+    gram, gtr, rtr = products
+    return rtr - 2.0 * float(eta @ gtr) + float(eta @ gram @ eta)
+
+
+def _reference_cross_validation(estimates, seed):
+    """The loop that ``cross_validate_lambda`` batches: one solve and one score
+    per (split, penalty) pair, then the one-standard-error choice and the
+    refit. Returns the penalty, the site weights and the mean CV errors."""
+    r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
+    whole = _cross_products(G_T, r_T, own_sq)
+    errors = np.zeros((CV_SPLITS, len(LAMBDA_GRID)))
+    halves = _cv_systems(estimates, r_T, G_T, whole, seed)
+    for s, ((gram_fit, gtr_fit, _), val) in enumerate(halves):
+        for j, lam in enumerate(LAMBDA_GRID):
+            eta_src = nnls_coordinate_descent(gram_fit, gtr_fit, lam * arm_shift_sq)
+            errors[s, j] = _squared_error(val, eta_src)
+    mean_err = errors.mean(axis=0)
+    se_err = errors.std(axis=0, ddof=1) / math.sqrt(CV_SPLITS)
+    min_j = int(np.argmin(mean_err))
+    lam = LAMBDA_GRID[np.flatnonzero(mean_err <= mean_err[min_j] + se_err[min_j])[-1]]
+    eta_src = nnls_coordinate_descent(whole[0], whole[1], lam * arm_shift_sq)
+    total = eta_src.sum()
+    if total > 1.0:
+        eta_src = eta_src / total
+        total = 1.0
+    return lam, np.concatenate(([1.0 - total], eta_src)), mean_err
+
+
+@pytest.mark.parametrize("preset", ["c1", "c0", "mismatch"])
+def test_cross_validate_lambda_matches_the_per_split_loop(preset):
+    scenario = load_scenario(preset)
+    for rep in range(3):
+        frames = replication_frames(scenario, 17, rep)
+        for method in ADAPTIVE_METHODS:
+            config = method_config(method, scenario, seed=rep_config_seed(17, rep))
+            estimates = run_sites(frames, config).estimates
+            assert len(estimates) > 2
+            solution = cross_validate_lambda(estimates, seed=config.seed)
+            lam, eta, mean_err = _reference_cross_validation(estimates, config.seed)
+            assert solution.lambda_ == lam
+            assert np.array_equal(solution.eta, eta)
+            assert np.allclose(solution.cv_trace["mean_validation_error"], mean_err,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_an_adaptive_round_makes_two_solver_calls(monkeypatch):
+    # One batched call fits every (split, penalty) pair; the second refits.
+    shapes = []
+
+    def counted(*args):
+        eta = nnls_coordinate_descent(*args)
+        shapes.append(eta.shape)
+        return eta
+
+    monkeypatch.setattr(federation, "nnls_coordinate_descent", counted)
+    scenario = load_scenario("c1")
+    frames = replication_frames(scenario, 17, 0)
+    report = run_round(frames, method_config("aipw_l1", scenario, seed=rep_config_seed(17, 0)))
+    K = len(frames) - 1
+    assert report.diagnostics["n_sources_used"] == K
+    assert shapes == [(CV_SPLITS, len(LAMBDA_GRID), K), (K,)]
 
 
 def test_adaptive_ensemble_target_alone():

@@ -207,6 +207,19 @@ def test_a_map_that_does_not_fit_a_source_fails_that_source():
         assert [site["site_id"] for site in report.per_site] == ["site0"]
 
 
+def test_a_source_sharing_fewer_covariates_fails_that_source():
+    # The target shares two covariates; site2 shares one, so its basis is
+    # shorter than the target's moment summary.
+    frames = _make_frames(seed=6)
+    frames[2] = dataclasses.replace(frames[2], shared_cols=(0,))
+    report = run_round(frames, _config("ivw"))
+    failed = report.diagnostics["failed_sources"]
+    assert list(failed) == ["site2"]
+    assert failed["site2"].startswith("MissingColumns: target summary has 3 basis entries")
+    assert [site["site_id"] for site in report.per_site] == ["site0", "site1"]
+    assert np.isfinite(report.delta_hat)
+
+
 def test_target_group_stays_with_the_coordinator():
     # The target's candidates differ from the sources'. The target fits its
     # own group, the sources theirs, and the broadcast carries the sources'
