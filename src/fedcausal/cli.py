@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import FedcausalError, ScenarioError
 from .federation import ALPHA, LAMBDA_GRID
-from .fedruntime import METHODS, ProtocolConfig, audit_ledger, dump_ledger, run_round
+from .fedruntime import METHODS, ProtocolConfig, _is_count, audit_ledger, dump_ledger, run_round
 from .nuisance import FeatureMap
 from .simbench import (
     load_scenario,
@@ -51,7 +51,7 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-_parse_seed = _checked(int, lambda v: v >= 0, "seed must be >= 0")
+_parse_seed = _checked(int, _is_count, "seed must be in [0, 2**53)")
 _parse_reps = _checked(int, lambda v: v >= 1, "reps must be >= 1")
 _parse_methods = _checked(
     lambda text: tuple(m.strip() for m in text.split(",") if m.strip()),

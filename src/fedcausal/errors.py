@@ -41,6 +41,10 @@ class ZeroVariance(FedcausalError):
     """Inverse-variance weighting needs strictly positive site variances."""
 
 
+class TooManySources(FedcausalError):
+    """An adaptive round got more than ``federation.MAX_SOURCES`` sources."""
+
+
 class MissingColumns(FedcausalError):
     """A site's covariates do not fit what a round asks of them: a candidate
     feature map reads columns the site does not hold, or the site shares a

@@ -2,8 +2,8 @@
 
 Fixed weighting schemes (target-only, sample-size, inverse-variance), adaptive
 nonnegative weights from a penalized regression of influence values with
-cross-validated penalty (every split and penalty fit in one batched solve,
-then one refit), and the influence-based variance and confidence
+cross-validated penalty (every split and penalty fit, and the refit on all
+rows, in one batched solve), and the influence-based variance and confidence
 interval of the combined effect estimate. Every function here takes the site
 estimates target first, as :func:`fedcausal.fedruntime.run_sites` lists them,
 and returns the site weights eta in that order. Every variance here is a sum of
@@ -20,17 +20,20 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import MissingTarget, ZeroVariance
+from .errors import MissingTarget, TooManySources, ZeroVariance
 from .numkit import nnls_coordinate_descent
 from .site_estimator import CV_SPLITS, SiteEstimate, split_masks
 
 # The weighting methods: fixed schemes, and the adaptive penalized ensembles
 # whose penalty is cross-validated over the protocol's fixed grid. Every
 # interval is at the protocol's level ALPHA; a report's variance gives any other.
+# An adaptive round takes at most MAX_SOURCES sources: its weight solve
+# enumerates every subset of them, so its cost doubles with each.
 FIXED_SCHEMES = ("target", "ss", "ivw")
 ADAPTIVE_METHODS = ("aipw_l1", "mr_l1")
 LAMBDA_GRID = (0.0, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 ALPHA = 0.05
+MAX_SOURCES = 10
 
 
 @dataclass(frozen=True)
@@ -192,30 +195,36 @@ def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> Ensem
     Each site splits its own units (:func:`_cv_systems`). Weights are fit on
     one half and scored by the unpenalized objective ||r - G eta||^2 on the
     other, both from K x K cross-products of the stacked system built once
-    here: every (split, penalty) fit is one problem of a single batched
-    solve, and every score comes from the validation half's cross-products.
+    here: every (split, penalty) fit and every penalty's refit on all rows
+    is one problem of a single batched solve, and every score comes from the
+    validation half's cross-products.
     The selected value is the largest penalty whose mean validation error
     sits within one standard error of the minimum, which stabilizes the
     weights when the error curve is nearly flat. The final weights are refit
     on all rows at the chosen value; if the source weights sum above one they
     are scaled to sum to one, and the target takes the remainder.
+    More than ``MAX_SOURCES`` sources raise :class:`TooManySources`.
     """
+    if len(estimates) - 1 > MAX_SOURCES:
+        raise TooManySources(f"adaptive weights take at most {MAX_SOURCES} sources, "
+                             f"got {len(estimates) - 1}")
     r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
     whole = _cross_products(G_T, r_T, own_sq)
     fits, vals = zip(*_cv_systems(estimates, r_T, G_T, whole, seed))
-    gram_fit, gtr_fit, _ = map(np.array, zip(*fits))
+    gram, gtr, _ = map(np.array, zip(*fits, whole))  # the fit halves, then all rows
     gram_val, gtr_val, rtr_val = map(np.array, zip(*vals))
     penalties = np.array(LAMBDA_GRID)[:, None] * arm_shift_sq
-    # (split, penalty, source) weights; the score is r'r - 2 eta'G'r + eta'G'G eta.
-    eta_cv = nnls_coordinate_descent(gram_fit[:, None], gtr_fit[:, None], penalties)
+    # (split or all rows, penalty, source) weights; the score is
+    # r'r - 2 eta'G'r + eta'G'G eta.
+    eta = nnls_coordinate_descent(gram, gtr, penalties)
+    eta_cv = eta[:-1]
     errors = (rtr_val[:, None] - 2.0 * np.einsum("slk,sk->sl", eta_cv, gtr_val)
               + np.einsum("slj,sjk,slk->sl", eta_cv, gram_val, eta_cv))
     mean_err = errors.mean(axis=0)
     se_err = errors.std(axis=0, ddof=1) / math.sqrt(CV_SPLITS)
     min_j = int(np.argmin(mean_err))
     best_j = np.flatnonzero(mean_err <= mean_err[min_j] + se_err[min_j])[-1]
-    gram, gtr, _ = whole
-    eta_src = nnls_coordinate_descent(gram, gtr, penalties[best_j])
+    eta_src = eta[-1, best_j]
     total = eta_src.sum()
     if total > 1.0:
         eta_src = eta_src / total

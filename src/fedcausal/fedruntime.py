@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 import zlib
 from dataclasses import dataclass, field
@@ -54,17 +55,18 @@ from .site_estimator import (
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 
 # Declared shape of every payload key each message kind may carry: a scalar
-# ("count", "number"), "maps" (a list of candidate feature maps), "[dim]" (a
-# flat numeric list whose length is the protocol dimension ``dim``), or an
-# object of fixed keys, so no payload has a free-text key. The basis
-# dimension is the length of the moment summaries' ``mean_basis``, 1 + the
-# shared covariates, which is also the length of a source's one
-# target-influence vector (``target_coef``); a source upload carries its two
-# finished arm means and sums its squared contributions once over all its
-# units (``own_sq``) and once per fit half of the protocol's fixed
-# ``CV_SPLITS`` (``fit_sq``). No dimension depends on a site's sample size,
-# so no per-unit values pass the audit, and no payload names its sender: the
-# ledger's ``from_site`` does.
+# ("count", an int that a JSON double holds exactly, in [0, 2**53), or
+# "number", a finite float), "maps" (a list of candidate feature maps),
+# "[dim]" (a flat list of finite floats whose length is the protocol
+# dimension ``dim``), or an object of fixed keys, so no payload has a
+# free-text key. The basis dimension is the length of the moment summaries'
+# ``mean_basis``, 1 + the shared covariates, which is also the length of a
+# source's one target-influence vector (``target_coef``); a source upload
+# carries its two finished arm means and sums its squared contributions once
+# over all its units (``own_sq``) and once per fit half of the protocol's
+# fixed ``CV_SPLITS`` (``fit_sq``). No dimension depends on a site's sample
+# size, so no per-unit values pass the audit, and no payload names its
+# sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
     "config": {"seed": "count", "candidates": {"treatment": "maps", "outcome": "maps"}},
     "moment_summary": {"mean_basis": "[basis]"},
@@ -76,13 +78,14 @@ _SCHEMAS = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, float) and math.isfinite(value)
 
 
-_SCALARS = {
-    "count": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": _is_number,
-}
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**53
+
+
+_SCALARS = {"count": _is_count, "number": _is_number}
 
 
 def _sha256(text: str) -> str:
@@ -140,6 +143,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if not _is_count(self.seed):
+            raise ValueError(f"seed must be an int in [0, 2**53), got {self.seed!r}")
         if {role: set(group) for role, group in self.candidates.items()} != {
                 "target": {"treatment", "outcome"}, "source": {"treatment", "outcome"}}:
             raise ValueError('candidates must be {"target", "source"} groups of '
@@ -321,7 +326,7 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
             raise PrivacyViolation(f"{where} is not a list of candidate feature maps")
     elif spec.startswith("["):
         if not (isinstance(value, list) and all(map(_is_number, value))):
-            raise PrivacyViolation(f"{where} is not a flat numeric list")
+            raise PrivacyViolation(f"{where} is not a flat list of finite numbers")
         size = dims.get(spec[1:-1])
         if len(value) != size:
             raise PrivacyViolation(

@@ -1,10 +1,10 @@
 """Dense numerical primitives used by the statistical modules.
 
 Linear least squares, logistic regression via iteratively reweighted least
-squares (IRLS), a damped Newton root finder, and an exact active-set solver for
-nonnegative penalized least squares on cross-products, which solves a batch
-of such problems in one call. All routines are
-deterministic pure functions of their inputs; systems are solved by
+squares (IRLS), a damped Newton root finder, and an exact solver for
+nonnegative penalized least squares on cross-products by enumeration of the
+supports, which solves a batch of such problems in one call. All routines
+are deterministic pure functions of their inputs; systems are solved by
 factorization, never by multiplying with an inverse. Tolerances and
 iteration caps are module constants, named in each solver's docstring.
 """
@@ -36,7 +36,6 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 200
 MAX_HALVINGS = 30
 NNLS_TOL = 1e-10
-NNLS_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -199,32 +198,31 @@ def nnls_coordinate_descent(
     """Minimize ``||r - G eta||^2 + sum_k penalties[k] * eta[k]`` over eta >= 0,
     given only the cross-products ``gram = G'G`` and ``gtr = G'r``.
 
-    Solves a batch of problems in one call: ``gram`` is (..., p, p), ``gtr``
-    and ``penalties`` are (..., p), and the three broadcast against each
-    other to the batch shape of the returned eta (..., p).
+    ``gram`` (..., p, p) and ``gtr`` (..., p) broadcast to a batch of Gram
+    systems, each solved for every row of ``penalties`` (L, p): eta is
+    (..., L, p), or (..., p) for one (p,) row.
 
-    Exact Lawson-Hanson active-set solve in Gram form (Bro and De Jong's fast
-    NNLS), run on all problems in lockstep: columns enter each problem's
-    passive set by largest gradient, the stationary points of all passive
-    sets are solved in one stacked solve, and a step back to the feasible
-    region drops columns that turn nonpositive. Columns with a zero
-    Gram diagonal get ``eta_k = 0``. A column whose variance inflation on the
-    passive set would exceed ``MAX_VIF`` counts as dependent on it and enters
-    by exchange along the null direction instead of through a singular solve.
-    Each problem follows the same steps as when solved alone, and its result
-    must pass the KKT conditions to relative tolerance ``NNLS_TOL``.
+    Exact by support enumeration: some optimum is the stationary point of a
+    support with independent columns and positive weights (Lawson and Hanson,
+    *Solving Least Squares Problems*, 1974). The systems of all 2^p supports,
+    the identity off the support, are built once per Gram matrix and solved
+    in one stack against ``[c_1 ... c_L | I]``, ``c_l = gtr - penalties[l]/2``.
+    Columns with a zero Gram diagonal get eta_k = 0. A support counts if the
+    variance inflation ``gram_kk * inv(gram_SS)_kk`` read off the ``I`` block
+    is at most ``MAX_VIF`` and its weights are positive. The least objective,
+    ``-c'eta`` at a stationary point, wins (eta = 0 always counts) and must
+    pass the KKT conditions to relative tolerance ``NNLS_TOL``. The cost
+    doubles with each column.
 
-    The name predates the active-set method; it is kept because the
-    benchmark's tracer (``perfbench/tracing.py``) finds the weight solver by
-    it.
+    The name predates the enumeration; it is kept because the benchmark's
+    tracer (``perfbench/tracing.py``) finds the weight solver by it.
 
     Raises
     ------
     ValueError
         On mismatched shapes, non-finite input or negative penalties.
     NoConvergence
-        If some problem's ``NNLS_MAX_ITER`` passive-set changes do not reach
-        the KKT conditions, or its final point fails them.
+        If some result fails the KKT conditions.
     """
     gram = np.asarray(gram, dtype=float)
     gtr = np.asarray(gtr, dtype=float)
@@ -232,105 +230,48 @@ def nnls_coordinate_descent(
     p = gtr.shape[-1] if gtr.ndim else -1
     if gram.shape[-2:] != (p, p):
         raise ValueError(f"need a ... x p x p gram and ... x p gtr, got {gram.shape} and {gtr.shape}")
-    if penalties.shape[-1:] != (p,):
-        raise ValueError("penalties length must equal the number of columns")
-    batch = np.broadcast_shapes(gram.shape[:-2], gtr.shape[:-1], penalties.shape[:-1])
+    if penalties.ndim not in (1, 2) or penalties.shape[-1] != p:
+        raise ValueError("penalties must be (L, p) or (p,), one per column")
+    batch = np.broadcast_shapes(gram.shape[:-2], gtr.shape[:-1])
     if not (np.isfinite(gram).all() and np.isfinite(gtr).all() and np.isfinite(penalties).all()):
         raise ValueError("gram, gtr and penalties must be finite")
     if (penalties < 0).any():
         raise ValueError("penalties must be nonnegative")
 
-    # Problems are rows. The objective is eta'gram eta - 2 c'eta; half its
-    # negative gradient is w = c - gram @ eta.
-    n = math.prod(batch)
+    # Problems are (Gram matrix i, penalty row l). Supports are rows s of `on`,
+    # bit k of s holding column k, so s = 0 is eta = 0; a support drops its
+    # zero-diagonal columns, which makes it a copy of a smaller one.
+    n, L = math.prod(batch), math.prod(penalties.shape[:-1])
     gram = np.broadcast_to(gram, batch + (p, p)).reshape(n, p, p)
-    c = np.broadcast_to(gtr - 0.5 * penalties, batch + (p,)).reshape(n, p)
+    c = np.broadcast_to(gtr, batch + (p,)).reshape(n, 1, p) - 0.5 * penalties.reshape(L, p)
     usable = np.diagonal(gram, axis1=1, axis2=2) > 0.0
-    both = np.concatenate((gram, np.abs(gram)), axis=1)  # gram @ eta, |gram| @ eta
-    abs_c = np.abs(c)
-    eye = np.eye(p)
-    # Off the passive set the system is the identity, so one p x p solve of
-    # [c | I] gives the stationary point and the passive columns' variance
-    # inflation gram_kk * inv(gram_PP)_kk.
-    rhs = np.zeros((n, p, p + 1))
-    rhs[:, :, 1:] = eye
-    eta = np.zeros((n, p))
-    passive = np.zeros((n, p), dtype=bool)
-    entries = np.zeros(n, dtype=int)
-    # A problem is current when eta is its passive set's stationary point. A
-    # finished problem stays current and is solved again on each pass, to the
-    # same point, so the stack needs no bookkeeping of finished rows.
-    current = np.ones(n, dtype=bool)
+    on = ((np.arange(2**p)[:, None] >> np.arange(p)) & 1 == 1) & usable[:, None, :]
+    system = np.where(on[..., :, None] & on[..., None, :], gram[:, None], np.eye(p))
+    rhs = np.concatenate((c.transpose(0, 2, 1), np.broadcast_to(np.eye(p), (n, p, p))), axis=2)
+    # np.linalg.solve fails a whole stack for one singular system; such a
+    # stack is solved one at a time.
+    try:
+        sol = np.linalg.solve(system, rhs[:, None])
+    except np.linalg.LinAlgError:
+        sol = np.full(system.shape[:-1] + (L + p,), np.nan)
+        for i in np.ndindex(system.shape[:2]):
+            try:
+                sol[i] = np.linalg.solve(system[i], rhs[i[0]])
+            except np.linalg.LinAlgError:
+                pass  # left NaN, so its variance inflation fails below
+    vif = np.abs(np.diagonal(system, axis1=2, axis2=3)
+                 * np.diagonal(sol[..., L:], axis1=2, axis2=3))
+    independent = (vif <= MAX_VIF).all(axis=2)  # also rejects NaN
+    eta = np.where(on[:, :, None, :], sol[..., :L].transpose(0, 1, 3, 2), 0.0)
+    counted = independent[:, :, None] & ((eta > 0.0) | ~on[:, :, None, :]).all(axis=3)
+    objective = np.where(counted, -np.einsum("nlk,nslk->nsl", c, eta), np.inf)
+    eta = np.take_along_axis(eta, np.argmin(objective, axis=1)[:, None, :, None], axis=1)[:, 0]
 
-    while True:
-        products = both @ eta[:, :, None]
-        w = c - products[:, :p, 0]
-        bound = NNLS_TOL * (abs_c + products[:, p:, 0])
-        free = current[:, None] & usable & ~passive & (w > bound)
-        enter = free.any(axis=1)
-        if current.all() and not enter.any():
-            if not np.all(np.abs(w[passive]) <= bound[passive]):
-                raise NoConvergence("active-set solution fails the KKT conditions")
-            return eta.reshape(batch + (p,))
-        entries += enter
-        if entries.max() > NNLS_MAX_ITER:
-            raise NoConvergence(f"active set: no convergence in {NNLS_MAX_ITER} iterations")
-        t = np.argmax(np.where(free, w, -np.inf), axis=1)
-        passive[enter, t[enter]] = True
-
-        # np.linalg.solve fails a whole stack for one singular system; such a
-        # stack is solved one at a time.
-        system = np.where(passive[:, :, None] & passive[:, None, :], gram, eye)
-        rhs[:, :, 0] = np.where(passive, c, 0.0)
-        try:
-            sol = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.full(rhs.shape, np.nan)
-            for i in range(n):
-                try:
-                    sol[i] = np.linalg.solve(system[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    pass  # left NaN, so its variance inflation fails below
-        vif = np.abs(np.diagonal(system, axis1=1, axis2=2)
-                     * np.diagonal(sol, offset=1, axis1=1, axis2=2))
-        independent = vif.max(axis=1) <= MAX_VIF  # also rejects NaN
-        if not independent.all():
-            if not (independent | enter).all():
-                raise NoConvergence("passive columns became numerically dependent")
-            for i in np.flatnonzero(~independent):
-                # Column t is numerically the passive columns times a
-                # (gram_Pt = gram_PP a). Moving along -a on them and +1 on t
-                # leaves gram @ eta unchanged and lowers the objective until
-                # a passive column reaches zero; that column leaves and t
-                # enters. The next pass solves the new passive set.
-                P = passive[i]
-                P[t[i]] = False
-                a = np.zeros(p)
-                a[P] = np.linalg.solve(gram[i][P][:, P], gram[i][P, t[i]])
-                shrink = P & (a > 0.0)
-                if not shrink.any():
-                    raise NoConvergence("objective unbounded along a dependent column")
-                ratio = np.full(p, np.inf)
-                ratio[shrink] = eta[i, shrink] / a[shrink]
-                out = int(np.argmin(ratio))
-                eta[i] = np.maximum(eta[i] - ratio[out] * a, 0.0)
-                eta[i, out], eta[i, t[i]] = 0.0, ratio[out]
-                passive[i] = (P & (eta[i] > 0.0)) | (np.arange(p) == t[i])
-
-        s = sol[:, :, 0]
-        neg = passive & (s <= 0.0)
-        infeasible = neg.any(axis=1)
-        current = independent & ~infeasible
-        eta = np.where(current[:, None], s, eta)
-        if infeasible.any():
-            # Step from eta toward s until the first passive column hits zero.
-            back = np.flatnonzero(independent & infeasible)
-            e, s, neg = eta[back], s[back], neg[back]
-            steps = np.full(e.shape, np.inf)
-            steps[neg] = e[neg] / np.maximum(e[neg] - s[neg], np.finfo(float).tiny)
-            out = np.argmin(steps, axis=1)
-            k = np.arange(len(back))
-            e = e + steps[k, out][:, None] * (s - e)
-            e[k, out] = 0.0
-            eta[back] = e
-            passive[back] &= e > 0.0
+    # KKT: half the negative gradient w = c - gram @ eta is zero on the
+    # support and nonpositive on the other usable columns.
+    w = c - eta @ gram.transpose(0, 2, 1)
+    bound = NNLS_TOL * (np.abs(c) + eta @ np.abs(gram).transpose(0, 2, 1))
+    slack = np.where(eta > 0.0, np.abs(w), np.where(usable[:, None, :], w, -np.inf))
+    if not (slack <= bound).all():  # also rejects NaN
+        raise NoConvergence("support enumeration result fails the KKT conditions")
+    return eta.reshape(batch + penalties.shape)

@@ -17,6 +17,7 @@ import pytest
 from fedcausal import cli
 from fedcausal.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from fedcausal.errors import AllSourcesFailedWarning, TooFewUnits
+from fedcausal.federation import MAX_SOURCES
 from fedcausal.numkit import expit
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed
 
@@ -126,7 +127,7 @@ def _required_args(command, tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
 @pytest.mark.parametrize("flag,value", [
     ("--alpha", "0"), ("--alpha", "1.5"),  # --alpha is not an option at all
-    ("--seed", "-1"),
+    ("--seed", "-1"), ("--seed", str(2**53)),
 ])
 def test_out_of_range_arguments_are_usage_errors(tmp_path, command, flag, value):
     # Rejected while parsing, before any file is read or scenario run.
@@ -299,6 +300,24 @@ def test_estimate_runtime_error(tmp_path, capsys):
             w.writerow([repr(float(rng.standard_normal())), 1,
                         repr(float(rng.standard_normal()))])
     assert main(["estimate", "--target", str(path)]) == EXIT_RUNTIME
+    capsys.readouterr()
+
+
+def test_estimate_adaptive_round_over_too_many_sources_fails(tmp_path, capsys):
+    # An adaptive round takes at most MAX_SOURCES sources; a fixed scheme
+    # over the same files runs.
+    tgt = str(_write_site_csv(tmp_path / "tgt.csv", 0, 150, ["x1", "x2"]))
+    sources = []
+    for k in range(MAX_SOURCES + 1):
+        sources += ["--source", str(_write_site_csv(tmp_path / f"s{k}.csv", k + 1, 150,
+                                                     ["x1", "x2"]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["estimate", "--target", tgt, *sources, "--method", "aipw_l1"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            f"error: adaptive weights take at most {MAX_SOURCES} sources, got 11\n")
+        assert main(["estimate", "--target", tgt, *sources, "--method", "ivw"]) == EXIT_OK
     capsys.readouterr()
 
 

@@ -9,11 +9,12 @@ import pytest
 from scipy import stats
 
 from fedcausal import federation
-from fedcausal.errors import MissingTarget, ZeroVariance
+from fedcausal.errors import MissingTarget, TooManySources, ZeroVariance
 from fedcausal.federation import (
     ADAPTIVE_METHODS,
     ALPHA,
     LAMBDA_GRID,
+    MAX_SOURCES,
     _cross_products,
     _cv_systems,
     _stacked_system,
@@ -209,8 +210,9 @@ def test_cross_validate_lambda_matches_the_per_split_loop(preset):
                                rtol=1e-12, atol=0.0)
 
 
-def test_an_adaptive_round_makes_two_solver_calls(monkeypatch):
-    # One batched call fits every (split, penalty) pair; the second refits.
+def test_an_adaptive_round_makes_one_solver_call(monkeypatch):
+    # One batched call fits every (split, penalty) pair and refits every
+    # penalty on all rows.
     shapes = []
 
     def counted(*args):
@@ -224,7 +226,22 @@ def test_an_adaptive_round_makes_two_solver_calls(monkeypatch):
     report = run_round(frames, method_config("aipw_l1", scenario, seed=rep_config_seed(17, 0)))
     K = len(frames) - 1
     assert report.diagnostics["n_sources_used"] == K
-    assert shapes == [(CV_SPLITS, len(LAMBDA_GRID), K), (K,)]
+    assert shapes == [(CV_SPLITS + 1, len(LAMBDA_GRID), K)]
+
+
+def test_adaptive_weights_take_at_most_max_sources():
+    # The weight solve's cost doubles with each source, so an adaptive round
+    # over more than MAX_SOURCES sources fails; fixed schemes still combine.
+    rng = np.random.default_rng(8)
+    estimates = [_target_estimate(rng)] + [
+        _source_estimate(rng, f"s{k}") for k in range(MAX_SOURCES + 1)]
+    with pytest.raises(TooManySources, match=f"at most {MAX_SOURCES} sources, got 11"):
+        cross_validate_lambda(estimates)
+    sol = combine_fixed(estimates, "ivw")
+    assert sol.eta.shape == (MAX_SOURCES + 2,)
+    assert math.isclose(sol.eta.sum(), 1.0)
+    # At the limit the adaptive weights are still solved.
+    assert len(cross_validate_lambda(estimates[:-1]).eta) == MAX_SOURCES + 1
 
 
 def test_adaptive_ensemble_target_alone():

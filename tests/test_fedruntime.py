@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
@@ -323,6 +324,33 @@ def test_audit_rejects_per_unit_arrays():
     audit_ledger(report)
 
 
+_SCALAR_TAMPERS = {
+    "mu0_nan": ("site_estimate", lambda p: p.update(mu0=math.nan)),
+    "mu0_infinity": ("site_estimate", lambda p: p.update(mu0=math.inf)),
+    "target_coef_nan": ("site_estimate",
+                        lambda p: p.update(target_coef=[math.nan] + p["target_coef"][1:])),
+    "n_k_negative": ("site_estimate", lambda p: p.update(n_k=-5)),
+    "n_k_huge": ("site_estimate", lambda p: p.update(n_k=10**300)),
+    "seed_negative": ("config", lambda p: p.update(seed=-1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_TAMPERS))
+def test_audit_bounds_scalar_values(name):
+    # A number is a finite float (NaN and Infinity are not JSON) and a count
+    # an int in [0, 2**53), so no scalar can pack a column of a site's data
+    # into one huge integer.
+    kind, tamper = _SCALAR_TAMPERS[name]
+    report = run_round(_make_frames(), _config("mr_l1"))
+    audit_ledger(report)
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger) if r.kind == kind)
+    payload = json.loads(rec.payload_text)
+    tamper(payload)
+    report.privacy_ledger[pos] = _relogged(rec, payload)
+    with pytest.raises(PrivacyViolation, match="is not a"):
+        audit_ledger(report)
+
+
 def test_audit_rejects_a_config_carrying_per_unit_values():
     # The penalty grid is the coordinator's own setting; a broadcast carrying
     # one "grid" value per target unit is per-unit data and must not pass.
@@ -488,6 +516,11 @@ def test_protocol_config_round_trip():
                                                   "outcome": [{"kind": "raw"}]}}
     with pytest.raises(ValueError):
         _config("bootstrap")
+    # The seed is a count, as the audit requires of the broadcast.
+    assert _config(seed=2**53 - 1).seed == 2**53 - 1
+    for seed in (-1, 2**53, True, 1.0):
+        with pytest.raises(ValueError, match="seed"):
+            _config(seed=seed)
     # The candidates are exactly one group per role, each of two model lists.
     group = _group(FeatureMap("raw"))
     for candidates in ({"site0": group}, {"target": group},

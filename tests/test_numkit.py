@@ -237,13 +237,24 @@ def test_nnls_rejects_non_finite_input():
             nnls_coordinate_descent(g, gtr, penalties)
 
 
-def test_nnls_dependent_column_enters_by_exchange():
-    # Column 0 is half of column 1. Column 1 enters first; column 0, with a
-    # smaller penalty, must then replace it along the null direction.
+def test_nnls_cheaper_of_two_dependent_columns_takes_the_weight():
+    # Column 0 is half of column 1, so both fit r equally well; column 0,
+    # with the smaller penalty, must take all the weight.
     G = np.array([[1.0, 2.0]])
     r = np.array([1.0])
     eta = nnls_coordinate_descent(G.T @ G, G.T @ r, np.array([0.0, 1.0]))
     assert np.allclose(eta, [1.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+def test_nnls_nearly_dependent_pair_is_not_a_support():
+    # The columns agree to 1e-6, so their two-column system has variance
+    # inflation ~1e12 > MAX_VIF, and its stationary point, whose weights the
+    # rounding error moves by ~1e-3, is not taken: one column carries r.
+    G = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6]])
+    r = G @ np.ones(2)
+    eta = nnls_coordinate_descent(G.T @ G, G.T @ r, np.zeros(2))
+    assert np.count_nonzero(eta) == 1
+    assert np.isclose(eta.sum(), 2.0, rtol=1e-6)
 
 
 @st.composite
@@ -285,19 +296,20 @@ def test_nnls_gram_kkt_and_zero_columns(problem):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 8).flatmap(lambda K: st.lists(_gram_problems(K), min_size=1, max_size=6)))
 def test_nnls_batch_matches_one_at_a_time(problems):
+    # Every problem's Gram matrix against every problem's penalty row.
     gram, gtr, penalties = (np.stack(parts) for parts in zip(*problems))
     eta = nnls_coordinate_descent(gram, gtr, penalties)
-    assert eta.shape == gtr.shape
-    for row, problem in zip(eta, problems):
-        assert np.array_equal(row, nnls_coordinate_descent(*problem))
+    assert eta.shape == (len(problems),) + penalties.shape
+    for i, j in np.ndindex(eta.shape[:2]):
+        assert np.array_equal(eta[i, j], nnls_coordinate_descent(gram[i], gtr[i], penalties[j]))
 
 
 def test_nnls_batch_with_exchange_and_singular_problems():
-    # Column 0 is (nearly) half of column 1 in rows 0 and 1, and carries no
-    # penalty: column 1 enters first and column 0 must replace it by
-    # exchange. Row 0's two-column system solves with variance inflation
-    # ~1e15; row 1's is exactly singular, which fails np.linalg.solve for the
-    # whole stack. Rows 2 and 3 are regular.
+    # Column 0 is (nearly) half of column 1 in problems 0 and 1; under the
+    # penalty rows that spare it, it takes the weight from column 1. Problem
+    # 0's two-column system solves with variance inflation ~1e15; problem
+    # 1's is exactly singular, which fails np.linalg.solve for the whole
+    # stack. Problems 2 and 3 are regular.
     rng = np.random.default_rng(12)
     designs = [np.array([[1.0, 2.0], [1.0, 2.0 + 1e-7]]), np.array([[1.0, 2.0]]),
                rng.standard_normal((6, 2)), rng.standard_normal((6, 2))]
@@ -306,12 +318,14 @@ def test_nnls_batch_with_exchange_and_singular_problems():
     gtr = np.stack([X.T @ y for X, y in zip(designs, responses)])
     penalties = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.5, 2.0]])
     eta = nnls_coordinate_descent(gram, gtr, penalties)
-    for i in range(len(designs)):
-        assert np.array_equal(eta[i], nnls_coordinate_descent(gram[i], gtr[i], penalties[i]))
-    assert np.allclose(eta[:2], [[1.0, 0.0], [1.0, 0.0]], rtol=0.0, atol=1e-6)
+    assert eta.shape == (4, 4, 2)
+    for i, j in np.ndindex(eta.shape[:2]):
+        assert np.array_equal(eta[i, j], nnls_coordinate_descent(gram[i], gtr[i], penalties[j]))
+    assert np.allclose(eta[:2, :2], [[1.0, 0.0]], rtol=0.0, atol=1e-6)
 
-    # One system broadcast against every penalty row.
-    shared = nnls_coordinate_descent(gram[2], gtr[2], penalties)
-    assert shared.shape == (4, 2)
-    for j in range(4):
-        assert np.array_equal(shared[j], nnls_coordinate_descent(gram[2], gtr[2], penalties[j]))
+    # One Gram matrix against every penalty row, and a batch of Gram
+    # matrices broadcast against one gtr.
+    assert np.array_equal(nnls_coordinate_descent(gram[2], gtr[2], penalties), eta[2])
+    shared = nnls_coordinate_descent(gram, gtr[2], penalties)
+    for i, j in np.ndindex(shared.shape[:2]):
+        assert np.array_equal(shared[i, j], nnls_coordinate_descent(gram[i], gtr[2], penalties[j]))
