@@ -66,11 +66,12 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
     """Solve the moment-matching equation for the tilt coefficients.
 
     The residual is the target basis mean minus the tilt-weighted source basis
-    mean; the Newton solve starts at gamma = 0, the no-shift reference point,
-    and stops at a residual norm of ``numkit.NEWTON_TOL``. The weighted basis
-    psi * exp(-psi gamma) is computed once per trial gamma: the Newton solver
-    asks for the Jacobian only at the point whose residual it accepted last,
-    and the reported residual norm, weights and Jacobian are those of the
+    mean, ``tgt - psi' zeta / n`` with zeta = exp(-psi gamma); the Newton solve
+    starts at gamma = 0, the no-shift reference point, and stops at a residual
+    norm of ``numkit.NEWTON_TOL``. The weights are computed once per trial
+    gamma, and the weighted basis psi * zeta only for the Jacobian, which the
+    Newton solver asks for only at the point whose residual it accepted last;
+    the reported residual norm, weights and Jacobian are those of the
     returned gamma.
     """
     psi = add_intercept(source_V)
@@ -82,19 +83,17 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
                              f"entries, the source's shared covariates give {d}")
     tgt = np.asarray(target_summary.mean_basis, dtype=float)
 
-    last = {}  # the last trial gamma, its weights, weighted basis and residual
+    last = {}  # the last trial gamma, its weights and residual
 
     def residual(gamma):
         if not np.array_equal(last.get("gamma"), gamma):
             weights = np.exp(-psi @ gamma)
-            weighted = psi * weights[:, None]
-            last.update(gamma=gamma, weights=weights, weighted=weighted,
-                        r=tgt - weighted.mean(axis=0))
+            last.update(gamma=gamma, weights=weights, r=tgt - psi.T @ weights / n_k)
         return last["r"]
 
     def jacobian(gamma):
         residual(gamma)
-        return last["weighted"].T @ psi / n_k
+        return (psi * last["weights"][:, None]).T @ psi / n_k
 
     gamma = newton_solve(residual, jacobian, np.zeros(d))
     B = jacobian(gamma)  # also leaves ``last`` at the returned gamma

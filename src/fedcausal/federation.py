@@ -188,6 +188,14 @@ def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, whole, seed: int):
         yield fit, tuple(all_rows - part for all_rows, part in zip(whole, fit))
 
 
+def check_adaptive_sources(n_sources: int) -> None:
+    """Raise :class:`TooManySources` if an adaptive round has more than
+    ``MAX_SOURCES`` sources to weight."""
+    if n_sources > MAX_SOURCES:
+        raise TooManySources(f"adaptive weights take at most {MAX_SOURCES} sources, "
+                             f"got {n_sources}")
+
+
 def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> EnsembleSolution:
     """Choose the penalty from ``LAMBDA_GRID`` by ``CV_SPLITS`` repeated 50/50
     splits of every site's units.
@@ -203,11 +211,10 @@ def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> Ensem
     weights when the error curve is nearly flat. The final weights are refit
     on all rows at the chosen value; if the source weights sum above one they
     are scaled to sum to one, and the target takes the remainder.
-    More than ``MAX_SOURCES`` sources raise :class:`TooManySources`.
+    More than ``MAX_SOURCES`` sources raise :class:`TooManySources`
+    (:func:`check_adaptive_sources`).
     """
-    if len(estimates) - 1 > MAX_SOURCES:
-        raise TooManySources(f"adaptive weights take at most {MAX_SOURCES} sources, "
-                             f"got {len(estimates) - 1}")
+    check_adaptive_sources(len(estimates) - 1)
     r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
     whole = _cross_products(G_T, r_T, own_sq)
     fits, vals = zip(*_cv_systems(estimates, r_T, G_T, whole, seed))

@@ -38,6 +38,7 @@ from .federation import (
     ADAPTIVE_METHODS,
     FIXED_SCHEMES,
     GlobalReport,
+    check_adaptive_sources,
     combine_fixed,
     cross_validate_lambda,
     global_estimate,
@@ -302,8 +303,12 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
 
     The round is the site phase (:func:`run_sites`) followed by the
     coordinator's combine step (:func:`combine`); sources that fail are
-    listed in the report diagnostics.
+    listed in the report diagnostics. An adaptive round over more than
+    ``federation.MAX_SOURCES`` source frames raises :class:`TooManySources`
+    before any site work.
     """
+    if config.method in ADAPTIVE_METHODS:
+        check_adaptive_sources(sum(f.role == "source" for f in frames))
     return combine(run_sites(frames, config), config)
 
 

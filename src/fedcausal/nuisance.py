@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (CandidateFitWarning, FedcausalError, MissingColumns, PositivityWarning,
                      TooFewUnits)
-from .numkit import add_intercept, bernoulli_loglik, expit, fit_logistic, fit_ols
+from .numkit import add_intercept, bernoulli_loglik, expit, fit_logistic, fit_ols, take_rows
 
 DEFAULT_CLIP = (0.01, 0.99)
 
@@ -161,17 +161,19 @@ def _mix(
     """Shared mixing routine for treatment and outcome candidates.
 
     Fits each candidate on the train split of ``rows``, scores it on the
-    validation split and refits it on all of ``rows``; a candidate that fails
-    either fit gets weight zero. A lone candidate's weight is 1 whatever its
-    score, so it is only fit on all of ``rows``. Returns the weights and the
-    mixture on every unit of the site.
+    validation split and refits it on all of ``rows``; a candidate that
+    fails either fit gets weight zero. A lone candidate's weight is 1
+    whatever its score, so it is only fit on all of ``rows``. Every fit sees
+    the column-major rows :func:`numkit.take_rows` gathers, and a fit on
+    every unit sees the design itself. Returns the weights and the mixture
+    on every unit of the site.
     """
     if not maps:
         raise ValueError("need at least one candidate feature map")
     if len(maps) == 1:
         _train_size(len(rows))  # the size floors hold with or without a split
         design = designs[maps[0]]
-        beta = _fit_or_warn(site_id, maps[0], fit_one, design[rows], y[rows])
+        beta = _fit_or_warn(site_id, maps[0], fit_one, take_rows(design, rows), y[rows])
         if beta is None:
             raise TooFewUnits("all candidates failed to fit")
         return np.ones(1), link(design @ beta)
@@ -182,12 +184,13 @@ def _mix(
     scores, coefficients = [], {}
     for j, fm in enumerate(maps):
         design = designs[fm]
-        train_beta = _fit_or_warn(site_id, fm, fit_one, design[train_idx], y[train_idx])
-        beta = None if train_beta is None else _fit_or_warn(site_id, fm, fit_one,
-                                                            design[rows], y[rows])
+        train_beta = _fit_or_warn(site_id, fm, fit_one, take_rows(design, train_idx),
+                                  y[train_idx])
+        beta = None if train_beta is None else _fit_or_warn(
+            site_id, fm, fit_one, take_rows(design, rows), y[rows])
         if beta is not None:
             coefficients[j] = beta
-            scores.append(log_score(design[val_idx] @ train_beta, y[val_idx]))
+            scores.append(log_score(take_rows(design, val_idx) @ train_beta, y[val_idx]))
     if not coefficients:
         raise TooFewUnits("all candidates failed to fit")
     scores = np.column_stack(scores)

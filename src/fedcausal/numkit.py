@@ -7,6 +7,8 @@ supports, which solves a batch of such problems in one call. All routines
 are deterministic pure functions of their inputs; systems are solved by
 factorization, never by multiplying with an inverse. Tolerances and
 iteration caps are module constants, named in each solver's docstring.
+Designs are column-major: :func:`add_intercept` builds them so and
+:func:`take_rows` gathers their rows so.
 """
 
 from __future__ import annotations
@@ -48,9 +50,25 @@ class LinearFit:
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:
-    """Prepend a constant-one column to a 2-D feature array."""
+    """Prepend a constant-one column to a 2-D feature array.
+
+    The result is column-major, like every design the fits here receive
+    (see :func:`take_rows`): each per-unit product and sum then runs down
+    contiguous columns.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.hstack([np.ones((X.shape[0], 1)), X])
+    design = np.empty((X.shape[0], X.shape[1] + 1), order="F")
+    design[:, 0] = 1.0
+    design[:, 1:] = X
+    return design
+
+
+def take_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of a 2-D design, column-major like :func:`add_intercept`'s;
+    ``X`` itself, not a copy, when ``rows`` is every row in order."""
+    if len(rows) == X.shape[0] and np.array_equal(rows, np.arange(len(rows))):
+        return X
+    return X.T.take(rows, axis=1).T  # a C-order (d, m) gather, transposed
 
 
 def expit(z: np.ndarray) -> np.ndarray:
@@ -63,6 +81,10 @@ def expit(z: np.ndarray) -> np.ndarray:
 
 def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     """Ordinary least squares via an SVD-backed solve.
+
+    ``X`` is (n, d). A (n,) response gives (d,) coefficients; a (n, k)
+    response gives (d, k), column j fitted to ``y[:, j]``, from the one SVD
+    of ``X`` that all k share.
 
     Raises
     ------

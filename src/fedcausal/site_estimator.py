@@ -117,7 +117,7 @@ class OwnSummary:
     @staticmethod
     def of(d: np.ndarray, masks: np.ndarray) -> "OwnSummary":
         sq = d * d
-        return OwnSummary(sq=float(sq.sum()), fit_sq=np.array([sq[m].sum() for m in masks]))
+        return OwnSummary(sq=float(sq.sum()), fit_sq=masks @ sq)
 
 
 @dataclass(frozen=True)
@@ -262,24 +262,24 @@ def source_influence(
     zeta_raw, B = tilt.weights, tilt.jacobian
     zeta, _ = truncate_weights(source.site_id, zeta_raw)
     resid = _ipw_residual(source, fit, f"source {source.site_id}")
-    zeta_psi = psi * zeta_raw[:, None]
-    tau = [fit_ols(psi, fit.m[arm]).coefficients for arm in (0, 1)]
-    h = resid + (fit.m - np.stack([psi @ t for t in tau]))
+    tau = fit_ols(psi, fit.m.T).coefficients  # (d, 2): both arms' projections
+    h = resid + (fit.m - (psi @ tau).T)
     own = zeta * h
     # Derivative of the truncated weight is zero where the cap binds.
     zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
-    A = -(psi * (zeta_d * (h[1] - h[0]))[:, None]).mean(axis=0)
+    A = -psi.T @ (zeta_d * (h[1] - h[0])) / source.n
     try:
         w = np.linalg.solve(B, A)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"tilt Jacobian is singular at source {source.site_id}") from exc
     d = own[1] - own[0]
-    contributions = (d - d.mean() + (zeta_psi - zeta_psi.mean(axis=0)) @ w) / source.n
+    noise = zeta_raw * (psi @ w)  # the moment-equation values zeta * psi, times w
+    contributions = (d - d.mean() + noise - noise.mean()) / source.n
     report = SourceSiteReport(
         n_k=source.n,
-        mu=tuple(float(own[arm].mean() + summary.mean_basis @ tau[arm]) for arm in (0, 1)),
+        mu=tuple(float(own[arm].mean() + summary.mean_basis @ tau[:, arm]) for arm in (0, 1)),
         own=OwnSummary.of(contributions, split_masks(source.n, seed, source.site_id)),
-        target_coef=tau[1] - tau[0] - w,
+        target_coef=tau[:, 1] - tau[:, 0] - w,
     )
     return report, contributions
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcausal import cli
+from fedcausal import cli, fedruntime
 from fedcausal.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from fedcausal.errors import AllSourcesFailedWarning, TooFewUnits
 from fedcausal.federation import MAX_SOURCES
@@ -303,21 +303,27 @@ def test_estimate_runtime_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_estimate_adaptive_round_over_too_many_sources_fails(tmp_path, capsys):
-    # An adaptive round takes at most MAX_SOURCES sources; a fixed scheme
-    # over the same files runs.
+def test_estimate_adaptive_round_over_too_many_sources_fails(monkeypatch, tmp_path, capsys):
+    # An adaptive round takes at most MAX_SOURCES sources, and fails before
+    # any site work; a fixed scheme over the same files runs.
     tgt = str(_write_site_csv(tmp_path / "tgt.csv", 0, 150, ["x1", "x2"]))
     sources = []
     for k in range(MAX_SOURCES + 1):
         sources += ["--source", str(_write_site_csv(tmp_path / f"s{k}.csv", k + 1, 150,
                                                      ["x1", "x2"]))]
+    calls = []
+    for name in ("fit_nuisances", "solve_tilt"):
+        monkeypatch.setattr(fedruntime, name, lambda *args, fn=getattr(fedruntime, name), **kw:
+                            calls.append(fn.__name__) or fn(*args, **kw))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = main(["estimate", "--target", tgt, *sources, "--method", "aipw_l1"])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err == (
             f"error: adaptive weights take at most {MAX_SOURCES} sources, got 11\n")
+        assert calls == []
         assert main(["estimate", "--target", tgt, *sources, "--method", "ivw"]) == EXIT_OK
+        assert len(calls) == 2 * (MAX_SOURCES + 1) + 1
     capsys.readouterr()
 
 

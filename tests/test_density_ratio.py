@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fedcausal import density_ratio
 from fedcausal.density_ratio import (
     MomentSummary,
     solve_tilt,
@@ -73,7 +74,7 @@ def _tilt_with_separate_closures(V, summary):
     psi = add_intercept(V)
 
     def residual(gamma):
-        return summary.mean_basis - (psi * np.exp(-psi @ gamma)[:, None]).mean(axis=0)
+        return summary.mean_basis - psi.T @ np.exp(-psi @ gamma) / len(psi)
 
     def jacobian(gamma):
         return (psi * np.exp(-psi @ gamma)[:, None]).T @ psi / len(psi)
@@ -95,6 +96,22 @@ def test_solve_tilt_equals_separate_residual_and_jacobian():
         assert tilt.residual_norm == residual_norm
         assert np.array_equal(tilt.weights, weights)
         assert np.array_equal(tilt.jacobian, B)
+
+
+def test_tilt_basis_is_column_major(monkeypatch):
+    # The target means and the tilt solve run their per-unit sums down
+    # contiguous columns of psi, whatever the layout of the covariates.
+    bases = []
+
+    def recorded(V):
+        bases.append(add_intercept(V))
+        return bases[-1]
+
+    monkeypatch.setattr(density_ratio, "add_intercept", recorded)
+    V = np.random.default_rng(9).standard_normal((200, 2))
+    assert V.flags.c_contiguous
+    solve_tilt(V, target_moments(V + 0.2))
+    assert len(bases) == 2 and all(psi.flags.f_contiguous for psi in bases)
 
 
 def test_solve_tilt_no_shift_is_near_identity():

@@ -9,7 +9,7 @@ import pytest
 
 from fedcausal import nuisance
 from fedcausal.errors import CandidateFitWarning, MissingColumns, PositivityWarning, TooFewUnits
-from fedcausal.numkit import add_intercept, expit, fit_logistic, fit_ols
+from fedcausal.numkit import add_intercept, expit, fit_logistic, fit_ols, take_rows
 from fedcausal.nuisance import (
     DEFAULT_CLIP,
     FeatureMap,
@@ -165,22 +165,45 @@ def test_lone_candidate_is_fit_once_on_all_units(monkeypatch):
     fm = FeatureMap("subset", (0, 1))
     design = _designs(X, [fm])[fm]
 
-    # The fit sees the rows gathered from the design, as `_mix` passes them:
-    # the design is column-major and its gather row-major, and BLAS rounds
-    # the two layouts differently.
-    every = np.arange(301)
+    # The propensity fit on every unit sees the design itself, and the
+    # outcome fit its column-major gather of the arm's rows.
     logistic_rows = _counted(monkeypatch, "fit_logistic")
     weights, fitted = mix_propensity("s0", {fm: design}, a, [fm], seed=13)
     assert logistic_rows == [301]
     assert np.array_equal(weights, [1.0])
-    assert np.array_equal(fitted, expit(design @ fit_logistic(design[every], a).coefficients))
+    assert np.array_equal(fitted, expit(design @ fit_logistic(design, a).coefficients))
 
     ols_rows = _counted(monkeypatch, "fit_ols")
     arm = np.flatnonzero(a == 1)
     weights, fitted = mix_outcome("s0", {fm: design}, y, a, 1, [fm], seed=13)
     assert ols_rows == [len(arm)]
     assert np.array_equal(weights, [1.0])
-    assert np.array_equal(fitted, design @ fit_ols(design[arm], y[arm]).coefficients)
+    assert np.array_equal(fitted, design @ fit_ols(take_rows(design, arm), y[arm]).coefficients)
+
+
+def test_every_fit_runs_on_a_column_major_design(monkeypatch):
+    # Every design and row gather a fit receives is column-major, whatever
+    # the layout of the covariates; a lone candidate's fit on every unit
+    # receives the design itself.
+    rng = np.random.default_rng(20)
+    X, a = _sim_binary(rng, n=301)
+    X = np.column_stack([X, rng.standard_normal(301)])  # C-order, 4 columns
+    y = X[:, 0] + a + rng.standard_normal(301)
+    assert add_intercept(X).flags.f_contiguous
+    seen = []
+    for name in ("fit_logistic", "fit_ols"):
+        monkeypatch.setattr(nuisance, name, lambda X, y, fit=getattr(nuisance, name):
+                            seen.append(X) or fit(X, y))
+    maps = [FeatureMap("raw"), FeatureMap("kangschafer"), FeatureMap("subset", (2, 0))]
+    fit_nuisances("s0", X, y, a, maps, maps[1:], seed=21)
+    assert len(seen) == 2 * 3 + 2 * 2 * 2
+    assert all(design.flags.f_contiguous for design in seen)
+
+    seen.clear()
+    fm = FeatureMap("raw")
+    design = _designs(X, [fm])[fm]
+    mix_propensity("s0", {fm: design}, a, [fm], seed=22)
+    assert len(seen) == 1 and seen[0] is design
 
 
 def test_two_candidates_cost_two_fits_each(monkeypatch):
@@ -212,8 +235,7 @@ def test_lone_candidate_needs_only_both_classes_in_the_full_sample():
     assert a[train].max() == 0
     weights, fitted = mix_propensity("s0", {fm: design}, a, [fm], seed=seed)
     assert np.array_equal(weights, [1.0])
-    every = np.arange(n)
-    assert np.array_equal(fitted, expit(design @ fit_logistic(design[every], a).coefficients))
+    assert np.array_equal(fitted, expit(design @ fit_logistic(design, a).coefficients))
 
 
 def test_lone_candidate_keeps_the_split_size_floors():

@@ -23,6 +23,7 @@ from fedcausal.numkit import (
     fit_ols,
     newton_solve,
     nnls_coordinate_descent,
+    take_rows,
 )
 
 
@@ -85,6 +86,31 @@ def test_fit_ols_rank_deficient():
         fit_ols(X, rng.standard_normal(20))
     with pytest.raises(RankDeficient):
         fit_ols(rng.standard_normal((2, 5)), rng.standard_normal(2))
+
+
+def test_fit_ols_many_responses_match_column_fits():
+    # A (n, k) response is k fits sharing one SVD of the design: coefficients
+    # (d, k), column j that of y[:, j] alone.
+    rng = np.random.default_rng(3)
+    X = add_intercept(rng.standard_normal((200, 3)))
+    Y = X @ rng.standard_normal((4, 2)) + rng.standard_normal((200, 2))
+    coef = fit_ols(X, Y).coefficients
+    assert coef.shape == (4, 2)
+    for j in range(2):
+        assert np.allclose(coef[:, j], fit_ols(X, Y[:, j]).coefficients, rtol=1e-12, atol=0.0)
+    X[:, 3] = 2.0 * X[:, 1]
+    with pytest.raises(RankDeficient):
+        fit_ols(X, Y)
+
+
+def test_take_rows_is_a_column_major_gather():
+    rng = np.random.default_rng(4)
+    X = add_intercept(rng.standard_normal((30, 2)))
+    rows = np.array([3, 1, 17, 29])
+    gathered = take_rows(X, rows)
+    assert gathered.flags.f_contiguous and np.array_equal(gathered, X[rows])
+    assert take_rows(X, np.arange(30)) is X
+    assert np.array_equal(take_rows(X, np.arange(30)[::-1]), X[::-1])
 
 
 def test_fit_logistic_against_scipy_mle():

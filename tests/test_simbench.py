@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcausal import fedruntime, simbench
-from fedcausal.errors import CandidateFitWarning, ScenarioError
+from fedcausal import fedruntime, nuisance, simbench
+from fedcausal.errors import CandidateFitWarning, ScenarioError, Separated
 from fedcausal.fedruntime import METHODS
 from fedcausal.nuisance import FeatureMap
 from fedcausal.simbench import (
@@ -285,11 +285,38 @@ def test_site_phase_shared_only_with_the_same_target_group(monkeypatch):
 
 
 @pytest.mark.parametrize("seed,rep", [(101, 434), (104, 412)])
-def test_failed_full_sample_refit_drops_the_candidate(seed, rep):
-    # The target's kangschafer propensity candidate fits on its train split
-    # but not on all units here; it gets weight zero instead of failing the round.
-    # Every preset site proposes the same feature maps, so the warning names
-    # the site (site1 is c0's target).
+def test_failed_full_sample_refit_drops_the_candidate(monkeypatch, seed, rep):
+    # The target's kangschafer propensity candidate fits on its train split,
+    # and its fit on all units is made to fail; it gets weight zero instead of
+    # failing the round. Every preset site proposes the same feature maps,
+    # so the warning names the site (site1, c0's target and its only site of
+    # 300 units).
+    features, forced = [], []
+    kang_schafer, fit_logistic = nuisance.kang_schafer, nuisance.fit_logistic
+
+    def recorded(X):
+        features.append(kang_schafer(X))
+        return features[-1]
+
+    def failing(X, y):
+        if len(y) == 300 and any(np.array_equal(X[:, 1:], z) for z in features):
+            forced.append(len(y))
+            raise Separated("forced to fail on all units")
+        return fit_logistic(X, y)
+
+    weights = {}
+    mix_propensity = nuisance.mix_propensity
+
+    def mixed(site_id, *args, **kwargs):
+        weights[site_id], fitted = mix_propensity(site_id, *args, **kwargs)
+        return weights[site_id], fitted
+
+    monkeypatch.setattr(nuisance, "kang_schafer", recorded)
+    monkeypatch.setattr(nuisance, "fit_logistic", failing)
+    monkeypatch.setattr(nuisance, "mix_propensity", mixed)
     with pytest.warns(CandidateFitWarning, match="^site1: candidate kangschafer failed to fit"):
         rows, failed = run_replication(load_scenario("c0"), ("mr_l1",), seed, rep)
+    assert forced == [300]
     assert failed == {} and len(rows) == 1
+    # The target's candidates are (raw, kangschafer): raw takes all the weight.
+    assert np.array_equal(weights["site1"], [1.0, 0.0])
