@@ -129,7 +129,7 @@ def _stacked_system(estimates: list[SiteEstimate]):
     estimator's contributions. Source k's own-unit rows (minus its own-unit
     contributions in column k, response zero) are summarized by their sum of
     squares, returned per source as ``own_sq``. Callers reduce the rows to
-    cross-products (:func:`_cross_products`).
+    cross-products (:func:`_cv_systems`).
     """
     tgt_est = _target_first(estimates)
     sources = estimates[1:]
@@ -155,24 +155,16 @@ def _stacked_system(estimates: list[SiteEstimate]):
     return xi_T, G, own_sq, arm_shift_sq
 
 
-def _cross_products(G: np.ndarray, r: np.ndarray, source_sq: np.ndarray):
-    """(G'G, G'r, r'r) of a block of target rows ``G``, ``r`` of the stacked
-    regression plus each source's own-unit rows.
+def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, own_sq, seed: int):
+    """Stacked (G'G, G'r, r'r) of the stacked regression's rows in each CV
+    split's fit half, then in all rows.
 
-    Source k's own-unit rows are nonzero only in column k and have response
-    zero, so their whole contribution is ``source_sq[k]`` on the diagonal of
-    G'G; G'r and r'r are the target rows' alone.
-    """
-    return G.T @ G + np.diag(source_sq), G.T @ r, float(r @ r)
-
-
-def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, whole, seed: int):
-    """Yield the fit-half and validation-half cross-products of each CV split.
-
-    Every site splits its own units (:func:`split_masks`). The fit half is
-    reduced from the target's masked rows plus each source's uploaded
-    fit-half sum of squares; the validation half is ``whole`` (the
-    cross-products of all rows, target and source) minus the fit half.
+    Every site splits its own units (:func:`split_masks`). A row set is the
+    target's rows ``G_T``, ``r_T`` it holds plus each source's own-unit rows,
+    which are nonzero only in column k with response zero, so their whole
+    contribution is the source's sum of squares on the diagonal of G'G: its
+    uploaded fit-half ``fit_sq`` per split, ``own_sq`` for all rows. A
+    validation half is all rows minus its fit half.
     """
     sources = estimates[1:]
     for est in sources:
@@ -182,10 +174,11 @@ def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, whole, seed: int):
                 f"expected {CV_SPLITS}"
             )
     masks = split_masks(estimates[0].n_T, seed, estimates[0].site_id)
-    for s, fit_units in enumerate(masks):
-        fit_sq = np.array([e.own.fit_sq[s] for e in sources])
-        fit = _cross_products(G_T[fit_units], r_T[fit_units], fit_sq)
-        yield fit, tuple(all_rows - part for all_rows, part in zip(whole, fit))
+    row_sets = [(G_T[fit_units], r_T[fit_units], [e.own.fit_sq[s] for e in sources])
+                for s, fit_units in enumerate(masks)] + [(G_T, r_T, own_sq)]
+    return (np.array([G.T @ G + np.diag(sq) for G, _, sq in row_sets]),
+            np.array([G.T @ r for G, r, _ in row_sets]),
+            np.array([r @ r for _, r, _ in row_sets]))
 
 
 def check_adaptive_sources(n_sources: int) -> None:
@@ -216,10 +209,8 @@ def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> Ensem
     """
     check_adaptive_sources(len(estimates) - 1)
     r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
-    whole = _cross_products(G_T, r_T, own_sq)
-    fits, vals = zip(*_cv_systems(estimates, r_T, G_T, whole, seed))
-    gram, gtr, _ = map(np.array, zip(*fits, whole))  # the fit halves, then all rows
-    gram_val, gtr_val, rtr_val = map(np.array, zip(*vals))
+    gram, gtr, rtr = _cv_systems(estimates, r_T, G_T, own_sq, seed)
+    gram_val, gtr_val, rtr_val = (x[-1] - x[:-1] for x in (gram, gtr, rtr))
     penalties = np.array(LAMBDA_GRID)[:, None] * arm_shift_sq
     # (split or all rows, penalty, source) weights; the score is
     # r'r - 2 eta'G'r + eta'G'G eta.

@@ -5,9 +5,10 @@ The target site acts as coordinator. One round is a site phase
 candidate models, a moment-summary broadcast from the target, one
 summary-level upload per source holding its finished estimate, and the
 target's own estimate, which stays at the target), after which the
-coordinator forms the global combination (:func:`combine`). The weighting
-scheme and the target's candidate models are the coordinator's own settings,
-and the penalty grid and the CI level are protocol constants
+coordinator forms the global combination (:func:`combine`), whose one
+setting is the weighting scheme: it reads the seed and candidate groups from
+the site phase. The scheme and the target's candidate models stay with the
+coordinator, and the penalty grid and the CI level are protocol constants
 (:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message carries
 them, and the site phase never reads the scheme. Every cross-site payload is
 serialized to JSON at the boundary, and every cross-site message is logged so
@@ -132,7 +133,7 @@ class ProtocolConfig:
 
     ``candidates`` is ``{"target": group, "source": group}``, keyed by
     :attr:`SiteFrame.role`; a group is ``{"treatment": maps, "outcome": maps}``
-    of :class:`~fedcausal.nuisance.FeatureMap` lists. The broadcast
+    of non-empty :class:`~fedcausal.nuisance.FeatureMap` lists. The broadcast
     (:meth:`to_dict`) carries ``seed`` and the source group, all that the
     sources read; the target's group and ``method`` stay with the coordinator.
     """
@@ -147,9 +148,11 @@ class ProtocolConfig:
         if not _is_count(self.seed):
             raise ValueError(f"seed must be an int in [0, 2**53), got {self.seed!r}")
         if {role: set(group) for role, group in self.candidates.items()} != {
-                "target": {"treatment", "outcome"}, "source": {"treatment", "outcome"}}:
+                "target": {"treatment", "outcome"}, "source": {"treatment", "outcome"}
+        } or not all(maps and all(isinstance(fm, FeatureMap) for fm in maps)
+                     for group in self.candidates.values() for maps in group.values()):
             raise ValueError('candidates must be {"target", "source"} groups of '
-                             '{"treatment", "outcome"} feature maps')
+                             '{"treatment", "outcome"} non-empty feature map lists')
 
     def to_dict(self) -> dict:
         """The config broadcast: what the sources read."""
@@ -180,12 +183,15 @@ class SitePhase:
     source that succeeded, in frame order; the coordinator's weights follow
     the same order. ``failures`` maps each failed source to its error.
     ``ledger`` logs every cross-site message of the round, the config
-    broadcast first; the combine step sends none.
+    broadcast first; the combine step sends none, and reads the ``seed`` and
+    ``candidates`` of the config the phase ran.
     """
 
     estimates: list
     ledger: list
     failures: dict
+    seed: int
+    candidates: dict
 
 
 def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
@@ -252,20 +258,23 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
         ))
 
     tgt_est = estimate_target(target, _fit_site(target, config))
-    return SitePhase(estimates=[tgt_est] + estimates, ledger=ledger, failures=failures)
+    return SitePhase(estimates=[tgt_est] + estimates, ledger=ledger, failures=failures,
+                     seed=config.seed, candidates=config.candidates)
 
 
-def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
-    """Coordinator step: weight the site estimates by ``config.method``.
+def combine(sites: SitePhase, method: str) -> GlobalReport:
+    """Coordinator step: weight the site estimates by ``method``.
 
     Sends no message: the report's ledger is a copy of the site phase's.
     Leaves ``sites`` unchanged, so one site phase can be combined under
-    several weighting schemes. The report's ``effective_method`` names what
-    ran: a round with the target estimate alone uses the target-only
-    weights, with a warning if sources were configured and every one failed,
-    and ``mr_l1`` with one feature map in every candidate group is
-    ``aipw_l1``.
+    several weighting schemes; the CV folds are drawn with ``sites.seed``.
+    The report's ``effective_method`` names what ran: a round with the
+    target estimate alone uses the target-only weights, with a warning if
+    sources were configured and every one failed, and ``mr_l1`` with one
+    feature map in every candidate group of ``sites`` is ``aipw_l1``.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     estimates = sites.estimates
     n_sources = len(estimates) - 1 + len(sites.failures)
     if len(estimates) == 1 and n_sources:
@@ -274,26 +283,24 @@ def combine(sites: SitePhase, config: ProtocolConfig) -> GlobalReport:
             AllSourcesFailedWarning,
             stacklevel=2,
         )
-    method = config.method
-    if len(estimates) == 1:
-        method = "target"
-    elif method == "mr_l1" and all(
-        len(maps) == 1 for groups in config.candidates.values() for maps in groups.values()
+    effective = "target" if len(estimates) == 1 else method
+    if effective == "mr_l1" and all(
+        len(maps) == 1 for groups in sites.candidates.values() for maps in groups.values()
     ):
-        method = "aipw_l1"
-    if method in ADAPTIVE_METHODS:
-        solution = cross_validate_lambda(estimates, seed=config.seed)
+        effective = "aipw_l1"
+    if effective in ADAPTIVE_METHODS:
+        solution = cross_validate_lambda(estimates, seed=sites.seed)
     else:
-        solution = combine_fixed(estimates, method)
+        solution = combine_fixed(estimates, effective)
 
-    result = global_estimate(estimates, solution, config.method)
+    result = global_estimate(estimates, solution, method)
     result.privacy_ledger = list(sites.ledger)
     result.diagnostics = {
         "n_sites": n_sources + 1,
         "n_sources": n_sources,
         "n_sources_used": len(estimates) - 1,
         "failed_sources": dict(sites.failures),
-        "effective_method": method,
+        "effective_method": effective,
     }
     return result
 
@@ -309,7 +316,7 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     """
     if config.method in ADAPTIVE_METHODS:
         check_adaptive_sources(sum(f.role == "source" for f in frames))
-    return combine(run_sites(frames, config), config)
+    return combine(run_sites(frames, config), config.method)
 
 
 def _check_shape(value, spec, dims: dict, where: str) -> None:

@@ -143,7 +143,7 @@ def _fit_or_warn(site_id: str, fm: FeatureMap, fit_one, design: np.ndarray,
         return fit_one(design, y).coefficients
     except FedcausalError as exc:
         warnings.warn(f"{site_id}: candidate {fm} failed to fit: {exc}",
-                      CandidateFitWarning, stacklevel=4)
+                      CandidateFitWarning, stacklevel=5)
         return None
 
 

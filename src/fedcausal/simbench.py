@@ -16,7 +16,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -265,24 +265,19 @@ class SimulationResult:
         return out
 
     def write_metrics_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["method", "reps", "mae", "rmse", "coverage", "mean_length", "failures"])
-            for m in self.metrics():
-                w.writerow(
-                    [m.method, m.reps, repr(m.mae), repr(m.rmse), repr(m.coverage),
-                     repr(m.mean_length), m.failures]
-                )
+        _write_rows(path, MetricsRow, self.metrics())
 
     def write_replications_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["method", "rep", "delta_hat", "se", "ci_low", "ci_high", "covered", "length"])
-            for r in sorted(self.rows, key=lambda r: (r.method, r.rep)):
-                w.writerow(
-                    [r.method, r.rep, repr(r.delta_hat), repr(r.se), repr(r.ci_low),
-                     repr(r.ci_high), r.covered, repr(r.length)]
-                )
+        _write_rows(path, ReplicationRow, sorted(self.rows, key=lambda r: (r.method, r.rep)))
+
+
+def _write_rows(path, cls, rows) -> None:
+    """Write ``rows`` of dataclass ``cls`` as CSV under a header of its field
+    names; ``csv`` writes each float as its repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow([f.name for f in fields(cls)])
+        w.writerows(map(astuple, rows))
 
 
 def rep_config_seed(seed: int, rep: int) -> int:
@@ -330,7 +325,7 @@ def run_replication(
         try:
             if isinstance(phases[key], FedcausalError):
                 raise phases[key]
-            report = combine(phases[key], config)
+            report = combine(phases[key], method)
         except FedcausalError as exc:
             failed[method] = f"{type(exc).__name__}: {exc}"
             continue

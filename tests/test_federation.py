@@ -15,7 +15,6 @@ from fedcausal.federation import (
     ALPHA,
     LAMBDA_GRID,
     MAX_SOURCES,
-    _cross_products,
     _cv_systems,
     _stacked_system,
     combine_fixed,
@@ -174,18 +173,18 @@ def _reference_cross_validation(estimates, seed):
     per (split, penalty) pair, then the one-standard-error choice and the
     refit. Returns the penalty, the site weights and the mean CV errors."""
     r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
-    whole = _cross_products(G_T, r_T, own_sq)
+    gram, gtr, rtr = _cv_systems(estimates, r_T, G_T, own_sq, seed)
     errors = np.zeros((CV_SPLITS, len(LAMBDA_GRID)))
-    halves = _cv_systems(estimates, r_T, G_T, whole, seed)
-    for s, ((gram_fit, gtr_fit, _), val) in enumerate(halves):
+    for s in range(CV_SPLITS):
+        val = (gram[-1] - gram[s], gtr[-1] - gtr[s], rtr[-1] - rtr[s])
         for j, lam in enumerate(LAMBDA_GRID):
-            eta_src = nnls_coordinate_descent(gram_fit, gtr_fit, lam * arm_shift_sq)
+            eta_src = nnls_coordinate_descent(gram[s], gtr[s], lam * arm_shift_sq)
             errors[s, j] = _squared_error(val, eta_src)
     mean_err = errors.mean(axis=0)
     se_err = errors.std(axis=0, ddof=1) / math.sqrt(CV_SPLITS)
     min_j = int(np.argmin(mean_err))
     lam = LAMBDA_GRID[np.flatnonzero(mean_err <= mean_err[min_j] + se_err[min_j])[-1]]
-    eta_src = nnls_coordinate_descent(whole[0], whole[1], lam * arm_shift_sq)
+    eta_src = nnls_coordinate_descent(gram[-1], gtr[-1], lam * arm_shift_sq)
     total = eta_src.sum()
     if total > 1.0:
         eta_src = eta_src / total
@@ -344,7 +343,9 @@ def test_summary_algebra_matches_per_unit_formulas():
 
         # Stacked system: source k's per-unit rows are -d_k / n_k in column k.
         r_T, G_T, own_sq, *_ = _stacked_system(estimates)
-        whole = _cross_products(G_T, r_T, own_sq)
+        systems = _cv_systems(estimates, r_T, G_T, own_sq, seed)
+        assert [len(x) for x in systems] == [CV_SPLITS + 1] * 3
+        whole = tuple(x[-1] for x in systems)
 
         def per_unit_rows(target_units, source_units):
             blocks = [G_T[target_units]]
@@ -369,9 +370,9 @@ def test_summary_algebra_matches_per_unit_formulas():
         folds = [split_masks(e.n_k, seed + k, e.site_id)
                  for k, e in enumerate(sources)]
         eta_src = rng.uniform(0.0, 0.5, len(sources))
-        halves = list(_cv_systems(estimates, r_T, G_T, whole, seed))
-        assert len(halves) == CV_SPLITS
-        for s, (fit, val) in enumerate(halves):
+        for s in range(CV_SPLITS):
+            fit = tuple(x[s] for x in systems)
+            val = tuple(all_rows - part for all_rows, part in zip(whole, fit))
             unit_fit = per_unit_rows(fold_T[s], [f[s] for f in folds])
             unit_val = per_unit_rows(~fold_T[s], [~f[s] for f in folds])
             assert same_cross_products(fit, unit_fit)

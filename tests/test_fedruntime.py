@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fedcausal import federation
 from fedcausal.density_ratio import solve_tilt, target_moments
 from fedcausal.errors import (
     AllSourcesFailedWarning,
@@ -147,8 +148,7 @@ def test_one_site_phase_combines_under_each_scheme():
     frames = _make_frames(seed=7)
     sites = run_sites(frames, _config("ivw", seed=2))
     for method in ("mr_l1", "ivw", "target"):
-        config = _config(method, seed=2)
-        shared, alone = combine(sites, config), run_round(frames, config)
+        shared, alone = combine(sites, method), run_round(frames, _config(method, seed=2))
         assert shared.delta_hat == alone.delta_hat
         assert shared.variance == alone.variance
         assert shared.diagnostics == alone.diagnostics
@@ -163,10 +163,60 @@ def test_combine_reports_the_site_phase_ledger():
     logged = list(sites.ledger)
     assert [r.kind for r in logged][:2] == ["config", "moment_summary"]
     for method in METHODS:
-        report = combine(sites, _config(method, seed=2))
+        report = combine(sites, method)
         assert report.privacy_ledger == sites.ledger
         report.privacy_ledger.append(logged[0])
         assert sites.ledger == logged
+
+
+def test_combine_reads_the_seed_and_candidate_groups_of_its_site_phase(monkeypatch):
+    # A two-candidate mr_l1 phase stays mr_l1 under combine, and the target's
+    # CV folds are drawn with the seed the sources split their units by.
+    frames = _make_frames(seed=3)
+    two = _group(FeatureMap("raw"), FeatureMap("subset", (0,)))
+    config = _config("mr_l1", seed=5, target=two, source=two)
+    sites = run_sites(frames, config)
+    assert (sites.seed, sites.candidates) == (config.seed, config.candidates)
+    fold_seeds = []
+    split_masks = federation.split_masks
+    monkeypatch.setattr(federation, "split_masks", lambda n, seed, site_id: (
+        fold_seeds.append((seed, site_id)) or split_masks(n, seed, site_id)))
+    report = combine(sites, "mr_l1")
+    assert report.diagnostics["effective_method"] == "mr_l1"
+    assert fold_seeds == [(5, "site0")]
+    with pytest.raises(ValueError, match="unknown method 'lasso'"):
+        combine(sites, "lasso")
+
+
+@pytest.mark.parametrize("maps", [[], [{"kind": "raw"}], ["raw"]])
+def test_config_rejects_an_empty_or_unmapped_candidate_list(maps):
+    # Either would otherwise build and fail the round late: an empty list at
+    # the first source's fit, a dict when the broadcast is encoded.
+    with pytest.raises(ValueError, match="non-empty feature map lists"):
+        _config("ivw", source={"treatment": maps, "outcome": [FeatureMap("raw")]})
+    with pytest.raises(ValueError, match="non-empty feature map lists"):
+        _config("ivw", target={"treatment": [FeatureMap("raw")], "outcome": maps})
+
+
+def test_a_failed_candidate_and_the_clipping_of_its_fit_name_one_frame():
+    # Both site-local warnings of one nuisance fit point at the round's line.
+    # The source's third covariate is constant, so its raw candidate, which
+    # repeats the intercept, fails to fit, and its steep propensity clips.
+    frames = _make_frames(seed=8, slope=6.0, n_sources=1)
+    source = frames[1]
+    frames[1] = dataclasses.replace(source, X=np.column_stack([source.X, np.ones(150)]))
+    two = _group(FeatureMap("raw"), FeatureMap("subset", (0, 1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_round(frames, _config("ivw", source=two))
+    assert report.diagnostics["n_sources_used"] == 1
+    fit_failed = [w for w in caught if issubclass(w.category, CandidateFitWarning)]
+    clipping = [w for w in caught if issubclass(w.category, PositivityWarning)
+                and str(w.message).endswith("site1")]
+    assert fit_failed and clipping
+    assert {(w.filename, w.lineno) for w in fit_failed + clipping} == {
+        (clipping[0].filename, clipping[0].lineno)}
+    assert clipping[0].filename.endswith("fedruntime.py")
 
 
 def test_clipping_warning_names_the_round():

@@ -60,7 +60,7 @@ def _rounds(frames, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sites = run_sites(frames, _config("ivw", seed))
-        return {m: combine(sites, _config(m, seed)) for m in METHODS}
+        return {m: combine(sites, m) for m in METHODS}
 
 
 def _eta(report):
@@ -127,8 +127,8 @@ feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) |
     columns=st.lists(st.integers(0, 50), min_size=1, unique=True).map(tuple),
 )
 groups = st.fixed_dictionaries({
-    "treatment": st.lists(feature_maps, max_size=3),
-    "outcome": st.lists(feature_maps, max_size=3),
+    "treatment": st.lists(feature_maps, min_size=1, max_size=3),
+    "outcome": st.lists(feature_maps, min_size=1, max_size=3),
 })
 configs = st.builds(
     ProtocolConfig,
