@@ -14,7 +14,9 @@ class MissingClass(FedcausalError):
 
 
 class Separated(FedcausalError):
-    """Logistic fit aborted: repeated step-halving failures (quasi-separation)."""
+    """Logistic fit aborted: no halved step raised the log-likelihood, or the
+    IRLS system was singular. Despite the name, it does not mean that the data
+    are separated."""
 
 
 class NoConvergence(FedcausalError):

@@ -44,7 +44,7 @@ from .federation import (
     cross_validate_lambda,
     global_estimate,
 )
-from .nuisance import FeatureMap, NuisanceFit, fit_nuisances
+from .nuisance import MAX_CANDIDATES, FeatureMap, NuisanceFit, fit_nuisances, is_candidate_list
 from .site_estimator import (
     CV_SPLITS,
     SiteFrame,
@@ -58,7 +58,8 @@ METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 
 # Declared shape of every payload key each message kind may carry: a scalar
 # ("count", an int that a JSON double holds exactly, in [0, 2**53), or
-# "number", a finite float), "maps" (a list of candidate feature maps),
+# "number", a finite float), "maps" (1 to ``MAX_CANDIDATES`` distinct
+# candidate feature maps, each subset column below ``MAX_COLUMNS``),
 # "[dim]" (a flat list of finite floats whose length is the protocol
 # dimension ``dim``), or an object of fixed keys, so no payload has a
 # free-text key. The basis dimension is the length of the moment summaries'
@@ -133,9 +134,11 @@ class ProtocolConfig:
 
     ``candidates`` is ``{"target": group, "source": group}``, keyed by
     :attr:`SiteFrame.role`; a group is ``{"treatment": maps, "outcome": maps}``
-    of non-empty :class:`~fedcausal.nuisance.FeatureMap` lists. The broadcast
-    (:meth:`to_dict`) carries ``seed`` and the source group, all that the
-    sources read; the target's group and ``method`` stay with the coordinator.
+    of lists of 1 to ``MAX_CANDIDATES`` distinct feature maps
+    (:class:`~fedcausal.nuisance.FeatureMap`), the lists the audit takes. The
+    broadcast (:meth:`to_dict`) carries ``seed`` and the source group, all
+    that the sources read; the target's group and ``method`` stay with the
+    coordinator.
     """
 
     candidates: dict
@@ -149,10 +152,11 @@ class ProtocolConfig:
             raise ValueError(f"seed must be an int in [0, 2**53), got {self.seed!r}")
         if {role: set(group) for role, group in self.candidates.items()} != {
                 "target": {"treatment", "outcome"}, "source": {"treatment", "outcome"}
-        } or not all(maps and all(isinstance(fm, FeatureMap) for fm in maps)
+        } or not all(is_candidate_list(maps)
                      for group in self.candidates.values() for maps in group.values()):
             raise ValueError('candidates must be {"target", "source"} groups of '
-                             '{"treatment", "outcome"} non-empty feature map lists')
+                             '{"treatment", "outcome"} non-empty feature map lists of at '
+                             f'most {MAX_CANDIDATES} distinct maps')
 
     def to_dict(self) -> dict:
         """The config broadcast: what the sources read."""
@@ -331,7 +335,8 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
             _check_shape(item, spec[key], dims, f"{where}.{key}")
     elif spec == "maps":
         try:
-            ok = value == [FeatureMap.from_dict(d).to_dict() for d in value]
+            maps = [FeatureMap.from_dict(d) for d in value]
+            ok = value == [fm.to_dict() for fm in maps] and is_candidate_list(maps)
         except (KeyError, TypeError, ValueError):
             ok = False
         if not ok:

@@ -22,9 +22,14 @@ import numpy as np
 
 from .errors import (CandidateFitWarning, FedcausalError, MissingColumns, PositivityWarning,
                      TooFewUnits)
-from .numkit import add_intercept, bernoulli_loglik, expit, fit_logistic, fit_ols, take_rows
+from .numkit import expit, fit_logistic, fit_ols, logistic_loglik, standardized_design, take_rows
 
 DEFAULT_CLIP = (0.01, 0.99)
+# Protocol bounds on the candidates a config lists: at most MAX_CANDIDATES
+# distinct feature maps per list, and subset columns below MAX_COLUMNS, so
+# no list of maps can carry a sample.
+MAX_CANDIDATES = 8
+MAX_COLUMNS = 64
 
 
 def kang_schafer(X: np.ndarray) -> np.ndarray:
@@ -45,7 +50,7 @@ class FeatureMap:
     (``raw``), their :func:`kang_schafer` transform, or the given ``columns``
     (``subset``). A map is checked when it is built, so one decoded from the
     config broadcast holds a kind and, for a subset only, a non-empty tuple of
-    distinct non-negative column indices: nothing else."""
+    distinct column indices in [0, ``MAX_COLUMNS``): nothing else."""
 
     kind: str
     columns: tuple[int, ...] | None = None
@@ -57,12 +62,12 @@ class FeatureMap:
             raise ValueError("a subset feature map, and only a subset, takes columns")
         if self.columns is not None and not (
             isinstance(self.columns, tuple) and self.columns
-            and all(isinstance(c, int) and not isinstance(c, bool) and c >= 0
+            and all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < MAX_COLUMNS
                     for c in self.columns)
             and len(set(self.columns)) == len(self.columns)
         ):
             raise ValueError(f"subset columns {self.columns!r} are not a tuple of "
-                             "distinct non-negative ints")
+                             f"distinct ints in [0, {MAX_COLUMNS})")
 
     def __str__(self) -> str:
         return self.kind if self.columns is None else f"{self.kind} {list(self.columns)}"
@@ -87,6 +92,12 @@ class FeatureMap:
     @staticmethod
     def from_dict(obj: dict) -> "FeatureMap":
         return FeatureMap(obj["kind"], tuple(obj["columns"]) if "columns" in obj else None)
+
+
+def is_candidate_list(maps) -> bool:
+    """Whether ``maps`` is 1 to ``MAX_CANDIDATES`` distinct feature maps."""
+    return (isinstance(maps, (list, tuple)) and 0 < len(maps) <= MAX_CANDIDATES
+            and all(isinstance(fm, FeatureMap) for fm in maps) and len(set(maps)) == len(maps))
 
 
 @dataclass(frozen=True)
@@ -135,12 +146,12 @@ def _log_softmax_weights(cum_log_risk: np.ndarray) -> np.ndarray:
 
 
 def _fit_or_warn(site_id: str, fm: FeatureMap, fit_one, design: np.ndarray,
-                 y: np.ndarray) -> np.ndarray | None:
-    """Coefficients of ``fit_one(design, y)``, or None after a
+                 y: np.ndarray, **start) -> np.ndarray | None:
+    """Coefficients of ``fit_one(design, y, **start)``, or None after a
     :class:`CandidateFitWarning` naming the site and the candidate's feature
     map (its kind, and its columns for a subset) if the fit fails."""
     try:
-        return fit_one(design, y).coefficients
+        return fit_one(design, y, **start).coefficients
     except FedcausalError as exc:
         warnings.warn(f"{site_id}: candidate {fm} failed to fit: {exc}",
                       CandidateFitWarning, stacklevel=5)
@@ -161,7 +172,8 @@ def _mix(
     """Shared mixing routine for treatment and outcome candidates.
 
     Fits each candidate on the train split of ``rows``, scores it on the
-    validation split and refits it on all of ``rows``; a candidate that
+    validation split and refits it on all of ``rows``, starting
+    ``fit_one(X, y, start=...)`` at the train coefficients; a candidate that
     fails either fit gets weight zero. A lone candidate's weight is 1
     whatever its score, so it is only fit on all of ``rows``. Every fit sees
     the column-major rows :func:`numkit.take_rows` gathers, and a fit on
@@ -187,7 +199,7 @@ def _mix(
         train_beta = _fit_or_warn(site_id, fm, fit_one, take_rows(design, train_idx),
                                   y[train_idx])
         beta = None if train_beta is None else _fit_or_warn(
-            site_id, fm, fit_one, take_rows(design, rows), y[rows])
+            site_id, fm, fit_one, take_rows(design, rows), y[rows], start=train_beta)
         if beta is not None:
             coefficients[j] = beta
             scores.append(log_score(take_rows(design, val_idx) @ train_beta, y[val_idx]))
@@ -219,12 +231,8 @@ def mix_propensity(
     ``site_id``, which labels the warning for a candidate that fails to fit.
     Returns the weights and the mixed P(A=1) of every unit."""
     a = np.asarray(a, dtype=float)
-
-    def log_score(linear, y):
-        return bernoulli_loglik(expit(linear), y, 1.0 - y)
-
-    return _mix(site_id, designs, a, np.arange(len(a)), maps, seed, fit_logistic, log_score,
-                expit)
+    return _mix(site_id, designs, a, np.arange(len(a)), maps, seed, fit_logistic,
+                logistic_loglik, expit)
 
 
 def default_kappa(n_candidates: int) -> int:
@@ -253,7 +261,10 @@ def mix_outcome(
     def log_score(linear, y_obs):
         return -kappa * (y_obs - linear) ** 2
 
-    return _mix(site_id, designs, np.asarray(y, dtype=float), rows, maps, seed, fit_ols,
+    def fit_one(X, y_obs, start=None):
+        return fit_ols(X, y_obs)  # exact: no start to warm
+
+    return _mix(site_id, designs, np.asarray(y, dtype=float), rows, maps, seed, fit_one,
                 log_score, lambda linear: linear)
 
 
@@ -267,11 +278,12 @@ def fit_nuisances(
     seed: int = 0,
 ) -> NuisanceFit:
     """Fit the propensity and per-arm outcome mixtures on a 0.5 train split
-    seeded by ``seed``, on one design per distinct feature map, and evaluate
-    them on the units of site ``site_id``. Warns with
+    seeded by ``seed``, on one standardized design
+    (:func:`numkit.standardized_design`) per distinct feature map, and
+    evaluate them on the units of site ``site_id``. Warns with
     :class:`PositivityWarning` if the clip changes any propensity."""
     maps = dict.fromkeys((*treatment_maps, *outcome_maps))
-    designs = {fm: add_intercept(fm.apply(X)) for fm in maps}
+    designs = {fm: standardized_design(fm.apply(X)) for fm in maps}
     p1 = mix_propensity(site_id, designs, a, treatment_maps, seed=seed)[1]
     m1 = mix_outcome(site_id, designs, y, a, 1, outcome_maps, seed=seed)[1]
     m0 = mix_outcome(site_id, designs, y, a, 0, outcome_maps, seed=seed)[1]

@@ -7,7 +7,8 @@ supports, which solves a batch of such problems in one call. All routines
 are deterministic pure functions of their inputs; systems are solved by
 factorization, never by multiplying with an inverse. Tolerances and
 iteration caps are module constants, named in each solver's docstring.
-Designs are column-major: :func:`add_intercept` builds them so and
+Designs are column-major: :func:`add_intercept` builds them so,
+:func:`standardized_design` builds them so with unit-SD feature columns, and
 :func:`take_rows` gathers their rows so.
 """
 
@@ -71,12 +72,44 @@ def take_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return X.T.take(rows, axis=1).T  # a C-order (d, m) gather, transposed
 
 
-def expit(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function: with e = exp(-|z|), it is
-    1 / (1 + e) for z >= 0 and e / (1 + e) otherwise, so exp never overflows."""
-    z = np.asarray(z, dtype=float)
+def standardized_design(X: np.ndarray) -> np.ndarray:
+    """:func:`add_intercept`'s design with each feature column centred and
+    scaled to unit SD, in place on its contiguous columns.
+
+    A constant column (min == max) becomes exactly zero, so a fit on the
+    design fails as on a collinear one, never with NaN. Fitted values do not
+    depend on the feature scales in exact arithmetic; in floating point the
+    IRLS system is well conditioned whatever they are.
+    """
+    design = add_intercept(X)
+    features = design.T[1:]  # a C-order (d, n) view of the feature columns
+    constant = features.min(axis=1) == features.max(axis=1)
+    features -= features.mean(axis=1, keepdims=True)
+    sd = np.sqrt(np.einsum("ij,ij->i", features, features) / features.shape[1])
+    features /= np.where(constant, 1.0, sd)[:, None]
+    features[constant] = 0.0
+    return design
+
+
+def _logistic(z: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """expit(z) and, for a 0/1 ``y``, the per-unit Bernoulli log-likelihood
+    y z - max(z, 0) - log1p(e) of ``y`` at linear predictor ``z``, both from
+    one e = exp(-|z|), so exp never overflows: expit is 1 / (1 + e) for
+    z >= 0 and e / (1 + e) otherwise."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return p, None if y is None else y * z - np.maximum(z, 0.0) - np.log1p(e)
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function (see :func:`_logistic`)."""
+    return _logistic(np.asarray(z, dtype=float), None)[0]
+
+
+def logistic_loglik(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-unit Bernoulli log-likelihood of a 0/1 ``y`` at linear predictor
+    ``z`` (see :func:`_logistic`); finite for every finite z, with no clip."""
+    return _logistic(z, y)[1]
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
@@ -103,27 +136,26 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(coefficients=coef)
 
 
-def bernoulli_loglik(p: np.ndarray, y: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Per-unit Bernoulli log-likelihood of ``y`` at ``p`` clipped to
-    [1e-12, 1 - 1e-12]; ``y0`` is 1 - y."""
-    p = np.minimum(np.maximum(p, 1e-12), 1.0 - 1e-12)
-    return y * np.log(p) + y0 * np.log1p(-p)
+def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> LinearFit:
+    """Logistic regression by IRLS (Newton) with step halving, from ``start``
+    (zero by default).
 
-
-def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
-    """Logistic regression by IRLS (Newton) with step halving.
-
+    Each trial point is evaluated from its linear predictor z = X beta alone:
+    its probabilities and log-likelihood come from :func:`_logistic`.
     Convergence is declared when the mean score vector has infinity norm at
     most ``IRLS_TOL``; after ``IRLS_MAX_ITER`` iterations the fit is returned
-    with ``converged=False`` and a :class:`ConvergenceWarning`.
+    with ``converged=False`` and a :class:`ConvergenceWarning`. Completely
+    separated data converge too (in about 20 iterations), to large
+    coefficients whose probabilities reach 0 or 1, which the caller clips.
 
     Raises
     ------
     MissingClass
         If ``y`` is constant.
     Separated
-        If step halving fails ``MAX_HALVINGS`` consecutive times, indicating
-        quasi-separation.
+        If no step of ``MAX_HALVINGS`` halvings raises the log-likelihood, or
+        the IRLS system is singular. Despite the name, neither means that
+        the data are separated.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -133,16 +165,15 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
         raise MissingClass("response is constant; both classes required")
 
     n, d = X.shape
-    beta = np.zeros(d)
-    y0 = 1.0 - y
-    p = expit(X @ beta)
-    ll = float(np.sum(bernoulli_loglik(p, y, y0)))
+    beta = np.zeros(d) if start is None else np.asarray(start, dtype=float)
+    p, units = _logistic(X @ beta, y)
+    ll = float(units.sum())
     for it in range(1, IRLS_MAX_ITER + 1):
         grad = X.T @ (y - p) / n
         if np.max(np.abs(grad)) <= IRLS_TOL:
             return LinearFit(coefficients=beta, converged=True, iterations=it - 1)
         w = np.maximum(p * (1.0 - p), 1e-10)
-        hess = (X * w[:, None]).T @ X / n
+        hess = (X.T * w) @ X / n
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -150,9 +181,9 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> LinearFit:
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             cand = beta + alpha * step
-            p_new = expit(X @ cand)
-            ll_new = float(np.sum(bernoulli_loglik(p_new, y, y0)))
-            if np.isfinite(ll_new) and ll_new >= ll:
+            p_new, units = _logistic(X @ cand, y)
+            ll_new = float(units.sum())
+            if ll_new >= ll:  # False for NaN
                 # The accepted candidate's probabilities start the next iteration.
                 beta, p, ll = cand, p_new, ll_new
                 break

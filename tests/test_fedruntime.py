@@ -31,7 +31,7 @@ from fedcausal.fedruntime import (
     run_sites,
     site_split_seed,
 )
-from fedcausal.nuisance import FeatureMap, fit_nuisances
+from fedcausal.nuisance import MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit
 from fedcausal.simbench import load_scenario, method_config
 from fedcausal.site_estimator import (
@@ -188,10 +188,15 @@ def test_combine_reads_the_seed_and_candidate_groups_of_its_site_phase(monkeypat
         combine(sites, "lasso")
 
 
-@pytest.mark.parametrize("maps", [[], [{"kind": "raw"}], ["raw"]])
+@pytest.mark.parametrize("maps", [
+    [], [{"kind": "raw"}], ["raw"], [FeatureMap("raw")] * 2,
+    [FeatureMap("subset", (c,)) for c in range(MAX_CANDIDATES + 1)],
+])
 def test_config_rejects_an_empty_or_unmapped_candidate_list(maps):
     # Either would otherwise build and fail the round late: an empty list at
-    # the first source's fit, a dict when the broadcast is encoded.
+    # the first source's fit, a dict when the broadcast is encoded. A
+    # repeated map or more than MAX_CANDIDATES maps would build a config
+    # whose broadcast the audit rejects.
     with pytest.raises(ValueError, match="non-empty feature map lists"):
         _config("ivw", source={"treatment": maps, "outcome": [FeatureMap("raw")]})
     with pytest.raises(ValueError, match="non-empty feature map lists"):
@@ -430,6 +435,41 @@ def test_audit_rejects_candidate_columns_carrying_per_unit_values():
         audit_ledger(report)
     # The same map with int columns is well formed.
     payload["candidates"]["treatment"][-1]["columns"] = [0, 1]
+    report.privacy_ledger[pos] = _relogged(rec, payload)
+    audit_ledger(report)
+
+
+def test_audit_bounds_the_candidate_lists():
+    # A list holds 1 to MAX_CANDIDATES distinct maps, each subset column
+    # below MAX_COLUMNS, so neither the number of maps nor a subset's
+    # columns can encode the target's outcomes.
+    frames = _make_frames()
+    report = run_round(frames, _config("mr_l1"))
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                    if r.kind == "config")
+    outcome_columns = [round(1000 * v) + 100000 * i for i, v in enumerate(frames[0].y)]
+    assert len(set(outcome_columns)) == len(frames[0].y) == 150
+    tampered = {
+        "200 extra maps": lambda p: p["candidates"]["treatment"].extend([{"kind": "raw"}] * 200),
+        "a repeated map": lambda p: p["candidates"]["treatment"].extend([{"kind": "raw"}]),
+        "one map too many": lambda p: p["candidates"].update(treatment=[
+            {"kind": "subset", "columns": [c]} for c in range(MAX_CANDIDATES + 1)]),
+        "outcome columns": lambda p: p["candidates"]["treatment"].append(
+            {"kind": "subset", "columns": outcome_columns}),
+        "one column too many": lambda p: p["candidates"]["treatment"].append(
+            {"kind": "subset", "columns": [MAX_COLUMNS]}),
+        "no maps": lambda p: p["candidates"].update(outcome=[]),
+    }
+    for name, tamper in tampered.items():
+        payload = json.loads(rec.payload_text)
+        tamper(payload)
+        report.privacy_ledger[pos] = _relogged(rec, payload)
+        with pytest.raises(PrivacyViolation, match="candidate feature maps"):
+            audit_ledger(report)
+    # At the bounds, the list passes.
+    payload = json.loads(rec.payload_text)
+    payload["candidates"]["treatment"] = [
+        {"kind": "subset", "columns": [MAX_COLUMNS - 1 - c]} for c in range(MAX_CANDIDATES)]
     report.privacy_ledger[pos] = _relogged(rec, payload)
     audit_ledger(report)
 

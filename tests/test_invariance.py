@@ -127,8 +127,8 @@ feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) |
     columns=st.lists(st.integers(0, 50), min_size=1, unique=True).map(tuple),
 )
 groups = st.fixed_dictionaries({
-    "treatment": st.lists(feature_maps, min_size=1, max_size=3),
-    "outcome": st.lists(feature_maps, min_size=1, max_size=3),
+    "treatment": st.lists(feature_maps, min_size=1, max_size=3, unique=True),
+    "outcome": st.lists(feature_maps, min_size=1, max_size=3, unique=True),
 })
 configs = st.builds(
     ProtocolConfig,

@@ -9,9 +9,11 @@ import pytest
 
 from fedcausal import nuisance
 from fedcausal.errors import CandidateFitWarning, MissingColumns, PositivityWarning, TooFewUnits
-from fedcausal.numkit import add_intercept, expit, fit_logistic, fit_ols, take_rows
+from fedcausal.numkit import (add_intercept, expit, fit_logistic, fit_ols, standardized_design,
+                              take_rows)
 from fedcausal.nuisance import (
     DEFAULT_CLIP,
+    MAX_COLUMNS,
     FeatureMap,
     default_kappa,
     fit_nuisances,
@@ -42,12 +44,13 @@ def test_feature_maps():
         with pytest.raises(MissingColumns, match=re.escape(f"feature map {fm} does not fit")):
             fm.apply(X[:, :3])
     # A map checks itself when built: a known kind and, for a subset only, a
-    # non-empty tuple of distinct non-negative ints, so no other value can
-    # ride on one.
+    # non-empty tuple of distinct ints in [0, MAX_COLUMNS), so no other value
+    # can ride on one.
     bad = [
         ("pca", None), ("raw", (0,)), ("kangschafer", (0, 1)), ("subset", None),
         ("subset", ()), ("subset", [0, 1]), ("subset", (0, 0)), ("subset", (-1,)),
         ("subset", (1.0,)), ("subset", (True,)), ("subset", ("0",)),
+        ("subset", (MAX_COLUMNS,)),
     ]
     for kind, columns in bad:
         with pytest.raises(ValueError):
@@ -144,15 +147,18 @@ def test_mix_outcome_too_few_units():
         mix_outcome("s0", _designs(X, [fm]), y, a, 1, [fm], seed=0)
 
 
-def _counted(monkeypatch, name):
+def _counted(monkeypatch, name, starts=None):
     """Replace the fitter ``name`` that the mixing routines call with one that
-    records the number of rows of each fit."""
+    records the number of rows of each fit, and in ``starts`` the start it
+    was given (None for none)."""
     rows = []
     original = getattr(nuisance, name)
 
-    def counted(X, y):
+    def counted(X, y, **start):
         rows.append(len(y))
-        return original(X, y)
+        if starts is not None:
+            starts.append(start.get("start"))
+        return original(X, y, **start)
 
     monkeypatch.setattr(nuisance, name, counted)
     return rows
@@ -192,8 +198,8 @@ def test_every_fit_runs_on_a_column_major_design(monkeypatch):
     assert add_intercept(X).flags.f_contiguous
     seen = []
     for name in ("fit_logistic", "fit_ols"):
-        monkeypatch.setattr(nuisance, name, lambda X, y, fit=getattr(nuisance, name):
-                            seen.append(X) or fit(X, y))
+        monkeypatch.setattr(nuisance, name, lambda X, y, fit=getattr(nuisance, name), **start:
+                            seen.append(X) or fit(X, y, **start))
     maps = [FeatureMap("raw"), FeatureMap("kangschafer"), FeatureMap("subset", (2, 0))]
     fit_nuisances("s0", X, y, a, maps, maps[1:], seed=21)
     assert len(seen) == 2 * 3 + 2 * 2 * 2
@@ -212,9 +218,16 @@ def test_two_candidates_cost_two_fits_each(monkeypatch):
     y = X[:, 0] + a + rng.standard_normal(301)
     maps = [FeatureMap("subset", (0,)), FeatureMap("subset", (1, 2))]
     designs = _designs(X, maps)
-    logistic_rows = _counted(monkeypatch, "fit_logistic")
+    starts = []
+    logistic_rows = _counted(monkeypatch, "fit_logistic", starts)
     mix_propensity("s0", designs, a, maps, seed=15)
     assert logistic_rows == [150, 301, 150, 301]
+    # Each refit on all units starts at its candidate's train-half fit.
+    train = split_data(301, 15)[0]
+    train_fits = [fit_logistic(take_rows(designs[fm], train), a[train]).coefficients
+                  for fm in maps]
+    assert starts[0::2] == [None, None]
+    assert all(np.array_equal(s, b) for s, b in zip(starts[1::2], train_fits))
     ols_rows = _counted(monkeypatch, "fit_ols")
     mix_outcome("s0", designs, y, a, 0, maps, seed=15)
     n0 = int(np.sum(a == 0))
@@ -287,6 +300,35 @@ def test_failed_candidate_gets_zero_weight():
     assert weights[1] == 0.0
     assert weights[0] == 1.0
     assert np.array_equal(fitted, mix_outcome("s0", designs, y, a, 1, [ok], seed=5)[1])
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3])
+def test_constant_covariate_candidate_fails_without_nan(value):
+    # A constant covariate column is zero in its standardized design, so the
+    # candidate fails at the first IRLS iteration, as an exactly collinear
+    # one does, and never gives NaN; the other candidate takes all the
+    # weight. Unscaled, the column left IRLS a nearly singular system: at
+    # 0.1 the propensity candidate fitted, at 0.3 it failed at iteration 4.
+    rng = np.random.default_rng(30)
+    X, a = _sim_binary(rng, n=400)
+    X[:, 2] = value
+    y = X[:, 0] + a + rng.standard_normal(400)
+    ok, constant = FeatureMap("subset", (0, 1)), FeatureMap("subset", (0, 2))
+    failed = "s0: candidate subset [0, 2] failed to fit: "
+    singular = "smallest singular value 0.000e+00"
+    with pytest.warns(CandidateFitWarning) as caught:
+        fit = fit_nuisances("s0", X, y, a, [ok, constant], [ok, constant], seed=31)
+    messages = [str(w.message) for w in caught if w.category is CandidateFitWarning]
+    assert messages[0] == failed + "singular IRLS system at iteration 1"
+    assert len(messages) == 3 and all(m.startswith(failed + singular) for m in messages[1:])
+    assert np.isfinite(fit.pi).all() and np.isfinite(fit.m).all()
+
+    designs = {fm: standardized_design(fm.apply(X)) for fm in (ok, constant)}
+    assert np.array_equal(designs[constant][:, 2], np.zeros(400))
+    with pytest.warns(CandidateFitWarning):
+        weights = [mix_propensity("s0", designs, a, [ok, constant], seed=31)[0],
+                   mix_outcome("s0", designs, y, a, 1, [ok, constant], seed=31)[0]]
+    assert all(np.array_equal(w, [1.0, 0.0]) for w in weights)
 
 
 def test_predict_propensity_identities():

@@ -21,8 +21,10 @@ from fedcausal.numkit import (
     expit,
     fit_logistic,
     fit_ols,
+    logistic_loglik,
     newton_solve,
     nnls_coordinate_descent,
+    standardized_design,
     take_rows,
 )
 
@@ -38,6 +40,41 @@ def test_add_intercept():
     assert D.shape == (3, 3)
     assert np.all(D[:, 0] == 1.0)
     assert np.array_equal(D[:, 1:], X)
+
+
+def test_standardized_design():
+    # Each feature column is centred and scaled to unit SD in the
+    # column-major design; a constant column becomes exactly zero.
+    rng = np.random.default_rng(5)
+    X = np.column_stack([570.0 * rng.random(40), np.full(40, 3.7), rng.standard_normal(40)])
+    D = standardized_design(X)
+    assert D.shape == (40, 4) and D.flags.f_contiguous
+    assert np.all(D[:, 0] == 1.0) and np.all(D[:, 2] == 0.0)
+    for j in (1, 3):
+        assert abs(D[:, j].mean()) < 1e-14 and abs(D[:, j].std() - 1.0) < 1e-14
+        assert np.allclose(D[:, j], (X[:, j - 1] - X[:, j - 1].mean()) / X[:, j - 1].std(),
+                           rtol=0.0, atol=1e-13)
+
+
+def test_logistic_loglik_matches_scipy():
+    # log P(y | z) with no clip: finite, and accurate where p is near 0 or 1.
+    z = np.array([-800.0, -30.0, -1.0, 0.0, 1.0, 30.0, 800.0])
+    assert np.allclose(logistic_loglik(z, np.ones(7)), special.log_expit(z),
+                       rtol=1e-15, atol=0.0)
+    assert np.allclose(logistic_loglik(z, np.zeros(7)), special.log_expit(-z),
+                       rtol=1e-15, atol=0.0)
+
+
+def test_fitted_probabilities_do_not_depend_on_the_feature_scale():
+    # A feature scaled to ~500 fits to the same probabilities on its
+    # standardized design as a unit-scale copy of it.
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((300, 2))
+    y = (rng.random(300) < special.expit(0.4 + x @ [1.0, -0.8])).astype(float)
+    scaled = np.column_stack([500.0 + 40.0 * x[:, 0], 1e-3 * x[:, 1]])
+    p = [expit(D @ fit_logistic(D, y).coefficients)
+         for D in (standardized_design(x), standardized_design(scaled))]
+    assert np.allclose(p[0], p[1], rtol=0.0, atol=1e-10)
 
 
 def test_expit_matches_scipy():
@@ -143,6 +180,22 @@ def test_fit_logistic_warns_at_the_iteration_cap(monkeypatch):
     with pytest.warns(ConvergenceWarning):
         capped = fit_logistic(X, y)
     assert not capped.converged and capped.iterations == 1
+
+
+def test_fit_logistic_warm_start():
+    rng = np.random.default_rng(7)
+    X = add_intercept(rng.standard_normal((500, 2)))
+    y = (rng.random(500) < special.expit(X @ [0.3, -1.0, 0.7])).astype(float)
+    cold = fit_logistic(X, y)
+    # Started at its own optimum, a fit stops at once.
+    at_optimum = fit_logistic(X, y, start=cold.coefficients)
+    assert at_optimum.converged and at_optimum.iterations == 0
+    assert np.array_equal(at_optimum.coefficients, cold.coefficients)
+    # Started at a half-sample fit, it reaches the same optimum in fewer steps.
+    half = fit_logistic(X[:250], y[:250]).coefficients
+    warm = fit_logistic(X, y, start=half)
+    assert warm.converged and warm.iterations < cold.iterations
+    assert np.allclose(warm.coefficients, cold.coefficients, rtol=0.0, atol=1e-7)
 
 
 def test_fit_logistic_missing_class():

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from fedcausal import fedruntime, nuisance, simbench
-from fedcausal.errors import CandidateFitWarning, ScenarioError, Separated
+from fedcausal.errors import CandidateFitWarning, ConvergenceWarning, ScenarioError, Separated
 from fedcausal.fedruntime import METHODS
 from fedcausal.nuisance import FeatureMap
+from fedcausal.numkit import standardized_design
 from fedcausal.simbench import (
     ScenarioSpec,
     SiteSpec,
@@ -298,11 +299,11 @@ def test_failed_full_sample_refit_drops_the_candidate(monkeypatch, seed, rep):
         features.append(kang_schafer(X))
         return features[-1]
 
-    def failing(X, y):
-        if len(y) == 300 and any(np.array_equal(X[:, 1:], z) for z in features):
+    def failing(X, y, **start):
+        if len(y) == 300 and any(np.array_equal(X, standardized_design(z)) for z in features):
             forced.append(len(y))
             raise Separated("forced to fail on all units")
-        return fit_logistic(X, y)
+        return fit_logistic(X, y, **start)
 
     weights = {}
     mix_propensity = nuisance.mix_propensity
@@ -320,3 +321,17 @@ def test_failed_full_sample_refit_drops_the_candidate(monkeypatch, seed, rep):
     assert failed == {} and len(rows) == 1
     # The target's candidates are (raw, kangschafer): raw takes all the weight.
     assert np.array_equal(weights["site1"], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("scenario,rep", [("c1", 14), ("c0", 8)])
+def test_badly_scaled_kangschafer_designs_fit(scenario, rep):
+    # The kangschafer features reach ~570. On designs of the raw features,
+    # site5's kangschafer candidate failed to fit in the c1 round ("step
+    # halving failed 30 times") and a fit in the c0 round ran to the IRLS
+    # iteration cap; on standardized designs both rounds fit with no warning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows, failed = run_replication(load_scenario(scenario), ("mr_l1",), 41, rep)
+    assert failed == {} and len(rows) == 1
+    assert not [w for w in caught
+                if issubclass(w.category, (CandidateFitWarning, ConvergenceWarning))]
