@@ -90,6 +90,19 @@ def _target_first(estimates: list[SiteEstimate]) -> SiteEstimate:
     return estimates[0]
 
 
+def _variance(estimates: list[SiteEstimate], c) -> float:
+    """Plug-in variance of sum_i c_i * estimate_i, target first.
+
+    It sums squared per-unit contributions: on target units the mix
+    sum_i c_i * on_target_i of every site's target-unit contributions (which
+    captures their cross-site covariance), and on each source's own units its
+    scaled own-unit part, whose squares the source uploads already summed.
+    """
+    target_contrib = sum(c[i] * est.on_target for i, est in enumerate(estimates))
+    return float(np.sum(target_contrib**2)) + sum(
+        c[i] ** 2 * est.own.sq for i, est in enumerate(estimates[1:], 1))
+
+
 def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolution:
     """Fixed weighting: target-only, sample-size (n_k/N), or inverse variance."""
     if scheme not in FIXED_SCHEMES:
@@ -102,10 +115,10 @@ def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolutio
     elif scheme == "ss":
         n = np.array([e.n_k for e in estimates], dtype=float)
         eta = n / n.sum()
-    else:  # ivw, each site's variance summed from its contributions
+    else:  # ivw, each site's own plug-in variance
         inv_var = np.zeros(K)
-        for i, est in enumerate(estimates):
-            sigma2 = (0.0 if est.is_target else est.own.sq) + float(np.sum(est.on_target**2))
+        for i, (est, c) in enumerate(zip(estimates, np.eye(K))):
+            sigma2 = _variance(estimates, c)
             if sigma2 <= 0.0:
                 raise ZeroVariance(f"site {est.site_id} has zero influence variance")
             inv_var[i] = 1.0 / sigma2
@@ -122,7 +135,8 @@ def _stacked_system(estimates: list[SiteEstimate]):
     -shrunk_delta_k / sqrt(n_T), which adds the squared combined shift to the
     objective, making it a mean-squared-error estimate (variance plus squared
     bias). The shift estimate delta_k is soft-thresholded at twice its
-    plug-in standard error before entering the columns: the raw difference is
+    plug-in standard error (:func:`_variance` of source k minus the target)
+    before entering the columns: the raw difference is
     dominated by the shared noise of the target estimate, which would anchor
     the fit to the target, while a real bias far exceeds the threshold and
     still suppresses the site. The response on target rows is the target
@@ -136,23 +150,17 @@ def _stacked_system(estimates: list[SiteEstimate]):
     n_T = tgt_est.n_T
     xi_T = tgt_est.on_target
     G = np.zeros((n_T, len(sources)))
-    own_sq = np.array([est.own.sq for est in sources])
-    var_T = float(np.sum(xi_T**2))
     arm_shift_sq = np.zeros(len(sources))
+    unit = np.eye(len(estimates))
     for col, est in enumerate(sources):
         delta = (est.mu[1] - est.mu[0]) - (tgt_est.mu[1] - tgt_est.mu[0])
         arm_shift_sq[col] = 0.5 * sum(
             (est.mu[arm] - tgt_est.mu[arm]) ** 2 for arm in (0, 1)
         )
-        on_tgt = est.on_target
-        # Plug-in variance of delta_k; the cross term comes from the shared
-        # target rows.
-        var_d = (var_T + own_sq[col] + float(np.sum(on_tgt**2))
-                 - 2.0 * float(np.sum(xi_T * on_tgt)))
-        threshold = 2.0 * math.sqrt(max(var_d, 0.0))
+        threshold = 2.0 * math.sqrt(_variance(estimates, unit[col + 1] - unit[0]))
         shrunk = math.copysign(max(abs(delta) - threshold, 0.0), delta)
-        G[:, col] = xi_T - on_tgt - shrunk / math.sqrt(n_T)
-    return xi_T, G, own_sq, arm_shift_sq
+        G[:, col] = xi_T - est.on_target - shrunk / math.sqrt(n_T)
+    return xi_T, G, np.array([est.own.sq for est in sources]), arm_shift_sq
 
 
 def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, own_sq, seed: int):
@@ -242,10 +250,8 @@ def global_estimate(
     """Weighted combination with influence-based variance and normal CI at
     level ``ALPHA``.
 
-    The variance sums squared per-unit contributions: on target units the
-    weighted mix of every site's target-unit contributions (which captures
-    their cross-site covariance), and on each source's own units its weighted
-    own-unit part, whose squares the source uploads already summed.
+    The variance is the plug-in :func:`_variance` of the combination at the
+    weights ``solution.eta``.
     """
     tgt_est = _target_first(estimates)
 
@@ -259,9 +265,7 @@ def global_estimate(
         mu_g.append(float(combined))
     delta_hat = mu_g[1] - mu_g[0]
 
-    target_contrib = sum(eta[i] * est.on_target for i, est in enumerate(estimates))
-    variance = float(np.sum(target_contrib**2)) + sum(
-        eta[i] ** 2 * est.own.sq for i, est in enumerate(estimates[1:], 1))
+    variance = _variance(estimates, eta)
     z = NormalDist().inv_cdf(1.0 - ALPHA / 2.0)
     half = z * math.sqrt(variance)
     per_site = [

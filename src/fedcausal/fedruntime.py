@@ -246,7 +246,7 @@ def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
         summary = MomentSummary.from_json(summary_text)
         try:
             tilt = solve_tilt(src.V, summary)
-            report = source_report(src, _fit_site(src, config), tilt, summary, config.seed)
+            report, _ = source_report(src, _fit_site(src, config), tilt, summary, config.seed)
         except FedcausalError as exc:
             failures[src.site_id] = f"{type(exc).__name__}: {exc}"
             continue

@@ -77,12 +77,14 @@ class ScenarioSpec:
                 raise ScenarioError(f"bad role {s.role!r} for site {s.id}")
             if s.n < 10:
                 raise ScenarioError(f"site {s.id} sample size {s.n} below 10")
-            if len(s.skew) != 4:
-                raise ScenarioError(f"site {s.id} needs 4 skew parameters")
+            if len(s.skew) != 4 or not all(map(math.isfinite, s.skew)):
+                raise ScenarioError(f"site {s.id} needs 4 finite skew parameters")
             if s.dgp not in ("x", "z"):
                 raise ScenarioError(f"site {s.id} dgp must be 'x' or 'z'")
         if self.mismatch and any(s.dgp == "z" for s in self.sites):
             raise ScenarioError("the mismatch design uses dgp 'x' at every site")
+        if not math.isfinite(self.true_delta):
+            raise ScenarioError(f"true_delta {self.true_delta!r} is not finite")
 
     @property
     def shared_cols(self) -> tuple[int, ...]:
@@ -91,7 +93,8 @@ class ScenarioSpec:
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioSpec":
         """A scenario from decoded JSON, type-checked and not coerced: ``mismatch`` is a
-        bool, ``n`` an integer, and ``skew`` and ``true_delta`` are numbers."""
+        bool, ``n`` an integer, and ``skew`` and ``true_delta`` are finite numbers
+        (``json`` reads ``NaN`` and ``Infinity`` as floats)."""
         try:
             sites = tuple(
                 SiteSpec(
@@ -306,25 +309,20 @@ def run_replication(
     """One replication: generate all sites, run each method, score coverage.
 
     Methods whose configs agree on all that the site phase reads, the seed
-    and both candidate groups, share one site phase; an error in that phase
-    fails each of them.
+    and both candidate groups, share one site phase. A phase that fails is
+    run again, and fails the same way, for each method that would share it.
     """
     frames = replication_frames(scenario, seed, rep)
     cfg_seed = rep_config_seed(seed, rep)
     rows: list[ReplicationRow] = []
     failed: dict[str, str] = {}
-    phases: dict = {}  # seed and candidate groups -> site phase or its error
+    phases: dict = {}  # seed and candidate groups -> site phase
     for method in methods:
         config = method_config(method, scenario, seed=cfg_seed)
         key = repr((config.seed, config.candidates))
-        if key not in phases:
-            try:
-                phases[key] = run_sites(frames, config)
-            except FedcausalError as exc:
-                phases[key] = exc
         try:
-            if isinstance(phases[key], FedcausalError):
-                raise phases[key]
+            if key not in phases:
+                phases[key] = run_sites(frames, config)
             report = combine(phases[key], method)
         except FedcausalError as exc:
             failed[method] = f"{type(exc).__name__}: {exc}"

@@ -37,9 +37,11 @@ from .numkit import add_intercept, fit_ols
 class SiteFrame:
     """One site's individual-level data.
 
-    ``shared_cols`` holds the distinct indices of the columns of ``X``
-    observed at the target site; a target frame's ``X`` holds only those
-    shared columns (in the same order the sources use). ``a`` is 0/1.
+    ``y`` and ``a`` hold one entry per unit and ``X`` one row per unit;
+    ``y`` and ``X`` are finite and ``a`` is 0/1. ``shared_cols`` holds the
+    distinct indices of the columns of ``X`` observed at the target site; a
+    target frame's ``X`` holds only those shared columns (in the same order
+    the sources use).
     """
 
     site_id: str
@@ -52,12 +54,16 @@ class SiteFrame:
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         object.__setattr__(self, "a", np.asarray(self.a))
-        object.__setattr__(self, "X", np.atleast_2d(np.asarray(self.X, dtype=float)))
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
         if self.role not in ("target", "source"):
             raise ValueError(f"bad role {self.role!r}")
+        if not (self.y.ndim == self.a.ndim == 1 and self.X.ndim == 2):
+            raise ValueError("y and a must be 1-D and X 2-D")
         n = len(self.y)
         if len(self.a) != n or self.X.shape[0] != n or n < 1:
             raise ValueError("y, a, X must share a positive length")
+        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.X))):
+            raise ValueError("y and X must be finite")
         cols = self.shared_cols
         if not (isinstance(cols, tuple) and cols
                 and all(isinstance(c, int) and not isinstance(c, bool)
@@ -229,7 +235,7 @@ def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:
     )
 
 
-def source_influence(
+def source_report(
     source: SiteFrame,
     fit: NuisanceFit,
     tilt: TiltCoefficients,
@@ -282,17 +288,6 @@ def source_influence(
         target_coef=tau[:, 1] - tau[:, 0] - w,
     )
     return report, contributions
-
-
-def source_report(
-    source: SiteFrame,
-    fit: NuisanceFit,
-    tilt: TiltCoefficients,
-    summary: MomentSummary,
-    seed: int = 0,
-) -> SourceSiteReport:
-    """The upload of :func:`source_influence`, without the contributions."""
-    return source_influence(source, fit, tilt, summary, seed)[0]
 
 
 def complete_source_estimate(

@@ -25,7 +25,6 @@ from fedcausal.site_estimator import (
     SiteFrame,
     complete_source_estimate,
     estimate_target,
-    source_influence,
     source_report,
     split_masks,
 )
@@ -195,7 +194,7 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep, modifier=0.0, unit_tilt=
     else:
         tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, [p_map], [m_map], seed=rep)
-    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt, summary), tgt)
+    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt, summary)[0], tgt)
     return est.mu[1] - est.mu[0]
 
 
@@ -330,7 +329,7 @@ def test_criterion_7_influence_checks(bench):
                 est = estimate_target(frame, fit)
             else:
                 tilt = solve_tilt(frame.V, summary)
-                report, own = source_influence(frame, fit, tilt, summary, seed=config.seed)
+                report, own = source_report(frame, fit, tilt, summary, seed=config.seed)
                 assert own.shape == (frame.n,)
                 worst_mean = max(worst_mean, abs(float(own.sum())))
                 est = complete_source_estimate(frame.site_id, report, target)
@@ -386,7 +385,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
             fit = fit_nuisances(src.site_id, src.X, src.y, src.a, raw, raw,
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
-                src.site_id, source_report(src, fit, tilt, summary, seed=seed), target))
+                src.site_id, source_report(src, fit, tilt, summary, seed=seed)[0], target))
         solution = cross_validate_lambda(estimates, seed=seed)
         direct = global_estimate(estimates, solution, method=config.method)
         if not (runtime.delta_hat == direct.delta_hat

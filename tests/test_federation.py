@@ -308,6 +308,7 @@ def test_summary_algebra_matches_per_unit_formulas():
     (site probabilities n_k / N, influence values d = n * contribution), which
     the per-site contributions make an identity."""
     seed = 3
+    shifts_exceeding = []
     for trial in range(20):
         rng = np.random.default_rng((trial, 41))
         n_T = int(rng.integers(20, 200))
@@ -317,8 +318,11 @@ def test_summary_algebra_matches_per_unit_formulas():
             n_k = int(rng.integers(20, 300))
             own = _contributions(rng, n_k, scale=float(rng.uniform(0.5, 3.0)))
             own_units.append(own * n_k)
+            # Arm means near the target's or far from them, so that some
+            # shifts fall inside their threshold and some exceed it.
+            shift = rng.normal(size=2) * rng.choice([0.01, 1.0])
             sources.append(SiteEstimate(
-                site_id=f"s{k}", mu=tuple(rng.normal(size=2)),
+                site_id=f"s{k}", mu=tuple(np.add(tgt.mu, shift)),
                 on_target=_contributions(rng, n_T), n_k=n_k,
                 own=OwnSummary.of(own, split_masks(n_k, seed + k, f"s{k}"))))
         estimates = [tgt] + sources
@@ -341,8 +345,20 @@ def test_summary_algebra_matches_per_unit_formulas():
         expected = (np.sum(target_contrib**2) + source_sq) / N**2
         assert _rel_close(global_estimate(estimates, ivw, "ivw").variance, expected)
 
-        # Stacked system: source k's per-unit rows are -d_k / n_k in column k.
+        # Stacked system: target rows of column k are xi_T - on_k less the
+        # shift delta_k soft-thresholded at twice the per-unit SD of delta_k,
+        # over sqrt(n_T).
         r_T, G_T, own_sq, *_ = _stacked_system(estimates)
+        delta = [(e.mu[1] - e.mu[0]) - (tgt.mu[1] - tgt.mu[0]) for e in estimates]
+        for k, (e, d) in enumerate(zip(sources, own_units), 1):
+            sd = math.sqrt(np.sum((d_T[k] - d_T[0]) ** 2) / n_T**2 + np.sum(d**2) / e.n_k**2)
+            shrunk = np.sign(delta[k]) * max(abs(delta[k]) - 2.0 * sd, 0.0)
+            shifts_exceeding.append(shrunk != 0.0)
+            expected = (d_T[0] - d_T[k]) / n_T - shrunk / math.sqrt(n_T)
+            assert _rel_close(G_T[:, k - 1], expected)
+        assert _rel_close(r_T, d_T[0] / n_T)
+
+        # Source k's per-unit rows are -d_k / n_k in column k.
         systems = _cv_systems(estimates, r_T, G_T, own_sq, seed)
         assert [len(x) for x in systems] == [CV_SPLITS + 1] * 3
         whole = tuple(x[-1] for x in systems)
@@ -380,3 +396,5 @@ def test_summary_algebra_matches_per_unit_formulas():
             G_uv, r_uv = unit_val
             err = _squared_error(val, eta_src)
             assert _rel_close(err, np.sum((r_uv - G_uv @ eta_src) ** 2))
+    # Both branches of the threshold were checked.
+    assert any(shifts_exceeding) and not all(shifts_exceeding)

@@ -133,7 +133,7 @@ def test_run_round_matches_direct_composition():
                             config.candidates["source"]["outcome"],
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
-            src.site_id, source_report(src, fit, tilt, summary, seed=config.seed), target))
+            src.site_id, source_report(src, fit, tilt, summary, seed=config.seed)[0], target))
     solution = cross_validate_lambda(estimates, seed=config.seed)
     direct = global_estimate(estimates, solution, method=config.method)
 

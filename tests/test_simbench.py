@@ -143,6 +143,30 @@ def test_scenario_json_types_are_checked_not_coerced():
             ScenarioSpec.from_dict(obj)
 
 
+def test_scenario_numbers_must_be_finite(tmp_path):
+    # json reads NaN and Infinity. A NaN skew failed that site in every
+    # replication, and an infinite true effect made every interval miss,
+    # while the study recorded no failure.
+    good = {"name": "x", "true_delta": 0.0, "sites": [
+        {"id": "t", "role": "target", "n": 50, "skew": [0, 0.5, 0, 0], "dgp": "x"},
+        {"id": "s", "role": "source", "n": 50, "skew": [0, 0.5, 0, 0], "dgp": "x"}]}
+    bad = {
+        "nan skew": lambda obj: obj["sites"][1].update(skew=[0, math.nan, 0, 0]),
+        "infinite skew": lambda obj: obj["sites"][0].update(skew=[-math.inf, 0, 0, 0]),
+        "infinite true_delta": lambda obj: obj.update(true_delta=math.inf),
+        "nan true_delta": lambda obj: obj.update(true_delta=math.nan),
+    }
+    path = tmp_path / "scenario.json"
+    for name, tamper in bad.items():
+        obj = json.loads(json.dumps(good))
+        tamper(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ScenarioError, match="finite"):
+            load_scenario(str(path))
+    path.write_text(json.dumps(good), encoding="utf-8")
+    assert load_scenario(str(path)).true_delta == 0.0
+
+
 def test_presets_load():
     names = sorted(p.stem for p in Path(simbench.__file__).with_name("presets").glob("*.json"))
     assert names == ["c0", "c05", "c1", "mismatch"]
@@ -283,6 +307,27 @@ def test_site_phase_shared_only_with_the_same_target_group(monkeypatch):
         together, failed = run_replication(scenario, ("ss", "ivw"), seed=2, rep=1)
         alone = [row for m in ("ss", "ivw") for row in run_replication(scenario, (m,), 2, 1)[0]]
     assert failed == {} and together == alone
+
+
+def test_a_failed_site_phase_fails_every_method_that_shares_it(monkeypatch):
+    # The raw-candidate phase is made to fail: the four methods that share it
+    # record the same failure, and mr_l1's own phase still gives its rows.
+    scenario = _small_scenario()
+    inner = simbench.run_sites
+
+    def failing(frames, config):
+        if config.candidates["source"]["outcome"] == [FeatureMap("raw")]:
+            raise Separated("forced failure")
+        return inner(frames, config)
+
+    monkeypatch.setattr(simbench, "run_sites", failing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows, failed = run_replication(scenario, METHODS, seed=2, rep=1)
+        alone = run_replication(scenario, ("mr_l1",), seed=2, rep=1)
+    shared = ("target", "ss", "ivw", "aipw_l1")
+    assert failed == {m: "Separated: forced failure" for m in shared}
+    assert rows == alone[0] and [r.method for r in rows] == ["mr_l1"]
 
 
 @pytest.mark.parametrize("seed,rep", [(101, 434), (104, 412)])

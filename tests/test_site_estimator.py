@@ -18,7 +18,6 @@ from fedcausal.site_estimator import (
     SourceSiteReport,
     complete_source_estimate,
     estimate_target,
-    source_influence,
     source_report,
     split_masks,
 )
@@ -69,7 +68,7 @@ def _projections(src, fit, tilt):
     psi = (1, V), read off the upload: each arm mean is affine in the target
     basis mean it receives, with slope tau_a. Returns shape (2, basis)."""
     dim = src.V.shape[1] + 1
-    mu = np.array([source_report(src, fit, tilt, MomentSummary(mean_basis)).mu
+    mu = np.array([source_report(src, fit, tilt, MomentSummary(mean_basis))[0].mu
                    for mean_basis in np.vstack([np.zeros(dim), np.eye(dim)])])
     return (mu[1:] - mu[0]).T
 
@@ -101,6 +100,32 @@ def test_site_frame_rejects_bad_columns_and_treatment():
         with pytest.raises(ValueError, match="0/1"):
             SiteFrame("s", "source", y, np.array(bad), X, (0,))
     assert SiteFrame("s", "source", y, a.astype(float), X, (1, 0)).V.shape == (3, 2)
+
+
+def test_site_frame_rejects_data_it_cannot_estimate_from():
+    # Each of these used to build: a non-finite outcome gave a NaN estimate
+    # and variance, or failed the weight solve of the whole round, and a
+    # column of outcomes or treatments failed the round far from its cause.
+    y, a, X = np.zeros(4), np.array([0, 1, 0, 1]), np.zeros((4, 2))
+
+    def with_entry(arr, value):
+        arr = arr.copy()
+        arr.flat[1] = value
+        return arr
+
+    cases = {
+        "nan outcome": (with_entry(y, np.nan), a, X),
+        "infinite outcome": (with_entry(y, np.inf), a, X),
+        "nan covariate": (y, a, with_entry(X, np.nan)),
+        "column of outcomes": (y[:, None], a, X),
+        "column of treatments": (y, a[:, None], X),
+        "one covariate row": (y, a, np.zeros(4)),
+        "stacked covariates": (y, a, X[:, :, None]),
+    }
+    for role in ("source", "target"):
+        for name, (y_bad, a_bad, X_bad) in cases.items():
+            with pytest.raises(ValueError, match="1-D|finite"):
+                SiteFrame("s", role, y_bad, a_bad, X_bad, (0, 1))
 
 
 def test_estimate_target_horvitz_thompson_reduction():
@@ -166,7 +191,7 @@ def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    report = source_report(src, _fit(src.n), _untilted(src), target_moments(tgt.V))
+    report = source_report(src, _fit(src.n), _untilted(src), target_moments(tgt.V))[0]
     est = complete_source_estimate(src.site_id, report, tgt)
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
@@ -179,7 +204,7 @@ def test_source_no_shift_agrees_with_target():
     fit_s = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
     fit_t = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
     est_s = complete_source_estimate(
-        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), summary), tgt)
+        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), summary)[0], tgt)
     est_t = estimate_target(tgt, fit_t)
     assert abs((est_s.mu[1] - est_s.mu[0]) - (est_t.mu[1] - est_t.mu[0])) < 0.25
 
@@ -188,7 +213,7 @@ def test_source_estimate_equals_report_plus_completion():
     src, tgt = _linear_pair(seed=8)
     summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
-    report = source_report(src, fit, solve_tilt(src.V, summary), summary, seed=2)
+    report = source_report(src, fit, solve_tilt(src.V, summary), summary, seed=2)[0]
     direct = complete_source_estimate(src.site_id, report, tgt)
     wired = complete_source_estimate(
         src.site_id, SourceSiteReport.from_json(report.to_json()), tgt)
@@ -204,7 +229,7 @@ def test_source_influence_parts_are_centered():
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=6)
     # Own-unit contributions are checked at the source, before they are
     # summarized; each vector sums to the mean of its influence values.
-    report, d = source_influence(src, fit, solve_tilt(src.V, summary), summary, seed=4)
+    report, d = source_report(src, fit, solve_tilt(src.V, summary), summary, seed=4)
     assert abs(d.sum()) < 1e-8
     assert d.shape == (src.n,)
     est = complete_source_estimate(src.site_id, report, tgt)
@@ -222,13 +247,13 @@ def test_source_linearity_in_outcome_scale():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
-    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt, summary), tgt)
+    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt, summary)[0], tgt)
 
     scaled = SiteFrame(src.site_id, "source", 3.0 * src.y, src.a, src.X, src.shared_cols)
     fit_scaled = fit_nuisances(scaled.site_id, scaled.X, scaled.y, scaled.a, RAW_T, RAW_O,
                                seed=7)
     est_scaled = complete_source_estimate(
-        scaled.site_id, source_report(scaled, fit_scaled, tilt, summary), tgt)
+        scaled.site_id, source_report(scaled, fit_scaled, tilt, summary)[0], tgt)
     for arm in (0, 1):
         assert abs(est_scaled.mu[arm] - 3.0 * est.mu[arm]) < 1e-9 * max(1.0, abs(est.mu[arm]))
 
@@ -239,7 +264,7 @@ def test_source_report_requires_source_role():
     tilt = solve_tilt(src.V, summary)
     with pytest.raises(ValueError):
         source_report(tgt, _fit(tgt.n), tilt, summary)
-    report = source_report(src, _fit(src.n), tilt, summary)
+    report = source_report(src, _fit(src.n), tilt, summary)[0]
     with pytest.raises(ValueError):
         complete_source_estimate(src.site_id, report, src)
 
@@ -267,7 +292,7 @@ def test_site_estimate_json_round_trip():
     summary = target_moments(tgt.V)
     for est in (complete_source_estimate(
                     src.site_id,
-                    source_report(src, _fit(src.n), solve_tilt(src.V, summary), summary), tgt),
+                    source_report(src, _fit(src.n), solve_tilt(src.V, summary), summary)[0], tgt),
                 estimate_target(tgt, _fit(tgt.n))):
         back = json.loads(est.to_json())
         assert (back["mu0"], back["mu1"]) == est.mu
@@ -280,7 +305,7 @@ def test_source_report_json_round_trip():
     src, tgt = _linear_pair(seed=14)
     summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=8)
-    report = source_report(src, fit, solve_tilt(src.V, summary), summary)
+    report = source_report(src, fit, solve_tilt(src.V, summary), summary)[0]
     back = SourceSiteReport.from_json(report.to_json())
     assert back.mu == report.mu
     assert back.own.sq == report.own.sq
@@ -303,10 +328,10 @@ def test_source_influence_rejects_a_fit_of_another_frame():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     with pytest.raises(ValueError):
-        source_influence(src, _fit(src.n + 1), tilt, summary)
+        source_report(src, _fit(src.n + 1), tilt, summary)
     fit_of_target = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=9)
     with pytest.raises(ValueError):
-        source_influence(src, fit_of_target, tilt, summary)
+        source_report(src, fit_of_target, tilt, summary)
 
 
 def _rel_close(a, b, tol=1e-12):
@@ -330,7 +355,7 @@ def test_contributions_match_per_arm_construction():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
-    report, contributions = source_influence(src, fit, tilt, summary, seed=3)
+    report, contributions = source_report(src, fit, tilt, summary, seed=3)
     est = complete_source_estimate(src.site_id, report, tgt)
 
     pi, m = fit.pi, fit.m
