@@ -1,22 +1,25 @@
 """Single-round simulated federation over in-memory site frames.
 
-The target site acts as coordinator. One round is a site phase
-(:func:`run_sites`: the config broadcast of the seed and the sources'
-candidate models, a moment-summary broadcast from the target, one
+The target site acts as coordinator. One round is a transport
+(:func:`run_transport`: a moment-summary broadcast from the target, and each
+source's density-ratio tilt and cross-validation folds, none of which depends
+on a candidate model), a site phase on that transport (:func:`run_sites`: the
+config broadcast of the seed and the sources' candidate models, one
 summary-level upload per source holding its finished estimate, and the
 target's own estimate, which stays at the target), after which the
-coordinator forms the global combination (:func:`combine`), whose one
-setting is the weighting scheme: it reads the seed and candidate groups from
-the site phase. The scheme and the target's candidate models stay with the
-coordinator, and the penalty grid and the CI level are protocol constants
-(:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message carries
-them, and the site phase never reads the scheme. Every cross-site payload is
-serialized to JSON at the boundary, and every cross-site message is logged so
-the ledger can be audited: only the declared summary-level schemas may cross
-sites, never individual rows or any per-unit value. Moment summaries and
-source uploads are decoded on the receiving side; the config broadcast is
-logged as sent and never decoded, because every site reads the in-memory
-config.
+coordinator forms the global combination (:func:`combine`), whose one setting
+is the weighting scheme: it reads the seed and candidate groups from the site
+phase. So one transport serves every candidate group, and one site phase
+every weighting scheme. The scheme and the target's candidate models stay
+with the coordinator, and the penalty grid and the CI level are protocol
+constants (:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message
+carries them, and the site phase never reads the scheme. Every cross-site
+payload is serialized to JSON at the boundary, and every cross-site message
+is logged so the ledger can be audited: only the declared summary-level
+schemas may cross sites, never individual rows or any per-unit value. Moment
+summaries and source uploads are decoded on the receiving side; the config
+broadcast is logged as sent and never decoded, because every site reads the
+in-memory config.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import warnings
 import zlib
 from dataclasses import dataclass, field
 
-from .density_ratio import MomentSummary, solve_tilt, target_moments
+import numpy as np
+
+from .density_ratio import MomentSummary, TiltCoefficients, solve_tilt, target_moments
 from .errors import (
     AllSourcesFailedWarning,
     FedcausalError,
@@ -52,6 +57,7 @@ from .site_estimator import (
     complete_source_estimate,
     estimate_target,
     source_report,
+    split_masks,
 )
 
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
@@ -180,6 +186,66 @@ def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
 
 
 @dataclass(frozen=True)
+class SourceTransport:
+    """One source's candidate-free work: the moment-summary message it
+    received and decoded, and its solved tilt and CV folds
+    (:func:`~fedcausal.site_estimator.split_masks`), or the error that failed
+    its tilt (``tilt`` and ``folds`` are then None)."""
+
+    frame: SiteFrame
+    message: MessageRecord
+    summary: MomentSummary
+    tilt: TiltCoefficients | None
+    folds: np.ndarray | None
+    failure: str | None
+
+
+@dataclass(frozen=True)
+class Transport:
+    """The site work of one round that no candidate model changes: the target
+    frame, and one :class:`SourceTransport` per source in frame order, for
+    CV folds drawn with ``seed``."""
+
+    target: SiteFrame
+    sources: list
+    seed: int
+
+
+def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
+    """Run the candidate-free site work: the target's moment summary, and
+    each source's tilt and CV folds.
+
+    Checks that there is exactly one target frame and that site ids, which
+    address the messages and the weights, are distinct. A source whose tilt
+    raises is recorded with its error, and every site phase run on the
+    transport fails it.
+    """
+    targets = [f for f in frames if f.role == "target"]
+    if len(targets) != 1:
+        raise MissingTarget(f"expected exactly one target frame, got {len(targets)}")
+    ids = [f.site_id for f in frames]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ValueError(f"site ids must be distinct; repeated: {repeated}")
+    target = targets[0]
+    summary_text = target_moments(target.V).to_json()
+    sources = []
+    for src in (f for f in frames if f.role == "source"):
+        message = MessageRecord(from_site=target.site_id, to_site=src.site_id,
+                                kind="moment_summary", payload_text=summary_text)
+        summary = MomentSummary.from_json(message.payload_text)
+        try:
+            tilt = solve_tilt(src.V, summary)
+        except FedcausalError as exc:
+            sources.append(SourceTransport(src, message, summary, None, None,
+                                           f"{type(exc).__name__}: {exc}"))
+            continue
+        sources.append(SourceTransport(src, message, summary, tilt,
+                                       split_masks(src.n, seed, src.site_id), None))
+    return Transport(target=target, sources=sources, seed=seed)
+
+
+@dataclass(frozen=True)
 class SitePhase:
     """The site work of one round, which no weighting scheme changes.
 
@@ -198,61 +264,52 @@ class SitePhase:
     candidates: dict
 
 
-def run_sites(frames: list[SiteFrame], config: ProtocolConfig) -> SitePhase:
-    """Run every site's local work: config broadcast, moment summary, tilts,
+def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
+    """Run every site's candidate work on ``transport``: config broadcast,
     nuisance fits, source uploads and the target's own estimate, which is
     not a message.
 
     Reads ``config.seed`` and ``config.candidates``, never the weighting
-    scheme, so one site phase serves every scheme. Sources that raise a
-    model-fitting, transport or missing-column error are recorded in
-    ``failures`` and left out. Site ids address the messages and the weights,
-    so they must be distinct.
+    scheme, so one site phase serves every scheme, and one transport serves
+    every candidate group. The ledger logs the config broadcast, then each
+    source's moment summary and upload in frame order. Sources whose tilt
+    failed in the transport, or that raise a model-fitting or missing-column
+    error here, are recorded in ``failures`` and left out. Raises
+    ``ValueError`` if ``config.seed`` is not the seed the transport drew its
+    folds with.
     """
-    targets = [f for f in frames if f.role == "target"]
-    if len(targets) != 1:
-        raise MissingTarget(f"expected exactly one target frame, got {len(targets)}")
-    ids = [f.site_id for f in frames]
-    repeated = sorted({i for i in ids if ids.count(i) > 1})
-    if repeated:
-        raise ValueError(f"site ids must be distinct; repeated: {repeated}")
-    target = targets[0]
-    sources = [f for f in frames if f.role == "source"]
-    coordinator = target.site_id
-
+    if config.seed != transport.seed:
+        raise ValueError(f"config seed {config.seed} differs from the transport seed "
+                         f"{transport.seed} the CV folds were drawn with")
+    target = transport.target
     ledger: list[MessageRecord] = []
-    if sources:
+    if transport.sources:
         ledger.append(
             MessageRecord(
-                from_site=coordinator,
+                from_site=target.site_id,
                 to_site="*",
                 kind="config",
                 payload_text=json.dumps(config.to_dict()),
             )
         )
-    summary_text = target_moments(target.V).to_json()
     failures: dict[str, str] = {}
     estimates = []
 
-    for src in sources:
-        ledger.append(
-            MessageRecord(
-                from_site=coordinator,
-                to_site=src.site_id,
-                kind="moment_summary",
-                payload_text=summary_text,
-            )
-        )
-        summary = MomentSummary.from_json(summary_text)
+    for src in transport.sources:
+        ledger.append(src.message)
+        site_id = src.frame.site_id
+        if src.failure is not None:
+            failures[site_id] = src.failure
+            continue
         try:
-            tilt = solve_tilt(src.V, summary)
-            report, _ = source_report(src, _fit_site(src, config), tilt, summary, config.seed)
+            report, _ = source_report(src.frame, _fit_site(src.frame, config), src.tilt,
+                                      src.summary, src.folds)
         except FedcausalError as exc:
-            failures[src.site_id] = f"{type(exc).__name__}: {exc}"
+            failures[site_id] = f"{type(exc).__name__}: {exc}"
             continue
         upload = MessageRecord(
-            from_site=src.site_id,
-            to_site=coordinator,
+            from_site=site_id,
+            to_site=target.site_id,
             kind="site_estimate",
             payload_text=report.to_json(),
         )
@@ -312,15 +369,16 @@ def combine(sites: SitePhase, method: str) -> GlobalReport:
 def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     """Execute one federated round and return the coordinator's report.
 
-    The round is the site phase (:func:`run_sites`) followed by the
-    coordinator's combine step (:func:`combine`); sources that fail are
-    listed in the report diagnostics. An adaptive round over more than
-    ``federation.MAX_SOURCES`` source frames raises :class:`TooManySources`
-    before any site work.
+    The round is the transport (:func:`run_transport`), the site phase
+    (:func:`run_sites`) and the coordinator's combine step (:func:`combine`);
+    sources that fail are listed in the report diagnostics. An adaptive round
+    over more than ``federation.MAX_SOURCES`` source frames raises
+    :class:`TooManySources` before any site work.
     """
     if config.method in ADAPTIVE_METHODS:
         check_adaptive_sources(sum(f.role == "source" for f in frames))
-    return combine(run_sites(frames, config), config.method)
+    transport = run_transport(frames, config.seed)
+    return combine(run_sites(transport, config), config.method)
 
 
 def _check_shape(value, spec, dims: dict, where: str) -> None:

@@ -3,10 +3,12 @@
 Sites draw skew-normal covariates, with outcome and treatment models that are
 linear either in the raw covariates or in their nonlinear transform, so that
 an analyst modeling the raw covariates is correct at some sites and wrong at
-others. Each replication generates all sites, runs the federated site phase
-once per distinct candidate configuration, combines it under every requested
-method, and records the effect estimate and confidence interval. Replications
-are pure functions of (seed, replication index).
+others. Each replication generates all sites, runs the federated transport
+(moment summary, tilts and source CV folds) once, runs the site phase on it
+once per distinct candidate configuration, combines each phase under every
+requested method that shares it, and records the effect estimate and
+confidence interval. Replications are pure functions of (seed, replication
+index).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import FedcausalError, ScenarioError
-from .fedruntime import METHODS, ProtocolConfig, combine, run_sites
+from .fedruntime import METHODS, ProtocolConfig, combine, run_sites, run_transport
 from .nuisance import FeatureMap, kang_schafer
 from .numkit import expit
 from .site_estimator import SiteFrame
@@ -50,7 +52,8 @@ class SiteSpec:
 
 
 def _json_value(value, types: tuple, what: str):
-    """``value`` if it is of one of ``types``; a bool is only a bool, never a number."""
+    """``value`` if it is of one of the JSON types ``types`` (``int``, ``float``
+    or ``bool``); a bool is only a bool, never a number."""
     if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
         raise ScenarioError(f"{what} {value!r} has the wrong JSON type")
     return value
@@ -58,7 +61,12 @@ def _json_value(value, types: tuple, what: str):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A full multi-site design plus the covariate-mismatch switch."""
+    """A full multi-site design plus the covariate-mismatch switch.
+
+    Each site's ``n`` is an ``int`` and its ``skew`` a tuple of four finite
+    ``int`` or ``float`` entries, a bool being neither; anything else raises
+    :class:`ScenarioError`.
+    """
 
     name: str
     sites: tuple[SiteSpec, ...]
@@ -75,9 +83,11 @@ class ScenarioSpec:
         for s in self.sites:
             if s.role not in ("target", "source"):
                 raise ScenarioError(f"bad role {s.role!r} for site {s.id}")
-            if s.n < 10:
+            if _json_value(s.n, (int,), f"site {s.id} n") < 10:
                 raise ScenarioError(f"site {s.id} sample size {s.n} below 10")
-            if len(s.skew) != 4 or not all(map(math.isfinite, s.skew)):
+            if not (isinstance(s.skew, tuple) and len(s.skew) == 4
+                    and all(math.isfinite(_json_value(v, (int, float), f"site {s.id} skew"))
+                            for v in s.skew)):
                 raise ScenarioError(f"site {s.id} needs 4 finite skew parameters")
             if s.dgp not in ("x", "z"):
                 raise ScenarioError(f"site {s.id} dgp must be 'x' or 'z'")
@@ -93,16 +103,15 @@ class ScenarioSpec:
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioSpec":
         """A scenario from decoded JSON, type-checked and not coerced: ``mismatch`` is a
-        bool, ``n`` an integer, and ``skew`` and ``true_delta`` are finite numbers
-        (``json`` reads ``NaN`` and ``Infinity`` as floats)."""
+        bool and ``true_delta`` a finite number (``json`` reads ``NaN`` and
+        ``Infinity`` as floats); the constructor checks ``n`` and ``skew``."""
         try:
             sites = tuple(
                 SiteSpec(
                     id=str(s["id"]),
                     role=str(s["role"]),
-                    n=_json_value(s["n"], (int,), f"site {s['id']} n"),
-                    skew=tuple(float(_json_value(v, (int, float), f"site {s['id']} skew"))
-                               for v in s["skew"]),
+                    n=s["n"],
+                    skew=tuple(s["skew"]),
                     dgp=str(s["dgp"]),
                 )
                 for s in obj["sites"]
@@ -308,21 +317,26 @@ def run_replication(
 ) -> tuple[list[ReplicationRow], dict]:
     """One replication: generate all sites, run each method, score coverage.
 
-    Methods whose configs agree on all that the site phase reads, the seed
-    and both candidate groups, share one site phase. A phase that fails is
-    run again, and fails the same way, for each method that would share it.
+    The transport runs once; a transport that fails fails every method. Methods
+    whose configs agree on both candidate groups share one site phase. A phase
+    that fails is run again, and fails the same way, for each method that
+    would share it.
     """
     frames = replication_frames(scenario, seed, rep)
     cfg_seed = rep_config_seed(seed, rep)
+    configs = [method_config(method, scenario, seed=cfg_seed) for method in methods]
     rows: list[ReplicationRow] = []
+    try:
+        transport = run_transport(frames, cfg_seed)
+    except FedcausalError as exc:
+        return rows, dict.fromkeys(methods, f"{type(exc).__name__}: {exc}")
     failed: dict[str, str] = {}
-    phases: dict = {}  # seed and candidate groups -> site phase
-    for method in methods:
-        config = method_config(method, scenario, seed=cfg_seed)
-        key = repr((config.seed, config.candidates))
+    phases: dict = {}  # candidate groups -> site phase
+    for method, config in zip(methods, configs):
+        key = repr(config.candidates)
         try:
             if key not in phases:
-                phases[key] = run_sites(frames, config)
+                phases[key] = run_sites(transport, config)
             report = combine(phases[key], method)
         except FedcausalError as exc:
             failed[method] = f"{type(exc).__name__}: {exc}"

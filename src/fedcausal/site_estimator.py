@@ -240,7 +240,7 @@ def source_report(
     fit: NuisanceFit,
     tilt: TiltCoefficients,
     summary: MomentSummary,
-    seed: int = 0,
+    folds: np.ndarray,
 ) -> tuple[SourceSiteReport, np.ndarray]:
     """Source-side transported estimator.
 
@@ -257,8 +257,8 @@ def source_report(
     reported ``target_coef``. ``tilt`` is this source's :func:`solve_tilt`
     result for ``summary``; its weights and B are used as solved.
 
-    Returns the upload, which summarizes the contributions over this site's
-    own cross-validation folds (:func:`split_masks` with ``seed``), with the
+    Returns the upload, which summarizes the contributions over ``folds``,
+    this site's own cross-validation folds (:func:`split_masks`), with the
     contributions themselves (shape (n_k,)), which stay at the source. Raises
     :class:`SingularJacobian` when B is singular.
     """
@@ -284,7 +284,7 @@ def source_report(
     report = SourceSiteReport(
         n_k=source.n,
         mu=tuple(float(own[arm].mean() + summary.mean_basis @ tau[:, arm]) for arm in (0, 1)),
-        own=OwnSummary.of(contributions, split_masks(source.n, seed, source.site_id)),
+        own=OwnSummary.of(contributions, folds),
         target_coef=tau[:, 1] - tau[:, 0] - w,
     )
     return report, contributions

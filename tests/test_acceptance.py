@@ -194,7 +194,8 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep, modifier=0.0, unit_tilt=
     else:
         tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, [p_map], [m_map], seed=rep)
-    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt, summary)[0], tgt)
+    report = source_report(src, fit, tilt, summary, split_masks(src.n, 0, src.site_id))[0]
+    est = complete_source_estimate(src.site_id, report, tgt)
     return est.mu[1] - est.mu[0]
 
 
@@ -329,7 +330,8 @@ def test_criterion_7_influence_checks(bench):
                 est = estimate_target(frame, fit)
             else:
                 tilt = solve_tilt(frame.V, summary)
-                report, own = source_report(frame, fit, tilt, summary, seed=config.seed)
+                folds = split_masks(frame.n, config.seed, frame.site_id)
+                report, own = source_report(frame, fit, tilt, summary, folds)
                 assert own.shape == (frame.n,)
                 worst_mean = max(worst_mean, abs(float(own.sum())))
                 est = complete_source_estimate(frame.site_id, report, target)
@@ -385,7 +387,9 @@ def test_criterion_8_runtime_equivalence_and_privacy():
             fit = fit_nuisances(src.site_id, src.X, src.y, src.a, raw, raw,
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
-                src.site_id, source_report(src, fit, tilt, summary, seed=seed)[0], target))
+                src.site_id,
+                source_report(src, fit, tilt, summary, split_masks(src.n, seed, src.site_id))[0],
+                target))
         solution = cross_validate_lambda(estimates, seed=seed)
         direct = global_estimate(estimates, solution, method=config.method)
         if not (runtime.delta_hat == direct.delta_hat

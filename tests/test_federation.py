@@ -21,7 +21,7 @@ from fedcausal.federation import (
     cross_validate_lambda,
     global_estimate,
 )
-from fedcausal.fedruntime import run_round, run_sites
+from fedcausal.fedruntime import run_round, run_sites, run_transport
 from fedcausal.numkit import nnls_coordinate_descent
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
 from fedcausal.site_estimator import CV_SPLITS, OwnSummary, SiteEstimate, split_masks
@@ -199,7 +199,7 @@ def test_cross_validate_lambda_matches_the_per_split_loop(preset):
         frames = replication_frames(scenario, 17, rep)
         for method in ADAPTIVE_METHODS:
             config = method_config(method, scenario, seed=rep_config_seed(17, rep))
-            estimates = run_sites(frames, config).estimates
+            estimates = run_sites(run_transport(frames, config.seed), config).estimates
             assert len(estimates) > 2
             solution = cross_validate_lambda(estimates, seed=config.seed)
             lam, eta, mean_err = _reference_cross_validation(estimates, config.seed)

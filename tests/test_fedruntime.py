@@ -29,6 +29,7 @@ from fedcausal.fedruntime import (
     combine,
     run_round,
     run_sites,
+    run_transport,
     site_split_seed,
 )
 from fedcausal.nuisance import MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, fit_nuisances
@@ -39,6 +40,7 @@ from fedcausal.site_estimator import (
     complete_source_estimate,
     estimate_target,
     source_report,
+    split_masks,
 )
 
 
@@ -96,7 +98,7 @@ def test_run_sites_rejects_repeated_site_ids():
     frames = _make_frames()
     frames[2] = dataclasses.replace(frames[2], site_id=frames[0].site_id)
     with pytest.raises(ValueError, match=r"repeated: \['site0'\]"):
-        run_sites(frames, _config())
+        run_transport(frames, 0)
 
 
 def test_target_alone_has_empty_ledger():
@@ -133,7 +135,9 @@ def test_run_round_matches_direct_composition():
                             config.candidates["source"]["outcome"],
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
-            src.site_id, source_report(src, fit, tilt, summary, seed=config.seed)[0], target))
+            src.site_id,
+            source_report(src, fit, tilt, summary, split_masks(src.n, config.seed, src.site_id))[0],
+            target))
     solution = cross_validate_lambda(estimates, seed=config.seed)
     direct = global_estimate(estimates, solution, method=config.method)
 
@@ -146,7 +150,7 @@ def test_run_round_matches_direct_composition():
 
 def test_one_site_phase_combines_under_each_scheme():
     frames = _make_frames(seed=7)
-    sites = run_sites(frames, _config("ivw", seed=2))
+    sites = run_sites(run_transport(frames, 2), _config("ivw", seed=2))
     for method in ("mr_l1", "ivw", "target"):
         shared, alone = combine(sites, method), run_round(frames, _config(method, seed=2))
         assert shared.delta_hat == alone.delta_hat
@@ -156,10 +160,33 @@ def test_one_site_phase_combines_under_each_scheme():
                 == [r.to_dict() for r in alone.privacy_ledger])
 
 
+def test_run_round_is_transport_then_sites_then_combine():
+    # The transport holds no candidate model, so one transport serves every
+    # candidate group: each phase on it, combined under each method, reports
+    # bit for bit what run_round does.
+    frames = _make_frames(seed=3)
+    transport = run_transport(frames, 5)
+    for source in (_group(FeatureMap("raw")),
+                   _group(FeatureMap("raw"), FeatureMap("subset", (0,)))):
+        config = _config("mr_l1", seed=5, source=source)
+        sites = run_sites(transport, config)
+        for method in METHODS:
+            alone = run_round(frames, dataclasses.replace(config, method=method))
+            assert combine(sites, method).to_json() == alone.to_json()
+
+
+def test_a_config_runs_only_on_a_transport_of_its_seed():
+    # The sources' CV folds are drawn with the transport's seed, and the
+    # target's and the nuisance splits with the config's: they must agree.
+    transport = run_transport(_make_frames(), 1)
+    with pytest.raises(ValueError, match="config seed 2 differs from the transport seed 1"):
+        run_sites(transport, _config("ivw", seed=2))
+
+
 def test_combine_reports_the_site_phase_ledger():
     # The combine step sends nothing: every report carries the site phase's
     # transcript, as its own list.
-    sites = run_sites(_make_frames(seed=7), _config("ivw", seed=2))
+    sites = run_sites(run_transport(_make_frames(seed=7), 2), _config("ivw", seed=2))
     logged = list(sites.ledger)
     assert [r.kind for r in logged][:2] == ["config", "moment_summary"]
     for method in METHODS:
@@ -175,7 +202,7 @@ def test_combine_reads_the_seed_and_candidate_groups_of_its_site_phase(monkeypat
     frames = _make_frames(seed=3)
     two = _group(FeatureMap("raw"), FeatureMap("subset", (0,)))
     config = _config("mr_l1", seed=5, target=two, source=two)
-    sites = run_sites(frames, config)
+    sites = run_sites(run_transport(frames, config.seed), config)
     assert (sites.seed, sites.candidates) == (config.seed, config.candidates)
     fold_seeds = []
     split_masks = federation.split_masks
@@ -292,7 +319,8 @@ def test_target_group_stays_with_the_coordinator():
     target = frames[0]
     fit = fit_nuisances(target.site_id, target.X, target.y, target.a, [own], [own],
                         seed=site_split_seed(4, target.site_id))
-    assert run_sites(frames, config).estimates[0].mu == estimate_target(target, fit).mu
+    sites = run_sites(run_transport(frames, config.seed), config)
+    assert sites.estimates[0].mu == estimate_target(target, fit).mu
     assert report.delta_hat != run_round(frames, _config("ivw", seed=4)).delta_hat
 
 

@@ -1,10 +1,10 @@
 """Property tests: what one round promises under relabelling and rescaling,
 and that every wire payload survives JSON with equal values.
 
-The round examples run whole rounds (``run_sites`` then ``combine``) on
-small random frames. Units are never permuted within a site: the nuisance split and
-the cross-validation folds are positional, so a round does not promise
-invariance to the order of a site's rows.
+The round examples run whole rounds (``run_transport``, ``run_sites`` then
+``combine``) on small random frames. Units are never permuted within a site:
+the nuisance split and the cross-validation folds are positional, so a round
+does not promise invariance to the order of a site's rows.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcausal.density_ratio import MomentSummary
-from fedcausal.fedruntime import METHODS, ProtocolConfig, combine, run_sites
+from fedcausal.fedruntime import METHODS, ProtocolConfig, combine, run_sites, run_transport
 from fedcausal.nuisance import FeatureMap
 from fedcausal.numkit import expit
 from fedcausal.site_estimator import OwnSummary, SiteFrame, SourceSiteReport
@@ -59,7 +59,8 @@ def _rounds(frames, seed):
     """One site phase combined under each method."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sites = run_sites(frames, _config("ivw", seed))
+        config = _config("ivw", seed)
+        sites = run_sites(run_transport(frames, config.seed), config)
         return {m: combine(sites, m) for m in METHODS}
 
 

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo benchmark harness."""
 
+import collections
 import csv
 import dataclasses
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcausal import fedruntime, nuisance, simbench
+from fedcausal import federation, fedruntime, nuisance, simbench, site_estimator
 from fedcausal.errors import CandidateFitWarning, ConvergenceWarning, ScenarioError, Separated
 from fedcausal.fedruntime import METHODS
 from fedcausal.nuisance import FeatureMap
@@ -328,6 +329,78 @@ def test_a_failed_site_phase_fails_every_method_that_shares_it(monkeypatch):
     shared = ("target", "ss", "ivw", "aipw_l1")
     assert failed == {m: "Separated: forced failure" for m in shared}
     assert rows == alone[0] and [r.method for r in rows] == ["mr_l1"]
+
+
+def test_one_transport_per_replication(monkeypatch):
+    # The tilts and the sources' CV folds hold no candidate model, so the two
+    # site phases of a c1 replication with every method share them: 4 tilts
+    # and 4 source fold sets, plus the target's folds in each adaptive combine.
+    calls = collections.Counter()
+    solve_tilt, split_masks = fedruntime.solve_tilt, site_estimator.split_masks
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fedruntime, "solve_tilt", counted(solve_tilt))
+    for module in (fedruntime, site_estimator, federation):
+        monkeypatch.setattr(module, "split_masks", counted(split_masks), raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows, failed = run_replication(load_scenario("c1"), METHODS, seed=0, rep=0)
+    assert failed == {} and len(rows) == 5
+    assert calls == {"solve_tilt": 4, "split_masks": 6}
+
+
+def test_a_failed_tilt_fails_its_source_in_every_site_phase(monkeypatch):
+    # site3 shares one covariate fewer than the target, so its tilt fails, once,
+    # in the transport: both site phases leave it out with the same error, and
+    # every method runs on the other three sources.
+    inner_frames, inner_combine = simbench.replication_frames, simbench.combine
+    phases = []
+
+    def frames(*args):
+        return [dataclasses.replace(f, shared_cols=(0, 1, 2)) if f.site_id == "site3" else f
+                for f in inner_frames(*args)]
+
+    def combine(sites, method):
+        phases.append(sites)
+        return inner_combine(sites, method)
+
+    monkeypatch.setattr(simbench, "replication_frames", frames)
+    monkeypatch.setattr(simbench, "combine", combine)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows, failed = run_replication(load_scenario("c1"), METHODS, seed=0, rep=0)
+    assert failed == {} and len(rows) == 5
+    assert len({id(phase) for phase in phases}) == 2
+    reason = phases[0].failures["site3"]
+    assert reason.startswith("MissingColumns: target summary has 5 basis entries")
+    assert all(phase.failures == {"site3": reason} and len(phase.estimates) == 4
+               for phase in phases)
+
+
+def test_a_failed_transport_fails_every_method(monkeypatch):
+    inner = simbench.replication_frames
+    monkeypatch.setattr(simbench, "replication_frames", lambda *args: inner(*args)[1:])
+    rows, failed = run_replication(load_scenario("c1"), METHODS, seed=0, rep=0)
+    assert rows == []
+    assert failed == dict.fromkeys(METHODS, "MissingTarget: expected exactly one target "
+                                            "frame, got 0")
+
+
+def test_scenario_spec_built_in_code_has_the_json_type_rule():
+    # n is an int and each skew entry an int or float, a bool being neither.
+    def spec(n=50, skew=(0, 0.5, 0, 0)):
+        return ScenarioSpec("x", (SiteSpec("t", "target", n, skew, "x"),))
+
+    assert spec().sites[0].n == 50
+    for bad in ({"skew": ("a", 0, 0, 0)}, {"skew": (True, 0, 0, 0)}, {"n": "50"},
+                {"n": 50.5}):
+        with pytest.raises(ScenarioError, match="wrong JSON type"):
+            spec(**bad)
 
 
 @pytest.mark.parametrize("seed,rep", [(101, 434), (104, 412)])

@@ -59,6 +59,11 @@ def _tilt_at(V, gamma):
     return TiltCoefficients(gamma, 0.0, weights, (psi * weights[:, None]).T @ psi / len(psi))
 
 
+def _folds(frame, seed=0):
+    """The frame's own CV folds under ``seed``, as the transport draws them."""
+    return split_masks(frame.n, seed, frame.site_id)
+
+
 def _untilted(frame):
     return _tilt_at(frame.V, np.zeros(frame.V.shape[1] + 1))
 
@@ -68,7 +73,7 @@ def _projections(src, fit, tilt):
     psi = (1, V), read off the upload: each arm mean is affine in the target
     basis mean it receives, with slope tau_a. Returns shape (2, basis)."""
     dim = src.V.shape[1] + 1
-    mu = np.array([source_report(src, fit, tilt, MomentSummary(mean_basis))[0].mu
+    mu = np.array([source_report(src, fit, tilt, MomentSummary(mean_basis), _folds(src))[0].mu
                    for mean_basis in np.vstack([np.zeros(dim), np.eye(dim)])])
     return (mu[1:] - mu[0]).T
 
@@ -167,7 +172,7 @@ def test_fit_tau_exact_on_linear_predictions():
     for arm, tau in enumerate(_projections(src, fit, _untilted(src))):
         assert np.max(np.abs(add_intercept(src.V) @ tau - fit.m[arm])) < 1e-8
     with pytest.raises(ValueError):
-        source_report(tgt, fit, _untilted(src), target_moments(tgt.V))
+        source_report(tgt, fit, _untilted(src), target_moments(tgt.V), _folds(src))
 
 
 def test_fit_tau_slope_recovery_with_orthogonal_noise():
@@ -191,7 +196,8 @@ def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    report = source_report(src, _fit(src.n), _untilted(src), target_moments(tgt.V))[0]
+    report = source_report(src, _fit(src.n), _untilted(src), target_moments(tgt.V),
+                           _folds(src))[0]
     est = complete_source_estimate(src.site_id, report, tgt)
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
@@ -204,7 +210,8 @@ def test_source_no_shift_agrees_with_target():
     fit_s = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
     fit_t = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
     est_s = complete_source_estimate(
-        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), summary)[0], tgt)
+        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), summary, _folds(src))[0],
+        tgt)
     est_t = estimate_target(tgt, fit_t)
     assert abs((est_s.mu[1] - est_s.mu[0]) - (est_t.mu[1] - est_t.mu[0])) < 0.25
 
@@ -213,7 +220,7 @@ def test_source_estimate_equals_report_plus_completion():
     src, tgt = _linear_pair(seed=8)
     summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
-    report = source_report(src, fit, solve_tilt(src.V, summary), summary, seed=2)[0]
+    report = source_report(src, fit, solve_tilt(src.V, summary), summary, _folds(src, 2))[0]
     direct = complete_source_estimate(src.site_id, report, tgt)
     wired = complete_source_estimate(
         src.site_id, SourceSiteReport.from_json(report.to_json()), tgt)
@@ -229,7 +236,7 @@ def test_source_influence_parts_are_centered():
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=6)
     # Own-unit contributions are checked at the source, before they are
     # summarized; each vector sums to the mean of its influence values.
-    report, d = source_report(src, fit, solve_tilt(src.V, summary), summary, seed=4)
+    report, d = source_report(src, fit, solve_tilt(src.V, summary), summary, _folds(src, 4))
     assert abs(d.sum()) < 1e-8
     assert d.shape == (src.n,)
     est = complete_source_estimate(src.site_id, report, tgt)
@@ -247,13 +254,14 @@ def test_source_linearity_in_outcome_scale():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
-    est = complete_source_estimate(src.site_id, source_report(src, fit, tilt, summary)[0], tgt)
+    report = source_report(src, fit, tilt, summary, _folds(src))[0]
+    est = complete_source_estimate(src.site_id, report, tgt)
 
     scaled = SiteFrame(src.site_id, "source", 3.0 * src.y, src.a, src.X, src.shared_cols)
     fit_scaled = fit_nuisances(scaled.site_id, scaled.X, scaled.y, scaled.a, RAW_T, RAW_O,
                                seed=7)
     est_scaled = complete_source_estimate(
-        scaled.site_id, source_report(scaled, fit_scaled, tilt, summary)[0], tgt)
+        scaled.site_id, source_report(scaled, fit_scaled, tilt, summary, _folds(scaled))[0], tgt)
     for arm in (0, 1):
         assert abs(est_scaled.mu[arm] - 3.0 * est.mu[arm]) < 1e-9 * max(1.0, abs(est.mu[arm]))
 
@@ -263,8 +271,8 @@ def test_source_report_requires_source_role():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     with pytest.raises(ValueError):
-        source_report(tgt, _fit(tgt.n), tilt, summary)
-    report = source_report(src, _fit(src.n), tilt, summary)[0]
+        source_report(tgt, _fit(tgt.n), tilt, summary, _folds(src))
+    report = source_report(src, _fit(src.n), tilt, summary, _folds(src))[0]
     with pytest.raises(ValueError):
         complete_source_estimate(src.site_id, report, src)
 
@@ -282,7 +290,7 @@ def test_source_report_singular_jacobian_raises():
     src = SiteFrame("src", "source", y, a, X, (0, 1))
     tilt = _tilt_at(src.V, np.array([0.0, 1000.0, 0.0]))
     with pytest.raises(SingularJacobian), pytest.warns(ExtremeWeightsWarning):
-        source_report(src, _fit(n), tilt, target_moments(src.V))
+        source_report(src, _fit(n), tilt, target_moments(src.V), _folds(src))
 
 
 def test_site_estimate_json_round_trip():
@@ -292,7 +300,8 @@ def test_site_estimate_json_round_trip():
     summary = target_moments(tgt.V)
     for est in (complete_source_estimate(
                     src.site_id,
-                    source_report(src, _fit(src.n), solve_tilt(src.V, summary), summary)[0], tgt),
+                    source_report(src, _fit(src.n), solve_tilt(src.V, summary), summary,
+                                  _folds(src))[0], tgt),
                 estimate_target(tgt, _fit(tgt.n))):
         back = json.loads(est.to_json())
         assert (back["mu0"], back["mu1"]) == est.mu
@@ -305,7 +314,7 @@ def test_source_report_json_round_trip():
     src, tgt = _linear_pair(seed=14)
     summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=8)
-    report = source_report(src, fit, solve_tilt(src.V, summary), summary)[0]
+    report = source_report(src, fit, solve_tilt(src.V, summary), summary, _folds(src))[0]
     back = SourceSiteReport.from_json(report.to_json())
     assert back.mu == report.mu
     assert back.own.sq == report.own.sq
@@ -328,10 +337,10 @@ def test_source_influence_rejects_a_fit_of_another_frame():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     with pytest.raises(ValueError):
-        source_report(src, _fit(src.n + 1), tilt, summary)
+        source_report(src, _fit(src.n + 1), tilt, summary, _folds(src))
     fit_of_target = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=9)
     with pytest.raises(ValueError):
-        source_report(src, fit_of_target, tilt, summary)
+        source_report(src, fit_of_target, tilt, summary, _folds(src))
 
 
 def _rel_close(a, b, tol=1e-12):
@@ -355,7 +364,7 @@ def test_contributions_match_per_arm_construction():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
-    report, contributions = source_report(src, fit, tilt, summary, seed=3)
+    report, contributions = source_report(src, fit, tilt, summary, _folds(src, 3))
     est = complete_source_estimate(src.site_id, report, tgt)
 
     pi, m = fit.pi, fit.m
