@@ -6,7 +6,7 @@ class FedcausalError(Exception):
 
 
 class RankDeficient(FedcausalError):
-    """Design matrix is numerically rank deficient."""
+    """Design matrix is numerically rank deficient or holds a non-finite value."""
 
 
 class MissingClass(FedcausalError):

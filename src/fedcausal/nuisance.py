@@ -283,7 +283,9 @@ def fit_nuisances(
     evaluate them on the units of site ``site_id``. Warns with
     :class:`PositivityWarning` if the clip changes any propensity."""
     maps = dict.fromkeys((*treatment_maps, *outcome_maps))
-    designs = {fm: standardized_design(fm.apply(X)) for fm in maps}
+    # A map that overflows gives a non-finite design, which its fits reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        designs = {fm: standardized_design(fm.apply(X)) for fm in maps}
     p1 = mix_propensity(site_id, designs, a, treatment_maps, seed=seed)[1]
     m1 = mix_outcome(site_id, designs, y, a, 1, outcome_maps, seed=seed)[1]
     m0 = mix_outcome(site_id, designs, y, a, 0, outcome_maps, seed=seed)[1]

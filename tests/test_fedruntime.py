@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedcausal import federation
+from fedcausal import federation, nuisance
 from fedcausal.density_ratio import solve_tilt, target_moments
 from fedcausal.errors import (
     AllSourcesFailedWarning,
@@ -34,7 +34,7 @@ from fedcausal.fedruntime import (
 )
 from fedcausal.nuisance import MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit
-from fedcausal.simbench import load_scenario, method_config
+from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
 from fedcausal.site_estimator import (
     SiteFrame,
     complete_source_estimate,
@@ -288,6 +288,33 @@ def test_a_map_that_does_not_fit_a_source_fails_that_source():
         assert all(reason.startswith("MissingColumns: feature map ") for reason in failed.values())
         assert report.diagnostics["effective_method"] == "target"
         assert [site["site_id"] for site in report.per_site] == ["site0"]
+
+
+def test_a_candidate_whose_design_overflows_fails_that_candidate(monkeypatch):
+    # At 10^4 times the c1 units, kang_schafer's exp(X0 / 2) overflows, so
+    # every site's kangschafer design holds NaN. Each of that candidate's fits
+    # fails by name before it starts, the raw candidate takes all the weight,
+    # and numpy's overflow warning does not escape.
+    scenario = load_scenario("c1")
+    frames = [dataclasses.replace(f, X=1e4 * f.X) for f in replication_frames(scenario, 5, 0)]
+    weights, mix = [], nuisance._mix
+
+    def recorded(*args):
+        result = mix(*args)
+        weights.append(result[0])
+        return result
+
+    monkeypatch.setattr(nuisance, "_mix", recorded)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_round(frames, method_config("mr_l1", scenario, seed=rep_config_seed(5, 0)))
+    assert np.isfinite(report.delta_hat) and not report.diagnostics["failed_sources"]
+    assert len(weights) == 3 * len(frames)
+    assert all(np.array_equal(w, [1.0, 0.0]) for w in weights)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert {str(w.message) for w in caught if w.category is CandidateFitWarning} == {
+        f"{f.site_id}: candidate kangschafer failed to fit: design holds a non-finite value"
+        for f in frames}
 
 
 def test_a_source_sharing_fewer_covariates_fails_that_source():
