@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import FedcausalError, ScenarioError
 from .federation import ALPHA, LAMBDA_GRID
-from .fedruntime import METHODS, ProtocolConfig, _is_count, audit_ledger, dump_ledger, run_round
+from .fedruntime import METHODS, ProtocolConfig, audit_ledger, dump_ledger, is_count, run_round
 from .nuisance import FeatureMap
 from .simbench import (
     load_scenario,
@@ -51,7 +51,7 @@ def _checked(convert, ok, rule: str):
     return parse
 
 
-_parse_seed = _checked(int, _is_count, "seed must be in [0, 2**53)")
+_parse_seed = _checked(int, is_count, "seed must be in [0, 2**53)")
 _parse_reps = _checked(int, lambda v: v >= 1, "reps must be >= 1")
 _parse_methods = _checked(
     lambda text: tuple(m.strip() for m in text.split(",") if m.strip()),
@@ -150,8 +150,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_site_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Read a site CSV with header y,a,x1..xp; returns (y, a, X, x names)."""
+def _read_site_csv(path: str) -> tuple[np.ndarray, list[str]]:
+    """Read a site CSV with header y,a,x1..xp; returns (rows, x names). The
+    frame built from the rows checks their values (:func:`_site_frame`)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -170,35 +171,32 @@ def _read_site_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
         if len(r) != len(header):
             raise ValueError(f"{path}: row {row_no} has {len(r)} cells, expected {len(header)}")
     try:
-        data = np.array(rows, dtype=float)
+        return np.array(rows, dtype=float), header[2:]
     except ValueError:
         raise ValueError(f"{path}: non-numeric cell")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite values")
-    y, a, X = data[:, 0], data[:, 1], data[:, 2:]
-    if not np.all(np.isin(a, (0.0, 1.0))):
-        raise ValueError(f"{path}: treatment column must be binary 0/1")
-    return y, a.astype(int), X, header[2:]
+
+
+def _site_frame(path: str, role: str, data: np.ndarray, shared: tuple) -> SiteFrame:
+    """The frame of the site CSV at ``path``, named by its file; a
+    :class:`SiteFrame` check that fails names the file too."""
+    try:
+        return SiteFrame(site_id=os.path.splitext(os.path.basename(path))[0], role=role,
+                         y=data[:, 0], a=data[:, 1], X=data[:, 2:], shared_cols=shared)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_estimate(args) -> int:
     try:
-        y, a, X, tgt_names = _read_site_csv(args.target)
-        frames = [SiteFrame(
-            site_id=os.path.splitext(os.path.basename(args.target))[0],
-            role="target", y=y, a=a, X=X,
-            shared_cols=tuple(range(X.shape[1])),
-        )]
+        data, tgt_names = _read_site_csv(args.target)
+        frames = [_site_frame(args.target, "target", data, tuple(range(len(tgt_names))))]
         for path in args.source:
-            ys, as_, Xs, names = _read_site_csv(path)
+            data, names = _read_site_csv(path)
             missing = [c for c in tgt_names if c not in names]
             if missing:
                 raise ValueError(f"{path}: missing shared covariates {missing}")
-            shared = tuple(names.index(c) for c in tgt_names)
-            frames.append(SiteFrame(
-                site_id=os.path.splitext(os.path.basename(path))[0],
-                role="source", y=ys, a=as_, X=Xs, shared_cols=shared,
-            ))
+            frames.append(_site_frame(path, "source", data,
+                                      tuple(names.index(c) for c in tgt_names)))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

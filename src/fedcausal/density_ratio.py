@@ -46,12 +46,14 @@ class MomentSummary:
 class TiltCoefficients:
     """A solved tilt: its coefficients and residual norm, the weights
     ``exp(-psi gamma)`` on the source units, and the moment-matching Jacobian
-    ``B = mean(psi psi' exp(-psi gamma))``, all at the returned gamma."""
+    ``B = mean(psi psi' exp(-psi gamma))``, all at the returned gamma, with
+    the basis ``psi = (1, V)`` of the source units they were solved on."""
 
     gamma: np.ndarray
     residual_norm: float
     weights: np.ndarray
     jacobian: np.ndarray
+    basis: np.ndarray
 
 
 def target_moments(V_target: np.ndarray) -> MomentSummary:
@@ -102,6 +104,7 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
         residual_norm=float(np.max(np.abs(last["r"]))),
         weights=last["weights"],
         jacobian=B,
+        basis=psi,
     )
 
 

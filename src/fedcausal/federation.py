@@ -6,9 +6,11 @@ cross-validated penalty (every split and penalty fit, and the refit on all
 rows, in one batched solve), and the influence-based variance and confidence
 interval of the combined effect estimate. Every function here takes the site
 estimates target first, as :func:`fedcausal.fedruntime.run_sites` lists them,
-and returns the site weights eta in that order. Every variance here is a sum of
-squared contributions exactly as the sites hold them (see
-:mod:`fedcausal.site_estimator`): no quantity is rescaled by a sample size.
+and returns the site weights eta in that order. Nothing here reads a seed:
+the cross-validation takes the target's CV folds as the transport drew them.
+Every variance here is a sum of squared contributions exactly as the sites
+hold them (see :mod:`fedcausal.site_estimator`): no quantity is rescaled by a
+sample size.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import MissingTarget, TooManySources, ZeroVariance
 from .numkit import nnls_coordinate_descent
-from .site_estimator import CV_SPLITS, SiteEstimate, split_masks
+from .site_estimator import CV_SPLITS, SiteEstimate
 
 # The weighting methods: fixed schemes, and the adaptive penalized ensembles
 # whose penalty is cross-validated over the protocol's fixed grid. Every
@@ -141,9 +143,9 @@ def _stacked_system(estimates: list[SiteEstimate]):
     the fit to the target, while a real bias far exceeds the threshold and
     still suppresses the site. The response on target rows is the target
     estimator's contributions. Source k's own-unit rows (minus its own-unit
-    contributions in column k, response zero) are summarized by their sum of
-    squares, returned per source as ``own_sq``. Callers reduce the rows to
-    cross-products (:func:`_cv_systems`).
+    contributions in column k, response zero) are summarized by the sums of
+    squares its estimate holds (``own``), which :func:`_cv_systems` adds when
+    it reduces the rows to cross-products.
     """
     tgt_est = _target_first(estimates)
     sources = estimates[1:]
@@ -160,19 +162,20 @@ def _stacked_system(estimates: list[SiteEstimate]):
         threshold = 2.0 * math.sqrt(_variance(estimates, unit[col + 1] - unit[0]))
         shrunk = math.copysign(max(abs(delta) - threshold, 0.0), delta)
         G[:, col] = xi_T - est.on_target - shrunk / math.sqrt(n_T)
-    return xi_T, G, np.array([est.own.sq for est in sources]), arm_shift_sq
+    return xi_T, G, arm_shift_sq
 
 
-def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, own_sq, seed: int):
+def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target_folds: np.ndarray):
     """Stacked (G'G, G'r, r'r) of the stacked regression's rows in each CV
     split's fit half, then in all rows.
 
-    Every site splits its own units (:func:`split_masks`). A row set is the
-    target's rows ``G_T``, ``r_T`` it holds plus each source's own-unit rows,
-    which are nonzero only in column k with response zero, so their whole
-    contribution is the source's sum of squares on the diagonal of G'G: its
-    uploaded fit-half ``fit_sq`` per split, ``own_sq`` for all rows. A
-    validation half is all rows minus its fit half.
+    Every site splits its own units (:func:`~fedcausal.site_estimator.split_masks`),
+    the target by ``target_folds``. A row set is the target's rows ``G_T``,
+    ``r_T`` in that half plus each source's own-unit rows, which are nonzero
+    only in column k with response zero, so their whole contribution is the
+    source's sum of squares on the diagonal of G'G: its uploaded fit-half
+    ``fit_sq`` per split, ``sq`` for all rows. A validation half is all rows
+    minus its fit half.
     """
     sources = estimates[1:]
     for est in sources:
@@ -181,9 +184,12 @@ def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, own_sq, seed: int):
                 f"site {est.site_id} summarizes {len(est.own.fit_sq)} splits, "
                 f"expected {CV_SPLITS}"
             )
-    masks = split_masks(estimates[0].n_T, seed, estimates[0].site_id)
+    if np.shape(target_folds) != (CV_SPLITS, len(r_T)):
+        raise ValueError(f"target folds have shape {np.shape(target_folds)}, "
+                         f"expected {(CV_SPLITS, len(r_T))}")
+    own_sq = [e.own.sq for e in sources]
     row_sets = [(G_T[fit_units], r_T[fit_units], [e.own.fit_sq[s] for e in sources])
-                for s, fit_units in enumerate(masks)] + [(G_T, r_T, own_sq)]
+                for s, fit_units in enumerate(target_folds)] + [(G_T, r_T, own_sq)]
     return (np.array([G.T @ G + np.diag(sq) for G, _, sq in row_sets]),
             np.array([G.T @ r for G, r, _ in row_sets]),
             np.array([r @ r for _, r, _ in row_sets]))
@@ -197,11 +203,14 @@ def check_adaptive_sources(n_sources: int) -> None:
                              f"got {n_sources}")
 
 
-def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> EnsembleSolution:
+def cross_validate_lambda(estimates: list[SiteEstimate],
+                          target_folds: np.ndarray) -> EnsembleSolution:
     """Choose the penalty from ``LAMBDA_GRID`` by ``CV_SPLITS`` repeated 50/50
     splits of every site's units.
 
-    Each site splits its own units (:func:`_cv_systems`). Weights are fit on
+    Each site splits its own units (:func:`_cv_systems`), the target by
+    ``target_folds``, its (``CV_SPLITS``, n_T) fit-half masks as the
+    transport drew them, so nothing is drawn here. Weights are fit on
     one half and scored by the unpenalized objective ||r - G eta||^2 on the
     other, both from K x K cross-products of the stacked system built once
     here: every (split, penalty) fit and every penalty's refit on all rows
@@ -216,8 +225,8 @@ def cross_validate_lambda(estimates: list[SiteEstimate], seed: int = 0) -> Ensem
     (:func:`check_adaptive_sources`).
     """
     check_adaptive_sources(len(estimates) - 1)
-    r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
-    gram, gtr, rtr = _cv_systems(estimates, r_T, G_T, own_sq, seed)
+    r_T, G_T, arm_shift_sq = _stacked_system(estimates)
+    gram, gtr, rtr = _cv_systems(estimates, r_T, G_T, target_folds)
     gram_val, gtr_val, rtr_val = (x[-1] - x[:-1] for x in (gram, gtr, rtr))
     penalties = np.array(LAMBDA_GRID)[:, None] * arm_shift_sq
     # (split or all rows, penalty, source) weights; the score is

@@ -1,19 +1,20 @@
 """Single-round simulated federation over in-memory site frames.
 
 The target site acts as coordinator. One round is a transport
-(:func:`run_transport`: a moment-summary broadcast from the target, and each
-source's density-ratio tilt and cross-validation folds, none of which depends
-on a candidate model), a site phase on that transport (:func:`run_sites`: the
-config broadcast of the seed and the sources' candidate models, one
-summary-level upload per source holding its finished estimate, and the
-target's own estimate, which stays at the target), after which the
-coordinator forms the global combination (:func:`combine`), whose one setting
-is the weighting scheme: it reads the seed and candidate groups from the site
-phase. So one transport serves every candidate group, and one site phase
-every weighting scheme. The scheme and the target's candidate models stay
-with the coordinator, and the penalty grid and the CI level are protocol
-constants (:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message
-carries them, and the site phase never reads the scheme. Every cross-site
+(:func:`run_transport`: a moment-summary broadcast from the target, each
+source's density-ratio tilt, and every site's cross-validation folds, none of
+which depends on a candidate model), a site phase on that transport
+(:func:`run_sites`: the config broadcast of the seed and the sources'
+candidate models, one summary-level upload per source holding its finished
+estimate, and the target's own estimate, which stays at the target), after
+which the coordinator forms the global combination (:func:`combine`), whose
+one setting is the weighting scheme: it reads the target's CV folds and the
+candidate groups from the site phase, and no seed. So one transport serves
+every candidate group, and one site phase every weighting scheme. The scheme
+and the target's candidate models stay with the coordinator, and the penalty
+grid and the CI level are protocol constants
+(:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message carries
+them, and the site phase never reads the scheme. Every cross-site
 payload is serialized to JSON at the boundary, and every cross-site message
 is logged so the ledger can be audited: only the declared summary-level
 schemas may cross sites, never individual rows or any per-unit value. Moment
@@ -90,11 +91,11 @@ def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-def _is_count(value) -> bool:
+def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**53
 
 
-_SCALARS = {"count": _is_count, "number": _is_number}
+_SCALARS = {"count": is_count, "number": _is_number}
 
 
 def _sha256(text: str) -> str:
@@ -154,7 +155,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not _is_count(self.seed):
+        if not is_count(self.seed):
             raise ValueError(f"seed must be an int in [0, 2**53), got {self.seed!r}")
         if {role: set(group) for role, group in self.candidates.items()} != {
                 "target": {"treatment", "outcome"}, "source": {"treatment", "outcome"}
@@ -203,17 +204,19 @@ class SourceTransport:
 @dataclass(frozen=True)
 class Transport:
     """The site work of one round that no candidate model changes: the target
-    frame, and one :class:`SourceTransport` per source in frame order, for
-    CV folds drawn with ``seed``."""
+    frame with its CV folds, and one :class:`SourceTransport` per source in
+    frame order, every fold set drawn with ``seed``."""
 
     target: SiteFrame
+    target_folds: np.ndarray
     sources: list
     seed: int
 
 
 def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
-    """Run the candidate-free site work: the target's moment summary, and
-    each source's tilt and CV folds.
+    """Run the candidate-free site work: the target's moment summary and CV
+    folds, and each source's tilt and CV folds, every fold set drawn by
+    :func:`~fedcausal.site_estimator.split_masks` with ``seed``.
 
     Checks that there is exactly one target frame and that site ids, which
     address the messages and the weights, are distinct. A source whose tilt
@@ -242,7 +245,8 @@ def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
             continue
         sources.append(SourceTransport(src, message, summary, tilt,
                                        split_masks(src.n, seed, src.site_id), None))
-    return Transport(target=target, sources=sources, seed=seed)
+    return Transport(target=target, target_folds=split_masks(target.n, seed, target.site_id),
+                     sources=sources, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -253,14 +257,14 @@ class SitePhase:
     source that succeeded, in frame order; the coordinator's weights follow
     the same order. ``failures`` maps each failed source to its error.
     ``ledger`` logs every cross-site message of the round, the config
-    broadcast first; the combine step sends none, and reads the ``seed`` and
-    ``candidates`` of the config the phase ran.
+    broadcast first; the combine step sends none, and reads the transport's
+    ``target_folds`` and the ``candidates`` of the config the phase ran.
     """
 
     estimates: list
     ledger: list
     failures: dict
-    seed: int
+    target_folds: np.ndarray
     candidates: dict
 
 
@@ -320,7 +324,7 @@ def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
 
     tgt_est = estimate_target(target, _fit_site(target, config))
     return SitePhase(estimates=[tgt_est] + estimates, ledger=ledger, failures=failures,
-                     seed=config.seed, candidates=config.candidates)
+                     target_folds=transport.target_folds, candidates=config.candidates)
 
 
 def combine(sites: SitePhase, method: str) -> GlobalReport:
@@ -328,11 +332,12 @@ def combine(sites: SitePhase, method: str) -> GlobalReport:
 
     Sends no message: the report's ledger is a copy of the site phase's.
     Leaves ``sites`` unchanged, so one site phase can be combined under
-    several weighting schemes; the CV folds are drawn with ``sites.seed``.
-    The report's ``effective_method`` names what ran: a round with the
-    target estimate alone uses the target-only weights, with a warning if
-    sources were configured and every one failed, and ``mr_l1`` with one
-    feature map in every candidate group of ``sites`` is ``aipw_l1``.
+    several weighting schemes; reads no seed and draws nothing, the target's
+    CV folds being ``sites.target_folds``. The report's ``effective_method``
+    names what ran: a round with the target estimate alone uses the
+    target-only weights, with a warning if sources were configured and every
+    one failed, and either adaptive name is ``aipw_l1`` when every candidate
+    group of ``sites`` holds one feature map and ``mr_l1`` otherwise.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -345,12 +350,10 @@ def combine(sites: SitePhase, method: str) -> GlobalReport:
             stacklevel=2,
         )
     effective = "target" if len(estimates) == 1 else method
-    if effective == "mr_l1" and all(
-        len(maps) == 1 for groups in sites.candidates.values() for maps in groups.values()
-    ):
-        effective = "aipw_l1"
     if effective in ADAPTIVE_METHODS:
-        solution = cross_validate_lambda(estimates, seed=sites.seed)
+        effective = "aipw_l1" if all(len(maps) == 1 for groups in sites.candidates.values()
+                                     for maps in groups.values()) else "mr_l1"
+        solution = cross_validate_lambda(estimates, sites.target_folds)
     else:
         solution = combine_fixed(estimates, effective)
 

@@ -52,8 +52,8 @@ class SiteSpec:
 
 
 def _json_value(value, types: tuple, what: str):
-    """``value`` if it is of one of the JSON types ``types`` (``int``, ``float``
-    or ``bool``); a bool is only a bool, never a number."""
+    """``value`` if it is of one of the JSON types ``types`` (``str``, ``int``,
+    ``float`` or ``bool``); a bool is only a bool, never a number."""
     if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
         raise ScenarioError(f"{what} {value!r} has the wrong JSON type")
     return value
@@ -63,7 +63,8 @@ def _json_value(value, types: tuple, what: str):
 class ScenarioSpec:
     """A full multi-site design plus the covariate-mismatch switch.
 
-    Each site's ``n`` is an ``int`` and its ``skew`` a tuple of four finite
+    The ``name`` and each site's ``id``, ``role`` and ``dgp`` are strings,
+    each site's ``n`` is an ``int`` and its ``skew`` a tuple of four finite
     ``int`` or ``float`` entries, a bool being neither; anything else raises
     :class:`ScenarioError`.
     """
@@ -74,6 +75,10 @@ class ScenarioSpec:
     true_delta: float = 0.0
 
     def __post_init__(self):
+        _json_value(self.name, (str,), "name")
+        for s in self.sites:
+            for what in ("id", "role", "dgp"):
+                _json_value(getattr(s, what), (str,), f"site {what}")
         targets = [s for s in self.sites if s.role == "target"]
         if len(targets) != 1:
             raise ScenarioError(f"scenario needs exactly one target, got {len(targets)}")
@@ -104,20 +109,20 @@ class ScenarioSpec:
     def from_dict(obj: dict) -> "ScenarioSpec":
         """A scenario from decoded JSON, type-checked and not coerced: ``mismatch`` is a
         bool and ``true_delta`` a finite number (``json`` reads ``NaN`` and
-        ``Infinity`` as floats); the constructor checks ``n`` and ``skew``."""
+        ``Infinity`` as floats); the constructor checks every other field."""
         try:
             sites = tuple(
                 SiteSpec(
-                    id=str(s["id"]),
-                    role=str(s["role"]),
+                    id=s["id"],
+                    role=s["role"],
                     n=s["n"],
                     skew=tuple(s["skew"]),
-                    dgp=str(s["dgp"]),
+                    dgp=s["dgp"],
                 )
                 for s in obj["sites"]
             )
             return ScenarioSpec(
-                name=str(obj["name"]),
+                name=obj["name"],
                 sites=sites,
                 mismatch=_json_value(obj.get("mismatch", False), (bool,), "mismatch"),
                 true_delta=float(_json_value(obj.get("true_delta", 0.0), (int, float),

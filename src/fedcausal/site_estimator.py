@@ -255,7 +255,7 @@ def source_report(
     side the projection and the target basis means both vary, so a target
     unit contributes its centered psi times tau_1 - tau_0 - B^{-1}A, the
     reported ``target_coef``. ``tilt`` is this source's :func:`solve_tilt`
-    result for ``summary``; its weights and B are used as solved.
+    result for ``summary``; its basis psi, weights and B are used as solved.
 
     Returns the upload, which summarizes the contributions over ``folds``,
     this site's own cross-validation folds (:func:`split_masks`), with the
@@ -264,8 +264,7 @@ def source_report(
     """
     if source.role != "source":
         raise ValueError("the source estimator requires a source frame")
-    psi = add_intercept(source.V)
-    zeta_raw, B = tilt.weights, tilt.jacobian
+    psi, zeta_raw, B = tilt.basis, tilt.weights, tilt.jacobian
     zeta, _ = truncate_weights(source.site_id, zeta_raw)
     resid = _ipw_residual(source, fit, f"source {source.site_id}")
     tau = fit_ols(psi, fit.m.T).coefficients  # (d, 2): both arms' projections

@@ -173,6 +173,7 @@ def _unit_tilt(psi, summary):
         residual_norm=float(np.max(np.abs(summary.mean_basis - psi.mean(axis=0)))),
         weights=np.ones(n),
         jacobian=psi.T @ psi / n,
+        basis=psi,
     )
 
 
@@ -298,7 +299,7 @@ def test_criterion_6_weight_solver_oracle(monkeypatch):
         for i in range(2)
     ]
     monkeypatch.setattr(federation, "LAMBDA_GRID", (1e12,))
-    eta = cross_validate_lambda([tgt] + sources).eta
+    eta = cross_validate_lambda([tgt] + sources, split_masks(tgt.n_T, 0, tgt.site_id)).eta
     target_only_ok = bool(np.array_equal(eta, [1.0, 0.0, 0.0]))
 
     detail = f"max objective gap {worst_gap:.2e}, huge-lambda weights {eta.tolist()}"
@@ -390,7 +391,8 @@ def test_criterion_8_runtime_equivalence_and_privacy():
                 src.site_id,
                 source_report(src, fit, tilt, summary, split_masks(src.n, seed, src.site_id))[0],
                 target))
-        solution = cross_validate_lambda(estimates, seed=seed)
+        solution = cross_validate_lambda(estimates,
+                                         split_masks(target.n, seed, target.site_id))
         direct = global_estimate(estimates, solution, method=config.method)
         if not (runtime.delta_hat == direct.delta_hat
                 and runtime.variance == direct.variance

@@ -231,6 +231,19 @@ def test_estimate_data_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_estimate_names_the_file_of_a_value_its_frame_rejects(tmp_path, capsys):
+    # The site frame checks the values, and the error names the CSV it read:
+    # a treatment of 0.5 is not rounded to 0, and an infinite covariate fails.
+    ok = str(_write_site_csv(tmp_path / "ok.csv", 1, 200, ["x1", "x2"]))
+    for text, rule in (("y,a,x1,x2\n1.0,0.5,0.1,0.2\n", "a must be a 0/1 treatment indicator"),
+                       ("y,a,x1,x2\n1.0,1,inf,0.2\n", "y and X must be finite")):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        for args in (["--target", str(bad)], ["--target", ok, "--source", str(bad)]):
+            assert main(["estimate", *args]) == EXIT_DATA
+            assert capsys.readouterr().err == f"error: {bad}: {rule}\n"
+
+
 def test_estimate_names_a_row_of_the_wrong_length(tmp_path, capsys):
     # Rows are numbered from the header as row 1, as `report` numbers them.
     for text, bad in (("y,a,x1\n1,0,0.5\n2,1\n", "row 3 has 2 cells"),

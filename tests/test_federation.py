@@ -43,6 +43,11 @@ def _source_estimate(rng, site_id, n_k=300, n_T=400, mu=(1.0, 2.0), scale=1.0, s
                         n_k=n_k, own=own)
 
 
+def _target_folds(estimates, seed=0):
+    """The target's CV folds under ``seed``, as the transport draws them."""
+    return split_masks(estimates[0].n_T, seed, estimates[0].site_id)
+
+
 def _trio(seed=0, mu_src=(1.0, 2.0)):
     rng = np.random.default_rng(seed)
     return [
@@ -130,22 +135,23 @@ def test_huge_lambda_gives_target_only(monkeypatch):
     # weight, so an enormous lambda shuts them off exactly.
     monkeypatch.setattr(federation, "LAMBDA_GRID", (1e12,))
     estimates = _trio(mu_src=(1.5, 2.5))
-    eta = cross_validate_lambda(estimates).eta
+    eta = cross_validate_lambda(estimates, _target_folds(estimates)).eta
     assert np.array_equal(eta, [1.0, 0.0, 0.0])
 
 
 def test_solve_l1_weights_simplex(monkeypatch):
     for lam in (0.0, 1e-3, 0.1, 1.0):
         monkeypatch.setattr(federation, "LAMBDA_GRID", (lam,))
-        eta = cross_validate_lambda(_trio()).eta
+        estimates = _trio()
+        eta = cross_validate_lambda(estimates, _target_folds(estimates)).eta
         assert np.all(eta >= 0.0)
         assert abs(eta.sum() - 1.0) < 1e-12
 
 
 def test_cross_validate_lambda_deterministic():
     estimates = _trio(seed=5)
-    sol1 = cross_validate_lambda(estimates, seed=11)
-    sol2 = cross_validate_lambda(estimates, seed=11)
+    sol1 = cross_validate_lambda(estimates, _target_folds(estimates, 11))
+    sol2 = cross_validate_lambda(estimates, _target_folds(estimates, 11))
     assert sol1.lambda_ == sol2.lambda_
     assert np.array_equal(sol1.eta, sol2.eta)
     assert sol1.lambda_ in sol1.cv_trace["lambda"]
@@ -153,13 +159,18 @@ def test_cross_validate_lambda_deterministic():
 
 
 def test_cross_validate_lambda_checks_split_count():
-    # A source that summarizes fewer splits than the protocol's CV_SPLITS.
+    # A source that summarizes fewer splits than the protocol's CV_SPLITS,
+    # and target folds of another split count or another target size.
     estimates = _trio()
+    folds = _target_folds(estimates)
+    for wrong in (folds[:-1], folds[:, :-1], folds[0]):
+        with pytest.raises(ValueError, match="target folds have shape"):
+            cross_validate_lambda(estimates, wrong)
     own = estimates[1].own
     short = OwnSummary(own.sq, own.fit_sq[:-1])
     estimates[1] = dataclasses.replace(estimates[1], own=short)
     with pytest.raises(ValueError):
-        cross_validate_lambda(estimates)
+        cross_validate_lambda(estimates, folds)
 
 
 def _squared_error(products, eta):
@@ -172,8 +183,8 @@ def _reference_cross_validation(estimates, seed):
     """The loop that ``cross_validate_lambda`` batches: one solve and one score
     per (split, penalty) pair, then the one-standard-error choice and the
     refit. Returns the penalty, the site weights and the mean CV errors."""
-    r_T, G_T, own_sq, arm_shift_sq = _stacked_system(estimates)
-    gram, gtr, rtr = _cv_systems(estimates, r_T, G_T, own_sq, seed)
+    r_T, G_T, arm_shift_sq = _stacked_system(estimates)
+    gram, gtr, rtr = _cv_systems(estimates, r_T, G_T, _target_folds(estimates, seed))
     errors = np.zeros((CV_SPLITS, len(LAMBDA_GRID)))
     for s in range(CV_SPLITS):
         val = (gram[-1] - gram[s], gtr[-1] - gtr[s], rtr[-1] - rtr[s])
@@ -201,7 +212,7 @@ def test_cross_validate_lambda_matches_the_per_split_loop(preset):
             config = method_config(method, scenario, seed=rep_config_seed(17, rep))
             estimates = run_sites(run_transport(frames, config.seed), config).estimates
             assert len(estimates) > 2
-            solution = cross_validate_lambda(estimates, seed=config.seed)
+            solution = cross_validate_lambda(estimates, _target_folds(estimates, config.seed))
             lam, eta, mean_err = _reference_cross_validation(estimates, config.seed)
             assert solution.lambda_ == lam
             assert np.array_equal(solution.eta, eta)
@@ -234,18 +245,20 @@ def test_adaptive_weights_take_at_most_max_sources():
     rng = np.random.default_rng(8)
     estimates = [_target_estimate(rng)] + [
         _source_estimate(rng, f"s{k}") for k in range(MAX_SOURCES + 1)]
+    folds = _target_folds(estimates)
     with pytest.raises(TooManySources, match=f"at most {MAX_SOURCES} sources, got 11"):
-        cross_validate_lambda(estimates)
+        cross_validate_lambda(estimates, folds)
     sol = combine_fixed(estimates, "ivw")
     assert sol.eta.shape == (MAX_SOURCES + 2,)
     assert math.isclose(sol.eta.sum(), 1.0)
     # At the limit the adaptive weights are still solved.
-    assert len(cross_validate_lambda(estimates[:-1]).eta) == MAX_SOURCES + 1
+    assert len(cross_validate_lambda(estimates[:-1], folds).eta) == MAX_SOURCES + 1
 
 
 def test_adaptive_ensemble_target_alone():
     rng = np.random.default_rng(6)
-    sol = cross_validate_lambda([_target_estimate(rng)])
+    tgt = _target_estimate(rng)
+    sol = cross_validate_lambda([tgt], _target_folds([tgt]))
     assert np.array_equal(sol.eta, [1.0])
 
 
@@ -255,7 +268,7 @@ def test_adaptive_ensemble_duplicated_source():
     s1 = _source_estimate(rng, "s1")
     s1b = SiteEstimate(site_id="s1b", mu=s1.mu, on_target=s1.on_target.copy(),
                        n_k=s1.n_k, own=s1.own)
-    sol = cross_validate_lambda([tgt, s1, s1b])
+    sol = cross_validate_lambda([tgt, s1, s1b], _target_folds([tgt]))
     assert np.all(sol.eta >= 0.0)
     assert abs(sol.eta.sum() - 1.0) < 1e-12
 
@@ -348,7 +361,7 @@ def test_summary_algebra_matches_per_unit_formulas():
         # Stacked system: target rows of column k are xi_T - on_k less the
         # shift delta_k soft-thresholded at twice the per-unit SD of delta_k,
         # over sqrt(n_T).
-        r_T, G_T, own_sq, *_ = _stacked_system(estimates)
+        r_T, G_T, _ = _stacked_system(estimates)
         delta = [(e.mu[1] - e.mu[0]) - (tgt.mu[1] - tgt.mu[0]) for e in estimates]
         for k, (e, d) in enumerate(zip(sources, own_units), 1):
             sd = math.sqrt(np.sum((d_T[k] - d_T[0]) ** 2) / n_T**2 + np.sum(d**2) / e.n_k**2)
@@ -359,7 +372,8 @@ def test_summary_algebra_matches_per_unit_formulas():
         assert _rel_close(r_T, d_T[0] / n_T)
 
         # Source k's per-unit rows are -d_k / n_k in column k.
-        systems = _cv_systems(estimates, r_T, G_T, own_sq, seed)
+        fold_T = split_masks(n_T, seed, "tgt")
+        systems = _cv_systems(estimates, r_T, G_T, fold_T)
         assert [len(x) for x in systems] == [CV_SPLITS + 1] * 3
         whole = tuple(x[-1] for x in systems)
 
@@ -382,7 +396,6 @@ def test_summary_algebra_matches_per_unit_formulas():
         assert same_cross_products(whole, per_unit_rows(everything, all_units))
 
         # Per split: explicit fold masks at every site, fixed weights.
-        fold_T = split_masks(n_T, seed, "tgt")
         folds = [split_masks(e.n_k, seed + k, e.site_id)
                  for k, e in enumerate(sources)]
         eta_src = rng.uniform(0.0, 0.5, len(sources))

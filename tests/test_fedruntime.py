@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedcausal import federation, nuisance
+from fedcausal import fedruntime, nuisance
 from fedcausal.density_ratio import solve_tilt, target_moments
 from fedcausal.errors import (
     AllSourcesFailedWarning,
@@ -138,7 +138,8 @@ def test_run_round_matches_direct_composition():
             src.site_id,
             source_report(src, fit, tilt, summary, split_masks(src.n, config.seed, src.site_id))[0],
             target))
-    solution = cross_validate_lambda(estimates, seed=config.seed)
+    solution = cross_validate_lambda(estimates,
+                                     split_masks(target.n, config.seed, target.site_id))
     direct = global_estimate(estimates, solution, method=config.method)
 
     assert via_runtime.delta_hat == direct.delta_hat
@@ -176,8 +177,8 @@ def test_run_round_is_transport_then_sites_then_combine():
 
 
 def test_a_config_runs_only_on_a_transport_of_its_seed():
-    # The sources' CV folds are drawn with the transport's seed, and the
-    # target's and the nuisance splits with the config's: they must agree.
+    # Every site's CV folds are drawn with the transport's seed, and the
+    # nuisance splits with the config's: they must agree.
     transport = run_transport(_make_frames(), 1)
     with pytest.raises(ValueError, match="config seed 2 differs from the transport seed 1"):
         run_sites(transport, _config("ivw", seed=2))
@@ -196,23 +197,45 @@ def test_combine_reports_the_site_phase_ledger():
         assert sites.ledger == logged
 
 
-def test_combine_reads_the_seed_and_candidate_groups_of_its_site_phase(monkeypatch):
-    # A two-candidate mr_l1 phase stays mr_l1 under combine, and the target's
-    # CV folds are drawn with the seed the sources split their units by.
+def test_the_transport_draws_the_target_folds_and_combine_draws_none(monkeypatch):
+    # The target's CV folds are drawn in the transport, with the seed the
+    # sources split their units by, and a two-candidate mr_l1 phase combines
+    # on them, drawing no fold, under its own candidate groups.
     frames = _make_frames(seed=3)
     two = _group(FeatureMap("raw"), FeatureMap("subset", (0,)))
     config = _config("mr_l1", seed=5, target=two, source=two)
-    sites = run_sites(run_transport(frames, config.seed), config)
-    assert (sites.seed, sites.candidates) == (config.seed, config.candidates)
     fold_seeds = []
-    split_masks = federation.split_masks
-    monkeypatch.setattr(federation, "split_masks", lambda n, seed, site_id: (
+    monkeypatch.setattr(fedruntime, "split_masks", lambda n, seed, site_id: (
         fold_seeds.append((seed, site_id)) or split_masks(n, seed, site_id)))
+    transport = run_transport(frames, config.seed)
+    assert sorted(fold_seeds) == [(5, "site0"), (5, "site1"), (5, "site2")]
+    assert np.array_equal(transport.target_folds, split_masks(150, 5, "site0"))
+    sites = run_sites(transport, config)
+    assert sites.target_folds is transport.target_folds
+    assert sites.candidates == config.candidates
+    fold_seeds.clear()
     report = combine(sites, "mr_l1")
     assert report.diagnostics["effective_method"] == "mr_l1"
-    assert fold_seeds == [(5, "site0")]
+    assert fold_seeds == []
     with pytest.raises(ValueError, match="unknown method 'lasso'"):
         combine(sites, "lasso")
+
+
+def test_effective_method_follows_the_candidates_the_phase_ran():
+    # An mr_l1 phase mixes two candidates, so an aipw_l1 combine of it runs
+    # the multiply robust mixing and is named mr_l1, and a phase of one map
+    # per group is aipw_l1 under either adaptive name.
+    scenario = load_scenario("c1")
+    frames = replication_frames(scenario, 0, 0)
+    for ran, maps in (("mr_l1", 2), ("aipw_l1", 1)):
+        config = method_config(ran, scenario, seed=7)
+        assert len(config.candidates["source"]["outcome"]) == maps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sites = run_sites(run_transport(frames, config.seed), config)
+            reports = [combine(sites, method) for method in ("aipw_l1", "mr_l1")]
+        assert [r.diagnostics["effective_method"] for r in reports] == [ran, ran]
+        assert reports[0].delta_hat == reports[1].delta_hat
 
 
 @pytest.mark.parametrize("maps", [

@@ -117,7 +117,8 @@ def test_scenario_validation():
 
 
 def test_scenario_json_types_are_checked_not_coerced():
-    # A string "false" is not the bool false, and 300.9 units is no sample size.
+    # A string "false" is not the bool false, 300.9 units is no sample size,
+    # and a null site id or a numeric name is no string.
     good = {"name": "x", "mismatch": False, "true_delta": 0, "sites": [
         {"id": "t", "role": "target", "n": 50, "skew": [0, 0.5, 0, 0], "dgp": "x"}]}
     assert ScenarioSpec.from_dict(good).sites[0].n == 50
@@ -136,6 +137,12 @@ def test_scenario_json_types_are_checked_not_coerced():
         "n text": site(n="300"),
         "skew text": site(skew=[0, "0.5", 0, 0]),
         "skew bool": site(skew=[0, True, 0, 0]),
+        "name number": lambda obj: obj.update(name=3.5),
+        "name null": lambda obj: obj.update(name=None),
+        "id null": site(id=None),
+        "id number": site(id=7),
+        "role list": site(role=["target"]),
+        "dgp bool": site(dgp=True),
     }
     for name, tamper in bad.items():
         obj = json.loads(json.dumps(good))
@@ -332,9 +339,9 @@ def test_a_failed_site_phase_fails_every_method_that_shares_it(monkeypatch):
 
 
 def test_one_transport_per_replication(monkeypatch):
-    # The tilts and the sources' CV folds hold no candidate model, so the two
+    # The tilts and every site's CV folds hold no candidate model, so the two
     # site phases of a c1 replication with every method share them: 4 tilts
-    # and 4 source fold sets, plus the target's folds in each adaptive combine.
+    # and 5 fold sets, one per site, all drawn in the transport.
     calls = collections.Counter()
     solve_tilt, split_masks = fedruntime.solve_tilt, site_estimator.split_masks
 
@@ -351,7 +358,7 @@ def test_one_transport_per_replication(monkeypatch):
         warnings.simplefilter("ignore")
         rows, failed = run_replication(load_scenario("c1"), METHODS, seed=0, rep=0)
     assert failed == {} and len(rows) == 5
-    assert calls == {"solve_tilt": 4, "split_masks": 6}
+    assert calls == {"solve_tilt": 4, "split_masks": 5}
 
 
 def test_a_failed_tilt_fails_its_source_in_every_site_phase(monkeypatch):
@@ -392,13 +399,14 @@ def test_a_failed_transport_fails_every_method(monkeypatch):
 
 
 def test_scenario_spec_built_in_code_has_the_json_type_rule():
-    # n is an int and each skew entry an int or float, a bool being neither.
-    def spec(n=50, skew=(0, 0.5, 0, 0)):
-        return ScenarioSpec("x", (SiteSpec("t", "target", n, skew, "x"),))
+    # n is an int and each skew entry an int or float, a bool being neither,
+    # and the name and the site's id are strings.
+    def spec(n=50, skew=(0, 0.5, 0, 0), site_id="t", name="x"):
+        return ScenarioSpec(name, (SiteSpec(site_id, "target", n, skew, "x"),))
 
     assert spec().sites[0].n == 50
     for bad in ({"skew": ("a", 0, 0, 0)}, {"skew": (True, 0, 0, 0)}, {"n": "50"},
-                {"n": 50.5}):
+                {"n": 50.5}, {"site_id": None}, {"name": 3.5}):
         with pytest.raises(ScenarioError, match="wrong JSON type"):
             spec(**bad)
 

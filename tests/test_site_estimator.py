@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fedcausal import site_estimator
 from fedcausal.density_ratio import (
     MomentSummary,
     TiltCoefficients,
@@ -56,7 +57,8 @@ def _tilt_at(V, gamma):
     whether or not it matches any target's moments."""
     psi = add_intercept(V)
     weights = np.exp(-psi @ gamma)
-    return TiltCoefficients(gamma, 0.0, weights, (psi * weights[:, None]).T @ psi / len(psi))
+    return TiltCoefficients(gamma, 0.0, weights, (psi * weights[:, None]).T @ psi / len(psi),
+                            basis=psi)
 
 
 def _folds(frame, seed=0):
@@ -275,6 +277,22 @@ def test_source_report_requires_source_role():
     report = source_report(src, _fit(src.n), tilt, summary, _folds(src))[0]
     with pytest.raises(ValueError):
         complete_source_estimate(src.site_id, report, src)
+
+
+def test_source_report_builds_no_basis(monkeypatch):
+    # The tilt's weights and Jacobian are solved on its own basis psi = (1, V),
+    # which the source estimator reads from the tilt rather than rebuilding.
+    src, tgt = _linear_pair(seed=12)
+    summary = target_moments(tgt.V)
+    tilt = solve_tilt(src.V, summary)
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=9)
+    expected = source_report(src, fit, tilt, summary, _folds(src))[0].to_json()
+
+    def forbidden(*args):
+        raise AssertionError("source_report rebuilt a basis")
+
+    monkeypatch.setattr(site_estimator, "add_intercept", forbidden)
+    assert source_report(src, fit, tilt, summary, _folds(src))[0].to_json() == expected
 
 
 def test_source_report_singular_jacobian_raises():

@@ -1,6 +1,6 @@
 """The package keeps no public function that only tests call, each one
-referenced by package code outside its own definition, and no module import
-that its module never uses."""
+referenced by package code outside its own definition, no module import
+that its module never uses, and no import of another module's private name."""
 
 import ast
 from pathlib import Path
@@ -52,3 +52,17 @@ def test_every_module_import_is_used():
                     if (alias.asname or alias.name.split(".")[0]) not in used
                 ]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name():
+    # A name one module shares with another is public; a dunder such as
+    # __version__ is not private.
+    private = [
+        f"{path.name}:{alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
