@@ -50,7 +50,8 @@ from .federation import (
     cross_validate_lambda,
     global_estimate,
 )
-from .nuisance import MAX_CANDIDATES, FeatureMap, NuisanceFit, fit_nuisances, is_candidate_list
+from .nuisance import (MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, NuisanceFit, fit_nuisances,
+                       is_candidate_list, is_shared_dimension)
 from .site_estimator import (
     CV_SPLITS,
     SiteFrame,
@@ -69,9 +70,11 @@ METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 # candidate feature maps, each subset column below ``MAX_COLUMNS``),
 # "[dim]" (a flat list of finite floats whose length is the protocol
 # dimension ``dim``), or an object of fixed keys, so no payload has a
-# free-text key. The basis dimension is the length of the moment summaries'
-# ``mean_basis``, 1 + the shared covariates, which is also the length of a
-# source's one target-influence vector (``target_coef``); a source upload
+# free-text key. The shared dimension q is the length of the moment
+# summaries' ``mean_v``, the target's means of its shared covariates, 1 to
+# ``MAX_COLUMNS`` (``nuisance.is_shared_dimension``, which ``SiteFrame`` also
+# applies), and also the length of a source's one target-influence slope
+# vector (``target_coef``); a source upload
 # carries its two finished arm means and sums its squared contributions once
 # over all its units (``own_sq``) and once per fit half of the protocol's
 # fixed ``CV_SPLITS`` (``fit_sq``). No dimension depends on a site's sample
@@ -79,10 +82,10 @@ METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 # sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
     "config": {"seed": "count", "candidates": {"treatment": "maps", "outcome": "maps"}},
-    "moment_summary": {"mean_basis": "[basis]"},
+    "moment_summary": {"mean_v": "[shared]"},
     "site_estimate": {
         "n_k": "count", "mu0": "number", "mu1": "number",
-        "own_sq": "number", "fit_sq": "[cv_splits]", "target_coef": "[basis]",
+        "own_sq": "number", "fit_sq": "[cv_splits]", "target_coef": "[shared]",
     },
 }
 
@@ -189,13 +192,12 @@ def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
 @dataclass(frozen=True)
 class SourceTransport:
     """One source's candidate-free work: the moment-summary message it
-    received and decoded, and its solved tilt and CV folds
+    received, and the tilt it solved on the decoded summary and its CV folds
     (:func:`~fedcausal.site_estimator.split_masks`), or the error that failed
     its tilt (``tilt`` and ``folds`` are then None)."""
 
     frame: SiteFrame
     message: MessageRecord
-    summary: MomentSummary
     tilt: TiltCoefficients | None
     folds: np.ndarray | None
     failure: str | None
@@ -204,19 +206,23 @@ class SourceTransport:
 @dataclass(frozen=True)
 class Transport:
     """The site work of one round that no candidate model changes: the target
-    frame with its CV folds, and one :class:`SourceTransport` per source in
-    frame order, every fold set drawn with ``seed``."""
+    frame with its CV folds and its shared covariates centered by the means
+    it broadcast, and one :class:`SourceTransport` per source in frame order,
+    every fold set drawn with ``seed``."""
 
     target: SiteFrame
     target_folds: np.ndarray
+    target_centered: np.ndarray
     sources: list
     seed: int
 
 
 def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
-    """Run the candidate-free site work: the target's moment summary and CV
-    folds, and each source's tilt and CV folds, every fold set drawn by
-    :func:`~fedcausal.site_estimator.split_masks` with ``seed``.
+    """Run the candidate-free site work: the target's moment summary, its
+    shared covariates centered by those means, which every source's upload
+    is evaluated on, and its CV folds, and each source's tilt and CV folds,
+    every fold set drawn by :func:`~fedcausal.site_estimator.split_masks`
+    with ``seed``.
 
     Checks that there is exactly one target frame and that site ids, which
     address the messages and the weights, are distinct. A source whose tilt
@@ -231,22 +237,22 @@ def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
     if repeated:
         raise ValueError(f"site ids must be distinct; repeated: {repeated}")
     target = targets[0]
-    summary_text = target_moments(target.V).to_json()
+    summary = target_moments(target.V)
+    summary_text = summary.to_json()
     sources = []
     for src in (f for f in frames if f.role == "source"):
         message = MessageRecord(from_site=target.site_id, to_site=src.site_id,
                                 kind="moment_summary", payload_text=summary_text)
-        summary = MomentSummary.from_json(message.payload_text)
         try:
-            tilt = solve_tilt(src.V, summary)
+            tilt = solve_tilt(src.V, MomentSummary.from_json(message.payload_text))
         except FedcausalError as exc:
-            sources.append(SourceTransport(src, message, summary, None, None,
+            sources.append(SourceTransport(src, message, None, None,
                                            f"{type(exc).__name__}: {exc}"))
             continue
-        sources.append(SourceTransport(src, message, summary, tilt,
+        sources.append(SourceTransport(src, message, tilt,
                                        split_masks(src.n, seed, src.site_id), None))
     return Transport(target=target, target_folds=split_masks(target.n, seed, target.site_id),
-                     sources=sources, seed=seed)
+                     target_centered=target.V - summary.mean_v, sources=sources, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -307,7 +313,7 @@ def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
             continue
         try:
             report, _ = source_report(src.frame, _fit_site(src.frame, config), src.tilt,
-                                      src.summary, src.folds)
+                                      src.folds)
         except FedcausalError as exc:
             failures[site_id] = f"{type(exc).__name__}: {exc}"
             continue
@@ -319,7 +325,8 @@ def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
         )
         ledger.append(upload)
         estimates.append(complete_source_estimate(
-            upload.from_site, SourceSiteReport.from_json(upload.payload_text), target
+            upload.from_site, SourceSiteReport.from_json(upload.payload_text),
+            transport.target_centered,
         ))
 
     tgt_est = estimate_target(target, _fit_site(target, config))
@@ -415,17 +422,19 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
 
 
 def _declared_dims(payloads: list) -> dict:
-    """Protocol dimensions: the fixed split count, and the basis dimension,
-    the length of a round's moment summaries' ``mean_basis``."""
+    """Protocol dimensions: the fixed split count, and the shared dimension,
+    the length of a round's moment summaries' ``mean_v``, which must be 1 to
+    ``MAX_COLUMNS`` (:func:`~fedcausal.nuisance.is_shared_dimension`)."""
     dims = {"cv_splits": CV_SPLITS}
     for kind, payload in payloads:
         if kind != "moment_summary":
             continue
-        basis = payload.get("mean_basis")
-        if not (isinstance(basis, list) and len(basis) >= 2):
-            raise PrivacyViolation("moment summary has no basis of length 2 or more")
-        if dims.setdefault("basis", len(basis)) != len(basis):
-            raise PrivacyViolation("moment summaries disagree on the basis dimension")
+        mean_v = payload.get("mean_v")
+        if not (isinstance(mean_v, list) and is_shared_dimension(len(mean_v))):
+            raise PrivacyViolation(
+                f"moment summary has no list of 1 to {MAX_COLUMNS} shared covariate means")
+        if dims.setdefault("shared", len(mean_v)) != len(mean_v):
+            raise PrivacyViolation("moment summaries disagree on the shared dimension")
     return dims
 
 

@@ -27,7 +27,8 @@ from .numkit import expit, fit_logistic, fit_ols, logistic_loglik, standardized_
 DEFAULT_CLIP = (0.01, 0.99)
 # Protocol bounds on the candidates a config lists: at most MAX_CANDIDATES
 # distinct feature maps per list, and subset columns below MAX_COLUMNS, so
-# no list of maps can carry a sample.
+# no list of maps can carry a sample. The shared covariates, whose means a
+# moment summary carries, number 1 to MAX_COLUMNS too.
 MAX_CANDIDATES = 8
 MAX_COLUMNS = 64
 
@@ -98,6 +99,11 @@ def is_candidate_list(maps) -> bool:
     """Whether ``maps`` is 1 to ``MAX_CANDIDATES`` distinct feature maps."""
     return (isinstance(maps, (list, tuple)) and 0 < len(maps) <= MAX_CANDIDATES
             and all(isinstance(fm, FeatureMap) for fm in maps) and len(set(maps)) == len(maps))
+
+
+def is_shared_dimension(q: int) -> bool:
+    """Whether ``q`` shared covariates lie in the protocol's bound, 1 to ``MAX_COLUMNS``."""
+    return 0 < q <= MAX_COLUMNS
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,9 @@ class ScenarioSpec:
 
     The ``name`` and each site's ``id``, ``role`` and ``dgp`` are strings,
     each site's ``n`` is an ``int`` and its ``skew`` a tuple of four finite
-    ``int`` or ``float`` entries, a bool being neither; anything else raises
-    :class:`ScenarioError`.
+    ``int`` or ``float`` entries, ``mismatch`` is a bool and ``true_delta`` a
+    finite ``int`` or ``float``, kept as a float, a bool being no number;
+    anything else raises :class:`ScenarioError`.
     """
 
     name: str
@@ -76,6 +77,9 @@ class ScenarioSpec:
 
     def __post_init__(self):
         _json_value(self.name, (str,), "name")
+        _json_value(self.mismatch, (bool,), "mismatch")
+        object.__setattr__(self, "true_delta",
+                           float(_json_value(self.true_delta, (int, float), "true_delta")))
         for s in self.sites:
             for what in ("id", "role", "dgp"):
                 _json_value(getattr(s, what), (str,), f"site {what}")
@@ -107,9 +111,9 @@ class ScenarioSpec:
 
     @staticmethod
     def from_dict(obj: dict) -> "ScenarioSpec":
-        """A scenario from decoded JSON, type-checked and not coerced: ``mismatch`` is a
-        bool and ``true_delta`` a finite number (``json`` reads ``NaN`` and
-        ``Infinity`` as floats); the constructor checks every other field."""
+        """A scenario from decoded JSON, type-checked and not coerced by the
+        constructor (``json`` reads ``NaN`` and ``Infinity`` as floats, which
+        it rejects as ``true_delta``)."""
         try:
             sites = tuple(
                 SiteSpec(
@@ -124,9 +128,8 @@ class ScenarioSpec:
             return ScenarioSpec(
                 name=obj["name"],
                 sites=sites,
-                mismatch=_json_value(obj.get("mismatch", False), (bool,), "mismatch"),
-                true_delta=float(_json_value(obj.get("true_delta", 0.0), (int, float),
-                                             "true_delta")),
+                mismatch=obj.get("mismatch", False),
+                true_delta=obj.get("true_delta", 0.0),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc

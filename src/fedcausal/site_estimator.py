@@ -3,14 +3,15 @@
 The target site uses a standard AIPW estimator on its own covariates. Each
 source site transports its information through three pieces: density-ratio
 weighting of its AIPW residuals, a linear projection of its outcome-model
-predictions onto psi = (1, V), the tilt basis of the covariates shared with
+predictions onto psi = (1, V), the tilt basis of the covariates V shared with
 the target, and the mean of that projection over the target sample, which is
-the projection evaluated at the target mean of psi the source receives. The
-source finishes its own estimate and uploads a :class:`SourceSiteReport` (the
-transported arm means, sums of squared own-unit contributions, and one
-target-influence coefficient vector); the target only evaluates that vector
-on its centered psi values, so no individual target rows are ever needed at a
-source, and no per-unit value ever leaves a source.
+the projection evaluated at the target mean of psi, (1, mean of V), that its
+tilt balances. The source finishes its own estimate and uploads a
+:class:`SourceSiteReport` (the transported arm means, sums of squared
+own-unit contributions, and one target-influence slope vector, one entry per
+shared covariate); the target only evaluates that vector on its centered V,
+so no individual target rows are ever needed at a source, and no per-unit
+value ever leaves a source.
 
 One weight per site multiplies both arm means, so the federation only ever
 needs the influence of the treated-minus-control difference. Every site
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density_ratio import MomentSummary, TiltCoefficients, truncate_weights
+from .density_ratio import TiltCoefficients, truncate_weights
 from .errors import SingularJacobian
-from .nuisance import NuisanceFit
-from .numkit import add_intercept, fit_ols
+from .nuisance import MAX_COLUMNS, NuisanceFit, is_shared_dimension
+from .numkit import fit_ols
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,10 @@ class SiteFrame:
     """One site's individual-level data.
 
     ``y`` and ``a`` hold one entry per unit and ``X`` one row per unit;
-    ``y`` and ``X`` are finite and ``a`` is 0/1. ``shared_cols`` holds the
-    distinct indices of the columns of ``X`` observed at the target site; a
-    target frame's ``X`` holds only those shared columns (in the same order
-    the sources use).
+    ``y`` and ``X`` are finite and ``a`` is 0/1. ``shared_cols`` holds the 1
+    to ``MAX_COLUMNS`` distinct indices of the columns of ``X`` observed at
+    the target site; a target frame's ``X`` holds only those shared columns
+    (in the same order the sources use).
     """
 
     site_id: str
@@ -65,12 +66,12 @@ class SiteFrame:
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.X))):
             raise ValueError("y and X must be finite")
         cols = self.shared_cols
-        if not (isinstance(cols, tuple) and cols
+        if not (isinstance(cols, tuple) and is_shared_dimension(len(cols))
                 and all(isinstance(c, int) and not isinstance(c, bool)
                         and 0 <= c < self.X.shape[1] for c in cols)
                 and len(set(cols)) == len(cols)):
-            raise ValueError(f"shared_cols {cols!r} are not a non-empty tuple of distinct "
-                             f"column indices below {self.X.shape[1]}")
+            raise ValueError(f"shared_cols {cols!r} are not a tuple of 1 to {MAX_COLUMNS} "
+                             f"distinct column indices below {self.X.shape[1]}")
         if not np.all((self.a == 0) | (self.a == 1)):
             raise ValueError("a must be a 0/1 treatment indicator")
         if self.role == "target" and cols != tuple(range(self.X.shape[1])):
@@ -175,12 +176,12 @@ class SourceSiteReport:
     """Summary-level payload a source uploads to the coordinator.
 
     Carries the transported arm means, the sums of squares of the own-unit
-    contributions (:class:`OwnSummary`), and the target-influence coefficients
-    of the effect difference: the target-unit contributions are the centered
-    psi = (1, V) values times ``target_coef``, divided by n_T. Each field is a
-    count, a number or a vector of protocol-fixed length; site-local facts
-    such as the weight diagnostics stay at the source. It does not name its
-    sender: the message that carries it does.
+    contributions (:class:`OwnSummary`), and the target-influence slopes of
+    the effect difference, one per shared covariate: the target-unit
+    contributions are the centered V values times ``target_coef``, divided by
+    n_T. Each field is a count, a number or a vector of protocol-fixed
+    length; site-local facts such as the weight diagnostics stay at the
+    source. It does not name its sender: the message that carries it does.
     """
 
     n_k: int
@@ -239,7 +240,6 @@ def source_report(
     source: SiteFrame,
     fit: NuisanceFit,
     tilt: TiltCoefficients,
-    summary: MomentSummary,
     folds: np.ndarray,
 ) -> tuple[SourceSiteReport, np.ndarray]:
     """Source-side transported estimator.
@@ -247,15 +247,16 @@ def source_report(
     Each arm mean is the source-sample mean of the tilt-weighted AIPW residual
     plus the tilt-weighted excess of the outcome model over its projection
     tau_a on psi = (1, V), the tilt basis (fitted over all source units), plus
-    the projection's target mean, ``summary.mean_basis @ tau_a``. The own-unit
+    the projection's target mean, ``tilt.target_mean @ tau_a``. The own-unit
     contributions include the first-order term from estimating the tilt
     coefficients: with the moment-matching Jacobian B and the effect
     difference's sensitivity A = d(mu_1 - mu_0)/dgamma, each unit contributes
     through A'B^{-1} times its centered moment-equation value. On the target
-    side the projection and the target basis means both vary, so a target
-    unit contributes its centered psi times tau_1 - tau_0 - B^{-1}A, the
-    reported ``target_coef``. ``tilt`` is this source's :func:`solve_tilt`
-    result for ``summary``; its basis psi, weights and B are used as solved.
+    side the projection and the target means of V both vary, so a target unit
+    contributes its centered psi times tau_1 - tau_0 - B^{-1}A; the constant
+    of centered psi is zero, so the reported ``target_coef`` is that vector's
+    slopes. ``tilt`` is this source's :func:`solve_tilt` result; its basis
+    psi, target mean of psi, weights and B are used as solved.
 
     Returns the upload, which summarizes the contributions over ``folds``,
     this site's own cross-validation folds (:func:`split_masks`), with the
@@ -282,26 +283,27 @@ def source_report(
     contributions = (d - d.mean() + noise - noise.mean()) / source.n
     report = SourceSiteReport(
         n_k=source.n,
-        mu=tuple(float(own[arm].mean() + summary.mean_basis @ tau[:, arm]) for arm in (0, 1)),
+        mu=tuple(float(own[arm].mean() + tilt.target_mean @ tau[:, arm]) for arm in (0, 1)),
         own=OwnSummary.of(contributions, folds),
-        target_coef=tau[:, 1] - tau[:, 0] - w,
+        target_coef=(tau[:, 1] - tau[:, 0] - w)[1:],
     )
     return report, contributions
 
 
 def complete_source_estimate(
-    site_id: str, report: SourceSiteReport, target: SiteFrame
+    site_id: str, report: SourceSiteReport, target_centered: np.ndarray
 ) -> SiteEstimate:
     """Target-side estimate of source ``site_id`` from its upload: the
-    target-unit contributions are the centered psi = (1, V) values times the
-    reported ``target_coef``, divided by n_T."""
-    if target.role != "target":
-        raise ValueError("completion requires the target frame")
-    psi = add_intercept(target.X)
+    target-unit contributions are the rows of ``target_centered``, the
+    target's shared covariates less their means (n_T, q), times the reported
+    ``target_coef``, divided by n_T."""
+    if target_centered.shape[1:] != report.target_coef.shape:
+        raise ValueError(f"the upload has {len(report.target_coef)} target slopes; the "
+                         f"target's centered covariates are {target_centered.shape}")
     return SiteEstimate(
         site_id=site_id,
         mu=report.mu,
-        on_target=(psi - psi.mean(axis=0)) @ report.target_coef / target.n,
+        on_target=target_centered @ report.target_coef / len(target_centered),
         n_k=report.n_k,
         own=report.own,
     )

@@ -168,12 +168,14 @@ MR_TARGET_MEAN = 0.4  # mean of each shared covariate at the target
 def _unit_tilt(psi, summary):
     """Unit weights posing as a solved tilt: a source that skips transport."""
     n = len(psi)
+    target_mean = np.concatenate(([1.0], summary.mean_v))
     return TiltCoefficients(
         gamma=np.zeros(psi.shape[1]),
-        residual_norm=float(np.max(np.abs(summary.mean_basis - psi.mean(axis=0)))),
+        residual_norm=float(np.max(np.abs(target_mean - psi.mean(axis=0)))),
         weights=np.ones(n),
         jacobian=psi.T @ psi / n,
         basis=psi,
+        target_mean=target_mean,
     )
 
 
@@ -195,8 +197,8 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep, modifier=0.0, unit_tilt=
     else:
         tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, [p_map], [m_map], seed=rep)
-    report = source_report(src, fit, tilt, summary, split_masks(src.n, 0, src.site_id))[0]
-    est = complete_source_estimate(src.site_id, report, tgt)
+    report = source_report(src, fit, tilt, split_masks(src.n, 0, src.site_id))[0]
+    est = complete_source_estimate(src.site_id, report, tgt.V - summary.mean_v)
     return est.mu[1] - est.mu[0]
 
 
@@ -319,6 +321,7 @@ def test_criterion_7_influence_checks(bench):
     config = method_config("mr_l1", scenario, seed=SEED)
     target = next(f for f in frames if f.role == "target")
     summary = target_moments(target.V)
+    centered = target.V - summary.mean_v
     worst_mean = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -332,10 +335,10 @@ def test_criterion_7_influence_checks(bench):
             else:
                 tilt = solve_tilt(frame.V, summary)
                 folds = split_masks(frame.n, config.seed, frame.site_id)
-                report, own = source_report(frame, fit, tilt, summary, folds)
+                report, own = source_report(frame, fit, tilt, folds)
                 assert own.shape == (frame.n,)
                 worst_mean = max(worst_mean, abs(float(own.sum())))
-                est = complete_source_estimate(frame.site_id, report, target)
+                est = complete_source_estimate(frame.site_id, report, centered)
             assert est.on_target.shape == (target.n,)
             worst_mean = max(worst_mean, abs(float(est.on_target.sum())))
     centered_ok = worst_mean < 1e-8
@@ -380,6 +383,7 @@ def test_criterion_8_runtime_equivalence_and_privacy():
 
         target = frames[0]
         summary = target_moments(target.V)
+        centered = target.V - summary.mean_v
         estimates = [estimate_target(target, fit_nuisances(
             target.site_id, target.X, target.y, target.a,
             raw, raw, seed=site_split_seed(seed, target.site_id)))]
@@ -389,8 +393,8 @@ def test_criterion_8_runtime_equivalence_and_privacy():
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
                 src.site_id,
-                source_report(src, fit, tilt, summary, split_masks(src.n, seed, src.site_id))[0],
-                target))
+                source_report(src, fit, tilt, split_masks(src.n, seed, src.site_id))[0],
+                centered))
         solution = cross_validate_lambda(estimates,
                                          split_masks(target.n, seed, target.site_id))
         direct = global_estimate(estimates, solution, method=config.method)

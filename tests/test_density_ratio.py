@@ -32,18 +32,27 @@ def test_basis_expand_linear():
 def test_target_moments_values():
     V = np.array([[1.0, 3.0], [3.0, 5.0]])
     summary = target_moments(V)
-    assert np.allclose(summary.mean_basis, [1.0, 2.0, 4.0])
+    assert np.allclose(summary.mean_v, [2.0, 4.0])
     with pytest.raises(EmptySample):
         target_moments(np.zeros((0, 2)))
+
+
+def test_summaries_of_different_targets_differ_in_every_entry():
+    # The summary holds only what a source cannot derive: no entry, such as
+    # the mean of psi's constant column, is the same for every target sample.
+    rng = np.random.default_rng(12)
+    first, second = (target_moments(rng.standard_normal((50, 3))).mean_v for _ in range(2))
+    assert len(first) == len(second) == 3
+    assert np.all(first != second)
 
 
 def test_moment_summary_json_round_trip():
     summary = target_moments(np.random.default_rng(0).standard_normal((10, 3)))
     text = summary.to_json()
-    assert json.loads(text).keys() == {"mean_basis"}
-    assert len(json.loads(text)["mean_basis"]) == 4
+    assert json.loads(text).keys() == {"mean_v"}
+    assert len(json.loads(text)["mean_v"]) == 3
     back = MomentSummary.from_json(text)
-    assert np.array_equal(back.mean_basis, summary.mean_basis)
+    assert np.array_equal(back.mean_v, summary.mean_v)
 
 
 def test_solve_tilt_matches_moments_on_random_shifts():
@@ -64,7 +73,8 @@ def test_solve_tilt_matches_moments_on_random_shifts():
         # First basis element is the constant 1, so the weights average to 1.
         assert abs(zeta.mean() - 1.0) < 1e-8
         weighted = (add_intercept(V_src) * zeta[:, None]).mean(axis=0)
-        assert np.max(np.abs(weighted - summary.mean_basis)) < 1e-8
+        assert np.max(np.abs(weighted - tilt.target_mean)) < 1e-8
+        assert np.array_equal(tilt.target_mean, np.concatenate(([1.0], summary.mean_v)))
 
 
 def _tilt_with_separate_closures(V, summary):
@@ -74,7 +84,8 @@ def _tilt_with_separate_closures(V, summary):
     psi = add_intercept(V)
 
     def residual(gamma):
-        return summary.mean_basis - psi.T @ np.exp(-psi @ gamma) / len(psi)
+        return (np.concatenate(([1.0], summary.mean_v))
+                - psi.T @ np.exp(-psi @ gamma) / len(psi))
 
     def jacobian(gamma):
         return (psi * np.exp(-psi @ gamma)[:, None]).T @ psi / len(psi)
@@ -99,8 +110,8 @@ def test_solve_tilt_equals_separate_residual_and_jacobian():
 
 
 def test_tilt_basis_is_column_major(monkeypatch):
-    # The target means and the tilt solve run their per-unit sums down
-    # contiguous columns of psi, whatever the layout of the covariates.
+    # The tilt solve runs its per-unit sums down contiguous columns of psi,
+    # whatever the layout of the covariates; the target means need no psi.
     bases = []
 
     def recorded(V):
@@ -111,7 +122,7 @@ def test_tilt_basis_is_column_major(monkeypatch):
     V = np.random.default_rng(9).standard_normal((200, 2))
     assert V.flags.c_contiguous
     solve_tilt(V, target_moments(V + 0.2))
-    assert len(bases) == 2 and all(psi.flags.f_contiguous for psi in bases)
+    assert len(bases) == 1 and all(psi.flags.f_contiguous for psi in bases)
 
 
 def test_solve_tilt_no_shift_is_near_identity():
@@ -129,7 +140,7 @@ def test_solve_tilt_input_validation():
     with pytest.raises(EmptySample):
         solve_tilt(V[:2], summary)
     bad = MomentSummary(np.zeros(7))
-    with pytest.raises(MissingColumns, match="7 basis entries"):
+    with pytest.raises(MissingColumns, match="7 shared covariate means"):
         solve_tilt(V, bad)
 
 

@@ -122,6 +122,7 @@ def test_run_round_matches_direct_composition():
 
     target = frames[0]
     summary = target_moments(target.V)
+    centered = target.V - summary.mean_v
     estimates = [estimate_target(
         target,
         fit_nuisances(target.site_id, target.X, target.y, target.a,
@@ -136,8 +137,8 @@ def test_run_round_matches_direct_composition():
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
             src.site_id,
-            source_report(src, fit, tilt, summary, split_masks(src.n, config.seed, src.site_id))[0],
-            target))
+            source_report(src, fit, tilt, split_masks(src.n, config.seed, src.site_id))[0],
+            centered))
     solution = cross_validate_lambda(estimates,
                                      split_masks(target.n, config.seed, target.site_id))
     direct = global_estimate(estimates, solution, method=config.method)
@@ -341,14 +342,15 @@ def test_a_candidate_whose_design_overflows_fails_that_candidate(monkeypatch):
 
 
 def test_a_source_sharing_fewer_covariates_fails_that_source():
-    # The target shares two covariates; site2 shares one, so its basis is
-    # shorter than the target's moment summary.
+    # The target shares two covariates; site2 shares one, fewer than the
+    # target's moment summary has means.
     frames = _make_frames(seed=6)
     frames[2] = dataclasses.replace(frames[2], shared_cols=(0,))
     report = run_round(frames, _config("ivw"))
     failed = report.diagnostics["failed_sources"]
     assert list(failed) == ["site2"]
-    assert failed["site2"].startswith("MissingColumns: target summary has 3 basis entries")
+    assert failed["site2"].startswith("MissingColumns: target summary has 2 shared covariate "
+                                      "means, the source has 1")
     assert [site["site_id"] for site in report.per_site] == ["site0", "site1"]
     assert np.isfinite(report.delta_hat)
 
@@ -437,15 +439,15 @@ def test_audit_rejects_per_unit_arrays():
         with pytest.raises(PrivacyViolation):
             audit_ledger(report)
         report.privacy_ledger[pos] = rec
-    # The basis dimension is the length of the moment summaries' means. The
+    # The shared dimension is the length of the moment summaries' means. The
     # second summary here is one longer than the first, or too short to hold
-    # an intercept and a covariate, or restates the dimension as a key.
+    # a covariate mean, or restates the dimension as a key.
     pos, rec = [(i, r) for i, r in enumerate(report.privacy_ledger)
                 if r.kind == "moment_summary"][1]
     summary = {
-        "disagrees": (lambda p: p.update(mean_basis=p["mean_basis"] + [0.0]), "disagree"),
-        "one": (lambda p: p.update(mean_basis=[1.0]), "no basis"),
-        "d": (lambda p: p.update(d=len(p["mean_basis"])), "undeclared keys"),
+        "disagrees": (lambda p: p.update(mean_v=p["mean_v"] + [0.0]), "disagree"),
+        "empty": (lambda p: p.update(mean_v=[]), "no list of 1 to"),
+        "d": (lambda p: p.update(d=len(p["mean_v"])), "undeclared keys"),
     }
     for name, (tamper, message) in summary.items():
         payload = json.loads(rec.payload_text)
@@ -455,6 +457,35 @@ def test_audit_rejects_per_unit_arrays():
             audit_ledger(report)
     report.privacy_ledger[pos] = rec
     audit_ledger(report)
+
+
+def _with_shared_dimension(report, mean_v):
+    """``report`` with every moment summary carrying ``mean_v`` and every
+    upload a ``target_coef`` of as many zeros, each message re-logged."""
+    ledger = []
+    for rec in report.privacy_ledger:
+        payload = json.loads(rec.payload_text)
+        if rec.kind == "moment_summary":
+            payload["mean_v"] = mean_v
+        elif rec.kind == "site_estimate":
+            payload["target_coef"] = [0.0] * len(mean_v)
+        ledger.append(_relogged(rec, payload))
+    return dataclasses.replace(report, privacy_ledger=ledger)
+
+
+def test_audit_bounds_the_shared_dimension():
+    # The shared dimension is a protocol dimension bounded by MAX_COLUMNS,
+    # not whatever length the summaries agree on: summaries that carry the
+    # target's 300 outcomes, with uploads that agree with them, are rejected.
+    frames = replication_frames(load_scenario("c1"), 0, 0)
+    report = run_round(frames, method_config("ivw", load_scenario("c1"), seed=1))
+    audit_ledger(report)
+    outcomes = [round(float(y), 3) for y in frames[0].y]
+    assert len(outcomes) == 300
+    for mean_v in (outcomes, [0.0] * (MAX_COLUMNS + 1)):
+        with pytest.raises(PrivacyViolation, match=f"no list of 1 to {MAX_COLUMNS} shared"):
+            audit_ledger(_with_shared_dimension(report, mean_v))
+    audit_ledger(_with_shared_dimension(report, [0.0] * MAX_COLUMNS))
 
 
 _SCALAR_TAMPERS = {
@@ -622,7 +653,7 @@ def test_audit_schema_declares_only_what_a_round_sends():
     # No declared type is an open object: each is a scalar, a list of
     # candidate feature maps, or a list of a protocol dimension, so no value
     # grows with n.
-    assert declared <= set(_SCALARS) | {"maps", "[basis]", "[cv_splits]"}
+    assert declared <= set(_SCALARS) | {"maps", "[shared]", "[cv_splits]"}
 
 
 def test_audit_rejects_bad_payloads():

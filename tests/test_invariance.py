@@ -115,7 +115,7 @@ def test_affine_outcome_map_scales_effect_and_se(fed, c, b):
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 vectors = st.lists(finite, max_size=6).map(lambda v: np.array(v, dtype=float))
-moment_summaries = st.builds(MomentSummary, mean_basis=vectors)
+moment_summaries = st.builds(MomentSummary, mean_v=vectors)
 source_reports = st.builds(
     SourceSiteReport,
     n_k=st.integers(1, 10**9),

@@ -384,7 +384,8 @@ def test_a_failed_tilt_fails_its_source_in_every_site_phase(monkeypatch):
     assert failed == {} and len(rows) == 5
     assert len({id(phase) for phase in phases}) == 2
     reason = phases[0].failures["site3"]
-    assert reason.startswith("MissingColumns: target summary has 5 basis entries")
+    assert reason.startswith("MissingColumns: target summary has 4 shared covariate means, "
+                             "the source has 3")
     assert all(phase.failures == {"site3": reason} and len(phase.estimates) == 4
                for phase in phases)
 
@@ -409,6 +410,13 @@ def test_scenario_spec_built_in_code_has_the_json_type_rule():
                 {"n": 50.5}, {"site_id": None}, {"name": 3.5}):
         with pytest.raises(ScenarioError, match="wrong JSON type"):
             spec(**bad)
+    # mismatch is a bool, and true_delta a number that the spec keeps as a float.
+    sites = load_scenario("c1").sites
+    for bad in ({"mismatch": "yes"}, {"true_delta": True}, {"true_delta": "a"}):
+        with pytest.raises(ScenarioError, match="wrong JSON type"):
+            ScenarioSpec("x", sites, **bad)
+    delta = ScenarioSpec("x", sites, true_delta=2).true_delta
+    assert type(delta) is float and delta == 2.0
 
 
 @pytest.mark.parametrize("seed,rep", [(101, 434), (104, 412)])

@@ -1,11 +1,12 @@
 """Tests for the target AIPW estimate and the transported source estimates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fedcausal import site_estimator
+from fedcausal import fedruntime, site_estimator
 from fedcausal.density_ratio import (
-    MomentSummary,
     TiltCoefficients,
     solve_tilt,
     target_moments,
@@ -13,7 +14,7 @@ from fedcausal.density_ratio import (
 )
 from fedcausal.errors import ExtremeWeightsWarning, SingularJacobian
 from fedcausal.numkit import add_intercept, expit, fit_ols
-from fedcausal.nuisance import FeatureMap, NuisanceFit, fit_nuisances
+from fedcausal.nuisance import MAX_COLUMNS, FeatureMap, NuisanceFit, fit_nuisances
 from fedcausal.site_estimator import (
     SiteFrame,
     SourceSiteReport,
@@ -52,13 +53,21 @@ def _linear_pair(seed=0, n_src=800, n_tgt=500, shift=0.4):
     return src, tgt
 
 
-def _tilt_at(V, gamma):
-    """The tilt with coefficients ``gamma`` on source covariates ``V``,
-    whether or not it matches any target's moments."""
+def _tilt_at(V, gamma, target_V):
+    """The tilt with coefficients ``gamma`` on source covariates ``V`` and the
+    target mean of psi = (1, V) over ``target_V``, whether or not the tilt
+    balances it."""
     psi = add_intercept(V)
     weights = np.exp(-psi @ gamma)
     return TiltCoefficients(gamma, 0.0, weights, (psi * weights[:, None]).T @ psi / len(psi),
-                            basis=psi)
+                            basis=psi,
+                            target_mean=np.concatenate(([1.0], target_moments(target_V).mean_v)))
+
+
+def _centered(target):
+    """The target's shared covariates centered by their means, as the
+    transport centers them."""
+    return target.V - target_moments(target.V).mean_v
 
 
 def _folds(frame, seed=0):
@@ -66,17 +75,18 @@ def _folds(frame, seed=0):
     return split_masks(frame.n, seed, frame.site_id)
 
 
-def _untilted(frame):
-    return _tilt_at(frame.V, np.zeros(frame.V.shape[1] + 1))
+def _untilted(frame, target_V):
+    return _tilt_at(frame.V, np.zeros(frame.V.shape[1] + 1), target_V)
 
 
 def _projections(src, fit, tilt):
     """The per-arm projection coefficients tau_a of the outcome model on
     psi = (1, V), read off the upload: each arm mean is affine in the target
-    basis mean it receives, with slope tau_a. Returns shape (2, basis)."""
+    basis mean of its tilt, with slope tau_a. Returns shape (2, basis)."""
     dim = src.V.shape[1] + 1
-    mu = np.array([source_report(src, fit, tilt, MomentSummary(mean_basis), _folds(src))[0].mu
-                   for mean_basis in np.vstack([np.zeros(dim), np.eye(dim)])])
+    mu = np.array([source_report(src, fit, dataclasses.replace(tilt, target_mean=mean),
+                                 _folds(src))[0].mu
+                   for mean in np.vstack([np.zeros(dim), np.eye(dim)])])
     return (mu[1:] - mu[0]).T
 
 
@@ -107,6 +117,14 @@ def test_site_frame_rejects_bad_columns_and_treatment():
         with pytest.raises(ValueError, match="0/1"):
             SiteFrame("s", "source", y, np.array(bad), X, (0,))
     assert SiteFrame("s", "source", y, a.astype(float), X, (1, 0)).V.shape == (3, 2)
+    # The shared covariates number 1 to MAX_COLUMNS, the bound the audit puts
+    # on a moment summary, so a frame that builds never fails its round's audit.
+    wide = np.zeros((3, MAX_COLUMNS + 1))
+    for role in ("source", "target"):
+        with pytest.raises(ValueError, match="shared_cols"):
+            SiteFrame("s", role, y, a, wide, tuple(range(MAX_COLUMNS + 1)))
+        assert SiteFrame("s", role, y, a, wide[:, 1:], tuple(range(MAX_COLUMNS))).V.shape == (
+            3, MAX_COLUMNS)
 
 
 def test_site_frame_rejects_data_it_cannot_estimate_from():
@@ -171,10 +189,10 @@ def test_fit_tau_exact_on_linear_predictions():
     # The outcome model is linear in X = V, so its projection on (1, V) is itself.
     src, tgt = _linear_pair(seed=4)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=1)
-    for arm, tau in enumerate(_projections(src, fit, _untilted(src))):
+    for arm, tau in enumerate(_projections(src, fit, _untilted(src, tgt.V))):
         assert np.max(np.abs(add_intercept(src.V) @ tau - fit.m[arm])) < 1e-8
     with pytest.raises(ValueError):
-        source_report(tgt, fit, _untilted(src), target_moments(tgt.V), _folds(src))
+        source_report(tgt, fit, _untilted(src, tgt.V), _folds(src))
 
 
 def test_fit_tau_slope_recovery_with_orthogonal_noise():
@@ -190,7 +208,7 @@ def test_fit_tau_slope_recovery_with_orthogonal_noise():
     y = X @ beta + rng.standard_normal(n)
     src = SiteFrame("s", "source", y, a, X, (0, 1))
     fit = fit_nuisances("src", X, y, a, RAW_T, RAW_O, seed=2)
-    tau = _projections(src, fit, _untilted(src))[1]
+    tau = _projections(src, fit, _untilted(src, src.V))[1]
     assert np.allclose(tau[1:], beta[:2], atol=0.15)
 
 
@@ -198,9 +216,8 @@ def test_source_degenerate_weighted_mean_reduction():
     # zeta = 1, m = tau = 0: the transported estimate is the source's
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
-    report = source_report(src, _fit(src.n), _untilted(src), target_moments(tgt.V),
-                           _folds(src))[0]
-    est = complete_source_estimate(src.site_id, report, tgt)
+    report = source_report(src, _fit(src.n), _untilted(src, tgt.V), _folds(src))[0]
+    est = complete_source_estimate(src.site_id, report, _centered(tgt))
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
         assert abs(est.mu[arm] - expected) < 1e-12
@@ -212,8 +229,8 @@ def test_source_no_shift_agrees_with_target():
     fit_s = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
     fit_t = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
     est_s = complete_source_estimate(
-        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), summary, _folds(src))[0],
-        tgt)
+        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), _folds(src))[0],
+        _centered(tgt))
     est_t = estimate_target(tgt, fit_t)
     assert abs((est_s.mu[1] - est_s.mu[0]) - (est_t.mu[1] - est_t.mu[0])) < 0.25
 
@@ -222,10 +239,10 @@ def test_source_estimate_equals_report_plus_completion():
     src, tgt = _linear_pair(seed=8)
     summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
-    report = source_report(src, fit, solve_tilt(src.V, summary), summary, _folds(src, 2))[0]
-    direct = complete_source_estimate(src.site_id, report, tgt)
+    report = source_report(src, fit, solve_tilt(src.V, summary), _folds(src, 2))[0]
+    direct = complete_source_estimate(src.site_id, report, _centered(tgt))
     wired = complete_source_estimate(
-        src.site_id, SourceSiteReport.from_json(report.to_json()), tgt)
+        src.site_id, SourceSiteReport.from_json(report.to_json()), _centered(tgt))
     assert direct.mu == wired.mu
     assert direct.own.sq == wired.own.sq
     assert np.array_equal(direct.own.fit_sq, wired.own.fit_sq)
@@ -238,10 +255,10 @@ def test_source_influence_parts_are_centered():
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=6)
     # Own-unit contributions are checked at the source, before they are
     # summarized; each vector sums to the mean of its influence values.
-    report, d = source_report(src, fit, solve_tilt(src.V, summary), summary, _folds(src, 4))
+    report, d = source_report(src, fit, solve_tilt(src.V, summary), _folds(src, 4))
     assert abs(d.sum()) < 1e-8
     assert d.shape == (src.n,)
-    est = complete_source_estimate(src.site_id, report, tgt)
+    est = complete_source_estimate(src.site_id, report, _centered(tgt))
     assert abs(est.on_target.sum()) < 1e-8
     assert est.on_target.shape == (tgt.n,) and est.n_T == tgt.n
     # The upload summarizes exactly those values over the site's own folds.
@@ -256,14 +273,15 @@ def test_source_linearity_in_outcome_scale():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
-    report = source_report(src, fit, tilt, summary, _folds(src))[0]
-    est = complete_source_estimate(src.site_id, report, tgt)
+    report = source_report(src, fit, tilt, _folds(src))[0]
+    est = complete_source_estimate(src.site_id, report, _centered(tgt))
 
     scaled = SiteFrame(src.site_id, "source", 3.0 * src.y, src.a, src.X, src.shared_cols)
     fit_scaled = fit_nuisances(scaled.site_id, scaled.X, scaled.y, scaled.a, RAW_T, RAW_O,
                                seed=7)
     est_scaled = complete_source_estimate(
-        scaled.site_id, source_report(scaled, fit_scaled, tilt, summary, _folds(scaled))[0], tgt)
+        scaled.site_id, source_report(scaled, fit_scaled, tilt, _folds(scaled))[0],
+        _centered(tgt))
     for arm in (0, 1):
         assert abs(est_scaled.mu[arm] - 3.0 * est.mu[arm]) < 1e-9 * max(1.0, abs(est.mu[arm]))
 
@@ -273,26 +291,39 @@ def test_source_report_requires_source_role():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     with pytest.raises(ValueError):
-        source_report(tgt, _fit(tgt.n), tilt, summary, _folds(src))
-    report = source_report(src, _fit(src.n), tilt, summary, _folds(src))[0]
-    with pytest.raises(ValueError):
-        complete_source_estimate(src.site_id, report, src)
+        source_report(tgt, _fit(tgt.n), tilt, _folds(src))
+    report = source_report(src, _fit(src.n), tilt, _folds(src))[0]
+    # Completion takes the target's centered shared covariates, one column
+    # per target slope.
+    for bad in (np.ones((tgt.n, 3)), _centered(tgt)[:, 0]):
+        with pytest.raises(ValueError, match="target slopes"):
+            complete_source_estimate(src.site_id, report, bad)
 
 
-def test_source_report_builds_no_basis(monkeypatch):
-    # The tilt's weights and Jacobian are solved on its own basis psi = (1, V),
-    # which the source estimator reads from the tilt rather than rebuilding.
-    src, tgt = _linear_pair(seed=12)
+def test_source_report_builds_no_basis():
+    # psi = (1, V) is built only by solve_tilt: the source estimator reads the
+    # tilt's basis and target mean of psi, and the coordinator evaluates each
+    # upload on the target's centered V, so neither side builds a basis.
+    assert not hasattr(site_estimator, "add_intercept")
+    assert not hasattr(fedruntime, "add_intercept")
+
+
+def test_every_target_coef_entry_moves_the_completed_estimate():
+    # The upload carries no coefficient that multiplies zero: each of its q
+    # target slopes moves the target-unit contributions.
+    src, tgt = _linear_pair(seed=18)
     summary = target_moments(tgt.V)
-    tilt = solve_tilt(src.V, summary)
-    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=9)
-    expected = source_report(src, fit, tilt, summary, _folds(src))[0].to_json()
-
-    def forbidden(*args):
-        raise AssertionError("source_report rebuilt a basis")
-
-    monkeypatch.setattr(site_estimator, "add_intercept", forbidden)
-    assert source_report(src, fit, tilt, summary, _folds(src))[0].to_json() == expected
+    fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=11)
+    report = source_report(src, fit, solve_tilt(src.V, summary), _folds(src))[0]
+    assert report.target_coef.shape == (src.V.shape[1],)
+    base = complete_source_estimate(src.site_id, report, _centered(tgt)).on_target
+    for j in range(len(report.target_coef)):
+        coef = report.target_coef.copy()
+        coef[j] += 1.0
+        moved = complete_source_estimate(
+            src.site_id, dataclasses.replace(report, target_coef=coef), _centered(tgt))
+        assert np.all(np.isfinite(moved.on_target))
+        assert np.any(moved.on_target != base)
 
 
 def test_source_report_singular_jacobian_raises():
@@ -306,9 +337,9 @@ def test_source_report_singular_jacobian_raises():
     a = (rng.random(n) < 0.5).astype(int)
     y = 1.0 + X[:, 1] + a + rng.standard_normal(n)
     src = SiteFrame("src", "source", y, a, X, (0, 1))
-    tilt = _tilt_at(src.V, np.array([0.0, 1000.0, 0.0]))
+    tilt = _tilt_at(src.V, np.array([0.0, 1000.0, 0.0]), src.V)
     with pytest.raises(SingularJacobian), pytest.warns(ExtremeWeightsWarning):
-        source_report(src, _fit(n), tilt, target_moments(src.V), _folds(src))
+        source_report(src, _fit(n), tilt, _folds(src))
 
 
 def test_site_estimate_json_round_trip():
@@ -318,8 +349,8 @@ def test_site_estimate_json_round_trip():
     summary = target_moments(tgt.V)
     for est in (complete_source_estimate(
                     src.site_id,
-                    source_report(src, _fit(src.n), solve_tilt(src.V, summary), summary,
-                                  _folds(src))[0], tgt),
+                    source_report(src, _fit(src.n), solve_tilt(src.V, summary),
+                                  _folds(src))[0], _centered(tgt)),
                 estimate_target(tgt, _fit(tgt.n))):
         back = json.loads(est.to_json())
         assert (back["mu0"], back["mu1"]) == est.mu
@@ -332,13 +363,13 @@ def test_source_report_json_round_trip():
     src, tgt = _linear_pair(seed=14)
     summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=8)
-    report = source_report(src, fit, solve_tilt(src.V, summary), summary, _folds(src))[0]
+    report = source_report(src, fit, solve_tilt(src.V, summary), _folds(src))[0]
     back = SourceSiteReport.from_json(report.to_json())
     assert back.mu == report.mu
     assert back.own.sq == report.own.sq
     assert np.array_equal(back.own.fit_sq, report.own.fit_sq)
     assert np.array_equal(back.target_coef, report.target_coef)
-    assert report.target_coef.shape == summary.mean_basis.shape
+    assert report.target_coef.shape == summary.mean_v.shape
 
 
 def test_estimate_target_rejects_a_fit_of_another_frame():
@@ -355,10 +386,10 @@ def test_source_influence_rejects_a_fit_of_another_frame():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     with pytest.raises(ValueError):
-        source_report(src, _fit(src.n + 1), tilt, summary, _folds(src))
+        source_report(src, _fit(src.n + 1), tilt, _folds(src))
     fit_of_target = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=9)
     with pytest.raises(ValueError):
-        source_report(src, fit_of_target, tilt, summary, _folds(src))
+        source_report(src, fit_of_target, tilt, _folds(src))
 
 
 def _rel_close(a, b, tol=1e-12):
@@ -382,8 +413,8 @@ def test_contributions_match_per_arm_construction():
     summary = target_moments(tgt.V)
     tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
-    report, contributions = source_report(src, fit, tilt, summary, _folds(src, 3))
-    est = complete_source_estimate(src.site_id, report, tgt)
+    report, contributions = source_report(src, fit, tilt, _folds(src, 3))
+    est = complete_source_estimate(src.site_id, report, _centered(tgt))
 
     pi, m = fit.pi, fit.m
     zeta_raw = np.exp(-add_intercept(src.V) @ tilt.gamma)
