@@ -469,3 +469,73 @@ def test_badly_scaled_kangschafer_designs_fit(scenario, rep):
     assert failed == {} and len(rows) == 1
     assert not [w for w in caught
                 if issubclass(w.category, (CandidateFitWarning, ConvergenceWarning))]
+
+
+# run_replication's (delta_hat, se) per method for replications 0 and 1 of
+# seed 0. A change that should not move the study's numbers is held to them at
+# rounding level; one that moves them on purpose re-records them and lists the
+# moved values in CHANGES.md.
+PINNED = {
+    "c1": {
+        "target": ((-0.037045164728795044, 0.14132909156622325),
+                   (-0.08020033790089087, 0.19258395313134188)),
+        "ss": ((0.059306601923594826, 0.04246298314394062),
+               (-0.014072973635137487, 0.04645303986132309)),
+        "ivw": ((0.0517744446304107, 0.0422469897315145),
+                (-0.008942574000684544, 0.04568881715851676)),
+        "aipw_l1": ((0.05108486793693601, 0.04224277791708252),
+                    (-0.016590012320193637, 0.04674446799836714)),
+        "mr_l1": ((0.041788774314511556, 0.04186224263684551),
+                  (-0.010636640987598867, 0.04548242657886083)),
+    },
+    "c0": {
+        "target": ((-0.037045164728795044, 0.14132909156622325),
+                   (-0.08020033790089087, 0.19258395313134188)),
+        "ss": ((-4.056997523033658, 1.1080495351264277),
+               (-8.034223564245991, 1.4114422736014358)),
+        "ivw": ((-0.12350925147501357, 0.14039998470291998),
+                (-0.265214583254874, 0.18916905389272198)),
+        "aipw_l1": ((-0.037045164728795044, 0.14132909156622325),
+                    (-0.08020033790089087, 0.19258395313134188)),
+        "mr_l1": ((0.011973378247859046, 0.04363004205787225),
+                  (0.041965772157311676, 0.04628379475082924)),
+    },
+    "c05": {
+        "target": ((-0.037045164728795044, 0.14132909156622325),
+                   (-0.08020033790089087, 0.19258395313134188)),
+        "ss": ((-1.845610860324399, 0.6938041126411688),
+               (-3.5414640215000475, 0.7468172863001669)),
+        "ivw": ((0.10426884867734998, 0.05941882401124538),
+                (-0.01750411497926052, 0.06244289424914887)),
+        "aipw_l1": ((0.1102647768201166, 0.059706682641357575),
+                    (-0.014518086156357413, 0.06321195237287737)),
+        "mr_l1": ((0.03458390079370588, 0.04153387337502564),
+                  (-0.0035330488231295476, 0.0474240506832672)),
+    },
+    "mismatch": {
+        "target": ((-0.08730031985780329, 0.139672452490528),
+                   (-0.17304939678970754, 0.15591794932002165)),
+        "ss": ((-3.5107301148260888, 0.7499126008015546),
+               (-4.954797190439905, 0.8028912739719745)),
+        "ivw": ((-0.1930881162027731, 0.13771966093935867),
+                (-0.3303950351503886, 0.15363536319427684)),
+        "aipw_l1": ((-0.08730031985780329, 0.139672452490528),
+                    (-0.17304939678970754, 0.15591794932002165)),
+        "mr_l1": ((0.049294851881199975, 0.04065574743347235),
+                  (-0.026945220521042756, 0.04496020329218457)),
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED))
+def test_replications_reproduce_the_pinned_numbers(preset):
+    scenario = load_scenario(preset)
+    for rep in (0, 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows, failed = run_replication(scenario, METHODS, 0, rep)
+        assert not failed
+        assert [r.method for r in rows] == list(METHODS)
+        for row in rows:
+            assert np.allclose((row.delta_hat, row.se), PINNED[preset][row.method][rep],
+                               rtol=1e-9, atol=0.0), (preset, row.method, rep)

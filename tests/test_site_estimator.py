@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedcausal import fedruntime, site_estimator
+from fedcausal import federation, fedruntime, site_estimator
 from fedcausal.density_ratio import (
     TiltCoefficients,
     solve_tilt,
@@ -444,3 +446,95 @@ def test_contributions_match_per_arm_construction():
     masks = split_masks(n_s, 3, src.site_id)
     assert _rel_close(report.own.sq, np.sum(own_d**2))
     assert _rel_close(report.own.fit_sq, [np.sum(own_d[f] ** 2) for f in masks])
+
+
+def _fixed_fit(frame):
+    """Nuisance values that are fixed functions of each unit's own covariates,
+    so dropping a unit leaves every other unit's row unchanged."""
+    x0, x1 = frame.X[:, 0], frame.X[:, 1]
+    p1 = expit(0.4 * x0 - 0.3 * x1)
+    m0 = 1.0 + x0 - 0.5 * x1 + 0.5 * x0**2
+    return NuisanceFit(pi=np.stack([1.0 - p1, p1]),
+                       m=np.stack([m0, m0 + 1.0 + 2.0 * x0 * x1 + x1**2]))
+
+
+def _shifted_pair(seed, n_src=600, n_tgt=400):
+    """A source on [-1, 1]^3 sharing its first two covariates with a target on
+    [0, 1]^2, an effect that is not linear in them, and bounded tilt weights."""
+    rng = np.random.default_rng(seed)
+
+    def draw(site_id, role, X, cols):
+        x0, x1 = X[:, 0], X[:, 1]
+        a = (rng.random(len(X)) < expit(0.4 * x0 - 0.3 * x1)).astype(int)
+        y = (1.0 + x0 - 0.5 * x1 + 0.5 * x0**2 + a * (1.0 + 2.0 * x0 * x1 + x1**2)
+             + 0.5 * rng.standard_normal(len(X)))
+        return SiteFrame(site_id, role, y, a, X, cols)
+
+    return (draw("src", "source", rng.uniform(-1.0, 1.0, (n_src, 3)), (0, 1)),
+            draw("tgt", "target", rng.uniform(0.0, 1.0, (n_tgt, 2)), (0, 1)))
+
+
+def _without(frame, i):
+    keep = np.arange(frame.n) != i
+    return SiteFrame(frame.site_id, frame.role, frame.y[keep], frame.a[keep], frame.X[keep],
+                     frame.shared_cols)
+
+
+def _source_run(src, target_V):
+    """The source estimator with a freshly solved tilt and the fixed nuisances."""
+    tilt = solve_tilt(src.V, target_moments(target_V))
+    report, contributions = source_report(src, _fixed_fit(src), tilt, _folds(src))
+    return report.mu[1] - report.mu[0], report, contributions
+
+
+# The jackknife's remainder is O(1/n) relative to the first-order change it is
+# compared with: gap <= JACKKNIFE_K / n, n the sample size of the site whose
+# unit is dropped.
+JACKKNIFE_K = 80.0
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_contributions_match_a_jackknife(seed):
+    # Dropping unit i and re-running with the nuisance rows held fixed moves
+    # the estimate by -contribution_i * n / (n - 1), up to O(1/n) relative:
+    # on the source's own units (the tilt re-solved on the smaller source),
+    # on the target's units (the tilt re-solved on the changed target mean),
+    # and, exactly, on the target estimator's own units.
+    src, tgt = _shifted_pair(seed)
+    rng = np.random.default_rng(seed)
+    delta, report, contributions = _source_run(src, tgt.V)
+
+    def gap(observed, predicted):
+        return np.linalg.norm(observed - predicted) / np.linalg.norm(predicted)
+
+    units = rng.choice(src.n, 12, replace=False)
+    observed = np.array([_source_run(_without(src, i), tgt.V)[0] - delta for i in units])
+    predicted = -contributions[units] * src.n / (src.n - 1)
+    assert gap(observed, predicted) <= JACKKNIFE_K / src.n
+
+    on_target = _centered(tgt) @ report.target_coef / tgt.n
+    units = rng.choice(tgt.n, 12, replace=False)
+    observed = np.array([_source_run(src, np.delete(tgt.V, j, axis=0))[0] - delta
+                         for j in units])
+    predicted = -on_target[units] * tgt.n / (tgt.n - 1)
+    assert gap(observed, predicted) <= JACKKNIFE_K / tgt.n
+
+    # The target estimator is linear in its units once the nuisances are
+    # fixed, so its jackknife variance is the plug-in variance times n/(n-1).
+    config = fedruntime.ProtocolConfig(
+        candidates={role: {"treatment": RAW_T, "outcome": RAW_O}
+                    for role in ("target", "source")}, method="target")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fedruntime, "_fit_site", lambda frame, config: _fixed_fit(frame))
+
+        def target_estimate(frame):
+            transport = fedruntime.run_transport([frame], config.seed)
+            return fedruntime.run_sites(transport, config).estimates[0]
+
+        est = target_estimate(tgt)
+        loo = np.array([np.subtract(*target_estimate(_without(tgt, i)).mu[::-1])
+                        for i in range(tgt.n)])
+    jackknife = (tgt.n - 1) / tgt.n * np.sum((loo - loo.mean()) ** 2)
+    assert np.isclose(jackknife * (tgt.n - 1) / tgt.n, federation._variance([est], [1.0]),
+                      rtol=1e-9, atol=0.0)
