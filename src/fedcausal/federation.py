@@ -6,11 +6,11 @@ cross-validated penalty (every split and penalty fit, and the refit on all
 rows, in one batched solve), and the influence-based variance and confidence
 interval of the combined effect estimate. Every function here takes the site
 estimates target first, as :func:`fedcausal.fedruntime.run_sites` lists them,
-and returns the site weights eta in that order. Nothing here reads a seed:
-the cross-validation takes the target's CV folds as the transport drew them.
-Every variance here is a sum of squared contributions exactly as the sites
-hold them (see :mod:`fedcausal.site_estimator`): no quantity is rescaled by a
-sample size.
+and returns the site weights eta in that order. Nothing here reads a seed
+or a per-unit value: every variance and cross-product is a quadratic form in
+the target's moment stack M at the sites' target coordinates ``coef`` (see
+:mod:`fedcausal.site_estimator`) plus the sources' uploaded sums of squares,
+so the combine step's work and state grow with no site's sample size.
 """
 
 from __future__ import annotations
@@ -89,19 +89,22 @@ def _target_first(estimates: list[SiteEstimate]) -> SiteEstimate:
     if not (estimates and estimates[0].is_target
             and not any(e.is_target for e in estimates[1:])):
         raise MissingTarget("expected the target estimate first and no other")
+    if any(e.coef.shape != estimates[0].moments.shape[-1:] for e in estimates):
+        raise ValueError("every site's target coordinates must index the target's moments")
     return estimates[0]
 
 
 def _variance(estimates: list[SiteEstimate], c) -> float:
     """Plug-in variance of sum_i c_i * estimate_i, target first.
 
-    It sums squared per-unit contributions: on target units the mix
-    sum_i c_i * on_target_i of every site's target-unit contributions (which
-    captures their cross-site covariance), and on each source's own units its
-    scaled own-unit part, whose squares the source uploads already summed.
+    It sums squared per-unit contributions: on target units the mix of every
+    site's target-unit contributions (which captures their cross-site
+    covariance), u'M u with u = sum_i c_i * coef_i and M the target's moments
+    over all rows, and on each source's own units its scaled own-unit part,
+    whose squares the source uploaded already summed.
     """
-    target_contrib = sum(c[i] * est.on_target for i, est in enumerate(estimates))
-    return float(np.sum(target_contrib**2)) + sum(
+    u = sum(c[i] * est.coef for i, est in enumerate(estimates))
+    return float(u @ estimates[0].moments[-1] @ u) + sum(
         c[i] ** 2 * est.own.sq for i, est in enumerate(estimates[1:], 1))
 
 
@@ -129,29 +132,27 @@ def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolutio
 
 
 def _stacked_system(estimates: list[SiteEstimate]):
-    """Target block of the stacked influence regression for the site weights.
+    """Target block G = Z C of the stacked influence regression for the site
+    weights, as the map C (q + 2, K - 1), with each source's squared arm shift.
 
     Rows hold the sites' effect-difference contributions as they are, so the
     sum of squares estimates the combination's variance and the lambda grid
-    acts on a comparable scale. Each target row of column k also carries
+    acts on a comparable scale. Column k of C is coef_0 - coef_k -
+    shrunk_delta_k * e_{q+1}, so each target row also carries
     -shrunk_delta_k / sqrt(n_T), which adds the squared combined shift to the
     objective, making it a mean-squared-error estimate (variance plus squared
     bias). The shift estimate delta_k is soft-thresholded at twice its
-    plug-in standard error (:func:`_variance` of source k minus the target)
-    before entering the columns: the raw difference is
-    dominated by the shared noise of the target estimate, which would anchor
-    the fit to the target, while a real bias far exceeds the threshold and
-    still suppresses the site. The response on target rows is the target
-    estimator's contributions. Source k's own-unit rows (minus its own-unit
-    contributions in column k, response zero) are summarized by the sums of
-    squares its estimate holds (``own``), which :func:`_cv_systems` adds when
-    it reduces the rows to cross-products.
+    plug-in standard error (:func:`_variance` of source k minus the target):
+    the raw difference is dominated by the shared noise of the target
+    estimate, which would anchor the fit to the target, while a real bias far
+    exceeds the threshold and still suppresses the site. The response on
+    target rows is Z coef_0. Source k's own-unit rows (minus its own-unit
+    contributions in column k, response zero) are summarized by its ``own``
+    sums of squares, which :func:`_cv_systems` adds to the cross-products.
     """
     tgt_est = _target_first(estimates)
     sources = estimates[1:]
-    n_T = tgt_est.n_T
-    xi_T = tgt_est.on_target
-    G = np.zeros((n_T, len(sources)))
+    C = np.zeros((len(tgt_est.coef), len(sources)))
     arm_shift_sq = np.zeros(len(sources))
     unit = np.eye(len(estimates))
     for col, est in enumerate(sources):
@@ -161,38 +162,32 @@ def _stacked_system(estimates: list[SiteEstimate]):
         )
         threshold = 2.0 * math.sqrt(_variance(estimates, unit[col + 1] - unit[0]))
         shrunk = math.copysign(max(abs(delta) - threshold, 0.0), delta)
-        G[:, col] = xi_T - est.on_target - shrunk / math.sqrt(n_T)
-    return xi_T, G, arm_shift_sq
+        C[:, col] = tgt_est.coef - est.coef
+        C[-1, col] -= shrunk
+    return C, arm_shift_sq
 
 
-def _cv_systems(estimates: list[SiteEstimate], r_T, G_T, target_folds: np.ndarray):
+def _cv_systems(estimates: list[SiteEstimate], C: np.ndarray):
     """Stacked (G'G, G'r, r'r) of the stacked regression's rows in each CV
     split's fit half, then in all rows.
 
-    Every site splits its own units (:func:`~fedcausal.site_estimator.split_masks`),
-    the target by ``target_folds``. A row set is the target's rows ``G_T``,
-    ``r_T`` in that half plus each source's own-unit rows, which are nonzero
-    only in column k with response zero, so their whole contribution is the
-    source's sum of squares on the diagonal of G'G: its uploaded fit-half
-    ``fit_sq`` per split, ``sq`` for all rows. A validation half is all rows
-    minus its fit half.
+    Every site splits its own units (:func:`~fedcausal.site_estimator.split_masks`).
+    A row set is the target's rows G = Z C, r = Z e_0 in that half, whose
+    cross-products are C'M_s C, C'M_s e_0 and M_s[0, 0] in its moments M_s,
+    plus each source's own-unit rows, which are nonzero only in column k with
+    response zero, so their whole contribution is the source's sum of squares
+    on the diagonal of G'G: its uploaded fit-half ``fit_sq`` per split, ``sq``
+    for all rows. A validation half is all rows minus its fit half.
     """
-    sources = estimates[1:]
-    for est in sources:
-        if len(est.own.fit_sq) != CV_SPLITS:
-            raise ValueError(
-                f"site {est.site_id} summarizes {len(est.own.fit_sq)} splits, "
-                f"expected {CV_SPLITS}"
-            )
-    if np.shape(target_folds) != (CV_SPLITS, len(r_T)):
-        raise ValueError(f"target folds have shape {np.shape(target_folds)}, "
-                         f"expected {(CV_SPLITS, len(r_T))}")
-    own_sq = [e.own.sq for e in sources]
-    row_sets = [(G_T[fit_units], r_T[fit_units], [e.own.fit_sq[s] for e in sources])
-                for s, fit_units in enumerate(target_folds)] + [(G_T, r_T, own_sq)]
-    return (np.array([G.T @ G + np.diag(sq) for G, _, sq in row_sets]),
-            np.array([G.T @ r for G, r, _ in row_sets]),
-            np.array([r @ r for _, r, _ in row_sets]))
+    M, sources = estimates[0].moments, estimates[1:]
+    for est, splits in [(estimates[0], len(M) - 1)] + [(e, len(e.own.fit_sq)) for e in sources]:
+        if splits != CV_SPLITS:
+            raise ValueError(f"site {est.site_id} summarizes {splits} splits, "
+                             f"expected {CV_SPLITS}")
+    gram = C.T @ M @ C
+    for k, est in enumerate(sources):
+        gram[:, k, k] += [*est.own.fit_sq, est.own.sq]
+    return gram, M[:, :, 0] @ C, M[:, 0, 0]
 
 
 def check_adaptive_sources(n_sources: int) -> None:
@@ -203,14 +198,13 @@ def check_adaptive_sources(n_sources: int) -> None:
                              f"got {n_sources}")
 
 
-def cross_validate_lambda(estimates: list[SiteEstimate],
-                          target_folds: np.ndarray) -> EnsembleSolution:
+def cross_validate_lambda(estimates: list[SiteEstimate]) -> EnsembleSolution:
     """Choose the penalty from ``LAMBDA_GRID`` by ``CV_SPLITS`` repeated 50/50
     splits of every site's units.
 
-    Each site splits its own units (:func:`_cv_systems`), the target by
-    ``target_folds``, its (``CV_SPLITS``, n_T) fit-half masks as the
-    transport drew them, so nothing is drawn here. Weights are fit on
+    Each site splits its own units (:func:`_cv_systems`) as the transport
+    drew them, and summarizes each split, so nothing is drawn here and no
+    unit is read. Weights are fit on
     one half and scored by the unpenalized objective ||r - G eta||^2 on the
     other, both from K x K cross-products of the stacked system built once
     here: every (split, penalty) fit and every penalty's refit on all rows
@@ -225,8 +219,8 @@ def cross_validate_lambda(estimates: list[SiteEstimate],
     (:func:`check_adaptive_sources`).
     """
     check_adaptive_sources(len(estimates) - 1)
-    r_T, G_T, arm_shift_sq = _stacked_system(estimates)
-    gram, gtr, rtr = _cv_systems(estimates, r_T, G_T, target_folds)
+    C, arm_shift_sq = _stacked_system(estimates)
+    gram, gtr, rtr = _cv_systems(estimates, C)
     gram_val, gtr_val, rtr_val = (x[-1] - x[:-1] for x in (gram, gtr, rtr))
     penalties = np.array(LAMBDA_GRID)[:, None] * arm_shift_sq
     # (split or all rows, penalty, source) weights; the score is

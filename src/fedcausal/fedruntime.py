@@ -8,7 +8,7 @@ which depends on a candidate model), a site phase on that transport
 candidate models, one summary-level upload per source holding its finished
 estimate, and the target's own estimate, which stays at the target), after
 which the coordinator forms the global combination (:func:`combine`), whose
-one setting is the weighting scheme: it reads the target's CV folds and the
+one setting is the weighting scheme: it reads fixed-size summaries and the
 candidate groups from the site phase, and no seed. So one transport serves
 every candidate group, and one site phase every weighting scheme. The scheme
 and the target's candidate models stay with the coordinator, and the penalty
@@ -207,7 +207,8 @@ class SourceTransport:
 class Transport:
     """The site work of one round that no candidate model changes: the target
     frame with its CV folds and its shared covariates centered by the means
-    it broadcast, and one :class:`SourceTransport` per source in frame order,
+    it broadcast (the target's own estimate reads both, and no other site
+    does), and one :class:`SourceTransport` per source in frame order,
     every fold set drawn with ``seed``."""
 
     target: SiteFrame
@@ -219,10 +220,9 @@ class Transport:
 
 def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
     """Run the candidate-free site work: the target's moment summary, its
-    shared covariates centered by those means, which every source's upload
-    is evaluated on, and its CV folds, and each source's tilt and CV folds,
-    every fold set drawn by :func:`~fedcausal.site_estimator.split_masks`
-    with ``seed``.
+    shared covariates centered by those means, and its CV folds, and each
+    source's tilt and CV folds, every fold set drawn by
+    :func:`~fedcausal.site_estimator.split_masks` with ``seed``.
 
     Checks that there is exactly one target frame and that site ids, which
     address the messages and the weights, are distinct. A source whose tilt
@@ -261,16 +261,15 @@ class SitePhase:
 
     ``estimates`` holds the target estimate first, then one estimate per
     source that succeeded, in frame order; the coordinator's weights follow
-    the same order. ``failures`` maps each failed source to its error.
-    ``ledger`` logs every cross-site message of the round, the config
-    broadcast first; the combine step sends none, and reads the transport's
-    ``target_folds`` and the ``candidates`` of the config the phase ran.
+    the same order; no array they hold grows with a site's sample size.
+    ``failures`` maps each failed source to its error. ``ledger`` logs every
+    cross-site message of the round, the config broadcast first; the combine
+    step sends none, and reads the ``candidates`` of the config the phase ran.
     """
 
     estimates: list
     ledger: list
     failures: dict
-    target_folds: np.ndarray
     candidates: dict
 
 
@@ -325,13 +324,12 @@ def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
         )
         ledger.append(upload)
         estimates.append(complete_source_estimate(
-            upload.from_site, SourceSiteReport.from_json(upload.payload_text),
-            transport.target_centered,
-        ))
+            upload.from_site, SourceSiteReport.from_json(upload.payload_text)))
 
-    tgt_est = estimate_target(target, _fit_site(target, config))
+    tgt_est = estimate_target(target, _fit_site(target, config), transport.target_centered,
+                              transport.target_folds)
     return SitePhase(estimates=[tgt_est] + estimates, ledger=ledger, failures=failures,
-                     target_folds=transport.target_folds, candidates=config.candidates)
+                     candidates=config.candidates)
 
 
 def combine(sites: SitePhase, method: str) -> GlobalReport:
@@ -339,12 +337,12 @@ def combine(sites: SitePhase, method: str) -> GlobalReport:
 
     Sends no message: the report's ledger is a copy of the site phase's.
     Leaves ``sites`` unchanged, so one site phase can be combined under
-    several weighting schemes; reads no seed and draws nothing, the target's
-    CV folds being ``sites.target_folds``. The report's ``effective_method``
-    names what ran: a round with the target estimate alone uses the
-    target-only weights, with a warning if sources were configured and every
-    one failed, and either adaptive name is ``aipw_l1`` when every candidate
-    group of ``sites`` holds one feature map and ``mr_l1`` otherwise.
+    several weighting schemes; reads no seed or per-unit value and draws
+    nothing. The report's ``effective_method`` names what ran: a round with
+    the target estimate alone uses the target-only weights, with a warning if
+    sources were configured and every one failed, and either adaptive name is
+    ``aipw_l1`` when every candidate group of ``sites`` holds one feature map
+    and ``mr_l1`` otherwise.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -360,7 +358,7 @@ def combine(sites: SitePhase, method: str) -> GlobalReport:
     if effective in ADAPTIVE_METHODS:
         effective = "aipw_l1" if all(len(maps) == 1 for groups in sites.candidates.values()
                                      for maps in groups.values()) else "mr_l1"
-        solution = cross_validate_lambda(estimates, sites.target_folds)
+        solution = cross_validate_lambda(estimates)
     else:
         solution = combine_fixed(estimates, effective)
 

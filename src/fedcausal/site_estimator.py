@@ -9,20 +9,25 @@ the projection evaluated at the target mean of psi, (1, mean of V), that its
 tilt balances. The source finishes its own estimate and uploads a
 :class:`SourceSiteReport` (the transported arm means, sums of squared
 own-unit contributions, and one target-influence slope vector, one entry per
-shared covariate); the target only evaluates that vector on its centered V,
-so no individual target rows are ever needed at a source, and no per-unit
-value ever leaves a source.
+shared covariate), so no individual target rows are ever needed at a source,
+and no per-unit value ever leaves a source.
 
 One weight per site multiplies both arm means, so the federation only ever
-needs the influence of the treated-minus-control difference. Every site
-estimate therefore carries a single influence vector of *contributions*: the
-centered effect-difference influence values divided by the sample size of the
-site that holds them, so that sums of squared contributions are variances.
+needs the influence of the treated-minus-control difference: its
+*contributions*, the centered influence values divided by the sample size of
+the site that holds them, so that sums of squared contributions are
+variances. On the target's units every site's contributions are Z coef, with
+Z = [xi, V_c / n_T, 1 / sqrt(n_T)] for the target's own contributions xi and
+its shared covariates V_c centered by the broadcast means. The target sums
+its units once into the moment stack M of Z'Z per CV fit half and over all
+rows, so the coordinator forms every variance from M and keeps no per-unit
+value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -131,29 +136,28 @@ class OwnSummary:
 class SiteEstimate:
     """Per-arm mean estimates with their effect-difference influence part.
 
-    ``on_target`` holds one contribution per target unit (the centered
-    treated-minus-control influence values divided by n_T): the target
-    estimate's own AIPW part, or a source estimate's projection and tilt-noise
-    part. Both live at the target, which coordinates. ``own`` summarizes a
-    source's own-unit contributions and is None for the target estimate.
+    ``coef`` (length q + 2) holds the coordinates of the estimate's target-unit
+    contributions in the target's Z = [xi, V_c / n_T, 1 / sqrt(n_T)]: e_0 for
+    the target estimate, whose own contributions are xi, and (0, target_coef,
+    0) for a source. ``moments`` is the target's stack of Z_s'Z_s, one per CV
+    fit half and last over all rows, shape (``CV_SPLITS`` + 1, q + 2, q + 2),
+    and None for a source. ``own`` summarizes a source's own-unit
+    contributions and is None for the target estimate.
     """
 
     site_id: str
     mu: tuple[float, float]  # (mu_0, mu_1)
-    on_target: np.ndarray
+    coef: np.ndarray
     n_k: int
     own: OwnSummary | None = None
-
-    @property
-    def n_T(self) -> int:
-        return len(self.on_target)
+    moments: np.ndarray | None = None
 
     @property
     def is_target(self) -> bool:
         return self.own is None
 
     def to_json(self) -> str:
-        """Scalar summary of the estimate; per-unit values are left out.
+        """Scalar summary of the estimate.
 
         No package code calls it: it is kept only because the benchmark's
         tracer names it among the wire codecs (``perfbench/tracing.py``,
@@ -166,7 +170,6 @@ class SiteEstimate:
                 "mu0": self.mu[0],
                 "mu1": self.mu[1],
                 "n_k": self.n_k,
-                "n_T": self.n_T,
             }
         )
 
@@ -221,18 +224,27 @@ def _ipw_residual(frame: SiteFrame, fit: NuisanceFit, where: str) -> np.ndarray:
     return ind / fit.pi * (frame.y - fit.m)
 
 
-def estimate_target(frame: SiteFrame, fit: NuisanceFit) -> SiteEstimate:
-    """Standard AIPW estimate on the target sample with its contributions."""
+def estimate_target(frame: SiteFrame, fit: NuisanceFit, centered: np.ndarray,
+                    folds: np.ndarray) -> SiteEstimate:
+    """Standard AIPW estimate on the target sample with its moments: Z'Z over
+    each fit half of ``folds`` and over all units, for Z = [xi, centered / n_T,
+    1 / sqrt(n_T)], ``centered`` the shared covariates less the broadcast means."""
     if frame.role != "target":
         raise ValueError("estimate_target requires a target frame")
+    n = frame.n
+    if np.shape(folds) != (CV_SPLITS, n):
+        raise ValueError(f"target folds have shape {np.shape(folds)}, "
+                         f"expected {(CV_SPLITS, n)}")
     # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a, arm-indexed.
     kernel = _ipw_residual(frame, fit, "target units") + fit.m
     d = kernel[1] - kernel[0]
+    Z = np.column_stack([(d - d.mean()) / n, centered / n, np.full(n, 1.0 / math.sqrt(n))])
     return SiteEstimate(
         site_id=frame.site_id,
         mu=(float(kernel[0].mean()), float(kernel[1].mean())),
-        on_target=(d - d.mean()) / frame.n,
-        n_k=frame.n,
+        coef=np.eye(Z.shape[1])[0],
+        n_k=n,
+        moments=np.stack([Z[rows].T @ Z[rows] for rows in folds] + [Z.T @ Z]),
     )
 
 
@@ -290,20 +302,15 @@ def source_report(
     return report, contributions
 
 
-def complete_source_estimate(
-    site_id: str, report: SourceSiteReport, target_centered: np.ndarray
-) -> SiteEstimate:
-    """Target-side estimate of source ``site_id`` from its upload: the
-    target-unit contributions are the rows of ``target_centered``, the
-    target's shared covariates less their means (n_T, q), times the reported
-    ``target_coef``, divided by n_T."""
-    if target_centered.shape[1:] != report.target_coef.shape:
-        raise ValueError(f"the upload has {len(report.target_coef)} target slopes; the "
-                         f"target's centered covariates are {target_centered.shape}")
+def complete_source_estimate(site_id: str, report: SourceSiteReport) -> SiteEstimate:
+    """Target-side estimate of source ``site_id`` from its upload: its
+    target-unit contributions are the target's centered V times the reported
+    ``target_coef``, divided by n_T, so their coordinates in the target's Z
+    are (0, target_coef, 0)."""
     return SiteEstimate(
         site_id=site_id,
         mu=report.mu,
-        on_target=target_centered @ report.target_coef / len(target_centered),
+        coef=np.concatenate(([0.0], report.target_coef, [0.0])),
         n_k=report.n_k,
         own=report.own,
     )

@@ -198,7 +198,7 @@ def _mr_replication(rng, n, zeta_ok, p_map, m_map, rep, modifier=0.0, unit_tilt=
         tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, [p_map], [m_map], seed=rep)
     report = source_report(src, fit, tilt, split_masks(src.n, 0, src.site_id))[0]
-    est = complete_source_estimate(src.site_id, report, tgt.V - summary.mean_v)
+    est = complete_source_estimate(src.site_id, report)
     return est.mu[1] - est.mu[0]
 
 
@@ -294,14 +294,20 @@ def test_criterion_6_weight_solver_oracle(monkeypatch):
     def summary(rows, site_id):
         return OwnSummary.of(contributions(rows), split_masks(rows.shape[1], 0, site_id))
 
-    tgt = SiteEstimate("tgt", (1.0, 2.0), contributions(rng.standard_normal((2, 300))), 300)
+    # The target's Z = [xi, V_c / n_T, 1 / sqrt(n_T)] on random units, summed
+    # over its folds and all rows; each source has random target slopes.
+    V = rng.standard_normal((300, 2))
+    Z = np.column_stack([contributions(rng.standard_normal((2, 300))),
+                         (V - V.mean(axis=0)) / 300, np.full(300, 300**-0.5)])
+    moments = np.stack([Z[f].T @ Z[f] for f in split_masks(300, 0, "tgt")] + [Z.T @ Z])
+    tgt = SiteEstimate("tgt", (1.0, 2.0), np.eye(4)[0], 300, moments=moments)
     sources = [
-        SiteEstimate(f"s{i}", (1.4, 2.7), contributions(rng.standard_normal((2, 300))),
+        SiteEstimate(f"s{i}", (1.4, 2.7), np.concatenate(([0.0], rng.standard_normal(2), [0.0])),
                      250, own=summary(rng.standard_normal((2, 250)), f"s{i}"))
         for i in range(2)
     ]
     monkeypatch.setattr(federation, "LAMBDA_GRID", (1e12,))
-    eta = cross_validate_lambda([tgt] + sources, split_masks(tgt.n_T, 0, tgt.site_id)).eta
+    eta = cross_validate_lambda([tgt] + sources).eta
     target_only_ok = bool(np.array_equal(eta, [1.0, 0.0, 0.0]))
 
     detail = f"max objective gap {worst_gap:.2e}, huge-lambda weights {eta.tolist()}"
@@ -313,7 +319,9 @@ def test_criterion_7_influence_checks(bench):
     # Mean-zero effect-difference influence parts of every site estimate in
     # one replication, checked where the per-unit values live: own-unit values
     # at each source before they are summarized, target-unit values at the
-    # target. A contribution vector sums to the mean of its influence values.
+    # target, where they are Z coef: their sum is sqrt(n_T) times the constant
+    # column's row of the target's moments, times coef. A contribution vector
+    # sums to the mean of its influence values.
     scenario = load_scenario("c1")
     frames = [generate_site(site, scenario, np.random.Generator(
         np.random.Philox(np.random.SeedSequence((SEED, 0, idx)))))
@@ -323,6 +331,7 @@ def test_criterion_7_influence_checks(bench):
     summary = target_moments(target.V)
     centered = target.V - summary.mean_v
     worst_mean = 0.0
+    estimates = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for frame in frames:
@@ -330,17 +339,18 @@ def test_criterion_7_influence_checks(bench):
             fit = fit_nuisances(frame.site_id, frame.X, frame.y, frame.a,
                                 group["treatment"], group["outcome"],
                                 seed=site_split_seed(config.seed, frame.site_id))
+            folds = split_masks(frame.n, config.seed, frame.site_id)
             if frame.role == "target":
-                est = estimate_target(frame, fit)
+                estimates.append(estimate_target(frame, fit, centered, folds))
             else:
                 tilt = solve_tilt(frame.V, summary)
-                folds = split_masks(frame.n, config.seed, frame.site_id)
                 report, own = source_report(frame, fit, tilt, folds)
                 assert own.shape == (frame.n,)
                 worst_mean = max(worst_mean, abs(float(own.sum())))
-                est = complete_source_estimate(frame.site_id, report, centered)
-            assert est.on_target.shape == (target.n,)
-            worst_mean = max(worst_mean, abs(float(est.on_target.sum())))
+                estimates.append(complete_source_estimate(frame.site_id, report))
+    ones = math.sqrt(target.n) * next(e for e in estimates if e.is_target).moments[-1, -1]
+    for est in estimates:
+        worst_mean = max(worst_mean, abs(float(ones @ est.coef)))
     centered_ok = worst_mean < 1e-8
 
     # Plug-in standard errors track the Monte Carlo spread at C=1.
@@ -386,17 +396,16 @@ def test_criterion_8_runtime_equivalence_and_privacy():
         centered = target.V - summary.mean_v
         estimates = [estimate_target(target, fit_nuisances(
             target.site_id, target.X, target.y, target.a,
-            raw, raw, seed=site_split_seed(seed, target.site_id)))]
+            raw, raw, seed=site_split_seed(seed, target.site_id)),
+            centered, split_masks(target.n, seed, target.site_id))]
         for src in frames[1:]:
             tilt = solve_tilt(src.V, summary)
             fit = fit_nuisances(src.site_id, src.X, src.y, src.a, raw, raw,
                                 seed=site_split_seed(seed, src.site_id))
             estimates.append(complete_source_estimate(
                 src.site_id,
-                source_report(src, fit, tilt, split_masks(src.n, seed, src.site_id))[0],
-                centered))
-        solution = cross_validate_lambda(estimates,
-                                         split_masks(target.n, seed, target.site_id))
+                source_report(src, fit, tilt, split_masks(src.n, seed, src.site_id))[0]))
+        solution = cross_validate_lambda(estimates)
         direct = global_estimate(estimates, solution, method=config.method)
         if not (runtime.delta_hat == direct.delta_hat
                 and runtime.variance == direct.variance

@@ -33,19 +33,32 @@ def _contributions(rng, n, scale=1.0):
     return (d - d.mean()) / n
 
 
+def _target_units(rng, n, q=2):
+    """Z = [xi, V_c / n, 1 / sqrt(n)] of a random target: centered
+    contributions xi and q centered covariates V_c."""
+    V = rng.standard_normal((n, q))
+    return np.column_stack([_contributions(rng, n), (V - V.mean(axis=0)) / n,
+                            np.full(n, 1.0 / math.sqrt(n))])
+
+
+def _target_on(Z, mu=(1.0, 2.0), seed=0):
+    """The target estimate whose per-unit columns are ``Z``: its moments over
+    its CV folds under ``seed`` and over all units."""
+    n = len(Z)
+    folds = split_masks(n, seed, "tgt")
+    return SiteEstimate(site_id="tgt", mu=mu, coef=np.eye(Z.shape[1])[0], n_k=n,
+                        moments=np.stack([Z[f].T @ Z[f] for f in folds] + [Z.T @ Z]))
+
+
 def _target_estimate(rng, n=400, mu=(1.0, 2.0)):
-    return SiteEstimate(site_id="tgt", mu=mu, on_target=_contributions(rng, n), n_k=n)
+    return _target_on(_target_units(rng, n), mu)
 
 
-def _source_estimate(rng, site_id, n_k=300, n_T=400, mu=(1.0, 2.0), scale=1.0, seed=0):
+def _source_estimate(rng, site_id, n_k=300, q=2, mu=(1.0, 2.0), scale=1.0, seed=0):
+    """A source with random own-unit contributions and random target slopes."""
     own = OwnSummary.of(_contributions(rng, n_k, scale), split_masks(n_k, seed, site_id))
-    return SiteEstimate(site_id=site_id, mu=mu, on_target=_contributions(rng, n_T, scale),
-                        n_k=n_k, own=own)
-
-
-def _target_folds(estimates, seed=0):
-    """The target's CV folds under ``seed``, as the transport draws them."""
-    return split_masks(estimates[0].n_T, seed, estimates[0].site_id)
+    coef = np.concatenate(([0.0], scale * rng.standard_normal(q), [0.0]))
+    return SiteEstimate(site_id=site_id, mu=mu, coef=coef, n_k=n_k, own=own)
 
 
 def _trio(seed=0, mu_src=(1.0, 2.0)):
@@ -81,11 +94,11 @@ def test_combine_sample_size():
 
 
 def test_combine_ivw_equal_variance_sources():
-    # Two sources carrying identical influence arrays get identical weights.
+    # Two sources carrying identical influence parts get identical weights.
     rng = np.random.default_rng(1)
     tgt = _target_estimate(rng)
     s1 = _source_estimate(rng, "s1")
-    s2 = SiteEstimate(site_id="s2", mu=s1.mu, on_target=s1.on_target.copy(),
+    s2 = SiteEstimate(site_id="s2", mu=s1.mu, coef=s1.coef.copy(),
                       n_k=s1.n_k, own=s1.own)
     sol = combine_fixed([tgt, s1, s2], "ivw")
     assert abs(sol.eta[1] - sol.eta[2]) < 1e-12
@@ -105,7 +118,7 @@ def test_combine_ivw_downweights_noisy_site():
 def test_combine_ivw_zero_variance():
     rng = np.random.default_rng(3)
     tgt = _target_estimate(rng)
-    flat = SiteEstimate(site_id="flat", mu=(1.0, 2.0), on_target=np.zeros(400),
+    flat = SiteEstimate(site_id="flat", mu=(1.0, 2.0), coef=np.zeros(4),
                         n_k=100, own=OwnSummary(0.0, np.zeros(5)))
     with pytest.raises(ZeroVariance):
         combine_fixed([tgt, flat], "ivw")
@@ -134,24 +147,22 @@ def test_huge_lambda_gives_target_only(monkeypatch):
     # Sources whose means differ from the target's carry positive penalty
     # weight, so an enormous lambda shuts them off exactly.
     monkeypatch.setattr(federation, "LAMBDA_GRID", (1e12,))
-    estimates = _trio(mu_src=(1.5, 2.5))
-    eta = cross_validate_lambda(estimates, _target_folds(estimates)).eta
+    eta = cross_validate_lambda(_trio(mu_src=(1.5, 2.5))).eta
     assert np.array_equal(eta, [1.0, 0.0, 0.0])
 
 
 def test_solve_l1_weights_simplex(monkeypatch):
     for lam in (0.0, 1e-3, 0.1, 1.0):
         monkeypatch.setattr(federation, "LAMBDA_GRID", (lam,))
-        estimates = _trio()
-        eta = cross_validate_lambda(estimates, _target_folds(estimates)).eta
+        eta = cross_validate_lambda(_trio()).eta
         assert np.all(eta >= 0.0)
         assert abs(eta.sum() - 1.0) < 1e-12
 
 
 def test_cross_validate_lambda_deterministic():
     estimates = _trio(seed=5)
-    sol1 = cross_validate_lambda(estimates, _target_folds(estimates, 11))
-    sol2 = cross_validate_lambda(estimates, _target_folds(estimates, 11))
+    sol1 = cross_validate_lambda(estimates)
+    sol2 = cross_validate_lambda(estimates)
     assert sol1.lambda_ == sol2.lambda_
     assert np.array_equal(sol1.eta, sol2.eta)
     assert sol1.lambda_ in sol1.cv_trace["lambda"]
@@ -159,18 +170,17 @@ def test_cross_validate_lambda_deterministic():
 
 
 def test_cross_validate_lambda_checks_split_count():
-    # A source that summarizes fewer splits than the protocol's CV_SPLITS,
-    # and target folds of another split count or another target size.
+    # A source, or a target, that summarizes fewer splits than the protocol's
+    # CV_SPLITS. (The target's folds are checked where its moments are
+    # formed, in estimate_target.)
     estimates = _trio()
-    folds = _target_folds(estimates)
-    for wrong in (folds[:-1], folds[:, :-1], folds[0]):
-        with pytest.raises(ValueError, match="target folds have shape"):
-            cross_validate_lambda(estimates, wrong)
     own = estimates[1].own
     short = OwnSummary(own.sq, own.fit_sq[:-1])
-    estimates[1] = dataclasses.replace(estimates[1], own=short)
-    with pytest.raises(ValueError):
-        cross_validate_lambda(estimates, folds)
+    with pytest.raises(ValueError, match="site s1 summarizes 4 splits"):
+        cross_validate_lambda([estimates[0], dataclasses.replace(estimates[1], own=short)])
+    short = dataclasses.replace(estimates[0], moments=estimates[0].moments[1:])
+    with pytest.raises(ValueError, match="site tgt summarizes 4 splits"):
+        cross_validate_lambda([short] + estimates[1:])
 
 
 def _squared_error(products, eta):
@@ -179,12 +189,12 @@ def _squared_error(products, eta):
     return rtr - 2.0 * float(eta @ gtr) + float(eta @ gram @ eta)
 
 
-def _reference_cross_validation(estimates, seed):
+def _reference_cross_validation(estimates):
     """The loop that ``cross_validate_lambda`` batches: one solve and one score
     per (split, penalty) pair, then the one-standard-error choice and the
     refit. Returns the penalty, the site weights and the mean CV errors."""
-    r_T, G_T, arm_shift_sq = _stacked_system(estimates)
-    gram, gtr, rtr = _cv_systems(estimates, r_T, G_T, _target_folds(estimates, seed))
+    C, arm_shift_sq = _stacked_system(estimates)
+    gram, gtr, rtr = _cv_systems(estimates, C)
     errors = np.zeros((CV_SPLITS, len(LAMBDA_GRID)))
     for s in range(CV_SPLITS):
         val = (gram[-1] - gram[s], gtr[-1] - gtr[s], rtr[-1] - rtr[s])
@@ -212,8 +222,8 @@ def test_cross_validate_lambda_matches_the_per_split_loop(preset):
             config = method_config(method, scenario, seed=rep_config_seed(17, rep))
             estimates = run_sites(run_transport(frames, config.seed), config).estimates
             assert len(estimates) > 2
-            solution = cross_validate_lambda(estimates, _target_folds(estimates, config.seed))
-            lam, eta, mean_err = _reference_cross_validation(estimates, config.seed)
+            solution = cross_validate_lambda(estimates)
+            lam, eta, mean_err = _reference_cross_validation(estimates)
             assert solution.lambda_ == lam
             assert np.array_equal(solution.eta, eta)
             assert np.allclose(solution.cv_trace["mean_validation_error"], mean_err,
@@ -245,20 +255,19 @@ def test_adaptive_weights_take_at_most_max_sources():
     rng = np.random.default_rng(8)
     estimates = [_target_estimate(rng)] + [
         _source_estimate(rng, f"s{k}") for k in range(MAX_SOURCES + 1)]
-    folds = _target_folds(estimates)
     with pytest.raises(TooManySources, match=f"at most {MAX_SOURCES} sources, got 11"):
-        cross_validate_lambda(estimates, folds)
+        cross_validate_lambda(estimates)
     sol = combine_fixed(estimates, "ivw")
     assert sol.eta.shape == (MAX_SOURCES + 2,)
     assert math.isclose(sol.eta.sum(), 1.0)
     # At the limit the adaptive weights are still solved.
-    assert len(cross_validate_lambda(estimates[:-1], folds).eta) == MAX_SOURCES + 1
+    assert len(cross_validate_lambda(estimates[:-1]).eta) == MAX_SOURCES + 1
 
 
 def test_adaptive_ensemble_target_alone():
     rng = np.random.default_rng(6)
     tgt = _target_estimate(rng)
-    sol = cross_validate_lambda([tgt], _target_folds([tgt]))
+    sol = cross_validate_lambda([tgt])
     assert np.array_equal(sol.eta, [1.0])
 
 
@@ -266,20 +275,20 @@ def test_adaptive_ensemble_duplicated_source():
     rng = np.random.default_rng(7)
     tgt = _target_estimate(rng)
     s1 = _source_estimate(rng, "s1")
-    s1b = SiteEstimate(site_id="s1b", mu=s1.mu, on_target=s1.on_target.copy(),
-                       n_k=s1.n_k, own=s1.own)
-    sol = cross_validate_lambda([tgt, s1, s1b], _target_folds([tgt]))
+    s1b = SiteEstimate(site_id="s1b", mu=s1.mu, coef=s1.coef.copy(), n_k=s1.n_k, own=s1.own)
+    sol = cross_validate_lambda([tgt, s1, s1b])
     assert np.all(sol.eta >= 0.0)
     assert abs(sol.eta.sum() - 1.0) < 1e-12
 
 
 def test_global_estimate_target_only_hand_computation():
     rng = np.random.default_rng(8)
-    tgt = _target_estimate(rng, n=400, mu=(1.0, 2.5))
+    Z = _target_units(rng, 400)
+    tgt = _target_on(Z, mu=(1.0, 2.5))
     sol = combine_fixed([tgt], "target")
     report = global_estimate([tgt], sol, "target")
     assert abs(report.delta_hat - 1.5) < 1e-12
-    xi_d = tgt.on_target * 400  # the centered influence values
+    xi_d = Z[:, 0] * 400  # the centered influence values
     expected_var = float(np.sum(xi_d**2)) / 400**2
     assert abs(report.variance - expected_var) < 1e-15
     half = 1.959963984540054 * math.sqrt(expected_var)
@@ -314,8 +323,9 @@ def _rel_close(a, b, tol=1e-12):
 
 
 def test_summary_algebra_matches_per_unit_formulas():
-    """Oracle: every coordinator quantity built from the uploaded sums equals
-    the per-unit formula it replaces, on random centered influence values.
+    """Oracle: every coordinator quantity built from the uploaded sums and the
+    target's moments equals the per-unit formula it replaces, on random
+    centered influence values and covariates with random target slopes.
 
     The IVW and global-variance oracles are written in the pooled scale
     (site probabilities n_k / N, influence values d = n * contribution), which
@@ -325,7 +335,9 @@ def test_summary_algebra_matches_per_unit_formulas():
     for trial in range(20):
         rng = np.random.default_rng((trial, 41))
         n_T = int(rng.integers(20, 200))
-        tgt = _target_estimate(rng, n=n_T, mu=tuple(rng.normal(size=2)))
+        q = int(rng.integers(1, 4))
+        Z = _target_units(rng, n_T, q)
+        tgt = _target_on(Z, mu=tuple(rng.normal(size=2)), seed=seed)
         sources, own_units = [], []
         for k in range(int(rng.integers(1, 4))):
             n_k = int(rng.integers(20, 300))
@@ -336,11 +348,11 @@ def test_summary_algebra_matches_per_unit_formulas():
             shift = rng.normal(size=2) * rng.choice([0.01, 1.0])
             sources.append(SiteEstimate(
                 site_id=f"s{k}", mu=tuple(np.add(tgt.mu, shift)),
-                on_target=_contributions(rng, n_T), n_k=n_k,
+                coef=np.concatenate(([0.0], rng.standard_normal(q), [0.0])), n_k=n_k,
                 own=OwnSummary.of(own, split_masks(n_k, seed + k, f"s{k}"))))
         estimates = [tgt] + sources
         N = n_T + sum(e.n_k for e in sources)
-        d_T = [e.on_target * n_T for e in estimates]
+        d_T = [Z @ e.coef * n_T for e in estimates]  # per-unit influence values
 
         # IVW: per-site variance from the per-unit values.
         sigma2 = [np.sum((d_T[0] * N / n_T) ** 2) / N**2] + [
@@ -361,7 +373,9 @@ def test_summary_algebra_matches_per_unit_formulas():
         # Stacked system: target rows of column k are xi_T - on_k less the
         # shift delta_k soft-thresholded at twice the per-unit SD of delta_k,
         # over sqrt(n_T).
-        r_T, G_T, _ = _stacked_system(estimates)
+        C, _ = _stacked_system(estimates)
+        assert C.shape == (q + 2, len(sources))
+        G_T, r_T = Z @ C, Z[:, 0]
         delta = [(e.mu[1] - e.mu[0]) - (tgt.mu[1] - tgt.mu[0]) for e in estimates]
         for k, (e, d) in enumerate(zip(sources, own_units), 1):
             sd = math.sqrt(np.sum((d_T[k] - d_T[0]) ** 2) / n_T**2 + np.sum(d**2) / e.n_k**2)
@@ -373,7 +387,7 @@ def test_summary_algebra_matches_per_unit_formulas():
 
         # Source k's per-unit rows are -d_k / n_k in column k.
         fold_T = split_masks(n_T, seed, "tgt")
-        systems = _cv_systems(estimates, r_T, G_T, fold_T)
+        systems = _cv_systems(estimates, C)
         assert [len(x) for x in systems] == [CV_SPLITS + 1] * 3
         whole = tuple(x[-1] for x in systems)
 

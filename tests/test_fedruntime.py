@@ -128,7 +128,8 @@ def test_run_round_matches_direct_composition():
         fit_nuisances(target.site_id, target.X, target.y, target.a,
                       config.candidates["target"]["treatment"],
                       config.candidates["target"]["outcome"],
-                      seed=site_split_seed(config.seed, target.site_id)))]
+                      seed=site_split_seed(config.seed, target.site_id)),
+        centered, split_masks(target.n, config.seed, target.site_id))]
     for src in frames[1:]:
         tilt = solve_tilt(src.V, summary)
         fit = fit_nuisances(src.site_id, src.X, src.y, src.a,
@@ -137,10 +138,8 @@ def test_run_round_matches_direct_composition():
                             seed=site_split_seed(config.seed, src.site_id))
         estimates.append(complete_source_estimate(
             src.site_id,
-            source_report(src, fit, tilt, split_masks(src.n, config.seed, src.site_id))[0],
-            centered))
-    solution = cross_validate_lambda(estimates,
-                                     split_masks(target.n, config.seed, target.site_id))
+            source_report(src, fit, tilt, split_masks(src.n, config.seed, src.site_id))[0]))
+    solution = cross_validate_lambda(estimates)
     direct = global_estimate(estimates, solution, method=config.method)
 
     assert via_runtime.delta_hat == direct.delta_hat
@@ -200,8 +199,9 @@ def test_combine_reports_the_site_phase_ledger():
 
 def test_the_transport_draws_the_target_folds_and_combine_draws_none(monkeypatch):
     # The target's CV folds are drawn in the transport, with the seed the
-    # sources split their units by, and a two-candidate mr_l1 phase combines
-    # on them, drawing no fold, under its own candidate groups.
+    # sources split their units by, the target's moments are summed over
+    # them, and a two-candidate mr_l1 phase combines, drawing no fold, under
+    # its own candidate groups.
     frames = _make_frames(seed=3)
     two = _group(FeatureMap("raw"), FeatureMap("subset", (0,)))
     config = _config("mr_l1", seed=5, target=two, source=two)
@@ -212,7 +212,10 @@ def test_the_transport_draws_the_target_folds_and_combine_draws_none(monkeypatch
     assert sorted(fold_seeds) == [(5, "site0"), (5, "site1"), (5, "site2")]
     assert np.array_equal(transport.target_folds, split_masks(150, 5, "site0"))
     sites = run_sites(transport, config)
-    assert sites.target_folds is transport.target_folds
+    # The target's moments are summed over those folds: every Z column but xi.
+    W = np.column_stack([transport.target_centered / 150, np.full(150, 150**-0.5)])
+    blocks = [W[rows].T @ W[rows] for rows in transport.target_folds] + [W.T @ W]
+    assert np.allclose(sites.estimates[0].moments[:, 1:, 1:], blocks, rtol=1e-12, atol=0.0)
     assert sites.candidates == config.candidates
     fold_seeds.clear()
     report = combine(sites, "mr_l1")
@@ -371,8 +374,10 @@ def test_target_group_stays_with_the_coordinator():
     target = frames[0]
     fit = fit_nuisances(target.site_id, target.X, target.y, target.a, [own], [own],
                         seed=site_split_seed(4, target.site_id))
-    sites = run_sites(run_transport(frames, config.seed), config)
-    assert sites.estimates[0].mu == estimate_target(target, fit).mu
+    transport = run_transport(frames, config.seed)
+    sites = run_sites(transport, config)
+    assert sites.estimates[0].mu == estimate_target(
+        target, fit, transport.target_centered, transport.target_folds).mu
     assert report.delta_hat != run_round(frames, _config("ivw", seed=4)).delta_hat
 
 
@@ -753,3 +758,32 @@ def test_message_record_digest():
     rec = MessageRecord("a", "b", "config", payload_text='{"x": 1}')
     assert rec.payload_bytes == 8
     assert len(rec.payload_digest) == 64
+
+
+def _array_shapes(obj) -> dict:
+    """The shape of every ndarray a dataclass holds, nested ones included."""
+    shapes = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            shapes[f.name] = value.shape
+        elif dataclasses.is_dataclass(value):
+            shapes.update({f"{f.name}.{k}": v for k, v in _array_shapes(value).items()})
+    return shapes
+
+
+def test_no_site_estimate_grows_with_the_sample_sizes():
+    # The coordinator keeps fixed-size summaries only: a c1 site phase with
+    # every site ten times larger holds arrays of the same shapes.
+    scenario = load_scenario("c1")
+    larger = dataclasses.replace(scenario, sites=tuple(
+        dataclasses.replace(site, n=10 * site.n) for site in scenario.sites))
+    shapes = []
+    for spec in (scenario, larger):
+        config = method_config("mr_l1", spec, seed=rep_config_seed(0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sites = run_sites(run_transport(replication_frames(spec, 0, 0), config.seed), config)
+        assert len(sites.estimates) == len(spec.sites)
+        shapes.append([_array_shapes(est) for est in sites.estimates])
+    assert all(shapes[0]) and shapes[0] == shapes[1]

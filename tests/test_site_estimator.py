@@ -1,6 +1,7 @@
 """Tests for the target AIPW estimate and the transported source estimates."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fedcausal.errors import ExtremeWeightsWarning, SingularJacobian
 from fedcausal.numkit import add_intercept, expit, fit_ols
 from fedcausal.nuisance import MAX_COLUMNS, FeatureMap, NuisanceFit, fit_nuisances
 from fedcausal.site_estimator import (
+    CV_SPLITS,
     SiteFrame,
     SourceSiteReport,
     complete_source_estimate,
@@ -75,6 +77,12 @@ def _centered(target):
 def _folds(frame, seed=0):
     """The frame's own CV folds under ``seed``, as the transport draws them."""
     return split_masks(frame.n, seed, frame.site_id)
+
+
+def _target_estimate(target, fit, seed=0):
+    """The target's estimate on its centered covariates and CV folds, as the
+    site phase forms it."""
+    return estimate_target(target, fit, _centered(target), _folds(target, seed))
 
 
 def _untilted(frame, target_V):
@@ -162,13 +170,20 @@ def test_estimate_target_horvitz_thompson_reduction():
     a = rng.integers(0, 2, n)
     X = rng.standard_normal((n, 2))
     frame = SiteFrame("t", "target", y, a, X, (0, 1))
-    est = estimate_target(frame, _fit(n))
+    est = _target_estimate(frame, _fit(n))
     for arm in (0, 1):
         expected = 2.0 * np.mean((a == arm) * y)
         assert abs(est.mu[arm] - expected) < 1e-12
-    assert est.is_target and est.on_target.shape == (n,) and est.n_T == n
+    # The moments are the Gram matrices of Z = [xi, V_c / n, 1 / sqrt(n)] over
+    # each fit half and all units, and the target's coordinates in Z are e_0.
+    d = 2.0 * (a * y - (1 - a) * y)
+    Z = np.column_stack([(d - d.mean()) / n, _centered(frame) / n, np.full(n, n**-0.5)])
+    reference = [Z[f].T @ Z[f] for f in _folds(frame)] + [Z.T @ Z]
+    assert est.is_target and np.array_equal(est.coef, [1.0, 0.0, 0.0, 0.0])
+    assert est.moments.shape == (CV_SPLITS + 1, 4, 4)
+    assert np.allclose(est.moments, reference, rtol=1e-12, atol=1e-15)
     # The contributions sum to the mean of the centered influence values.
-    assert abs(est.on_target.sum()) < 1e-10
+    assert abs(math.sqrt(n) * est.moments[-1, -1] @ est.coef) < 1e-10
 
 
 def test_estimate_target_constant_outcome():
@@ -177,14 +192,23 @@ def test_estimate_target_constant_outcome():
     X = np.random.default_rng(2).standard_normal((n, 2))
     y = np.full(n, 7.5)
     frame = SiteFrame("t", "target", y, a, X, (0, 1))
-    est = estimate_target(frame, _fit(n, m=7.5))
+    est = _target_estimate(frame, _fit(n, m=7.5))
     assert est.mu == (7.5, 7.5)
 
 
 def test_estimate_target_requires_target_role():
     src, tgt = _linear_pair()
     with pytest.raises(ValueError):
-        estimate_target(src, _fit(src.n))
+        estimate_target(src, _fit(src.n), _centered(src), _folds(src))
+
+
+def test_estimate_target_checks_its_folds():
+    # Folds of another split count or another target size.
+    src, tgt = _linear_pair()
+    folds = _folds(tgt)
+    for wrong in (folds[:-1], folds[:, :-1], folds[0]):
+        with pytest.raises(ValueError, match="target folds have shape"):
+            estimate_target(tgt, _fit(tgt.n), _centered(tgt), wrong)
 
 
 def test_fit_tau_exact_on_linear_predictions():
@@ -219,7 +243,7 @@ def test_source_degenerate_weighted_mean_reduction():
     # inverse-probability weighted outcome mean.
     src, tgt = _linear_pair(seed=6, shift=0.0)
     report = source_report(src, _fit(src.n), _untilted(src, tgt.V), _folds(src))[0]
-    est = complete_source_estimate(src.site_id, report, _centered(tgt))
+    est = complete_source_estimate(src.site_id, report)
     for arm in (0, 1):
         expected = np.mean(2.0 * (src.a == arm) * src.y)
         assert abs(est.mu[arm] - expected) < 1e-12
@@ -231,9 +255,8 @@ def test_source_no_shift_agrees_with_target():
     fit_s = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=3)
     fit_t = fit_nuisances(tgt.site_id, tgt.X, tgt.y, tgt.a, RAW_T, RAW_O, seed=4)
     est_s = complete_source_estimate(
-        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), _folds(src))[0],
-        _centered(tgt))
-    est_t = estimate_target(tgt, fit_t)
+        src.site_id, source_report(src, fit_s, solve_tilt(src.V, summary), _folds(src))[0])
+    est_t = _target_estimate(tgt, fit_t)
     assert abs((est_s.mu[1] - est_s.mu[0]) - (est_t.mu[1] - est_t.mu[0])) < 0.25
 
 
@@ -242,13 +265,12 @@ def test_source_estimate_equals_report_plus_completion():
     summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=5)
     report = source_report(src, fit, solve_tilt(src.V, summary), _folds(src, 2))[0]
-    direct = complete_source_estimate(src.site_id, report, _centered(tgt))
-    wired = complete_source_estimate(
-        src.site_id, SourceSiteReport.from_json(report.to_json()), _centered(tgt))
+    direct = complete_source_estimate(src.site_id, report)
+    wired = complete_source_estimate(src.site_id, SourceSiteReport.from_json(report.to_json()))
     assert direct.mu == wired.mu
     assert direct.own.sq == wired.own.sq
     assert np.array_equal(direct.own.fit_sq, wired.own.fit_sq)
-    assert np.array_equal(direct.on_target, wired.on_target)
+    assert np.array_equal(direct.coef, wired.coef)
 
 
 def test_source_influence_parts_are_centered():
@@ -260,9 +282,12 @@ def test_source_influence_parts_are_centered():
     report, d = source_report(src, fit, solve_tilt(src.V, summary), _folds(src, 4))
     assert abs(d.sum()) < 1e-8
     assert d.shape == (src.n,)
-    est = complete_source_estimate(src.site_id, report, _centered(tgt))
-    assert abs(est.on_target.sum()) < 1e-8
-    assert est.on_target.shape == (tgt.n,) and est.n_T == tgt.n
+    # The target-unit contributions, Z coef, sum to sqrt(n_T) times the
+    # constant column's row of the target's moments, times coef.
+    est = complete_source_estimate(src.site_id, report)
+    tgt_est = _target_estimate(tgt, _fit(tgt.n))
+    assert abs(math.sqrt(tgt.n) * tgt_est.moments[-1, -1] @ est.coef) < 1e-8
+    assert est.coef.shape == tgt_est.coef.shape == (src.V.shape[1] + 2,)
     # The upload summarizes exactly those values over the site's own folds.
     masks = split_masks(src.n, 4, src.site_id)
     assert report.own.sq == float(np.sum(d * d))
@@ -276,14 +301,13 @@ def test_source_linearity_in_outcome_scale():
     tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=7)
     report = source_report(src, fit, tilt, _folds(src))[0]
-    est = complete_source_estimate(src.site_id, report, _centered(tgt))
+    est = complete_source_estimate(src.site_id, report)
 
     scaled = SiteFrame(src.site_id, "source", 3.0 * src.y, src.a, src.X, src.shared_cols)
     fit_scaled = fit_nuisances(scaled.site_id, scaled.X, scaled.y, scaled.a, RAW_T, RAW_O,
                                seed=7)
     est_scaled = complete_source_estimate(
-        scaled.site_id, source_report(scaled, fit_scaled, tilt, _folds(scaled))[0],
-        _centered(tgt))
+        scaled.site_id, source_report(scaled, fit_scaled, tilt, _folds(scaled))[0])
     for arm in (0, 1):
         assert abs(est_scaled.mu[arm] - 3.0 * est.mu[arm]) < 1e-9 * max(1.0, abs(est.mu[arm]))
 
@@ -295,37 +319,43 @@ def test_source_report_requires_source_role():
     with pytest.raises(ValueError):
         source_report(tgt, _fit(tgt.n), tilt, _folds(src))
     report = source_report(src, _fit(src.n), tilt, _folds(src))[0]
-    # Completion takes the target's centered shared covariates, one column
-    # per target slope.
-    for bad in (np.ones((tgt.n, 3)), _centered(tgt)[:, 0]):
-        with pytest.raises(ValueError, match="target slopes"):
-            complete_source_estimate(src.site_id, report, bad)
+    # The coordinator takes one target slope per column of the target's
+    # centered shared covariates.
+    tgt_est = _target_estimate(tgt, _fit(tgt.n))
+    for bad in (np.ones(3), report.target_coef[:1]):
+        est = complete_source_estimate(src.site_id, dataclasses.replace(report, target_coef=bad))
+        with pytest.raises(ValueError, match="target coordinates"):
+            federation.combine_fixed([tgt_est, est], "ivw")
 
 
 def test_source_report_builds_no_basis():
     # psi = (1, V) is built only by solve_tilt: the source estimator reads the
-    # tilt's basis and target mean of psi, and the coordinator evaluates each
-    # upload on the target's centered V, so neither side builds a basis.
+    # tilt's basis and target mean of psi, and the target summarizes its
+    # centered V in its moments, so neither side builds a basis.
     assert not hasattr(site_estimator, "add_intercept")
     assert not hasattr(fedruntime, "add_intercept")
 
 
 def test_every_target_coef_entry_moves_the_completed_estimate():
     # The upload carries no coefficient that multiplies zero: each of its q
-    # target slopes moves the target-unit contributions.
+    # target slopes moves the variance of the target-unit contributions.
     src, tgt = _linear_pair(seed=18)
     summary = target_moments(tgt.V)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=11)
     report = source_report(src, fit, solve_tilt(src.V, summary), _folds(src))[0]
     assert report.target_coef.shape == (src.V.shape[1],)
-    base = complete_source_estimate(src.site_id, report, _centered(tgt)).on_target
+    tgt_est = _target_estimate(tgt, _fit(tgt.n))
+
+    def target_part(est):
+        return federation._variance([tgt_est, est], [0.0, 1.0]) - est.own.sq
+
+    base = target_part(complete_source_estimate(src.site_id, report))
     for j in range(len(report.target_coef)):
         coef = report.target_coef.copy()
         coef[j] += 1.0
-        moved = complete_source_estimate(
-            src.site_id, dataclasses.replace(report, target_coef=coef), _centered(tgt))
-        assert np.all(np.isfinite(moved.on_target))
-        assert np.any(moved.on_target != base)
+        moved = target_part(complete_source_estimate(
+            src.site_id, dataclasses.replace(report, target_coef=coef)))
+        assert np.isfinite(moved) and moved != base
 
 
 def test_source_report_singular_jacobian_raises():
@@ -352,11 +382,11 @@ def test_site_estimate_json_round_trip():
     for est in (complete_source_estimate(
                     src.site_id,
                     source_report(src, _fit(src.n), solve_tilt(src.V, summary),
-                                  _folds(src))[0], _centered(tgt)),
-                estimate_target(tgt, _fit(tgt.n))):
+                                  _folds(src))[0]),
+                _target_estimate(tgt, _fit(tgt.n))):
         back = json.loads(est.to_json())
         assert (back["mu0"], back["mu1"]) == est.mu
-        assert back["n_k"] == est.n_k and back["n_T"] == est.n_T
+        assert back["n_k"] == est.n_k
         assert back["site_id"] == est.site_id
         assert not any(isinstance(v, list) for v in back.values())
 
@@ -377,10 +407,10 @@ def test_source_report_json_round_trip():
 def test_estimate_target_rejects_a_fit_of_another_frame():
     src, tgt = _linear_pair(seed=15)
     with pytest.raises(ValueError):
-        estimate_target(tgt, _fit(tgt.n - 1))
+        _target_estimate(tgt, _fit(tgt.n - 1))
     with pytest.raises(ValueError):
-        estimate_target(tgt, fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O,
-                                           seed=9))
+        _target_estimate(tgt, fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O,
+                                            seed=9))
 
 
 def test_source_influence_rejects_a_fit_of_another_frame():
@@ -416,7 +446,7 @@ def test_contributions_match_per_arm_construction():
     tilt = solve_tilt(src.V, summary)
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=10)
     report, contributions = source_report(src, fit, tilt, _folds(src, 3))
-    est = complete_source_estimate(src.site_id, report, _centered(tgt))
+    est = complete_source_estimate(src.site_id, report)
 
     pi, m = fit.pi, fit.m
     zeta_raw = np.exp(-add_intercept(src.V) @ tilt.gamma)
@@ -440,7 +470,9 @@ def test_contributions_match_per_arm_construction():
     tgt_d = (xi_tgt[1] - xi_tgt[0]) / n_t
 
     assert _rel_close(contributions, own_d)
-    assert _rel_close(est.on_target, tgt_d)
+    # The target-unit contributions are Z coef, Z = [xi, V_c / n_T, 1 / sqrt(n_T)].
+    assert est.coef[0] == est.coef[-1] == 0.0
+    assert _rel_close(_centered(tgt) @ est.coef[1:-1] / n_t, tgt_d)
     for arm in (0, 1):
         assert _rel_close(est.mu[arm], mu[arm])
     masks = split_masks(n_s, 3, src.site_id)
