@@ -6,7 +6,7 @@ data. The ratio model is ``exp(-gamma' psi(V))`` with the linear basis
 ``psi(V) = (1, V)`` (``numkit.add_intercept``), so the fitted weights average
 to one over the source sample and balance the shared-covariate means, as in
 entropy balancing. The constant of psi, whose target mean is 1, lives only in
-the source's tilt: a summary holds the q means of V.
+the source's tilt: a summary holds the q means of V. No weight is capped.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import numpy as np
 from .errors import EmptySample, ExtremeWeightsWarning, MissingColumns
 from .numkit import add_intercept, newton_solve
 
-TRUNCATION_PERCENTILE = 99.9
-TRUNCATION_FACTOR = 10.0
 EXTREME_RATIO = 100.0
 
 
@@ -46,11 +44,11 @@ class MomentSummary:
 
 @dataclass(frozen=True)
 class TiltCoefficients:
-    """A solved tilt: its coefficients and residual norm, the weights
-    ``exp(-psi gamma)`` on the source units, and the moment-matching Jacobian
-    ``B = mean(psi psi' exp(-psi gamma))``, all at the returned gamma, with
-    the basis ``psi = (1, V)`` of the source units they were solved on and the
-    target mean of psi, ``(1, mean_v)``, that they balance."""
+    """A solved tilt at the returned gamma: gamma, its residual norm, the
+    weights ``exp(-psi gamma)`` on the source units, which every estimator
+    reads uncapped, and the moment-matching Jacobian ``B = mean(psi psi'
+    exp(-psi gamma))``, with the basis ``psi = (1, V)`` they were solved on
+    and the target mean of psi, ``(1, mean_v)``, that they balance."""
 
     gamma: np.ndarray
     residual_norm: float
@@ -115,19 +113,15 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
 
 
 def truncate_weights(site_id: str, weights: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Cap extreme density-ratio weights of source ``site_id`` inside estimators.
+    """Check the tilt weights of source ``site_id``: warn, naming the site,
+    when their max/mean ratio exceeds ``EXTREME_RATIO``.
 
-    The cap is ``TRUNCATION_FACTOR`` times the ``TRUNCATION_PERCENTILE``
-    percentile. Returns the capped weights and a diagnostics dict, which stays
-    at the site (only the benchmark's tracer reads it); warns, naming the
-    site, when the post-cap max/mean ratio exceeds ``EXTREME_RATIO``.
+    Returns the weights unchanged with ``{"n_capped": 0, "max_over_mean":
+    ratio}``: nothing is capped, and the name and result shape stay only for
+    the benchmark's tracer, until the benchmark refresh (ROADMAP items 5, 6).
     """
     weights = np.asarray(weights, dtype=float)
-    cap = float(np.percentile(weights, TRUNCATION_PERCENTILE)) * TRUNCATION_FACTOR
-    capped = np.minimum(weights, cap)
-    n_capped = int(np.sum(weights > cap))
-    ratio = float(capped.max() / capped.mean()) if capped.mean() > 0 else np.inf
-    diagnostics = {"cap": cap, "n_capped": n_capped, "max_over_mean": ratio}
+    ratio = float(weights.max() / weights.mean()) if weights.mean() > 0 else np.inf
     if ratio > EXTREME_RATIO:
         warnings.warn(
             f"site {site_id}: density-ratio weights max/mean = {ratio:.1f} "
@@ -135,4 +129,4 @@ def truncate_weights(site_id: str, weights: np.ndarray) -> tuple[np.ndarray, dic
             ExtremeWeightsWarning,
             stacklevel=2,
         )
-    return capped, diagnostics
+    return weights, {"n_capped": 0, "max_over_mean": ratio}

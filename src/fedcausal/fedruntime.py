@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_ratio import MomentSummary, TiltCoefficients, solve_tilt, target_moments
+from .density_ratio import (MomentSummary, TiltCoefficients, solve_tilt, target_moments,
+                            truncate_weights)
 from .errors import (
     AllSourcesFailedWarning,
     FedcausalError,
@@ -222,7 +223,9 @@ def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
     """Run the candidate-free site work: the target's moment summary, its
     shared covariates centered by those means, and its CV folds, and each
     source's tilt and CV folds, every fold set drawn by
-    :func:`~fedcausal.site_estimator.split_masks` with ``seed``.
+    :func:`~fedcausal.site_estimator.split_masks` with ``seed``. Each
+    solved tilt's weights are checked here, once per transport
+    (:func:`~fedcausal.density_ratio.truncate_weights`).
 
     Checks that there is exactly one target frame and that site ids, which
     address the messages and the weights, are distinct. A source whose tilt
@@ -249,6 +252,7 @@ def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
             sources.append(SourceTransport(src, message, None, None,
                                            f"{type(exc).__name__}: {exc}"))
             continue
+        truncate_weights(src.site_id, tilt.weights)
         sources.append(SourceTransport(src, message, tilt,
                                        split_masks(src.n, seed, src.site_id), None))
     return Transport(target=target, target_folds=split_masks(target.n, seed, target.site_id),

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density_ratio import TiltCoefficients, truncate_weights
+from .density_ratio import TiltCoefficients
 from .errors import SingularJacobian
 from .nuisance import MAX_COLUMNS, NuisanceFit, is_shared_dimension
 from .numkit import fit_ols
@@ -238,13 +238,17 @@ def estimate_target(frame: SiteFrame, fit: NuisanceFit, centered: np.ndarray,
     # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a, arm-indexed.
     kernel = _ipw_residual(frame, fit, "target units") + fit.m
     d = kernel[1] - kernel[0]
-    Z = np.column_stack([(d - d.mean()) / n, centered / n, np.full(n, 1.0 / math.sqrt(n))])
+    # Row-major, so fold rows gather as contiguous blocks; two gathers per
+    # product, as numpy's symmetric kernel for one shared gather rounds apart.
+    Z = np.ascontiguousarray(np.column_stack([(d - d.mean()) / n, centered / n,
+                                              np.full(n, 1.0 / math.sqrt(n))]))
     return SiteEstimate(
         site_id=frame.site_id,
         mu=(float(kernel[0].mean()), float(kernel[1].mean())),
         coef=np.eye(Z.shape[1])[0],
         n_k=n,
-        moments=np.stack([Z[rows].T @ Z[rows] for rows in folds] + [Z.T @ Z]),
+        moments=np.stack([Z.take(rows, axis=0).T @ Z.take(rows, axis=0)
+                          for rows in map(np.flatnonzero, folds)] + [Z.T @ Z]),
     )
 
 
@@ -268,7 +272,7 @@ def source_report(
     contributes its centered psi times tau_1 - tau_0 - B^{-1}A; the constant
     of centered psi is zero, so the reported ``target_coef`` is that vector's
     slopes. ``tilt`` is this source's :func:`solve_tilt` result; its basis
-    psi, target mean of psi, weights and B are used as solved.
+    psi, target mean of psi, uncapped weights and B are used as solved.
 
     Returns the upload, which summarizes the contributions over ``folds``,
     this site's own cross-validation folds (:func:`split_masks`), with the
@@ -277,21 +281,18 @@ def source_report(
     """
     if source.role != "source":
         raise ValueError("the source estimator requires a source frame")
-    psi, zeta_raw, B = tilt.basis, tilt.weights, tilt.jacobian
-    zeta, _ = truncate_weights(source.site_id, zeta_raw)
+    psi, zeta, B = tilt.basis, tilt.weights, tilt.jacobian
     resid = _ipw_residual(source, fit, f"source {source.site_id}")
     tau = fit_ols(psi, fit.m.T).coefficients  # (d, 2): both arms' projections
     h = resid + (fit.m - (psi @ tau).T)
     own = zeta * h
-    # Derivative of the truncated weight is zero where the cap binds.
-    zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
-    A = -psi.T @ (zeta_d * (h[1] - h[0])) / source.n
+    A = -psi.T @ (zeta * (h[1] - h[0])) / source.n
     try:
         w = np.linalg.solve(B, A)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"tilt Jacobian is singular at source {source.site_id}") from exc
     d = own[1] - own[0]
-    noise = zeta_raw * (psi @ w)  # the moment-equation values zeta * psi, times w
+    noise = zeta * (psi @ w)  # the moment-equation values zeta * psi, times w
     contributions = (d - d.mean() + noise - noise.mean()) / source.n
     report = SourceSiteReport(
         n_k=source.n,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fedcausal.density_ratio import (
     TiltCoefficients,
     solve_tilt,
     target_moments,
-    truncate_weights,
 )
 from fedcausal.errors import ExtremeWeightsWarning, SingularJacobian
 from fedcausal.numkit import add_intercept, expit, fit_ols
@@ -176,12 +176,15 @@ def test_estimate_target_horvitz_thompson_reduction():
         assert abs(est.mu[arm] - expected) < 1e-12
     # The moments are the Gram matrices of Z = [xi, V_c / n, 1 / sqrt(n)] over
     # each fit half and all units, and the target's coordinates in Z are e_0.
-    d = 2.0 * (a * y - (1 - a) * y)
-    Z = np.column_stack([(d - d.mean()) / n, _centered(frame) / n, np.full(n, n**-0.5)])
+    # Every entry of this Z is computed as the estimator computes it, so the
+    # fold sums, gathered here by boolean mask, agree bit for bit.
+    d = 2.0 * (a * y) - 2.0 * ((1 - a) * y)
+    Z = np.column_stack([(d - d.mean()) / n, _centered(frame) / n,
+                         np.full(n, 1.0 / math.sqrt(n))])
     reference = [Z[f].T @ Z[f] for f in _folds(frame)] + [Z.T @ Z]
     assert est.is_target and np.array_equal(est.coef, [1.0, 0.0, 0.0, 0.0])
     assert est.moments.shape == (CV_SPLITS + 1, 4, 4)
-    assert np.allclose(est.moments, reference, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(est.moments, reference)
     # The contributions sum to the mean of the centered influence values.
     assert abs(math.sqrt(n) * est.moments[-1, -1] @ est.coef) < 1e-10
 
@@ -358,20 +361,65 @@ def test_every_target_coef_entry_moves_the_completed_estimate():
         assert np.isfinite(moved) and moved != base
 
 
-def test_source_report_singular_jacobian_raises():
-    # The tilt underflows to zero on every unit but unit 0, whose first shared
-    # covariate is 0: B = psi_0 psi_0' / n has a zero column although
-    # psi = (1, V) has full rank.
+def _one_unit_source():
+    """A source whose first shared covariate is 0 on unit 0 and in [1, 2] on
+    every other unit, and a target whose first shared covariate averages 0.3,
+    so that the solved tilt puts most of its weight on unit 0."""
     rng = np.random.default_rng(13)
     n = 200
     X = np.column_stack([1.0 + rng.uniform(0.0, 1.0, n), rng.standard_normal(n)])
     X[0, 0] = 0.0
     a = (rng.random(n) < 0.5).astype(int)
     y = 1.0 + X[:, 1] + a + rng.standard_normal(n)
-    src = SiteFrame("src", "source", y, a, X, (0, 1))
+    V_t = np.column_stack([0.3 + 0.1 * rng.standard_normal(100), rng.standard_normal(100)])
+    return (SiteFrame("src", "source", y, a, X, (0, 1)),
+            SiteFrame("tgt", "target", V_t[:, 1], np.arange(100) % 2, V_t, (0, 1)))
+
+
+def test_source_report_singular_jacobian_raises():
+    # The tilt underflows to zero on every unit but unit 0, whose first shared
+    # covariate is 0: B = psi_0 psi_0' / n has a zero column although
+    # psi = (1, V) has full rank.
+    src, _ = _one_unit_source()
     tilt = _tilt_at(src.V, np.array([0.0, 1000.0, 0.0]), src.V)
-    with pytest.raises(SingularJacobian), pytest.warns(ExtremeWeightsWarning):
-        source_report(src, _fit(n), tilt, _folds(src))
+    with pytest.raises(SingularJacobian):
+        source_report(src, _fit(src.n), tilt, _folds(src))
+
+
+def _weight_warnings(caught):
+    return [str(w.message) for w in caught if issubclass(w.category, ExtremeWeightsWarning)]
+
+
+def test_run_transport_checks_the_weights_it_solves():
+    # The weight check runs where the tilt is solved, so a source whose tilt
+    # concentrates is named even when its nuisance fit then fails.
+    src, tgt = _one_unit_source()
+    with pytest.warns(ExtremeWeightsWarning, match="site src: "):
+        transport = fedruntime.run_transport([tgt, src], 0)
+    raw, past = [FeatureMap("raw")], [FeatureMap("subset", (7,))]
+    config = fedruntime.ProtocolConfig(
+        candidates={"target": {"treatment": raw, "outcome": raw},
+                    "source": {"treatment": past, "outcome": past}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        phase = fedruntime.run_sites(transport, config)
+    assert phase.failures["src"].startswith("MissingColumns: ")
+    assert _weight_warnings(caught) == []
+
+
+def test_two_site_phases_on_one_transport_warn_once_per_source():
+    src, tgt = _one_unit_source()
+    raw, both = [FeatureMap("raw")], [FeatureMap("raw"), FeatureMap("subset", (1,))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        transport = fedruntime.run_transport([tgt, src], 0)
+        for maps in (raw, both):
+            config = fedruntime.ProtocolConfig(
+                candidates={"target": {"treatment": raw, "outcome": raw},
+                            "source": {"treatment": maps, "outcome": maps}})
+            assert fedruntime.run_sites(transport, config).failures == {}
+    weight_warnings = _weight_warnings(caught)
+    assert len(weight_warnings) == 1 and weight_warnings[0].startswith("site src: ")
 
 
 def test_site_estimate_json_round_trip():
@@ -449,19 +497,17 @@ def test_contributions_match_per_arm_construction():
     est = complete_source_estimate(src.site_id, report)
 
     pi, m = fit.pi, fit.m
-    zeta_raw = np.exp(-add_intercept(src.V) @ tilt.gamma)
-    zeta, _ = truncate_weights(src.site_id, zeta_raw)
-    zeta_d = np.where(zeta == zeta_raw, zeta, 0.0)
     psi = add_intercept(src.V)
-    B = (psi * zeta_raw[:, None]).T @ psi / n_s
-    moment_noise = psi * zeta_raw[:, None] - (psi * zeta_raw[:, None]).mean(axis=0)
+    zeta = np.exp(-psi @ tilt.gamma)
+    B = (psi * zeta[:, None]).T @ psi / n_s
+    moment_noise = psi * zeta[:, None] - (psi * zeta[:, None]).mean(axis=0)
     psi_t = add_intercept(tgt.X)
     xi_own, xi_tgt, mu = [], [], []
     for arm in (0, 1):
         tau = fit_ols(add_intercept(src.V), m[arm]).coefficients
         h = (src.a == arm) / pi[arm] * (src.y - m[arm]) + m[arm] - add_intercept(src.V) @ tau
         own = zeta * h
-        sens = np.linalg.solve(B, -(psi * (zeta_d * h)[:, None]).mean(axis=0))
+        sens = np.linalg.solve(B, -(psi * (zeta * h)[:, None]).mean(axis=0))
         xi_own.append(own - own.mean() + moment_noise @ sens)
         projected = add_intercept(tgt.X) @ tau
         xi_tgt.append(projected - projected.mean() - (psi_t - psi_t.mean(axis=0)) @ sens)
