@@ -150,16 +150,28 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header and body rows of the CSV at ``path``, read as spreadsheet
+    programs write it: a UTF-8 byte-order mark and blank lines at the end are
+    dropped. Every row must have the header's cell count; the error names the
+    first that does not, counting the header as row 1."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    while rows and not rows[-1]:
+        rows.pop()
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header, body = rows[0], rows[1:]
+    for row_no, r in enumerate(body, 2):
+        if len(r) != len(header):
+            raise ValueError(f"{path}: row {row_no} has {len(r)} cells, expected {len(header)}")
+    return header, body
+
+
 def _read_site_csv(path: str) -> tuple[np.ndarray, list[str]]:
     """Read a site CSV with header y,a,x1..xp; returns (rows, x names). The
     frame built from the rows checks their values (:func:`_site_frame`)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file")
-        rows = list(reader)
+    header, rows = _read_csv(path)
     if len(header) < 3 or header[0] != "y" or header[1] != "a":
         raise ValueError(f"{path}: header must start with y,a followed by covariates")
     repeated = sorted({c for c in header if header.count(c) > 1})
@@ -167,9 +179,6 @@ def _read_site_csv(path: str) -> tuple[np.ndarray, list[str]]:
         raise ValueError(f"{path}: repeated column names {repeated}")
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    for row_no, r in enumerate(rows, 2):
-        if len(r) != len(header):
-            raise ValueError(f"{path}: row {row_no} has {len(r)} cells, expected {len(header)}")
     try:
         return np.array(rows, dtype=float), header[2:]
     except ValueError:
@@ -225,20 +234,13 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        with open(args.metrics, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+        header, body = _read_csv(args.metrics)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if not rows or rows[0][:2] != ["method", "reps"]:
+    if header[:2] != ["method", "reps"]:
         print(f"error: {args.metrics} is not a metrics table", file=sys.stderr)
         return EXIT_DATA
-    header, body = rows[0], rows[1:]
-    for row_no, r in enumerate(body, 2):
-        if len(r) != len(header):
-            print(f"error: {args.metrics}: row {row_no} has {len(r)} cells, "
-                  f"expected {len(header)}", file=sys.stderr)
-            return EXIT_DATA
 
     def fmt(cell: str) -> str:
         try:

@@ -105,7 +105,7 @@ def _variance(estimates: list[SiteEstimate], c) -> float:
     """
     u = sum(c[i] * est.coef for i, est in enumerate(estimates))
     return float(u @ estimates[0].moments[-1] @ u) + sum(
-        c[i] ** 2 * est.own.sq for i, est in enumerate(estimates[1:], 1))
+        c[i] ** 2 * est.own_sq for i, est in enumerate(estimates[1:], 1))
 
 
 def combine_fixed(estimates: list[SiteEstimate], scheme: str) -> EnsembleSolution:
@@ -147,8 +147,8 @@ def _stacked_system(estimates: list[SiteEstimate]):
     estimate, which would anchor the fit to the target, while a real bias far
     exceeds the threshold and still suppresses the site. The response on
     target rows is Z coef_0. Source k's own-unit rows (minus its own-unit
-    contributions in column k, response zero) are summarized by its ``own``
-    sums of squares, which :func:`_cv_systems` adds to the cross-products.
+    contributions in column k, response zero) are summarized by its ``own_sq``
+    and ``fit_sq``, which :func:`_cv_systems` adds to the cross-products.
     """
     tgt_est = _target_first(estimates)
     sources = estimates[1:]
@@ -176,17 +176,17 @@ def _cv_systems(estimates: list[SiteEstimate], C: np.ndarray):
     cross-products are C'M_s C, C'M_s e_0 and M_s[0, 0] in its moments M_s,
     plus each source's own-unit rows, which are nonzero only in column k with
     response zero, so their whole contribution is the source's sum of squares
-    on the diagonal of G'G: its uploaded fit-half ``fit_sq`` per split, ``sq``
-    for all rows. A validation half is all rows minus its fit half.
+    on the diagonal of G'G: its uploaded fit-half ``fit_sq`` per split,
+    ``own_sq`` for all rows. A validation half is all rows minus its fit half.
     """
     M, sources = estimates[0].moments, estimates[1:]
-    for est, splits in [(estimates[0], len(M) - 1)] + [(e, len(e.own.fit_sq)) for e in sources]:
+    for est, splits in [(estimates[0], len(M) - 1)] + [(e, len(e.fit_sq)) for e in sources]:
         if splits != CV_SPLITS:
             raise ValueError(f"site {est.site_id} summarizes {splits} splits, "
                              f"expected {CV_SPLITS}")
     gram = C.T @ M @ C
     for k, est in enumerate(sources):
-        gram[:, k, k] += [*est.own.fit_sq, est.own.sq]
+        gram[:, k, k] += [*est.fit_sq, est.own_sq]
     return gram, M[:, :, 0] @ C, M[:, 0, 0]
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import warnings
 from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -136,18 +136,16 @@ class ScenarioSpec:
 
 
 def load_scenario(name_or_path: str) -> ScenarioSpec:
-    """Load a bundled preset by name or a scenario JSON file by path."""
+    """Load a bundled preset by name or a scenario JSON file by path. The
+    text is UTF-8 and may start with the byte-order mark some editors write;
+    text that is not UTF-8 is invalid JSON."""
     preset = resources.files("fedcausal").joinpath("presets", f"{name_or_path}.json")
-    if preset.is_file():
-        text = preset.read_text(encoding="utf-8")
-    elif os.path.isfile(name_or_path):
-        with open(name_or_path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
+    source = preset if preset.is_file() else Path(name_or_path)
+    if not source.is_file():
         raise ScenarioError(f"no preset or file named {name_or_path!r}")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(source.read_text(encoding="utf-8-sig"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ScenarioError(f"scenario JSON is invalid: {exc}") from exc
     return ScenarioSpec.from_dict(obj)
 

@@ -7,10 +7,11 @@ predictions onto psi = (1, V), the tilt basis of the covariates V shared with
 the target, and the mean of that projection over the target sample, which is
 the projection evaluated at the target mean of psi, (1, mean of V), that its
 tilt balances. The source finishes its own estimate and uploads a
-:class:`SourceSiteReport` (the transported arm means, sums of squared
-own-unit contributions, and one target-influence slope vector, one entry per
-shared covariate), so no individual target rows are ever needed at a source,
-and no per-unit value ever leaves a source.
+:class:`SourceSiteReport` under the wire's names (the arm means ``mu0`` and
+``mu1``, the sums of squared own-unit contributions ``own_sq`` and ``fit_sq``,
+and ``target_coef``, one target-influence slope per shared covariate), so no
+individual target rows are ever needed at a source, and no per-unit value ever
+leaves a source.
 
 One weight per site multiplies both arm means, so the federation only ever
 needs the influence of the treated-minus-control difference: its
@@ -112,27 +113,6 @@ def split_masks(n: int, seed: int, site_id: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OwnSummary:
-    """Sums of squared effect-difference contributions on a source's own units.
-
-    With d the own-unit contributions, ``sq`` is the sum of d**2 over all own
-    units (the own-unit part of the estimate's variance), and ``fit_sq[s]``
-    is its sum over the fit half of split ``s`` (:func:`split_masks`).
-    They are all the coordinator needs of the own-unit part: the IVW and
-    global variances use ``sq``, and the adaptive weight regression uses one
-    pseudo-row per half, the validation half's being ``sq - fit_sq[s]``.
-    """
-
-    sq: float
-    fit_sq: np.ndarray
-
-    @staticmethod
-    def of(d: np.ndarray, masks: np.ndarray) -> "OwnSummary":
-        sq = d * d
-        return OwnSummary(sq=float(sq.sum()), fit_sq=masks @ sq)
-
-
-@dataclass(frozen=True)
 class SiteEstimate:
     """Per-arm mean estimates with their effect-difference influence part.
 
@@ -141,20 +121,21 @@ class SiteEstimate:
     the target estimate, whose own contributions are xi, and (0, target_coef,
     0) for a source. ``moments`` is the target's stack of Z_s'Z_s, one per CV
     fit half and last over all rows, shape (``CV_SPLITS`` + 1, q + 2, q + 2),
-    and None for a source. ``own`` summarizes a source's own-unit
-    contributions and is None for the target estimate.
+    and None for a source. ``own_sq`` and ``fit_sq`` are a source's uploaded
+    sums (:class:`SourceSiteReport`), both None for the target estimate.
     """
 
     site_id: str
     mu: tuple[float, float]  # (mu_0, mu_1)
     coef: np.ndarray
     n_k: int
-    own: OwnSummary | None = None
+    own_sq: float | None = None
+    fit_sq: np.ndarray | None = None
     moments: np.ndarray | None = None
 
     @property
     def is_target(self) -> bool:
-        return self.own is None
+        return self.own_sq is None
 
     def to_json(self) -> str:
         """Scalar summary of the estimate.
@@ -176,30 +157,38 @@ class SiteEstimate:
 
 @dataclass(frozen=True)
 class SourceSiteReport:
-    """Summary-level payload a source uploads to the coordinator.
+    """Summary-level payload a source uploads to the coordinator, each field
+    sent under its own name.
 
-    Carries the transported arm means, the sums of squares of the own-unit
-    contributions (:class:`OwnSummary`), and the target-influence slopes of
-    the effect difference, one per shared covariate: the target-unit
-    contributions are the centered V values times ``target_coef``, divided by
-    n_T. Each field is a count, a number or a vector of protocol-fixed
-    length; site-local facts such as the weight diagnostics stay at the
-    source. It does not name its sender: the message that carries it does.
+    ``mu0`` and ``mu1`` are the transported arm means. With d the own-unit
+    effect-difference contributions, ``own_sq`` is the sum of d**2 over all
+    own units (the own-unit part of the estimate's variance) and ``fit_sq[s]``
+    its sum over the fit half of split ``s`` (:func:`split_masks`). They are
+    all the coordinator needs of the own-unit part: the IVW and global
+    variances use ``own_sq``, and the adaptive weight regression uses one
+    pseudo-row per half, the validation half's being ``own_sq - fit_sq[s]``.
+    The target-unit contributions are the centered V values times
+    ``target_coef``, one slope per shared covariate, divided by n_T. Each
+    field is a count, a number or a vector of protocol-fixed length;
+    site-local facts such as the weight diagnostics stay at the source. It
+    does not name its sender: the message that carries it does.
     """
 
     n_k: int
-    mu: tuple[float, float]  # (mu_0, mu_1)
-    own: OwnSummary
+    mu0: float
+    mu1: float
+    own_sq: float
+    fit_sq: np.ndarray
     target_coef: np.ndarray
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "n_k": self.n_k,
-                "mu0": self.mu[0],
-                "mu1": self.mu[1],
-                "own_sq": self.own.sq,
-                "fit_sq": list(map(float, self.own.fit_sq)),
+                "mu0": self.mu0,
+                "mu1": self.mu1,
+                "own_sq": self.own_sq,
+                "fit_sq": list(map(float, self.fit_sq)),
                 "target_coef": list(map(float, self.target_coef)),
             }
         )
@@ -209,8 +198,10 @@ class SourceSiteReport:
         obj = json.loads(payload)
         return SourceSiteReport(
             n_k=int(obj["n_k"]),
-            mu=(float(obj["mu0"]), float(obj["mu1"])),
-            own=OwnSummary(float(obj["own_sq"]), np.asarray(obj["fit_sq"], dtype=float)),
+            mu0=float(obj["mu0"]),
+            mu1=float(obj["mu1"]),
+            own_sq=float(obj["own_sq"]),
+            fit_sq=np.asarray(obj["fit_sq"], dtype=float),
             target_coef=np.asarray(obj["target_coef"], dtype=float),
         )
 
@@ -294,10 +285,13 @@ def source_report(
     d = own[1] - own[0]
     noise = zeta * (psi @ w)  # the moment-equation values zeta * psi, times w
     contributions = (d - d.mean() + noise - noise.mean()) / source.n
+    sq = contributions * contributions
     report = SourceSiteReport(
         n_k=source.n,
-        mu=tuple(float(own[arm].mean() + tilt.target_mean @ tau[:, arm]) for arm in (0, 1)),
-        own=OwnSummary.of(contributions, folds),
+        mu0=float(own[0].mean() + tilt.target_mean @ tau[:, 0]),
+        mu1=float(own[1].mean() + tilt.target_mean @ tau[:, 1]),
+        own_sq=float(sq.sum()),
+        fit_sq=folds @ sq,
         target_coef=(tau[:, 1] - tau[:, 0] - w)[1:],
     )
     return report, contributions
@@ -310,8 +304,9 @@ def complete_source_estimate(site_id: str, report: SourceSiteReport) -> SiteEsti
     are (0, target_coef, 0)."""
     return SiteEstimate(
         site_id=site_id,
-        mu=report.mu,
+        mu=(report.mu0, report.mu1),
         coef=np.concatenate(([0.0], report.target_coef, [0.0])),
         n_k=report.n_k,
-        own=report.own,
+        own_sq=report.own_sq,
+        fit_sq=report.fit_sq,
     )

@@ -20,7 +20,6 @@ from fedcausal.nuisance import FeatureMap, fit_nuisances
 from fedcausal.numkit import add_intercept, expit, nnls_coordinate_descent
 from fedcausal.simbench import generate_site, load_scenario, method_config, run_scenario
 from fedcausal.site_estimator import (
-    OwnSummary,
     SiteEstimate,
     SiteFrame,
     complete_source_estimate,
@@ -291,8 +290,12 @@ def test_criterion_6_weight_solver_oracle(monkeypatch):
         d = rows[1] - rows[0]
         return (d - d.mean()) / len(d)
 
-    def summary(rows, site_id):
-        return OwnSummary.of(contributions(rows), split_masks(rows.shape[1], 0, site_id))
+    def own_sums(rows, site_id):
+        # A source's uploaded sums, formed as source_report forms them.
+        d = contributions(rows)
+        sq = d * d
+        return {"own_sq": float(sq.sum()),
+                "fit_sq": split_masks(rows.shape[1], 0, site_id) @ sq}
 
     # The target's Z = [xi, V_c / n_T, 1 / sqrt(n_T)] on random units, summed
     # over its folds and all rows; each source has random target slopes.
@@ -303,7 +306,7 @@ def test_criterion_6_weight_solver_oracle(monkeypatch):
     tgt = SiteEstimate("tgt", (1.0, 2.0), np.eye(4)[0], 300, moments=moments)
     sources = [
         SiteEstimate(f"s{i}", (1.4, 2.7), np.concatenate(([0.0], rng.standard_normal(2), [0.0])),
-                     250, own=summary(rng.standard_normal((2, 250)), f"s{i}"))
+                     250, **own_sums(rng.standard_normal((2, 250)), f"s{i}"))
         for i in range(2)
     ]
     monkeypatch.setattr(federation, "LAMBDA_GRID", (1e12,))

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +93,27 @@ def test_simulate_prints_no_warnings(tmp_path):
     assert run.stderr == ""
 
 
+def test_simulate_loads_a_scenario_file_saved_with_a_byte_order_mark(tmp_path):
+    preset = resources.files("fedcausal").joinpath("presets", "c1.json")
+    saved = tmp_path / "c1.json"
+    saved.write_text(preset.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    tables = []
+    for scenario in ("c1", str(saved)):
+        out = tmp_path / f"run{len(tables)}"
+        assert main(["simulate", "--scenario", scenario, "--methods", "target",
+                     "--reps", "2", "--seed", "0", "--out", str(out)]) == EXIT_OK
+        tables.append([(out / name).read_bytes()
+                       for name in ("metrics.csv", "replications.csv", "manifest.json")])
+    assert tables[0] == tables[1]
+
+
 def test_simulate_usage_errors(tmp_path):
     out = str(tmp_path / "x")
     assert main(["simulate", "--scenario", "nope", "--out", out]) == EXIT_USAGE
+    # A scenario file that is not UTF-8, here UTF-16 with its byte-order mark.
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_text('{"name": "x"}', encoding="utf-16")
+    assert main(["simulate", "--scenario", str(utf16), "--out", out]) == EXIT_USAGE
     # Rejected while parsing, like the out-of-range arguments below.
     for flag, value in (("--methods", "magic"), ("--methods", ","),
                         ("--methods", "ivw,ivw"), ("--reps", "0")):
@@ -255,6 +274,28 @@ def test_estimate_names_a_row_of_the_wrong_length(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {ragged}: {bad}, expected 3\n"
 
 
+@pytest.mark.parametrize("save", [
+    lambda text: b"\xef\xbb\xbf" + text,  # a UTF-8 byte-order mark
+    lambda text: text + b"\r\n",  # a blank last line
+    lambda text: b"\xef\xbb\xbf" + text + b"\r\n",
+], ids=["bom", "blank-last-line", "bom-and-blank-last-line"])
+def test_estimate_reads_site_csvs_as_spreadsheets_save_them(tmp_path, capsys, save):
+    # Spreadsheet programs save a CSV with a byte-order mark or a blank last
+    # line; the round reads the same sites from them, so the report is the same.
+    plain = [_write_site_csv(tmp_path / "tgt.csv", 1, 250, ["x1", "x2"]),
+             _write_site_csv(tmp_path / "src.csv", 2, 300, ["x1", "x2", "x3"])]
+    (tmp_path / "saved").mkdir()
+    saved = [tmp_path / "saved" / path.name for path in plain]  # the same site ids
+    for path, copy in zip(plain, saved):
+        copy.write_bytes(save(path.read_bytes()))
+    reports = []
+    for tgt, src in (plain, saved):
+        assert main(["estimate", "--target", str(tgt), "--source", str(src),
+                     "--method", "ivw"]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 def test_estimate_rejects_repeated_site_ids(tmp_path, capsys):
     # A site's id is its file name without the extension. Sites sharing an id
     # could not be told apart in the ledger or the weights, and one file
@@ -345,6 +386,9 @@ def test_report_data_errors(tmp_path, capsys):
     not_metrics = tmp_path / "other.csv"
     not_metrics.write_text("a,b\n1,2\n")
     assert main(["report", "--metrics", str(not_metrics)]) == EXIT_DATA
+    utf16 = tmp_path / "utf16.csv"
+    utf16.write_text("method,reps\nivw,3\n", encoding="utf-16")
+    assert main(["report", "--metrics", str(utf16)]) == EXIT_DATA
     # A short row and a blank line inside the table are ragged rows.
     for text, bad in (("method,reps,mae\nivw,3\n", "row 2 has 2 cells"),
                       ("method,reps,mae\nivw,3,0.1\n\nss,3,0.2\n", "row 3 has 0 cells")):
@@ -353,6 +397,18 @@ def test_report_data_errors(tmp_path, capsys):
         capsys.readouterr()
         assert main(["report", "--metrics", str(ragged)]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {ragged}: {bad}, expected 3\n"
+
+
+def test_report_reads_a_metrics_table_saved_with_a_byte_order_mark(tmp_path, capsys):
+    text = "method,reps,rmse\nivw,3,0.05\n"
+    plain, saved = tmp_path / "plain.csv", tmp_path / "saved.csv"
+    plain.write_text(text, encoding="utf-8")
+    saved.write_text(text + "\n", encoding="utf-8-sig")
+    tables = []
+    for path in (plain, saved):
+        assert main(["report", "--metrics", str(path)]) == EXIT_OK
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 def test_report_prints_non_finite_cells_as_written(tmp_path, capsys):

@@ -24,13 +24,20 @@ from fedcausal.federation import (
 from fedcausal.fedruntime import run_round, run_sites, run_transport
 from fedcausal.numkit import nnls_coordinate_descent
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
-from fedcausal.site_estimator import CV_SPLITS, OwnSummary, SiteEstimate, split_masks
+from fedcausal.site_estimator import CV_SPLITS, SiteEstimate, split_masks
 
 
 def _contributions(rng, n, scale=1.0):
     """Centered effect-difference influence values divided by n."""
     d = scale * rng.standard_normal(n)
     return (d - d.mean()) / n
+
+
+def _own_sums(d, masks):
+    """A source's uploaded sums of its own-unit contributions ``d`` over all
+    units and each fit half of ``masks``, formed as ``source_report`` forms them."""
+    sq = d * d
+    return {"own_sq": float(sq.sum()), "fit_sq": masks @ sq}
 
 
 def _target_units(rng, n, q=2):
@@ -56,9 +63,9 @@ def _target_estimate(rng, n=400, mu=(1.0, 2.0)):
 
 def _source_estimate(rng, site_id, n_k=300, q=2, mu=(1.0, 2.0), scale=1.0, seed=0):
     """A source with random own-unit contributions and random target slopes."""
-    own = OwnSummary.of(_contributions(rng, n_k, scale), split_masks(n_k, seed, site_id))
+    own = _own_sums(_contributions(rng, n_k, scale), split_masks(n_k, seed, site_id))
     coef = np.concatenate(([0.0], scale * rng.standard_normal(q), [0.0]))
-    return SiteEstimate(site_id=site_id, mu=mu, coef=coef, n_k=n_k, own=own)
+    return SiteEstimate(site_id=site_id, mu=mu, coef=coef, n_k=n_k, **own)
 
 
 def _trio(seed=0, mu_src=(1.0, 2.0)):
@@ -99,7 +106,7 @@ def test_combine_ivw_equal_variance_sources():
     tgt = _target_estimate(rng)
     s1 = _source_estimate(rng, "s1")
     s2 = SiteEstimate(site_id="s2", mu=s1.mu, coef=s1.coef.copy(),
-                      n_k=s1.n_k, own=s1.own)
+                      n_k=s1.n_k, own_sq=s1.own_sq, fit_sq=s1.fit_sq)
     sol = combine_fixed([tgt, s1, s2], "ivw")
     assert abs(sol.eta[1] - sol.eta[2]) < 1e-12
     assert abs(sol.eta.sum() - 1.0) < 1e-12
@@ -119,7 +126,7 @@ def test_combine_ivw_zero_variance():
     rng = np.random.default_rng(3)
     tgt = _target_estimate(rng)
     flat = SiteEstimate(site_id="flat", mu=(1.0, 2.0), coef=np.zeros(4),
-                        n_k=100, own=OwnSummary(0.0, np.zeros(5)))
+                        n_k=100, own_sq=0.0, fit_sq=np.zeros(5))
     with pytest.raises(ZeroVariance):
         combine_fixed([tgt, flat], "ivw")
 
@@ -174,10 +181,9 @@ def test_cross_validate_lambda_checks_split_count():
     # CV_SPLITS. (The target's folds are checked where its moments are
     # formed, in estimate_target.)
     estimates = _trio()
-    own = estimates[1].own
-    short = OwnSummary(own.sq, own.fit_sq[:-1])
+    short = dataclasses.replace(estimates[1], fit_sq=estimates[1].fit_sq[:-1])
     with pytest.raises(ValueError, match="site s1 summarizes 4 splits"):
-        cross_validate_lambda([estimates[0], dataclasses.replace(estimates[1], own=short)])
+        cross_validate_lambda([estimates[0], short])
     short = dataclasses.replace(estimates[0], moments=estimates[0].moments[1:])
     with pytest.raises(ValueError, match="site tgt summarizes 4 splits"):
         cross_validate_lambda([short] + estimates[1:])
@@ -275,7 +281,8 @@ def test_adaptive_ensemble_duplicated_source():
     rng = np.random.default_rng(7)
     tgt = _target_estimate(rng)
     s1 = _source_estimate(rng, "s1")
-    s1b = SiteEstimate(site_id="s1b", mu=s1.mu, coef=s1.coef.copy(), n_k=s1.n_k, own=s1.own)
+    s1b = SiteEstimate(site_id="s1b", mu=s1.mu, coef=s1.coef.copy(), n_k=s1.n_k,
+                       own_sq=s1.own_sq, fit_sq=s1.fit_sq)
     sol = cross_validate_lambda([tgt, s1, s1b])
     assert np.all(sol.eta >= 0.0)
     assert abs(sol.eta.sum() - 1.0) < 1e-12
@@ -349,7 +356,7 @@ def test_summary_algebra_matches_per_unit_formulas():
             sources.append(SiteEstimate(
                 site_id=f"s{k}", mu=tuple(np.add(tgt.mu, shift)),
                 coef=np.concatenate(([0.0], rng.standard_normal(q), [0.0])), n_k=n_k,
-                own=OwnSummary.of(own, split_masks(n_k, seed + k, f"s{k}"))))
+                **_own_sums(own, split_masks(n_k, seed + k, f"s{k}"))))
         estimates = [tgt] + sources
         N = n_T + sum(e.n_k for e in sources)
         d_T = [Z @ e.coef * n_T for e in estimates]  # per-unit influence values

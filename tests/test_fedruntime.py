@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedcausal import fedruntime, nuisance
-from fedcausal.density_ratio import solve_tilt, target_moments
+from fedcausal.density_ratio import MomentSummary, solve_tilt, target_moments
 from fedcausal.errors import (
     AllSourcesFailedWarning,
     CandidateFitWarning,
@@ -37,6 +37,7 @@ from fedcausal.numkit import expit
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
 from fedcausal.site_estimator import (
     SiteFrame,
+    SourceSiteReport,
     complete_source_estimate,
     estimate_target,
     source_report,
@@ -659,6 +660,16 @@ def test_audit_schema_declares_only_what_a_round_sends():
     # candidate feature maps, or a list of a protocol dimension, so no value
     # grows with n.
     assert declared <= set(_SCALARS) | {"maps", "[shared]", "[cv_splits]"}
+
+
+def test_each_upload_is_its_wire_payload_field_for_field():
+    # The classes the sites send hold exactly the keys the audit declares for
+    # their message kinds, in order: each uploaded number has one name in the
+    # class, on the wire and in the schema.
+    assert [f.name for f in dataclasses.fields(SourceSiteReport)] == list(
+        _SCHEMAS["site_estimate"])
+    assert [f.name for f in dataclasses.fields(MomentSummary)] == list(
+        _SCHEMAS["moment_summary"])
 
 
 def test_audit_rejects_bad_payloads():

@@ -19,7 +19,7 @@ from fedcausal.density_ratio import MomentSummary
 from fedcausal.fedruntime import METHODS, ProtocolConfig, combine, run_sites, run_transport
 from fedcausal.nuisance import FeatureMap
 from fedcausal.numkit import expit
-from fedcausal.site_estimator import OwnSummary, SiteFrame, SourceSiteReport
+from fedcausal.site_estimator import SiteFrame, SourceSiteReport
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -119,8 +119,10 @@ moment_summaries = st.builds(MomentSummary, mean_v=vectors)
 source_reports = st.builds(
     SourceSiteReport,
     n_k=st.integers(1, 10**9),
-    mu=st.tuples(finite, finite),
-    own=st.builds(OwnSummary, sq=finite, fit_sq=vectors),
+    mu0=finite,
+    mu1=finite,
+    own_sq=finite,
+    fit_sq=vectors,
     target_coef=vectors,
 )
 feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) | st.builds(

@@ -94,9 +94,10 @@ def _projections(src, fit, tilt):
     psi = (1, V), read off the upload: each arm mean is affine in the target
     basis mean of its tilt, with slope tau_a. Returns shape (2, basis)."""
     dim = src.V.shape[1] + 1
-    mu = np.array([source_report(src, fit, dataclasses.replace(tilt, target_mean=mean),
-                                 _folds(src))[0].mu
-                   for mean in np.vstack([np.zeros(dim), np.eye(dim)])])
+    reports = [source_report(src, fit, dataclasses.replace(tilt, target_mean=mean),
+                             _folds(src))[0]
+               for mean in np.vstack([np.zeros(dim), np.eye(dim)])]
+    mu = np.array([(r.mu0, r.mu1) for r in reports])
     return (mu[1:] - mu[0]).T
 
 
@@ -271,8 +272,8 @@ def test_source_estimate_equals_report_plus_completion():
     direct = complete_source_estimate(src.site_id, report)
     wired = complete_source_estimate(src.site_id, SourceSiteReport.from_json(report.to_json()))
     assert direct.mu == wired.mu
-    assert direct.own.sq == wired.own.sq
-    assert np.array_equal(direct.own.fit_sq, wired.own.fit_sq)
+    assert direct.own_sq == wired.own_sq
+    assert np.array_equal(direct.fit_sq, wired.fit_sq)
     assert np.array_equal(direct.coef, wired.coef)
 
 
@@ -293,8 +294,8 @@ def test_source_influence_parts_are_centered():
     assert est.coef.shape == tgt_est.coef.shape == (src.V.shape[1] + 2,)
     # The upload summarizes exactly those values over the site's own folds.
     masks = split_masks(src.n, 4, src.site_id)
-    assert report.own.sq == float(np.sum(d * d))
-    assert np.array_equal(report.own.fit_sq, masks @ (d * d))
+    assert report.own_sq == float(np.sum(d * d))
+    assert np.array_equal(report.fit_sq, masks @ (d * d))
     assert masks.shape == (5, src.n) and np.all(masks.sum(axis=1) == src.n // 2)
 
 
@@ -350,7 +351,7 @@ def test_every_target_coef_entry_moves_the_completed_estimate():
     tgt_est = _target_estimate(tgt, _fit(tgt.n))
 
     def target_part(est):
-        return federation._variance([tgt_est, est], [0.0, 1.0]) - est.own.sq
+        return federation._variance([tgt_est, est], [0.0, 1.0]) - est.own_sq
 
     base = target_part(complete_source_estimate(src.site_id, report))
     for j in range(len(report.target_coef)):
@@ -445,10 +446,8 @@ def test_source_report_json_round_trip():
     fit = fit_nuisances(src.site_id, src.X, src.y, src.a, RAW_T, RAW_O, seed=8)
     report = source_report(src, fit, solve_tilt(src.V, summary), _folds(src))[0]
     back = SourceSiteReport.from_json(report.to_json())
-    assert back.mu == report.mu
-    assert back.own.sq == report.own.sq
-    assert np.array_equal(back.own.fit_sq, report.own.fit_sq)
-    assert np.array_equal(back.target_coef, report.target_coef)
+    for f in dataclasses.fields(SourceSiteReport):
+        assert np.array_equal(getattr(back, f.name), getattr(report, f.name)), f.name
     assert report.target_coef.shape == summary.mean_v.shape
 
 
@@ -522,8 +521,8 @@ def test_contributions_match_per_arm_construction():
     for arm in (0, 1):
         assert _rel_close(est.mu[arm], mu[arm])
     masks = split_masks(n_s, 3, src.site_id)
-    assert _rel_close(report.own.sq, np.sum(own_d**2))
-    assert _rel_close(report.own.fit_sq, [np.sum(own_d[f] ** 2) for f in masks])
+    assert _rel_close(report.own_sq, np.sum(own_d**2))
+    assert _rel_close(report.fit_sq, [np.sum(own_d[f] ** 2) for f in masks])
 
 
 def _fixed_fit(frame):
@@ -562,7 +561,7 @@ def _source_run(src, target_V):
     """The source estimator with a freshly solved tilt and the fixed nuisances."""
     tilt = solve_tilt(src.V, target_moments(target_V))
     report, contributions = source_report(src, _fixed_fit(src), tilt, _folds(src))
-    return report.mu[1] - report.mu[0], report, contributions
+    return report.mu1 - report.mu0, report, contributions
 
 
 # The jackknife's remainder is O(1/n) relative to the first-order change it is
