@@ -112,7 +112,7 @@ def _cmd_simulate(args) -> int:
 
     try:
         result = run_scenario(scenario, methods=args.methods, reps=args.reps, seed=args.seed)
-    except (ScenarioError, FedcausalError) as exc:
+    except FedcausalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -153,10 +153,14 @@ def _cmd_simulate(args) -> int:
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     """The header and body rows of the CSV at ``path``, read as spreadsheet
     programs write it: a UTF-8 byte-order mark and blank lines at the end are
-    dropped. Every row must have the header's cell count; the error names the
-    first that does not, counting the header as row 1."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+    dropped. A file that is not UTF-8 and every row without the header's cell
+    count fail with an error that names the file; a row is counted from the
+    header as row 1."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     while rows and not rows[-1]:
         rows.pop()
     if not rows:

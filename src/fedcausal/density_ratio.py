@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, ExtremeWeightsWarning, MissingColumns
+from .errors import ExtremeWeightsWarning, MissingColumns, TooFewUnits
 from .numkit import add_intercept, newton_solve
 
 EXTREME_RATIO = 100.0
@@ -59,10 +59,11 @@ class TiltCoefficients:
 
 
 def target_moments(V_target: np.ndarray) -> MomentSummary:
-    """Componentwise sample mean of the shared covariates over the target units."""
+    """Componentwise sample mean of the shared covariates over the target
+    units; :class:`TooFewUnits` if there are none."""
     V_target = np.atleast_2d(np.asarray(V_target, dtype=float))
     if V_target.shape[0] == 0:
-        raise EmptySample("target covariate block is empty")
+        raise TooFewUnits("target covariate block is empty")
     return MomentSummary(V_target.mean(axis=0))
 
 
@@ -77,12 +78,13 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
     computed once per trial gamma, and the weighted basis psi * zeta only for
     the Jacobian, which the Newton solver asks for only at the point whose
     residual it accepted last; the reported residual norm, weights and
-    Jacobian are those of the returned gamma.
+    Jacobian are those of the returned gamma. Fewer source units than basis
+    columns raise :class:`TooFewUnits`.
     """
     psi = add_intercept(source_V)
     n_k, d = psi.shape
     if n_k < d:
-        raise EmptySample(f"source sample size {n_k} below basis dimension {d}")
+        raise TooFewUnits(f"source sample size {n_k} below basis dimension {d}")
     if len(target_summary.mean_v) != d - 1:
         raise MissingColumns(f"target summary has {len(target_summary.mean_v)} shared "
                              f"covariate means, the source has {d - 1} shared covariates")

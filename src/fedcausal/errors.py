@@ -6,33 +6,21 @@ class FedcausalError(Exception):
 
 
 class RankDeficient(FedcausalError):
-    """Design matrix is numerically rank deficient or holds a non-finite value."""
-
-
-class MissingClass(FedcausalError):
-    """Binary response contains only one class."""
-
-
-class Separated(FedcausalError):
-    """Logistic fit aborted: no halved step raised the log-likelihood, or the
-    IRLS system was singular. Despite the name, it does not mean that the data
-    are separated."""
-
-
-class NoConvergence(FedcausalError):
-    """Iterative solver did not reach its tolerance within the iteration cap."""
+    """A design has dependent columns or holds a non-finite value."""
 
 
 class SingularJacobian(FedcausalError):
-    """Newton step failed because the Jacobian solve broke down."""
+    """A Newton system is singular: its solve broke down or gave a non-finite step."""
 
 
-class EmptySample(FedcausalError):
-    """An operation that needs at least one unit got none."""
+class NoConvergence(FedcausalError):
+    """A solver cannot reach its tolerance: no halved step improves it, its
+    residual is not finite, its iteration cap is spent, or its result fails
+    its optimality check."""
 
 
 class TooFewUnits(FedcausalError):
-    """A data split left one of the partitions empty or too small."""
+    """Too few units, or none of one class, for a fit, a tilt basis or a split."""
 
 
 class MissingTarget(FedcausalError):

@@ -31,11 +31,10 @@ import numpy as np
 
 from .errors import (
     ConvergenceWarning,
-    MissingClass,
     NoConvergence,
     RankDeficient,
-    Separated,
     SingularJacobian,
+    TooFewUnits,
 )
 
 # Variance inflation above which a Gram column counts as dependent on the others.
@@ -150,15 +149,16 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
 
     Raises
     ------
+    TooFewUnits
+        If the design has fewer rows than columns.
     RankDeficient
-        If the design has fewer rows than columns or holds a non-finite
-        value, if ``X'X`` is singular, or if some column's variance inflation
-        exceeds ``MAX_VIF`` or is NaN.
+        If the design holds a non-finite value, if ``X'X`` is singular, or if
+        some column's variance inflation exceeds ``MAX_VIF`` or is NaN.
     """
     X = _finite_design(X)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
-        raise RankDeficient(f"need rows >= cols, got shape {X.shape}")
+        raise TooFewUnits(f"need rows >= cols, got shape {X.shape}")
     gram, d = X.T @ X, X.shape[1]
     try:
         sol = np.linalg.solve(gram, np.column_stack((X.T @ y, np.eye(d))))
@@ -184,22 +184,22 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) 
 
     Raises
     ------
-    MissingClass
+    TooFewUnits
         If ``y`` is constant.
     RankDeficient
         If the design holds a non-finite value, checked before the first
         iteration.
-    Separated
-        If no step of ``MAX_HALVINGS`` halvings raises the log-likelihood, or
-        the IRLS system is singular. Despite the name, neither means that
-        the data are separated.
+    SingularJacobian
+        If the IRLS system is singular.
+    NoConvergence
+        If no step of ``MAX_HALVINGS`` halvings raises the log-likelihood.
     """
     X = _finite_design(X)
     y = np.asarray(y, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y must be binary 0/1")
     if y.min() == y.max():
-        raise MissingClass("response is constant; both classes required")
+        raise TooFewUnits("response is constant; both classes required")
 
     n, d = X.shape
     beta = np.zeros(d) if start is None else np.asarray(start, dtype=float)
@@ -214,7 +214,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) 
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
-            raise Separated(f"singular IRLS system at iteration {it}") from exc
+            raise SingularJacobian(f"singular IRLS system at iteration {it}") from exc
         alpha = 1.0
         for _halving in range(MAX_HALVINGS + 1):
             cand = beta + alpha * step
@@ -226,9 +226,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) 
                 break
             alpha *= 0.5
         else:
-            raise Separated(
-                f"step halving failed {MAX_HALVINGS} times at iteration {it}"
-            )
+            raise NoConvergence(f"step halving failed {MAX_HALVINGS} times at iteration {it}")
     warnings.warn(
         f"IRLS stopped at its {IRLS_MAX_ITER}-iteration cap before converging",
         ConvergenceWarning,

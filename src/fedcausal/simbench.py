@@ -256,10 +256,7 @@ class MetricsRow:
 
 @dataclass
 class SimulationResult:
-    scenario: str
     methods: tuple[str, ...]
-    reps: int
-    seed: int
     true_delta: float
     rows: list[ReplicationRow] = field(default_factory=list)
     failures: dict = field(default_factory=dict)  # method -> count
@@ -387,13 +384,7 @@ def run_scenario(
         warnings.simplefilter("ignore")
         outcomes = [run_replication(scenario, methods, seed, rep) for rep in range(reps)]
 
-    result = SimulationResult(
-        scenario=scenario.name,
-        methods=methods,
-        reps=reps,
-        seed=seed,
-        true_delta=scenario.true_delta,
-    )
+    result = SimulationResult(methods=methods, true_delta=scenario.true_delta)
     for rows, failed in outcomes:
         result.rows.extend(rows)
         for method, reason in failed.items():

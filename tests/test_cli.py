@@ -247,7 +247,15 @@ def test_estimate_data_errors(tmp_path, capsys):
     src = _write_site_csv(tmp_path / "src.csv", 5, 200, ["x1", "x9"])
     assert main(["estimate", "--target", str(tgt),
                  "--source", str(src)]) == EXIT_DATA
+    # A source that is not UTF-8, here UTF-16 with its byte-order mark: the
+    # error names that file among the sources.
+    ok = _write_site_csv(tmp_path / "ok.csv", 6, 200, ["x1", "x2"])
+    utf16 = tmp_path / "utf16.csv"
+    utf16.write_text(ok.read_text(), encoding="utf-16")
     capsys.readouterr()
+    assert main(["estimate", "--target", str(tgt), "--source", str(ok),
+                 "--source", str(utf16)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {utf16}: 'utf-8' codec can't decode")
 
 
 def test_estimate_names_the_file_of_a_value_its_frame_rejects(tmp_path, capsys):
@@ -388,7 +396,9 @@ def test_report_data_errors(tmp_path, capsys):
     assert main(["report", "--metrics", str(not_metrics)]) == EXIT_DATA
     utf16 = tmp_path / "utf16.csv"
     utf16.write_text("method,reps\nivw,3\n", encoding="utf-16")
+    capsys.readouterr()
     assert main(["report", "--metrics", str(utf16)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {utf16}: 'utf-8' codec can't decode")
     # A short row and a blank line inside the table are ragged rows.
     for text, bad in (("method,reps,mae\nivw,3\n", "row 2 has 2 cells"),
                       ("method,reps,mae\nivw,3,0.1\n\nss,3,0.2\n", "row 3 has 0 cells")):

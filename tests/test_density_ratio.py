@@ -12,7 +12,7 @@ from fedcausal.density_ratio import (
     target_moments,
     truncate_weights,
 )
-from fedcausal.errors import EmptySample, ExtremeWeightsWarning, MissingColumns
+from fedcausal.errors import ExtremeWeightsWarning, MissingColumns, TooFewUnits
 from fedcausal.numkit import add_intercept, newton_solve
 
 
@@ -33,7 +33,7 @@ def test_target_moments_values():
     V = np.array([[1.0, 3.0], [3.0, 5.0]])
     summary = target_moments(V)
     assert np.allclose(summary.mean_v, [2.0, 4.0])
-    with pytest.raises(EmptySample):
+    with pytest.raises(TooFewUnits):
         target_moments(np.zeros((0, 2)))
 
 
@@ -137,7 +137,7 @@ def test_solve_tilt_input_validation():
     rng = np.random.default_rng(6)
     V = rng.standard_normal((50, 2))
     summary = target_moments(V)
-    with pytest.raises(EmptySample):
+    with pytest.raises(TooFewUnits):
         solve_tilt(V[:2], summary)
     bad = MomentSummary(np.zeros(7))
     with pytest.raises(MissingColumns, match="7 shared covariate means"):

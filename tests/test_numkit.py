@@ -11,10 +11,10 @@ from scipy import optimize, special
 from fedcausal import numkit
 from fedcausal.errors import (
     ConvergenceWarning,
-    MissingClass,
     NoConvergence,
     RankDeficient,
     SingularJacobian,
+    TooFewUnits,
 )
 from fedcausal.numkit import (
     add_intercept,
@@ -121,7 +121,7 @@ def test_fit_ols_rank_deficient():
     X = np.column_stack([np.ones(20), x, 2.0 * x])
     with pytest.raises(RankDeficient):
         fit_ols(X, rng.standard_normal(20))
-    with pytest.raises(RankDeficient):
+    with pytest.raises(TooFewUnits):
         fit_ols(rng.standard_normal((2, 5)), rng.standard_normal(2))
 
 
@@ -258,8 +258,33 @@ def test_fit_logistic_warm_start():
 
 def test_fit_logistic_missing_class():
     X = add_intercept(np.random.default_rng(3).standard_normal((30, 2)))
-    with pytest.raises(MissingClass):
+    with pytest.raises(TooFewUnits):
         fit_logistic(X, np.ones(30))
+
+
+def _logistic_data():
+    rng = np.random.default_rng(3)
+    return rng.standard_normal((40, 1)), (rng.random(40) < 0.5).astype(float)
+
+
+def test_fit_logistic_singular_system_is_a_singular_jacobian():
+    # An exactly duplicated column makes the IRLS system singular, which
+    # newton_solve names the same way.
+    x, y = _logistic_data()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian, match="^singular IRLS system at iteration 1$"):
+            fit_logistic(add_intercept(np.column_stack([x, x])), y)
+
+
+def test_fit_logistic_failed_step_halving_is_no_convergence():
+    # From a NaN start no halved step raises the (NaN) log-likelihood, which
+    # newton_solve names the same way.
+    x, y = _logistic_data()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="^step halving failed 30 times at iteration 1$"):
+            fit_logistic(add_intercept(x), y, start=np.full(2, np.nan))
 
 
 def test_fit_logistic_rejects_nonbinary():

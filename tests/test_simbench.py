@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fedcausal import federation, fedruntime, nuisance, simbench, site_estimator
-from fedcausal.errors import CandidateFitWarning, ConvergenceWarning, ScenarioError, Separated
+from fedcausal.errors import CandidateFitWarning, ConvergenceWarning, NoConvergence, ScenarioError
 from fedcausal.fedruntime import METHODS
 from fedcausal.nuisance import FeatureMap
 from fedcausal.numkit import standardized_design
@@ -228,7 +228,6 @@ def test_method_config_candidate_layout():
 def test_run_scenario_small(tmp_path):
     result = run_scenario(_small_scenario(), methods=("target", "ivw"),
                           reps=3, seed=1)
-    assert result.reps == 3
     metrics = {m.method: m for m in result.metrics()}
     assert set(metrics) == {"target", "ivw"}
     for m in metrics.values():
@@ -325,7 +324,7 @@ def test_a_failed_site_phase_fails_every_method_that_shares_it(monkeypatch):
 
     def failing(frames, config):
         if config.candidates["source"]["outcome"] == [FeatureMap("raw")]:
-            raise Separated("forced failure")
+            raise NoConvergence("forced failure")
         return inner(frames, config)
 
     monkeypatch.setattr(simbench, "run_sites", failing)
@@ -334,7 +333,7 @@ def test_a_failed_site_phase_fails_every_method_that_shares_it(monkeypatch):
         rows, failed = run_replication(scenario, METHODS, seed=2, rep=1)
         alone = run_replication(scenario, ("mr_l1",), seed=2, rep=1)
     shared = ("target", "ss", "ivw", "aipw_l1")
-    assert failed == {m: "Separated: forced failure" for m in shared}
+    assert failed == {m: "NoConvergence: forced failure" for m in shared}
     assert rows == alone[0] and [r.method for r in rows] == ["mr_l1"]
 
 
@@ -436,7 +435,7 @@ def test_failed_full_sample_refit_drops_the_candidate(monkeypatch, seed, rep):
     def failing(X, y, **start):
         if len(y) == 300 and any(np.array_equal(X, standardized_design(z)) for z in features):
             forced.append(len(y))
-            raise Separated("forced to fail on all units")
+            raise NoConvergence("forced to fail on all units")
         return fit_logistic(X, y, **start)
 
     weights = {}

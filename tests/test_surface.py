@@ -6,6 +6,7 @@ import ast
 from pathlib import Path
 
 import fedcausal
+from fedcausal import errors
 
 PACKAGE = Path(fedcausal.__file__).parent
 
@@ -66,3 +67,23 @@ def test_no_module_imports_a_private_name():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+def test_every_error_is_raised_and_every_warning_warned():
+    # A class of fedcausal.errors that no package code raises or warns names
+    # no failure; FedcausalError is the base that handlers catch.
+    raised, warned = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.update(n.id for n in ast.walk(exc) if isinstance(n, ast.Name))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "warn"):
+                warned.update(n.id for a in node.args[1:] for n in ast.walk(a)
+                              if isinstance(n, ast.Name))
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and c.__module__ == errors.__name__]
+    unused = [c.__name__ for c in classes if c is not errors.FedcausalError
+              and c.__name__ not in (warned if issubclass(c, Warning) else raised)]
+    assert unused == []
