@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ExtremeWeightsWarning, MissingColumns, TooFewUnits
 from .numkit import add_intercept, newton_solve
+from .wire import wire_text
 
 EXTREME_RATIO = 100.0
 
@@ -35,7 +36,7 @@ class MomentSummary:
     mean_v: np.ndarray
 
     def to_json(self) -> str:
-        return json.dumps({"mean_v": list(map(float, self.mean_v))})
+        return wire_text({"mean_v": list(map(float, self.mean_v))})
 
     @staticmethod
     def from_json(payload: str) -> "MomentSummary":

@@ -15,9 +15,11 @@ and the target's candidate models stay with the coordinator, and the penalty
 grid and the CI level are protocol constants
 (:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message carries
 them, and the site phase never reads the scheme. Every cross-site
-payload is serialized to JSON at the boundary, and every cross-site message
-is logged so the ledger can be audited: only the declared summary-level
-schemas may cross sites, never individual rows or any per-unit value. Moment
+payload is written at the boundary as canonical minimal JSON
+(:func:`~fedcausal.wire.wire_text`), the one text of its values, and every
+cross-site message is logged so the ledger can be audited: the audit accepts
+no other text, and only the declared summary-level schemas may cross sites,
+never individual rows or any per-unit value. Moment
 summaries and source uploads are decoded on the receiving side; the config
 broadcast is logged as sent and never decoded, because every site reads the
 in-memory config.
@@ -62,17 +64,18 @@ from .site_estimator import (
     source_report,
     split_masks,
 )
+from .wire import wire_text
 
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 
-# Declared shape of every payload key each message kind may carry: a scalar
+# Declared shape of every payload key each message kind carries: a scalar
 # ("count", an int that a JSON double holds exactly, in [0, 2**53), or
 # "number", a finite float), "maps" (1 to ``MAX_CANDIDATES`` distinct
 # candidate feature maps, each subset column below ``MAX_COLUMNS``),
 # "[dim]" (a flat list of finite floats whose length is the protocol
-# dimension ``dim``), or an object of fixed keys, so no payload has a
-# free-text key. The shared dimension q is the length of the moment
-# summaries' ``mean_v``, the target's means of its shared covariates, 1 to
+# dimension ``dim``), or an object of fixed keys, all of them sent, so no
+# payload has a free-text key. The shared dimension q is the length of the
+# moment summaries' ``mean_v``, the target's means of its shared covariates, 1 to
 # ``MAX_COLUMNS`` (``nuisance.is_shared_dimension``, which ``SiteFrame`` also
 # applies), and also the length of a source's one target-influence slope
 # vector (``target_coef``); a source upload
@@ -108,7 +111,9 @@ def _sha256(text: str) -> str:
 
 @dataclass(frozen=True)
 class MessageRecord:
-    """One logged cross-site message with its serialized payload.
+    """One logged cross-site message with its payload text, which the
+    sender writes with :func:`~fedcausal.wire.wire_text` and the audit
+    accepts in no other form.
 
     ``payload_digest`` (SHA-256 of the payload text) is fixed when the
     message is logged, i.e. constructed; a record copied with other text
@@ -302,7 +307,7 @@ def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
                 from_site=target.site_id,
                 to_site="*",
                 kind="config",
-                payload_text=json.dumps(config.to_dict()),
+                payload_text=wire_text(config.to_dict()),
             )
         )
     failures: dict[str, str] = {}
@@ -401,6 +406,9 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
         extra = set(value) - set(spec)
         if extra:
             raise PrivacyViolation(f"undeclared keys {sorted(extra)} in {where}")
+        missing = set(spec) - set(value)
+        if missing:
+            raise PrivacyViolation(f"missing keys {sorted(missing)} in {where}")
         for key, item in value.items():
             _check_shape(item, spec[key], dims, f"{where}.{key}")
     elif spec == "maps":
@@ -444,9 +452,12 @@ def audit_ledger(report: GlobalReport) -> dict:
     """Validate every logged message against the declared payload schemas.
 
     Raises :class:`PrivacyViolation` on an unknown message kind, a
-    digest/size mismatch, an undeclared payload key, or a value whose shape
-    differs from its declaration: above all, any numeric list whose length is
-    not the declared protocol dimension (so per-unit arrays never pass).
+    digest/size mismatch, a payload text that is not the canonical text of
+    its own values (:func:`~fedcausal.wire.wire_text`, so no whitespace,
+    digit or escape carries anything the values do not), an undeclared or
+    missing payload key, or a value whose shape differs from its
+    declaration: above all, any numeric list whose length is not the
+    declared protocol dimension (so per-unit arrays never pass).
     Otherwise returns a census of message counts and byte totals per kind.
     """
     by_kind: dict[str, dict] = {}
@@ -460,6 +471,8 @@ def audit_ledger(report: GlobalReport) -> dict:
             payload = json.loads(rec.payload_text)
         except json.JSONDecodeError as exc:
             raise PrivacyViolation(f"non-JSON payload on a {rec.kind} message") from exc
+        if rec.payload_text != wire_text(payload):
+            raise PrivacyViolation(f"non-canonical payload text on a {rec.kind} message")
         if not isinstance(payload, dict):
             raise PrivacyViolation(f"payload of a {rec.kind} message is not an object")
         payloads.append((rec.kind, payload))

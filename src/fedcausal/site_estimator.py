@@ -38,6 +38,7 @@ from .density_ratio import TiltCoefficients
 from .errors import SingularJacobian
 from .nuisance import MAX_COLUMNS, NuisanceFit, is_shared_dimension
 from .numkit import fit_ols
+from .wire import wire_text
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ class SourceSiteReport:
     target_coef: np.ndarray
 
     def to_json(self) -> str:
-        return json.dumps(
+        return wire_text(
             {
                 "n_k": self.n_k,
                 "mu0": self.mu0,

@@ -21,6 +21,7 @@ from fedcausal.errors import AllSourcesFailedWarning, TooFewUnits
 from fedcausal.federation import MAX_SOURCES
 from fedcausal.numkit import expit
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed
+from fedcausal.wire import wire_text
 
 
 def _write_site_csv(path, seed, n, names):
@@ -55,7 +56,7 @@ def test_simulate_smoke(tmp_path, capsys):
     first = json.loads((out / "ledger.jsonl").read_text().splitlines()[0])
     assert first["kind"] == "config"
     assert first["digest"] == hashlib.sha256(
-        json.dumps(config.to_dict()).encode("utf-8")).hexdigest()
+        wire_text(config.to_dict()).encode("utf-8")).hexdigest()
 
     code = main(["report", "--metrics", str(out / "metrics.csv")])
     assert code == EXIT_OK

@@ -36,6 +36,7 @@ from fedcausal.nuisance import MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, fit_nuis
 from fedcausal.numkit import expit
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
 from fedcausal.site_estimator import (
+    CV_SPLITS,
     SiteFrame,
     SourceSiteReport,
     complete_source_estimate,
@@ -43,6 +44,7 @@ from fedcausal.site_estimator import (
     source_report,
     split_masks,
 )
+from fedcausal.wire import wire_text
 
 
 def _make_frames(seed=0, n=150, n_sources=2, degenerate=(), slope=0.5):
@@ -75,9 +77,10 @@ def _config(method="mr_l1", seed=0, target=_group(FeatureMap("raw")),
 
 
 def _relogged(rec, payload):
-    """``rec`` logged with another payload, under that payload's own digest,
-    so the audit judges the payload's shape and not a digest mismatch."""
-    return dataclasses.replace(rec, payload_text=json.dumps(payload), payload_digest="")
+    """``rec`` logged with another payload, in its canonical text and under
+    that text's own digest, so the audit judges the payload's shape and not
+    a digest mismatch or a non-canonical text."""
+    return dataclasses.replace(rec, payload_text=wire_text(payload), payload_digest="")
 
 
 def test_message_census_and_audit():
@@ -679,11 +682,12 @@ def test_audit_rejects_bad_payloads():
     with pytest.raises(PrivacyViolation):
         audit_ledger(report)
     # Logged with their own text (and so a matching digest), malformed
-    # payloads still fail.
-    for text in ("not json", "[1, 2]"):
+    # payloads still fail; the list is canonical text, so it reaches the
+    # object rule.
+    for text, message in (("not json", "non-JSON"), ("[1,2]", "not an object")):
         report.privacy_ledger[-1] = MessageRecord(
             good.from_site, good.to_site, good.kind, payload_text=text)
-        with pytest.raises(PrivacyViolation):
+        with pytest.raises(PrivacyViolation, match=message):
             audit_ledger(report)
 
 
@@ -697,6 +701,152 @@ def test_audit_rejects_tampered_payload():
     report.privacy_ledger[i] = dataclasses.replace(rec, payload_text=json.dumps(payload))
     with pytest.raises(PrivacyViolation, match="digest"):
         audit_ledger(report)
+
+
+def _whitespace_channel(text, frames):
+    """``text`` with the target's outcomes, 24 bits of fixed point each,
+    written as spaces and tabs after its opening brace: the same JSON values,
+    and a channel the sender reads back to 2**-13."""
+    outcomes = frames[0].y
+    codes = [round((float(y) + 2048.0) * 2**12) for y in outcomes]
+    assert len(codes) == 300 and all(0 <= c < 2**24 for c in codes)
+    channel = "".join(f"{c:024b}" for c in codes).translate(str.maketrans("01", " \t"))
+    read = [int(channel[24 * i:24 * (i + 1)].translate(str.maketrans(" \t", "01")), 2)
+            / 2**12 - 2048.0 for i in range(len(codes))]
+    assert np.max(np.abs(np.array(read) - outcomes)) <= 2**-13
+    return "{" + channel + text[1:]
+
+
+def _trailing_zeros(text, payload):
+    """``mu0`` written with 500 more zeros in its mantissa."""
+    mantissa, e, exponent = repr(payload["mu0"]).partition("e")
+    padded = mantissa + ("" if "." in mantissa else ".") + "0" * 500 + e + exponent
+    assert text.count(f'"mu0":{payload["mu0"]!r}') == 1
+    return text.replace(f'"mu0":{payload["mu0"]!r}', f'"mu0":{padded}')
+
+
+_TEXT_TAMPERS = {
+    "whitespace": ("site_estimate", lambda text, payload, frames:
+                   _whitespace_channel(text, frames)),
+    "trailing_zeros": ("site_estimate", lambda text, payload, frames:
+                       _trailing_zeros(text, payload)),
+    "unsorted_keys": ("site_estimate", lambda text, payload, frames: json.dumps(
+        dict(reversed(payload.items())), separators=(",", ":"))),
+    # The first "mu0" carries the outcomes; json.loads keeps the second.
+    "repeated_key": ("site_estimate", lambda text, payload, frames: '{"mu0":' + json.dumps(
+        [round(float(y), 3) for y in frames[0].y], separators=(",", ":")) + "," + text[1:]),
+    "exponent": ("site_estimate", lambda text, payload, frames: wire_text(
+        {**payload, "mu0": 0.5}).replace('"mu0":0.5,', '"mu0":5e-1,')),
+    "escaped_kind": ("config", lambda text, payload, frames: text.replace(
+        '"kind":"raw"', '"kind":"r\\u0061w"', 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_TEXT_TAMPERS))
+def test_audit_accepts_only_canonical_text(name):
+    # JSON writes one value many ways: whitespace, trailing zeros, key
+    # order, repeated keys, exponents and escapes. Each way is a channel the
+    # value checks never see. The whitespace one carries the target's 300
+    # outcomes at 24 bits each. The audit takes only the canonical text of a
+    # payload's values, and the same values in that text pass.
+    kind, tamper = _TEXT_TAMPERS[name]
+    scenario = load_scenario("c1")
+    frames = replication_frames(scenario, 0, 0)
+    report = run_round(frames, method_config("ivw", scenario, seed=1))
+    audit_ledger(report)
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger) if r.kind == kind)
+    payload = json.loads(rec.payload_text)
+    text = tamper(wire_text(payload), payload, frames)
+    assert text != wire_text(payload)
+    report.privacy_ledger[pos] = MessageRecord(rec.from_site, rec.to_site, rec.kind,
+                                               payload_text=text)
+    with pytest.raises(PrivacyViolation,
+                       match=f"non-canonical payload text on a {kind} message"):
+        audit_ledger(report)
+    report.privacy_ledger[pos] = _relogged(rec, json.loads(text))
+    audit_ledger(report)
+
+
+def test_every_round_sends_canonical_text():
+    # Every payload of an honest round is the canonical text of its values,
+    # so the audit passes every preset under every method.
+    for preset in ("c1", "c0", "c05", "mismatch"):
+        scenario = load_scenario(preset)
+        frames = replication_frames(scenario, 0, 0)
+        for method in METHODS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                report = run_round(frames, method_config(method, scenario, seed=1))
+            audit_ledger(report)
+            assert report.privacy_ledger
+            for rec in report.privacy_ledger:
+                assert rec.payload_text == wire_text(json.loads(rec.payload_text))
+
+
+def test_audit_rejects_missing_keys():
+    # Every declared key is sent: a payload that leaves one out is not the
+    # declared shape.
+    report = run_round(_make_frames(), _config("mr_l1"))
+    tampered = {
+        "site_estimate": (lambda p: {key: p[key] for key in ("n_k", "mu0", "mu1")},
+                          r"missing keys \['fit_sq', 'own_sq', 'target_coef'\] in a "
+                          r"site_estimate message$"),
+        "config": (lambda p: {}, r"missing keys \['candidates', 'seed'\] in a config "
+                                 r"message$"),
+        "config.candidates": (lambda p: {**p, "candidates": {
+            "treatment": p["candidates"]["treatment"]}},
+            r"missing keys \['outcome'\] in a config message.candidates$"),
+    }
+    for name, (tamper, message) in tampered.items():
+        kind = name.split(".")[0]
+        pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                        if r.kind == kind)
+        report.privacy_ledger[pos] = _relogged(rec, tamper(json.loads(rec.payload_text)))
+        with pytest.raises(PrivacyViolation, match=message):
+            audit_ledger(report)
+        report.privacy_ledger[pos] = rec
+    audit_ledger(report)
+
+
+def _text_bound(spec, dims) -> int:
+    """Most characters a canonical text of declared shape ``spec`` can take:
+    24 per number (the longest shortest-round-trip double,
+    ``-2.2250738585072014e-308``), 16 per count (``2**53 - 1``), a map
+    list's ``MAX_CANDIDATES`` maps at the widest map's text, and the key and
+    punctuation text."""
+    if isinstance(spec, dict):
+        return 1 + sum(len(wire_text(key)) + 2 + _text_bound(item, dims)
+                       for key, item in spec.items())
+    if spec == "maps":
+        widest = max(len(wire_text(fm.to_dict())) for fm in (
+            FeatureMap("raw"), FeatureMap("kangschafer"),
+            FeatureMap("subset", tuple(range(MAX_COLUMNS)))))
+        return 1 + MAX_CANDIDATES * (widest + 1)
+    if spec.startswith("["):
+        return 1 + dims[spec[1:-1]] * 25
+    return {"number": 24, "count": 16}[spec]
+
+
+def test_no_payload_outgrows_its_declared_bound():
+    # What a message can hold does not grow with a site's sample: one byte
+    # bound per message kind, from the declared shapes and the protocol
+    # constants alone, holds a c1 round at the preset sizes and with every
+    # site ten times larger.
+    assert len(repr(-2.2250738585072014e-308)) == 24 and len(str(2**53 - 1)) == 16
+    dims = {"shared": MAX_COLUMNS, "cv_splits": CV_SPLITS}
+    bound = {kind: _text_bound(spec, dims) for kind, spec in _SCHEMAS.items()}
+    scenario = load_scenario("c1")
+    larger = dataclasses.replace(scenario, sites=tuple(
+        dataclasses.replace(site, n=10 * site.n) for site in scenario.sites))
+    for spec in (scenario, larger):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_round(replication_frames(spec, 0, 0),
+                               method_config("mr_l1", spec, seed=rep_config_seed(0, 0)))
+        audit_ledger(report)
+        assert {rec.kind for rec in report.privacy_ledger} == set(bound)
+        for rec in report.privacy_ledger:
+            assert rec.payload_bytes <= bound[rec.kind], (rec.kind, rec.payload_bytes)
 
 
 def _strings(value):
