@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Console smoke run through the installed `fedcausal` entry point, which no
 # test calls: a small study (its manifest audits replication 0's ledger) and
-# its metrics table, then an estimate from a target and a source CSV written
-# from preset c1's replication 0. Usage: console_smoke.sh OUT_DIR
+# its metrics table, then estimates from a target and a source CSV written
+# from preset c1's replication 0: an adaptive round, which cross-validates,
+# and an ivw round, which draws no CV folds. Usage: console_smoke.sh OUT_DIR
 set -euo pipefail
 out="$1"
 fedcausal simulate --scenario c1 --methods ivw --reps 3 --seed 0 --out "$out/sim"
@@ -17,3 +18,4 @@ for name, f in (("target", frames[0]), ("source", frames[1])):
                header="y,a,x1,x2,x3,x4", comments="")
 '
 fedcausal estimate --target "$out/target.csv" --source "$out/source.csv" --method aipw_l1
+fedcausal estimate --target "$out/target.csv" --source "$out/source.csv" --method ivw --out "$out/est"

@@ -2,9 +2,10 @@
 
 The target site acts as coordinator. One round is a transport
 (:func:`run_transport`: a moment-summary broadcast from the target, each
-source's density-ratio tilt, and every site's cross-validation folds, none of
-which depends on a candidate model), a site phase on that transport
-(:func:`run_sites`: the config broadcast of the seed and the sources'
+source's density-ratio tilt, and, when an adaptive method will combine it,
+every site's cross-validation folds, none of which depends on a candidate
+model), a site phase on that transport (:func:`run_sites`: the config
+broadcast of the seed, the transport's split count and the sources'
 candidate models, one summary-level upload per source holding its finished
 estimate, and the target's own estimate, which stays at the target), after
 which the coordinator forms the global combination (:func:`combine`), whose
@@ -67,6 +68,8 @@ from .site_estimator import (
 from .wire import wire_text
 
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
+_NO_FOLDS = ("{} cross-validates its weights, but the transport drew no CV folds: run it "
+             "with the adaptive method among its methods")
 
 # Declared shape of every payload key each message kind carries: a scalar
 # ("count", an int that a JSON double holds exactly, in [0, 2**53), or
@@ -80,12 +83,14 @@ METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 # applies), and also the length of a source's one target-influence slope
 # vector (``target_coef``); a source upload
 # carries its two finished arm means and sums its squared contributions once
-# over all its units (``own_sq``) and once per fit half of the protocol's
-# fixed ``CV_SPLITS`` (``fit_sq``). No dimension depends on a site's sample
-# size, so no per-unit values pass the audit, and no payload names its
-# sender: the ledger's ``from_site`` does.
+# over all its units (``own_sq``) and once per fit half of the split count
+# cv_splits the config broadcast declares (``fit_sq``): ``CV_SPLITS`` when an
+# adaptive method will combine the round, else 0, and no other value. No
+# dimension depends on a site's sample size, so no per-unit values pass the
+# audit, and no payload names its sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
-    "config": {"seed": "count", "candidates": {"treatment": "maps", "outcome": "maps"}},
+    "config": {"seed": "count", "cv_splits": "count",
+               "candidates": {"treatment": "maps", "outcome": "maps"}},
     "moment_summary": {"mean_v": "[shared]"},
     "site_estimate": {
         "n_k": "count", "mu0": "number", "mu1": "number",
@@ -151,10 +156,10 @@ class ProtocolConfig:
     ``candidates`` is ``{"target": group, "source": group}``, keyed by
     :attr:`SiteFrame.role`; a group is ``{"treatment": maps, "outcome": maps}``
     of lists of 1 to ``MAX_CANDIDATES`` distinct feature maps
-    (:class:`~fedcausal.nuisance.FeatureMap`), the lists the audit takes. The
-    broadcast (:meth:`to_dict`) carries ``seed`` and the source group, all
-    that the sources read; the target's group and ``method`` stay with the
-    coordinator.
+    (:class:`~fedcausal.nuisance.FeatureMap`), the lists the audit takes. Its
+    part of the broadcast (:meth:`to_dict`) is ``seed`` and the source group,
+    all of it that the sources read; the target's group and ``method`` stay
+    with the coordinator.
     """
 
     candidates: dict
@@ -175,7 +180,7 @@ class ProtocolConfig:
                              f'most {MAX_CANDIDATES} distinct maps')
 
     def to_dict(self) -> dict:
-        """The config broadcast: what the sources read."""
+        """The config's part of the broadcast: what the sources read of it."""
         return {
             "seed": self.seed,
             "candidates": {role: [fm.to_dict() for fm in maps]
@@ -199,8 +204,8 @@ def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
 class SourceTransport:
     """One source's candidate-free work: the moment-summary message it
     received, and the tilt it solved on the decoded summary and its CV folds
-    (:func:`~fedcausal.site_estimator.split_masks`), or the error that failed
-    its tilt (``tilt`` and ``folds`` are then None)."""
+    (:func:`~fedcausal.site_estimator.split_masks`, shape (cv_splits, n)), or
+    the error that failed its tilt (``tilt`` and ``folds`` are then None)."""
 
     frame: SiteFrame
     message: MessageRecord
@@ -215,7 +220,9 @@ class Transport:
     frame with its CV folds and its shared covariates centered by the means
     it broadcast (the target's own estimate reads both, and no other site
     does), and one :class:`SourceTransport` per source in frame order,
-    every fold set drawn with ``seed``."""
+    every fold set drawn with ``seed``. Every site holds ``cv_splits`` fold
+    masks: ``CV_SPLITS`` if the transport serves an adaptive method, else
+    none, so its fold sets have shape (0, n)."""
 
     target: SiteFrame
     target_folds: np.ndarray
@@ -223,14 +230,20 @@ class Transport:
     sources: list
     seed: int
 
+    @property
+    def cv_splits(self) -> int:
+        return len(self.target_folds)
 
-def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
-    """Run the candidate-free site work: the target's moment summary, its
-    shared covariates centered by those means, and its CV folds, and each
-    source's tilt and CV folds, every fold set drawn by
-    :func:`~fedcausal.site_estimator.split_masks` with ``seed``. Each
-    solved tilt's weights are checked here, once per transport
-    (:func:`~fedcausal.density_ratio.truncate_weights`).
+
+def run_transport(frames: list[SiteFrame], seed: int, methods=METHODS) -> Transport:
+    """Run the candidate-free site work for the weighting ``methods`` that
+    will combine it (by default every method): the target's moment summary,
+    its shared covariates centered by those means, and each source's tilt.
+    Only the adaptive methods read CV folds, so only when ``methods`` holds
+    one does every site draw its ``CV_SPLITS`` fold masks, each by
+    :func:`~fedcausal.site_estimator.split_masks` with ``seed``; otherwise
+    no site draws any. Each solved tilt's weights are checked here, once per
+    transport (:func:`~fedcausal.density_ratio.truncate_weights`).
 
     Checks that there is exactly one target frame and that site ids, which
     address the messages and the weights, are distinct. A source whose tilt
@@ -244,6 +257,15 @@ def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:
         raise ValueError(f"site ids must be distinct; repeated: {repeated}")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown methods {unknown}")
+    splits = CV_SPLITS if any(m in ADAPTIVE_METHODS for m in methods) else 0
+
+    def folds(frame: SiteFrame) -> np.ndarray:
+        return (split_masks(frame.n, seed, frame.site_id) if splits
+                else np.zeros((0, frame.n), dtype=bool))
+
     target = targets[0]
     summary = target_moments(target.V)
     summary_text = summary.to_json()
@@ -258,9 +280,8 @@ def run_transport(frames: list[SiteFrame], seed: int) -> Transport:
                                            f"{type(exc).__name__}: {exc}"))
             continue
         truncate_weights(src.site_id, tilt.weights)
-        sources.append(SourceTransport(src, message, tilt,
-                                       split_masks(src.n, seed, src.site_id), None))
-    return Transport(target=target, target_folds=split_masks(target.n, seed, target.site_id),
+        sources.append(SourceTransport(src, message, tilt, folds(src), None))
+    return Transport(target=target, target_folds=folds(target),
                      target_centered=target.V - summary.mean_v, sources=sources, seed=seed)
 
 
@@ -289,16 +310,20 @@ def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
 
     Reads ``config.seed`` and ``config.candidates``, never the weighting
     scheme, so one site phase serves every scheme, and one transport serves
-    every candidate group. The ledger logs the config broadcast, then each
-    source's moment summary and upload in frame order. Sources whose tilt
-    failed in the transport, or that raise a model-fitting or missing-column
-    error here, are recorded in ``failures`` and left out. Raises
-    ``ValueError`` if ``config.seed`` is not the seed the transport drew its
-    folds with.
+    every candidate group. The config broadcast declares the transport's
+    split count (``cv_splits``), so each upload's ``fit_sq`` has that
+    length. The ledger logs the config broadcast, then each source's moment
+    summary and upload in frame order. Sources whose tilt failed in the
+    transport, or that raise a model-fitting or missing-column error here,
+    are recorded in ``failures`` and left out. Raises ``ValueError`` if
+    ``config.seed`` is not the seed the transport drew its folds with, or if
+    ``config.method`` is adaptive and the transport drew no folds.
     """
     if config.seed != transport.seed:
         raise ValueError(f"config seed {config.seed} differs from the transport seed "
                          f"{transport.seed} the CV folds were drawn with")
+    if config.method in ADAPTIVE_METHODS and not transport.cv_splits:
+        raise ValueError(_NO_FOLDS.format(config.method))
     target = transport.target
     ledger: list[MessageRecord] = []
     if transport.sources:
@@ -307,7 +332,8 @@ def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
                 from_site=target.site_id,
                 to_site="*",
                 kind="config",
-                payload_text=wire_text(config.to_dict()),
+                payload_text=wire_text({**config.to_dict(),
+                                        "cv_splits": transport.cv_splits}),
             )
         )
     failures: dict[str, str] = {}
@@ -351,11 +377,14 @@ def combine(sites: SitePhase, method: str) -> GlobalReport:
     the target estimate alone uses the target-only weights, with a warning if
     sources were configured and every one failed, and either adaptive name is
     ``aipw_l1`` when every candidate group of ``sites`` holds one feature map
-    and ``mr_l1`` otherwise.
+    and ``mr_l1`` otherwise. Raises ``ValueError`` for an adaptive method on
+    a site phase whose transport drew no CV folds.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     estimates = sites.estimates
+    if method in ADAPTIVE_METHODS and len(estimates[0].moments) == 1:
+        raise ValueError(_NO_FOLDS.format(method))
     n_sources = len(estimates) - 1 + len(sites.failures)
     if len(estimates) == 1 and n_sources:
         warnings.warn(
@@ -394,7 +423,7 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     """
     if config.method in ADAPTIVE_METHODS:
         check_adaptive_sources(sum(f.role == "source" for f in frames))
-    transport = run_transport(frames, config.seed)
+    transport = run_transport(frames, config.seed, (config.method,))
     return combine(run_sites(transport, config), config.method)
 
 
@@ -432,11 +461,19 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
 
 
 def _declared_dims(payloads: list) -> dict:
-    """Protocol dimensions: the fixed split count, and the shared dimension,
-    the length of a round's moment summaries' ``mean_v``, which must be 1 to
-    ``MAX_COLUMNS`` (:func:`~fedcausal.nuisance.is_shared_dimension`)."""
-    dims = {"cv_splits": CV_SPLITS}
+    """Protocol dimensions: the split count the config broadcast declares,
+    0 or ``CV_SPLITS``, and the shared dimension, the length of a round's
+    moment summaries' ``mean_v``, which must be 1 to ``MAX_COLUMNS``
+    (:func:`~fedcausal.nuisance.is_shared_dimension`)."""
+    dims = {}
     for kind, payload in payloads:
+        if kind == "config" and "cv_splits" in payload:
+            splits = payload["cv_splits"]
+            if not (is_count(splits) and splits in (0, CV_SPLITS)):
+                raise PrivacyViolation(
+                    f"config declares cv_splits {splits!r}; the protocol takes 0 or {CV_SPLITS}")
+            if dims.setdefault("cv_splits", splits) != splits:
+                raise PrivacyViolation("config broadcasts disagree on the split count")
         if kind != "moment_summary":
             continue
         mean_v = payload.get("mean_v")
@@ -451,13 +488,16 @@ def _declared_dims(payloads: list) -> dict:
 def audit_ledger(report: GlobalReport) -> dict:
     """Validate every logged message against the declared payload schemas.
 
-    Raises :class:`PrivacyViolation` on an unknown message kind, a
-    digest/size mismatch, a payload text that is not the canonical text of
-    its own values (:func:`~fedcausal.wire.wire_text`, so no whitespace,
+    Raises :class:`PrivacyViolation` on an unknown message kind, a payload
+    text that cannot be hashed or parsed (the error names the message kind
+    and chains the original one), a digest mismatch, a payload text that is
+    not the canonical text of its own values
+    (:func:`~fedcausal.wire.wire_text`, so no whitespace,
     digit or escape carries anything the values do not), an undeclared or
     missing payload key, or a value whose shape differs from its
     declaration: above all, any numeric list whose length is not the
-    declared protocol dimension (so per-unit arrays never pass).
+    declared protocol dimension (so per-unit arrays never pass), such as an
+    upload whose ``fit_sq`` is not as long as the config's ``cv_splits``.
     Otherwise returns a census of message counts and byte totals per kind.
     """
     by_kind: dict[str, dict] = {}
@@ -465,11 +505,16 @@ def audit_ledger(report: GlobalReport) -> dict:
     for rec in report.privacy_ledger:
         if rec.kind not in _SCHEMAS:
             raise PrivacyViolation(f"unknown message kind {rec.kind!r}")
-        if _sha256(rec.payload_text) != rec.payload_digest:
+        try:
+            digest = _sha256(rec.payload_text)
+        except UnicodeEncodeError as exc:
+            raise PrivacyViolation(f"payload text of a {rec.kind} message is not UTF-8 "
+                                   "encodable") from exc
+        if digest != rec.payload_digest:
             raise PrivacyViolation(f"payload digest mismatch on a {rec.kind} message")
         try:
             payload = json.loads(rec.payload_text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise PrivacyViolation(f"non-JSON payload on a {rec.kind} message") from exc
         if rec.payload_text != wire_text(payload):
             raise PrivacyViolation(f"non-canonical payload text on a {rec.kind} message")

@@ -4,11 +4,11 @@ Sites draw skew-normal covariates, with outcome and treatment models that are
 linear either in the raw covariates or in their nonlinear transform, so that
 an analyst modeling the raw covariates is correct at some sites and wrong at
 others. Each replication generates all sites, runs the federated transport
-(moment summary, tilts and source CV folds) once, runs the site phase on it
-once per distinct candidate configuration, combines each phase under every
-requested method that shares it, and records the effect estimate and
-confidence interval. Replications are pure functions of (seed, replication
-index).
+(moment summary, tilts, and every site's CV folds if an adaptive method is
+requested) once, runs the site phase on it once per distinct candidate
+configuration, combines each phase under every requested method that shares
+it, and records the effect estimate and confidence interval. Replications are
+pure functions of (seed, replication index).
 """
 
 from __future__ import annotations
@@ -320,8 +320,9 @@ def run_replication(
 ) -> tuple[list[ReplicationRow], dict]:
     """One replication: generate all sites, run each method, score coverage.
 
-    The transport runs once; a transport that fails fails every method. Methods
-    whose configs agree on both candidate groups share one site phase. A phase
+    The transport runs once, drawing CV folds only if some method is adaptive;
+    a transport that fails fails every method. Methods whose configs agree on
+    both candidate groups share one site phase. A phase
     that fails is run again, and fails the same way, for each method that
     would share it.
     """
@@ -330,7 +331,7 @@ def run_replication(
     configs = [method_config(method, scenario, seed=cfg_seed) for method in methods]
     rows: list[ReplicationRow] = []
     try:
-        transport = run_transport(frames, cfg_seed)
+        transport = run_transport(frames, cfg_seed, methods)
     except FedcausalError as exc:
         return rows, dict.fromkeys(methods, f"{type(exc).__name__}: {exc}")
     failed: dict[str, str] = {}

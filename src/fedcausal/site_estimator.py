@@ -20,9 +20,9 @@ the site that holds them, so that sums of squared contributions are
 variances. On the target's units every site's contributions are Z coef, with
 Z = [xi, V_c / n_T, 1 / sqrt(n_T)] for the target's own contributions xi and
 its shared covariates V_c centered by the broadcast means. The target sums
-its units once into the moment stack M of Z'Z per CV fit half and over all
-rows, so the coordinator forms every variance from M and keeps no per-unit
-value.
+its units once into the moment stack M of Z'Z per CV fit half, if the round
+draws folds, and over all rows, so the coordinator forms every variance from
+M and keeps no per-unit value.
 """
 
 from __future__ import annotations
@@ -121,9 +121,10 @@ class SiteEstimate:
     contributions in the target's Z = [xi, V_c / n_T, 1 / sqrt(n_T)]: e_0 for
     the target estimate, whose own contributions are xi, and (0, target_coef,
     0) for a source. ``moments`` is the target's stack of Z_s'Z_s, one per CV
-    fit half and last over all rows, shape (``CV_SPLITS`` + 1, q + 2, q + 2),
-    and None for a source. ``own_sq`` and ``fit_sq`` are a source's uploaded
-    sums (:class:`SourceSiteReport`), both None for the target estimate.
+    fit half and last over all rows, shape (splits + 1, q + 2, q + 2) for the
+    transport's split count, ``CV_SPLITS`` or 0, and None for a source.
+    ``own_sq`` and ``fit_sq`` are a source's uploaded sums
+    (:class:`SourceSiteReport`), both None for the target estimate.
     """
 
     site_id: str
@@ -164,7 +165,8 @@ class SourceSiteReport:
     ``mu0`` and ``mu1`` are the transported arm means. With d the own-unit
     effect-difference contributions, ``own_sq`` is the sum of d**2 over all
     own units (the own-unit part of the estimate's variance) and ``fit_sq[s]``
-    its sum over the fit half of split ``s`` (:func:`split_masks`). They are
+    its sum over the fit half of split ``s`` (:func:`split_masks`), one per
+    split the round draws: none when no adaptive method combines it. They are
     all the coordinator needs of the own-unit part: the IVW and global
     variances use ``own_sq``, and the adaptive weight regression uses one
     pseudo-row per half, the validation half's being ``own_sq - fit_sq[s]``.
@@ -220,13 +222,15 @@ def estimate_target(frame: SiteFrame, fit: NuisanceFit, centered: np.ndarray,
                     folds: np.ndarray) -> SiteEstimate:
     """Standard AIPW estimate on the target sample with its moments: Z'Z over
     each fit half of ``folds`` and over all units, for Z = [xi, centered / n_T,
-    1 / sqrt(n_T)], ``centered`` the shared covariates less the broadcast means."""
+    1 / sqrt(n_T)], ``centered`` the shared covariates less the broadcast means.
+    ``folds`` holds ``CV_SPLITS`` fold masks, or none for a round that no
+    adaptive method combines."""
     if frame.role != "target":
         raise ValueError("estimate_target requires a target frame")
     n = frame.n
-    if np.shape(folds) != (CV_SPLITS, n):
+    if np.shape(folds) not in ((CV_SPLITS, n), (0, n)):
         raise ValueError(f"target folds have shape {np.shape(folds)}, "
-                         f"expected {(CV_SPLITS, n)}")
+                         f"expected {(CV_SPLITS, n)} or {(0, n)}")
     # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a, arm-indexed.
     kernel = _ipw_residual(frame, fit, "target units") + fit.m
     d = kernel[1] - kernel[0]
@@ -267,9 +271,9 @@ def source_report(
     psi, target mean of psi, uncapped weights and B are used as solved.
 
     Returns the upload, which summarizes the contributions over ``folds``,
-    this site's own cross-validation folds (:func:`split_masks`), with the
-    contributions themselves (shape (n_k,)), which stay at the source. Raises
-    :class:`SingularJacobian` when B is singular.
+    this site's own cross-validation folds (:func:`split_masks`, or none),
+    with the contributions themselves (shape (n_k,)), which stay at the
+    source. Raises :class:`SingularJacobian` when B is singular.
     """
     if source.role != "source":
         raise ValueError("the source estimator requires a source frame")

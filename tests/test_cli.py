@@ -51,12 +51,13 @@ def test_simulate_smoke(tmp_path, capsys):
     assert manifest["reps"] == 2
     # 5 sites: one config broadcast, 4 moment summaries, 4 source uploads.
     assert manifest["ledger_audit"]["n_messages"] == 9
-    # The transcript is replication 0's round, config seed included.
+    # The transcript is replication 0's round, config seed included; a
+    # target-only round draws no CV folds, so it declares 0 splits.
     config = method_config("target", load_scenario("c1"), seed=rep_config_seed(0, 0))
     first = json.loads((out / "ledger.jsonl").read_text().splitlines()[0])
     assert first["kind"] == "config"
     assert first["digest"] == hashlib.sha256(
-        wire_text(config.to_dict()).encode("utf-8")).hexdigest()
+        wire_text({**config.to_dict(), "cv_splits": 0}).encode("utf-8")).hexdigest()
 
     code = main(["report", "--metrics", str(out / "metrics.csv")])
     assert code == EXIT_OK

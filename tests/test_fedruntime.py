@@ -17,7 +17,8 @@ from fedcausal.errors import (
     PositivityWarning,
     PrivacyViolation,
 )
-from fedcausal.federation import cross_validate_lambda, global_estimate
+from fedcausal.federation import (ADAPTIVE_METHODS, FIXED_SCHEMES, cross_validate_lambda,
+                                  global_estimate)
 from fedcausal.fedruntime import (
     _SCALARS,
     _SCHEMAS,
@@ -102,7 +103,7 @@ def test_run_sites_rejects_repeated_site_ids():
     frames = _make_frames()
     frames[2] = dataclasses.replace(frames[2], site_id=frames[0].site_id)
     with pytest.raises(ValueError, match=r"repeated: \['site0'\]"):
-        run_transport(frames, 0)
+        run_transport(frames, 0, METHODS)
 
 
 def test_target_alone_has_empty_ledger():
@@ -153,45 +154,68 @@ def test_run_round_matches_direct_composition():
     assert np.array_equal(via_runtime.solution.eta, direct.solution.eta)
 
 
+def _without_folds(rec):
+    """The payload of ``rec`` without its split count or fit-half sums."""
+    return {key: value for key, value in json.loads(rec.payload_text).items()
+            if key not in ("cv_splits", "fit_sq")}
+
+
 def test_one_site_phase_combines_under_each_scheme():
+    # A round alone draws CV folds only for an adaptive method, so the shared
+    # phase, whose transport serves mr_l1 too, logs the round alone's ledger
+    # under mr_l1 and, under a fixed scheme, the same messages with the split
+    # count and the fit-half sums added.
     frames = _make_frames(seed=7)
-    sites = run_sites(run_transport(frames, 2), _config("ivw", seed=2))
-    for method in ("mr_l1", "ivw", "target"):
+    methods = ("mr_l1", "ivw", "target")
+    sites = run_sites(run_transport(frames, 2, methods), _config("ivw", seed=2))
+    for method in methods:
         shared, alone = combine(sites, method), run_round(frames, _config(method, seed=2))
         assert shared.delta_hat == alone.delta_hat
         assert shared.variance == alone.variance
         assert shared.diagnostics == alone.diagnostics
-        assert ([r.to_dict() for r in shared.privacy_ledger]
-                == [r.to_dict() for r in alone.privacy_ledger])
+        if method == "mr_l1":
+            assert ([r.to_dict() for r in shared.privacy_ledger]
+                    == [r.to_dict() for r in alone.privacy_ledger])
+            continue
+        assert ([(r.from_site, r.to_site, r.kind, _without_folds(r))
+                 for r in shared.privacy_ledger]
+                == [(r.from_site, r.to_site, r.kind, _without_folds(r))
+                    for r in alone.privacy_ledger])
+        assert {json.loads(r.payload_text).get("cv_splits") for r in alone.privacy_ledger
+                if r.kind == "config"} == {0}
 
 
 def test_run_round_is_transport_then_sites_then_combine():
     # The transport holds no candidate model, so one transport serves every
-    # candidate group: each phase on it, combined under each method, reports
-    # bit for bit what run_round does.
+    # candidate group: each phase on a transport for one method, combined
+    # under that method, reports bit for bit what run_round does.
     frames = _make_frames(seed=3)
-    transport = run_transport(frames, 5)
-    for source in (_group(FeatureMap("raw")),
-                   _group(FeatureMap("raw"), FeatureMap("subset", (0,)))):
-        config = _config("mr_l1", seed=5, source=source)
-        sites = run_sites(transport, config)
-        for method in METHODS:
-            alone = run_round(frames, dataclasses.replace(config, method=method))
-            assert combine(sites, method).to_json() == alone.to_json()
+    for method in METHODS:
+        transport = run_transport(frames, 5, (method,))
+        for source in (_group(FeatureMap("raw")),
+                       _group(FeatureMap("raw"), FeatureMap("subset", (0,)))):
+            config = _config(method, seed=5, source=source)
+            sites = run_sites(transport, config)
+            assert combine(sites, method).to_json() == run_round(frames, config).to_json()
 
 
 def test_a_config_runs_only_on_a_transport_of_its_seed():
     # Every site's CV folds are drawn with the transport's seed, and the
-    # nuisance splits with the config's: they must agree.
-    transport = run_transport(_make_frames(), 1)
+    # nuisance splits with the config's: they must agree. An adaptive config
+    # needs the folds, so it does not run on a transport that drew none.
+    transport = run_transport(_make_frames(), 1, METHODS)
     with pytest.raises(ValueError, match="config seed 2 differs from the transport seed 1"):
         run_sites(transport, _config("ivw", seed=2))
+    for method in ADAPTIVE_METHODS:
+        with pytest.raises(ValueError, match=f"{method} cross-validates its weights, but the "
+                                             "transport drew no CV folds"):
+            run_sites(run_transport(_make_frames(), 1, FIXED_SCHEMES), _config(method, seed=1))
 
 
 def test_combine_reports_the_site_phase_ledger():
     # The combine step sends nothing: every report carries the site phase's
     # transcript, as its own list.
-    sites = run_sites(run_transport(_make_frames(seed=7), 2), _config("ivw", seed=2))
+    sites = run_sites(run_transport(_make_frames(seed=7), 2, METHODS), _config("ivw", seed=2))
     logged = list(sites.ledger)
     assert [r.kind for r in logged][:2] == ["config", "moment_summary"]
     for method in METHODS:
@@ -212,7 +236,7 @@ def test_the_transport_draws_the_target_folds_and_combine_draws_none(monkeypatch
     fold_seeds = []
     monkeypatch.setattr(fedruntime, "split_masks", lambda n, seed, site_id: (
         fold_seeds.append((seed, site_id)) or split_masks(n, seed, site_id)))
-    transport = run_transport(frames, config.seed)
+    transport = run_transport(frames, config.seed, (config.method,))
     assert sorted(fold_seeds) == [(5, "site0"), (5, "site1"), (5, "site2")]
     assert np.array_equal(transport.target_folds, split_masks(150, 5, "site0"))
     sites = run_sites(transport, config)
@@ -229,6 +253,75 @@ def test_the_transport_draws_the_target_folds_and_combine_draws_none(monkeypatch
         combine(sites, "lasso")
 
 
+def _counted_split_masks(monkeypatch):
+    """The site ids ``fedruntime.split_masks`` is called for, in call order."""
+    sites = []
+    monkeypatch.setattr(fedruntime, "split_masks", lambda n, seed, site_id: (
+        sites.append(site_id) or split_masks(n, seed, site_id)))
+    return sites
+
+
+def test_a_fixed_scheme_round_draws_no_folds(monkeypatch):
+    # Only the adaptive weights read CV folds: a fixed-scheme round draws
+    # none, declares a split count of 0 and uploads no fit-half sum.
+    drawn = _counted_split_masks(monkeypatch)
+    for method in FIXED_SCHEMES:
+        report = run_round(_make_frames(seed=3), _config(method, seed=5))
+        audit_ledger(report)
+        sent = [(r.kind, json.loads(r.payload_text)) for r in report.privacy_ledger]
+        assert [p["cv_splits"] for kind, p in sent if kind == "config"] == [0]
+        assert [p["fit_sq"] for kind, p in sent if kind == "site_estimate"] == [[], []]
+    assert drawn == []
+    # An upload that sums fit halves the round did not draw does not pass.
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                    if r.kind == "site_estimate")
+    report.privacy_ledger[pos] = _relogged(
+        rec, {**json.loads(rec.payload_text), "fit_sq": [0.0] * CV_SPLITS})
+    with pytest.raises(PrivacyViolation, match=r"its declared \[cv_splits\] is 0"):
+        audit_ledger(report)
+
+
+@pytest.mark.parametrize("methods", [("aipw_l1",), ("ivw", "mr_l1"), METHODS])
+def test_a_transport_for_an_adaptive_method_draws_every_site_folds_once(monkeypatch, methods):
+    drawn = _counted_split_masks(monkeypatch)
+    transport = run_transport(_make_frames(seed=3), 5, methods)
+    assert sorted(drawn) == ["site0", "site1", "site2"]
+    assert transport.cv_splits == CV_SPLITS
+    assert [src.folds.shape for src in transport.sources] == [(CV_SPLITS, 150)] * 2
+    # A method name is not a list of methods.
+    with pytest.raises(ValueError, match=r"unknown methods \['m', 'r', '_', 'l', '1'\]"):
+        run_transport(_make_frames(seed=3), 5, "mr_l1")
+
+
+@pytest.mark.parametrize("preset", ["c1", "c0"])
+def test_fixed_schemes_do_not_read_the_folds(preset):
+    # The fixed weights, the estimate and its variance read the moments over
+    # all rows and the sums over all units alone, so a transport without
+    # folds gives them bit for bit.
+    scenario = load_scenario(preset)
+    frames = replication_frames(scenario, 0, 1)
+    config = method_config("ivw", scenario, seed=rep_config_seed(0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phases = [run_sites(run_transport(frames, config.seed, methods), config)
+                  for methods in (METHODS, FIXED_SCHEMES)]
+    assert [len(phase.estimates[0].moments) for phase in phases] == [CV_SPLITS + 1, 1]
+    for method in FIXED_SCHEMES:
+        folds, none = (combine(phase, method) for phase in phases)
+        assert folds.delta_hat == none.delta_hat
+        assert folds.variance == none.variance
+        assert folds.ci == none.ci
+        assert np.array_equal(folds.solution.eta, none.solution.eta)
+
+
+def test_an_adaptive_combine_needs_a_phase_with_folds():
+    sites = run_sites(run_transport(_make_frames(seed=3), 5, ("ivw",)), _config("ivw", seed=5))
+    for method in ADAPTIVE_METHODS:
+        with pytest.raises(ValueError, match=f"{method} cross-validates its weights, but the "
+                                             "transport drew no CV folds"):
+            combine(sites, method)
+
+
 def test_effective_method_follows_the_candidates_the_phase_ran():
     # An mr_l1 phase mixes two candidates, so an aipw_l1 combine of it runs
     # the multiply robust mixing and is named mr_l1, and a phase of one map
@@ -240,8 +333,8 @@ def test_effective_method_follows_the_candidates_the_phase_ran():
         assert len(config.candidates["source"]["outcome"]) == maps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sites = run_sites(run_transport(frames, config.seed), config)
-            reports = [combine(sites, method) for method in ("aipw_l1", "mr_l1")]
+            sites = run_sites(run_transport(frames, config.seed, ADAPTIVE_METHODS), config)
+            reports = [combine(sites, method) for method in ADAPTIVE_METHODS]
         assert [r.diagnostics["effective_method"] for r in reports] == [ran, ran]
         assert reports[0].delta_hat == reports[1].delta_hat
 
@@ -371,14 +464,15 @@ def test_target_group_stays_with_the_coordinator():
     config = _config("ivw", seed=4, target=_group(own))
     report = run_round(frames, config)
     sent = [json.loads(r.payload_text) for r in report.privacy_ledger]
-    assert sent[0] == {"seed": 4, "candidates": {"treatment": [{"kind": "raw"}],
-                                                  "outcome": [{"kind": "raw"}]}}
+    assert sent[0] == {"seed": 4, "cv_splits": 0,
+                       "candidates": {"treatment": [{"kind": "raw"}],
+                                      "outcome": [{"kind": "raw"}]}}
     assert all("subset" not in r.payload_text for r in report.privacy_ledger)
     audit_ledger(report)
     target = frames[0]
     fit = fit_nuisances(target.site_id, target.X, target.y, target.a, [own], [own],
                         seed=site_split_seed(4, target.site_id))
-    transport = run_transport(frames, config.seed)
+    transport = run_transport(frames, config.seed, (config.method,))
     sites = run_sites(transport, config)
     assert sites.estimates[0].mu == estimate_target(
         target, fit, transport.target_centered, transport.target_folds).mu
@@ -498,13 +592,20 @@ def test_audit_bounds_the_shared_dimension():
 
 
 _SCALAR_TAMPERS = {
-    "mu0_nan": ("site_estimate", lambda p: p.update(mu0=math.nan)),
-    "mu0_infinity": ("site_estimate", lambda p: p.update(mu0=math.inf)),
+    "mu0_nan": ("site_estimate", lambda p: p.update(mu0=math.nan), "is not a"),
+    "mu0_infinity": ("site_estimate", lambda p: p.update(mu0=math.inf), "is not a"),
     "target_coef_nan": ("site_estimate",
-                        lambda p: p.update(target_coef=[math.nan] + p["target_coef"][1:])),
-    "n_k_negative": ("site_estimate", lambda p: p.update(n_k=-5)),
-    "n_k_huge": ("site_estimate", lambda p: p.update(n_k=10**300)),
-    "seed_negative": ("config", lambda p: p.update(seed=-1)),
+                        lambda p: p.update(target_coef=[math.nan] + p["target_coef"][1:]),
+                        "is not a"),
+    "n_k_negative": ("site_estimate", lambda p: p.update(n_k=-5), "is not a"),
+    "n_k_huge": ("site_estimate", lambda p: p.update(n_k=10**300), "is not a"),
+    "seed_negative": ("config", lambda p: p.update(seed=-1), "is not a"),
+    # The split count is 0 or CV_SPLITS, and every upload sums that many
+    # fit halves: here none, on a round that declares CV_SPLITS.
+    "cv_splits_other": ("config", lambda p: p.update(cv_splits=3),
+                        f"cv_splits 3; the protocol takes 0 or {CV_SPLITS}"),
+    "fit_sq_other": ("site_estimate", lambda p: p.update(fit_sq=[]),
+                     rf"fit_sq has length 0; its declared \[cv_splits\] is {CV_SPLITS}"),
 }
 
 
@@ -512,15 +613,15 @@ _SCALAR_TAMPERS = {
 def test_audit_bounds_scalar_values(name):
     # A number is a finite float (NaN and Infinity are not JSON) and a count
     # an int in [0, 2**53), so no scalar can pack a column of a site's data
-    # into one huge integer.
-    kind, tamper = _SCALAR_TAMPERS[name]
+    # into one huge integer; the split count takes one of two values.
+    kind, tamper, message = _SCALAR_TAMPERS[name]
     report = run_round(_make_frames(), _config("mr_l1"))
     audit_ledger(report)
     pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger) if r.kind == kind)
     payload = json.loads(rec.payload_text)
     tamper(payload)
     report.privacy_ledger[pos] = _relogged(rec, payload)
-    with pytest.raises(PrivacyViolation, match="is not a"):
+    with pytest.raises(PrivacyViolation, match=message):
         audit_ledger(report)
 
 
@@ -691,6 +792,39 @@ def test_audit_rejects_bad_payloads():
             audit_ledger(report)
 
 
+def _deep_brackets(text):
+    return '{"mu0":' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def _long_count(text):
+    payload = json.loads(text)
+    return text.replace(f'"n_k":{payload["n_k"]}', '"n_k":' + "9" * 5000)
+
+
+def _lone_surrogate(text):
+    return text.replace('"mu0":', '"mu0\ud800":')
+
+
+@pytest.mark.parametrize("tamper", [_deep_brackets, _long_count, _lone_surrogate])
+def test_audit_fails_an_unreadable_text_as_a_privacy_violation(tamper):
+    # A text the audit cannot hash or parse fails as a privacy violation that
+    # names the message kind, not as whatever the hash or the parser raised.
+    scenario = load_scenario("c1")
+    report = run_round(replication_frames(scenario, 0, 0),
+                       method_config("ivw", scenario, seed=1))
+    rec = report.privacy_ledger[-1]
+    assert rec.kind == "site_estimate"
+    text = tamper(rec.payload_text)
+    # The lone surrogate cannot be hashed, so it is logged with a given digest.
+    digest = "0" * 64 if tamper is _lone_surrogate else ""
+    report.privacy_ledger[-1] = MessageRecord(rec.from_site, rec.to_site, rec.kind,
+                                              payload_text=text, payload_digest=digest)
+    with pytest.raises(PrivacyViolation, match="a site_estimate message") as caught:
+        audit_ledger(report)
+    if tamper is not _long_count:  # whose parse fails only under an integer digit limit
+        assert caught.value.__cause__ is not None
+
+
 def test_audit_rejects_tampered_payload():
     report = run_round(_make_frames(), _config("mr_l1"))
     audit_ledger(report)
@@ -791,8 +925,8 @@ def test_audit_rejects_missing_keys():
         "site_estimate": (lambda p: {key: p[key] for key in ("n_k", "mu0", "mu1")},
                           r"missing keys \['fit_sq', 'own_sq', 'target_coef'\] in a "
                           r"site_estimate message$"),
-        "config": (lambda p: {}, r"missing keys \['candidates', 'seed'\] in a config "
-                                 r"message$"),
+        "config": (lambda p: {}, r"missing keys \['candidates', 'cv_splits', 'seed'\] in a "
+                                 r"config message$"),
         "config.candidates": (lambda p: {**p, "candidates": {
             "treatment": p["candidates"]["treatment"]}},
             r"missing keys \['outcome'\] in a config message.candidates$"),
@@ -944,7 +1078,8 @@ def test_no_site_estimate_grows_with_the_sample_sizes():
         config = method_config("mr_l1", spec, seed=rep_config_seed(0, 0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sites = run_sites(run_transport(replication_frames(spec, 0, 0), config.seed), config)
+            sites = run_sites(run_transport(replication_frames(spec, 0, 0), config.seed,
+                                            (config.method,)), config)
         assert len(sites.estimates) == len(spec.sites)
         shapes.append([_array_shapes(est) for est in sites.estimates])
     assert all(shapes[0]) and shapes[0] == shapes[1]

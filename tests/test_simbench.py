@@ -13,6 +13,7 @@ import pytest
 
 from fedcausal import federation, fedruntime, nuisance, simbench, site_estimator
 from fedcausal.errors import CandidateFitWarning, ConvergenceWarning, NoConvergence, ScenarioError
+from fedcausal.federation import FIXED_SCHEMES
 from fedcausal.fedruntime import METHODS
 from fedcausal.nuisance import FeatureMap
 from fedcausal.numkit import standardized_design
@@ -340,7 +341,8 @@ def test_a_failed_site_phase_fails_every_method_that_shares_it(monkeypatch):
 def test_one_transport_per_replication(monkeypatch):
     # The tilts and every site's CV folds hold no candidate model, so the two
     # site phases of a c1 replication with every method share them: 4 tilts
-    # and 5 fold sets, one per site, all drawn in the transport.
+    # and 5 fold sets, one per site, all drawn in the transport. A
+    # replication of fixed schemes alone draws no fold.
     calls = collections.Counter()
     solve_tilt, split_masks = fedruntime.solve_tilt, site_estimator.split_masks
 
@@ -358,6 +360,12 @@ def test_one_transport_per_replication(monkeypatch):
         rows, failed = run_replication(load_scenario("c1"), METHODS, seed=0, rep=0)
     assert failed == {} and len(rows) == 5
     assert calls == {"solve_tilt": 4, "split_masks": 5}
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows, failed = run_replication(load_scenario("c1"), FIXED_SCHEMES, seed=0, rep=0)
+    assert failed == {} and len(rows) == 3
+    assert calls == {"solve_tilt": 4}
 
 
 def test_a_failed_tilt_fails_its_source_in_every_site_phase(monkeypatch):

@@ -396,7 +396,7 @@ def test_run_transport_checks_the_weights_it_solves():
     # concentrates is named even when its nuisance fit then fails.
     src, tgt = _one_unit_source()
     with pytest.warns(ExtremeWeightsWarning, match="site src: "):
-        transport = fedruntime.run_transport([tgt, src], 0)
+        transport = fedruntime.run_transport([tgt, src], 0, ("mr_l1",))
     raw, past = [FeatureMap("raw")], [FeatureMap("subset", (7,))]
     config = fedruntime.ProtocolConfig(
         candidates={"target": {"treatment": raw, "outcome": raw},
@@ -413,7 +413,7 @@ def test_two_site_phases_on_one_transport_warn_once_per_source():
     raw, both = [FeatureMap("raw")], [FeatureMap("raw"), FeatureMap("subset", (1,))]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        transport = fedruntime.run_transport([tgt, src], 0)
+        transport = fedruntime.run_transport([tgt, src], 0, ("mr_l1",))
         for maps in (raw, both):
             config = fedruntime.ProtocolConfig(
                 candidates={"target": {"treatment": raw, "outcome": raw},
