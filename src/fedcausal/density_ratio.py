@@ -95,7 +95,8 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
 
     def residual(gamma):
         if not np.array_equal(last.get("gamma"), gamma):
-            weights = np.exp(-psi @ gamma)
+            weights = psi @ gamma
+            np.exp(np.negative(weights, out=weights), out=weights)
             last.update(gamma=gamma, weights=weights, r=tgt - psi.T @ weights / n_k)
         return last["r"]
 

@@ -37,7 +37,7 @@ import numpy as np
 from .density_ratio import TiltCoefficients
 from .errors import SingularJacobian
 from .nuisance import MAX_COLUMNS, NuisanceFit, is_shared_dimension
-from .numkit import fit_ols
+from .numkit import fit_ols, gram
 from .wire import wire_text
 
 
@@ -214,8 +214,10 @@ def _ipw_residual(frame: SiteFrame, fit: NuisanceFit, where: str) -> np.ndarray:
     of another frame's units."""
     if not fit.pi.shape == fit.m.shape == (2, frame.n):
         raise ValueError(f"the nuisance fit does not cover the {frame.n} units of {where}")
-    ind = np.stack([frame.a == 0, frame.a == 1]).astype(float)
-    return ind / fit.pi * (frame.y - fit.m)
+    quotient = np.equal(frame.a, [[0], [1]], out=np.empty((2, frame.n)))
+    quotient /= fit.pi
+    quotient *= frame.y - fit.m
+    return quotient
 
 
 def estimate_target(frame: SiteFrame, fit: NuisanceFit, centered: np.ndarray,
@@ -234,8 +236,7 @@ def estimate_target(frame: SiteFrame, fit: NuisanceFit, centered: np.ndarray,
     # Per-unit AIPW kernel I(A=a)/pi_a * (Y - m_a) + m_a, arm-indexed.
     kernel = _ipw_residual(frame, fit, "target units") + fit.m
     d = kernel[1] - kernel[0]
-    # Row-major, so fold rows gather as contiguous blocks; two gathers per
-    # product, as numpy's symmetric kernel for one shared gather rounds apart.
+    # Row-major, so fold rows gather as contiguous blocks.
     Z = np.ascontiguousarray(np.column_stack([(d - d.mean()) / n, centered / n,
                                               np.full(n, 1.0 / math.sqrt(n))]))
     return SiteEstimate(
@@ -243,8 +244,8 @@ def estimate_target(frame: SiteFrame, fit: NuisanceFit, centered: np.ndarray,
         mu=(float(kernel[0].mean()), float(kernel[1].mean())),
         coef=np.eye(Z.shape[1])[0],
         n_k=n,
-        moments=np.stack([Z.take(rows, axis=0).T @ Z.take(rows, axis=0)
-                          for rows in map(np.flatnonzero, folds)] + [Z.T @ Z]),
+        moments=np.stack([gram(Z.take(rows, axis=0)) for rows in map(np.flatnonzero, folds)]
+                         + [gram(Z)]),
     )
 
 

@@ -29,6 +29,15 @@ def test_basis_expand_linear():
     assert np.array_equal(tilt.jacobian, (psi * tilt.weights[:, None]).T @ psi / len(V))
 
 
+@pytest.mark.parametrize("n", [7, 10_000])
+def test_tilt_weights_are_bitwise_the_out_of_place_formula(n):
+    # n = 1 is below every basis dimension, so no tilt solves there.
+    rng = np.random.default_rng(n)
+    V = rng.standard_normal((n, 2))
+    tilt = solve_tilt(V, target_moments(V[: max(2, n // 2)] + 0.1))
+    assert np.array_equal(tilt.weights, np.exp(-tilt.basis @ tilt.gamma))
+
+
 def test_target_moments_values():
     V = np.array([[1.0, 3.0], [3.0, 5.0]])
     summary = target_moments(V)

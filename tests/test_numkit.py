@@ -21,6 +21,7 @@ from fedcausal.numkit import (
     expit,
     fit_logistic,
     fit_ols,
+    gram,
     logistic_loglik,
     newton_solve,
     nnls_coordinate_descent,
@@ -105,6 +106,80 @@ def test_expit_is_bitwise_the_masked_formula():
     assert np.array_equal(np.isnan(new), np.isnan(old))
     finite = ~np.isnan(old)
     assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 7, 10_000])
+def test_logistic_is_bitwise_the_out_of_place_formula(n):
+    # The in-place kernel against the expressions it replaced.
+    rng = np.random.default_rng(n)
+    z = 40.0 * rng.standard_normal(n)
+    z[: min(n, 3)] = [0.0, -750.0, 750.0][: min(n, 3)]
+    y = (rng.random(n) < 0.5).astype(float)
+    e = np.exp(-np.abs(z))
+    p, units = numkit._logistic(z, y)
+    assert np.array_equal(p, np.where(z >= 0, 1.0, e) / (1.0 + e))
+    assert np.array_equal(units, y * z - np.maximum(z, 0.0) - np.log1p(e))
+    assert np.array_equal(expit(z), p)
+
+
+def _irls_reference(X, y):
+    """fit_logistic's loop with every array computed out of place."""
+    n, d = X.shape
+
+    def evaluate(beta):
+        z = X @ beta
+        e = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        return p, float((y * z - np.maximum(z, 0.0) - np.log1p(e)).sum())
+
+    beta = np.zeros(d)
+    p, ll = evaluate(beta)
+    for it in range(1, numkit.IRLS_MAX_ITER + 1):
+        grad = X.T @ (y - p) / n
+        if np.max(np.abs(grad)) <= numkit.IRLS_TOL:
+            return beta, it - 1
+        hess = (X.T * np.maximum(p * (1.0 - p), 1e-10)) @ X / n
+        step, alpha = np.linalg.solve(hess, grad), 1.0
+        while True:
+            cand = beta + alpha * step
+            p_new, ll_new = evaluate(cand)
+            if ll_new >= ll:
+                beta, p, ll = cand, p_new, ll_new
+                break
+            alpha *= 0.5
+    raise AssertionError("the reference did not converge")
+
+
+@pytest.mark.parametrize("n", [40, 10_000])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fit_logistic_is_bitwise_the_out_of_place_loop(n, order):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 3))
+    y = (rng.random(n) < special.expit(0.3 + x @ [1.5, -1.0, 0.5])).astype(float)
+    X = np.array(add_intercept(x), order=order)
+    fit = fit_logistic(X, y)
+    beta, iterations = _irls_reference(X, y)
+    assert np.array_equal(fit.coefficients, beta)
+    assert fit.iterations == iterations
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "gathered"])
+def test_gram_is_the_cross_products(layout):
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((500, 5)) + [3.0, 0.0, -1.0, 100.0, 0.0]
+    A = {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X),
+         "gathered": take_rows(np.asfortranarray(X), rng.permutation(500)[:321])}[layout]
+    G = gram(A)
+    assert np.allclose(G, A.T @ A, rtol=1e-12, atol=0.0)
+    assert not np.shares_memory(G, A)
+
+
+def test_fit_ols_does_not_depend_on_the_design_layout():
+    rng = np.random.default_rng(8)
+    X = add_intercept(rng.standard_normal((400, 3)) + [0.5, -1.0, 2.0])
+    y = X @ [1.0, 0.5, -2.0, 3.0] + rng.standard_normal(400)
+    fits = [fit_ols(np.array(X, order=order), y).coefficients for order in "CF"]
+    assert np.allclose(fits[0], fits[1], rtol=1e-12, atol=0.0)
 
 
 def test_fit_ols_exact_recovery():

@@ -49,6 +49,28 @@ def test_skew_normal_moments():
     assert np.allclose(X.var(axis=0), expected_var, atol=0.01)
 
 
+def _skew_normal_reference(rng, n, shape):
+    """The (n, p) form of the half-normal representation."""
+    delta = shape / np.sqrt(1.0 + shape**2)
+    u0 = rng.standard_normal((n, len(shape)))
+    u1 = rng.standard_normal((n, len(shape)))
+    return delta * abs(u0) + np.sqrt(1 - delta**2) * u1
+
+
+@pytest.mark.parametrize("n", [1, 7, 10_000])
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+@pytest.mark.parametrize("shape", [[0.0, 0.0], [-3.0, -0.5, -1e-3], [2.0, 0.0, -5.0, 0.5]])
+def test_skew_normal_draws_are_bitwise_the_reference(n, bit_generator, shape):
+    # Flat draws give the (n, p) draws' values and leave each stream where
+    # they left it.
+    shape = np.array(shape)
+    new, ref = (np.random.Generator(bit_generator(17)) for _ in range(2))
+    X = sample_skew_normal(new, n, shape)
+    assert X.shape == (n, len(shape))
+    assert np.array_equal(X, _skew_normal_reference(ref, n, shape))
+    assert new.random() == ref.random()
+
+
 def test_generate_site_deterministic():
     scenario = _small_scenario()
     f1 = generate_site(scenario.sites[1], scenario, np.random.default_rng(7))

@@ -164,6 +164,18 @@ def test_site_frame_rejects_data_it_cannot_estimate_from():
                 SiteFrame("s", role, y_bad, a_bad, X_bad, (0, 1))
 
 
+@pytest.mark.parametrize("n", [1, 7, 10_000])
+@pytest.mark.parametrize("dtype", [int, float])
+def test_ipw_residual_is_bitwise_the_out_of_place_formula(n, dtype):
+    rng = np.random.default_rng(n)
+    a = (rng.random(n) < 0.5).astype(dtype)
+    frame = SiteFrame("s", "source", rng.standard_normal(n), a, rng.standard_normal((n, 1)), (0,))
+    p1 = rng.uniform(0.05, 0.95, n)
+    fit = NuisanceFit(pi=np.stack([1.0 - p1, p1]), m=rng.standard_normal((2, n)))
+    expected = np.stack([a == 0, a == 1]).astype(float) / fit.pi * (frame.y - fit.m)
+    assert np.array_equal(site_estimator._ipw_residual(frame, fit, "s"), expected)
+
+
 def test_estimate_target_horvitz_thompson_reduction():
     rng = np.random.default_rng(1)
     n = 200
