@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Console smoke run through the installed `fedcausal` entry point, which no
-# test calls: a small study (its manifest audits replication 0's ledger) and
-# its metrics table, then estimates from a target and a source CSV written
-# from preset c1's replication 0: an adaptive round, which cross-validates,
-# and an ivw round, which draws no CV folds. Usage: console_smoke.sh OUT_DIR
+# test calls: a small study of a fixed scheme and an adaptive method (its
+# manifest audits the ledger of the first method's round in replication 0,
+# which declares the CV folds the study drew) and its metrics table, then
+# estimates from a target and a source CSV written from preset c1's
+# replication 0: an adaptive round, which cross-validates, and an ivw round,
+# which draws no CV folds. Usage: console_smoke.sh OUT_DIR
 set -euo pipefail
 out="$1"
-fedcausal simulate --scenario c1 --methods ivw --reps 3 --seed 0 --out "$out/sim"
+fedcausal simulate --scenario c1 --methods ivw,aipw_l1 --reps 3 --seed 0 --out "$out/sim"
 fedcausal report --metrics "$out/sim/metrics.csv"
 OUT="$out" python3 -c '
 import os, numpy as np

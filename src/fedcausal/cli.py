@@ -21,13 +21,7 @@ from .errors import FedcausalError, ScenarioError
 from .federation import ALPHA, LAMBDA_GRID
 from .fedruntime import METHODS, ProtocolConfig, audit_ledger, dump_ledger, is_count, run_round
 from .nuisance import FeatureMap
-from .simbench import (
-    load_scenario,
-    method_config,
-    rep_config_seed,
-    replication_frames,
-    run_scenario,
-)
+from .simbench import load_scenario, replication_reports, run_scenario
 from .site_estimator import SiteFrame
 
 EXIT_OK = 0
@@ -119,13 +113,16 @@ def _cmd_simulate(args) -> int:
     result.write_metrics_csv(os.path.join(args.out, "metrics.csv"))
     result.write_replications_csv(os.path.join(args.out, "replications.csv"))
 
-    # Protocol transcript of replication 0, replayed as silently as the study,
-    # which tolerates a few failed replications, so this round may fail too.
-    config = method_config(args.methods[0], scenario, seed=rep_config_seed(args.seed, 0))
+    # Protocol transcript: the first method's round of replication 0, run by
+    # the study's own code as silently as the study, which tolerates a few
+    # failed replications, so this round may have failed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports, failed = replication_reports(scenario, args.methods, args.seed, 0)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = run_round(replication_frames(scenario, args.seed, 0), config)
+        if args.methods[0] in failed:
+            raise failed[args.methods[0]]
+        report = reports[args.methods[0]]
         dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
         ledger_audit = audit_ledger(report)
     except FedcausalError as exc:

@@ -68,8 +68,6 @@ from .site_estimator import (
 from .wire import wire_text
 
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
-_NO_FOLDS = ("{} cross-validates its weights, but the transport drew no CV folds: run it "
-             "with the adaptive method among its methods")
 
 # Declared shape of every payload key each message kind carries: a scalar
 # ("count", an int that a JSON double holds exactly, in [0, 2**53), or
@@ -159,7 +157,7 @@ class ProtocolConfig:
     (:class:`~fedcausal.nuisance.FeatureMap`), the lists the audit takes. Its
     part of the broadcast (:meth:`to_dict`) is ``seed`` and the source group,
     all of it that the sources read; the target's group and ``method`` stay
-    with the coordinator.
+    with the coordinator, and only :func:`run_round` reads ``method``.
     """
 
     candidates: dict
@@ -171,10 +169,11 @@ class ProtocolConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not is_count(self.seed):
             raise ValueError(f"seed must be an int in [0, 2**53), got {self.seed!r}")
-        if {role: set(group) for role, group in self.candidates.items()} != {
-                "target": {"treatment", "outcome"}, "source": {"treatment", "outcome"}
-        } or not all(is_candidate_list(maps)
-                     for group in self.candidates.values() for maps in group.values()):
+        groups = self.candidates
+        if not (isinstance(groups, dict) and set(groups) == {"target", "source"}
+                and all(isinstance(group, dict) and set(group) == {"treatment", "outcome"}
+                        and all(map(is_candidate_list, group.values()))
+                        for group in groups.values())):
             raise ValueError('candidates must be {"target", "source"} groups of '
                              '{"treatment", "outcome"} non-empty feature map lists of at '
                              f'most {MAX_CANDIDATES} distinct maps')
@@ -316,14 +315,11 @@ def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
     summary and upload in frame order. Sources whose tilt failed in the
     transport, or that raise a model-fitting or missing-column error here,
     are recorded in ``failures`` and left out. Raises ``ValueError`` if
-    ``config.seed`` is not the seed the transport drew its folds with, or if
-    ``config.method`` is adaptive and the transport drew no folds.
+    ``config.seed`` is not the seed the transport drew its folds with.
     """
     if config.seed != transport.seed:
         raise ValueError(f"config seed {config.seed} differs from the transport seed "
                          f"{transport.seed} the CV folds were drawn with")
-    if config.method in ADAPTIVE_METHODS and not transport.cv_splits:
-        raise ValueError(_NO_FOLDS.format(config.method))
     target = transport.target
     ledger: list[MessageRecord] = []
     if transport.sources:
@@ -377,14 +373,14 @@ def combine(sites: SitePhase, method: str) -> GlobalReport:
     the target estimate alone uses the target-only weights, with a warning if
     sources were configured and every one failed, and either adaptive name is
     ``aipw_l1`` when every candidate group of ``sites`` holds one feature map
-    and ``mr_l1`` otherwise. Raises ``ValueError`` for an adaptive method on
-    a site phase whose transport drew no CV folds.
+    and ``mr_l1`` otherwise. The adaptive weights read every site's CV
+    folds, so weighting the sources of a transport that drew none by an
+    adaptive method raises the weight solver's ``ValueError``
+    (:func:`~fedcausal.federation.cross_validate_lambda`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     estimates = sites.estimates
-    if method in ADAPTIVE_METHODS and len(estimates[0].moments) == 1:
-        raise ValueError(_NO_FOLDS.format(method))
     n_sources = len(estimates) - 1 + len(sites.failures)
     if len(estimates) == 1 and n_sources:
         warnings.warn(

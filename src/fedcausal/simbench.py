@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FedcausalError, ScenarioError
+from .federation import GlobalReport
 from .fedruntime import METHODS, ProtocolConfig, combine, run_sites, run_transport
 from .nuisance import FeatureMap, kang_schafer
 from .numkit import expit
@@ -318,53 +319,50 @@ def replication_frames(scenario: ScenarioSpec, seed: int, rep: int) -> list[Site
     ]
 
 
-def run_replication(
-    scenario: ScenarioSpec,
-    methods,
-    seed: int,
-    rep: int,
-) -> tuple[list[ReplicationRow], dict]:
-    """One replication: generate all sites, run each method, score coverage.
+def replication_reports(scenario: ScenarioSpec, methods, seed: int,
+                        rep: int) -> tuple[dict[str, GlobalReport], dict[str, FedcausalError]]:
+    """One replication's rounds: generate all sites and run each method.
 
-    The transport runs once, drawing CV folds only if some method is adaptive;
-    a transport that fails fails every method. Methods whose configs agree on
-    both candidate groups share one site phase. A phase
-    that fails is run again, and fails the same way, for each method that
-    would share it.
+    Returns each method's report and each failed method's error. The
+    transport runs once, drawing CV folds only if some method is adaptive;
+    a transport that fails fails every method. Methods whose configs agree
+    on both candidate groups share one site phase. A phase that fails is run
+    again, and fails the same way, for each method that would share it.
     """
     frames = replication_frames(scenario, seed, rep)
     cfg_seed = rep_config_seed(seed, rep)
     configs = [method_config(method, scenario, seed=cfg_seed) for method in methods]
-    rows: list[ReplicationRow] = []
+    reports: dict[str, GlobalReport] = {}
     try:
         transport = run_transport(frames, cfg_seed, methods)
     except FedcausalError as exc:
-        return rows, dict.fromkeys(methods, f"{type(exc).__name__}: {exc}")
-    failed: dict[str, str] = {}
+        return reports, dict.fromkeys(methods, exc)
+    failed: dict[str, FedcausalError] = {}
     phases: dict = {}  # candidate groups -> site phase
     for method, config in zip(methods, configs):
         key = repr(config.candidates)
         try:
             if key not in phases:
                 phases[key] = run_sites(transport, config)
-            report = combine(phases[key], method)
+            reports[method] = combine(phases[key], method)
         except FedcausalError as exc:
-            failed[method] = f"{type(exc).__name__}: {exc}"
-            continue
+            failed[method] = exc
+    return reports, failed
+
+
+def run_replication(scenario: ScenarioSpec, methods, seed: int,
+                    rep: int) -> tuple[list[ReplicationRow], dict]:
+    """One replication's rows, scored for coverage, and each failed
+    method's reason (:func:`replication_reports`)."""
+    reports, failed = replication_reports(scenario, methods, seed, rep)
+    rows = []
+    for method, report in reports.items():
         lo, hi = report.ci
-        rows.append(
-            ReplicationRow(
-                method=method,
-                rep=rep,
-                delta_hat=report.delta_hat,
-                se=math.sqrt(report.variance),
-                ci_low=lo,
-                ci_high=hi,
-                covered=int(lo <= scenario.true_delta <= hi),
-                length=hi - lo,
-            )
-        )
-    return rows, failed
+        rows.append(ReplicationRow(method=method, rep=rep, delta_hat=report.delta_hat,
+                                   se=math.sqrt(report.variance), ci_low=lo, ci_high=hi,
+                                   covered=int(lo <= scenario.true_delta <= hi),
+                                   length=hi - lo))
+    return rows, {method: f"{type(exc).__name__}: {exc}" for method, exc in failed.items()}
 
 
 def run_scenario(

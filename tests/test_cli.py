@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedcausal import cli, fedruntime
+from fedcausal import cli, fedruntime, simbench
 from fedcausal.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from fedcausal.errors import AllSourcesFailedWarning, TooFewUnits
 from fedcausal.federation import MAX_SOURCES
 from fedcausal.numkit import expit
-from fedcausal.simbench import load_scenario, method_config, rep_config_seed
+from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
 from fedcausal.wire import wire_text
 
 
@@ -66,12 +66,17 @@ def test_simulate_smoke(tmp_path, capsys):
 
 
 def test_simulate_transcript_round_error_is_reported(tmp_path, capsys, monkeypatch):
-    # The study tolerates a few failed replications, so replaying replication
-    # 0 for the ledger can fail after the CSVs are written.
-    def failing_round(frames, config):
+    # The study tolerates a few failed replications, so the first method's
+    # round of replication 0, whose ledger is the transcript, can have failed
+    # when the CSVs are written. Here it fails when the transcript runs it.
+    def failing_combine(sites, method):
         raise TooFewUnits("validation set needs at least 2 units")
 
-    monkeypatch.setattr(cli, "run_round", failing_round)
+    def failing_reports(*args):
+        monkeypatch.setattr(simbench, "combine", failing_combine)
+        return simbench.replication_reports(*args)
+
+    monkeypatch.setattr(cli, "replication_reports", failing_reports)
     out = tmp_path / "run"
     code = main(["simulate", "--scenario", "c1", "--methods", "target",
                  "--reps", "1", "--out", str(out)])
@@ -81,9 +86,30 @@ def test_simulate_transcript_round_error_is_reported(tmp_path, capsys, monkeypat
     assert not (out / "manifest.json").exists()
 
 
+def test_simulate_transcript_is_the_study_round_of_its_first_method(tmp_path):
+    # The study runs replication 0's transport once for all its methods, so
+    # with an adaptive method among them every site draws CV folds, and the
+    # first method's round declares them even under a fixed scheme.
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", "c1", "--methods", "ivw,aipw_l1",
+                 "--reps", "2", "--seed", "0", "--out", str(out)]) == EXIT_OK
+    scenario, seed = load_scenario("c1"), rep_config_seed(0, 0)
+    transport = fedruntime.run_transport(replication_frames(scenario, 0, 0), seed,
+                                         ("ivw", "aipw_l1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = fedruntime.combine(
+            fedruntime.run_sites(transport, method_config("ivw", scenario, seed=seed)), "ivw")
+    assert json.loads(report.privacy_ledger[0].payload_text)["cv_splits"] == 5
+    logged = [json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()]
+    assert [r["digest"] for r in logged] == [r.payload_digest for r in report.privacy_ledger]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["ledger_audit"] == fedruntime.audit_ledger(report)
+
+
 def test_simulate_prints_no_warnings(tmp_path):
     # The study runs with warnings silenced, and so does the transcript's
-    # replay of its replication 0: on c0, propensity clipping is active at
+    # run of its replication 0: on c0, propensity clipping is active at
     # three sites of that round, and stderr stays empty.
     src = Path(cli.__file__).resolve().parents[1]
     run = subprocess.run(

@@ -201,15 +201,24 @@ def test_run_round_is_transport_then_sites_then_combine():
 
 def test_a_config_runs_only_on_a_transport_of_its_seed():
     # Every site's CV folds are drawn with the transport's seed, and the
-    # nuisance splits with the config's: they must agree. An adaptive config
-    # needs the folds, so it does not run on a transport that drew none.
+    # nuisance splits with the config's: they must agree.
     transport = run_transport(_make_frames(), 1, METHODS)
     with pytest.raises(ValueError, match="config seed 2 differs from the transport seed 1"):
         run_sites(transport, _config("ivw", seed=2))
-    for method in ADAPTIVE_METHODS:
-        with pytest.raises(ValueError, match=f"{method} cross-validates its weights, but the "
-                                             "transport drew no CV folds"):
-            run_sites(run_transport(_make_frames(), 1, FIXED_SCHEMES), _config(method, seed=1))
+
+
+def test_the_site_phase_reads_no_weighting_scheme():
+    # A config's method stays with the coordinator, so an adaptive config
+    # runs on a transport that drew no folds, and its phase combines under
+    # every fixed scheme as a phase of the same candidates from an ivw config.
+    transport = run_transport(_make_frames(seed=3), 5, ("ivw",))
+    two = _group(FeatureMap("raw"), FeatureMap("subset", (0,)))
+    adaptive, fixed = (run_sites(transport, _config(method, seed=5, source=two))
+                       for method in ("mr_l1", "ivw"))
+    for method in FIXED_SCHEMES:
+        report = combine(adaptive, method)
+        assert report.to_json() == combine(fixed, method).to_json()
+        assert report.privacy_ledger == fixed.ledger
 
 
 def test_combine_reports_the_site_phase_ledger():
@@ -317,8 +326,8 @@ def test_fixed_schemes_do_not_read_the_folds(preset):
 def test_an_adaptive_combine_needs_a_phase_with_folds():
     sites = run_sites(run_transport(_make_frames(seed=3), 5, ("ivw",)), _config("ivw", seed=5))
     for method in ADAPTIVE_METHODS:
-        with pytest.raises(ValueError, match=f"{method} cross-validates its weights, but the "
-                                             "transport drew no CV folds"):
+        with pytest.raises(ValueError, match=f"site site0 summarizes 0 splits, expected "
+                                             f"{CV_SPLITS}"):
             combine(sites, method)
 
 
@@ -342,16 +351,22 @@ def test_effective_method_follows_the_candidates_the_phase_ran():
 @pytest.mark.parametrize("maps", [
     [], [{"kind": "raw"}], ["raw"], [FeatureMap("raw")] * 2,
     [FeatureMap("subset", (c,)) for c in range(MAX_CANDIDATES + 1)],
+    None, ["treatment", "outcome"], [_group(FeatureMap("raw"))] * 2,
 ])
 def test_config_rejects_an_empty_or_unmapped_candidate_list(maps):
     # Either would otherwise build and fail the round late: an empty list at
     # the first source's fit, a dict when the broadcast is encoded. A
     # repeated map or more than MAX_CANDIDATES maps would build a config
-    # whose broadcast the audit rejects.
-    with pytest.raises(ValueError, match="non-empty feature map lists"):
-        _config("ivw", source={"treatment": maps, "outcome": [FeatureMap("raw")]})
-    with pytest.raises(ValueError, match="non-empty feature map lists"):
-        _config("ivw", target={"treatment": [FeatureMap("raw")], "outcome": maps})
+    # whose broadcast the audit rejects. Candidates read from a user's JSON
+    # may hold anything in place of a group or of both: a list, even of a
+    # group's keys, or null is no group and no candidates.
+    raw = [FeatureMap("raw")]
+    for candidates in ({"target": _group(*raw), "source": {"treatment": maps, "outcome": raw}},
+                       {"target": {"treatment": raw, "outcome": maps}, "source": _group(*raw)},
+                       {"target": _group(*raw), "source": maps},
+                       maps):
+        with pytest.raises(ValueError, match="non-empty feature map lists"):
+            ProtocolConfig(candidates=candidates, method="ivw")
 
 
 def test_a_failed_candidate_and_the_clipping_of_its_fit_name_one_frame():
