@@ -2,13 +2,22 @@
 # Console smoke run through the installed `fedcausal` entry point, which no
 # test calls: a small study of a fixed scheme and an adaptive method (its
 # manifest audits the ledger of the first method's round in replication 0,
-# which declares the CV folds the study drew) and its metrics table, then
-# estimates from a target and a source CSV written from preset c1's
-# replication 0: an adaptive round, which cross-validates, and an ivw round,
-# which draws no CV folds. Usage: console_smoke.sh OUT_DIR
+# which declares the CV folds the study drew; its census is checked: one
+# config broadcast, and a moment summary to and an upload from each of c1's
+# 4 sources) and its metrics table, then estimates from a target and a
+# source CSV written from preset c1's replication 0: an adaptive round,
+# which cross-validates, and an ivw round, which draws no CV folds.
+# Usage: console_smoke.sh OUT_DIR
 set -euo pipefail
 out="$1"
 fedcausal simulate --scenario c1 --methods ivw,aipw_l1 --reps 3 --seed 0 --out "$out/sim"
+python3 -c '
+import json, pathlib, sys
+audit = json.loads(pathlib.Path(sys.argv[1]).read_text())["ledger_audit"]
+counts = {kind: entry["count"] for kind, entry in audit["by_kind"].items()}
+assert audit["n_messages"] == 9, audit
+assert counts == {"config": 1, "moment_summary": 4, "site_estimate": 4}, counts
+' "$out/sim/manifest.json"
 fedcausal report --metrics "$out/sim/metrics.csv"
 OUT="$out" python3 -c '
 import os, numpy as np

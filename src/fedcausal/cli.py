@@ -85,6 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: object, code: int) -> int:
+    """Print ``error: <message>`` to stderr and return the exit ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _make_out_dir(path: str) -> bool:
     """Create the directory ``path``, or print why it cannot be made."""
     try:
@@ -99,16 +105,14 @@ def _cmd_simulate(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, EXIT_USAGE)
     if not _make_out_dir(args.out):
         return EXIT_USAGE
 
     try:
         result = run_scenario(scenario, methods=args.methods, reps=args.reps, seed=args.seed)
     except FedcausalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail(exc, EXIT_RUNTIME)
 
     result.write_metrics_csv(os.path.join(args.out, "metrics.csv"))
     result.write_replications_csv(os.path.join(args.out, "replications.csv"))
@@ -126,8 +130,7 @@ def _cmd_simulate(args) -> int:
         dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
         ledger_audit = audit_ledger(report)
     except FedcausalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail(exc, EXIT_RUNTIME)
 
     manifest = {
         "scenario": scenario.name,
@@ -208,8 +211,7 @@ def _cmd_estimate(args) -> int:
             frames.append(_site_frame(path, "source", data,
                                       tuple(names.index(c) for c in tgt_names)))
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(exc, EXIT_DATA)
 
     raw = {"treatment": [FeatureMap("raw")], "outcome": [FeatureMap("raw")]}
     config = ProtocolConfig(candidates={"target": raw, "source": raw}, method=args.method,
@@ -219,11 +221,9 @@ def _cmd_estimate(args) -> int:
     try:
         report = run_round(frames, config)
     except ValueError as exc:  # invalid frames, such as repeated site ids
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(exc, EXIT_DATA)
     except FedcausalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _fail(exc, EXIT_RUNTIME)
 
     print(report.to_json())
     if args.out:
@@ -237,11 +237,9 @@ def _cmd_report(args) -> int:
     try:
         header, body = _read_csv(args.metrics)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(exc, EXIT_DATA)
     if header[:2] != ["method", "reps"]:
-        print(f"error: {args.metrics} is not a metrics table", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(f"{args.metrics} is not a metrics table", EXIT_DATA)
 
     def fmt(cell: str) -> str:
         try:

@@ -1,29 +1,28 @@
 """Single-round simulated federation over in-memory site frames.
 
 The target site acts as coordinator. One round is a transport
-(:func:`run_transport`: a moment-summary broadcast from the target, each
-source's density-ratio tilt, and, when an adaptive method will combine it,
-every site's cross-validation folds, none of which depends on a candidate
-model), a site phase on that transport (:func:`run_sites`: the config
-broadcast of the seed, the transport's split count and the sources'
-candidate models, one summary-level upload per source holding its finished
-estimate, and the target's own estimate, which stays at the target), after
-which the coordinator forms the global combination (:func:`combine`), whose
-one setting is the weighting scheme: it reads fixed-size summaries and the
-candidate groups from the site phase, and no seed. So one transport serves
-every candidate group, and one site phase every weighting scheme. The scheme
-and the target's candidate models stay with the coordinator, and the penalty
-grid and the CI level are protocol constants
-(:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message carries
-them, and the site phase never reads the scheme. Every cross-site
+(:func:`run_transport`: the target's moment summary, logged as one message
+to each source, each source's density-ratio tilt, and, when an adaptive
+method will combine it, every site's cross-validation folds, none of which
+depends on a candidate model), a site phase on that transport
+(:func:`run_sites`: the config broadcast of the seed, the transport's split
+count and the sources' candidate models, one summary-level upload per source
+holding its finished estimate, and the target's own estimate, which stays at
+the target), after which the coordinator forms the global combination
+(:func:`combine`), whose one setting is the weighting scheme: it reads
+fixed-size summaries and the candidate groups from the site phase, and no
+seed. So one transport serves every candidate group, and one site phase
+every weighting scheme. The scheme and the target's candidate models stay
+with the coordinator, and the penalty grid and the CI level are protocol
+constants (:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message
+carries them, and the site phase never reads the scheme. Every cross-site
 payload is written at the boundary as canonical minimal JSON
 (:func:`~fedcausal.wire.wire_text`), the one text of its values, and every
 cross-site message is logged so the ledger can be audited: the audit accepts
 no other text, and only the declared summary-level schemas may cross sites,
-never individual rows or any per-unit value. Moment
-summaries and source uploads are decoded on the receiving side; the config
-broadcast is logged as sent and never decoded, because every site reads the
-in-memory config.
+never individual rows or any per-unit value. Moment summaries and source
+uploads are decoded on the receiving side; the config broadcast is logged as
+sent and never decoded, because every site reads the in-memory config.
 """
 
 from __future__ import annotations

@@ -115,26 +115,27 @@ class NuisanceFit:
     m: np.ndarray
 
 
-def _train_size(n: int) -> int:
-    """Size n // 2 of the train half of n units; raises :class:`TooFewUnits`
-    unless the train half has a unit and the validation half has two."""
+def _train_size(n: int) -> None:
+    """Raise :class:`TooFewUnits` unless the train half of n units, n // 2
+    of them, has a unit and the validation half has two."""
     n_train = n // 2
     if n_train < 1:
         raise TooFewUnits(f"a half split of {n} units leaves a part empty")
     if n - n_train < 2:
         raise TooFewUnits("validation set needs at least 2 units")
-    return n_train
 
 
-def split_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded-shuffle partition into train (the first n // 2) and validation.
+def split_data(n: int, seed: int | np.random.SeedSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The first n // 2 and the rest of a seeded shuffle of n units: the one
+    draw of a site's halves, the nuisance split and each CV fit half
+    (:func:`~fedcausal.site_estimator.split_masks`) alike. ``seed`` is an
+    int or a :class:`numpy.random.SeedSequence`; no size floor applies here.
 
-    Validation indices keep the shuffle ordering, which also fixes the ordering
+    The second half keeps the shuffle ordering, which also fixes the ordering
     of the cumulative-risk products.
     """
-    n_train = _train_size(n)
     perm = np.random.default_rng(seed).permutation(n)
-    return perm[:n_train], perm[n_train:]
+    return perm[: n // 2], perm[n // 2:]
 
 
 def _log_softmax_weights(cum_log_risk: np.ndarray) -> np.ndarray:
@@ -181,15 +182,16 @@ def _mix(
     validation split and refits it on all of ``rows``, starting
     ``fit_one(X, y, start=...)`` at the train coefficients; a candidate that
     fails either fit gets weight zero. A lone candidate's weight is 1
-    whatever its score, so it is only fit on all of ``rows``. Every fit sees
-    the column-major rows :func:`numkit.take_rows` gathers, and a fit on
-    every unit sees the design itself. Returns the weights and the mixture
-    on every unit of the site.
+    whatever its score, so it is only fit on all of ``rows``; the split's
+    size floors (:func:`_train_size`) are checked once, split or not. Every
+    fit sees the column-major rows :func:`numkit.take_rows` gathers, and a
+    fit on every unit sees the design itself. Returns the weights and the
+    mixture on every unit of the site.
     """
     if not maps:
         raise ValueError("need at least one candidate feature map")
+    _train_size(len(rows))
     if len(maps) == 1:
-        _train_size(len(rows))  # the size floors hold with or without a split
         design = designs[maps[0]]
         beta = _fit_or_warn(site_id, maps[0], fit_one, take_rows(design, rows), y[rows])
         if beta is None:

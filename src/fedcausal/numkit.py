@@ -105,7 +105,7 @@ def _logistic(z: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarr
     z >= 0 and e / (1 + e) otherwise."""
     e = np.abs(z, out=np.empty(np.shape(z)))  # a float array, also for an int or 0-d z
     np.exp(np.negative(e, out=e), out=e)
-    p = np.where(z >= 0, 1.0, e)
+    p = np.maximum(e, z >= 0, out=np.empty(np.shape(z)))  # 1 where z >= 0, e elsewhere
     den = e + 1.0
     p /= den
     if y is None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .density_ratio import TiltCoefficients
 from .errors import SingularJacobian
-from .nuisance import MAX_COLUMNS, NuisanceFit, is_shared_dimension
+from .nuisance import MAX_COLUMNS, NuisanceFit, is_shared_dimension, split_data
 from .numkit import fit_ols, gram
 from .wire import wire_text
 
@@ -101,15 +101,15 @@ def split_masks(n: int, seed: int, site_id: str) -> np.ndarray:
     cross-validation splits.
 
     Row ``s`` marks the ``n // 2`` units in the fit half of split ``s``; the
-    rest form its validation half. Each split draws from a stream seeded by
-    ``(seed, s, site id)``, so every site draws its folds locally and no unit
-    index ever crosses sites.
+    rest form its validation half. Each fit half is the first half of
+    :func:`~fedcausal.nuisance.split_data`, the nuisance split's draw, seeded
+    by ``(seed, s, site id)``, so every site draws its folds locally and no
+    unit index ever crosses sites.
     """
     site = zlib.crc32(site_id.encode("utf-8"))
     masks = np.zeros((CV_SPLITS, n), dtype=bool)
     for s in range(CV_SPLITS):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, s, site)))
-        masks[s, rng.permutation(n)[: n // 2]] = True
+        masks[s, split_data(n, np.random.SeedSequence((seed, s, site)))[0]] = True
     return masks
 
 

@@ -65,6 +65,19 @@ def test_simulate_smoke(tmp_path, capsys):
     assert "method" in printed and "target" in printed
 
 
+def test_simulate_exits_3_when_the_study_aborts(tmp_path, capsys, monkeypatch):
+    # The target method fails in 1 of 2 replications, above the 1% limit.
+    monkeypatch.setattr(simbench, "run_replication", lambda scenario, methods, seed, rep: (
+        [], {"target": "NoConvergence: forced"} if rep == 0 else {}))
+    out = tmp_path / "run"
+    code = main(["simulate", "--scenario", "c1", "--methods", "target",
+                 "--reps", "2", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == ("error: method target failed in 1/2 replications "
+                                       "(limit 1%)\n")
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_transcript_round_error_is_reported(tmp_path, capsys, monkeypatch):
     # The study tolerates a few failed replications, so the first method's
     # round of replication 0, whose ledger is the transcript, can have failed
@@ -184,6 +197,14 @@ def test_out_of_range_arguments_are_usage_errors(tmp_path, command, flag, value)
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_a_seed_that_is_no_number_is_a_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, *_required_args(command, tmp_path), "--seed", "abc"])
+    assert err.value.code == EXIT_USAGE
+    assert "argument --seed: bad value 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
 def test_alpha_is_an_unknown_argument(tmp_path, capsys, command):
     # Every interval is at the protocol level federation.ALPHA.
     with pytest.raises(SystemExit) as err:
@@ -284,6 +305,15 @@ def test_estimate_data_errors(tmp_path, capsys):
     assert main(["estimate", "--target", str(tgt), "--source", str(ok),
                  "--source", str(utf16)]) == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: {utf16}: 'utf-8' codec can't decode")
+
+
+def test_estimate_rejects_a_csv_without_rows_or_with_a_non_numeric_cell(tmp_path, capsys):
+    for text, rule in (("y,a,x1\n", "no data rows"),
+                       ("y,a,x1\n1.0,1,0.5\n2.0,0,abc\n", "non-numeric cell")):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["estimate", "--target", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: {rule}\n"
 
 
 def test_estimate_names_the_file_of_a_value_its_frame_rejects(tmp_path, capsys):

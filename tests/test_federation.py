@@ -189,6 +189,33 @@ def test_cross_validate_lambda_checks_split_count():
         cross_validate_lambda([short] + estimates[1:])
 
 
+def test_source_weights_above_one_are_scaled_and_the_target_takes_the_rest():
+    # The target's xi is about twice its V_c / n, and both sources carry
+    # target slope 0.5 on V: each source's column of the stacked regression
+    # is about xi - 0.5 V_c / n = 1.5 V_c / n, so the unpenalized weights
+    # sum to about 4/3 at every penalty (the sources' means equal the
+    # target's, so no penalty acts). They are scaled to sum to one, and the
+    # target gets the remainder, 0.
+    rng = np.random.default_rng(9)
+    n = 400
+    V = rng.standard_normal(n)
+    V_c = (V - V.mean()) / n
+    tgt = _target_on(np.column_stack([2.0 * V_c + _contributions(rng, n, 0.1), V_c,
+                                      np.full(n, n**-0.5)]))
+    sources = [SiteEstimate(site_id=s, mu=tgt.mu, coef=np.array([0.0, 0.5, 0.0]), n_k=300,
+                            **_own_sums(_contributions(rng, 300, 0.1), split_masks(300, 0, s)))
+               for s in ("s1", "s2")]
+    estimates = [tgt] + sources
+    C, arm_shift_sq = _stacked_system(estimates)
+    gram, gtr, _ = _cv_systems(estimates, C)
+    raw = nnls_coordinate_descent(gram, gtr, np.array(LAMBDA_GRID)[:, None] * arm_shift_sq)[-1]
+    assert np.all(raw.sum(axis=1) > 1.3)
+    solution = cross_validate_lambda(estimates)
+    chosen = raw[LAMBDA_GRID.index(solution.lambda_)]
+    assert solution.eta[0] == 0.0
+    assert np.allclose(solution.eta[1:], chosen / chosen.sum(), rtol=0.0, atol=1e-15)
+
+
 def _squared_error(products, eta):
     """||r - G eta||^2 from cross-products: r'r - 2 eta'G'r + eta'G'G eta."""
     gram, gtr, rtr = products

@@ -708,6 +708,29 @@ def test_audit_bounds_the_candidate_lists():
     audit_ledger(report)
 
 
+def test_audit_rejects_a_config_whose_candidates_is_not_an_object():
+    report = run_round(_make_frames(), _config("mr_l1"))
+    pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger)
+                    if r.kind == "config")
+    payload = json.loads(rec.payload_text)
+    payload["candidates"] = [payload["candidates"]]
+    report.privacy_ledger[pos] = _relogged(rec, payload)
+    with pytest.raises(PrivacyViolation, match=r"config message\.candidates is not an object"):
+        audit_ledger(report)
+
+
+def test_audit_rejects_config_broadcasts_that_disagree_on_the_split_count():
+    # Each declares a split count the protocol takes, 5 and 0, but a round
+    # has one.
+    report = run_round(_make_frames(), _config("mr_l1"))
+    rec = next(r for r in report.privacy_ledger if r.kind == "config")
+    payload = json.loads(rec.payload_text)
+    assert payload["cv_splits"] == CV_SPLITS
+    report.privacy_ledger.append(_relogged(rec, {**payload, "cv_splits": 0}))
+    with pytest.raises(PrivacyViolation, match="config broadcasts disagree on the split count"):
+        audit_ledger(report)
+
+
 def test_audit_rejects_a_config_carrying_per_unit_values_in_keys():
     # The broadcast's keys are fixed, so the target's outcomes written into a
     # key do not pass: neither as a site id holding a group nor as a key

@@ -79,8 +79,9 @@ def test_split_data_deterministic_partition():
 
 
 def test_split_data_floors():
-    with pytest.raises(TooFewUnits):
-        split_data(1, seed=0)
+    # The draw applies no size floor: _mix checks it once, for every path.
+    tr, va = split_data(1, seed=0)
+    assert tr.tolist() == [] and va.tolist() == [0]
     tr, va = split_data(7, seed=0)
     assert len(tr) == 3 and len(va) == 4
 
@@ -252,11 +253,13 @@ def test_lone_candidate_needs_only_both_classes_in_the_full_sample():
 
 
 def test_lone_candidate_keeps_the_split_size_floors():
-    fm = FeatureMap("raw")
+    # A lone candidate draws no split, and a mixture does: the floors are the same.
+    lone, pair = [FeatureMap("raw")], [FeatureMap("raw"), FeatureMap("subset", (0,))]
     for n, message in ((1, "leaves a part empty"), (2, "validation set needs at least 2")):
         X = np.arange(float(n))[:, None]
-        with pytest.raises(TooFewUnits, match=message):
-            mix_propensity("s0", _designs(X, [fm]), np.arange(n) % 2, [fm], seed=0)
+        for maps in (lone, pair):
+            with pytest.raises(TooFewUnits, match=message):
+                mix_propensity("s0", _designs(X, maps), np.arange(n) % 2, maps, seed=0)
 
 
 def test_lone_candidate_that_fails_to_fit():
@@ -265,6 +268,19 @@ def test_lone_candidate_that_fails_to_fit():
     with pytest.warns(CandidateFitWarning, match=r"^s0: candidate raw failed"):
         with pytest.raises(TooFewUnits, match="all candidates failed to fit"):
             mix_propensity("s0", _designs(X, [fm]), np.ones(20, dtype=int), [fm], seed=0)
+
+
+def test_mixing_needs_a_map_and_a_candidate_that_fits():
+    X = np.random.default_rng(18).standard_normal((20, 2))
+    maps = [FeatureMap("raw"), FeatureMap("subset", (0,))]
+    with pytest.raises(ValueError, match="need at least one candidate feature map"):
+        mix_propensity("s0", _designs(X, maps), np.arange(20) % 2, [], seed=0)
+    # A constant treatment fails both candidates' fits.
+    with pytest.warns(CandidateFitWarning) as caught:
+        with pytest.raises(TooFewUnits, match="all candidates failed to fit"):
+            mix_propensity("s0", _designs(X, maps), np.ones(20, dtype=int), maps, seed=0)
+    assert [str(w.message).split(" failed")[0] for w in caught] == [
+        "s0: candidate raw", "s0: candidate subset [0]"]
 
 
 def test_mix_outcome_log_space_no_overflow():

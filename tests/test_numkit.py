@@ -108,18 +108,35 @@ def test_expit_is_bitwise_the_masked_formula():
     assert np.array_equal(new[finite].view(np.uint64), old[finite].view(np.uint64))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
 @pytest.mark.parametrize("n", [1, 7, 10_000])
 def test_logistic_is_bitwise_the_out_of_place_formula(n):
-    # The in-place kernel against the expressions it replaced.
+    # The in-place kernel against the expressions it replaced, at signed
+    # zeros, infinities, NaN and -800 (where e underflows) too, and on an int
+    # z; expit also on a 0-d z, for which it returns a 0-d array.
     rng = np.random.default_rng(n)
     z = 40.0 * rng.standard_normal(n)
-    z[: min(n, 3)] = [0.0, -750.0, 750.0][: min(n, 3)]
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -800.0, -750.0, 750.0]
+    z[: min(n, len(edges))] = edges[: min(n, len(edges))]
     y = (rng.random(n) < 0.5).astype(float)
-    e = np.exp(-np.abs(z))
-    p, units = numkit._logistic(z, y)
-    assert np.array_equal(p, np.where(z >= 0, 1.0, e) / (1.0 + e))
-    assert np.array_equal(units, y * z - np.maximum(z, 0.0) - np.log1p(e))
-    assert np.array_equal(expit(z), p)
+    finite = np.isfinite(z)
+    # An infinite z makes inf - inf in both forms of its log-likelihood.
+    with np.errstate(invalid="ignore"):
+        for zz, yy in ((z, y), (np.round(z[finite]).astype(np.int64), y[finite])):
+            e = np.exp(-np.abs(zz))
+            p, units = numkit._logistic(zz, yy)
+            assert np.array_equal(_bits(p), _bits(np.where(zz >= 0, 1.0, e) / (1.0 + e)))
+            assert np.array_equal(_bits(units),
+                                  _bits(yy * zz - np.maximum(zz, 0.0) - np.log1p(e)))
+            assert np.array_equal(_bits(expit(zz)), _bits(p))
+    for z0 in (np.asarray(z[0]), np.asarray(z[-1]), 0.5, -3):
+        p0 = expit(z0)
+        e = np.exp(-np.abs(z0))
+        assert type(p0) is np.ndarray and p0.ndim == 0
+        assert _bits(p0) == _bits(np.where(np.asarray(z0) >= 0, 1.0, e) / (1.0 + e))
 
 
 def _irls_reference(X, y):
@@ -394,6 +411,18 @@ def test_newton_solve_no_progress():
             lambda x: np.array([[1.0]]),
             np.array([0.0]),
         )
+
+
+def test_newton_solve_fails_by_name():
+    # A residual that is not finite at the start, a step that is not finite,
+    # and the iteration cap: a step of x / 1e6 on r(x) = x barely moves.
+    with pytest.raises(NoConvergence, match="residual not finite at starting point"):
+        newton_solve(lambda x: np.array([np.inf]), lambda x: np.eye(1), np.array([1.0]))
+    for jac in (1e-320, np.nan):
+        with pytest.raises(SingularJacobian, match="non-finite step"):
+            newton_solve(lambda x: x - 1.0, lambda x, j=jac: np.array([[j]]), np.array([3.0]))
+    with pytest.raises(NoConvergence, match=f"no convergence after {numkit.NEWTON_MAX_ITER} "):
+        newton_solve(lambda x: x, lambda x: np.array([[1e6]]), np.array([1.0]))
 
 
 def _random_instance(rng):

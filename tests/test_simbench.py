@@ -139,6 +139,13 @@ def test_scenario_validation():
         ScenarioSpec.from_dict({"name": "x"})
 
 
+def test_scenario_site_roles_are_target_or_source():
+    base = _small_scenario()
+    sink = dataclasses.replace(base.sites[1], role="sink")
+    with pytest.raises(ScenarioError, match="bad role 'sink' for site s1"):
+        ScenarioSpec(name="x", sites=(base.sites[0], sink))
+
+
 def test_scenario_json_types_are_checked_not_coerced():
     # A string "false" is not the bool false, 300.9 units is no sample size,
     # and a null site id or a numeric name is no string.
@@ -284,6 +291,18 @@ def test_run_scenario_validation():
         with pytest.raises(ScenarioError):
             run_scenario(_small_scenario(), methods=methods, reps=2)
     assert set(METHODS) == {"target", "ss", "ivw", "aipw_l1", "mr_l1"}
+
+
+def test_run_scenario_aborts_above_the_failure_limit(monkeypatch):
+    # The target method fails in replication 0 alone, and no replication
+    # runs: one failure is 1% of 100 replications, at the limit, and above
+    # it in 99.
+    monkeypatch.setattr(simbench, "run_replication", lambda scenario, methods, seed, rep: (
+        [], {"target": "NoConvergence: forced"} if rep == 0 else {}))
+    assert run_scenario(_small_scenario(), reps=100).failures == {"target": 1}
+    with pytest.raises(ScenarioError, match=r"^method target failed in 1/99 replications "
+                                            r"\(limit 1%\)$"):
+        run_scenario(_small_scenario(), reps=99)
 
 
 def test_run_scenario_same_seed_same_rows():
