@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import warnings
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +60,7 @@ from .site_estimator import (
     SourceSiteReport,
     complete_source_estimate,
     estimate_target,
+    site_split_seed,
     source_report,
     split_masks,
 )
@@ -186,11 +186,6 @@ class ProtocolConfig:
         }
 
 
-def site_split_seed(seed: int, site_id: str) -> int:
-    """Deterministic per-site seed for the train/validation split."""
-    return (int(seed) * 1_000_003 + zlib.crc32(site_id.encode("utf-8"))) % (2**31)
-
-
 def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
     """Fit a site's nuisance models on its own data, with its role's candidates."""
     group = config.candidates[frame.role]
@@ -301,24 +296,22 @@ class SitePhase:
     candidates: dict
 
 
-def run_sites(transport: Transport, config: ProtocolConfig) -> SitePhase:
+def run_sites(transport: Transport, candidates: dict) -> SitePhase:
     """Run every site's candidate work on ``transport``: config broadcast,
     nuisance fits, source uploads and the target's own estimate, which is
     not a message.
 
-    Reads ``config.seed`` and ``config.candidates``, never the weighting
-    scheme, so one site phase serves every scheme, and one transport serves
-    every candidate group. The config broadcast declares the transport's
-    split count (``cv_splits``), so each upload's ``fit_sq`` has that
-    length. The ledger logs the config broadcast, then each source's moment
-    summary and upload in frame order. Sources whose tilt failed in the
-    transport, or that raise a model-fitting or missing-column error here,
-    are recorded in ``failures`` and left out. Raises ``ValueError`` if
-    ``config.seed`` is not the seed the transport drew its folds with.
+    ``candidates`` are the ``{"target": group, "source": group}`` groups a
+    :class:`ProtocolConfig` takes; the seed is the transport's, the round's
+    one seed. No weighting scheme is read, so one site phase serves every
+    scheme, and one transport serves every candidate group. The config
+    broadcast declares the transport's seed and split count (``cv_splits``),
+    so each upload's ``fit_sq`` has that length. The ledger logs the config
+    broadcast, then each source's moment summary and upload in frame order.
+    Sources whose tilt failed in the transport, or that raise a model-fitting
+    or missing-column error here, are recorded in ``failures`` and left out.
     """
-    if config.seed != transport.seed:
-        raise ValueError(f"config seed {config.seed} differs from the transport seed "
-                         f"{transport.seed} the CV folds were drawn with")
+    config = ProtocolConfig(candidates, seed=transport.seed)
     target = transport.target
     ledger: list[MessageRecord] = []
     if transport.sources:
@@ -419,7 +412,7 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     if config.method in ADAPTIVE_METHODS:
         check_adaptive_sources(sum(f.role == "source" for f in frames))
     transport = run_transport(frames, config.seed, (config.method,))
-    return combine(run_sites(transport, config), config.method)
+    return combine(run_sites(transport, config.candidates), config.method)
 
 
 def _check_shape(value, spec, dims: dict, where: str) -> None:

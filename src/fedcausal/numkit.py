@@ -106,7 +106,7 @@ def _logistic(z: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarr
     e = np.abs(z, out=np.empty(np.shape(z)))  # a float array, also for an int or 0-d z
     np.exp(np.negative(e, out=e), out=e)
     p = np.maximum(e, z >= 0, out=np.empty(np.shape(z)))  # 1 where z >= 0, e elsewhere
-    den = e + 1.0
+    den = np.add(e, 1.0, out=np.empty(np.shape(z)))  # an array the max below can fill
     p /= den
     if y is None:
         return p, None

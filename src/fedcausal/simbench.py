@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FedcausalError, ScenarioError
-from .federation import GlobalReport
+from .federation import ADAPTIVE_METHODS, GlobalReport, check_adaptive_sources
 from .fedruntime import METHODS, ProtocolConfig, combine, run_sites, run_transport
 from .nuisance import FeatureMap, kang_schafer
 from .numkit import expit
@@ -330,20 +330,19 @@ def replication_reports(scenario: ScenarioSpec, methods, seed: int,
     again, and fails the same way, for each method that would share it.
     """
     frames = replication_frames(scenario, seed, rep)
-    cfg_seed = rep_config_seed(seed, rep)
-    configs = [method_config(method, scenario, seed=cfg_seed) for method in methods]
+    groups = [method_config(method, scenario).candidates for method in methods]
     reports: dict[str, GlobalReport] = {}
     try:
-        transport = run_transport(frames, cfg_seed, methods)
+        transport = run_transport(frames, rep_config_seed(seed, rep), methods)
     except FedcausalError as exc:
         return reports, dict.fromkeys(methods, exc)
     failed: dict[str, FedcausalError] = {}
     phases: dict = {}  # candidate groups -> site phase
-    for method, config in zip(methods, configs):
-        key = repr(config.candidates)
+    for method, candidates in zip(methods, groups):
+        key = repr(candidates)
         try:
             if key not in phases:
-                phases[key] = run_sites(transport, config)
+                phases[key] = run_sites(transport, candidates)
             reports[method] = combine(phases[key], method)
         except FedcausalError as exc:
             failed[method] = exc
@@ -373,8 +372,11 @@ def run_scenario(
 ) -> SimulationResult:
     """Run the full Monte Carlo study.
 
-    Aborts with :class:`ScenarioError` if more than 1 percent of replications
-    fail for any method. Replication rows are aggregated in replication order.
+    An adaptive method over more than ``federation.MAX_SOURCES`` sources
+    raises :class:`TooManySources` before any replication runs. Aborts with
+    :class:`ScenarioError`, naming the first failed replication and its
+    reason, if more than 1 percent of replications fail for any method.
+    Replication rows are aggregated in replication order.
     """
     methods = tuple(methods)
     if not methods or len(set(methods)) != len(methods):
@@ -384,20 +386,24 @@ def run_scenario(
             raise ScenarioError(f"unknown method {m!r}")
     if reps < 1:
         raise ScenarioError("reps must be positive")
+    if any(m in ADAPTIVE_METHODS for m in methods):
+        check_adaptive_sources(sum(site.role == "source" for site in scenario.sites))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         outcomes = [run_replication(scenario, methods, seed, rep) for rep in range(reps)]
 
     result = SimulationResult(methods=methods, true_delta=scenario.true_delta)
-    for rows, failed in outcomes:
+    first: dict[str, str] = {}  # method -> its first failure
+    for rep, (rows, failed) in enumerate(outcomes):
         result.rows.extend(rows)
         for method, reason in failed.items():
             result.failures[method] = result.failures.get(method, 0) + 1
+            first.setdefault(method, f"replication {rep}: {reason}")
     for method, count in result.failures.items():
         if count / reps > FAILURE_FRACTION_LIMIT:
             raise ScenarioError(
                 f"method {method} failed in {count}/{reps} replications "
-                f"(limit {FAILURE_FRACTION_LIMIT:.0%})"
+                f"(limit {FAILURE_FRACTION_LIMIT:.0%}); first in {first[method]}"
             )
     return result

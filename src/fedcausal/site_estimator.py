@@ -96,6 +96,11 @@ class SiteFrame:
 CV_SPLITS = 5
 
 
+def site_split_seed(seed: int, site_id: str) -> int:
+    """Deterministic per-site seed for the train/validation split."""
+    return (int(seed) * 1_000_003 + zlib.crc32(site_id.encode("utf-8"))) % (2**31)
+
+
 def split_masks(n: int, seed: int, site_id: str) -> np.ndarray:
     """Fit-half membership of a site's units in each of the ``CV_SPLITS``
     cross-validation splits.

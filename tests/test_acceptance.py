@@ -15,7 +15,7 @@ from scipy import optimize
 from fedcausal import federation
 from fedcausal.density_ratio import TiltCoefficients, solve_tilt, target_moments
 from fedcausal.federation import cross_validate_lambda, global_estimate
-from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round, site_split_seed
+from fedcausal.fedruntime import ProtocolConfig, audit_ledger, run_round
 from fedcausal.nuisance import FeatureMap, fit_nuisances
 from fedcausal.numkit import add_intercept, expit, nnls_coordinate_descent
 from fedcausal.simbench import generate_site, load_scenario, method_config, run_scenario
@@ -24,6 +24,7 @@ from fedcausal.site_estimator import (
     SiteFrame,
     complete_source_estimate,
     estimate_target,
+    site_split_seed,
     source_report,
     split_masks,
 )

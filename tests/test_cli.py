@@ -74,8 +74,31 @@ def test_simulate_exits_3_when_the_study_aborts(tmp_path, capsys, monkeypatch):
                  "--reps", "2", "--out", str(out)])
     assert code == EXIT_RUNTIME
     assert capsys.readouterr().err == ("error: method target failed in 1/2 replications "
-                                       "(limit 1%)\n")
+                                       "(limit 1%); first in replication 0: "
+                                       "NoConvergence: forced\n")
     assert list(out.iterdir()) == []
+
+
+def test_simulate_exits_3_when_an_adaptive_study_has_too_many_sources(tmp_path, capsys,
+                                                                      monkeypatch):
+    # The study checks the source count before replication 0, so no tilt is
+    # solved and no file is written.
+    site = {"n": 150, "skew": [0.0, 0.0, 0.0, 0.0], "dgp": "x"}
+    spec = {"name": "wide", "mismatch": False, "true_delta": 0.0,
+            "sites": [{"id": "t", "role": "target", **site}]
+            + [{"id": f"s{k}", "role": "source", **site} for k in range(MAX_SOURCES + 1)]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    tilts = []
+    solve = fedruntime.solve_tilt
+    monkeypatch.setattr(fedruntime, "solve_tilt", lambda *args: tilts.append(1) or solve(*args))
+    out = tmp_path / "run"
+    code = main(["simulate", "--scenario", str(path), "--methods", "ivw,mr_l1",
+                 "--reps", "5", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: adaptive weights take at most {MAX_SOURCES} sources, got 11\n")
+    assert tilts == [] and list(out.iterdir()) == []
 
 
 def test_simulate_transcript_round_error_is_reported(tmp_path, capsys, monkeypatch):
@@ -112,7 +135,7 @@ def test_simulate_transcript_is_the_study_round_of_its_first_method(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = fedruntime.combine(
-            fedruntime.run_sites(transport, method_config("ivw", scenario, seed=seed)), "ivw")
+            fedruntime.run_sites(transport, method_config("ivw", scenario).candidates), "ivw")
     assert json.loads(report.privacy_ledger[0].payload_text)["cv_splits"] == 5
     logged = [json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()]
     assert [r["digest"] for r in logged] == [r.payload_digest for r in report.privacy_ledger]

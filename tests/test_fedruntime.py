@@ -31,7 +31,6 @@ from fedcausal.fedruntime import (
     run_round,
     run_sites,
     run_transport,
-    site_split_seed,
 )
 from fedcausal.nuisance import MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit
@@ -42,6 +41,7 @@ from fedcausal.site_estimator import (
     SourceSiteReport,
     complete_source_estimate,
     estimate_target,
+    site_split_seed,
     source_report,
     split_masks,
 )
@@ -167,7 +167,7 @@ def test_one_site_phase_combines_under_each_scheme():
     # count and the fit-half sums added.
     frames = _make_frames(seed=7)
     methods = ("mr_l1", "ivw", "target")
-    sites = run_sites(run_transport(frames, 2, methods), _config("ivw", seed=2))
+    sites = run_sites(run_transport(frames, 2, methods), _config("ivw", seed=2).candidates)
     for method in methods:
         shared, alone = combine(sites, method), run_round(frames, _config(method, seed=2))
         assert shared.delta_hat == alone.delta_hat
@@ -195,16 +195,8 @@ def test_run_round_is_transport_then_sites_then_combine():
         for source in (_group(FeatureMap("raw")),
                        _group(FeatureMap("raw"), FeatureMap("subset", (0,)))):
             config = _config(method, seed=5, source=source)
-            sites = run_sites(transport, config)
+            sites = run_sites(transport, config.candidates)
             assert combine(sites, method).to_json() == run_round(frames, config).to_json()
-
-
-def test_a_config_runs_only_on_a_transport_of_its_seed():
-    # Every site's CV folds are drawn with the transport's seed, and the
-    # nuisance splits with the config's: they must agree.
-    transport = run_transport(_make_frames(), 1, METHODS)
-    with pytest.raises(ValueError, match="config seed 2 differs from the transport seed 1"):
-        run_sites(transport, _config("ivw", seed=2))
 
 
 def test_the_site_phase_reads_no_weighting_scheme():
@@ -213,7 +205,7 @@ def test_the_site_phase_reads_no_weighting_scheme():
     # every fixed scheme as a phase of the same candidates from an ivw config.
     transport = run_transport(_make_frames(seed=3), 5, ("ivw",))
     two = _group(FeatureMap("raw"), FeatureMap("subset", (0,)))
-    adaptive, fixed = (run_sites(transport, _config(method, seed=5, source=two))
+    adaptive, fixed = (run_sites(transport, _config(method, seed=5, source=two).candidates)
                        for method in ("mr_l1", "ivw"))
     for method in FIXED_SCHEMES:
         report = combine(adaptive, method)
@@ -224,7 +216,8 @@ def test_the_site_phase_reads_no_weighting_scheme():
 def test_combine_reports_the_site_phase_ledger():
     # The combine step sends nothing: every report carries the site phase's
     # transcript, as its own list.
-    sites = run_sites(run_transport(_make_frames(seed=7), 2, METHODS), _config("ivw", seed=2))
+    sites = run_sites(run_transport(_make_frames(seed=7), 2, METHODS),
+                      _config("ivw", seed=2).candidates)
     logged = list(sites.ledger)
     assert [r.kind for r in logged][:2] == ["config", "moment_summary"]
     for method in METHODS:
@@ -248,7 +241,7 @@ def test_the_transport_draws_the_target_folds_and_combine_draws_none(monkeypatch
     transport = run_transport(frames, config.seed, (config.method,))
     assert sorted(fold_seeds) == [(5, "site0"), (5, "site1"), (5, "site2")]
     assert np.array_equal(transport.target_folds, split_masks(150, 5, "site0"))
-    sites = run_sites(transport, config)
+    sites = run_sites(transport, config.candidates)
     # The target's moments are summed over those folds: every Z column but xi.
     W = np.column_stack([transport.target_centered / 150, np.full(150, 150**-0.5)])
     blocks = [W[rows].T @ W[rows] for rows in transport.target_folds] + [W.T @ W]
@@ -312,7 +305,7 @@ def test_fixed_schemes_do_not_read_the_folds(preset):
     config = method_config("ivw", scenario, seed=rep_config_seed(0, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        phases = [run_sites(run_transport(frames, config.seed, methods), config)
+        phases = [run_sites(run_transport(frames, config.seed, methods), config.candidates)
                   for methods in (METHODS, FIXED_SCHEMES)]
     assert [len(phase.estimates[0].moments) for phase in phases] == [CV_SPLITS + 1, 1]
     for method in FIXED_SCHEMES:
@@ -324,7 +317,8 @@ def test_fixed_schemes_do_not_read_the_folds(preset):
 
 
 def test_an_adaptive_combine_needs_a_phase_with_folds():
-    sites = run_sites(run_transport(_make_frames(seed=3), 5, ("ivw",)), _config("ivw", seed=5))
+    sites = run_sites(run_transport(_make_frames(seed=3), 5, ("ivw",)),
+                      _config("ivw", seed=5).candidates)
     for method in ADAPTIVE_METHODS:
         with pytest.raises(ValueError, match=f"site site0 summarizes 0 splits, expected "
                                              f"{CV_SPLITS}"):
@@ -342,7 +336,8 @@ def test_effective_method_follows_the_candidates_the_phase_ran():
         assert len(config.candidates["source"]["outcome"]) == maps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sites = run_sites(run_transport(frames, config.seed, ADAPTIVE_METHODS), config)
+            sites = run_sites(run_transport(frames, config.seed, ADAPTIVE_METHODS),
+                              config.candidates)
             reports = [combine(sites, method) for method in ADAPTIVE_METHODS]
         assert [r.diagnostics["effective_method"] for r in reports] == [ran, ran]
         assert reports[0].delta_hat == reports[1].delta_hat
@@ -488,7 +483,7 @@ def test_target_group_stays_with_the_coordinator():
     fit = fit_nuisances(target.site_id, target.X, target.y, target.a, [own], [own],
                         seed=site_split_seed(4, target.site_id))
     transport = run_transport(frames, config.seed, (config.method,))
-    sites = run_sites(transport, config)
+    sites = run_sites(transport, config.candidates)
     assert sites.estimates[0].mu == estimate_target(
         target, fit, transport.target_centered, transport.target_folds).mu
     assert report.delta_hat != run_round(frames, _config("ivw", seed=4)).delta_hat
@@ -1117,7 +1112,7 @@ def test_no_site_estimate_grows_with_the_sample_sizes():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sites = run_sites(run_transport(replication_frames(spec, 0, 0), config.seed,
-                                            (config.method,)), config)
+                                            (config.method,)), config.candidates)
         assert len(sites.estimates) == len(spec.sites)
         shapes.append([_array_shapes(est) for est in sites.estimates])
     assert all(shapes[0]) and shapes[0] == shapes[1]

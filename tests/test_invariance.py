@@ -60,7 +60,7 @@ def _rounds(frames, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = _config("ivw", seed)
-        sites = run_sites(run_transport(frames, config.seed, METHODS), config)
+        sites = run_sites(run_transport(frames, config.seed, METHODS), config.candidates)
         return {m: combine(sites, m) for m in METHODS}
 
 

@@ -116,7 +116,8 @@ def _bits(a):
 def test_logistic_is_bitwise_the_out_of_place_formula(n):
     # The in-place kernel against the expressions it replaced, at signed
     # zeros, infinities, NaN and -800 (where e underflows) too, and on an int
-    # z; expit also on a 0-d z, for which it returns a 0-d array.
+    # z; expit also on a 0-d z, for which it returns a 0-d array, and the
+    # log-likelihood at a 0-d z is that of its 1-element array.
     rng = np.random.default_rng(n)
     z = 40.0 * rng.standard_normal(n)
     edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -800.0, -750.0, 750.0]
@@ -132,11 +133,13 @@ def test_logistic_is_bitwise_the_out_of_place_formula(n):
             assert np.array_equal(_bits(units),
                                   _bits(yy * zz - np.maximum(zz, 0.0) - np.log1p(e)))
             assert np.array_equal(_bits(expit(zz)), _bits(p))
-    for z0 in (np.asarray(z[0]), np.asarray(z[-1]), 0.5, -3):
+    for z0 in (np.asarray(z[0]), np.asarray(z[-1]), np.float64(0.7), 0.5, -3):
         p0 = expit(z0)
         e = np.exp(-np.abs(z0))
         assert type(p0) is np.ndarray and p0.ndim == 0
         assert _bits(p0) == _bits(np.where(np.asarray(z0) >= 0, 1.0, e) / (1.0 + e))
+        assert _bits(logistic_loglik(z0, 1.0)) == _bits(logistic_loglik(np.reshape(z0, 1),
+                                                                        np.ones(1))[0])
 
 
 def _irls_reference(X, y):
@@ -501,6 +504,15 @@ def test_nnls_rejects_non_finite_input():
     for g, gtr, penalties in cases:
         with pytest.raises(ValueError, match="finite"):
             nnls_coordinate_descent(g, gtr, penalties)
+
+
+def test_nnls_rejects_a_result_that_fails_the_kkt_conditions():
+    # An indefinite Gram matrix, which no real G gives: each one-column
+    # support leaves the other column's gradient at +4, the two-column
+    # stationary point is negative, and eta = 0 leaves a gradient of +1, so
+    # no support passes the optimality check.
+    with pytest.raises(NoConvergence, match="fails the KKT conditions"):
+        nnls_coordinate_descent(np.array([[1.0, -3.0], [-3.0, 1.0]]), np.ones(2), np.zeros(2))
 
 
 def test_nnls_cheaper_of_two_dependent_columns_takes_the_weight():

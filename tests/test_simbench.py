@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from fedcausal import federation, fedruntime, nuisance, simbench, site_estimator
-from fedcausal.errors import CandidateFitWarning, ConvergenceWarning, NoConvergence, ScenarioError
-from fedcausal.federation import FIXED_SCHEMES
+from fedcausal.errors import (CandidateFitWarning, ConvergenceWarning, NoConvergence,
+                              ScenarioError, TooManySources)
+from fedcausal.federation import FIXED_SCHEMES, MAX_SOURCES
 from fedcausal.fedruntime import METHODS
 from fedcausal.nuisance import FeatureMap
 from fedcausal.numkit import standardized_design
@@ -301,8 +302,30 @@ def test_run_scenario_aborts_above_the_failure_limit(monkeypatch):
         [], {"target": "NoConvergence: forced"} if rep == 0 else {}))
     assert run_scenario(_small_scenario(), reps=100).failures == {"target": 1}
     with pytest.raises(ScenarioError, match=r"^method target failed in 1/99 replications "
-                                            r"\(limit 1%\)$"):
+                                            r"\(limit 1%\); first in replication 0: "
+                                            r"NoConvergence: forced$"):
         run_scenario(_small_scenario(), reps=99)
+
+
+def test_an_adaptive_study_over_too_many_sources_fails_before_any_replication(monkeypatch):
+    # The adaptive weights take at most MAX_SOURCES sources, so the study
+    # fails before it solves a tilt; a fixed scheme over the same sites runs.
+    base = _small_scenario()
+    sources = tuple(dataclasses.replace(base.sites[1], id=f"s{k}")
+                    for k in range(MAX_SOURCES + 1))
+    scenario = ScenarioSpec(name="wide", sites=(base.sites[0],) + sources)
+    tilts = []
+    solve = fedruntime.solve_tilt
+    monkeypatch.setattr(fedruntime, "solve_tilt",
+                        lambda *args: tilts.append(1) or solve(*args))
+    with pytest.raises(TooManySources, match=f"^adaptive weights take at most {MAX_SOURCES} "
+                                             f"sources, got {MAX_SOURCES + 1}$"):
+        run_scenario(scenario, methods=("ivw", "mr_l1"), reps=5)
+    assert tilts == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_scenario(scenario, methods=("ivw",), reps=1).failures == {}
+    assert len(tilts) == MAX_SOURCES + 1
 
 
 def test_run_scenario_same_seed_same_rows():
@@ -364,10 +387,10 @@ def test_a_failed_site_phase_fails_every_method_that_shares_it(monkeypatch):
     scenario = _small_scenario()
     inner = simbench.run_sites
 
-    def failing(frames, config):
-        if config.candidates["source"]["outcome"] == [FeatureMap("raw")]:
+    def failing(frames, candidates):
+        if candidates["source"]["outcome"] == [FeatureMap("raw")]:
             raise NoConvergence("forced failure")
-        return inner(frames, config)
+        return inner(frames, candidates)
 
     monkeypatch.setattr(simbench, "run_sites", failing)
     with warnings.catch_warnings():

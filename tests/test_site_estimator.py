@@ -415,7 +415,7 @@ def test_run_transport_checks_the_weights_it_solves():
                     "source": {"treatment": past, "outcome": past}})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        phase = fedruntime.run_sites(transport, config)
+        phase = fedruntime.run_sites(transport, config.candidates)
     assert phase.failures["src"].startswith("MissingColumns: ")
     assert _weight_warnings(caught) == []
 
@@ -430,7 +430,7 @@ def test_two_site_phases_on_one_transport_warn_once_per_source():
             config = fedruntime.ProtocolConfig(
                 candidates={"target": {"treatment": raw, "outcome": raw},
                             "source": {"treatment": maps, "outcome": maps}})
-            assert fedruntime.run_sites(transport, config).failures == {}
+            assert fedruntime.run_sites(transport, config.candidates).failures == {}
     weight_warnings = _weight_warnings(caught)
     assert len(weight_warnings) == 1 and weight_warnings[0].startswith("site src: ")
 
@@ -619,7 +619,7 @@ def test_contributions_match_a_jackknife(seed):
 
         def target_estimate(frame):
             transport = fedruntime.run_transport([frame], config.seed)
-            return fedruntime.run_sites(transport, config).estimates[0]
+            return fedruntime.run_sites(transport, config.candidates).estimates[0]
 
         est = target_estimate(tgt)
         loo = np.array([np.subtract(*target_estimate(_without(tgt, i)).mu[::-1])
