@@ -91,10 +91,12 @@ def solve_tilt(source_V: np.ndarray, target_summary: MomentSummary) -> TiltCoeff
                              f"covariate means, the source has {d - 1} shared covariates")
     tgt = np.concatenate(([1.0], target_summary.mean_v))
 
-    last = {}  # the last trial gamma, its weights and residual
+    # The last trial gamma, by identity, with its weights and residual:
+    # newton_solve asks for the Jacobian only at the array it evaluated last.
+    last = {}
 
     def residual(gamma):
-        if not np.array_equal(last.get("gamma"), gamma):
+        if gamma is not last.get("gamma"):
             weights = psi @ gamma
             np.exp(np.negative(weights, out=weights), out=weights)
             last.update(gamma=gamma, weights=weights, r=tgt - psi.T @ weights / n_k)

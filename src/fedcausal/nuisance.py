@@ -141,13 +141,16 @@ def split_data(n: int, seed: int | np.random.SeedSequence) -> tuple[np.ndarray, 
 def _log_softmax_weights(cum_log_risk: np.ndarray) -> np.ndarray:
     """Average per-unit softmax weights from cumulative log-scores.
 
-    ``cum_log_risk`` has shape (n_val, J): row i holds each candidate's
+    ``cum_log_risk`` has shape (J, n_val): column i holds each candidate's
     cumulative log-likelihood (or negative scaled squared error) over
-    validation units strictly before i; row 0 is all zeros so the first unit
-    weight is uniform.
+    validation units strictly before i; column 0 is all zeros so the first
+    unit weight is uniform. The max is taken over the candidate axis; the
+    per-unit sums and the unit mean run on a C-order (n_val, J) copy, whose
+    reductions fix the summation order (numpy sums a contiguous row of 8
+    candidates pairwise, a column of the block in sequence).
     """
-    shifted = cum_log_risk - cum_log_risk.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
+    w = cum_log_risk - cum_log_risk.max(axis=0)
+    w = np.ascontiguousarray(np.exp(w, out=w).T)
     w /= w.sum(axis=1, keepdims=True)
     return w.mean(axis=0)
 
@@ -198,24 +201,23 @@ def _mix(
             raise TooFewUnits("all candidates failed to fit")
         return np.ones(1), link(design @ beta)
     train_idx, val_idx = (rows[idx] for idx in split_data(len(rows), seed))
+    y_train, y_rows, y_val = y[train_idx], y[rows], y[val_idx]
 
-    # Per-unit validation log scores and full-sample coefficients of each
-    # candidate that fits.
-    scores, coefficients = [], {}
+    # Per-unit validation log scores, one row per candidate that fits, and
+    # full-sample coefficients of each.
+    scores, coefficients = np.empty((len(maps), len(val_idx))), {}
     for j, fm in enumerate(maps):
         design = designs[fm]
-        train_beta = _fit_or_warn(site_id, fm, fit_one, take_rows(design, train_idx),
-                                  y[train_idx])
+        train_beta = _fit_or_warn(site_id, fm, fit_one, take_rows(design, train_idx), y_train)
         beta = None if train_beta is None else _fit_or_warn(
-            site_id, fm, fit_one, take_rows(design, rows), y[rows], start=train_beta)
+            site_id, fm, fit_one, take_rows(design, rows), y_rows, start=train_beta)
         if beta is not None:
+            scores[len(coefficients)] = log_score(take_rows(design, val_idx) @ train_beta, y_val)
             coefficients[j] = beta
-            scores.append(log_score(take_rows(design, val_idx) @ train_beta, y[val_idx]))
     if not coefficients:
         raise TooFewUnits("all candidates failed to fit")
-    scores = np.column_stack(scores)
-    cum = np.zeros_like(scores)
-    cum[1:] = np.cumsum(scores[:-1], axis=0)
+    cum = np.zeros((len(coefficients), len(val_idx)))
+    np.cumsum(scores[:len(coefficients), :-1], axis=1, out=cum[:, 1:])
     weights = np.zeros(len(maps))
     weights[list(coefficients)] = _log_softmax_weights(cum)
     weights /= weights.sum()

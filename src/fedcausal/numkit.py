@@ -103,10 +103,11 @@ def _logistic(z: np.ndarray, y: np.ndarray | None) -> tuple[np.ndarray, np.ndarr
     y z - max(z, 0) - log1p(e) of ``y`` at linear predictor ``z``, both from
     one e = exp(-|z|), so exp never overflows: expit is 1 / (1 + e) for
     z >= 0 and e / (1 + e) otherwise."""
-    e = np.abs(z, out=np.empty(np.shape(z)))  # a float array, also for an int or 0-d z
+    shape = np.shape(z)
+    e = np.abs(z, out=np.empty(shape))  # a float array, also for an int or 0-d z
     np.exp(np.negative(e, out=e), out=e)
-    p = np.maximum(e, z >= 0, out=np.empty(np.shape(z)))  # 1 where z >= 0, e elsewhere
-    den = np.add(e, 1.0, out=np.empty(np.shape(z)))  # an array the max below can fill
+    p = np.maximum(e, z >= 0, out=np.empty(shape))  # 1 where z >= 0, e elsewhere
+    den = np.add(e, 1.0, out=np.empty(shape))  # an array the max below can fill
     p /= den
     if y is None:
         return p, None
@@ -180,14 +181,17 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearFit:
     if X.ndim != 2 or X.shape[0] < X.shape[1]:
         raise TooFewUnits(f"need rows >= cols, got shape {X.shape}")
     XtX, d = gram(X), X.shape[1]
+    k = 1 if y.ndim == 1 else y.shape[1]
+    rhs = np.eye(d, d + k, k)  # [0 | I], its first k columns filled with X'y
+    rhs[:, :k] = (X.T @ y).reshape(d, k)
     try:
-        sol = np.linalg.solve(XtX, np.column_stack((X.T @ y, np.eye(d))))
+        sol = np.linalg.solve(XtX, rhs)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient("singular cross-products X'X") from exc
-    vif = np.abs(np.diagonal(XtX) * np.diagonal(sol[:, -d:]))
+    vif = np.abs(XtX.diagonal() * sol.diagonal(k))  # sol.diagonal(k): that of the I block
     if not (vif <= MAX_VIF).all():  # also rejects NaN
         raise RankDeficient(f"variance inflation {vif.max():.3e} above MAX_VIF {MAX_VIF:.0e}")
-    return LinearFit(coefficients=sol[:, :-d].reshape((d,) + y.shape[1:]))
+    return LinearFit(coefficients=sol[:, :k].reshape((d,) + y.shape[1:]))
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) -> LinearFit:
@@ -207,7 +211,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) 
     Raises
     ------
     TooFewUnits
-        If ``y`` is constant.
+        If ``y`` is constant or empty.
     RankDeficient
         If the design holds a non-finite value, checked before the first
         iteration.
@@ -220,22 +224,23 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) 
     y = np.asarray(y, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y must be binary 0/1")
-    if y.min() == y.max():
-        raise TooFewUnits("response is constant; both classes required")
+    if y.size == 0 or y.min() == y.max():
+        raise TooFewUnits("response is constant or empty; both classes required")
 
     n, d = X.shape
+    Xt = X.T
     beta = np.zeros(d) if start is None else np.asarray(start, dtype=float)
     p, units = _logistic(X @ beta, y)
-    ll = float(units.sum())
-    weighted = np.empty_like(X.T)  # X' scaled by w, rewritten by each iteration
+    ll = units.sum()
+    weighted = np.empty_like(Xt)  # X' scaled by w, rewritten by each iteration
     for it in range(1, IRLS_MAX_ITER + 1):
-        grad = X.T @ (y - p) / n
-        if np.max(np.abs(grad)) <= IRLS_TOL:
+        grad = Xt @ (y - p) / n
+        if abs(grad).max() <= IRLS_TOL:
             return LinearFit(coefficients=beta, converged=True, iterations=it - 1)
         w = 1.0 - p
         w *= p
         np.maximum(w, 1e-10, out=w)
-        hess = np.multiply(X.T, w, out=weighted) @ X / n
+        hess = np.multiply(Xt, w, out=weighted) @ X / n
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
@@ -244,7 +249,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, start: np.ndarray | None = None) 
         for _halving in range(MAX_HALVINGS + 1):
             cand = beta + alpha * step
             p_new, units = _logistic(X @ cand, y)
-            ll_new = float(units.sum())
+            ll_new = units.sum()
             if ll_new >= ll:  # False for NaN
                 # The accepted candidate's probabilities start the next iteration.
                 beta, p, ll = cand, p_new, ll_new
@@ -276,7 +281,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     r = np.atleast_1d(residual(x))
-    nr = np.max(np.abs(r))
+    nr = abs(r).max()
     if not np.isfinite(nr):
         raise NoConvergence("residual not finite at starting point")
     for _ in range(NEWTON_MAX_ITER):
@@ -293,7 +298,7 @@ def newton_solve(residual, jacobian, x0: np.ndarray) -> np.ndarray:
         for _halving in range(MAX_HALVINGS + 1):
             x_new = x - alpha * step
             r_new = np.atleast_1d(residual(x_new))
-            nr_new = np.max(np.abs(r_new))
+            nr_new = abs(r_new).max()
             if np.isfinite(nr_new) and nr_new < nr:
                 x, r, nr = x_new, r_new, nr_new
                 break

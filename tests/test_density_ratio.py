@@ -104,18 +104,53 @@ def _tilt_with_separate_closures(V, summary):
             jacobian(gamma))
 
 
-def test_solve_tilt_equals_separate_residual_and_jacobian():
-    rng = np.random.default_rng(43)
+def _assert_tilts_are_bitwise(reference, seed):
+    """solve_tilt's gamma, residual norm, weights and Jacobian equal those of
+    ``reference`` on 30 random source/target pairs."""
+    rng = np.random.default_rng(seed)
     for _ in range(30):
         d = rng.integers(1, 4)
         V_src = rng.standard_normal((int(rng.integers(50, 400)), d))
         summary = target_moments(rng.standard_normal((300, d)) + rng.uniform(-1.0, 1.0, d))
-        gamma, residual_norm, weights, B = _tilt_with_separate_closures(V_src, summary)
+        gamma, residual_norm, weights, B = reference(V_src, summary)
         tilt = solve_tilt(V_src, summary)
         assert np.array_equal(tilt.gamma, gamma)
         assert tilt.residual_norm == residual_norm
         assert np.array_equal(tilt.weights, weights)
         assert np.array_equal(tilt.jacobian, B)
+
+
+def test_solve_tilt_equals_separate_residual_and_jacobian():
+    _assert_tilts_are_bitwise(_tilt_with_separate_closures, 43)
+
+
+def _tilt_with_an_equality_memo(V, summary):
+    """The tilt solve whose residual memo compares each trial gamma by value;
+    returns gamma, the residual norm, the weights and the Jacobian at gamma."""
+    psi = add_intercept(V)
+    n_k = len(psi)
+    tgt = np.concatenate(([1.0], summary.mean_v))
+    last = {}
+
+    def residual(gamma):
+        if not np.array_equal(last.get("gamma"), gamma):
+            weights = np.exp(-(psi @ gamma))
+            last.update(gamma=gamma, weights=weights, r=tgt - psi.T @ weights / n_k)
+        return last["r"]
+
+    def jacobian(gamma):
+        residual(gamma)
+        return (psi * last["weights"][:, None]).T @ psi / n_k
+
+    gamma = newton_solve(residual, jacobian, np.zeros(psi.shape[1]))
+    B = jacobian(gamma)
+    return gamma, float(np.max(np.abs(last["r"]))), last["weights"], B
+
+
+def test_solve_tilt_is_bitwise_the_equality_memo():
+    # The memo keyed by the identity of the trial gamma evaluates the same
+    # points as one keyed by its value.
+    _assert_tilts_are_bitwise(_tilt_with_an_equality_memo, 44)
 
 
 def test_tilt_basis_is_column_major(monkeypatch):

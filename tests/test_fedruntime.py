@@ -199,20 +199,6 @@ def test_run_round_is_transport_then_sites_then_combine():
             assert combine(sites, method).to_json() == run_round(frames, config).to_json()
 
 
-def test_the_site_phase_reads_no_weighting_scheme():
-    # A config's method stays with the coordinator, so an adaptive config
-    # runs on a transport that drew no folds, and its phase combines under
-    # every fixed scheme as a phase of the same candidates from an ivw config.
-    transport = run_transport(_make_frames(seed=3), 5, ("ivw",))
-    two = _group(FeatureMap("raw"), FeatureMap("subset", (0,)))
-    adaptive, fixed = (run_sites(transport, _config(method, seed=5, source=two).candidates)
-                       for method in ("mr_l1", "ivw"))
-    for method in FIXED_SCHEMES:
-        report = combine(adaptive, method)
-        assert report.to_json() == combine(fixed, method).to_json()
-        assert report.privacy_ledger == fixed.ledger
-
-
 def test_combine_reports_the_site_phase_ledger():
     # The combine step sends nothing: every report carries the site phase's
     # transcript, as its own list.

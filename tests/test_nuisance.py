@@ -301,6 +301,51 @@ def test_mix_outcome_log_space_no_overflow():
     assert np.all(weights >= 0.0)
 
 
+def _unit_major_weights(scores):
+    """The mixing weights of per-candidate validation scores, computed from
+    their column-stacked (n_val, J) cumulative sums."""
+    scores = np.column_stack(list(scores))
+    cum = np.zeros_like(scores)
+    cum[1:] = np.cumsum(scores[:-1], axis=0)
+    shifted = cum - cum.max(axis=1, keepdims=True)
+    w = np.exp(shifted)
+    w /= w.sum(axis=1, keepdims=True)
+    return w.mean(axis=0)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 8])
+def test_mixing_weights_are_bitwise_the_unit_major_formula(J):
+    # The (J, n_val) score block, its cumulative sums formed along rows,
+    # gives the weights of the column-stacked (n_val, J) scores bit for bit.
+    rng = np.random.default_rng(J)
+    for n_val in (2, 3, 9, 151, 400, 1001):
+        scores = -rng.uniform(0.0, 3.0, (J, n_val)) * rng.uniform(0.01, 2.0, (J, 1))
+        cum = np.zeros((J, n_val))
+        np.cumsum(scores[:, :-1], axis=1, out=cum[:, 1:])
+        assert np.array_equal(nuisance._log_softmax_weights(cum), _unit_major_weights(scores))
+
+
+def test_mix_outcome_weights_are_bitwise_the_unit_major_formula():
+    # Eight candidates, the protocol's most, of nearly equal risk: the mixed
+    # weights are the normalized weights of the column-stacked scores of the
+    # same train-half fits.
+    rng = np.random.default_rng(31)
+    n = 400
+    X = rng.standard_normal((n, 4))
+    y = 0.05 * X[:, 0] + rng.standard_normal(n)
+    maps = [FeatureMap("raw"), *(FeatureMap("subset", c) for c in
+                                 ((0,), (1,), (2,), (3,), (0, 1), (1, 2), (0, 3)))]
+    designs = _designs(X, maps)
+    weights, _ = mix_outcome("s0", designs, y, np.ones(n, dtype=int), 1, maps, seed=32)
+    train, val = split_data(n, 32)
+    scores = [-default_kappa(8) * (y[val] - take_rows(designs[fm], val)
+                                   @ fit_ols(take_rows(designs[fm], train), y[train]).coefficients)
+              ** 2 for fm in maps]
+    expected = _unit_major_weights(scores)
+    assert weights.min() > 1e-3
+    assert np.array_equal(weights, expected / expected.sum())
+
+
 def test_failed_candidate_gets_zero_weight():
     rng = np.random.default_rng(4)
     n = 400

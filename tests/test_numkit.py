@@ -293,6 +293,19 @@ def test_fit_ols_many_responses_match_column_fits():
         fit_ols(X, Y)
 
 
+@pytest.mark.parametrize("k", [None, 2])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_fit_ols_is_bitwise_the_column_stacked_solve(k, order):
+    # [X'y | I] filled into one eye, against the column-stacked system, for a
+    # (n,) and a (n, 2) response.
+    rng = np.random.default_rng(11)
+    X = np.array(add_intercept(rng.standard_normal((300, 3)) + [0.5, -1.0, 2.0]), order=order)
+    y = rng.standard_normal(300 if k is None else (300, k))
+    d = X.shape[1]
+    sol = np.linalg.solve(gram(X), np.column_stack((X.T @ y, np.eye(d))))
+    assert np.array_equal(fit_ols(X, y).coefficients, sol[:, :-d].reshape((d,) + y.shape[1:]))
+
+
 def test_take_rows_is_a_column_major_gather():
     rng = np.random.default_rng(4)
     X = add_intercept(rng.standard_normal((30, 2)))
@@ -352,9 +365,12 @@ def test_fit_logistic_warm_start():
 
 
 def test_fit_logistic_missing_class():
+    # A response of one class, or of no units, is too few units to fit.
     X = add_intercept(np.random.default_rng(3).standard_normal((30, 2)))
     with pytest.raises(TooFewUnits):
         fit_logistic(X, np.ones(30))
+    with pytest.raises(TooFewUnits):
+        fit_logistic(X[:0], np.ones(0))
 
 
 def _logistic_data():

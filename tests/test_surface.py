@@ -1,6 +1,6 @@
 """The package keeps no public function that only tests call, each one
 referenced by package code outside its own definition, no module import
-that its module never uses, and no import of another module's private name."""
+that its module never uses, and no use of another module's private name."""
 
 import ast
 from pathlib import Path
@@ -55,18 +55,56 @@ def test_every_module_import_is_used():
     assert unused == []
 
 
+def _is_private(name):
+    # A dunder such as __version__ is not private.
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_uses(tree):
+    """Private names ``tree`` takes from another module: ``from x import _y``,
+    a private module in ``import a._b`` or ``from a._b import c``, and an
+    attribute chain such as ``np.linalg._umath_linalg`` that starts at a name
+    an import bound."""
+    imported, private = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        from_import = isinstance(node, ast.ImportFrom)
+        modules = [node.module or ""] if from_import else [alias.name for alias in node.names]
+        private += [m for m in modules if any(map(_is_private, m.split(".")))]
+        private += [alias.name for alias in node.names if from_import and _is_private(alias.name)]
+        imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                private.append(ast.unparse(node))
+    return private
+
+
 def test_no_module_imports_a_private_name():
-    # A name one module shares with another is public; a dunder such as
-    # __version__ is not private.
-    private = [
-        f"{path.name}:{alias.name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.name.startswith("_") and not alias.name.startswith("__")
-    ]
+    # A name one module shares with another is public.
+    private = [f"{path.name}:{name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in _private_uses(ast.parse(path.read_text(encoding="utf-8")))]
     assert private == []
+
+
+def test_the_private_name_rule_sees_imports_and_attributes():
+    source = """
+import numpy as np
+import numpy.linalg._umath_linalg
+from numpy import _core
+from numpy._core import numeric
+from .numkit import _logistic, __version__
+solve = np.linalg._umath_linalg.solve
+local = {}
+local._ok = 1
+"""
+    assert _private_uses(ast.parse(source)) == [
+        "numpy.linalg._umath_linalg", "_core", "numpy._core", "_logistic",
+        "np.linalg._umath_linalg"]
 
 
 def test_every_error_is_raised_and_every_warning_warned():
