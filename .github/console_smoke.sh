@@ -6,7 +6,9 @@
 # config broadcast, and a moment summary to and an upload from each of c1's
 # 4 sources) and its metrics table, then estimates from a target and a
 # source CSV written from preset c1's replication 0: an adaptive round,
-# which cross-validates, and an ivw round, which draws no CV folds.
+# which cross-validates, and an ivw round, which draws no CV folds, whose
+# written report and ledger are checked: one source used, and one message of
+# each kind, each within the audit's size bound for its kind.
 # Usage: console_smoke.sh OUT_DIR
 set -euo pipefail
 out="$1"
@@ -30,3 +32,15 @@ for name, f in (("target", frames[0]), ("source", frames[1])):
 '
 fedcausal estimate --target "$out/target.csv" --source "$out/source.csv" --method aipw_l1
 fedcausal estimate --target "$out/target.csv" --source "$out/source.csv" --method ivw --out "$out/est"
+python3 -c '
+import json, pathlib, sys
+from fedcausal.fedruntime import TEXT_BOUNDS
+est = pathlib.Path(sys.argv[1])
+diagnostics = json.loads((est / "report.json").read_text())["diagnostics"]
+assert diagnostics["effective_method"] == "ivw", diagnostics
+assert diagnostics["n_sources_used"] == 1, diagnostics
+records = [json.loads(line) for line in (est / "ledger.jsonl").read_text().splitlines()]
+kinds = [rec["kind"] for rec in records]
+assert kinds == ["config", "moment_summary", "site_estimate"], kinds
+assert all(rec["bytes"] <= TEXT_BOUNDS[rec["kind"]] for rec in records), records
+' "$out/est"

@@ -96,6 +96,32 @@ _SCHEMAS = {
 }
 
 
+def _text_bound(spec, dims: dict) -> int:
+    """Most characters a canonical text of declared shape ``spec`` can take
+    at the protocol dimensions ``dims``: 24 per number (the longest
+    shortest-round-trip double, ``-2.2250738585072014e-308``), 16 per count
+    (``2**53 - 1``), a map list's ``MAX_CANDIDATES`` maps at the widest
+    map's text, and the key and punctuation text."""
+    if isinstance(spec, dict):
+        return 1 + sum(len(wire_text(key)) + 2 + _text_bound(item, dims)
+                       for key, item in spec.items())
+    if spec == "maps":
+        widest = max(len(wire_text(fm.to_dict())) for fm in (
+            FeatureMap("raw"), FeatureMap("kangschafer"),
+            FeatureMap("subset", tuple(range(MAX_COLUMNS)))))
+        return 1 + MAX_CANDIDATES * (widest + 1)
+    if spec.startswith("["):
+        return 1 + dims[spec[1:-1]] * 25
+    return {"number": 24, "count": 16}[spec]
+
+
+# Most characters a payload text of each kind can hold, at the largest
+# protocol dimensions (``MAX_COLUMNS`` shared covariates, ``CV_SPLITS``
+# fit halves): the audit rejects a longer text before it reads it.
+TEXT_BOUNDS = {kind: _text_bound(spec, {"shared": MAX_COLUMNS, "cv_splits": CV_SPLITS})
+               for kind, spec in _SCHEMAS.items()}
+
+
 def _is_number(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
@@ -477,12 +503,14 @@ def audit_ledger(report: GlobalReport) -> dict:
     """Validate every logged message against the declared payload schemas.
 
     Raises :class:`PrivacyViolation` on an unknown message kind, a payload
-    text that cannot be hashed or parsed (the error names the message kind
-    and chains the original one), a digest mismatch, a payload text that is
-    not the canonical text of its own values
-    (:func:`~fedcausal.wire.wire_text`, so no whitespace,
-    digit or escape carries anything the values do not), an undeclared or
-    missing payload key, or a value whose shape differs from its
+    text longer than its kind's bound (:data:`TEXT_BOUNDS`, counted in
+    characters before the text is hashed or parsed, so no size of text costs
+    more than the bound to reject), a payload text that cannot be hashed or
+    parsed (the error names the message kind and chains the original one), a
+    digest mismatch, a payload text that is not the canonical text of its own
+    values (:func:`~fedcausal.wire.wire_text`, so no whitespace, digit or
+    escape carries anything the values do not), an undeclared or missing
+    payload key, or a value whose shape differs from its
     declaration: above all, any numeric list whose length is not the
     declared protocol dimension (so per-unit arrays never pass), such as an
     upload whose ``fit_sq`` is not as long as the config's ``cv_splits``.
@@ -493,6 +521,10 @@ def audit_ledger(report: GlobalReport) -> dict:
     for rec in report.privacy_ledger:
         if rec.kind not in _SCHEMAS:
             raise PrivacyViolation(f"unknown message kind {rec.kind!r}")
+        size, bound = len(rec.payload_text), TEXT_BOUNDS[rec.kind]
+        if size > bound:
+            raise PrivacyViolation(f"payload text of a {rec.kind} message holds {size} "
+                                   f"characters, over its bound of {bound}")
         try:
             digest = _sha256(rec.payload_text)
         except UnicodeEncodeError as exc:

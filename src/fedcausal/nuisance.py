@@ -172,7 +172,7 @@ def _mix(
     site_id: str,
     designs: dict,
     y: np.ndarray,
-    rows: np.ndarray,
+    rows: np.ndarray | None,
     maps: list[FeatureMap],
     seed: int,
     fit_one,
@@ -181,36 +181,38 @@ def _mix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared mixing routine for treatment and outcome candidates.
 
-    Fits each candidate on the train split of ``rows``, scores it on the
-    validation split and refits it on all of ``rows``, starting
-    ``fit_one(X, y, start=...)`` at the train coefficients; a candidate that
-    fails either fit gets weight zero. A lone candidate's weight is 1
-    whatever its score, so it is only fit on all of ``rows``; the split's
-    size floors (:func:`_train_size`) are checked once, split or not. Every
-    fit sees the column-major rows :func:`numkit.take_rows` gathers, and a
-    fit on every unit sees the design itself. Returns the weights and the
-    mixture on every unit of the site.
+    Fits each candidate on the train split of ``rows`` (None: every unit),
+    scores it on the validation split and refits it on all of ``rows``,
+    starting ``fit_one(X, y, start=...)`` at the train coefficients; a
+    candidate that fails either fit gets weight zero. A lone candidate's
+    weight is 1 whatever its score, so it is only fit on all of ``rows``; the
+    split's size floors (:func:`_train_size`) are checked once, split or not.
+    A fit on every unit sees the design itself; :func:`numkit.take_rows`
+    gathers each candidate's ``rows`` once, column-major, and its halves from
+    those. Returns the weights and the mixture on every unit of the site.
     """
     if not maps:
         raise ValueError("need at least one candidate feature map")
-    _train_size(len(rows))
+    y_rows = y if rows is None else y[rows]
+    _train_size(len(y_rows))
     if len(maps) == 1:
         design = designs[maps[0]]
-        beta = _fit_or_warn(site_id, maps[0], fit_one, take_rows(design, rows), y[rows])
+        beta = _fit_or_warn(site_id, maps[0], fit_one,
+                            design if rows is None else take_rows(design, rows), y_rows)
         if beta is None:
             raise TooFewUnits("all candidates failed to fit")
         return np.ones(1), link(design @ beta)
-    train_idx, val_idx = (rows[idx] for idx in split_data(len(rows), seed))
-    y_train, y_rows, y_val = y[train_idx], y[rows], y[val_idx]
+    train_idx, val_idx = split_data(len(y_rows), seed)
+    y_train, y_val = y_rows[train_idx], y_rows[val_idx]
 
     # Per-unit validation log scores, one row per candidate that fits, and
     # full-sample coefficients of each.
     scores, coefficients = np.empty((len(maps), len(val_idx))), {}
     for j, fm in enumerate(maps):
-        design = designs[fm]
+        design = designs[fm] if rows is None else take_rows(designs[fm], rows)
         train_beta = _fit_or_warn(site_id, fm, fit_one, take_rows(design, train_idx), y_train)
         beta = None if train_beta is None else _fit_or_warn(
-            site_id, fm, fit_one, take_rows(design, rows), y_rows, start=train_beta)
+            site_id, fm, fit_one, design, y_rows, start=train_beta)
         if beta is not None:
             scores[len(coefficients)] = log_score(take_rows(design, val_idx) @ train_beta, y_val)
             coefficients[j] = beta
@@ -241,8 +243,7 @@ def mix_propensity(
     ``site_id``, which labels the warning for a candidate that fails to fit.
     Returns the weights and the mixed P(A=1) of every unit."""
     a = np.asarray(a, dtype=float)
-    return _mix(site_id, designs, a, np.arange(len(a)), maps, seed, fit_logistic,
-                logistic_loglik, expit)
+    return _mix(site_id, designs, a, None, maps, seed, fit_logistic, logistic_loglik, expit)
 
 
 def default_kappa(n_candidates: int) -> int:

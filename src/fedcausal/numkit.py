@@ -72,10 +72,8 @@ def add_intercept(X: np.ndarray) -> np.ndarray:
 
 
 def take_rows(X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of a 2-D design, column-major like :func:`add_intercept`'s;
-    ``X`` itself, not a copy, when ``rows`` is every row in order."""
-    if len(rows) == X.shape[0] and np.array_equal(rows, np.arange(len(rows))):
-        return X
+    """Rows ``rows`` of a 2-D design, gathered into a new column-major array
+    like :func:`add_intercept`'s."""
     return X.T.take(rows, axis=1).T  # a C-order (d, m) gather, transposed
 
 

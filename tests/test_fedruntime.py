@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcausal import fedruntime, nuisance
 from fedcausal.density_ratio import MomentSummary, solve_tilt, target_moments
@@ -25,6 +27,7 @@ from fedcausal.fedruntime import (
     METHODS,
     MessageRecord,
     ProtocolConfig,
+    TEXT_BOUNDS,
     audit_ledger,
     dump_ledger,
     combine,
@@ -574,13 +577,14 @@ def _with_shared_dimension(report, mean_v):
 
 def test_audit_bounds_the_shared_dimension():
     # The shared dimension is a protocol dimension bounded by MAX_COLUMNS,
-    # not whatever length the summaries agree on: summaries that carry the
-    # target's 300 outcomes, with uploads that agree with them, are rejected.
+    # not whatever length the summaries agree on: summaries that carry 150 of
+    # the target's outcomes, within the size bound, with uploads that agree
+    # with them, are rejected.
     frames = replication_frames(load_scenario("c1"), 0, 0)
     report = run_round(frames, method_config("ivw", load_scenario("c1"), seed=1))
     audit_ledger(report)
-    outcomes = [round(float(y), 3) for y in frames[0].y]
-    assert len(outcomes) == 300
+    outcomes = [round(float(y), 3) for y in frames[0].y[:150]]
+    assert len(wire_text({"mean_v": outcomes})) <= TEXT_BOUNDS["moment_summary"]
     for mean_v in (outcomes, [0.0] * (MAX_COLUMNS + 1)):
         with pytest.raises(PrivacyViolation, match=f"no list of 1 to {MAX_COLUMNS} shared"):
             audit_ledger(_with_shared_dimension(report, mean_v))
@@ -826,8 +830,9 @@ def _lone_surrogate(text):
 
 @pytest.mark.parametrize("tamper", [_deep_brackets, _long_count, _lone_surrogate])
 def test_audit_fails_an_unreadable_text_as_a_privacy_violation(tamper):
-    # A text the audit cannot hash or parse fails as a privacy violation that
-    # names the message kind, not as whatever the hash or the parser raised.
+    # A text the audit cannot bound, hash or parse fails as a privacy
+    # violation that names the message kind, not as whatever the hash or the
+    # parser raised.
     scenario = load_scenario("c1")
     report = run_round(replication_frames(scenario, 0, 0),
                        method_config("ivw", scenario, seed=1))
@@ -840,8 +845,73 @@ def test_audit_fails_an_unreadable_text_as_a_privacy_violation(tamper):
                                               payload_text=text, payload_digest=digest)
     with pytest.raises(PrivacyViolation, match="a site_estimate message") as caught:
         audit_ledger(report)
-    if tamper is not _long_count:  # whose parse fails only under an integer digit limit
+    # The bracket nest (200,008 characters) and the 5,000-digit count fail by
+    # size, unparsed; the lone surrogate, within the bound, fails at the hash.
+    if tamper is _lone_surrogate:
         assert caught.value.__cause__ is not None
+    else:
+        assert len(text) > TEXT_BOUNDS["site_estimate"]
+        assert "over its bound" in str(caught.value) and caught.value.__cause__ is None
+
+
+@pytest.fixture(scope="module")
+def honest_round():
+    """A c1 round whose uploads sum every CV fit half, audited clean."""
+    scenario = load_scenario("c1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_round(replication_frames(scenario, 0, 0),
+                           method_config("mr_l1", scenario, seed=1))
+    audit_ledger(report)
+    return report
+
+
+# What a mutation puts into a text: any short run of characters, a bracket
+# nest, a digit run, or an escape, a raw lone surrogate and a NUL among them.
+_INSERTS = (st.text(min_size=1, max_size=8)
+            | st.integers(1, 2000).map(lambda depth: "[" * depth + "]" * depth)
+            | st.integers(1, 4000).map(lambda count: "9" * count)
+            | st.sampled_from(["\\", '"', '\\"', "\\u0061", "\\ud800", "\\udc00\\ud800",
+                               "\ud800", "\\x", "\\n", "\x00", "\u00e9", "\\u00e9"]))
+
+
+@st.composite
+def _mutated(draw, text):
+    """``text`` after one to three insertions, deletions or repeats of a slice."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 40)))
+        edit = draw(st.sampled_from(["insert", "delete", "repeat"]))
+        if edit == "insert":
+            text = text[:i] + draw(_INSERTS) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[j:]
+        else:
+            text = text[:j] + text[i:j] * draw(st.integers(1, 300)) + text[j:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_audit_is_total_on_mutated_texts(honest_round, data):
+    # Whatever a logged text becomes, the audit passes it or fails it as a
+    # privacy violation, and raises nothing else. Each mutation is logged as
+    # a new message; a text that cannot be hashed carries a given digest.
+    report = honest_round
+    pos = data.draw(st.integers(0, len(report.privacy_ledger) - 1))
+    rec = report.privacy_ledger[pos]
+    text = data.draw(_mutated(rec.payload_text))
+    try:
+        logged = MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text)
+    except UnicodeEncodeError:
+        logged = MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text,
+                               payload_digest="0" * 64)
+    ledger = list(report.privacy_ledger)
+    ledger[pos] = logged
+    try:
+        audit_ledger(dataclasses.replace(report, privacy_ledger=ledger))
+    except PrivacyViolation:
+        pass
 
 
 def test_audit_rejects_tampered_payload():
@@ -857,12 +927,12 @@ def test_audit_rejects_tampered_payload():
 
 
 def _whitespace_channel(text, frames):
-    """``text`` with the target's outcomes, 24 bits of fixed point each,
-    written as spaces and tabs after its opening brace: the same JSON values,
-    and a channel the sender reads back to 2**-13."""
-    outcomes = frames[0].y
+    """``text`` with the target's first 60 outcomes, 24 bits of fixed point
+    each, written as spaces and tabs after its opening brace: the same JSON
+    values, and a channel the sender reads back to 2**-13."""
+    outcomes = frames[0].y[:60]
     codes = [round((float(y) + 2048.0) * 2**12) for y in outcomes]
-    assert len(codes) == 300 and all(0 <= c < 2**24 for c in codes)
+    assert len(codes) == 60 and all(0 <= c < 2**24 for c in codes)
     channel = "".join(f"{c:024b}" for c in codes).translate(str.maketrans("01", " \t"))
     read = [int(channel[24 * i:24 * (i + 1)].translate(str.maketrans(" \t", "01")), 2)
             / 2**12 - 2048.0 for i in range(len(codes))]
@@ -885,9 +955,10 @@ _TEXT_TAMPERS = {
                        _trailing_zeros(text, payload)),
     "unsorted_keys": ("site_estimate", lambda text, payload, frames: json.dumps(
         dict(reversed(payload.items())), separators=(",", ":"))),
-    # The first "mu0" carries the outcomes; json.loads keeps the second.
+    # The first "mu0" carries 150 outcomes; json.loads keeps the second.
     "repeated_key": ("site_estimate", lambda text, payload, frames: '{"mu0":' + json.dumps(
-        [round(float(y), 3) for y in frames[0].y], separators=(",", ":")) + "," + text[1:]),
+        [round(float(y), 3) for y in frames[0].y[:150]], separators=(",", ":")) + ","
+        + text[1:]),
     "exponent": ("site_estimate", lambda text, payload, frames: wire_text(
         {**payload, "mu0": 0.5}).replace('"mu0":0.5,', '"mu0":5e-1,')),
     "escaped_kind": ("config", lambda text, payload, frames: text.replace(
@@ -899,9 +970,10 @@ _TEXT_TAMPERS = {
 def test_audit_accepts_only_canonical_text(name):
     # JSON writes one value many ways: whitespace, trailing zeros, key
     # order, repeated keys, exponents and escapes. Each way is a channel the
-    # value checks never see. The whitespace one carries the target's 300
-    # outcomes at 24 bits each. The audit takes only the canonical text of a
-    # payload's values, and the same values in that text pass.
+    # value checks never see. The whitespace one carries 60 of the target's
+    # outcomes at 24 bits each, within the upload's size bound, which all 300
+    # would overrun. The audit takes only the canonical text of a payload's
+    # values, and the same values in that text pass.
     kind, tamper = _TEXT_TAMPERS[name]
     scenario = load_scenario("c1")
     frames = replication_frames(scenario, 0, 0)
@@ -910,7 +982,7 @@ def test_audit_accepts_only_canonical_text(name):
     pos, rec = next((i, r) for i, r in enumerate(report.privacy_ledger) if r.kind == kind)
     payload = json.loads(rec.payload_text)
     text = tamper(wire_text(payload), payload, frames)
-    assert text != wire_text(payload)
+    assert text != wire_text(payload) and len(text) <= TEXT_BOUNDS[kind]
     report.privacy_ledger[pos] = MessageRecord(rec.from_site, rec.to_site, rec.kind,
                                                payload_text=text)
     with pytest.raises(PrivacyViolation,
@@ -961,33 +1033,13 @@ def test_audit_rejects_missing_keys():
     audit_ledger(report)
 
 
-def _text_bound(spec, dims) -> int:
-    """Most characters a canonical text of declared shape ``spec`` can take:
-    24 per number (the longest shortest-round-trip double,
-    ``-2.2250738585072014e-308``), 16 per count (``2**53 - 1``), a map
-    list's ``MAX_CANDIDATES`` maps at the widest map's text, and the key and
-    punctuation text."""
-    if isinstance(spec, dict):
-        return 1 + sum(len(wire_text(key)) + 2 + _text_bound(item, dims)
-                       for key, item in spec.items())
-    if spec == "maps":
-        widest = max(len(wire_text(fm.to_dict())) for fm in (
-            FeatureMap("raw"), FeatureMap("kangschafer"),
-            FeatureMap("subset", tuple(range(MAX_COLUMNS)))))
-        return 1 + MAX_CANDIDATES * (widest + 1)
-    if spec.startswith("["):
-        return 1 + dims[spec[1:-1]] * 25
-    return {"number": 24, "count": 16}[spec]
-
-
 def test_no_payload_outgrows_its_declared_bound():
-    # What a message can hold does not grow with a site's sample: one byte
-    # bound per message kind, from the declared shapes and the protocol
-    # constants alone, holds a c1 round at the preset sizes and with every
-    # site ten times larger.
+    # What a message can hold does not grow with a site's sample: the
+    # audit's one bound per message kind, from the declared shapes and the
+    # protocol constants alone, holds a c1 round at the preset sizes and with
+    # every site ten times larger.
     assert len(repr(-2.2250738585072014e-308)) == 24 and len(str(2**53 - 1)) == 16
-    dims = {"shared": MAX_COLUMNS, "cv_splits": CV_SPLITS}
-    bound = {kind: _text_bound(spec, dims) for kind, spec in _SCHEMAS.items()}
+    bound = TEXT_BOUNDS
     scenario = load_scenario("c1")
     larger = dataclasses.replace(scenario, sites=tuple(
         dataclasses.replace(site, n=10 * site.n) for site in scenario.sites))

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcausal.density_ratio import MomentSummary
-from fedcausal.fedruntime import METHODS, ProtocolConfig, combine, run_sites, run_transport
+from fedcausal.fedruntime import (METHODS, ProtocolConfig, SitePhase, combine, run_sites,
+                                  run_transport)
 from fedcausal.nuisance import FeatureMap
 from fedcausal.numkit import expit
-from fedcausal.site_estimator import SiteFrame, SourceSiteReport
+from fedcausal.site_estimator import SiteFrame, SourceSiteReport, complete_source_estimate
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -111,6 +112,71 @@ def test_affine_outcome_map_scales_effect_and_se(fed, c, b):
         tol = 1e-9 * abs(c) * (abs(x.delta_hat) + se)
         assert abs(y.delta_hat - c * x.delta_hat) <= tol, method
         assert abs(np.sqrt(y.variance) - abs(c) * se) <= 1e-9 * abs(c) * se, method
+
+
+# The sources' candidates, one of them on their unshared column, and the
+# target's, any of the maps its two shared columns fit.
+SOURCE_GROUP = {"treatment": [FeatureMap("raw"), FeatureMap("subset", (0,))],
+                "outcome": [FeatureMap("raw"), FeatureMap("subset", (0, 2))]}
+RAW = {"treatment": [FeatureMap("raw")], "outcome": [FeatureMap("raw")]}
+target_maps = st.lists(st.sampled_from((FeatureMap("raw"), FeatureMap("subset", (0,)),
+                                        FeatureMap("subset", (1,)))),
+                       min_size=1, max_size=3, unique=True)
+target_groups = st.fixed_dictionaries({"treatment": target_maps, "outcome": target_maps})
+
+
+def _sent(frames, method, target_group, seed):
+    """Each site's outgoing payload texts of one round, by sender, and the
+    round's site phase and report."""
+    config = ProtocolConfig(candidates={"target": target_group, "source": SOURCE_GROUP},
+                            method=method, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sites = run_sites(run_transport(frames, seed, (method,)), config.candidates)
+        report = combine(sites, method)
+    texts = {}
+    for rec in sites.ledger:
+        texts.setdefault(rec.from_site, []).append(rec.payload_text)
+    return texts, sites, report
+
+
+def _others(frame, rng):
+    """``frame`` with what only it holds replaced: outcomes by noise of SD
+    1,000, treatments by 1 - a, and unshared covariates by noise."""
+    X = frame.X.copy()
+    unshared = [c for c in range(X.shape[1]) if c not in frame.shared_cols]
+    X[:, unshared] = rng.standard_normal((frame.n, len(unshared)))
+    return SiteFrame(frame.site_id, frame.role, 1000.0 * rng.standard_normal(frame.n),
+                     1 - frame.a, X, frame.shared_cols)
+
+
+@PROPERTY
+@given(federations, st.sampled_from([("ivw", "ss"), ("aipw_l1", "mr_l1")]), target_groups,
+       st.data())
+def test_each_site_sends_a_function_of_what_it_holds_and_received(fed, methods, group, data):
+    # Noninterference: perturbing what a site does not hold leaves its texts
+    # byte-identical. That is another site's outcomes, treatments and
+    # unshared covariates, the target's candidate group, and the weighting
+    # method within one split count (the broadcast's cv_splits, which the
+    # sources receive). The coordinator's report is a function of the
+    # target's own estimate and the upload texts alone.
+    frames, seed = _frames(**fed), fed["seed"] % 1000
+    sent, sites, report = _sent(frames, methods[0], RAW, seed)
+    assert _sent(frames, methods[1], group, seed)[0] == sent
+
+    k = data.draw(st.integers(0, len(frames) - 1))
+    perturbed = list(frames)
+    perturbed[k] = _others(frames[k], np.random.default_rng(fed["seed"]))
+    after = _sent(perturbed, methods[0], RAW, seed)[0]
+    held = frames[k].site_id
+    assert ({site: texts for site, texts in after.items() if site != held}
+            == {site: texts for site, texts in sent.items() if site != held})
+
+    uploads = [complete_source_estimate(rec.from_site, SourceSiteReport.from_json(rec.payload_text))
+               for rec in sites.ledger if rec.kind == "site_estimate"]
+    rebuilt = SitePhase([sites.estimates[0]] + uploads, sites.ledger, sites.failures,
+                        sites.candidates)
+    assert combine(rebuilt, methods[0]).to_json() == report.to_json()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -190,21 +190,31 @@ def test_lone_candidate_is_fit_once_on_all_units(monkeypatch):
 
 def test_every_fit_runs_on_a_column_major_design(monkeypatch):
     # Every design and row gather a fit receives is column-major, whatever
-    # the layout of the covariates; a lone candidate's fit on every unit
-    # receives the design itself.
+    # the layout of the covariates. A propensity fit on every unit, a refit
+    # or a lone candidate's fit, receives the design itself; each outcome fit
+    # receives a gather of its arm's rows, all of them or its train half.
     rng = np.random.default_rng(20)
     X, a = _sim_binary(rng, n=301)
     X = np.column_stack([X, rng.standard_normal(301)])  # C-order, 4 columns
     y = X[:, 0] + a + rng.standard_normal(301)
     assert add_intercept(X).flags.f_contiguous
-    seen = []
+    made, seen = [], []
+    make = nuisance.standardized_design
+    monkeypatch.setattr(nuisance, "standardized_design", lambda F: made.append(make(F)) or made[-1])
     for name in ("fit_logistic", "fit_ols"):
         monkeypatch.setattr(nuisance, name, lambda X, y, fit=getattr(nuisance, name), **start:
                             seen.append(X) or fit(X, y, **start))
     maps = [FeatureMap("raw"), FeatureMap("kangschafer"), FeatureMap("subset", (2, 0))]
     fit_nuisances("s0", X, y, a, maps, maps[1:], seed=21)
-    assert len(seen) == 2 * 3 + 2 * 2 * 2
+    assert len(made) == 3 and len(seen) == 2 * 3 + 2 * 2 * 2
     assert all(design.flags.f_contiguous for design in seen)
+    assert all(refit is design for refit, design in zip(seen[1:6:2], made))
+    for arm, fits in ((1, seen[6:10]), (0, seen[10:])):
+        rows = np.flatnonzero(a == arm)
+        train = rows[split_data(len(rows), 21)[0]]
+        for design, train_fit, refit in zip(made[1:], fits[0::2], fits[1::2]):
+            assert np.array_equal(train_fit, design[train])
+            assert np.array_equal(refit, design[rows]) and not np.shares_memory(refit, design)
 
     seen.clear()
     fm = FeatureMap("raw")

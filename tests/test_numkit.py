@@ -312,7 +312,9 @@ def test_take_rows_is_a_column_major_gather():
     rows = np.array([3, 1, 17, 29])
     gathered = take_rows(X, rows)
     assert gathered.flags.f_contiguous and np.array_equal(gathered, X[rows])
-    assert take_rows(X, np.arange(30)) is X
+    every = take_rows(X, np.arange(30))  # a gather, never the design itself
+    assert every.flags.f_contiguous and np.array_equal(every, X)
+    assert not np.shares_memory(every, X)
     assert np.array_equal(take_rows(X, np.arange(30)[::-1]), X[::-1])
 
 
