@@ -4,7 +4,9 @@
 # manifest audits the ledger of the first method's round in replication 0,
 # which declares the CV folds the study drew; its census is checked: one
 # config broadcast, and a moment summary to and an upload from each of c1's
-# 4 sources) and its metrics table, then estimates from a target and a
+# 4 sources; so is the transcript it writes: those messages in that order,
+# each within the audit's size bound for its kind, and bytes per kind that
+# sum to the census) and its metrics table, then estimates from a target and a
 # source CSV written from preset c1's replication 0: an adaptive round,
 # which cross-validates, and an ivw round, which draws no CV folds, whose
 # written report and ledger are checked: one source used, and one message of
@@ -15,11 +17,19 @@ out="$1"
 fedcausal simulate --scenario c1 --methods ivw,aipw_l1 --reps 3 --seed 0 --out "$out/sim"
 python3 -c '
 import json, pathlib, sys
-audit = json.loads(pathlib.Path(sys.argv[1]).read_text())["ledger_audit"]
+from fedcausal.fedruntime import TEXT_BOUNDS
+sim = pathlib.Path(sys.argv[1])
+audit = json.loads((sim / "manifest.json").read_text())["ledger_audit"]
 counts = {kind: entry["count"] for kind, entry in audit["by_kind"].items()}
 assert audit["n_messages"] == 9, audit
 assert counts == {"config": 1, "moment_summary": 4, "site_estimate": 4}, counts
-' "$out/sim/manifest.json"
+records = [json.loads(line) for line in (sim / "ledger.jsonl").read_text().splitlines()]
+kinds = [rec["kind"] for rec in records]
+assert kinds == ["config"] + ["moment_summary", "site_estimate"] * 4, kinds
+assert all(rec["bytes"] <= TEXT_BOUNDS[rec["kind"]] for rec in records), records
+sums = {kind: sum(rec["bytes"] for rec in records if rec["kind"] == kind) for kind in counts}
+assert sums == {kind: entry["bytes"] for kind, entry in audit["by_kind"].items()}, sums
+' "$out/sim"
 fedcausal report --metrics "$out/sim/metrics.csv"
 OUT="$out" python3 -c '
 import os, numpy as np

@@ -91,23 +91,15 @@ def _fail(message: object, code: int) -> int:
     return code
 
 
-def _make_out_dir(path: str) -> bool:
-    """Create the directory ``path``, or print why it cannot be made."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
-
-
 def _cmd_simulate(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         return _fail(exc, EXIT_USAGE)
-    if not _make_out_dir(args.out):
-        return EXIT_USAGE
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _fail(exc, EXIT_USAGE)
 
     try:
         result = run_scenario(scenario, methods=args.methods, reps=args.reps, seed=args.seed)
@@ -216,8 +208,11 @@ def _cmd_estimate(args) -> int:
     raw = {"treatment": [FeatureMap("raw")], "outcome": [FeatureMap("raw")]}
     config = ProtocolConfig(candidates={"target": raw, "source": raw}, method=args.method,
                             seed=args.seed)
-    if args.out and not _make_out_dir(args.out):
-        return EXIT_USAGE
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            return _fail(exc, EXIT_USAGE)
     try:
         report = run_round(frames, config)
     except ValueError as exc:  # invalid frames, such as repeated site ids

@@ -11,7 +11,6 @@ the source's tilt: a summary holds the q means of V. No weight is capped.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ExtremeWeightsWarning, MissingColumns, TooFewUnits
 from .numkit import add_intercept, newton_solve
-from .wire import wire_text
+from .wire import payload_text, read_payload
 
 EXTREME_RATIO = 100.0
 
@@ -36,11 +35,11 @@ class MomentSummary:
     mean_v: np.ndarray
 
     def to_json(self) -> str:
-        return wire_text({"mean_v": list(map(float, self.mean_v))})
+        return payload_text(self)
 
     @staticmethod
     def from_json(payload: str) -> "MomentSummary":
-        return MomentSummary(np.asarray(json.loads(payload)["mean_v"], dtype=float))
+        return read_payload(MomentSummary, payload)
 
 
 @dataclass(frozen=True)

@@ -75,16 +75,16 @@ METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
 # "[dim]" (a flat list of finite floats whose length is the protocol
 # dimension ``dim``), or an object of fixed keys, all of them sent, so no
 # payload has a free-text key. The shared dimension q is the length of the
-# moment summaries' ``mean_v``, the target's means of its shared covariates, 1 to
-# ``MAX_COLUMNS`` (``nuisance.is_shared_dimension``, which ``SiteFrame`` also
-# applies), and also the length of a source's one target-influence slope
-# vector (``target_coef``); a source upload
-# carries its two finished arm means and sums its squared contributions once
-# over all its units (``own_sq``) and once per fit half of the split count
-# cv_splits the config broadcast declares (``fit_sq``): ``CV_SPLITS`` when an
-# adaptive method will combine the round, else 0, and no other value. No
-# dimension depends on a site's sample size, so no per-unit values pass the
-# audit, and no payload names its sender: the ledger's ``from_site`` does.
+# moment summaries' ``mean_v``, the target's means of its shared covariates, 1
+# to ``MAX_COLUMNS`` (``nuisance.is_shared_dimension``, which ``SiteFrame``
+# applies through ``is_column_list``), and also the length of a source's one
+# target-influence slope vector (``target_coef``); a source upload carries its
+# two finished arm means and sums its squared contributions once over all its
+# units (``own_sq``) and once per fit half of the split count cv_splits the
+# config broadcast declares (``fit_sq``): ``CV_SPLITS`` when an adaptive method
+# will combine the round, else 0, and no other value. No dimension depends on a
+# site's sample size, so no per-unit values pass the audit, and no payload
+# names its sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
     "config": {"seed": "count", "cv_splits": "count",
                "candidates": {"treatment": "maps", "outcome": "maps"}},

@@ -51,7 +51,8 @@ class FeatureMap:
     (``raw``), their :func:`kang_schafer` transform, or the given ``columns``
     (``subset``). A map is checked when it is built, so one decoded from the
     config broadcast holds a kind and, for a subset only, a non-empty tuple of
-    distinct column indices in [0, ``MAX_COLUMNS``): nothing else."""
+    distinct column indices in [0, ``MAX_COLUMNS``) (:func:`is_column_list`):
+    nothing else."""
 
     kind: str
     columns: tuple[int, ...] | None = None
@@ -61,12 +62,7 @@ class FeatureMap:
             raise ValueError(f"unknown feature map kind {self.kind!r}")
         if (self.columns is not None) != (self.kind == "subset"):
             raise ValueError("a subset feature map, and only a subset, takes columns")
-        if self.columns is not None and not (
-            isinstance(self.columns, tuple) and self.columns
-            and all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < MAX_COLUMNS
-                    for c in self.columns)
-            and len(set(self.columns)) == len(self.columns)
-        ):
+        if self.columns is not None and not is_column_list(self.columns, MAX_COLUMNS):
             raise ValueError(f"subset columns {self.columns!r} are not a tuple of "
                              f"distinct ints in [0, {MAX_COLUMNS})")
 
@@ -104,6 +100,15 @@ def is_candidate_list(maps) -> bool:
 def is_shared_dimension(q: int) -> bool:
     """Whether ``q`` shared covariates lie in the protocol's bound, 1 to ``MAX_COLUMNS``."""
     return 0 < q <= MAX_COLUMNS
+
+
+def is_column_list(cols, width: int) -> bool:
+    """Whether ``cols`` is a tuple of 1 to ``MAX_COLUMNS`` distinct int column
+    indices in [0, ``width``), a bool being no index."""
+    return (isinstance(cols, tuple) and is_shared_dimension(len(cols))
+            and all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < width
+                    for c in cols)
+            and len(set(cols)) == len(cols))
 
 
 @dataclass(frozen=True)
@@ -265,8 +270,6 @@ def mix_outcome(
 
     Returns the weights and the mixed outcome mean of every unit."""
     rows = np.flatnonzero(np.asarray(a) == arm)
-    if len(rows) < 4:
-        raise TooFewUnits(f"need at least 4 units with A={arm} to split")
     kappa = default_kappa(len(maps))
 
     def log_score(linear, y_obs):

@@ -33,10 +33,6 @@ from .site_estimator import SiteFrame
 OUTCOME_INTERCEPT = 210.0
 OUTCOME_COEF = np.array([27.4, 13.7, 13.7, 13.7])
 TREATMENT_COEF = np.array([-1.0, 0.5, -0.25, -0.1])
-# Under covariate mismatch the target's models involve only the two covariates
-# it observes.
-MISMATCH_TARGET_OUTCOME_COEF = np.array([27.4, 13.7, 0.0, 0.0])
-MISMATCH_TARGET_TREATMENT_COEF = np.array([-1.0, 0.5, 0.0, 0.0])
 
 FAILURE_FRACTION_LIMIT = 0.01
 
@@ -185,7 +181,9 @@ def generate_site(site: SiteSpec, scenario: ScenarioSpec, rng: np.random.Generat
 
     beta, alpha_coef = OUTCOME_COEF, TREATMENT_COEF
     if scenario.mismatch and site.role == "target":
-        beta, alpha_coef = MISMATCH_TARGET_OUTCOME_COEF, MISMATCH_TARGET_TREATMENT_COEF
+        # The target's models involve only the covariates it observes.
+        observed = np.isin(np.arange(len(beta)), scenario.shared_cols)
+        beta, alpha_coef = np.where(observed, beta, 0.0), np.where(observed, alpha_coef, 0.0)
         features = X
     elif site.dgp == "x":
         features = X

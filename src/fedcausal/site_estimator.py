@@ -36,9 +36,9 @@ import numpy as np
 
 from .density_ratio import TiltCoefficients
 from .errors import SingularJacobian
-from .nuisance import MAX_COLUMNS, NuisanceFit, is_shared_dimension, split_data
+from .nuisance import MAX_COLUMNS, NuisanceFit, is_column_list, split_data
 from .numkit import fit_ols, gram
-from .wire import wire_text
+from .wire import payload_text, read_payload
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,9 @@ class SiteFrame:
     ``y`` and ``a`` hold one entry per unit and ``X`` one row per unit;
     ``y`` and ``X`` are finite and ``a`` is 0/1. ``shared_cols`` holds the 1
     to ``MAX_COLUMNS`` distinct indices of the columns of ``X`` observed at
-    the target site; a target frame's ``X`` holds only those shared columns
-    (in the same order the sources use).
+    the target site (:func:`~fedcausal.nuisance.is_column_list`); a target
+    frame's ``X`` holds only those shared columns (in the same order the
+    sources use).
     """
 
     site_id: str
@@ -73,10 +74,7 @@ class SiteFrame:
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.X))):
             raise ValueError("y and X must be finite")
         cols = self.shared_cols
-        if not (isinstance(cols, tuple) and is_shared_dimension(len(cols))
-                and all(isinstance(c, int) and not isinstance(c, bool)
-                        and 0 <= c < self.X.shape[1] for c in cols)
-                and len(set(cols)) == len(cols)):
+        if not is_column_list(cols, self.X.shape[1]):
             raise ValueError(f"shared_cols {cols!r} are not a tuple of 1 to {MAX_COLUMNS} "
                              f"distinct column indices below {self.X.shape[1]}")
         if not np.all((self.a == 0) | (self.a == 1)):
@@ -190,28 +188,11 @@ class SourceSiteReport:
     target_coef: np.ndarray
 
     def to_json(self) -> str:
-        return wire_text(
-            {
-                "n_k": self.n_k,
-                "mu0": self.mu0,
-                "mu1": self.mu1,
-                "own_sq": self.own_sq,
-                "fit_sq": list(map(float, self.fit_sq)),
-                "target_coef": list(map(float, self.target_coef)),
-            }
-        )
+        return payload_text(self)
 
     @staticmethod
     def from_json(payload: str) -> "SourceSiteReport":
-        obj = json.loads(payload)
-        return SourceSiteReport(
-            n_k=int(obj["n_k"]),
-            mu0=float(obj["mu0"]),
-            mu1=float(obj["mu1"]),
-            own_sq=float(obj["own_sq"]),
-            fit_sq=np.asarray(obj["fit_sq"], dtype=float),
-            target_coef=np.asarray(obj["target_coef"], dtype=float),
-        )
+        return read_payload(SourceSiteReport, payload)
 
 
 def _ipw_residual(frame: SiteFrame, fit: NuisanceFit, where: str) -> np.ndarray:

@@ -225,6 +225,10 @@ def _assert_same(x, y):
 def test_uploads_round_trip_through_json(summary, report):
     _assert_same(MomentSummary.from_json(summary.to_json()), summary)
     _assert_same(SourceSiteReport.from_json(report.to_json()), report)
+    # A decoded payload writes the text it was read from, byte for byte.
+    for payload in (summary, report):
+        text = payload.to_json()
+        assert type(payload).from_json(text).to_json() == text
 
 
 @PROPERTY

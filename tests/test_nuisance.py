@@ -49,7 +49,7 @@ def test_feature_maps():
     bad = [
         ("pca", None), ("raw", (0,)), ("kangschafer", (0, 1)), ("subset", None),
         ("subset", ()), ("subset", [0, 1]), ("subset", (0, 0)), ("subset", (-1,)),
-        ("subset", (1.0,)), ("subset", (True,)), ("subset", ("0",)),
+        ("subset", (1.0,)), ("subset", (True,)), ("subset", ("0",)), ("subset", ([0],)),
         ("subset", (MAX_COLUMNS,)),
     ]
     for kind, columns in bad:
@@ -140,12 +140,35 @@ def test_mix_outcome_risk_dominance():
 
 
 def test_mix_outcome_too_few_units():
+    # Three treated units pass the split floor; the lone candidate's design,
+    # an intercept and two zero columns, then fails its one fit.
     X = np.zeros((10, 2))
     y = np.zeros(10)
     a = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
     fm = FeatureMap("raw")
-    with pytest.raises(TooFewUnits):
-        mix_outcome("s0", _designs(X, [fm]), y, a, 1, [fm], seed=0)
+    with pytest.warns(CandidateFitWarning, match="s0: candidate raw failed to fit"):
+        with pytest.raises(TooFewUnits, match="all candidates failed to fit"):
+            mix_outcome("s0", _designs(X, [fm]), y, a, 1, [fm], seed=0)
+
+
+def test_mix_outcome_arm_floor_is_the_split_floor():
+    # An arm is held to the one split floor, lone candidate or not: 2 units
+    # leave a 1-unit validation half; 3 units fit a lone candidate, while two
+    # candidates each fail their 1-unit train fit.
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((10, 2)), rng.standard_normal(10)
+    lone, pair = [FeatureMap("subset", (0,))], [FeatureMap("raw"), FeatureMap("subset", (0,))]
+    for maps in (lone, pair):
+        a = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(TooFewUnits, match="validation set needs at least 2 units"):
+            mix_outcome("s0", _designs(X, maps), y, a, 1, maps, seed=0)
+    a = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+    weights, fitted = mix_outcome("s0", _designs(X, lone), y, a, 1, lone, seed=0)
+    assert np.array_equal(weights, [1.0]) and np.all(np.isfinite(fitted))
+    with pytest.warns(CandidateFitWarning) as record:
+        with pytest.raises(TooFewUnits, match="all candidates failed to fit"):
+            mix_outcome("s0", _designs(X, pair), y, a, 1, pair, seed=0)
+    assert len(record) == 2
 
 
 def _counted(monkeypatch, name, starts=None):

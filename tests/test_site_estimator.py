@@ -121,7 +121,7 @@ def test_site_frame_rejects_bad_columns_and_treatment():
     # Each of these used to build: a negative index selected the last column
     # silently, one past X failed mid-round, a repeated one made B singular.
     y, a, X = np.zeros(3), np.array([0, 1, 0]), np.zeros((3, 2))
-    for cols in ((-1, 0), (0, 5), (0, 2), (0, 0), (0.0, 1), (True,), [0, 1]):
+    for cols in ((-1, 0), (0, 5), (0, 2), (0, 0), (0.0, 1), (True,), ([0],), [0, 1]):
         with pytest.raises(ValueError, match="shared_cols"):
             SiteFrame("s", "source", y, a, X, cols)
     for bad in ([0, 2, 1], [0.5, 1, 0], [-1, 0, 1]):
@@ -136,6 +136,27 @@ def test_site_frame_rejects_bad_columns_and_treatment():
             SiteFrame("s", role, y, a, wide, tuple(range(MAX_COLUMNS + 1)))
         assert SiteFrame("s", role, y, a, wide[:, 1:], tuple(range(MAX_COLUMNS))).V.shape == (
             3, MAX_COLUMNS)
+
+
+def test_feature_maps_and_frames_share_the_column_rule():
+    # A subset map and a frame of MAX_COLUMNS covariates accept the same
+    # column lists (nuisance.is_column_list), so neither can hold a list the
+    # other rejects.
+    y, a, X = np.zeros(3), np.array([0, 1, 0]), np.zeros((3, MAX_COLUMNS))
+
+    def builds(make, cols):
+        try:
+            make(cols)
+        except ValueError:
+            return False
+        return True
+
+    cases = [((), False), ((0, 0), False), ((True,), False), ((1.0,), False), (([0],), False),
+             ((-1,), False), ((MAX_COLUMNS,), False), ([0, 1], False),
+             (tuple(range(MAX_COLUMNS)), True), ((3, 1), True)]
+    for cols, ok in cases:
+        assert builds(lambda c: FeatureMap("subset", c), cols) is ok, cols
+        assert builds(lambda c: SiteFrame("s", "source", y, a, X, c), cols) is ok, cols
 
 
 def test_site_frame_rejects_data_it_cannot_estimate_from():
