@@ -6,11 +6,12 @@
 # config broadcast, and a moment summary to and an upload from each of c1's
 # 4 sources; so is the transcript it writes: those messages in that order,
 # each within the audit's size bound for its kind, and bytes per kind that
-# sum to the census) and its metrics table, then estimates from a target and a
-# source CSV written from preset c1's replication 0: an adaptive round,
-# which cross-validates, and an ivw round, which draws no CV folds, whose
-# written report and ledger are checked: one source used, and one message of
-# each kind, each within the audit's size bound for its kind.
+# sum to the census) and its metrics table, a study of a scenario file, and
+# the usage error of that file with a misspelled key, then estimates from a
+# target and a source CSV written from preset c1's replication 0: an adaptive
+# round, which cross-validates, and an ivw round, which draws no CV folds,
+# whose written report and ledger are checked: one source used, and one
+# message of each kind, each within the audit's size bound for its kind.
 # Usage: console_smoke.sh OUT_DIR
 set -euo pipefail
 out="$1"
@@ -31,6 +32,30 @@ sums = {kind: sum(rec["bytes"] for rec in records if rec["kind"] == kind) for ki
 assert sums == {kind: entry["bytes"] for kind, entry in audit["by_kind"].items()}, sums
 ' "$out/sim"
 fedcausal report --metrics "$out/sim/metrics.csv"
+# A scenario file, not a preset: c1 renamed with a nonzero true effect runs,
+# and the same file with that key misspelled fails as a usage error naming it.
+python3 -c '
+import json, sys
+from importlib import resources
+obj = json.loads(resources.files("fedcausal").joinpath("presets", "c1.json").read_text())
+obj.update(name="c1_file", true_delta=1.0)
+with open(sys.argv[1] + "/c1_file.json", "w") as fh:
+    json.dump(obj, fh)
+obj["true_detla"] = obj.pop("true_delta")
+with open(sys.argv[1] + "/c1_typo.json", "w") as fh:
+    json.dump(obj, fh)
+' "$out"
+fedcausal simulate --scenario "$out/c1_file.json" --methods ivw --reps 2 --out "$out/file"
+python3 -c '
+import json, sys
+assert json.load(open(sys.argv[1] + "/manifest.json"))["scenario"] == "c1_file"
+' "$out/file"
+code=0
+fedcausal simulate --scenario "$out/c1_typo.json" --methods ivw --reps 2 --out "$out/typo" \
+    2> "$out/typo.err" || code=$?
+test "$code" -eq 2
+grep -q "true_detla" "$out/typo.err"
+test ! -e "$out/typo/metrics.csv"
 OUT="$out" python3 -c '
 import os, numpy as np
 from fedcausal.simbench import load_scenario, replication_frames

@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .errors import FedcausalError, ScenarioError
 from .federation import ALPHA, LAMBDA_GRID
-from .fedruntime import METHODS, ProtocolConfig, audit_ledger, dump_ledger, is_count, run_round
+from .fedruntime import (METHODS, ProtocolConfig, audit_ledger, dump_ledger, is_count,
+                         is_method_list, run_round)
 from .nuisance import FeatureMap
 from .simbench import load_scenario, replication_reports, run_scenario
 from .site_estimator import SiteFrame
@@ -49,7 +50,7 @@ _parse_seed = _checked(int, is_count, "seed must be in [0, 2**53)")
 _parse_reps = _checked(int, lambda v: v >= 1, "reps must be >= 1")
 _parse_methods = _checked(
     lambda text: tuple(m.strip() for m in text.split(",") if m.strip()),
-    lambda methods: 0 < len(methods) == len(set(methods)) and set(methods) <= set(METHODS),
+    is_method_list,
     "methods must be a non-empty list of distinct names from: " + ",".join(METHODS),
 )
 

@@ -130,6 +130,12 @@ def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**53
 
 
+def is_method_list(methods) -> bool:
+    """Whether ``methods`` is a non-empty tuple of distinct names from :data:`METHODS`."""
+    return (isinstance(methods, tuple) and all(m in METHODS for m in methods)
+            and 0 < len(methods) == len(set(methods)))
+
+
 _SCALARS = {"count": is_count, "number": _is_number}
 
 

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import FedcausalError, ScenarioError
 from .federation import ADAPTIVE_METHODS, GlobalReport, check_adaptive_sources
-from .fedruntime import METHODS, ProtocolConfig, combine, run_sites, run_transport
+from .fedruntime import (METHODS, ProtocolConfig, combine, is_method_list, run_sites,
+                         run_transport)
 from .nuisance import FeatureMap, kang_schafer
 from .numkit import expit
 from .site_estimator import SiteFrame
@@ -80,13 +81,6 @@ class ScenarioSpec:
         for s in self.sites:
             for what in ("id", "role", "dgp"):
                 _json_value(getattr(s, what), (str,), f"site {what}")
-        targets = [s for s in self.sites if s.role == "target"]
-        if len(targets) != 1:
-            raise ScenarioError(f"scenario needs exactly one target, got {len(targets)}")
-        ids = [s.id for s in self.sites]
-        if len(set(ids)) != len(ids):
-            raise ScenarioError("site ids must be unique")
-        for s in self.sites:
             if s.role not in ("target", "source"):
                 raise ScenarioError(f"bad role {s.role!r} for site {s.id}")
             if _json_value(s.n, (int,), f"site {s.id} n") < 10:
@@ -97,6 +91,12 @@ class ScenarioSpec:
                 raise ScenarioError(f"site {s.id} needs 4 finite skew parameters")
             if s.dgp not in ("x", "z"):
                 raise ScenarioError(f"site {s.id} dgp must be 'x' or 'z'")
+        targets = [s for s in self.sites if s.role == "target"]
+        if len(targets) != 1:
+            raise ScenarioError(f"scenario needs exactly one target, got {len(targets)}")
+        ids = [s.id for s in self.sites]
+        if len(set(ids)) != len(ids):
+            raise ScenarioError("site ids must be unique")
         if self.mismatch and any(s.dgp == "z" for s in self.sites):
             raise ScenarioError("the mismatch design uses dgp 'x' at every site")
         if not math.isfinite(self.true_delta):
@@ -110,24 +110,14 @@ class ScenarioSpec:
     def from_dict(obj: dict) -> "ScenarioSpec":
         """A scenario from decoded JSON, type-checked and not coerced by the
         constructor (``json`` reads ``NaN`` and ``Infinity`` as floats, which
-        it rejects as ``true_delta``)."""
+        it rejects as ``true_delta``). Its keys are the fields of
+        :class:`ScenarioSpec` and each site's those of :class:`SiteSpec`: a
+        key left out takes its field's default, and any other key is
+        rejected."""
         try:
-            sites = tuple(
-                SiteSpec(
-                    id=s["id"],
-                    role=s["role"],
-                    n=s["n"],
-                    skew=tuple(s["skew"]),
-                    dgp=s["dgp"],
-                )
-                for s in obj["sites"]
-            )
-            return ScenarioSpec(
-                name=obj["name"],
-                sites=sites,
-                mismatch=obj.get("mismatch", False),
-                true_delta=obj.get("true_delta", 0.0),
-            )
+            sites = tuple(SiteSpec(**s) for s in obj["sites"])
+            sites = tuple(replace(s, skew=tuple(s.skew)) for s in sites)  # JSON has no tuple
+            return ScenarioSpec(**{**obj, "sites": sites})
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
 
@@ -377,11 +367,9 @@ def run_scenario(
     Replication rows are aggregated in replication order.
     """
     methods = tuple(methods)
-    if not methods or len(set(methods)) != len(methods):
-        raise ScenarioError(f"methods must be non-empty and distinct, got {methods}")
-    for m in methods:
-        if m not in METHODS:
-            raise ScenarioError(f"unknown method {m!r}")
+    if not is_method_list(methods):
+        raise ScenarioError(f"methods must be a non-empty list of distinct names from {METHODS}, "
+                            f"got {methods}")
     if reps < 1:
         raise ScenarioError("reps must be positive")
     if any(m in ADAPTIVE_METHODS for m in methods):

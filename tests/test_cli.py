@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -17,7 +18,7 @@ import pytest
 
 from fedcausal import cli, fedruntime, simbench
 from fedcausal.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from fedcausal.errors import AllSourcesFailedWarning, TooFewUnits
+from fedcausal.errors import AllSourcesFailedWarning, ScenarioError, TooFewUnits
 from fedcausal.federation import MAX_SOURCES
 from fedcausal.numkit import expit
 from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
@@ -184,6 +185,37 @@ def test_simulate_usage_errors(tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--scenario", "c1", flag, value, "--out", out])
         assert err.value.code == EXIT_USAGE
+
+
+def test_simulate_rejects_a_scenario_file_with_an_unknown_key(tmp_path, capsys):
+    # A misspelled true effect is named, and no study runs on the default.
+    obj = json.loads(resources.files("fedcausal").joinpath("presets", "c1.json").read_text())
+    obj["true_detla"] = 1.0
+    path = tmp_path / "c1_typo.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "run"
+    code = main(["simulate", "--scenario", str(path), "--methods", "ivw",
+                 "--reps", "2", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "unexpected keyword argument 'true_detla'" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("methods", [
+    ("ivw",), fedruntime.METHODS, (), ("ivw", "ivw"), ("magic",), ("ivw", "magic"),
+])
+def test_cli_and_run_scenario_share_one_method_rule(methods):
+    # With reps=0 an accepted list stops at the reps check, so no
+    # replication runs either way.
+    try:
+        cli._parse_methods(",".join(methods))
+        parsed = True
+    except argparse.ArgumentTypeError:
+        parsed = False
+    with pytest.raises(ScenarioError) as err:
+        simbench.run_scenario(load_scenario("c1"), methods=methods, reps=0)
+    assert parsed == (str(err.value) == "reps must be positive")
+    assert parsed == (methods in (("ivw",), fedruntime.METHODS))
 
 
 def test_simulate_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):

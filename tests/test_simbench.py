@@ -147,6 +147,51 @@ def test_scenario_site_roles_are_target_or_source():
         ScenarioSpec(name="x", sites=(base.sites[0], sink))
 
 
+def test_scenario_names_a_misspelled_role():
+    # The per-site checks run before the target count, so a target whose
+    # role is misspelled is named, not counted as a missing target.
+    obj = json.loads(Path(simbench.__file__).with_name("presets").joinpath("c1.json").read_text())
+    obj["sites"][0]["role"] = "Target"
+    with pytest.raises(ScenarioError, match="^bad role 'Target' for site site1$"):
+        ScenarioSpec.from_dict(obj)
+
+
+def test_scenario_file_keys_are_the_spec_fields():
+    # A key that is no field of the spec fails by name: a misspelled true
+    # effect no longer leaves every replication scored against zero.
+    preset = Path(simbench.__file__).with_name("presets").joinpath("c1.json").read_text()
+    bad = {
+        "true_detla": lambda obj: obj.update(true_detla=1.0),
+        "skw": lambda obj: obj["sites"][2].update(skw=[0, 0, 0, 0]),
+    }
+    for key, tamper in bad.items():
+        obj = json.loads(preset)
+        tamper(obj)
+        with pytest.raises(ScenarioError, match=rf"^malformed scenario: .*"
+                                                rf"unexpected keyword argument '{key}'$"):
+            ScenarioSpec.from_dict(obj)
+    # A misspelled site key is named too, not the key it stands in for.
+    obj = json.loads(preset)
+    obj["sites"][2]["skw"] = obj["sites"][2].pop("skew")
+    with pytest.raises(ScenarioError, match="unexpected keyword argument 'skw'"):
+        ScenarioSpec.from_dict(obj)
+    # A key left out takes its field's default.
+    obj = json.loads(preset)
+    del obj["mismatch"], obj["true_delta"]
+    assert ScenarioSpec.from_dict(obj) == load_scenario("c1")
+
+
+@pytest.mark.parametrize("name", ["c0", "c05", "c1", "mismatch",
+                                  str(Path(__file__).resolve().parents[1]
+                                      / "perfbench" / "scenarios" / "c1x10.json")])
+def test_scenario_round_trips_through_its_fields(name):
+    # Every field of the spec, one added later included, is a key that
+    # from_dict reads back.
+    spec = load_scenario(name)
+    assert ScenarioSpec.from_dict(dataclasses.asdict(spec)) == spec
+    assert ScenarioSpec.from_dict(json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
+
+
 def test_scenario_json_types_are_checked_not_coerced():
     # A string "false" is not the bool false, 300.9 units is no sample size,
     # and a null site id or a numeric name is no string.
