@@ -20,9 +20,9 @@ payload is written at the boundary as canonical minimal JSON
 (:func:`~fedcausal.wire.wire_text`), the one text of its values, and every
 cross-site message is logged so the ledger can be audited: the audit accepts
 no other text, and only the declared summary-level schemas may cross sites,
-never individual rows or any per-unit value. Moment summaries and source
-uploads are decoded on the receiving side; the config broadcast is logged as
-sent and never decoded, because every site reads the in-memory config.
+never individual rows or any per-unit value. Every message is decoded on the
+receiving side: a source reads its candidates and nuisance seed from the config
+broadcast text (:func:`source_upload`), and only its folds from the transport.
 """
 
 from __future__ import annotations
@@ -218,11 +218,11 @@ class ProtocolConfig:
         }
 
 
-def _fit_site(frame: SiteFrame, config: ProtocolConfig) -> NuisanceFit:
-    """Fit a site's nuisance models on its own data, with its role's candidates."""
-    group = config.candidates[frame.role]
+def _fit_site(frame: SiteFrame, group: dict, seed: int) -> NuisanceFit:
+    """Fit a site's nuisance models on its own data, with the candidate
+    ``group`` and the round's ``seed``."""
     return fit_nuisances(frame.site_id, frame.X, frame.y, frame.a, group["treatment"],
-                         group["outcome"], seed=site_split_seed(config.seed, frame.site_id))
+                         group["outcome"], seed=site_split_seed(seed, frame.site_id))
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,9 @@ class Transport:
     does), and one :class:`SourceTransport` per source in frame order,
     every fold set drawn with ``seed``. Every site holds ``cv_splits`` fold
     masks: ``CV_SPLITS`` if the transport serves an adaptive method, else
-    none, so its fold sets have shape (0, n)."""
+    none, so its fold sets have shape (0, n). The folds are the one source
+    input not read from a broadcast text: every phase on the transport
+    broadcasts its ``seed`` and ``cv_splits``."""
 
     target: SiteFrame
     target_folds: np.ndarray
@@ -282,9 +284,9 @@ def run_transport(frames: list[SiteFrame], seed: int, methods=METHODS) -> Transp
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:
         raise ValueError(f"site ids must be distinct; repeated: {repeated}")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}")
+    if not is_method_list(tuple(methods)):
+        raise ValueError(f"methods must be a non-empty list of distinct names from {METHODS}, "
+                         f"got {methods!r}")
     splits = CV_SPLITS if any(m in ADAPTIVE_METHODS for m in methods) else 0
 
     def folds(frame: SiteFrame) -> np.ndarray:
@@ -308,6 +310,19 @@ def run_transport(frames: list[SiteFrame], seed: int, methods=METHODS) -> Transp
         sources.append(SourceTransport(src, message, tilt, folds(src), None))
     return Transport(target=target, target_folds=folds(target),
                      target_centered=target.V - summary.mean_v, sources=sources, seed=seed)
+
+
+def source_upload(src: SourceTransport, config_text: str) -> str:
+    """One source's upload text in a site phase, from its frame, tilt and CV
+    folds and the config broadcast text it received, whose candidate group and
+    seed its nuisance fits take. A text the audit's config schema rejects
+    raises :class:`PrivacyViolation` before any fit."""
+    payload = json.loads(config_text)
+    _check_shape(payload, _SCHEMAS["config"], {}, "the config broadcast")
+    group = {role: [FeatureMap.from_dict(d) for d in maps]
+             for role, maps in payload["candidates"].items()}
+    fit = _fit_site(src.frame, group, payload["seed"])
+    return source_report(src.frame, fit, src.tilt, src.folds)[0].to_json()
 
 
 @dataclass(frozen=True)
@@ -338,24 +353,18 @@ def run_sites(transport: Transport, candidates: dict) -> SitePhase:
     one seed. No weighting scheme is read, so one site phase serves every
     scheme, and one transport serves every candidate group. The config
     broadcast declares the transport's seed and split count (``cv_splits``),
-    so each upload's ``fit_sq`` has that length. The ledger logs the config
-    broadcast, then each source's moment summary and upload in frame order.
+    so each upload's ``fit_sq`` has that length; each source reads its
+    candidates and nuisance seed from that text (:func:`source_upload`). The
+    ledger logs the config broadcast, then each source's moment summary and
+    upload in frame order.
     Sources whose tilt failed in the transport, or that raise a model-fitting
     or missing-column error here, are recorded in ``failures`` and left out.
     """
     config = ProtocolConfig(candidates, seed=transport.seed)
     target = transport.target
-    ledger: list[MessageRecord] = []
-    if transport.sources:
-        ledger.append(
-            MessageRecord(
-                from_site=target.site_id,
-                to_site="*",
-                kind="config",
-                payload_text=wire_text({**config.to_dict(),
-                                        "cv_splits": transport.cv_splits}),
-            )
-        )
+    broadcast = MessageRecord(target.site_id, "*", "config", wire_text(
+        {**config.to_dict(), "cv_splits": transport.cv_splits}))
+    ledger = [broadcast] if transport.sources else []
     failures: dict[str, str] = {}
     estimates = []
 
@@ -366,23 +375,17 @@ def run_sites(transport: Transport, candidates: dict) -> SitePhase:
             failures[site_id] = src.failure
             continue
         try:
-            report, _ = source_report(src.frame, _fit_site(src.frame, config), src.tilt,
-                                      src.folds)
+            upload = MessageRecord(site_id, target.site_id, "site_estimate",
+                                   source_upload(src, broadcast.payload_text))
         except FedcausalError as exc:
             failures[site_id] = f"{type(exc).__name__}: {exc}"
             continue
-        upload = MessageRecord(
-            from_site=site_id,
-            to_site=target.site_id,
-            kind="site_estimate",
-            payload_text=report.to_json(),
-        )
         ledger.append(upload)
         estimates.append(complete_source_estimate(
-            upload.from_site, SourceSiteReport.from_json(upload.payload_text)))
+            site_id, SourceSiteReport.from_json(upload.payload_text)))
 
-    tgt_est = estimate_target(target, _fit_site(target, config), transport.target_centered,
-                              transport.target_folds)
+    tgt_fit = _fit_site(target, config.candidates["target"], transport.seed)
+    tgt_est = estimate_target(target, tgt_fit, transport.target_centered, transport.target_folds)
     return SitePhase(estimates=[tgt_est] + estimates, ledger=ledger, failures=failures,
                      candidates=config.candidates)
 

@@ -34,6 +34,7 @@ from fedcausal.fedruntime import (
     run_round,
     run_sites,
     run_transport,
+    source_upload,
 )
 from fedcausal.nuisance import MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit
@@ -279,9 +280,11 @@ def test_a_transport_for_an_adaptive_method_draws_every_site_folds_once(monkeypa
     assert sorted(drawn) == ["site0", "site1", "site2"]
     assert transport.cv_splits == CV_SPLITS
     assert [src.folds.shape for src in transport.sources] == [(CV_SPLITS, 150)] * 2
-    # A method name is not a list of methods.
-    with pytest.raises(ValueError, match=r"unknown methods \['m', 'r', '_', 'l', '1'\]"):
-        run_transport(_make_frames(seed=3), 5, "mr_l1")
+    # A method name is not a list of methods, and neither is an empty or a
+    # repeated one.
+    for bad in ("mr_l1", (), ("ivw", "ivw")):
+        with pytest.raises(ValueError, match="methods must be a non-empty list of distinct names"):
+            run_transport(_make_frames(seed=3), 5, bad)
 
 
 @pytest.mark.parametrize("preset", ["c1", "c0"])
@@ -303,6 +306,95 @@ def test_fixed_schemes_do_not_read_the_folds(preset):
         assert folds.variance == none.variance
         assert folds.ci == none.ci
         assert np.array_equal(folds.solution.eta, none.solution.eta)
+
+
+def _uploads(ledger):
+    return {rec.from_site: rec.payload_text for rec in ledger if rec.kind == "site_estimate"}
+
+
+@pytest.mark.parametrize("method", ["mr_l1", "ivw"])
+def test_a_source_uploads_what_it_makes_of_the_broadcast_text(method):
+    # Replication 0 of c1: each source, given its transport and the logged
+    # config broadcast text alone, writes the upload the round logged, the
+    # one its fit with the coordinator's own group and seed gives.
+    scenario = load_scenario("c1")
+    frames = replication_frames(scenario, 0, 0)
+    config = method_config(method, scenario, seed=rep_config_seed(0, 0))
+    group = config.candidates["source"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ledger = run_round(frames, config).privacy_ledger
+        transport = run_transport(frames, config.seed, (method,))
+        made = {src.frame.site_id: source_upload(src, ledger[0].payload_text)
+                for src in transport.sources}
+        direct = {}
+        for src in transport.sources:
+            f = src.frame
+            fit = fit_nuisances(f.site_id, f.X, f.y, f.a, group["treatment"], group["outcome"],
+                                seed=site_split_seed(config.seed, f.site_id))
+            direct[f.site_id] = source_report(f, fit, src.tilt, src.folds)[0].to_json()
+    assert ledger[0].kind == "config"
+    assert made == _uploads(ledger) == direct
+    assert len(made) == 4
+
+
+def test_a_source_reads_its_candidates_from_the_broadcast_text():
+    # On one transport, each source fed the broadcast text of either
+    # candidate group writes the upload the phase run with that group logs.
+    scenario = load_scenario("c1")
+    frames = replication_frames(scenario, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        transport = run_transport(frames, rep_config_seed(0, 0), METHODS)
+        phases = [run_sites(transport, method_config(method, scenario).candidates)
+                  for method in ("ivw", "mr_l1")]
+        for phase in phases:
+            made = {src.frame.site_id: source_upload(src, phase.ledger[0].payload_text)
+                    for src in transport.sources}
+            assert made == _uploads(phase.ledger)
+    assert _uploads(phases[0].ledger) != _uploads(phases[1].ledger)
+
+
+def test_a_source_fits_nothing_on_a_broadcast_the_audit_rejects(monkeypatch):
+    transport = run_transport(_make_frames(seed=3), 5, ("mr_l1",))
+    sent = json.loads(run_sites(transport, _config().candidates).ledger[0].payload_text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a source fitted on a rejected broadcast")
+
+    monkeypatch.setattr(fedruntime, "fit_nuisances", refuse)
+    src = transport.sources[0]
+    with pytest.raises(AssertionError):
+        source_upload(src, wire_text(sent))
+
+    def with_maps(maps):
+        return {**sent, "candidates": {**sent["candidates"], "treatment": maps}}
+
+    subsets = [{"kind": "subset", "columns": [c]} for c in range(MAX_CANDIDATES + 1)]
+    for payload in (with_maps([{"kind": "spline"}]),
+                    with_maps([{"kind": "raw", "x": 1}]),
+                    with_maps(subsets),
+                    {key: value for key, value in sent.items() if key != "seed"},
+                    [sent]):
+        with pytest.raises(PrivacyViolation):
+            source_upload(src, wire_text(payload))
+
+
+def test_every_phase_on_a_transport_broadcasts_its_seed_and_split_count():
+    # The folds stay in the transport: every phase run on it declares the
+    # transport's seed and as many splits as each source holds fold masks.
+    scenario = load_scenario("c1")
+    frames = replication_frames(scenario, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for methods, splits in ((METHODS, CV_SPLITS), (("ivw",), 0)):
+            transport = run_transport(frames, rep_config_seed(0, 0), methods)
+            for method in ("ivw", "mr_l1"):
+                phase = run_sites(transport, method_config(method, scenario).candidates)
+                sent = json.loads(phase.ledger[0].payload_text)
+                assert sent["seed"] == transport.seed
+                assert sent["cv_splits"] == splits
+                assert [src.folds.shape[0] for src in transport.sources] == [splits] * 4
 
 
 def test_an_adaptive_combine_needs_a_phase_with_folds():

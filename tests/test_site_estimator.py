@@ -636,7 +636,7 @@ def test_contributions_match_a_jackknife(seed):
         candidates={role: {"treatment": RAW_T, "outcome": RAW_O}
                     for role in ("target", "source")}, method="target")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fedruntime, "_fit_site", lambda frame, config: _fixed_fit(frame))
+        mp.setattr(fedruntime, "_fit_site", lambda frame, group, seed: _fixed_fit(frame))
 
         def target_estimate(frame):
             transport = fedruntime.run_transport([frame], config.seed)
