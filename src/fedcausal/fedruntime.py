@@ -21,8 +21,8 @@ payload is written at the boundary as canonical minimal JSON
 cross-site message is logged so the ledger can be audited: the audit accepts
 no other text, and only the declared summary-level schemas may cross sites,
 never individual rows or any per-unit value. Every message is decoded on the
-receiving side: a source reads its candidates and nuisance seed from the config
-broadcast text (:func:`source_upload`), and only its folds from the transport.
+receiving side: a source reads the config broadcast by the audit's one rule for
+a payload text (:func:`source_upload`), and only its folds from the transport.
 """
 
 from __future__ import annotations
@@ -139,10 +139,6 @@ def is_method_list(methods) -> bool:
 _SCALARS = {"count": is_count, "number": _is_number}
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class MessageRecord:
     """One logged cross-site message with its payload text, which the
@@ -162,7 +158,8 @@ class MessageRecord:
 
     def __post_init__(self):
         if not self.payload_digest:
-            object.__setattr__(self, "payload_digest", _sha256(self.payload_text))
+            object.__setattr__(self, "payload_digest",
+                               hashlib.sha256(self.payload_text.encode("utf-8")).hexdigest())
 
     @property
     def payload_bytes(self) -> int:
@@ -314,14 +311,14 @@ def run_transport(frames: list[SiteFrame], seed: int, methods=METHODS) -> Transp
 
 def source_upload(src: SourceTransport, config_text: str) -> str:
     """One source's upload text in a site phase, from its frame, tilt and CV
-    folds and the config broadcast text it received, whose candidate group and
-    seed its nuisance fits take. A text the audit's config schema rejects
-    raises :class:`PrivacyViolation` before any fit."""
-    payload = json.loads(config_text)
-    _check_shape(payload, _SCHEMAS["config"], {}, "the config broadcast")
-    group = {role: [FeatureMap.from_dict(d) for d in maps]
-             for role, maps in payload["candidates"].items()}
-    fit = _fit_site(src.frame, group, payload["seed"])
+    folds and the config broadcast text it received, which it reads by the
+    audit's own rule (:func:`_read_payload`, the split count and the config
+    schema): a text the audit rejects raises :class:`PrivacyViolation` before
+    any fit, and the fits take the seed and the feature maps that rule built."""
+    payload = _read_payload("config", config_text)
+    config = _check_shape(payload, _SCHEMAS["config"], _declared_dims([("config", payload)]),
+                          "a config message")
+    fit = _fit_site(src.frame, config["candidates"], config["seed"])
     return source_report(src.frame, fit, src.tilt, src.folds)[0].to_json()
 
 
@@ -450,8 +447,38 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     return combine(run_sites(transport, config.candidates), config.method)
 
 
-def _check_shape(value, spec, dims: dict, where: str) -> None:
-    """Raise :class:`PrivacyViolation` unless ``value`` has the declared shape."""
+def _read_payload(kind: str, text: str, digest: str | None = None) -> dict:
+    """The payload of a ``kind`` message whose text is ``text``, by the one
+    rule for a payload text, which the audit applies to every logged message
+    and a source to the config broadcast it receives; ``digest`` is checked
+    when given. The bound (:data:`TEXT_BOUNDS`) is checked before the text is
+    hashed or parsed, so no size of text costs more than the bound to reject,
+    and only the canonical text of the values (:func:`~fedcausal.wire.wire_text`)
+    passes, so no whitespace, digit or escape carries anything they do not."""
+    size, bound = len(text), TEXT_BOUNDS[kind]
+    if size > bound:
+        raise PrivacyViolation(f"payload text of a {kind} message holds {size} "
+                               f"characters, over its bound of {bound}")
+    try:
+        encoded = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise PrivacyViolation(f"payload text of a {kind} message is not UTF-8 encodable") from exc
+    if digest is not None and hashlib.sha256(encoded).hexdigest() != digest:
+        raise PrivacyViolation(f"payload digest mismatch on a {kind} message")
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise PrivacyViolation(f"non-JSON payload on a {kind} message") from exc
+    if text != wire_text(payload):
+        raise PrivacyViolation(f"non-canonical payload text on a {kind} message")
+    if not isinstance(payload, dict):
+        raise PrivacyViolation(f"payload of a {kind} message is not an object")
+    return payload
+
+
+def _check_shape(value, spec, dims: dict, where: str):
+    """``value``, each "maps" list as its :class:`~fedcausal.nuisance.FeatureMap`
+    list; raise :class:`PrivacyViolation` unless it has the declared shape."""
     if isinstance(spec, dict):
         if not isinstance(value, dict):
             raise PrivacyViolation(f"{where} is not an object")
@@ -461,9 +488,9 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
         missing = set(spec) - set(value)
         if missing:
             raise PrivacyViolation(f"missing keys {sorted(missing)} in {where}")
-        for key, item in value.items():
-            _check_shape(item, spec[key], dims, f"{where}.{key}")
-    elif spec == "maps":
+        return {key: _check_shape(item, spec[key], dims, f"{where}.{key}")
+                for key, item in value.items()}
+    if spec == "maps":
         try:
             maps = [FeatureMap.from_dict(d) for d in value]
             ok = value == [fm.to_dict() for fm in maps] and is_candidate_list(maps)
@@ -471,7 +498,8 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
             ok = False
         if not ok:
             raise PrivacyViolation(f"{where} is not a list of candidate feature maps")
-    elif spec.startswith("["):
+        return maps
+    if spec.startswith("["):
         if not (isinstance(value, list) and all(map(_is_number, value))):
             raise PrivacyViolation(f"{where} is not a flat list of finite numbers")
         size = dims.get(spec[1:-1])
@@ -481,6 +509,7 @@ def _check_shape(value, spec, dims: dict, where: str) -> None:
             )
     elif not _SCALARS[spec](value):
         raise PrivacyViolation(f"{where} is not a {spec}")
+    return value
 
 
 def _declared_dims(payloads: list) -> dict:
@@ -511,45 +540,22 @@ def _declared_dims(payloads: list) -> dict:
 def audit_ledger(report: GlobalReport) -> dict:
     """Validate every logged message against the declared payload schemas.
 
-    Raises :class:`PrivacyViolation` on an unknown message kind, a payload
-    text longer than its kind's bound (:data:`TEXT_BOUNDS`, counted in
-    characters before the text is hashed or parsed, so no size of text costs
-    more than the bound to reject), a payload text that cannot be hashed or
-    parsed (the error names the message kind and chains the original one), a
-    digest mismatch, a payload text that is not the canonical text of its own
-    values (:func:`~fedcausal.wire.wire_text`, so no whitespace, digit or
-    escape carries anything the values do not), an undeclared or missing
-    payload key, or a value whose shape differs from its
-    declaration: above all, any numeric list whose length is not the
-    declared protocol dimension (so per-unit arrays never pass), such as an
-    upload whose ``fit_sq`` is not as long as the config's ``cv_splits``.
-    Otherwise returns a census of message counts and byte totals per kind.
+    Raises :class:`PrivacyViolation` on an unknown message kind, a text that
+    fails the one rule for a payload text, by which a source also reads the
+    config broadcast (:func:`_read_payload`: the bound, UTF-8, the logged
+    digest, JSON, canonical text, an object), an undeclared or missing payload
+    key, or a value whose shape differs from its declaration: above all, any
+    numeric list whose length is not the declared protocol dimension (so
+    per-unit arrays never pass), such as an upload whose ``fit_sq`` is not as
+    long as the config's ``cv_splits``. Otherwise returns a census of message
+    counts and byte totals per kind.
     """
     by_kind: dict[str, dict] = {}
     payloads = []
     for rec in report.privacy_ledger:
         if rec.kind not in _SCHEMAS:
             raise PrivacyViolation(f"unknown message kind {rec.kind!r}")
-        size, bound = len(rec.payload_text), TEXT_BOUNDS[rec.kind]
-        if size > bound:
-            raise PrivacyViolation(f"payload text of a {rec.kind} message holds {size} "
-                                   f"characters, over its bound of {bound}")
-        try:
-            digest = _sha256(rec.payload_text)
-        except UnicodeEncodeError as exc:
-            raise PrivacyViolation(f"payload text of a {rec.kind} message is not UTF-8 "
-                                   "encodable") from exc
-        if digest != rec.payload_digest:
-            raise PrivacyViolation(f"payload digest mismatch on a {rec.kind} message")
-        try:
-            payload = json.loads(rec.payload_text)
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-            raise PrivacyViolation(f"non-JSON payload on a {rec.kind} message") from exc
-        if rec.payload_text != wire_text(payload):
-            raise PrivacyViolation(f"non-canonical payload text on a {rec.kind} message")
-        if not isinstance(payload, dict):
-            raise PrivacyViolation(f"payload of a {rec.kind} message is not an object")
-        payloads.append((rec.kind, payload))
+        payloads.append((rec.kind, _read_payload(rec.kind, rec.payload_text, rec.payload_digest)))
         bucket = by_kind.setdefault(rec.kind, {"count": 0, "bytes": 0})
         bucket["count"] += 1
         bucket["bytes"] += rec.payload_bytes

@@ -364,17 +364,11 @@ def nnls_coordinate_descent(
     on = ((np.arange(2**p)[:, None] >> np.arange(p)) & 1 == 1) & usable[:, None, :]
     system = np.where(on[..., :, None] & on[..., None, :], gram[:, None], np.eye(p))
     rhs = np.concatenate((c.transpose(0, 2, 1), np.broadcast_to(np.eye(p), (n, p, p))), axis=2)
-    # np.linalg.solve fails a whole stack for one singular system; such a
-    # stack is solved one at a time.
-    try:
-        sol = np.linalg.solve(system, rhs[:, None])
-    except np.linalg.LinAlgError:
-        sol = np.full(system.shape[:-1] + (L + p,), np.nan)
-        for i in np.ndindex(system.shape[:2]):
-            try:
-                sol[i] = np.linalg.solve(system[i], rhs[i[0]])
-            except np.linalg.LinAlgError:
-                pass  # left NaN, so its variance inflation fails below
+    # np.linalg.solve fails a whole stack on one zero LU pivot, so such systems
+    # are solved as the identity, and their NaN solutions fail the VIF below.
+    singular = np.linalg.slogdet(system)[0] == 0
+    sol = np.linalg.solve(np.where(singular[..., None, None], np.eye(p), system), rhs[:, None])
+    sol[singular] = np.nan
     vif = np.abs(np.diagonal(system, axis1=2, axis2=3)
                  * np.diagonal(sol[..., L:], axis1=2, axis2=3))
     independent = (vif <= MAX_VIF).all(axis=2)  # also rejects NaN

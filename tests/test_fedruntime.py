@@ -15,6 +15,7 @@ from fedcausal.density_ratio import MomentSummary, solve_tilt, target_moments
 from fedcausal.errors import (
     AllSourcesFailedWarning,
     CandidateFitWarning,
+    FedcausalError,
     MissingTarget,
     PositivityWarning,
     PrivacyViolation,
@@ -378,6 +379,44 @@ def test_a_source_fits_nothing_on_a_broadcast_the_audit_rejects(monkeypatch):
                     [sent]):
         with pytest.raises(PrivacyViolation):
             source_upload(src, wire_text(payload))
+    # Texts the audit rejects before or beside the schema, each with the
+    # audit's own message.
+    bound = TEXT_BOUNDS["config"]
+    for text, message in ((json.dumps(sent), "non-canonical payload text on a config"),
+                          ("{nope", "non-JSON payload on a config"),
+                          (wire_text({**sent, "cv_splits": 3}), "config declares cv_splits 3"),
+                          (wire_text(sent).ljust(bound + 4000), "over its bound"),
+                          (wire_text(sent) + "\ud800", "config message is not UTF-8")):
+        with pytest.raises(PrivacyViolation, match=message):
+            source_upload(src, text)
+
+
+def test_a_source_builds_each_broadcast_map_once(monkeypatch):
+    # The maps the config schema checks are the maps the source fits with:
+    # a broadcast of J candidate maps builds J feature maps before the fit.
+    scenario = load_scenario("c0")
+    frames = replication_frames(scenario, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        transport = run_transport(frames, rep_config_seed(0, 0), ("mr_l1",))
+        text = run_sites(transport, method_config("mr_l1", scenario).candidates
+                         ).ledger[0].payload_text
+    maps = json.loads(text)["candidates"]
+    built = []
+    check = FeatureMap.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    def stop(*args, **kwargs):
+        raise AssertionError("fit")
+
+    monkeypatch.setattr(FeatureMap, "__post_init__", counted)
+    monkeypatch.setattr(fedruntime, "fit_nuisances", stop)
+    with pytest.raises(AssertionError, match="fit"):
+        source_upload(transport.sources[0], text)
+    assert len(built) == len(maps["treatment"]) + len(maps["outcome"]) == 4
 
 
 def test_every_phase_on_a_transport_broadcasts_its_seed_and_split_count():
@@ -1006,6 +1045,45 @@ def test_audit_is_total_on_mutated_texts(honest_round, data):
         pass
 
 
+@pytest.fixture(scope="module")
+def honest_source():
+    """A source of the ``honest_round`` replication on a transport for mr_l1."""
+    scenario = load_scenario("c1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_transport(replication_frames(scenario, 0, 0), 1, ("mr_l1",)).sources[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_source_refuses_exactly_the_broadcasts_the_audit_rejects(honest_round, honest_source,
+                                                                   data):
+    # A mutated config text is the only message of a ledger: the source
+    # raises PrivacyViolation exactly when the audit rejects that ledger, and
+    # otherwise uploads or fails its fit by a FedcausalError, as run_sites
+    # records a failed source.
+    rec = honest_round.privacy_ledger[0]
+    assert rec.kind == "config"
+    text = data.draw(_mutated(rec.payload_text))
+    try:
+        logged = MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text)
+    except UnicodeEncodeError:
+        logged = MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text,
+                               payload_digest="0" * 64)
+    try:
+        audit_ledger(dataclasses.replace(honest_round, privacy_ledger=[logged]))
+    except PrivacyViolation:
+        with pytest.raises(PrivacyViolation):
+            source_upload(honest_source, text)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            SourceSiteReport.from_json(source_upload(honest_source, text))
+        except FedcausalError as exc:
+            assert not isinstance(exc, PrivacyViolation)
+
+
 def test_audit_rejects_tampered_payload():
     report = run_round(_make_frames(), _config("mr_l1"))
     audit_ledger(report)
@@ -1080,6 +1158,11 @@ def test_audit_accepts_only_canonical_text(name):
     with pytest.raises(PrivacyViolation,
                        match=f"non-canonical payload text on a {kind} message"):
         audit_ledger(report)
+    if kind == "config":
+        # A source refuses the broadcast text the audit refuses.
+        src = run_transport(frames, 1, ("ivw",)).sources[0]
+        with pytest.raises(PrivacyViolation, match="non-canonical payload text on a config"):
+            source_upload(src, text)
     report.privacy_ledger[pos] = _relogged(rec, json.loads(text))
     audit_ledger(report)
 

@@ -1,6 +1,7 @@
 """The package keeps no public function that only tests call, each one
 referenced by package code outside its own definition, no module import
-that its module never uses, and no use of another module's private name."""
+that its module never uses, no use of another module's private name, and
+one place where the runtime parses a payload text."""
 
 import ast
 from pathlib import Path
@@ -125,3 +126,14 @@ def test_every_error_is_raised_and_every_warning_warned():
     unused = [c.__name__ for c in classes if c is not errors.FedcausalError
               and c.__name__ not in (warned if issubclass(c, Warning) else raised)]
     assert unused == []
+
+
+def test_fedruntime_parses_payload_text_in_one_place():
+    # The runtime parses a payload text in one function, the audit's rule for
+    # a text, so a new reader of a payload goes through it, not a second
+    # decoder that could skip a check.
+    tree = ast.parse((PACKAGE / "fedruntime.py").read_text(encoding="utf-8"))
+    readers = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "loads"
+               and isinstance(node.value, ast.Name) and node.value.id == "json"]
+    assert len(readers) == 1
