@@ -18,7 +18,7 @@ out="$1"
 fedcausal simulate --scenario c1 --methods ivw,aipw_l1 --reps 3 --seed 0 --out "$out/sim"
 python3 -c '
 import json, pathlib, sys
-from fedcausal.fedruntime import TEXT_BOUNDS
+from fedcausal.wire import TEXT_BOUNDS
 sim = pathlib.Path(sys.argv[1])
 audit = json.loads((sim / "manifest.json").read_text())["ledger_audit"]
 counts = {kind: entry["count"] for kind, entry in audit["by_kind"].items()}
@@ -69,7 +69,7 @@ fedcausal estimate --target "$out/target.csv" --source "$out/source.csv" --metho
 fedcausal estimate --target "$out/target.csv" --source "$out/source.csv" --method ivw --out "$out/est"
 python3 -c '
 import json, pathlib, sys
-from fedcausal.fedruntime import TEXT_BOUNDS
+from fedcausal.wire import TEXT_BOUNDS
 est = pathlib.Path(sys.argv[1])
 diagnostics = json.loads((est / "report.json").read_text())["diagnostics"]
 assert diagnostics["effective_method"] == "ivw", diagnostics

@@ -39,7 +39,7 @@ class MomentSummary:
 
     @staticmethod
     def from_json(payload: str) -> "MomentSummary":
-        return read_payload(MomentSummary, payload)
+        return read_payload("moment_summary", payload, MomentSummary)
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,16 @@ payload is written at the boundary as canonical minimal JSON
 (:func:`~fedcausal.wire.wire_text`), the one text of its values, and every
 cross-site message is logged so the ledger can be audited: the audit accepts
 no other text, and only the declared summary-level schemas may cross sites,
-never individual rows or any per-unit value. Every message is decoded on the
-receiving side: a source reads the config broadcast by the audit's one rule for
-a payload text (:func:`source_upload`), and only its folds from the transport.
+never individual rows or any per-unit value. Every site reads each message
+it receives by the audit's rule for a text (:func:`~fedcausal.wire.read_payload`):
+a source its moment summary and the config broadcast, the coordinator each
+upload; only a source's folds come from the transport.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,8 +52,7 @@ from .federation import (
     cross_validate_lambda,
     global_estimate,
 )
-from .nuisance import (MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, NuisanceFit, fit_nuisances,
-                       is_candidate_list, is_shared_dimension)
+from .nuisance import MAX_CANDIDATES, NuisanceFit, fit_nuisances, is_candidate_list
 from .site_estimator import (
     CV_SPLITS,
     SiteFrame,
@@ -64,79 +63,14 @@ from .site_estimator import (
     source_report,
     split_masks,
 )
-from .wire import wire_text
+from .wire import is_count, read_payload, wire_text
 
 METHODS = FIXED_SCHEMES + ADAPTIVE_METHODS
-
-# Declared shape of every payload key each message kind carries: a scalar
-# ("count", an int that a JSON double holds exactly, in [0, 2**53), or
-# "number", a finite float), "maps" (1 to ``MAX_CANDIDATES`` distinct
-# candidate feature maps, each subset column below ``MAX_COLUMNS``),
-# "[dim]" (a flat list of finite floats whose length is the protocol
-# dimension ``dim``), or an object of fixed keys, all of them sent, so no
-# payload has a free-text key. The shared dimension q is the length of the
-# moment summaries' ``mean_v``, the target's means of its shared covariates, 1
-# to ``MAX_COLUMNS`` (``nuisance.is_shared_dimension``, which ``SiteFrame``
-# applies through ``is_column_list``), and also the length of a source's one
-# target-influence slope vector (``target_coef``); a source upload carries its
-# two finished arm means and sums its squared contributions once over all its
-# units (``own_sq``) and once per fit half of the split count cv_splits the
-# config broadcast declares (``fit_sq``): ``CV_SPLITS`` when an adaptive method
-# will combine the round, else 0, and no other value. No dimension depends on a
-# site's sample size, so no per-unit values pass the audit, and no payload
-# names its sender: the ledger's ``from_site`` does.
-_SCHEMAS = {
-    "config": {"seed": "count", "cv_splits": "count",
-               "candidates": {"treatment": "maps", "outcome": "maps"}},
-    "moment_summary": {"mean_v": "[shared]"},
-    "site_estimate": {
-        "n_k": "count", "mu0": "number", "mu1": "number",
-        "own_sq": "number", "fit_sq": "[cv_splits]", "target_coef": "[shared]",
-    },
-}
-
-
-def _text_bound(spec, dims: dict) -> int:
-    """Most characters a canonical text of declared shape ``spec`` can take
-    at the protocol dimensions ``dims``: 24 per number (the longest
-    shortest-round-trip double, ``-2.2250738585072014e-308``), 16 per count
-    (``2**53 - 1``), a map list's ``MAX_CANDIDATES`` maps at the widest
-    map's text, and the key and punctuation text."""
-    if isinstance(spec, dict):
-        return 1 + sum(len(wire_text(key)) + 2 + _text_bound(item, dims)
-                       for key, item in spec.items())
-    if spec == "maps":
-        widest = max(len(wire_text(fm.to_dict())) for fm in (
-            FeatureMap("raw"), FeatureMap("kangschafer"),
-            FeatureMap("subset", tuple(range(MAX_COLUMNS)))))
-        return 1 + MAX_CANDIDATES * (widest + 1)
-    if spec.startswith("["):
-        return 1 + dims[spec[1:-1]] * 25
-    return {"number": 24, "count": 16}[spec]
-
-
-# Most characters a payload text of each kind can hold, at the largest
-# protocol dimensions (``MAX_COLUMNS`` shared covariates, ``CV_SPLITS``
-# fit halves): the audit rejects a longer text before it reads it.
-TEXT_BOUNDS = {kind: _text_bound(spec, {"shared": MAX_COLUMNS, "cv_splits": CV_SPLITS})
-               for kind, spec in _SCHEMAS.items()}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, float) and math.isfinite(value)
-
-
-def is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**53
-
 
 def is_method_list(methods) -> bool:
     """Whether ``methods`` is a non-empty tuple of distinct names from :data:`METHODS`."""
     return (isinstance(methods, tuple) and all(m in METHODS for m in methods)
             and 0 < len(methods) == len(set(methods)))
-
-
-_SCALARS = {"count": is_count, "number": _is_number}
 
 
 @dataclass(frozen=True)
@@ -270,9 +204,9 @@ def run_transport(frames: list[SiteFrame], seed: int, methods=METHODS) -> Transp
     transport (:func:`~fedcausal.density_ratio.truncate_weights`).
 
     Checks that there is exactly one target frame and that site ids, which
-    address the messages and the weights, are distinct. A source whose tilt
-    raises is recorded with its error, and every site phase run on the
-    transport fails it.
+    address the messages and the weights, are distinct. A source that refuses
+    the summary text it received or whose tilt raises is recorded with its
+    error, and every site phase run on the transport fails it.
     """
     targets = [f for f in frames if f.role == "target"]
     if len(targets) != 1:
@@ -312,12 +246,10 @@ def run_transport(frames: list[SiteFrame], seed: int, methods=METHODS) -> Transp
 def source_upload(src: SourceTransport, config_text: str) -> str:
     """One source's upload text in a site phase, from its frame, tilt and CV
     folds and the config broadcast text it received, which it reads by the
-    audit's own rule (:func:`_read_payload`, the split count and the config
-    schema): a text the audit rejects raises :class:`PrivacyViolation` before
-    any fit, and the fits take the seed and the feature maps that rule built."""
-    payload = _read_payload("config", config_text)
-    config = _check_shape(payload, _SCHEMAS["config"], _declared_dims([("config", payload)]),
-                          "a config message")
+    audit's own rule (:func:`~fedcausal.wire.read_payload`): a text the
+    audit rejects raises :class:`PrivacyViolation` before any fit, and the
+    fits take the seed and the feature maps that rule built."""
+    config = read_payload("config", config_text)
     fit = _fit_site(src.frame, config["candidates"], config["seed"])
     return source_report(src.frame, fit, src.tilt, src.folds)[0].to_json()
 
@@ -354,8 +286,9 @@ def run_sites(transport: Transport, candidates: dict) -> SitePhase:
     candidates and nuisance seed from that text (:func:`source_upload`). The
     ledger logs the config broadcast, then each source's moment summary and
     upload in frame order.
-    Sources whose tilt failed in the transport, or that raise a model-fitting
-    or missing-column error here, are recorded in ``failures`` and left out.
+    Sources whose tilt failed in the transport, that raise a model-fitting
+    or missing-column error here, or whose upload the coordinator refuses
+    are recorded in ``failures`` and left out; a refused upload is logged.
     """
     config = ProtocolConfig(candidates, seed=transport.seed)
     target = transport.target
@@ -372,14 +305,11 @@ def run_sites(transport: Transport, candidates: dict) -> SitePhase:
             failures[site_id] = src.failure
             continue
         try:
-            upload = MessageRecord(site_id, target.site_id, "site_estimate",
-                                   source_upload(src, broadcast.payload_text))
+            upload = source_upload(src, broadcast.payload_text)
+            ledger.append(MessageRecord(site_id, target.site_id, "site_estimate", upload))
+            estimates.append(complete_source_estimate(site_id, SourceSiteReport.from_json(upload)))
         except FedcausalError as exc:
             failures[site_id] = f"{type(exc).__name__}: {exc}"
-            continue
-        ledger.append(upload)
-        estimates.append(complete_source_estimate(
-            site_id, SourceSiteReport.from_json(upload.payload_text)))
 
     tgt_fit = _fit_site(target, config.candidates["target"], transport.seed)
     tgt_est = estimate_target(target, tgt_fit, transport.target_centered, transport.target_folds)
@@ -447,121 +377,44 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     return combine(run_sites(transport, config.candidates), config.method)
 
 
-def _read_payload(kind: str, text: str, digest: str | None = None) -> dict:
-    """The payload of a ``kind`` message whose text is ``text``, by the one
-    rule for a payload text, which the audit applies to every logged message
-    and a source to the config broadcast it receives; ``digest`` is checked
-    when given. The bound (:data:`TEXT_BOUNDS`) is checked before the text is
-    hashed or parsed, so no size of text costs more than the bound to reject,
-    and only the canonical text of the values (:func:`~fedcausal.wire.wire_text`)
-    passes, so no whitespace, digit or escape carries anything they do not."""
-    size, bound = len(text), TEXT_BOUNDS[kind]
-    if size > bound:
-        raise PrivacyViolation(f"payload text of a {kind} message holds {size} "
-                               f"characters, over its bound of {bound}")
-    try:
-        encoded = text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise PrivacyViolation(f"payload text of a {kind} message is not UTF-8 encodable") from exc
-    if digest is not None and hashlib.sha256(encoded).hexdigest() != digest:
-        raise PrivacyViolation(f"payload digest mismatch on a {kind} message")
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise PrivacyViolation(f"non-JSON payload on a {kind} message") from exc
-    if text != wire_text(payload):
-        raise PrivacyViolation(f"non-canonical payload text on a {kind} message")
-    if not isinstance(payload, dict):
-        raise PrivacyViolation(f"payload of a {kind} message is not an object")
-    return payload
-
-
-def _check_shape(value, spec, dims: dict, where: str):
-    """``value``, each "maps" list as its :class:`~fedcausal.nuisance.FeatureMap`
-    list; raise :class:`PrivacyViolation` unless it has the declared shape."""
-    if isinstance(spec, dict):
-        if not isinstance(value, dict):
-            raise PrivacyViolation(f"{where} is not an object")
-        extra = set(value) - set(spec)
-        if extra:
-            raise PrivacyViolation(f"undeclared keys {sorted(extra)} in {where}")
-        missing = set(spec) - set(value)
-        if missing:
-            raise PrivacyViolation(f"missing keys {sorted(missing)} in {where}")
-        return {key: _check_shape(item, spec[key], dims, f"{where}.{key}")
-                for key, item in value.items()}
-    if spec == "maps":
-        try:
-            maps = [FeatureMap.from_dict(d) for d in value]
-            ok = value == [fm.to_dict() for fm in maps] and is_candidate_list(maps)
-        except (KeyError, TypeError, ValueError):
-            ok = False
-        if not ok:
-            raise PrivacyViolation(f"{where} is not a list of candidate feature maps")
-        return maps
-    if spec.startswith("["):
-        if not (isinstance(value, list) and all(map(_is_number, value))):
-            raise PrivacyViolation(f"{where} is not a flat list of finite numbers")
-        size = dims.get(spec[1:-1])
-        if len(value) != size:
-            raise PrivacyViolation(
-                f"{where} has length {len(value)}; its declared {spec} is {size}"
-            )
-    elif not _SCALARS[spec](value):
-        raise PrivacyViolation(f"{where} is not a {spec}")
-    return value
-
-
-def _declared_dims(payloads: list) -> dict:
-    """Protocol dimensions: the split count the config broadcast declares,
-    0 or ``CV_SPLITS``, and the shared dimension, the length of a round's
-    moment summaries' ``mean_v``, which must be 1 to ``MAX_COLUMNS``
-    (:func:`~fedcausal.nuisance.is_shared_dimension`)."""
-    dims = {}
+def _declared_dims(payloads: list) -> None:
+    """Raise :class:`PrivacyViolation` unless a round's config broadcasts
+    declare one split count and its moment summaries one shared dimension,
+    and each upload's ``fit_sq`` and ``target_coef`` have those lengths."""
+    splits = {payload["cv_splits"] for kind, payload in payloads if kind == "config"}
+    if len(splits) > 1:
+        raise PrivacyViolation("config broadcasts disagree on the split count")
+    shared = {len(payload["mean_v"]) for kind, payload in payloads if kind == "moment_summary"}
+    if len(shared) > 1:
+        raise PrivacyViolation("moment summaries disagree on the shared dimension")
+    dims = {"cv_splits": next(iter(splits), None), "shared": next(iter(shared), None)}
     for kind, payload in payloads:
-        if kind == "config" and "cv_splits" in payload:
-            splits = payload["cv_splits"]
-            if not (is_count(splits) and splits in (0, CV_SPLITS)):
-                raise PrivacyViolation(
-                    f"config declares cv_splits {splits!r}; the protocol takes 0 or {CV_SPLITS}")
-            if dims.setdefault("cv_splits", splits) != splits:
-                raise PrivacyViolation("config broadcasts disagree on the split count")
-        if kind != "moment_summary":
-            continue
-        mean_v = payload.get("mean_v")
-        if not (isinstance(mean_v, list) and is_shared_dimension(len(mean_v))):
-            raise PrivacyViolation(
-                f"moment summary has no list of 1 to {MAX_COLUMNS} shared covariate means")
-        if dims.setdefault("shared", len(mean_v)) != len(mean_v):
-            raise PrivacyViolation("moment summaries disagree on the shared dimension")
-    return dims
+        for key, dim in (("fit_sq", "cv_splits"), ("target_coef", "shared")):
+            if kind == "site_estimate" and len(payload[key]) != dims[dim]:
+                raise PrivacyViolation(f"a site_estimate message.{key} has length "
+                                       f"{len(payload[key])}; its declared [{dim}] is {dims[dim]}")
 
 
 def audit_ledger(report: GlobalReport) -> dict:
     """Validate every logged message against the declared payload schemas.
 
-    Raises :class:`PrivacyViolation` on an unknown message kind, a text that
-    fails the one rule for a payload text, by which a source also reads the
-    config broadcast (:func:`_read_payload`: the bound, UTF-8, the logged
-    digest, JSON, canonical text, an object), an undeclared or missing payload
-    key, or a value whose shape differs from its declaration: above all, any
-    numeric list whose length is not the declared protocol dimension (so
-    per-unit arrays never pass), such as an upload whose ``fit_sq`` is not as
-    long as the config's ``cv_splits``. Otherwise returns a census of message
-    counts and byte totals per kind.
+    Reads each logged text as its receiver does, and checks its logged
+    digest (:func:`~fedcausal.wire.read_payload`), then that the messages
+    agree on the round's dimensions (:func:`_declared_dims`), so no numeric
+    list is longer than its protocol dimension and per-unit arrays never
+    pass. Raises :class:`PrivacyViolation` on an unknown message kind or any
+    text or round that fails; otherwise returns a census of message counts
+    and byte totals per kind.
     """
     by_kind: dict[str, dict] = {}
     payloads = []
     for rec in report.privacy_ledger:
-        if rec.kind not in _SCHEMAS:
-            raise PrivacyViolation(f"unknown message kind {rec.kind!r}")
-        payloads.append((rec.kind, _read_payload(rec.kind, rec.payload_text, rec.payload_digest)))
+        payloads.append((rec.kind, read_payload(rec.kind, rec.payload_text,
+                                                digest=rec.payload_digest)))
         bucket = by_kind.setdefault(rec.kind, {"count": 0, "bytes": 0})
         bucket["count"] += 1
         bucket["bytes"] += rec.payload_bytes
-    dims = _declared_dims(payloads)
-    for kind, payload in payloads:
-        _check_shape(payload, _SCHEMAS[kind], dims, f"a {kind} message")
+    _declared_dims(payloads)
     return {
         "n_messages": len(report.privacy_ledger),
         "by_kind": by_kind,

@@ -31,6 +31,9 @@ DEFAULT_CLIP = (0.01, 0.99)
 # moment summary carries, number 1 to MAX_COLUMNS too.
 MAX_CANDIDATES = 8
 MAX_COLUMNS = 64
+# Repeated 50/50 CV splits of the adaptive weights: a round that an adaptive
+# method combines draws this many fold masks per site, any other round none.
+CV_SPLITS = 5
 
 
 def kang_schafer(X: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .density_ratio import TiltCoefficients
 from .errors import SingularJacobian
-from .nuisance import MAX_COLUMNS, NuisanceFit, is_column_list, split_data
+from .nuisance import CV_SPLITS, MAX_COLUMNS, NuisanceFit, is_column_list, split_data
 from .numkit import fit_ols, gram
 from .wire import payload_text, read_payload
 
@@ -89,9 +89,6 @@ class SiteFrame:
     @property
     def V(self) -> np.ndarray:
         return self.X[:, list(self.shared_cols)]
-
-
-CV_SPLITS = 5
 
 
 def site_split_seed(seed: int, site_id: str) -> int:
@@ -192,7 +189,7 @@ class SourceSiteReport:
 
     @staticmethod
     def from_json(payload: str) -> "SourceSiteReport":
-        return read_payload(SourceSiteReport, payload)
+        return read_payload("site_estimate", payload, SourceSiteReport)
 
 
 def _ipw_residual(frame: SiteFrame, fit: NuisanceFit, where: str) -> np.ndarray:

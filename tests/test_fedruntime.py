@@ -23,12 +23,9 @@ from fedcausal.errors import (
 from fedcausal.federation import (ADAPTIVE_METHODS, FIXED_SCHEMES, cross_validate_lambda,
                                   global_estimate)
 from fedcausal.fedruntime import (
-    _SCALARS,
-    _SCHEMAS,
     METHODS,
     MessageRecord,
     ProtocolConfig,
-    TEXT_BOUNDS,
     audit_ledger,
     dump_ledger,
     combine,
@@ -50,7 +47,7 @@ from fedcausal.site_estimator import (
     source_report,
     split_masks,
 )
-from fedcausal.wire import wire_text
+from fedcausal.wire import _SCALARS, _SCHEMAS, TEXT_BOUNDS, wire_text
 
 
 def _make_frames(seed=0, n=150, n_sources=2, degenerate=(), slope=0.5):
@@ -585,6 +582,38 @@ def test_a_source_sharing_fewer_covariates_fails_that_source():
     assert np.isfinite(report.delta_hat)
 
 
+def test_a_refused_upload_fails_its_source_not_the_round(monkeypatch):
+    # The coordinator reads each upload by the audit's rule. An upload written
+    # with a space after a separator fails its source with the reader's
+    # message, as a failed fit does, and the other sources are still used.
+    # The text crossed sites, so it is logged, and the audit names it.
+    upload = fedruntime.source_upload
+
+    def spaced(src, config_text):
+        text = upload(src, config_text)
+        return text.replace(",", ", ", 1) if src.frame.site_id == "site1" else text
+
+    monkeypatch.setattr(fedruntime, "source_upload", spaced)
+    report = run_round(_make_frames(seed=6), _config("ivw"))
+    message = "non-canonical payload text on a site_estimate message"
+    assert report.diagnostics["failed_sources"] == {"site1": f"PrivacyViolation: {message}"}
+    assert [site["site_id"] for site in report.per_site] == ["site0", "site2"]
+    assert [rec.from_site for rec in report.privacy_ledger
+            if rec.kind == "site_estimate"] == ["site1", "site2"]
+    with pytest.raises(PrivacyViolation, match=message):
+        audit_ledger(report)
+
+
+def test_a_source_tilts_on_no_summary_text_the_audit_refuses(monkeypatch):
+    # Each source reads the moment summary it receives by the audit's rule: a
+    # summary written with spaces fails every source before its tilt.
+    monkeypatch.setattr(MomentSummary, "to_json",
+                        lambda self: json.dumps({"mean_v": list(map(float, self.mean_v))}))
+    transport = run_transport(_make_frames(seed=3), 5, ("mr_l1",))
+    message = "PrivacyViolation: non-canonical payload text on a moment_summary message"
+    assert [(src.failure, src.tilt) for src in transport.sources] == [(message, None)] * 2
+
+
 def test_target_group_stays_with_the_coordinator():
     # The target's candidates differ from the sources'. The target fits its
     # own group, the sources theirs, and the broadcast carries the sources'
@@ -1022,6 +1051,16 @@ def _mutated(draw, text):
     return text
 
 
+def _logged(rec, text):
+    """``text`` logged as a new message in place of ``rec``, under its own
+    digest, or a given one when the text cannot be hashed."""
+    try:
+        return MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text)
+    except UnicodeEncodeError:
+        return MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text,
+                             payload_digest="0" * 64)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_audit_is_total_on_mutated_texts(honest_round, data):
@@ -1032,13 +1071,8 @@ def test_audit_is_total_on_mutated_texts(honest_round, data):
     pos = data.draw(st.integers(0, len(report.privacy_ledger) - 1))
     rec = report.privacy_ledger[pos]
     text = data.draw(_mutated(rec.payload_text))
-    try:
-        logged = MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text)
-    except UnicodeEncodeError:
-        logged = MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text,
-                               payload_digest="0" * 64)
     ledger = list(report.privacy_ledger)
-    ledger[pos] = logged
+    ledger[pos] = _logged(rec, text)
     try:
         audit_ledger(dataclasses.replace(report, privacy_ledger=ledger))
     except PrivacyViolation:
@@ -1066,12 +1100,7 @@ def test_a_source_refuses_exactly_the_broadcasts_the_audit_rejects(honest_round,
     assert rec.kind == "config"
     text = data.draw(_mutated(rec.payload_text))
     try:
-        logged = MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text)
-    except UnicodeEncodeError:
-        logged = MessageRecord(rec.from_site, rec.to_site, rec.kind, payload_text=text,
-                               payload_digest="0" * 64)
-    try:
-        audit_ledger(dataclasses.replace(honest_round, privacy_ledger=[logged]))
+        audit_ledger(dataclasses.replace(honest_round, privacy_ledger=[_logged(rec, text)]))
     except PrivacyViolation:
         with pytest.raises(PrivacyViolation):
             source_upload(honest_source, text)
@@ -1082,6 +1111,76 @@ def test_a_source_refuses_exactly_the_broadcasts_the_audit_rejects(honest_round,
             SourceSiteReport.from_json(source_upload(honest_source, text))
         except FedcausalError as exc:
             assert not isinstance(exc, PrivacyViolation)
+
+
+_READERS = {"moment_summary": MomentSummary.from_json,
+            "site_estimate": SourceSiteReport.from_json}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_READERS)), st.data())
+def test_each_payload_reader_refuses_exactly_the_texts_the_audit_fails(honest_round, kind,
+                                                                      data):
+    # A mutated summary or upload text takes its message's place in the
+    # honest round's ledger. Its reader raises PrivacyViolation exactly when
+    # the audit fails that text, with the audit's own message; when the reader
+    # takes the text, the audit passes the ledger or fails it only on a
+    # dimension its messages disagree on.
+    ledger = list(honest_round.privacy_ledger)
+    pos = data.draw(st.sampled_from([i for i, rec in enumerate(ledger) if rec.kind == kind]))
+    text = data.draw(_mutated(ledger[pos].payload_text))
+    ledger[pos] = _logged(ledger[pos], text)
+    report = dataclasses.replace(honest_round, privacy_ledger=ledger)
+    try:
+        _READERS[kind](text)
+    except PrivacyViolation as exc:
+        with pytest.raises(PrivacyViolation) as audited:
+            audit_ledger(report)
+        assert str(audited.value) == str(exc)
+        return
+    try:
+        audit_ledger(report)
+    except PrivacyViolation as exc:
+        assert "disagree" in str(exc) or "its declared" in str(exc)
+
+
+def _payload_edit(edit):
+    """A tamper that rewrites a text's payload by ``edit``, in canonical text."""
+    return lambda text, kind: wire_text(edit(json.loads(text)))
+
+
+_READ_TAMPERS = {
+    "spaced": (tuple(_READERS), lambda text, kind: json.dumps(json.loads(text)),
+               "non-canonical payload text"),
+    "over_bound": (tuple(_READERS), lambda text, kind: text.ljust(TEXT_BOUNDS[kind] + 1),
+                   "over its bound"),
+    "undeclared_key": (tuple(_READERS), _payload_edit(lambda p: {**p, "rows": [1.0]}),
+                       "undeclared keys"),
+    "fit_sq_of_3": (("site_estimate",), _payload_edit(lambda p: {**p, "fit_sq": p["fit_sq"][:3]}),
+                    "site_estimate declares cv_splits 3"),
+    "empty_target_coef": (("site_estimate",), _payload_edit(lambda p: {**p, "target_coef": []}),
+                          "site_estimate has no list of 1 to"),
+    "empty_mean_v": (("moment_summary",), _payload_edit(lambda p: {**p, "mean_v": []}),
+                     "moment_summary has no list of 1 to"),
+}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name)
+                                        for name, (kinds, _, _) in _READ_TAMPERS.items()
+                                        for kind in kinds])
+def test_each_payload_reader_refuses_with_the_audit_message(honest_round, kind, name):
+    # A summary or upload text the audit refuses raises PrivacyViolation in
+    # its reader too, with the audit's own message.
+    _, tamper, message = _READ_TAMPERS[name]
+    ledger = list(honest_round.privacy_ledger)
+    pos = next(i for i, rec in enumerate(ledger) if rec.kind == kind)
+    text = tamper(ledger[pos].payload_text, kind)
+    ledger[pos] = _logged(ledger[pos], text)
+    with pytest.raises(PrivacyViolation, match=message) as audited:
+        audit_ledger(dataclasses.replace(honest_round, privacy_ledger=ledger))
+    with pytest.raises(PrivacyViolation) as read:
+        _READERS[kind](text)
+    assert str(read.value) == str(audited.value)
 
 
 def test_audit_rejects_tampered_payload():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fedcausal.density_ratio import MomentSummary
 from fedcausal.fedruntime import (METHODS, ProtocolConfig, SitePhase, combine, run_sites,
                                   run_transport)
-from fedcausal.nuisance import FeatureMap
+from fedcausal.nuisance import CV_SPLITS, FeatureMap
 from fedcausal.numkit import expit
 from fedcausal.site_estimator import SiteFrame, SourceSiteReport, complete_source_estimate
 
@@ -180,16 +180,26 @@ def test_each_site_sends_a_function_of_what_it_holds_and_received(fed, methods, 
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-vectors = st.lists(finite, max_size=6).map(lambda v: np.array(v, dtype=float))
-moment_summaries = st.builds(MomentSummary, mean_v=vectors)
+
+
+def _vectors(sizes):
+    """Float arrays whose length is drawn from ``sizes``."""
+    return sizes.flatmap(lambda k: st.lists(finite, min_size=k, max_size=k)).map(
+        lambda v: np.array(v, dtype=float))
+
+
+# Lists at the protocol dimensions: 1 to 6 shared covariates, and 0 or
+# CV_SPLITS fit-half sums.
+shared_vectors = _vectors(st.integers(1, 6))
+moment_summaries = st.builds(MomentSummary, mean_v=shared_vectors)
 source_reports = st.builds(
     SourceSiteReport,
     n_k=st.integers(1, 10**9),
     mu0=finite,
     mu1=finite,
     own_sq=finite,
-    fit_sq=vectors,
-    target_coef=vectors,
+    fit_sq=_vectors(st.sampled_from([0, CV_SPLITS])),
+    target_coef=shared_vectors,
 )
 feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) | st.builds(
     FeatureMap, kind=st.just("subset"),

@@ -1,7 +1,7 @@
 """The package keeps no public function that only tests call, each one
 referenced by package code outside its own definition, no module import
 that its module never uses, no use of another module's private name, and
-one place where the runtime parses a payload text."""
+one place where the package parses a payload text."""
 
 import ast
 from pathlib import Path
@@ -128,12 +128,15 @@ def test_every_error_is_raised_and_every_warning_warned():
     assert unused == []
 
 
-def test_fedruntime_parses_payload_text_in_one_place():
-    # The runtime parses a payload text in one function, the audit's rule for
-    # a text, so a new reader of a payload goes through it, not a second
-    # decoder that could skip a check.
-    tree = ast.parse((PACKAGE / "fedruntime.py").read_text(encoding="utf-8"))
-    readers = [node.lineno for node in ast.walk(tree)
-               if isinstance(node, ast.Attribute) and node.attr == "loads"
-               and isinstance(node.value, ast.Name) and node.value.id == "json"]
-    assert len(readers) == 1
+def test_the_package_parses_a_payload_text_in_one_place():
+    # Every payload text is parsed in one function, the audit's rule for a
+    # text (wire.read_payload), so a new reader of a payload goes through it,
+    # not a second decoder that could skip a check. The scenario loader and
+    # the CLI read files, not payloads.
+    readers = []
+    for name in ("wire", "fedruntime", "density_ratio", "site_estimator"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        readers += [name for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "loads"
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"]
+    assert readers == ["wire"]
