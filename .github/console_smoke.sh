@@ -10,8 +10,9 @@
 # the usage error of that file with a misspelled key, then estimates from a
 # target and a source CSV written from preset c1's replication 0: an adaptive
 # round, which cross-validates, and an ivw round, which draws no CV folds,
-# whose written report and ledger are checked: one source used, and one
-# message of each kind, each within the audit's size bound for its kind.
+# whose written report, ledger and census are checked: one source used, one
+# message of each kind, each within the audit's size bound for its kind, and
+# a census whose bytes per kind sum those of the ledger.
 # Usage: console_smoke.sh OUT_DIR
 set -euo pipefail
 out="$1"
@@ -78,4 +79,8 @@ records = [json.loads(line) for line in (est / "ledger.jsonl").read_text().split
 kinds = [rec["kind"] for rec in records]
 assert kinds == ["config", "moment_summary", "site_estimate"], kinds
 assert all(rec["bytes"] <= TEXT_BOUNDS[rec["kind"]] for rec in records), records
+audit = json.loads((est / "audit.json").read_text())
+assert audit["n_messages"] == len(records), audit
+sums = {kind: sum(rec["bytes"] for rec in records if rec["kind"] == kind) for kind in kinds}
+assert sums == {kind: entry["bytes"] for kind, entry in audit["by_kind"].items()}, sums
 ' "$out/est"

@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="source site CSV; repeatable")
     est.add_argument("--method", default="mr_l1", choices=METHODS)
     est.add_argument("--seed", type=_parse_seed, default=0)
-    est.add_argument("--out", default=None, help="directory for report.json and ledger.jsonl")
+    est.add_argument("--out", default=None,
+                     help="directory for report.json, ledger.jsonl and audit.json")
 
     rep = sub.add_parser("report", help="print a metrics.csv as an aligned table")
     rep.add_argument("--metrics", required=True, help="metrics.csv from a simulate run")
@@ -216,6 +217,7 @@ def _cmd_estimate(args) -> int:
             return _fail(exc, EXIT_USAGE)
     try:
         report = run_round(frames, config)
+        ledger_audit = audit_ledger(report)
     except ValueError as exc:  # invalid frames, such as repeated site ids
         return _fail(exc, EXIT_DATA)
     except FedcausalError as exc:
@@ -226,6 +228,8 @@ def _cmd_estimate(args) -> int:
         with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
         dump_ledger(report.privacy_ledger, os.path.join(args.out, "ledger.jsonl"))
+        with open(os.path.join(args.out, "audit.json"), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(ledger_audit, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -23,7 +23,9 @@ no other text, and only the declared summary-level schemas may cross sites,
 never individual rows or any per-unit value. Every site reads each message
 it receives by the audit's rule for a text (:func:`~fedcausal.wire.read_payload`):
 a source its moment summary and the config broadcast, the coordinator each
-upload; only a source's folds come from the transport.
+upload, at the round's dimensions it sent (the split count and the shared
+dimension); only a source's folds come from the transport. The audit
+(:func:`audit_ledger`) is those reads in ledger order.
 """
 
 from __future__ import annotations
@@ -37,12 +39,7 @@ import numpy as np
 
 from .density_ratio import (MomentSummary, TiltCoefficients, solve_tilt, target_moments,
                             truncate_weights)
-from .errors import (
-    AllSourcesFailedWarning,
-    FedcausalError,
-    MissingTarget,
-    PrivacyViolation,
-)
+from .errors import AllSourcesFailedWarning, FedcausalError, MissingTarget
 from .federation import (
     ADAPTIVE_METHODS,
     FIXED_SCHEMES,
@@ -289,6 +286,9 @@ def run_sites(transport: Transport, candidates: dict) -> SitePhase:
     Sources whose tilt failed in the transport, that raise a model-fitting
     or missing-column error here, or whose upload the coordinator refuses
     are recorded in ``failures`` and left out; a refused upload is logged.
+    The coordinator reads each upload at the dimensions it sent, the
+    transport's split count and shared dimension, so it refuses exactly the
+    uploads the audit refuses.
     """
     config = ProtocolConfig(candidates, seed=transport.seed)
     target = transport.target
@@ -297,6 +297,7 @@ def run_sites(transport: Transport, candidates: dict) -> SitePhase:
     ledger = [broadcast] if transport.sources else []
     failures: dict[str, str] = {}
     estimates = []
+    dims = {"cv_splits": transport.cv_splits, "shared": transport.target_centered.shape[1]}
 
     for src in transport.sources:
         ledger.append(src.message)
@@ -307,7 +308,8 @@ def run_sites(transport: Transport, candidates: dict) -> SitePhase:
         try:
             upload = source_upload(src, broadcast.payload_text)
             ledger.append(MessageRecord(site_id, target.site_id, "site_estimate", upload))
-            estimates.append(complete_source_estimate(site_id, SourceSiteReport.from_json(upload)))
+            estimates.append(complete_source_estimate(
+                site_id, SourceSiteReport.from_json(upload, dims)))
         except FedcausalError as exc:
             failures[site_id] = f"{type(exc).__name__}: {exc}"
 
@@ -377,44 +379,24 @@ def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
     return combine(run_sites(transport, config.candidates), config.method)
 
 
-def _declared_dims(payloads: list) -> None:
-    """Raise :class:`PrivacyViolation` unless a round's config broadcasts
-    declare one split count and its moment summaries one shared dimension,
-    and each upload's ``fit_sq`` and ``target_coef`` have those lengths."""
-    splits = {payload["cv_splits"] for kind, payload in payloads if kind == "config"}
-    if len(splits) > 1:
-        raise PrivacyViolation("config broadcasts disagree on the split count")
-    shared = {len(payload["mean_v"]) for kind, payload in payloads if kind == "moment_summary"}
-    if len(shared) > 1:
-        raise PrivacyViolation("moment summaries disagree on the shared dimension")
-    dims = {"cv_splits": next(iter(splits), None), "shared": next(iter(shared), None)}
-    for kind, payload in payloads:
-        for key, dim in (("fit_sq", "cv_splits"), ("target_coef", "shared")):
-            if kind == "site_estimate" and len(payload[key]) != dims[dim]:
-                raise PrivacyViolation(f"a site_estimate message.{key} has length "
-                                       f"{len(payload[key])}; its declared [{dim}] is {dims[dim]}")
-
-
 def audit_ledger(report: GlobalReport) -> dict:
     """Validate every logged message against the declared payload schemas.
 
-    Reads each logged text as its receiver does, and checks its logged
-    digest (:func:`~fedcausal.wire.read_payload`), then that the messages
-    agree on the round's dimensions (:func:`_declared_dims`), so no numeric
-    list is longer than its protocol dimension and per-unit arrays never
-    pass. Raises :class:`PrivacyViolation` on an unknown message kind or any
-    text or round that fails; otherwise returns a census of message counts
-    and byte totals per kind.
+    Reads each logged text, in ledger order, as its receiver does, at the
+    round's dimensions, which the first message that declares each one fixes,
+    and checks its logged digest (:func:`~fedcausal.wire.read_payload`), so no
+    numeric list is longer than its protocol dimension and per-unit arrays
+    never pass. Raises :class:`~fedcausal.errors.PrivacyViolation` on an
+    unknown message kind or any text that fails; otherwise returns a census
+    of message counts and byte totals per kind.
     """
     by_kind: dict[str, dict] = {}
-    payloads = []
+    dims: dict[str, int] = {}
     for rec in report.privacy_ledger:
-        payloads.append((rec.kind, read_payload(rec.kind, rec.payload_text,
-                                                digest=rec.payload_digest)))
+        read_payload(rec.kind, rec.payload_text, digest=rec.payload_digest, dims=dims)
         bucket = by_kind.setdefault(rec.kind, {"count": 0, "bytes": 0})
         bucket["count"] += 1
         bucket["bytes"] += rec.payload_bytes
-    _declared_dims(payloads)
     return {
         "n_messages": len(report.privacy_ledger),
         "by_kind": by_kind,

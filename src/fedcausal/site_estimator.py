@@ -188,8 +188,8 @@ class SourceSiteReport:
         return payload_text(self)
 
     @staticmethod
-    def from_json(payload: str) -> "SourceSiteReport":
-        return read_payload("site_estimate", payload, SourceSiteReport)
+    def from_json(payload: str, dims: dict | None = None) -> "SourceSiteReport":
+        return read_payload("site_estimate", payload, SourceSiteReport, dims=dims)
 
 
 def _ipw_residual(frame: SiteFrame, fit: NuisanceFit, where: str) -> np.ndarray:

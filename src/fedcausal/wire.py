@@ -7,7 +7,7 @@ payload's size is a function of the values it declares. A summary payload is
 a dataclass whose field names are its wire keys: :func:`payload_text` writes
 it. Every site reads each text it receives, and the ledger audit each logged
 text, by one rule, :func:`read_payload`, so no site acts on a text the audit
-refuses.
+refuses; a reader that knows the round's dimensions reads at those (:func:`_check_dims`).
 """
 
 from __future__ import annotations
@@ -47,31 +47,34 @@ def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**53
 
 
-_SCALARS = {"count": is_count, "number": _is_number}
+# Each scalar type: its test, and what a value that fails it is not.
+_SCALARS = {"count": (is_count, "count"), "number": (_is_number, "finite number"),
+            "sq": (lambda value: _is_number(value) and value >= 0, "nonnegative finite number")}
 
 # Declared shape of every payload key each message kind carries: a scalar
-# ("count", an int that a JSON double holds exactly, in [0, 2**53), or
-# "number", a finite float), "maps" (1 to ``MAX_CANDIDATES`` distinct
-# candidate feature maps, each subset column below ``MAX_COLUMNS``),
-# "[dim]" (a flat list of finite floats whose length is the protocol
-# dimension ``dim``), or an object of fixed keys, all of them sent, so no
-# payload has a free-text key. The shared dimension q is the length of the
-# moment summaries' ``mean_v``, the target's means of its shared covariates, 1
-# to ``MAX_COLUMNS`` (``nuisance.is_shared_dimension``), and also the length
-# of a source's one target-influence slope vector (``target_coef``); a source
-# upload carries its two finished arm means and sums its squared contributions
-# once over all its units (``own_sq``) and once per fit half of the split
-# count cv_splits the config broadcast declares (``fit_sq``): ``CV_SPLITS``
-# when an adaptive method will combine the round, else 0, and no other value.
+# ("count", an int that a JSON double holds exactly, in [0, 2**53), "number",
+# a finite float, or "sq", a sum of squares, a finite float that is not
+# negative), "maps" (1 to ``MAX_CANDIDATES`` distinct candidate feature maps,
+# each subset column below ``MAX_COLUMNS``), ``(scalar, dim)`` (a flat list
+# of that scalar whose length is the round's dimension ``dim``), or an object
+# of fixed keys, all of them sent, so no payload has a free-text key. The
+# shared dimension q is the length of the moment summaries' ``mean_v``, the
+# target's means of its shared covariates, 1 to ``MAX_COLUMNS``
+# (``nuisance.is_shared_dimension``), and also the length of a source's one
+# target-influence slope vector (``target_coef``); a source upload carries its
+# two finished arm means and sums its squared contributions once over all its
+# units (``own_sq``) and once per fit half of the split count cv_splits the
+# config broadcast declares (``fit_sq``): ``CV_SPLITS`` when an adaptive
+# method will combine the round, else 0, and no other value (``_check_dims``).
 # No dimension depends on a site's sample size, so no per-unit values pass the
 # audit, and no payload names its sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
     "config": {"seed": "count", "cv_splits": "count",
                "candidates": {"treatment": "maps", "outcome": "maps"}},
-    "moment_summary": {"mean_v": "[shared]"},
+    "moment_summary": {"mean_v": ("number", "shared")},
     "site_estimate": {
-        "n_k": "count", "mu0": "number", "mu1": "number",
-        "own_sq": "number", "fit_sq": "[cv_splits]", "target_coef": "[shared]",
+        "n_k": "count", "mu0": "number", "mu1": "number", "own_sq": "sq",
+        "fit_sq": ("sq", "cv_splits"), "target_coef": ("number", "shared"),
     },
 }
 
@@ -90,9 +93,9 @@ def _text_bound(spec, dims: dict) -> int:
             FeatureMap("raw"), FeatureMap("kangschafer"),
             FeatureMap("subset", tuple(range(MAX_COLUMNS)))))
         return 1 + MAX_CANDIDATES * (widest + 1)
-    if spec.startswith("["):
-        return 1 + dims[spec[1:-1]] * 25
-    return {"number": 24, "count": 16}[spec]
+    if isinstance(spec, tuple):
+        return 1 + dims[spec[1]] * 25
+    return 16 if spec == "count" else 24
 
 
 # Most characters a payload text of each kind can hold, at the largest protocol
@@ -101,7 +104,8 @@ TEXT_BOUNDS = {kind: _text_bound(spec, {"shared": MAX_COLUMNS, "cv_splits": CV_S
                for kind, spec in _SCHEMAS.items()}
 
 
-def read_payload(kind: str, text: str, cls=dict, digest: str | None = None):
+def read_payload(kind: str, text: str, cls=dict, digest: str | None = None,
+                 dims: dict | None = None):
     """The payload of a ``kind`` message whose text is ``text``, as
     ``cls(**payload)``, each list of numbers a float array and each "maps"
     list its :class:`~fedcausal.nuisance.FeatureMap` list, by the one rule for
@@ -109,8 +113,8 @@ def read_payload(kind: str, text: str, cls=dict, digest: str | None = None):
     is hashed or parsed, so no text costs more than the bound to reject;
     UTF-8; the SHA-256 ``digest`` when given; JSON; the canonical text of its
     values, so no whitespace, digit or escape carries anything they do not; an
-    object; the dimensions it declares (:func:`_check_dims`); the declared
-    shape. Any other text raises :class:`PrivacyViolation`."""
+    object; the declared shape; the dimensions it declares, at the round's
+    ``dims`` (:func:`_check_dims`). Any other text raises :class:`PrivacyViolation`."""
     if kind not in _SCHEMAS:
         raise PrivacyViolation(f"unknown message kind {kind!r}")
     size, bound = len(text), TEXT_BOUNDS[kind]
@@ -131,25 +135,29 @@ def read_payload(kind: str, text: str, cls=dict, digest: str | None = None):
         raise PrivacyViolation(f"non-canonical payload text on a {kind} message")
     if not isinstance(payload, dict):
         raise PrivacyViolation(f"payload of a {kind} message is not an object")
-    _check_dims(kind, payload)
-    return cls(**_check_shape(payload, _SCHEMAS[kind], f"a {kind} message"))
+    checked = _check_shape(payload, _SCHEMAS[kind], f"a {kind} message")
+    _check_dims(kind, checked, {} if dims is None else dims)
+    return cls(**checked)
 
 
-def _check_dims(kind: str, payload: dict) -> None:
-    """Raise :class:`PrivacyViolation` unless the protocol takes the
-    dimensions a ``kind`` payload declares: a config's ``cv_splits`` or the
-    length of ``fit_sq`` is 0 or ``CV_SPLITS``, and the length of ``mean_v``
-    or ``target_coef`` is 1 to ``MAX_COLUMNS``. A list that is not there
-    declares nothing: the shape check names it."""
-    dims = {spec[1:-1]: len(payload[key]) for key, spec in _SCHEMAS[kind].items()
-            if spec in ("[shared]", "[cv_splits]") and isinstance(payload.get(key), list)}
-    splits = payload.get("cv_splits", 0) if kind == "config" else dims.get("cv_splits", 0)
-    if not (is_count(splits) and splits in (0, CV_SPLITS)):
-        raise PrivacyViolation(
-            f"{kind} declares cv_splits {splits!r}; the protocol takes 0 or {CV_SPLITS}")
-    if not is_shared_dimension(dims.get("shared", 1)):
-        raise PrivacyViolation(
-            f"{kind} has no list of 1 to {MAX_COLUMNS} shared covariate values")
+def _check_dims(kind: str, payload: dict, dims: dict) -> None:
+    """The one rule for a round's dimensions: raise :class:`PrivacyViolation`
+    unless the protocol takes each dimension a ``kind`` payload of the declared
+    shape declares, a list by its length and the config's ``cv_splits`` by its
+    value (a split count 0 or ``CV_SPLITS``, a shared dimension 1 to
+    ``MAX_COLUMNS``), and it is the round's: its entry in ``dims``, which the
+    first payload that declares it sets."""
+    for key, spec in _SCHEMAS[kind].items():
+        dim, n = (spec[1], len(payload[key])) if isinstance(spec, tuple) else (key, payload[key])
+        if dim == "cv_splits" and n not in (0, CV_SPLITS):
+            raise PrivacyViolation(
+                f"{kind} declares cv_splits {n!r}; the protocol takes 0 or {CV_SPLITS}")
+        if dim == "shared" and not is_shared_dimension(n):
+            raise PrivacyViolation(
+                f"{kind} has no list of 1 to {MAX_COLUMNS} shared covariate values")
+        if dim in ("cv_splits", "shared") and dims.setdefault(dim, n) != n:
+            raise PrivacyViolation(f"a {kind} message.{key} {'is' if key == dim else 'has length'} "
+                                   f"{n}; its declared [{dim}] is {dims[dim]}")
 
 
 def _check_shape(value, spec, where: str):
@@ -176,10 +184,12 @@ def _check_shape(value, spec, where: str):
         if not ok:
             raise PrivacyViolation(f"{where} is not a list of candidate feature maps")
         return maps
-    if spec.startswith("["):
-        if not (isinstance(value, list) and all(map(_is_number, value))):
-            raise PrivacyViolation(f"{where} is not a flat list of finite numbers")
+    if isinstance(spec, tuple):
+        is_scalar, name = _SCALARS[spec[0]]
+        if not (isinstance(value, list) and all(map(is_scalar, value))):
+            raise PrivacyViolation(f"{where} is not a flat list of {name}s")
         return np.asarray(value, dtype=float)
-    if not _SCALARS[spec](value):
-        raise PrivacyViolation(f"{where} is not a {spec}")
+    is_scalar, name = _SCALARS[spec]
+    if not is_scalar(value):
+        raise PrivacyViolation(f"{where} is not a {name}")
     return value

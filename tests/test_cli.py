@@ -288,6 +288,43 @@ def test_estimate_end_to_end(tmp_path, capsys):
     assert (out / "ledger.jsonl").is_file()
 
 
+def test_estimate_out_writes_the_audit_census_of_its_round(tmp_path, capsys, monkeypatch):
+    # audit.json is the audit of the round the run reports, beside its ledger.
+    rounds = []
+
+    def recorded(*args):
+        rounds.append(fedruntime.run_round(*args))
+        return rounds[-1]
+
+    monkeypatch.setattr(cli, "run_round", recorded)
+    tgt = _write_site_csv(tmp_path / "tgt.csv", 1, 250, ["x1", "x2"])
+    src = _write_site_csv(tmp_path / "src.csv", 2, 300, ["x1", "x2", "x3"])
+    out = tmp_path / "est"
+    assert main(["estimate", "--target", str(tgt), "--source", str(src), "--method", "ivw",
+                 "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "audit.json").read_text()) == fedruntime.audit_ledger(rounds[0])
+    records = [json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()]
+    assert json.loads((out / "audit.json").read_text())["n_messages"] == len(records) == 3
+
+
+def test_estimate_fails_a_round_its_audit_fails(tmp_path, capsys, monkeypatch):
+    # The coordinator logs an upload it refuses, so the round's audit fails:
+    # estimate exits 3 with the audit's message and writes nothing, though
+    # the round fell back to the target's estimate.
+    upload = fedruntime.source_upload
+    monkeypatch.setattr(fedruntime, "source_upload",
+                        lambda src, text: upload(src, text).replace(",", ", ", 1))
+    tgt = _write_site_csv(tmp_path / "tgt.csv", 1, 250, ["x1", "x2"])
+    src = _write_site_csv(tmp_path / "src.csv", 2, 300, ["x1", "x2"])
+    out = tmp_path / "est"
+    with pytest.warns(AllSourcesFailedWarning):
+        assert main(["estimate", "--target", str(tgt), "--source", str(src), "--method", "ivw",
+                     "--out", str(out)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "non-canonical payload text on a site_estimate message" in captured.err
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
 def test_estimate_labels_a_one_candidate_mr_l1_round_as_aipw_l1(tmp_path, capsys):
     # estimate gives every site one raw candidate, so its default mr_l1 runs
     # exactly the aipw_l1 round; the report keeps the requested name and says

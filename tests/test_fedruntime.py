@@ -36,7 +36,8 @@ from fedcausal.fedruntime import (
 )
 from fedcausal.nuisance import MAX_CANDIDATES, MAX_COLUMNS, FeatureMap, fit_nuisances
 from fedcausal.numkit import expit
-from fedcausal.simbench import load_scenario, method_config, rep_config_seed, replication_frames
+from fedcausal.simbench import (load_scenario, method_config, rep_config_seed, replication_frames,
+                                replication_reports)
 from fedcausal.site_estimator import (
     CV_SPLITS,
     SiteFrame,
@@ -604,6 +605,71 @@ def test_a_refused_upload_fails_its_source_not_the_round(monkeypatch):
         audit_ledger(report)
 
 
+def _edit_site2_upload(monkeypatch, edit):
+    """Make site2 upload its canonical text rewritten by ``edit`` of its payload."""
+    upload = fedruntime.source_upload
+
+    def edited(src, config_text):
+        text = upload(src, config_text)
+        return wire_text(edit(json.loads(text))) if src.frame.site_id == "site2" else text
+
+    monkeypatch.setattr(fedruntime, "source_upload", edited)
+
+
+_UPLOAD = "a site_estimate message."
+# Each edit of an upload the coordinator refuses, the methods of the c1 rounds
+# it is sent in, and the message that refuses it. The first two are well
+# formed but break the round's dimensions: one split sum short of what the
+# broadcast declared, and one slope short of the target's 4 shared covariate
+# means. The others hold a negative sum of squares, which no honest source
+# sends (each is a sum of squared contributions).
+_REFUSED_UPLOADS = {
+    "fit_sq_empty": (("mr_l1",), lambda p: {**p, "fit_sq": []},
+                     f"{_UPLOAD}fit_sq has length 0; its declared [cv_splits] is {CV_SPLITS}"),
+    "target_coef_short": (("ivw", "mr_l1"), lambda p: {**p, "target_coef": p["target_coef"][:3]},
+                          f"{_UPLOAD}target_coef has length 3; its declared [shared] is 4"),
+    "own_sq_negative": (("ss", "ivw", "mr_l1"), lambda p: {**p, "own_sq": -1.0},
+                        f"{_UPLOAD}own_sq is not a nonnegative finite number"),
+    "fit_sq_negative": (("mr_l1",), lambda p: {**p, "fit_sq": [-1.0] * CV_SPLITS},
+                        f"{_UPLOAD}fit_sq is not a flat list of nonnegative finite numbers"),
+}
+
+
+@pytest.mark.parametrize("name, method", [(name, method)
+                                          for name, (methods, _, _) in _REFUSED_UPLOADS.items()
+                                          for method in methods])
+def test_the_coordinator_refuses_exactly_the_uploads_the_audit_refuses(monkeypatch, name,
+                                                                        method):
+    # The coordinator reads each upload at the dimensions it sent, by the
+    # audit's rule, so an upload the audit refuses fails its source with the
+    # audit's message, and the round uses the other three sources.
+    _, edit, message = _REFUSED_UPLOADS[name]
+    _edit_site2_upload(monkeypatch, edit)
+    scenario = load_scenario("c1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = run_round(replication_frames(scenario, 0, 0),
+                           method_config(method, scenario, seed=3))
+    assert report.diagnostics["failed_sources"] == {"site2": f"PrivacyViolation: {message}"}
+    assert [site["site_id"] for site in report.per_site] == ["site1", "site3", "site4", "site5"]
+    assert np.isfinite(report.delta_hat) and report.variance > 0
+    with pytest.raises(PrivacyViolation) as audited:
+        audit_ledger(report)
+    assert str(audited.value) == message
+
+
+def test_a_refused_upload_fails_its_source_not_the_study(monkeypatch):
+    # A study's replication reports every method when a source's uploads
+    # break the round's dimensions: that source fails in each round.
+    _edit_site2_upload(monkeypatch, _REFUSED_UPLOADS["target_coef_short"][1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports, failed = replication_reports(load_scenario("c1"), METHODS, 0, 0)
+    assert failed == {} and list(reports) == list(METHODS)
+    assert [list(report.diagnostics["failed_sources"]) for report in reports.values()] == [
+        ["site2"]] * len(METHODS)
+
+
 def test_a_source_tilts_on_no_summary_text_the_audit_refuses(monkeypatch):
     # Each source reads the moment summary it receives by the audit's rule: a
     # summary written with spaces fails every source before its tilt.
@@ -707,7 +773,8 @@ def test_audit_rejects_per_unit_arrays():
     pos, rec = [(i, r) for i, r in enumerate(report.privacy_ledger)
                 if r.kind == "moment_summary"][1]
     summary = {
-        "disagrees": (lambda p: p.update(mean_v=p["mean_v"] + [0.0]), "disagree"),
+        "disagrees": (lambda p: p.update(mean_v=p["mean_v"] + [0.0]),
+                      r"mean_v has length 3; its declared \[shared\] is 2"),
         "empty": (lambda p: p.update(mean_v=[]), "no list of 1 to"),
         "d": (lambda p: p.update(d=len(p["mean_v"])), "undeclared keys"),
     }
@@ -872,7 +939,8 @@ def test_audit_rejects_config_broadcasts_that_disagree_on_the_split_count():
     payload = json.loads(rec.payload_text)
     assert payload["cv_splits"] == CV_SPLITS
     report.privacy_ledger.append(_relogged(rec, {**payload, "cv_splits": 0}))
-    with pytest.raises(PrivacyViolation, match="config broadcasts disagree on the split count"):
+    message = rf"config message\.cv_splits is 0; its declared \[cv_splits\] is {CV_SPLITS}"
+    with pytest.raises(PrivacyViolation, match=message):
         audit_ledger(report)
 
 
@@ -946,7 +1014,8 @@ def test_audit_schema_declares_only_what_a_round_sends():
     # No declared type is an open object: each is a scalar, a list of
     # candidate feature maps, or a list of a protocol dimension, so no value
     # grows with n.
-    assert declared <= set(_SCALARS) | {"maps", "[shared]", "[cv_splits]"}
+    assert declared <= set(_SCALARS) | {"maps"} | {
+        (scalar, dim) for scalar in _SCALARS for dim in ("shared", "cv_splits")}
 
 
 def test_each_upload_is_its_wire_payload_field_for_field():
@@ -1113,8 +1182,13 @@ def test_a_source_refuses_exactly_the_broadcasts_the_audit_rejects(honest_round,
             assert not isinstance(exc, PrivacyViolation)
 
 
+# Each text read as its receiver reads it: a summary by a source, which knows
+# no dimension of the round, and an upload by the coordinator, at the
+# dimensions of the honest round's messages (CV_SPLITS fit halves, and the 4
+# shared covariates of c1).
 _READERS = {"moment_summary": MomentSummary.from_json,
-            "site_estimate": SourceSiteReport.from_json}
+            "site_estimate": lambda text: SourceSiteReport.from_json(
+                text, {"cv_splits": CV_SPLITS, "shared": 4})}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1123,9 +1197,9 @@ def test_each_payload_reader_refuses_exactly_the_texts_the_audit_fails(honest_ro
                                                                       data):
     # A mutated summary or upload text takes its message's place in the
     # honest round's ledger. Its reader raises PrivacyViolation exactly when
-    # the audit fails that text, with the audit's own message; when the reader
-    # takes the text, the audit passes the ledger or fails it only on a
-    # dimension its messages disagree on.
+    # the audit fails that ledger, with the audit's own message. Only a
+    # summary the source takes can still fail the audit, on the round's
+    # shared dimension, which the audit learns from the first summary.
     ledger = list(honest_round.privacy_ledger)
     pos = data.draw(st.sampled_from([i for i, rec in enumerate(ledger) if rec.kind == kind]))
     text = data.draw(_mutated(ledger[pos].payload_text))
@@ -1138,10 +1212,13 @@ def test_each_payload_reader_refuses_exactly_the_texts_the_audit_fails(honest_ro
             audit_ledger(report)
         assert str(audited.value) == str(exc)
         return
+    if kind == "site_estimate":
+        audit_ledger(report)
+        return
     try:
         audit_ledger(report)
     except PrivacyViolation as exc:
-        assert "disagree" in str(exc) or "its declared" in str(exc)
+        assert "its declared [shared]" in str(exc)
 
 
 def _payload_edit(edit):

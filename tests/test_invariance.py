@@ -180,11 +180,13 @@ def test_each_site_sends_a_function_of_what_it_holds_and_received(fed, methods, 
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# A sum of squares: finite and not negative.
+sums = st.floats(min_value=0.0, allow_infinity=False)
 
 
-def _vectors(sizes):
-    """Float arrays whose length is drawn from ``sizes``."""
-    return sizes.flatmap(lambda k: st.lists(finite, min_size=k, max_size=k)).map(
+def _vectors(sizes, elements=finite):
+    """Arrays of ``elements`` whose length is drawn from ``sizes``."""
+    return sizes.flatmap(lambda k: st.lists(elements, min_size=k, max_size=k)).map(
         lambda v: np.array(v, dtype=float))
 
 
@@ -197,8 +199,8 @@ source_reports = st.builds(
     n_k=st.integers(1, 10**9),
     mu0=finite,
     mu1=finite,
-    own_sq=finite,
-    fit_sq=_vectors(st.sampled_from([0, CV_SPLITS])),
+    own_sq=sums,
+    fit_sq=_vectors(st.sampled_from([0, CV_SPLITS]), sums),
     target_coef=shared_vectors,
 )
 feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) | st.builds(

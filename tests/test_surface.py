@@ -1,7 +1,8 @@
 """The package keeps no public function that only tests call, each one
 referenced by package code outside its own definition, no module import
 that its module never uses, no use of another module's private name, and
-one place where the package parses a payload text."""
+one place where the package parses a payload text, in the one module that
+raises a privacy violation."""
 
 import ast
 from pathlib import Path
@@ -140,3 +141,18 @@ def test_the_package_parses_a_payload_text_in_one_place():
                     if isinstance(node, ast.Attribute) and node.attr == "loads"
                     and isinstance(node.value, ast.Name) and node.value.id == "json"]
     assert readers == ["wire"]
+
+
+def test_privacy_violation_is_raised_only_in_wire():
+    # The privacy contract is one rule, wire's reader of a payload text: a
+    # second module that raised PrivacyViolation would hold a rule of its own
+    # that some site's read skips.
+    raisers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if any(isinstance(n, ast.Name) and n.id == "PrivacyViolation"
+                       for n in ast.walk(exc)):
+                    raisers.append(path.stem)
+    assert set(raisers) == {"wire"}
