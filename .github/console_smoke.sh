@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Console smoke run through the installed `fedcausal` entry point, which no
-# test calls: a small study of a fixed scheme and an adaptive method (its
+# test calls: a small study of a fixed scheme and both adaptive methods, so
+# each replication runs two site phases on one transport, mr_l1's candidate
+# pair beside the raw candidate of the others (its
 # manifest audits the ledger of the first method's round in replication 0,
 # which declares the CV folds the study drew; its census is checked: one
 # config broadcast, and a moment summary to and an upload from each of c1's
@@ -16,7 +18,7 @@
 # Usage: console_smoke.sh OUT_DIR
 set -euo pipefail
 out="$1"
-fedcausal simulate --scenario c1 --methods ivw,aipw_l1 --reps 3 --seed 0 --out "$out/sim"
+fedcausal simulate --scenario c1 --methods ivw,aipw_l1,mr_l1 --reps 3 --seed 0 --out "$out/sim"
 python3 -c '
 import json, pathlib, sys
 from fedcausal.wire import TEXT_BOUNDS

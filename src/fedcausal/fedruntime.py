@@ -12,7 +12,8 @@ the target), after which the coordinator forms the global combination
 (:func:`combine`), whose one setting is the weighting scheme: it reads
 fixed-size summaries and the candidate groups from the site phase, and no
 seed. So one transport serves every candidate group, and one site phase
-every weighting scheme. The scheme and the target's candidate models stay
+every weighting scheme, as the one round driver (:func:`run_rounds`) runs
+them. The scheme and the target's candidate models stay
 with the coordinator, and the penalty grid and the CI level are protocol
 constants (:data:`~fedcausal.federation.LAMBDA_GRID`, ``ALPHA``): no message
 carries them, and the site phase never reads the scheme. Every cross-site
@@ -190,14 +191,14 @@ class Transport:
         return len(self.target_folds)
 
 
-def run_transport(frames: list[SiteFrame], seed: int, methods=METHODS) -> Transport:
+def run_transport(frames: list[SiteFrame], seed: int, methods) -> Transport:
     """Run the candidate-free site work for the weighting ``methods`` that
-    will combine it (by default every method): the target's moment summary,
-    its shared covariates centered by those means, and each source's tilt.
-    Only the adaptive methods read CV folds, so only when ``methods`` holds
-    one does every site draw its ``CV_SPLITS`` fold masks, each by
-    :func:`~fedcausal.site_estimator.split_masks` with ``seed``; otherwise
-    no site draws any. Each solved tilt's weights are checked here, once per
+    will combine it: the target's moment summary, its shared covariates
+    centered by those means, and each source's tilt. Only the adaptive
+    methods read CV folds, so only when ``methods`` holds one does every site
+    draw its ``CV_SPLITS`` fold masks, each by
+    :func:`~fedcausal.site_estimator.split_masks` with ``seed``; otherwise no
+    site draws any. Each solved tilt's weights are checked here, once per
     transport (:func:`~fedcausal.density_ratio.truncate_weights`).
 
     Checks that there is exactly one target frame and that site ids, which
@@ -364,19 +365,41 @@ def combine(sites: SitePhase, method: str) -> GlobalReport:
     return result
 
 
-def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
-    """Execute one federated round and return the coordinator's report.
-
-    The round is the transport (:func:`run_transport`), the site phase
-    (:func:`run_sites`) and the coordinator's combine step (:func:`combine`);
-    sources that fail are listed in the report diagnostics. An adaptive round
-    over more than ``federation.MAX_SOURCES`` source frames raises
-    :class:`TooManySources` before any site work.
-    """
-    if config.method in ADAPTIVE_METHODS:
+def run_rounds(frames: list[SiteFrame], seed: int,
+               groups: dict) -> tuple[dict[str, GlobalReport], dict[str, FedcausalError]]:
+    """The one round driver: each weighting method's round on ``frames`` with
+    ``seed``, as its report or its error; ``groups`` maps each method to its
+    candidate groups. An adaptive method over more than ``MAX_SOURCES``
+    sources raises :class:`TooManySources` before any site work. One transport
+    serves every method, and fails them all if it fails; methods whose groups
+    agree share a site phase, which fails each of them the same way if it
+    fails. A ``ValueError``, such as for repeated site ids, propagates."""
+    if any(m in ADAPTIVE_METHODS for m in groups):
         check_adaptive_sources(sum(f.role == "source" for f in frames))
-    transport = run_transport(frames, config.seed, (config.method,))
-    return combine(run_sites(transport, config.candidates), config.method)
+    try:
+        transport = run_transport(frames, seed, tuple(groups))
+    except FedcausalError as exc:
+        return {}, dict.fromkeys(groups, exc)
+    reports, failed, phases = {}, {}, {}  # phases: repr of candidate groups -> site phase
+    for method, candidates in groups.items():
+        key = repr(candidates)
+        try:
+            if key not in phases:
+                phases[key] = run_sites(transport, candidates)
+            reports[method] = combine(phases[key], method)
+        except FedcausalError as exc:
+            failed[method] = exc
+    return reports, failed
+
+
+def run_round(frames: list[SiteFrame], config: ProtocolConfig) -> GlobalReport:
+    """Execute the federated round of ``config.method`` (:func:`run_rounds`)
+    and return the coordinator's report, or raise the error it failed with.
+    Sources that fail are listed in the report diagnostics."""
+    reports, failed = run_rounds(frames, config.seed, {config.method: config.candidates})
+    if failed:
+        raise failed[config.method]
+    return reports[config.method]
 
 
 def audit_ledger(report: GlobalReport) -> dict:

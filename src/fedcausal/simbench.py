@@ -3,12 +3,11 @@
 Sites draw skew-normal covariates, with outcome and treatment models that are
 linear either in the raw covariates or in their nonlinear transform, so that
 an analyst modeling the raw covariates is correct at some sites and wrong at
-others. Each replication generates all sites, runs the federated transport
-(moment summary, tilts, and every site's CV folds if an adaptive method is
-requested) once, runs the site phase on it once per distinct candidate
-configuration, combines each phase under every requested method that shares
-it, and records the effect estimate and confidence interval. Replications are
-pure functions of (seed, replication index).
+others. Each replication generates all sites, runs every requested method's
+round through the one round driver (:func:`~fedcausal.fedruntime.run_rounds`:
+one transport, one site phase per distinct candidate configuration and one
+combine per method), and records the effect estimate and confidence
+interval. Replications are pure functions of (seed, replication index).
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FedcausalError, ScenarioError
-from .federation import ADAPTIVE_METHODS, GlobalReport, check_adaptive_sources
-from .fedruntime import (METHODS, ProtocolConfig, combine, is_method_list, run_sites,
-                         run_transport)
+from .federation import GlobalReport
+from .fedruntime import METHODS, ProtocolConfig, is_method_list, run_rounds
 from .nuisance import FeatureMap, kang_schafer
 from .numkit import expit
 from .site_estimator import SiteFrame
@@ -309,32 +307,11 @@ def replication_frames(scenario: ScenarioSpec, seed: int, rep: int) -> list[Site
 
 def replication_reports(scenario: ScenarioSpec, methods, seed: int,
                         rep: int) -> tuple[dict[str, GlobalReport], dict[str, FedcausalError]]:
-    """One replication's rounds: generate all sites and run each method.
-
-    Returns each method's report and each failed method's error. The
-    transport runs once, drawing CV folds only if some method is adaptive;
-    a transport that fails fails every method. Methods whose configs agree
-    on both candidate groups share one site phase. A phase that fails is run
-    again, and fails the same way, for each method that would share it.
-    """
-    frames = replication_frames(scenario, seed, rep)
-    groups = [method_config(method, scenario).candidates for method in methods]
-    reports: dict[str, GlobalReport] = {}
-    try:
-        transport = run_transport(frames, rep_config_seed(seed, rep), methods)
-    except FedcausalError as exc:
-        return reports, dict.fromkeys(methods, exc)
-    failed: dict[str, FedcausalError] = {}
-    phases: dict = {}  # candidate groups -> site phase
-    for method, candidates in zip(methods, groups):
-        key = repr(candidates)
-        try:
-            if key not in phases:
-                phases[key] = run_sites(transport, candidates)
-            reports[method] = combine(phases[key], method)
-        except FedcausalError as exc:
-            failed[method] = exc
-    return reports, failed
+    """One replication's rounds: generate all sites and run each method's
+    round (:func:`~fedcausal.fedruntime.run_rounds`). Returns each method's
+    report and each failed method's error."""
+    return run_rounds(replication_frames(scenario, seed, rep), rep_config_seed(seed, rep),
+                      {method: method_config(method, scenario).candidates for method in methods})
 
 
 def run_replication(scenario: ScenarioSpec, methods, seed: int,
@@ -361,7 +338,7 @@ def run_scenario(
     """Run the full Monte Carlo study.
 
     An adaptive method over more than ``federation.MAX_SOURCES`` sources
-    raises :class:`TooManySources` before any replication runs. Aborts with
+    raises :class:`TooManySources` in the first replication. Aborts with
     :class:`ScenarioError`, naming the first failed replication and its
     reason, if more than 1 percent of replications fail for any method.
     Replication rows are aggregated in replication order.
@@ -372,8 +349,6 @@ def run_scenario(
                             f"got {methods}")
     if reps < 1:
         raise ScenarioError("reps must be positive")
-    if any(m in ADAPTIVE_METHODS for m in methods):
-        check_adaptive_sources(sum(site.role == "source" for site in scenario.sites))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -65,7 +65,8 @@ _SCALARS = {"count": (is_count, "count"), "number": (_is_number, "finite number"
 # two finished arm means and sums its squared contributions once over all its
 # units (``own_sq``) and once per fit half of the split count cv_splits the
 # config broadcast declares (``fit_sq``): ``CV_SPLITS`` when an adaptive
-# method will combine the round, else 0, and no other value (``_check_dims``).
+# method will combine the round, else 0, and no other value, and its sample
+# size ``n_k`` is at least its tilt basis, q + 1 (``_check_dims``).
 # No dimension depends on a site's sample size, so no per-unit values pass the
 # audit, and no payload names its sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
@@ -146,7 +147,9 @@ def _check_dims(kind: str, payload: dict, dims: dict) -> None:
     shape declares, a list by its length and the config's ``cv_splits`` by its
     value (a split count 0 or ``CV_SPLITS``, a shared dimension 1 to
     ``MAX_COLUMNS``), and it is the round's: its entry in ``dims``, which the
-    first payload that declares it sets."""
+    first payload that declares it sets. An upload's sample size ``n_k`` is at
+    least its tilt basis, q + 1 units for its q target slopes, the fewest a
+    source solves its tilt on (:func:`~fedcausal.density_ratio.solve_tilt`)."""
     for key, spec in _SCHEMAS[kind].items():
         dim, n = (spec[1], len(payload[key])) if isinstance(spec, tuple) else (key, payload[key])
         if dim == "cv_splits" and n not in (0, CV_SPLITS):
@@ -158,6 +161,9 @@ def _check_dims(kind: str, payload: dict, dims: dict) -> None:
         if dim in ("cv_splits", "shared") and dims.setdefault(dim, n) != n:
             raise PrivacyViolation(f"a {kind} message.{key} {'is' if key == dim else 'has length'} "
                                    f"{n}; its declared [{dim}] is {dims[dim]}")
+    if kind == "site_estimate" and payload["n_k"] <= len(payload["target_coef"]):
+        raise PrivacyViolation(f"a {kind} message.n_k is {payload['n_k']}, below its tilt basis "
+                               f"of {len(payload['target_coef']) + 1} units")
 
 
 def _check_shape(value, spec, where: str):

@@ -110,7 +110,7 @@ def test_simulate_transcript_round_error_is_reported(tmp_path, capsys, monkeypat
         raise TooFewUnits("validation set needs at least 2 units")
 
     def failing_reports(*args):
-        monkeypatch.setattr(simbench, "combine", failing_combine)
+        monkeypatch.setattr(fedruntime, "combine", failing_combine)
         return simbench.replication_reports(*args)
 
     monkeypatch.setattr(cli, "replication_reports", failing_reports)

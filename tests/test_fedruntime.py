@@ -1,5 +1,6 @@
 """Tests for the simulated one-round federation and its privacy audit."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -621,8 +622,9 @@ _UPLOAD = "a site_estimate message."
 # it is sent in, and the message that refuses it. The first two are well
 # formed but break the round's dimensions: one split sum short of what the
 # broadcast declared, and one slope short of the target's 4 shared covariate
-# means. The others hold a negative sum of squares, which no honest source
-# sends (each is a sum of squared contributions).
+# means. Two hold a negative sum of squares, which no honest source sends
+# (each is a sum of squared contributions), and the last a sample size of 0,
+# below the 5-unit tilt basis every source that solved its tilt holds.
 _REFUSED_UPLOADS = {
     "fit_sq_empty": (("mr_l1",), lambda p: {**p, "fit_sq": []},
                      f"{_UPLOAD}fit_sq has length 0; its declared [cv_splits] is {CV_SPLITS}"),
@@ -632,6 +634,8 @@ _REFUSED_UPLOADS = {
                         f"{_UPLOAD}own_sq is not a nonnegative finite number"),
     "fit_sq_negative": (("mr_l1",), lambda p: {**p, "fit_sq": [-1.0] * CV_SPLITS},
                         f"{_UPLOAD}fit_sq is not a flat list of nonnegative finite numbers"),
+    "n_k_zero": (("ss",), lambda p: {**p, "n_k": 0},
+                 f"{_UPLOAD}n_k is 0, below its tilt basis of 5 units"),
 }
 
 
@@ -668,6 +672,33 @@ def test_a_refused_upload_fails_its_source_not_the_study(monkeypatch):
     assert failed == {} and list(reports) == list(METHODS)
     assert [list(report.diagnostics["failed_sources"]) for report in reports.values()] == [
         ["site2"]] * len(METHODS)
+
+
+def test_run_rounds_shares_one_transport_and_a_site_phase_per_candidate_group(monkeypatch):
+    # c1 replication 0 under every method: the four methods with the raw
+    # candidate share one site phase, mr_l1 runs its own, and both run on one
+    # transport. Each report is its method's round run by hand on one
+    # transport drawn for every method.
+    scenario = load_scenario("c1")
+    frames, seed = replication_frames(scenario, 0, 0), rep_config_seed(0, 0)
+    groups = {method: method_config(method, scenario).candidates for method in METHODS}
+    calls = collections.Counter()
+
+    def counted(name):
+        inner = getattr(fedruntime, name)
+        return lambda *args: calls.update([name]) or inner(*args)
+
+    for name in ("run_transport", "run_sites"):
+        monkeypatch.setattr(fedruntime, name, counted(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reports, failed = fedruntime.run_rounds(frames, seed, groups)
+        transport = run_transport(frames, seed, METHODS)
+        by_hand = {method: combine(run_sites(transport, candidates), method).to_json()
+                   for method, candidates in groups.items()}
+    assert calls == {"run_transport": 1, "run_sites": 2}
+    assert failed == {} and list(reports) == list(METHODS)
+    assert {method: report.to_json() for method, report in reports.items()} == by_hand
 
 
 def test_a_source_tilts_on_no_summary_text_the_audit_refuses(monkeypatch):
@@ -826,6 +857,12 @@ _SCALAR_TAMPERS = {
                         "is not a"),
     "n_k_negative": ("site_estimate", lambda p: p.update(n_k=-5), "is not a"),
     "n_k_huge": ("site_estimate", lambda p: p.update(n_k=10**300), "is not a"),
+    # A source's sample holds at least its tilt basis, 3 units here for the
+    # intercept and the 2 shared covariates.
+    "n_k_zero": ("site_estimate", lambda p: p.update(n_k=0),
+                 "n_k is 0, below its tilt basis of 3 units"),
+    "n_k_below_basis": ("site_estimate", lambda p: p.update(n_k=len(p["target_coef"])),
+                        "n_k is 2, below its tilt basis of 3 units"),
     "seed_negative": ("config", lambda p: p.update(seed=-1), "is not a"),
     # The split count is 0 or CV_SPLITS, and every upload sums that many
     # fit halves: here none, on a round that declares CV_SPLITS.

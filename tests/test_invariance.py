@@ -1,10 +1,11 @@
 """Property tests: what one round promises under relabelling and rescaling,
 and that every wire payload survives JSON with equal values.
 
-The round examples run whole rounds (``run_transport``, ``run_sites`` then
-``combine``) on small random frames. Units are never permuted within a site:
-the nuisance split and the cross-validation folds are positional, so a round
-does not promise invariance to the order of a site's rows.
+The round examples run whole rounds (``run_rounds``, or ``run_transport``,
+``run_sites`` then ``combine``) on small random frames. Units are never
+permuted within a site: the nuisance split and the cross-validation folds are
+positional, so a round does not promise invariance to the order of a site's
+rows.
 """
 
 import dataclasses
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcausal.density_ratio import MomentSummary
-from fedcausal.fedruntime import (METHODS, ProtocolConfig, SitePhase, combine, run_sites,
-                                  run_transport)
+from fedcausal.fedruntime import (METHODS, ProtocolConfig, SitePhase, combine, run_rounds,
+                                  run_sites, run_transport)
 from fedcausal.nuisance import CV_SPLITS, FeatureMap
 from fedcausal.numkit import expit
 from fedcausal.site_estimator import SiteFrame, SourceSiteReport, complete_source_estimate
@@ -61,8 +62,10 @@ def _rounds(frames, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config = _config("ivw", seed)
-        sites = run_sites(run_transport(frames, config.seed, METHODS), config.candidates)
-        return {m: combine(sites, m) for m in METHODS}
+        groups = dict.fromkeys(METHODS, config.candidates)
+        reports, failed = run_rounds(frames, config.seed, groups)
+        assert failed == {}
+        return reports
 
 
 def _eta(report):
@@ -194,15 +197,17 @@ def _vectors(sizes, elements=finite):
 # CV_SPLITS fit-half sums.
 shared_vectors = _vectors(st.integers(1, 6))
 moment_summaries = st.builds(MomentSummary, mean_v=shared_vectors)
-source_reports = st.builds(
+# A source's sample holds at least its tilt basis, the intercept and its q
+# shared covariates.
+source_reports = shared_vectors.flatmap(lambda coef: st.builds(
     SourceSiteReport,
-    n_k=st.integers(1, 10**9),
+    n_k=st.integers(len(coef) + 1, 10**9),
     mu0=finite,
     mu1=finite,
     own_sq=sums,
     fit_sq=_vectors(st.sampled_from([0, CV_SPLITS]), sums),
-    target_coef=shared_vectors,
-)
+    target_coef=st.just(coef),
+))
 feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) | st.builds(
     FeatureMap, kind=st.just("subset"),
     columns=st.lists(st.integers(0, 50), min_size=1, unique=True).map(tuple),

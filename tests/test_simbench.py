@@ -430,14 +430,14 @@ def test_a_failed_site_phase_fails_every_method_that_shares_it(monkeypatch):
     # The raw-candidate phase is made to fail: the four methods that share it
     # record the same failure, and mr_l1's own phase still gives its rows.
     scenario = _small_scenario()
-    inner = simbench.run_sites
+    inner = fedruntime.run_sites
 
     def failing(frames, candidates):
         if candidates["source"]["outcome"] == [FeatureMap("raw")]:
             raise NoConvergence("forced failure")
         return inner(frames, candidates)
 
-    monkeypatch.setattr(simbench, "run_sites", failing)
+    monkeypatch.setattr(fedruntime, "run_sites", failing)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows, failed = run_replication(scenario, METHODS, seed=2, rep=1)
@@ -481,7 +481,7 @@ def test_a_failed_tilt_fails_its_source_in_every_site_phase(monkeypatch):
     # site3 shares one covariate fewer than the target, so its tilt fails, once,
     # in the transport: both site phases leave it out with the same error, and
     # every method runs on the other three sources.
-    inner_frames, inner_combine = simbench.replication_frames, simbench.combine
+    inner_frames, inner_combine = simbench.replication_frames, fedruntime.combine
     phases = []
 
     def frames(*args):
@@ -493,7 +493,7 @@ def test_a_failed_tilt_fails_its_source_in_every_site_phase(monkeypatch):
         return inner_combine(sites, method)
 
     monkeypatch.setattr(simbench, "replication_frames", frames)
-    monkeypatch.setattr(simbench, "combine", combine)
+    monkeypatch.setattr(fedruntime, "combine", combine)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows, failed = run_replication(load_scenario("c1"), METHODS, seed=0, rep=0)

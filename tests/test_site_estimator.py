@@ -639,7 +639,7 @@ def test_contributions_match_a_jackknife(seed):
         mp.setattr(fedruntime, "_fit_site", lambda frame, group, seed: _fixed_fit(frame))
 
         def target_estimate(frame):
-            transport = fedruntime.run_transport([frame], config.seed)
+            transport = fedruntime.run_transport([frame], config.seed, (config.method,))
             return fedruntime.run_sites(transport, config.candidates).estimates[0]
 
         est = target_estimate(tgt)
