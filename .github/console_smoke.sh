@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Console smoke run through the installed `fedcausal` entry point, which no
-# test calls: a small study of a fixed scheme and both adaptive methods, so
-# each replication runs two site phases on one transport, mr_l1's candidate
-# pair beside the raw candidate of the others (its
-# manifest audits the ledger of the first method's round in replication 0,
-# which declares the CV folds the study drew; its census is checked: one
+# Console smoke run through the `fedcausal` command, which no test calls: a
+# small study of a fixed scheme and both adaptive methods, so each replication
+# runs two site phases on one transport, mr_l1's candidate pair beside the raw
+# candidate of the others (its manifest audits the ledger of the first
+# method's round in replication 0, which declares the CV folds the study
+# drew; its census is checked: one
 # config broadcast, and a moment summary to and an upload from each of c1's
 # 4 sources; so is the transcript it writes: those messages in that order,
 # each within the audit's size bound for its kind, and bytes per kind that
@@ -15,9 +15,13 @@
 # whose written report, ledger and census are checked: one source used, one
 # message of each kind, each within the audit's size bound for its kind, and
 # a census whose bytes per kind sum those of the ledger.
+# The command is $FEDCAUSAL (default `fedcausal`, the entry point), so a checkout
+# without an installed entry point runs it as
+#   FEDCAUSAL="python3 -m fedcausal.cli" PYTHONPATH=src bash .github/console_smoke.sh OUT_DIR
 # Usage: console_smoke.sh OUT_DIR
 set -euo pipefail
 out="$1"
+fedcausal() { command ${FEDCAUSAL:-fedcausal} "$@"; }
 fedcausal simulate --scenario c1 --methods ivw,aipw_l1,mr_l1 --reps 3 --seed 0 --out "$out/sim"
 python3 -c '
 import json, pathlib, sys

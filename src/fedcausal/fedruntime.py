@@ -2,9 +2,9 @@
 
 The target site acts as coordinator. One round is a transport
 (:func:`run_transport`: the target's moment summary, logged as one message
-to each source, each source's density-ratio tilt, and, when an adaptive
-method will combine it, every site's cross-validation folds, none of which
-depends on a candidate model), a site phase on that transport
+to each source, each source's density-ratio tilt, and every site's
+cross-validation folds at the split count it is given, none of which
+depends on a candidate model or a method), a site phase on that transport
 (:func:`run_sites`: the config broadcast of the seed, the transport's split
 count and the sources' candidate models, one summary-level upload per source
 holding its finished estimate, and the target's own estimate, which stays at
@@ -173,12 +173,11 @@ class Transport:
     """The site work of one round that no candidate model changes: the target
     frame with its CV folds and its shared covariates centered by the means
     it broadcast (the target's own estimate reads both, and no other site
-    does), and one :class:`SourceTransport` per source in frame order,
-    every fold set drawn with ``seed``. Every site holds ``cv_splits`` fold
-    masks: ``CV_SPLITS`` if the transport serves an adaptive method, else
-    none, so its fold sets have shape (0, n). The folds are the one source
-    input not read from a broadcast text: every phase on the transport
-    broadcasts its ``seed`` and ``cv_splits``."""
+    does), and one :class:`SourceTransport` per source in frame order. Every
+    site holds the ``cv_splits`` fold masks the transport was run with
+    (``CV_SPLITS``, or none, of shape (0, n)), drawn with ``seed``: the one
+    source input not read from a broadcast text, so every phase on the
+    transport broadcasts its ``seed`` and ``cv_splits``."""
 
     target: SiteFrame
     target_folds: np.ndarray
@@ -191,21 +190,21 @@ class Transport:
         return len(self.target_folds)
 
 
-def run_transport(frames: list[SiteFrame], seed: int, methods) -> Transport:
-    """Run the candidate-free site work for the weighting ``methods`` that
-    will combine it: the target's moment summary, its shared covariates
-    centered by those means, and each source's tilt. Only the adaptive
-    methods read CV folds, so only when ``methods`` holds one does every site
-    draw its ``CV_SPLITS`` fold masks, each by
-    :func:`~fedcausal.site_estimator.split_masks` with ``seed``; otherwise no
-    site draws any. Each solved tilt's weights are checked here, once per
-    transport (:func:`~fedcausal.density_ratio.truncate_weights`).
+def run_transport(frames: list[SiteFrame], seed: int, cv_splits: int) -> Transport:
+    """Run a round's site work that reads no candidate model and names no
+    method: the target's moment summary, its shared covariates centered by
+    those means, each source's tilt and, at a split count ``cv_splits`` of
+    ``CV_SPLITS`` (0 draws none), every site's fold masks by
+    :func:`~fedcausal.site_estimator.split_masks` with ``seed``. Each solved
+    tilt's weights are checked here, once per transport
+    (:func:`~fedcausal.density_ratio.truncate_weights`).
 
-    Checks that there is exactly one target frame and that site ids, which
-    address the messages and the weights, are distinct. A source that refuses
-    the summary text it received or whose tilt raises is recorded with its
-    error, and every site phase run on the transport fails it.
-    """
+    Checks the split count, that there is one target frame and that site ids,
+    which address the messages and the weights, are distinct. A source that
+    refuses its summary text or whose tilt raises is recorded with its error,
+    and every site phase run on the transport fails it."""
+    if not (is_count(cv_splits) and cv_splits in (0, CV_SPLITS)):
+        raise ValueError(f"cv_splits must be 0 or {CV_SPLITS}, got {cv_splits!r}")
     targets = [f for f in frames if f.role == "target"]
     if len(targets) != 1:
         raise MissingTarget(f"expected exactly one target frame, got {len(targets)}")
@@ -213,13 +212,9 @@ def run_transport(frames: list[SiteFrame], seed: int, methods) -> Transport:
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:
         raise ValueError(f"site ids must be distinct; repeated: {repeated}")
-    if not is_method_list(tuple(methods)):
-        raise ValueError(f"methods must be a non-empty list of distinct names from {METHODS}, "
-                         f"got {methods!r}")
-    splits = CV_SPLITS if any(m in ADAPTIVE_METHODS for m in methods) else 0
 
     def folds(frame: SiteFrame) -> np.ndarray:
-        return (split_masks(frame.n, seed, frame.site_id) if splits
+        return (split_masks(frame.n, seed, frame.site_id) if cv_splits
                 else np.zeros((0, frame.n), dtype=bool))
 
     target = targets[0]
@@ -369,15 +364,20 @@ def run_rounds(frames: list[SiteFrame], seed: int,
                groups: dict) -> tuple[dict[str, GlobalReport], dict[str, FedcausalError]]:
     """The one round driver: each weighting method's round on ``frames`` with
     ``seed``, as its report or its error; ``groups`` maps each method to its
-    candidate groups. An adaptive method over more than ``MAX_SOURCES``
-    sources raises :class:`TooManySources` before any site work. One transport
-    serves every method, and fails them all if it fails; methods whose groups
-    agree share a site phase, which fails each of them the same way if it
-    fails. A ``ValueError``, such as for repeated site ids, propagates."""
-    if any(m in ADAPTIVE_METHODS for m in groups):
+    candidate groups. It alone reads the method names before site work: keys
+    that are no method list raise ``ValueError``, and an adaptive one has every
+    site draw ``CV_SPLITS`` folds in the transport (else none) and caps the
+    sources at ``MAX_SOURCES`` (:class:`TooManySources`). One transport serves
+    every method and fails them all if it fails; methods whose groups agree
+    share a site phase and its failure. A ``ValueError`` propagates."""
+    if not is_method_list(tuple(groups)):
+        raise ValueError(f"methods must be a non-empty list of distinct names from {METHODS}, "
+                         f"got {tuple(groups)!r}")
+    adaptive = any(m in ADAPTIVE_METHODS for m in groups)
+    if adaptive:
         check_adaptive_sources(sum(f.role == "source" for f in frames))
     try:
-        transport = run_transport(frames, seed, tuple(groups))
+        transport = run_transport(frames, seed, CV_SPLITS if adaptive else 0)
     except FedcausalError as exc:
         return {}, dict.fromkeys(groups, exc)
     reports, failed, phases = {}, {}, {}  # phases: repr of candidate groups -> site phase

@@ -143,15 +143,13 @@ def sample_skew_normal(rng: np.random.Generator, n: int, shape: np.ndarray) -> n
     """
     shape = np.asarray(shape, dtype=float)
     delta = shape / np.sqrt(1.0 + shape**2)
-    # Flat draws take the stream positions of (n, p) ones; each is scaled in
-    # place by its coefficients tiled down the rows.
-    u0 = rng.standard_normal(n * len(shape))
+    u0 = rng.standard_normal((n, len(shape)))
     np.abs(u0, out=u0)
-    u0 *= np.tile(delta, n)
-    u1 = rng.standard_normal(n * len(shape))
-    u1 *= np.tile(np.sqrt(1.0 - delta**2), n)
+    u0 *= delta
+    u1 = rng.standard_normal((n, len(shape)))
+    u1 *= np.sqrt(1.0 - delta**2)
     u0 += u1
-    return u0.reshape(n, len(shape))
+    return u0
 
 
 def generate_site(site: SiteSpec, scenario: ScenarioSpec, rng: np.random.Generator) -> SiteFrame:

@@ -65,8 +65,9 @@ _SCALARS = {"count": (is_count, "count"), "number": (_is_number, "finite number"
 # two finished arm means and sums its squared contributions once over all its
 # units (``own_sq``) and once per fit half of the split count cv_splits the
 # config broadcast declares (``fit_sq``): ``CV_SPLITS`` when an adaptive
-# method will combine the round, else 0, and no other value, and its sample
-# size ``n_k`` is at least its tilt basis, q + 1 (``_check_dims``).
+# method will combine the round, else 0, and no other value, each at most
+# ``own_sq``, and its sample size ``n_k`` is at least its tilt basis, q + 1
+# (``_check_dims``).
 # No dimension depends on a site's sample size, so no per-unit values pass the
 # audit, and no payload names its sender: the ledger's ``from_site`` does.
 _SCHEMAS = {
@@ -149,7 +150,9 @@ def _check_dims(kind: str, payload: dict, dims: dict) -> None:
     ``MAX_COLUMNS``), and it is the round's: its entry in ``dims``, which the
     first payload that declares it sets. An upload's sample size ``n_k`` is at
     least its tilt basis, q + 1 units for its q target slopes, the fewest a
-    source solves its tilt on (:func:`~fedcausal.density_ratio.solve_tilt`)."""
+    source solves its tilt on (:func:`~fedcausal.density_ratio.solve_tilt`),
+    and no fit-half sum ``fit_sq`` exceeds its sum over all units ``own_sq``:
+    a fit half is a subset of those units, each adding a square."""
     for key, spec in _SCHEMAS[kind].items():
         dim, n = (spec[1], len(payload[key])) if isinstance(spec, tuple) else (key, payload[key])
         if dim == "cv_splits" and n not in (0, CV_SPLITS):
@@ -164,6 +167,8 @@ def _check_dims(kind: str, payload: dict, dims: dict) -> None:
     if kind == "site_estimate" and payload["n_k"] <= len(payload["target_coef"]):
         raise PrivacyViolation(f"a {kind} message.n_k is {payload['n_k']}, below its tilt basis "
                                f"of {len(payload['target_coef']) + 1} units")
+    if kind == "site_estimate" and any(payload["fit_sq"] > payload["own_sq"]):
+        raise PrivacyViolation(f"a {kind} message.fit_sq sums a fit half above its own_sq")
 
 
 def _check_shape(value, spec, where: str):

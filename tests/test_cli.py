@@ -132,7 +132,7 @@ def test_simulate_transcript_is_the_study_round_of_its_first_method(tmp_path):
                  "--reps", "2", "--seed", "0", "--out", str(out)]) == EXIT_OK
     scenario, seed = load_scenario("c1"), rep_config_seed(0, 0)
     transport = fedruntime.run_transport(replication_frames(scenario, 0, 0), seed,
-                                         ("ivw", "aipw_l1"))
+                                         fedruntime.CV_SPLITS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = fedruntime.combine(

@@ -253,7 +253,7 @@ def test_cross_validate_lambda_matches_the_per_split_loop(preset):
         frames = replication_frames(scenario, 17, rep)
         for method in ADAPTIVE_METHODS:
             config = method_config(method, scenario, seed=rep_config_seed(17, rep))
-            estimates = run_sites(run_transport(frames, config.seed, (method,)),
+            estimates = run_sites(run_transport(frames, config.seed, CV_SPLITS),
                                   config.candidates).estimates
             assert len(estimates) > 2
             solution = cross_validate_lambda(estimates)

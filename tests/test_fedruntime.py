@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_run_sites_rejects_repeated_site_ids():
     frames = _make_frames()
     frames[2] = dataclasses.replace(frames[2], site_id=frames[0].site_id)
     with pytest.raises(ValueError, match=r"repeated: \['site0'\]"):
-        run_transport(frames, 0, METHODS)
+        run_transport(frames, 0, CV_SPLITS)
 
 
 def test_target_alone_has_empty_ledger():
@@ -166,12 +167,12 @@ def _without_folds(rec):
 
 def test_one_site_phase_combines_under_each_scheme():
     # A round alone draws CV folds only for an adaptive method, so the shared
-    # phase, whose transport serves mr_l1 too, logs the round alone's ledger
+    # phase, on a transport that drew them for mr_l1, logs the round alone's ledger
     # under mr_l1 and, under a fixed scheme, the same messages with the split
     # count and the fit-half sums added.
     frames = _make_frames(seed=7)
     methods = ("mr_l1", "ivw", "target")
-    sites = run_sites(run_transport(frames, 2, methods), _config("ivw", seed=2).candidates)
+    sites = run_sites(run_transport(frames, 2, CV_SPLITS), _config("ivw", seed=2).candidates)
     for method in methods:
         shared, alone = combine(sites, method), run_round(frames, _config(method, seed=2))
         assert shared.delta_hat == alone.delta_hat
@@ -191,11 +192,11 @@ def test_one_site_phase_combines_under_each_scheme():
 
 def test_run_round_is_transport_then_sites_then_combine():
     # The transport holds no candidate model, so one transport serves every
-    # candidate group: each phase on a transport for one method, combined
-    # under that method, reports bit for bit what run_round does.
+    # candidate group: each phase on a transport at one method's split count,
+    # combined under that method, reports bit for bit what run_round does.
     frames = _make_frames(seed=3)
     for method in METHODS:
-        transport = run_transport(frames, 5, (method,))
+        transport = run_transport(frames, 5, CV_SPLITS if method in ADAPTIVE_METHODS else 0)
         for source in (_group(FeatureMap("raw")),
                        _group(FeatureMap("raw"), FeatureMap("subset", (0,)))):
             config = _config(method, seed=5, source=source)
@@ -206,7 +207,7 @@ def test_run_round_is_transport_then_sites_then_combine():
 def test_combine_reports_the_site_phase_ledger():
     # The combine step sends nothing: every report carries the site phase's
     # transcript, as its own list.
-    sites = run_sites(run_transport(_make_frames(seed=7), 2, METHODS),
+    sites = run_sites(run_transport(_make_frames(seed=7), 2, CV_SPLITS),
                       _config("ivw", seed=2).candidates)
     logged = list(sites.ledger)
     assert [r.kind for r in logged][:2] == ["config", "moment_summary"]
@@ -228,7 +229,7 @@ def test_the_transport_draws_the_target_folds_and_combine_draws_none(monkeypatch
     fold_seeds = []
     monkeypatch.setattr(fedruntime, "split_masks", lambda n, seed, site_id: (
         fold_seeds.append((seed, site_id)) or split_masks(n, seed, site_id)))
-    transport = run_transport(frames, config.seed, (config.method,))
+    transport = run_transport(frames, config.seed, CV_SPLITS)
     assert sorted(fold_seeds) == [(5, "site0"), (5, "site1"), (5, "site2")]
     assert np.array_equal(transport.target_folds, split_masks(150, 5, "site0"))
     sites = run_sites(transport, config.candidates)
@@ -273,17 +274,66 @@ def test_a_fixed_scheme_round_draws_no_folds(monkeypatch):
         audit_ledger(report)
 
 
+def _driver_folds(monkeypatch, methods):
+    """``run_rounds`` on three sites with seed 5, every method on one
+    candidate group: the site ids each fold draw was for, in call order, and
+    the one transport it ran, whose split count every report's config
+    broadcast declares."""
+    drawn, transports = _counted_split_masks(monkeypatch), []
+    inner = fedruntime.run_transport
+    monkeypatch.setattr(fedruntime, "run_transport",
+                        lambda *args: transports.append(inner(*args)) or transports[-1])
+    reports, failed = fedruntime.run_rounds(_make_frames(seed=3), 5,
+                                            dict.fromkeys(methods, _config().candidates))
+    (transport,) = transports
+    assert failed == {} and list(reports) == list(methods)
+    for report in reports.values():
+        audit_ledger(report)
+        assert [json.loads(r.payload_text)["cv_splits"] for r in report.privacy_ledger
+                if r.kind == "config"] == [transport.cv_splits]
+    return drawn, transport
+
+
 @pytest.mark.parametrize("methods", [("aipw_l1",), ("ivw", "mr_l1"), METHODS])
 def test_a_transport_for_an_adaptive_method_draws_every_site_folds_once(monkeypatch, methods):
-    drawn = _counted_split_masks(monkeypatch)
-    transport = run_transport(_make_frames(seed=3), 5, methods)
+    # run_rounds alone decides the split count from the methods it combines.
+    drawn, transport = _driver_folds(monkeypatch, methods)
     assert sorted(drawn) == ["site0", "site1", "site2"]
     assert transport.cv_splits == CV_SPLITS
     assert [src.folds.shape for src in transport.sources] == [(CV_SPLITS, 150)] * 2
-    # A method name is not a list of methods, and neither is an empty or a
-    # repeated one.
-    for bad in ("mr_l1", (), ("ivw", "ivw")):
-        with pytest.raises(ValueError, match="methods must be a non-empty list of distinct names"):
+
+
+@pytest.mark.parametrize("methods", [("ivw",), ("target", "ss")])
+def test_the_round_driver_draws_no_folds_for_fixed_schemes_alone(monkeypatch, methods):
+    drawn, transport = _driver_folds(monkeypatch, methods)
+    assert drawn == [] and transport.cv_splits == 0
+    assert [src.folds.shape for src in transport.sources] == [(0, 150)] * 2
+
+
+def test_the_round_driver_rejects_a_bad_method_list_before_any_tilt(monkeypatch):
+    # The driver reads the method names before any site work: no groups, an
+    # unknown name, and a method name where the groups belong each raise
+    # before a source solves its tilt.
+    def refuse(*args):
+        raise AssertionError("a tilt was solved")
+
+    monkeypatch.setattr(fedruntime, "solve_tilt", refuse)
+    group = _config().candidates
+    for bad, shown in (({}, "()"), ({"ivw": group, "lasso": group}, "('ivw', 'lasso')"),
+                       ("mr_l1", "('m', 'r', '_', 'l', '1')")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"methods must be a non-empty list of distinct names from {METHODS}, "
+                f"got {shown}")):
+            fedruntime.run_rounds(_make_frames(seed=3), 5, bad)
+    # A repeated name is no method list either.
+    assert not fedruntime.is_method_list(("ivw", "ivw"))
+
+
+def test_the_transport_takes_a_split_count_of_0_or_cv_splits():
+    # The transport names no method, and takes no split count but the two
+    # the protocol has.
+    for bad in (1, 3, -5, 5.0, True, None, "mr_l1", ("aipw_l1",)):
+        with pytest.raises(ValueError, match=f"cv_splits must be 0 or {CV_SPLITS}, got "):
             run_transport(_make_frames(seed=3), 5, bad)
 
 
@@ -297,8 +347,8 @@ def test_fixed_schemes_do_not_read_the_folds(preset):
     config = method_config("ivw", scenario, seed=rep_config_seed(0, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        phases = [run_sites(run_transport(frames, config.seed, methods), config.candidates)
-                  for methods in (METHODS, FIXED_SCHEMES)]
+        phases = [run_sites(run_transport(frames, config.seed, splits), config.candidates)
+                  for splits in (CV_SPLITS, 0)]
     assert [len(phase.estimates[0].moments) for phase in phases] == [CV_SPLITS + 1, 1]
     for method in FIXED_SCHEMES:
         folds, none = (combine(phase, method) for phase in phases)
@@ -324,7 +374,8 @@ def test_a_source_uploads_what_it_makes_of_the_broadcast_text(method):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ledger = run_round(frames, config).privacy_ledger
-        transport = run_transport(frames, config.seed, (method,))
+        transport = run_transport(frames, config.seed,
+                                  CV_SPLITS if method in ADAPTIVE_METHODS else 0)
         made = {src.frame.site_id: source_upload(src, ledger[0].payload_text)
                 for src in transport.sources}
         direct = {}
@@ -345,7 +396,7 @@ def test_a_source_reads_its_candidates_from_the_broadcast_text():
     frames = replication_frames(scenario, 0, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        transport = run_transport(frames, rep_config_seed(0, 0), METHODS)
+        transport = run_transport(frames, rep_config_seed(0, 0), CV_SPLITS)
         phases = [run_sites(transport, method_config(method, scenario).candidates)
                   for method in ("ivw", "mr_l1")]
         for phase in phases:
@@ -356,7 +407,7 @@ def test_a_source_reads_its_candidates_from_the_broadcast_text():
 
 
 def test_a_source_fits_nothing_on_a_broadcast_the_audit_rejects(monkeypatch):
-    transport = run_transport(_make_frames(seed=3), 5, ("mr_l1",))
+    transport = run_transport(_make_frames(seed=3), 5, CV_SPLITS)
     sent = json.loads(run_sites(transport, _config().candidates).ledger[0].payload_text)
 
     def refuse(*args, **kwargs):
@@ -397,7 +448,7 @@ def test_a_source_builds_each_broadcast_map_once(monkeypatch):
     frames = replication_frames(scenario, 0, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        transport = run_transport(frames, rep_config_seed(0, 0), ("mr_l1",))
+        transport = run_transport(frames, rep_config_seed(0, 0), CV_SPLITS)
         text = run_sites(transport, method_config("mr_l1", scenario).candidates
                          ).ledger[0].payload_text
     maps = json.loads(text)["candidates"]
@@ -425,8 +476,8 @@ def test_every_phase_on_a_transport_broadcasts_its_seed_and_split_count():
     frames = replication_frames(scenario, 0, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for methods, splits in ((METHODS, CV_SPLITS), (("ivw",), 0)):
-            transport = run_transport(frames, rep_config_seed(0, 0), methods)
+        for splits in (CV_SPLITS, 0):
+            transport = run_transport(frames, rep_config_seed(0, 0), splits)
             for method in ("ivw", "mr_l1"):
                 phase = run_sites(transport, method_config(method, scenario).candidates)
                 sent = json.loads(phase.ledger[0].payload_text)
@@ -436,7 +487,7 @@ def test_every_phase_on_a_transport_broadcasts_its_seed_and_split_count():
 
 
 def test_an_adaptive_combine_needs_a_phase_with_folds():
-    sites = run_sites(run_transport(_make_frames(seed=3), 5, ("ivw",)),
+    sites = run_sites(run_transport(_make_frames(seed=3), 5, 0),
                       _config("ivw", seed=5).candidates)
     for method in ADAPTIVE_METHODS:
         with pytest.raises(ValueError, match=f"site site0 summarizes 0 splits, expected "
@@ -455,7 +506,7 @@ def test_effective_method_follows_the_candidates_the_phase_ran():
         assert len(config.candidates["source"]["outcome"]) == maps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sites = run_sites(run_transport(frames, config.seed, ADAPTIVE_METHODS),
+            sites = run_sites(run_transport(frames, config.seed, CV_SPLITS),
                               config.candidates)
             reports = [combine(sites, method) for method in ADAPTIVE_METHODS]
         assert [r.diagnostics["effective_method"] for r in reports] == [ran, ran]
@@ -623,8 +674,9 @@ _UPLOAD = "a site_estimate message."
 # formed but break the round's dimensions: one split sum short of what the
 # broadcast declared, and one slope short of the target's 4 shared covariate
 # means. Two hold a negative sum of squares, which no honest source sends
-# (each is a sum of squared contributions), and the last a sample size of 0,
-# below the 5-unit tilt basis every source that solved its tilt holds.
+# (each is a sum of squared contributions), one a sample size of 0, below the
+# 5-unit tilt basis every source that solved its tilt holds, and the last a
+# fit-half sum at three times its whole, which no subset of units reaches.
 _REFUSED_UPLOADS = {
     "fit_sq_empty": (("mr_l1",), lambda p: {**p, "fit_sq": []},
                      f"{_UPLOAD}fit_sq has length 0; its declared [cv_splits] is {CV_SPLITS}"),
@@ -636,6 +688,9 @@ _REFUSED_UPLOADS = {
                         f"{_UPLOAD}fit_sq is not a flat list of nonnegative finite numbers"),
     "n_k_zero": (("ss",), lambda p: {**p, "n_k": 0},
                  f"{_UPLOAD}n_k is 0, below its tilt basis of 5 units"),
+    "fit_sq_over_whole": (("aipw_l1", "mr_l1"),
+                          lambda p: {**p, "fit_sq": [3 * p["own_sq"]] + p["fit_sq"][1:]},
+                          f"{_UPLOAD}fit_sq sums a fit half above its own_sq"),
 }
 
 
@@ -693,7 +748,7 @@ def test_run_rounds_shares_one_transport_and_a_site_phase_per_candidate_group(mo
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         reports, failed = fedruntime.run_rounds(frames, seed, groups)
-        transport = run_transport(frames, seed, METHODS)
+        transport = run_transport(frames, seed, CV_SPLITS)
         by_hand = {method: combine(run_sites(transport, candidates), method).to_json()
                    for method, candidates in groups.items()}
     assert calls == {"run_transport": 1, "run_sites": 2}
@@ -706,7 +761,7 @@ def test_a_source_tilts_on_no_summary_text_the_audit_refuses(monkeypatch):
     # summary written with spaces fails every source before its tilt.
     monkeypatch.setattr(MomentSummary, "to_json",
                         lambda self: json.dumps({"mean_v": list(map(float, self.mean_v))}))
-    transport = run_transport(_make_frames(seed=3), 5, ("mr_l1",))
+    transport = run_transport(_make_frames(seed=3), 5, CV_SPLITS)
     message = "PrivacyViolation: non-canonical payload text on a moment_summary message"
     assert [(src.failure, src.tilt) for src in transport.sources] == [(message, None)] * 2
 
@@ -728,7 +783,7 @@ def test_target_group_stays_with_the_coordinator():
     target = frames[0]
     fit = fit_nuisances(target.site_id, target.X, target.y, target.a, [own], [own],
                         seed=site_split_seed(4, target.site_id))
-    transport = run_transport(frames, config.seed, (config.method,))
+    transport = run_transport(frames, config.seed, 0)
     sites = run_sites(transport, config.candidates)
     assert sites.estimates[0].mu == estimate_target(
         target, fit, transport.target_centered, transport.target_folds).mu
@@ -870,6 +925,10 @@ _SCALAR_TAMPERS = {
                         f"cv_splits 3; the protocol takes 0 or {CV_SPLITS}"),
     "fit_sq_other": ("site_estimate", lambda p: p.update(fit_sq=[]),
                      rf"fit_sq has length 0; its declared \[cv_splits\] is {CV_SPLITS}"),
+    # A fit half is a subset of the units, so its sum is at most the whole.
+    "fit_sq_over_whole": ("site_estimate",
+                          lambda p: p.update(fit_sq=[3 * p["own_sq"]] + p["fit_sq"][1:]),
+                          "fit_sq sums a fit half above its own_sq"),
 }
 
 
@@ -1191,7 +1250,7 @@ def honest_source():
     scenario = load_scenario("c1")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_transport(replication_frames(scenario, 0, 0), 1, ("mr_l1",)).sources[0]
+        return run_transport(replication_frames(scenario, 0, 0), 1, CV_SPLITS).sources[0]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1373,7 +1432,7 @@ def test_audit_accepts_only_canonical_text(name):
         audit_ledger(report)
     if kind == "config":
         # A source refuses the broadcast text the audit refuses.
-        src = run_transport(frames, 1, ("ivw",)).sources[0]
+        src = run_transport(frames, 1, 0).sources[0]
         with pytest.raises(PrivacyViolation, match="non-canonical payload text on a config"):
             source_upload(src, text)
     report.privacy_ledger[pos] = _relogged(rec, json.loads(text))
@@ -1538,7 +1597,7 @@ def test_no_site_estimate_grows_with_the_sample_sizes():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sites = run_sites(run_transport(replication_frames(spec, 0, 0), config.seed,
-                                            (config.method,)), config.candidates)
+                                            CV_SPLITS), config.candidates)
         assert len(sites.estimates) == len(spec.sites)
         shapes.append([_array_shapes(est) for est in sites.estimates])
     assert all(shapes[0]) and shapes[0] == shapes[1]

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcausal.density_ratio import MomentSummary
+from fedcausal.federation import ADAPTIVE_METHODS
 from fedcausal.fedruntime import (METHODS, ProtocolConfig, SitePhase, combine, run_rounds,
                                   run_sites, run_transport)
 from fedcausal.nuisance import CV_SPLITS, FeatureMap
@@ -135,7 +136,8 @@ def _sent(frames, method, target_group, seed):
                             method=method, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sites = run_sites(run_transport(frames, seed, (method,)), config.candidates)
+        splits = CV_SPLITS if method in ADAPTIVE_METHODS else 0
+        sites = run_sites(run_transport(frames, seed, splits), config.candidates)
         report = combine(sites, method)
     texts = {}
     for rec in sites.ledger:
@@ -198,15 +200,15 @@ def _vectors(sizes, elements=finite):
 shared_vectors = _vectors(st.integers(1, 6))
 moment_summaries = st.builds(MomentSummary, mean_v=shared_vectors)
 # A source's sample holds at least its tilt basis, the intercept and its q
-# shared covariates.
-source_reports = shared_vectors.flatmap(lambda coef: st.builds(
+# shared covariates, and each fit-half sum is at most its sum over all units.
+source_reports = st.tuples(shared_vectors, sums).flatmap(lambda drawn: st.builds(
     SourceSiteReport,
-    n_k=st.integers(len(coef) + 1, 10**9),
+    n_k=st.integers(len(drawn[0]) + 1, 10**9),
     mu0=finite,
     mu1=finite,
-    own_sq=sums,
-    fit_sq=_vectors(st.sampled_from([0, CV_SPLITS]), sums),
-    target_coef=st.just(coef),
+    own_sq=st.just(drawn[1]),
+    fit_sq=_vectors(st.sampled_from([0, CV_SPLITS]), st.floats(0.0, drawn[1])),
+    target_coef=st.just(drawn[0]),
 ))
 feature_maps = st.sampled_from((FeatureMap("raw"), FeatureMap("kangschafer"))) | st.builds(
     FeatureMap, kind=st.just("subset"),

@@ -62,13 +62,40 @@ def _skew_normal_reference(rng, n, shape):
 @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
 @pytest.mark.parametrize("shape", [[0.0, 0.0], [-3.0, -0.5, -1e-3], [2.0, 0.0, -5.0, 0.5]])
 def test_skew_normal_draws_are_bitwise_the_reference(n, bit_generator, shape):
-    # Flat draws give the (n, p) draws' values and leave each stream where
-    # they left it.
+    # The draws are the (n, p) form's values, and leave each stream where it
+    # leaves it.
     shape = np.array(shape)
     new, ref = (np.random.Generator(bit_generator(17)) for _ in range(2))
     X = sample_skew_normal(new, n, shape)
     assert X.shape == (n, len(shape))
     assert np.array_equal(X, _skew_normal_reference(ref, n, shape))
+    assert new.random() == ref.random()
+
+
+def _skew_normal_tiled(rng, n, shape):
+    """Flat draws at the stream positions of (n, p) ones, each scaled in
+    place by its coefficients tiled down the rows."""
+    delta = shape / np.sqrt(1.0 + shape**2)
+    u0 = rng.standard_normal(n * len(shape))
+    np.abs(u0, out=u0)
+    u0 *= np.tile(delta, n)
+    u1 = rng.standard_normal(n * len(shape))
+    u1 *= np.tile(np.sqrt(1.0 - delta**2), n)
+    u0 += u1
+    return u0.reshape(n, len(shape))
+
+
+@pytest.mark.parametrize("n", [7, 300, 1_000, 10_000])
+@pytest.mark.parametrize("shape", [[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.5, 0.0],
+                                   [0.0, 2.0, 0.0, -0.5], [-3.0, -1e-3]])
+def test_skew_normal_broadcast_scaling_is_bitwise_the_tiled_formula(n, shape):
+    # Scaling (n, p) draws by broadcasting multiplies each draw by the same
+    # coefficient as the tiled flat form, and draws from the same stream
+    # positions.
+    shape = np.array(shape)
+    new, ref = (np.random.default_rng(23) for _ in range(2))
+    X = sample_skew_normal(new, n, shape)
+    assert np.array_equal(X, _skew_normal_tiled(ref, n, shape))
     assert new.random() == ref.random()
 
 

@@ -429,7 +429,7 @@ def test_run_transport_checks_the_weights_it_solves():
     # concentrates is named even when its nuisance fit then fails.
     src, tgt = _one_unit_source()
     with pytest.warns(ExtremeWeightsWarning, match="site src: "):
-        transport = fedruntime.run_transport([tgt, src], 0, ("mr_l1",))
+        transport = fedruntime.run_transport([tgt, src], 0, CV_SPLITS)
     raw, past = [FeatureMap("raw")], [FeatureMap("subset", (7,))]
     config = fedruntime.ProtocolConfig(
         candidates={"target": {"treatment": raw, "outcome": raw},
@@ -446,7 +446,7 @@ def test_two_site_phases_on_one_transport_warn_once_per_source():
     raw, both = [FeatureMap("raw")], [FeatureMap("raw"), FeatureMap("subset", (1,))]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        transport = fedruntime.run_transport([tgt, src], 0, ("mr_l1",))
+        transport = fedruntime.run_transport([tgt, src], 0, CV_SPLITS)
         for maps in (raw, both):
             config = fedruntime.ProtocolConfig(
                 candidates={"target": {"treatment": raw, "outcome": raw},
@@ -639,7 +639,7 @@ def test_contributions_match_a_jackknife(seed):
         mp.setattr(fedruntime, "_fit_site", lambda frame, group, seed: _fixed_fit(frame))
 
         def target_estimate(frame):
-            transport = fedruntime.run_transport([frame], config.seed, (config.method,))
+            transport = fedruntime.run_transport([frame], config.seed, 0)
             return fedruntime.run_sites(transport, config.candidates).estimates[0]
 
         est = target_estimate(tgt)
